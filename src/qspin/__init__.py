@@ -3,7 +3,9 @@ coefficient field, extended q-combinatorics, closed recoupling values,
 explicit braid/R-matrix verification, and independent classical oracles.
 """
 
-from . import cli, errors, matrixlab, networks, qcomb, recoupling, scalar
+# The CLI is not imported here: `python -m qspin.cli` would otherwise find
+# it in sys.modules before running it.  `from qspin import cli` still works.
+from . import errors, matrixlab, networks, qcomb, recoupling, scalar
 
 __all__ = [
     "cli",

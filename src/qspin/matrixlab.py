@@ -9,17 +9,26 @@ Conventions:
   in place of i/2, so no square root of q is ever adjoined.  All structure
   invariants (skein relation, loop absorption, braid relation, trace
   calibration) are verified for this choice.
-* Matrices are sparse: rows[i][j] holds a nonzero field element; zero
-  entries are pruned eagerly so equality is structural.
+* Matrices are sparse and fraction-free: rows[i][j] holds a nonzero
+  integer-coefficient polynomial numerator and one denominator ``den`` is
+  shared by all entries.  Products and sums multiply and add polynomials
+  only; one normalization per operation then cancels the factors that
+  ``den`` shares with every numerator, so the stored form is canonical and
+  equality is structural.  A field element is built (one cancel) only when
+  an entry is read.
 * Inside BraidData, z is specialized to q^n throughout.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from math import gcd
+
+from sympy import ZZ
 
 from .errors import (
     ArgumentOutOfRange,
@@ -29,10 +38,16 @@ from .errors import (
 )
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent, thread_budget
-from .scalar import ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
+from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
 
-_QNF = Q.nf
-_ONE_NF = ONE.nf
+# --------------------------------------------------------------------------
+# Integer polynomials in (q, z, Delta, u, v): numerators and denominators.
+
+_PRING = FIELD.ring.clone(domain=ZZ)
+_PONE = _PRING.one
+_poly = _PRING.dtype
+_mmul = _PRING.monomial_mul
+_mdiv = _PRING.monomial_div
 
 
 def _nf(x) -> object:
@@ -44,20 +59,166 @@ def _nf(x) -> object:
     return x
 
 
+def _split(x) -> tuple:
+    """(numerator, denominator) of a scalar as integer polynomials, the
+    denominator with a positive leading coefficient."""
+    nf = _nf(x)
+    cn, num = nf.numer.clear_denoms()
+    cd, den = nf.denom.clear_denoms()
+    num = num.set_ring(_PRING).mul_ground(cd)
+    den = den.set_ring(_PRING).mul_ground(cn)
+    if den.LC < 0:
+        return -num, -den
+    return num, den
+
+
+def _to_field(num, den):
+    """num / den as a reduced field element (one cancel unless den = 1)."""
+    if den == _PONE:
+        return FIELD.raw_new(num.set_ring(FIELD.ring))
+    return FIELD.new(num.set_ring(FIELD.ring), den.set_ring(FIELD.ring))
+
+
+#: Irreducible factors of each denominator seen, filled on first use.
+_FACTORS: dict = {}
+
+
+def _factors(den) -> tuple[int, dict]:
+    """(content, {irreducible factor with positive LC: multiplicity})."""
+    got = _FACTORS.get(den)
+    if got is None:
+        cont, facs = den.factor_list()
+        fac: dict = {}
+        for f, e in facs:
+            if f.LC < 0:
+                f = -f
+                cont *= (-1) ** e
+            fac[f] = fac.get(f, 0) + e
+        got = _FACTORS[den] = (abs(cont), fac)
+    return got
+
+
+def _den_of(cont: int, fac: dict):
+    """The polynomial cont * prod(f^e)."""
+    out = _poly({_PRING.zero_monom: cont})
+    for f, e in fac.items():
+        out = out * f**e
+    return out
+
+
+def _exquo(p, f):
+    """p / f if f divides p exactly, else None (stops at the first term
+    that does not divide).  The ring order is lex, so a polynomial's
+    leading monomial is its largest exponent tuple."""
+    fm = max(f)
+    fc = f[fm]
+    rest = [(m, c) for m, c in f.items() if m != fm]
+    p = dict(p)
+    quo = {}
+    while p:
+        m = max(p)
+        c = p.pop(m)
+        qm = _mdiv(m, fm)
+        if qm is None:
+            return None
+        t, r = divmod(c, fc)
+        if r:
+            return None
+        quo[qm] = t
+        for m2, c2 in rest:
+            k = _mmul(qm, m2)
+            v = p.get(k, 0) - t * c2
+            if v:
+                p[k] = v
+            else:
+                del p[k]
+    return _poly(quo)
+
+
+def _exquo_monomial(p, fm):
+    """p / x^fm for a monomial x^fm, or None."""
+    out = {}
+    for m, c in p.items():
+        qm = _mdiv(m, fm)
+        if qm is None:
+            return None
+        out[qm] = c
+    return _poly(out)
+
+
+def _divide_all(rows: dict, f):
+    """rows with every numerator divided by f, or None if f misses one."""
+    # a monomial factor (a generator) divides where every exponent allows
+    div, by = (_exquo_monomial, next(iter(f))) if len(f) == 1 else (_exquo, f)
+    out = {}
+    for i, row in rows.items():
+        orow = {}
+        for j, num in row.items():
+            quo = div(num, by)
+            if quo is None:
+                return None
+            orow[j] = quo
+        out[i] = orow
+    return out
+
+
+def _times(p, m):
+    """p * m, sharing p when m is 1."""
+    return p if m == _PONE else p * m
+
+
 class SquareMatrixK:
     """Sparse square matrix over the coefficient field.
 
-    Entries are raw field elements internally; ``entry`` wraps them as
-    ScalarK without an expression DAG (matrix work would blow the DAG up).
+    ``rows[i][j]`` is the integer-polynomial numerator of a nonzero entry
+    and ``den`` the one denominator of all entries.  The form is canonical:
+    ``den`` has a positive leading coefficient and shares no nonunit
+    factor (integer or polynomial) with all numerators at once.  ``_dfac``
+    holds the irreducible factors of ``den`` with their multiplicities.
+    ``entry`` wraps an entry as ScalarK without an expression DAG (matrix
+    work would blow the DAG up).  Numerators are shared between matrices
+    and never mutated.
     """
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "den", "_dfac")
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ArgumentOutOfRange("matrix dimension must be positive")
         self.dim = dim
         self.rows: dict[int, dict[int, object]] = {}
+        self.den = _PONE
+        self._dfac: dict = {}
+
+    def _normalize(self, cont: int, dfac: dict) -> "SquareMatrixK":
+        """Set den = cont * prod(f^e) over ``dfac``, then cancel every
+        factor that divides all numerators."""
+        rows = self.rows
+        if not rows:
+            self.den, self._dfac = _PONE, {}
+            return self
+        for f, e in list(dfac.items()):
+            while e:
+                quo = _divide_all(rows, f)
+                if quo is None:
+                    break
+                rows = quo
+                e -= 1
+            if e:
+                dfac[f] = e
+            else:
+                del dfac[f]
+        g = _common_content(cont, rows)
+        if g != 1:
+            cont //= g
+            rows = {
+                i: {j: num.quo_ground(g) for j, num in row.items()}
+                for i, row in rows.items()
+            }
+        self.rows = rows
+        self._dfac = dfac
+        self.den = _den_of(cont, dfac)
+        return self
 
     # -- construction -------------------------------------------------------
 
@@ -65,7 +226,7 @@ class SquareMatrixK:
     def identity(dim: int) -> "SquareMatrixK":
         m = SquareMatrixK(dim)
         for i in range(dim):
-            m.rows[i] = {i: _ONE_NF}
+            m.rows[i] = {i: _PONE}
         return m
 
     @staticmethod
@@ -77,32 +238,34 @@ class SquareMatrixK:
         m = SquareMatrixK(len(rows))
         for i, row in enumerate(rows):
             for j, val in enumerate(row):
-                m.add_to(i, j, _nf(val))
+                m.add_to(i, j, val)
         return m
 
     def copy(self) -> "SquareMatrixK":
         m = SquareMatrixK(self.dim)
         m.rows = {i: dict(r) for i, r in self.rows.items()}
+        m.den = self.den
+        m._dfac = dict(self._dfac)
         return m
 
     # -- entry access --------------------------------------------------------
 
     def add_to(self, i: int, j: int, val) -> None:
-        val = _nf(val)
-        row = self.rows.setdefault(i, {})
-        new = row.get(j)
-        new = val if new is None else new + val
-        if new:
-            row[j] = new
-        else:
-            row.pop(j, None)
-            if not row:
-                self.rows.pop(i, None)
+        """Add a scalar to entry (i, j) in place."""
+        num, den = _split(val)
+        if not num:
+            return
+        cont, fac = _factors(den)
+        single = SquareMatrixK(self.dim)
+        single.rows = {i: {j: num}}
+        total = self._lincomb(single._normalize(cont, dict(fac)), 1)
+        self.rows, self.den, self._dfac = total.rows, total.den, total._dfac
 
     def entry(self, i: int, j: int) -> ScalarK:
-        return ScalarK.from_field_element(
-            self.rows.get(i, {}).get(j, scalar(0).nf)
-        )
+        num = self.rows.get(i, {}).get(j)
+        if num is None:
+            return ScalarK.from_field_element(FIELD.zero)
+        return ScalarK.from_field_element(_to_field(num, self.den))
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -115,45 +278,86 @@ class SquareMatrixK:
         out = SquareMatrixK(self.dim)
         orows = other.rows
         for i, arow in self.rows.items():
-            acc: dict[int, object] = {}
+            acc: dict[int, dict] = {}
             for k, aval in arow.items():
                 brow = orows.get(k)
                 if not brow:
                     continue
+                aterms = list(aval.items())
                 for j, bval in brow.items():
-                    prod = aval * bval
-                    cur = acc.get(j)
-                    acc[j] = prod if cur is None else cur + prod
-            row = {j: v for j, v in acc.items() if v}
+                    t = acc.get(j)
+                    if t is None:
+                        t = acc[j] = {}
+                    get = t.get
+                    for mb, cb in bval.items():
+                        for ma, ca in aterms:
+                            m = _mmul(ma, mb)
+                            t[m] = get(m, 0) + ca * cb
+            row = {}
+            for j, t in acc.items():
+                t = {m: c for m, c in t.items() if c}
+                if t:
+                    row[j] = _poly(t)
             if row:
                 out.rows[i] = row
-        return out
+        return out._normalize(*_den_product(self, other))
 
     def __add__(self, other: "SquareMatrixK") -> "SquareMatrixK":
-        if self.dim != other.dim:
-            raise ArgumentOutOfRange("dimension mismatch in matrix sum")
-        out = self.copy()
-        for i, row in other.rows.items():
-            for j, val in row.items():
-                out.add_to(i, j, val)
-        return out
+        return self._lincomb(other, 1)
 
     def __sub__(self, other: "SquareMatrixK") -> "SquareMatrixK":
-        return self + other.scale(-1)
+        return self._lincomb(other, -1)
+
+    def _lincomb(self, other: "SquareMatrixK", sign: int) -> "SquareMatrixK":
+        if self.dim != other.dim:
+            raise ArgumentOutOfRange("dimension mismatch in matrix sum")
+        ca, cb = self.den.content(), other.den.content()
+        lcont = ca * cb // gcd(ca, cb)
+        lfac = dict(self._dfac)
+        for f, e in other._dfac.items():
+            lfac[f] = max(lfac.get(f, 0), e)
+        ma = _den_of(lcont // ca, _fac_quotient(lfac, self._dfac))
+        mb = _den_of(lcont // cb, _fac_quotient(lfac, other._dfac))
+        if sign < 0:
+            mb = -mb
+        out = SquareMatrixK(self.dim)
+        rows = {i: {j: _times(v, ma) for j, v in row.items()}
+                for i, row in self.rows.items()}
+        for i, row in other.rows.items():
+            orow = rows.setdefault(i, {})
+            for j, v in row.items():
+                v = _times(v, mb)
+                cur = orow.get(j)
+                if cur is None:
+                    orow[j] = v
+                    continue
+                v = cur + v
+                if v:
+                    orow[j] = v
+                else:
+                    del orow[j]
+            if not orow:
+                del rows[i]
+        out.rows = rows
+        return out._normalize(lcont, lfac)
 
     def scale(self, c) -> "SquareMatrixK":
-        c = _nf(c)
+        cnum, cden = _split(c)
         out = SquareMatrixK(self.dim)
-        if not c:
+        if not cnum or not self.rows:
             return out
-        for i, row in self.rows.items():
-            out.rows[i] = {j: v * c for j, v in row.items()}
-        return out
+        out.rows = {i: {j: v * cnum for j, v in row.items()}
+                    for i, row in self.rows.items()}
+        return out._normalize(*_den_product(self, cden))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareMatrixK):
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return (
+            self.dim == other.dim
+            and self.den == other.den
+            and self.rows == other.rows
+        )
 
     def __hash__(self):  # pragma: no cover - matrices are not dict keys
         raise TypeError("SquareMatrixK is unhashable")
@@ -165,24 +369,65 @@ class SquareMatrixK:
         d2 = other.dim
         out = SquareMatrixK(self.dim * d2)
         for i, arow in self.rows.items():
-            for j, aval in arow.items():
-                for k, brow in other.rows.items():
-                    orow = out.rows.setdefault(i * d2 + k, {})
+            for k, brow in other.rows.items():
+                orow = out.rows.setdefault(i * d2 + k, {})
+                for j, aval in arow.items():
                     for l, bval in brow.items():
                         orow[j * d2 + l] = aval * bval
-        return out
+        return out._normalize(*_den_product(self, other))
 
     def trace(self) -> ScalarK:
-        acc = scalar(0).nf
+        acc = _PRING.zero
         for i, row in self.rows.items():
             v = row.get(i)
             if v is not None:
                 acc = acc + v
-        return ScalarK.from_field_element(acc)
+        return ScalarK.from_field_element(_to_field(acc, self.den))
+
+
+def _common_content(cont: int, rows: dict) -> int:
+    """gcd of cont and every numerator coefficient, stopping at 1."""
+    g = cont
+    for row in rows.values():
+        for num in row.values():
+            for c in num.values():
+                if g == 1:
+                    return 1
+                g = gcd(g, c)
+    return g
+
+
+def _fac_quotient(big: dict, small: dict) -> dict:
+    """The factor multiset big / small (small must divide big)."""
+    out = {}
+    for f, e in big.items():
+        e -= small.get(f, 0)
+        if e:
+            out[f] = e
+    return out
+
+
+def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
+    """(content, factors) of a.den * b, where b is a matrix or a
+    denominator polynomial."""
+    if isinstance(b, SquareMatrixK):
+        bcont, bfac = b.den.content(), b._dfac
+    else:
+        bcont, bfac = _factors(b)
+    fac = dict(a._dfac)
+    for f, e in bfac.items():
+        fac[f] = fac.get(f, 0) + e
+    return a.den.content() * bcont, fac
 
 
 # --------------------------------------------------------------------------
 # Braid data on V (x) V at z = q^n.
+
+
+#: BraidData per n, built on first use.
+_BRAID_DATA: dict[int, "BraidData"] = {}
+#: Guards _BRAID_DATA and _TOWERS: run_manifest may run checks in threads.
+_CACHE_LOCK = threading.RLock()
 
 
 def _rho(i: int) -> int:
@@ -221,10 +466,19 @@ def build_braid_data(n: int) -> BraidData:
     sigma^-1 = sigma - (q - q^-1)(1 - u) and verified to be a true inverse;
     it is then compared against the displayed sum shape, and any term-level
     mismatch is reported as a warning (the display's -q E_{-i,i} (x) E_{i,-i}
-    term has the wrong sign).
+    term has the wrong sign).  The data is built once per n per process
+    (so the warning fires once per n) and shared: callers must not mutate it.
     """
     if n not in (1, 2, 3):
         raise UnsupportedSize("build_braid_data supports n in {1, 2, 3}")
+    with _CACHE_LOCK:
+        data = _BRAID_DATA.get(n)
+        if data is None:
+            data = _BRAID_DATA[n] = _build_braid_data(n)
+        return data
+
+
+def _build_braid_data(n: int) -> BraidData:
     idx = [i for i in range(-n, 0)] + [i for i in range(1, n + 1)]
     pos = {i: k for k, i in enumerate(idx)}
     d = 2 * n
@@ -269,19 +523,22 @@ def build_braid_data(n: int) -> BraidData:
                 printed.add_to(P(i, j), P(i, j), -qm)
             if j > -i:
                 printed.add_to(P(i, -i), P(j, -j), qm * w[(i, j)])
+    # the two denominators differ: compare a/den_a and b/den_b crosswise
+    zero = _PRING.zero
     mismatches = []
-    for i in range(d * d):
-        for j in range(d * d):
-            a = sigma_inv.rows.get(i, {}).get(j)
-            b = printed.rows.get(i, {}).get(j)
-            if a != b:
-                mismatches.append((i, j))
+    for i, j in sorted(
+        {(i, j) for m in (sigma_inv, printed) for i, row in m.rows.items() for j in row}
+    ):
+        a = sigma_inv.rows.get(i, {}).get(j, zero)
+        b = printed.rows.get(i, {}).get(j, zero)
+        if a * printed.den != b * sigma_inv.den:
+            mismatches.append((i, j))
     if mismatches:
         warnings.warn(
             "displayed sigma^-1 sum disagrees with the true inverse at "
             f"{len(mismatches)} entries (e.g. the -q E_(-i,i) (x) E_(i,-i) "
             "term); the true inverse is used",
-            stacklevel=2,
+            stacklevel=3,
         )
 
     data = BraidData(
@@ -315,9 +572,9 @@ def _derive_mu(data: BraidData) -> dict:
     w = {}
     for i in idx:
         for j in idx:
-            w[(i, j)] = data.u_mat.rows.get(P(i, -i), {}).get(P(j, -j))
-            if w[(i, j)] is None:
+            if P(j, -j) not in data.u_mat.rows.get(P(i, -i), {}):
                 raise CalibrationFailed("u is not supported on the cup pattern")
+            w[(i, j)] = data.u_mat.entry(P(i, -i), P(j, -j)).nf
     i0 = idx[0]
     for i in idx:
         for j in idx:
@@ -523,6 +780,9 @@ def check_hecke_quotient(rep: StrandRep, i: int = 0) -> bool:
 # --------------------------------------------------------------------------
 # Idempotent towers.
 
+#: Towers per (kind, id(data)), each with its data, filled on first use.
+_TOWERS: dict[tuple[str, int], tuple["BraidData", dict]] = {}
+
 _TOWER_SPEC = {
     "F": ("BMW_D", Q),
     "E": ("BMW_A", -(Q**-1)),
@@ -531,7 +791,11 @@ _TOWER_SPEC = {
 
 def idempotent_tower(kind: str, data: BraidData, p_max: int) -> dict:
     """E(p) or F(p) on V^(x)p for p = 1..p_max, via
-    X(p+1) = X(p) R_p(q^p) X(p) with X(1) = 1."""
+    X(p+1) = X(p) R_p(q^p) X(p) with X(1) = 1.
+
+    Each tower is built once per process and extended on demand; the
+    returned dict is fresh, the matrices in it are shared.
+    """
     if kind not in _TOWER_SPEC:
         raise ArgumentOutOfRange("tower kind must be 'E' or 'F'")
     budget = 4 if data.n <= 2 else 3
@@ -542,15 +806,22 @@ def idempotent_tower(kind: str, data: BraidData, p_max: int) -> dict:
     rkind, _ = _TOWER_SPEC[kind]
     d = data.d
     zq = Q**data.n
-    out = {1: SquareMatrixK.identity(d)}
-    for p in range(1, p_max):
-        lifted = out[p].kron(SquareMatrixK.identity(d))
-        r_small = spectral_R(
-            rkind, data.sigma, data.sigma_inv, data.u_mat, Q**p, zq
-        )
-        r_p = SquareMatrixK.identity(d ** (p - 1)).kron(r_small)
-        out[p + 1] = lifted @ r_p @ lifted
-    return out
+    key = (kind, id(data))
+    with _CACHE_LOCK:
+        cached = _TOWERS.get(key)
+        out = cached[1] if cached else {1: SquareMatrixK.identity(d)}
+        if len(out) < p_max:
+            out = dict(out)
+            for p in range(len(out), p_max):
+                lifted = out[p].kron(SquareMatrixK.identity(d))
+                r_small = spectral_R(
+                    rkind, data.sigma, data.sigma_inv, data.u_mat, Q**p, zq
+                )
+                r_p = SquareMatrixK.identity(d ** (p - 1)).kron(r_small)
+                out[p + 1] = lifted @ r_p @ lifted
+            # the data object is kept alive so its id stays unique
+            _TOWERS[key] = (data, out)
+    return {p: out[p] for p in range(1, p_max + 1)}
 
 
 def strand_generator(data: BraidData, which: str, i: int, p: int) -> SquareMatrixK:
@@ -642,7 +913,12 @@ def check_hecke_tower(kind: str) -> bool:
 
 
 def quantum_trace(x: SquareMatrixK, data: BraidData) -> ScalarK:
-    """tr(x mu^(x)p), with p determined from the matrix dimension."""
+    """tr(x mu^(x)p), with p determined from the matrix dimension.
+
+    The weighted diagonal is summed over the common denominator x.den * W,
+    W the product of every weight's denominator to the p-th power, so the
+    result is read with one cancel.
+    """
     d = data.d
     p = 0
     dim = 1
@@ -651,21 +927,22 @@ def quantum_trace(x: SquareMatrixK, data: BraidData) -> ScalarK:
         p += 1
     if dim != x.dim:
         raise ArgumentOutOfRange("matrix dimension is not a power of dim V")
-    weights = [data.mu[i].nf for i in data.indices]
+    weights = [_split(data.mu[i]) for i in data.indices]
 
-    def weight_of(t: int):
-        w = _ONE_NF
-        for _ in range(p):
-            w = w * weights[t % d]
-            t //= d
-        return w
-
-    acc = scalar(0).nf
+    acc = _PRING.zero
     for i, row in x.rows.items():
         v = row.get(i)
-        if v is not None:
-            acc = acc + v * weight_of(i)
-    return ScalarK.from_field_element(acc)
+        if v is None:
+            continue
+        digits = [i // d**k % d for k in range(p)]
+        for a, (wnum, wden) in enumerate(weights):
+            count = digits.count(a)
+            v = v * wnum**count * wden ** (p - count)
+        acc = acc + v
+    den = x.den
+    for _, wden in weights:
+        den = den * wden**p
+    return ScalarK.from_field_element(_to_field(acc, den))
 
 
 def dimq_sym_recursive(p: int) -> ScalarK:

@@ -34,6 +34,7 @@ from sympy import QQ
 from sympy.polys.fields import field
 
 from .errors import (
+    ArgumentOutOfRange,
     ClassicalSingular,
     DivisionByZero,
     ParseError,
@@ -49,9 +50,6 @@ _QG, _ZG, _DG, _UG, _VG = _RING.gens
 
 #: Classical coordinates: Q(delta, Delta).
 CLASSICAL_FIELD, _cd, _cD = field("delta,Delta", QQ)
-
-_FIELD_ONE = FIELD.one
-_FIELD_ZERO = FIELD.zero
 
 # delta in rational-function coordinates: (z^2 - 1) q / ((q^2 - 1) z).
 _DELTA_NF = (_z * _z - 1) * _q / ((_q * _q - 1) * _z)
@@ -271,6 +269,8 @@ class ScalarK:
             return NotImplemented
         if e < 0 and not self.nf:
             raise DivisionByZero("inverting a scalar that normalizes to 0")
+        if e == 0 and not self.nf:
+            raise ArgumentOutOfRange("0^0 is undefined")
         nf = self.nf**e if e >= 0 else 1 / (self.nf ** (-e))
         ex = ("pow", self._expr, e) if self._expr is not None else None
         return ScalarK(nf, ex)
@@ -352,34 +352,39 @@ def equal(a: ScalarK, b: ScalarK) -> bool:
 def bar(x: ScalarK) -> ScalarK:
     """The bar involution q -> q^-1, z -> z^-1 (delta and Delta are fixed).
 
-    Bracket and brace atoms are individually invariant, so the involution
-    is implemented generator-wise on the expression DAG.
+    The normal form is reflected directly: the q and z exponents of the
+    numerator and the denominator are negated and the result is shifted
+    back to polynomials, with one cancel.  Bracket and brace atoms are
+    individually invariant, so the expression DAG, when present, is mapped
+    generator-wise and kept for the classical specialization.
     """
     x = scalar(x)
+    num, nq, nz = _reflect(x.nf.numer)
+    den, dq, dz = _reflect(x.nf.denom)
+    # bar(x) = (num q^-nq z^-nz) / (den q^-dq z^-dz)
+    sq, sz = dq - nq, dz - nz
+    num = num * _QG ** max(sq, 0) * _ZG ** max(sz, 0)
+    den = den * _QG ** max(-sq, 0) * _ZG ** max(-sz, 0)
+    nf = FIELD.new(num, den)
     if x._expr is None:
-        num = _subs_bar(x.nf.numer)
-        den = _subs_bar(x.nf.denom)
-        return ScalarK.from_field_element(num / den)
+        return ScalarK.from_field_element(nf)
 
     def atom(node):
         if node[0] == "gen" and node[1] in ("q", "z"):
             return ("pow", node, -1)
         return node
 
-    e = _map_dag(x._expr, atom)
-    return ScalarK(_nf_of_expr(e), e)
+    return ScalarK(nf, _map_dag(x._expr, atom))
 
 
-def _subs_bar(poly):
-    """q -> 1/q, z -> 1/z on a polynomial, returned as a field element."""
-    out = _FIELD_ZERO
-    for monom, coeff in poly.terms():
-        c = Fraction(int(coeff.numerator), int(coeff.denominator))
-        term = FIELD.ground_new(QQ(c.numerator, c.denominator))
-        term = term * _fpow(_q, -monom[0]) * _fpow(_z, -monom[1])
-        term = term * _Dcap ** monom[2] * _u ** monom[3] * _v ** monom[4]
-        out = out + term
-    return out
+def _reflect(poly):
+    """(p, a, b) with poly(1/q, 1/z) = p * q^-a * z^-b, p a polynomial."""
+    if not poly:
+        return poly, 0, 0
+    a = max(m[0] for m in poly)
+    b = max(m[1] for m in poly)
+    p = poly.new({(a - m[0], b - m[1]) + m[2:]: c for m, c in poly.items()})
+    return p, a, b
 
 
 def _nf_of_expr(node):
@@ -778,10 +783,23 @@ _NAME_MAP = {
 }
 
 
+#: Deepest nesting of parentheses and unary minus the parser accepts; the
+#: recursive descent would otherwise exhaust the interpreter's stack.
+MAX_PARSE_DEPTH = 100
+
+
 class _Tok:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
+
+    def descend(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_PARSE_DEPTH:
+            raise ParseError(
+                f"nesting deeper than {MAX_PARSE_DEPTH} at position {self.pos}"
+            )
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -873,7 +891,10 @@ def _parse_factor(tok: _Tok) -> ScalarK:
     c = tok.peek()
     if c == "-":
         tok.pos += 1
-        return -_parse_factor(tok)
+        tok.descend()
+        val = -_parse_factor(tok)
+        tok.depth -= 1
+        return val
     base = _parse_atom(tok)
     if tok.accept_power():
         e = _parse_exponent(tok)
@@ -898,10 +919,12 @@ def _parse_atom(tok: _Tok) -> ScalarK:
         raise ParseError("unexpected end of input")
     if c == "(":
         tok.pos += 1
+        tok.descend()
         val = _parse_sum(tok)
         if tok.peek() != ")":
             raise ParseError("expected ')'")
         tok.pos += 1
+        tok.depth -= 1
         return val
     if c.isdigit():
         return ScalarK.from_rational(tok.integer())

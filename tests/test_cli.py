@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qspin
 from qspin.cli import main
 from qspin.networks import theta_network
 from qspin.recoupling import theta_vector
@@ -159,3 +164,31 @@ def test_outputs_reproducible(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["0^0", "(" * 3000 + "q" + ")" * 3000, "-" * 3000 + "q"],
+    ids=["zero-to-zero", "deep-parentheses", "deep-unary-minus"],
+)
+def test_hostile_expr_is_a_typed_error(capsys, expr):
+    code, out, err = run(capsys, "specialize", f"--expr={expr}", "--to", "classical")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [parse-error]")
+    assert "Traceback" not in err
+
+
+def test_module_entry_point_is_quiet():
+    src = str(Path(qspin.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "qspin.cli", "check", "--suite", "hecke-tower"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.endswith("all passed\n")

@@ -1,8 +1,12 @@
 """Braid matrices, spectral R-matrices, idempotent towers, quantum traces."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qspin import matrixlab
 from qspin.matrixlab import (
@@ -24,10 +28,12 @@ from qspin.matrixlab import (
     dimq_sym_closed,
     dimq_sym_recursive,
     hecke_two_dim_rep,
+    idempotent_tower,
+    quantum_trace,
     run_manifest,
     run_manifest_json,
 )
-from qspin.scalar import ONE, Q, equal, integer_level
+from qspin.scalar import FIELD, ONE, Q, U, Z, equal, integer_level, scalar
 
 
 def test_sparse_matrix_algebra():
@@ -140,3 +146,167 @@ def test_default_manifest_shape():
     names = {c["name"] for c in doc["checks"]}
     assert {"braid-invariants", "ybe", "unitarity", "tower",
             "quantum-dims", "crossing-symmetry-D"} <= names
+
+
+def test_braid_data_and_towers_built_once():
+    data = build_braid_data(2)
+    assert build_braid_data(2) is data
+    again = matrixlab._build_braid_data(2)
+    for name in ("sigma", "sigma_inv", "u_mat"):
+        assert getattr(again, name) == getattr(data, name)
+    assert again.mu == data.mu
+    assert len(build_braid_data(1).sigma_inv_display_mismatches) == 2
+    assert len(data.sigma_inv_display_mismatches) == 4
+
+    long = idempotent_tower("F", data, 3)
+    short = idempotent_tower("F", data, 2)
+    assert sorted(short) == [1, 2]
+    assert short[2] is long[2]
+    assert idempotent_tower("F", data, 3) is not long  # a fresh dict
+    short[2] = None  # changing the returned dict leaves the cache alone
+    assert idempotent_tower("F", data, 2)[2] is long[2]
+    # a tower built from scratch is the same
+    matrixlab._TOWERS.pop(("F", id(data)))
+    rebuilt = idempotent_tower("F", data, 3)
+    assert all(rebuilt[p] == long[p] for p in (1, 2, 3))
+
+
+def test_cached_builds_are_shared_across_threads():
+    # more threads than cores and a short switch interval: an unguarded
+    # check-then-build would hand different threads different objects
+    matrixlab._BRAID_DATA.pop(1, None)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(lambda: idempotent_tower("E", build_braid_data(1), 3))
+                for _ in range(16)
+            ]
+            towers = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    data = build_braid_data(1)
+    assert all(t[3] is towers[0][3] for t in towers)
+    assert idempotent_tower("E", data, 3)[3] is towers[0][3]
+
+
+# --------------------------------------------------------------------------
+# The fraction-free matrix layer against the same computation entry by
+# entry in the field.
+
+_GENS = (Q, Z, U)
+
+
+@st.composite
+def _laurent_monomials(draw):
+    c = draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]))
+    out = scalar(c)
+    for g in _GENS:
+        out = out * g ** draw(st.integers(-2, 2))
+    return out
+
+
+#: Binomial denominators.  The program's matrices share a few denominator
+#: factors and a small pool keeps that shape: with sixteen unrelated
+#: binomials per matrix one example costs seconds, mostly in the field
+#: reference and in reading the entries back.
+_DENOMINATORS = [Q + 1, Q - Z, Z * U + 2, Q**2 - U]
+
+
+def _entries():
+    """Zero, constants, Laurent monomials and binomials, and monomials over
+    binomials, so that entries have differing denominators."""
+    return st.one_of(
+        st.just(scalar(0)),
+        st.sampled_from([scalar(1), scalar(-1), scalar(Fraction(3, 5))]),
+        _laurent_monomials(),
+        st.builds(lambda a, b: a + b, _laurent_monomials(), _laurent_monomials()),
+        st.builds(lambda a, b: a / b, _laurent_monomials(),
+                  st.sampled_from(_DENOMINATORS)),
+    )
+
+
+@st.composite
+def _matrices(draw, dim):
+    return [[draw(_entries()).nf for _ in range(dim)] for _ in range(dim)]
+
+
+def _mat(ref):
+    return SquareMatrixK.from_rows(ref)
+
+
+def _assert_matches(m, ref):
+    """Entries equal the field reference, and the form is canonical."""
+    dim = len(ref)
+    assert m.dim == dim
+    for i in range(dim):
+        for j in range(dim):
+            assert m.entry(i, j).nf == ref[i][j]
+            assert (j in m.rows.get(i, {})) == bool(ref[i][j])
+    assert m.den.LC > 0
+    g = m.den
+    for row in m.rows.values():
+        for num in row.values():
+            g = g.gcd(num)
+    assert g == 1  # no nonunit factor, integer or polynomial, is common
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(_matrices(d), _matrices(d))),
+       st.integers(1, 2).flatmap(_matrices), _entries())
+@settings(max_examples=25, deadline=None)
+def test_matrix_algebra_matches_field(pair, rk, c):
+    ra, rb = pair
+    a, b, small = _mat(ra), _mat(rb), _mat(rk)
+    dim = len(ra)
+    rng = range(dim)
+    _assert_matches(a, ra)
+    _assert_matches(
+        a @ b,
+        [[sum((ra[i][k] * rb[k][j] for k in rng), FIELD.zero) for j in rng]
+         for i in rng],
+    )
+    _assert_matches(a + b, [[ra[i][j] + rb[i][j] for j in rng] for i in rng])
+    _assert_matches(a - b, [[ra[i][j] - rb[i][j] for j in rng] for i in rng])
+    _assert_matches(a.scale(c), [[ra[i][j] * c.nf for j in rng] for i in rng])
+    dk = len(rk)
+    _assert_matches(
+        a.kron(small),
+        [[ra[i // dk][j // dk] * rk[i % dk][j % dk] for j in range(dim * dk)]
+         for i in range(dim * dk)],
+    )
+    assert a.trace().nf == sum((ra[i][i] for i in rng), FIELD.zero)
+
+
+@given(st.integers(1, 2).flatmap(lambda p: _matrices(2**p)))
+@settings(max_examples=30, deadline=None)
+def test_quantum_trace_matches_field(ref):
+    data = build_braid_data(1)  # dim V = 2
+    dim = len(ref)
+    p = dim.bit_length() - 1
+    mu = [data.mu[a].nf for a in data.indices]
+    want = FIELD.zero
+    for i in range(dim):
+        w, t = FIELD.one, i
+        for _ in range(p):
+            w, t = w * mu[t % 2], t // 2
+        want += ref[i][i] * w
+    assert quantum_trace(_mat(ref), data).nf == want
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(_matrices(d), _matrices(d))),
+       _laurent_monomials())
+@settings(max_examples=30, deadline=None)
+def test_matrix_equality_is_exact(pair, c):
+    ra, rb = pair
+    a, b = _mat(ra), _mat(rb)
+    # the same matrix reached through larger unreduced denominators
+    assert (a + b) - b == a
+    assert a.scale(c).scale(c.inv()) == a
+    assert a.kron(SquareMatrixK.identity(1)) == a
+    changed = a.copy()
+    changed.add_to(0, 0, c)
+    assert changed != a
+    assert changed - a == SquareMatrixK.from_rows(
+        [[c if (i, j) == (0, 0) else 0 for j in range(a.dim)] for i in range(a.dim)]
+    )

@@ -11,6 +11,7 @@ from sympy.polys.fields import FracElement
 
 from qspin import scalar
 from qspin.errors import (
+    ArgumentOutOfRange,
     ClassicalSingular,
     DivisionByZero,
     ParseError,
@@ -220,6 +221,21 @@ def test_parse_errors():
             parse_scalar(bad)
 
 
+def test_parse_depth_is_capped():
+    depth = scalar.MAX_PARSE_DEPTH
+    assert equal(parse_scalar("(" * depth + "q" + ")" * depth), Q)
+    assert equal(parse_scalar("-" * depth + "q"), Q if depth % 2 == 0 else -Q)
+    for bad in ["(" * (depth + 1) + "q" + ")" * (depth + 1), "-" * (depth + 1) + "q"]:
+        with pytest.raises(ParseError):
+            parse_scalar(bad)
+
+
+def test_zero_to_the_zero_is_typed():
+    with pytest.raises(ArgumentOutOfRange):
+        ZERO**0
+    assert equal(Q**0, ONE)
+
+
 _atom = st.sampled_from(
     [Q, Z, DELTA, SPIN_DELTA, scalar.U, scalar.V, ONE, mk(Fraction(3, 7))]
 )
@@ -250,3 +266,34 @@ def test_compact_drops_dag_but_keeps_value():
     x = qint_atom(1, 2) + brace_atom(1)
     y = x.compact()
     assert equal(x, y)
+
+
+_bar_atom = st.sampled_from(
+    [Q, Z, DELTA, SPIN_DELTA, scalar.U, ONE, mk(Fraction(-3, 7)),
+     qint_atom(1, -1), qint_atom(2, 1), brace_atom(2)]
+)
+
+
+@st.composite
+def _bar_exprs(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        x = draw(_bar_atom)
+        return x ** draw(st.integers(-2, 2)) if draw(st.booleans()) else x
+    op = draw(st.sampled_from(["add", "mul", "sub", "div"]))
+    a = draw(_bar_exprs(depth=depth - 1))
+    b = draw(_bar_exprs(depth=depth - 1))
+    if op == "div":
+        return a / b if not b.is_zero() else a
+    return {"add": a + b, "mul": a * b, "sub": a - b}[op]
+
+
+@given(_bar_exprs())
+@settings(max_examples=60, deadline=None)
+def test_bar_on_normal_form_matches_dag(x):
+    y = bar(x)
+    # the reflected normal form is the fold of the mapped DAG
+    assert y.nf == scalar._nf_of_expr(y.expr)
+    assert bar(y) == x
+    # values without a DAG take the same path
+    assert bar(x.compact()).nf == y.nf
+    assert bar(x.compact()).expr is None
