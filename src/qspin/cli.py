@@ -12,7 +12,14 @@ import json
 import sys
 
 from . import matrixlab, networks, recoupling, scalar
-from .errors import QspinError
+from .errors import ArgumentOutOfRange, QspinError
+
+# Size caps, from one cold CLI run each on a 2-core x86 machine (Python
+# 3.11, sympy 1.14, no gmpy2).
+#: Largest ``fierz-table --max``: 8 takes 6.9 s, 9 took 14 s.
+MAX_FIERZ_TABLE = 8
+#: Largest ``dims --p-max``: 20 takes 2.7 s, 25 10 s, 30 took 30 s.
+MAX_DIMS_P = 25
 
 
 class ValidationFailure(Exception):
@@ -56,11 +63,15 @@ def _apply_specialize(value, target):
     return scalar.specialize(value, target)
 
 
-def _render_scalar(value, fmt: str) -> str:
+def _value_text(value) -> str:
+    """Canonical text of a scalar, or of a classical or numeric image."""
     if isinstance(value, scalar.ScalarK):
-        text = scalar.to_text(value)
-    else:
-        text = str(value)
+        return scalar.to_text(value)
+    return str(value)
+
+
+def _render_scalar(value, fmt: str) -> str:
+    text = _value_text(value)
     if fmt == "json":
         return json.dumps({"value": text})
     return text
@@ -110,8 +121,14 @@ def _cmd_eval_3j(args) -> int:
     return 0
 
 
+def _check_cap(name: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ArgumentOutOfRange(f"{name} {value} exceeds the cap {cap}")
+
+
 def _cmd_fierz_table(args) -> int:
-    table = recoupling.FierzTable.generate(args.max, args.max, threads=args.threads)
+    _check_cap("--max", args.max, MAX_FIERZ_TABLE)
+    table = recoupling.FierzTable.generate(args.max, args.max)
     text = table.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -126,25 +143,16 @@ def _cmd_fierz_table(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    _check_cap("--p-max", args.p_max, MAX_DIMS_P)
     rows = []
     for p in range(args.p_max + 1):
-        row = {
+        vector = recoupling.dimq_vector_recurrence_consistent(p)
+        symmetric = matrixlab.dimq_sym_recursive(p)
+        rows.append({
             "p": p,
-            "vector_tower": scalar.to_text(
-                recoupling.dimq_vector_recurrence_consistent(p)
-            ),
-            "symmetric_tower": scalar.to_text(matrixlab.dimq_sym_recursive(p)),
-        }
-        if args.target is not None:
-            row["vector_tower"] = scalar.to_text(
-                _apply_specialize(
-                    recoupling.dimq_vector_recurrence_consistent(p), args.target
-                )
-            )
-            row["symmetric_tower"] = scalar.to_text(
-                _apply_specialize(matrixlab.dimq_sym_recursive(p), args.target)
-            )
-        rows.append(row)
+            "vector_tower": _value_text(_apply_specialize(vector, args.target)),
+            "symmetric_tower": _value_text(_apply_specialize(symmetric, args.target)),
+        })
     if args.format == "json":
         print(json.dumps({"dims": rows}, indent=2))
     else:
@@ -194,7 +202,7 @@ def _cmd_check(args) -> int:
         doc = {"format_version": full["format_version"], "checks": checks}
     else:
         doc = matrixlab.default_manifest()
-    report = matrixlab.run_manifest(doc, threads=args.threads)
+    report = matrixlab.run_manifest(doc)
     results = sorted(
         report["results"], key=lambda r: (r["name"], json.dumps(r["params"], sort_keys=True))
     )
@@ -260,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fierz-table", help="generate a Fierz coefficient table")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
     common(p, specialize=False)
     p.set_defaults(fn=_cmd_fierz_table)
 
@@ -284,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default=None, help="named check, or 'all'")
     p.add_argument("--all", dest="suite", action="store_const", const="all")
     p.add_argument("--manifest", default=None, help="manifest JSON path")
-    p.add_argument("--threads", type=int, default=None)
     common(p, specialize=False)
     p.set_defaults(fn=_cmd_check)
 

@@ -24,11 +24,8 @@ from __future__ import annotations
 import json
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from math import gcd
-
-from sympy import ZZ
 
 from .errors import (
     ArgumentOutOfRange,
@@ -37,13 +34,13 @@ from .errors import (
     UnsupportedSize,
 )
 from .qcomb import brace, qbinom_ext, qint
-from .recoupling import dimq_vector_recurrence_consistent, thread_budget
+from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
 
 # --------------------------------------------------------------------------
 # Integer polynomials in (q, z, Delta, u, v): numerators and denominators.
 
-_PRING = FIELD.ring.clone(domain=ZZ)
+_PRING = FIELD.ring
 _PONE = _PRING.one
 _poly = _PRING.dtype
 _mmul = _PRING.monomial_mul
@@ -63,20 +60,14 @@ def _split(x) -> tuple:
     """(numerator, denominator) of a scalar as integer polynomials, the
     denominator with a positive leading coefficient."""
     nf = _nf(x)
-    cn, num = nf.numer.clear_denoms()
-    cd, den = nf.denom.clear_denoms()
-    num = num.set_ring(_PRING).mul_ground(cd)
-    den = den.set_ring(_PRING).mul_ground(cn)
-    if den.LC < 0:
-        return -num, -den
-    return num, den
+    return nf.numer, nf.denom
 
 
 def _to_field(num, den):
     """num / den as a reduced field element (one cancel unless den = 1)."""
     if den == _PONE:
-        return FIELD.raw_new(num.set_ring(FIELD.ring))
-    return FIELD.new(num.set_ring(FIELD.ring), den.set_ring(FIELD.ring))
+        return FIELD.raw_new(num)
+    return FIELD.new(num, den)
 
 
 #: Irreducible factors of each denominator seen, filled on first use.
@@ -426,7 +417,7 @@ def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
 
 #: BraidData per n, built on first use.
 _BRAID_DATA: dict[int, "BraidData"] = {}
-#: Guards _BRAID_DATA and _TOWERS: run_manifest may run checks in threads.
+#: Guards _BRAID_DATA and _TOWERS: library callers may build from threads.
 _CACHE_LOCK = threading.RLock()
 
 
@@ -1120,10 +1111,8 @@ def default_manifest() -> dict:
     return {"format_version": MANIFEST_FORMAT_VERSION, "checks": checks}
 
 
-def run_manifest(doc: dict, threads: int | None = None) -> dict:
+def run_manifest(doc: dict) -> dict:
     """Run a manifest; returns a machine-readable pass/fail table."""
-    if threads is None:
-        threads = thread_budget()
     checks = doc["checks"]
 
     def run_one(item):
@@ -1139,11 +1128,7 @@ def run_manifest(doc: dict, threads: int | None = None) -> dict:
             return {"name": item["name"], "params": item.get("params", {}),
                     "passed": False, "error": f"{type(exc).__name__}: {exc}"}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(item) for item in checks]
+    results = [run_one(item) for item in checks]
     return {
         "format_version": MANIFEST_FORMAT_VERSION,
         "results": results,
@@ -1151,5 +1136,5 @@ def run_manifest(doc: dict, threads: int | None = None) -> dict:
     }
 
 
-def run_manifest_json(text: str, threads: int | None = None) -> str:
-    return json.dumps(run_manifest(json.loads(text), threads), indent=2)
+def run_manifest_json(text: str) -> str:
+    return json.dumps(run_manifest(json.loads(text)), indent=2)

@@ -64,17 +64,6 @@ class ExtSymbol:
         return ExtSymbol(self.b - other.b, self.a - other.a)
 
 
-@dataclass(frozen=True)
-class BraceSymbol:
-    """The formal symbol {k}."""
-
-    k: int
-
-    @property
-    def value(self) -> ScalarK:
-        return brace(self.k)
-
-
 def qfact(a: int) -> ScalarK:
     """[a]! = [1][2]...[a]."""
     if a < 0:

@@ -13,8 +13,6 @@ Conventions:
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ArgumentOutOfRange, InadmissibleTriple
@@ -417,17 +415,11 @@ class FierzTable:
     entries: dict = dc_field(default_factory=dict)
 
     @staticmethod
-    def generate(max_a: int, max_b: int, threads: int | None = None) -> "FierzTable":
+    def generate(max_a: int, max_b: int) -> "FierzTable":
         _check_nonneg(max_a=max_a, max_b=max_b)
-        if threads is None:
-            threads = thread_budget()
         grid = [(a, b) for a in range(max_a + 1) for b in range(max_b + 1)]
         keys = sorted({(min(a, b), max(a, b)) for a, b in grid})
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                vals = dict(zip(keys, pool.map(lambda ab: fierz(*ab), keys)))
-        else:
-            vals = {ab: fierz(*ab) for ab in keys}
+        vals = {ab: fierz(*ab) for ab in keys}
         table = FierzTable(max_a, max_b)
         for a, b in grid:
             table.entries[(a, b)] = vals[(min(a, b), max(a, b))]
@@ -458,13 +450,3 @@ class FierzTable:
         for item in doc["entries"]:
             table.entries[(item["a"], item["b"])] = parse_scalar(item["value"])
         return table
-
-
-def thread_budget() -> int:
-    """Parallelism cap from the QSPIN_THREADS environment variable."""
-    raw = os.environ.get("QSPIN_THREADS", "")
-    try:
-        val = int(raw)
-    except ValueError:
-        return 1
-    return max(1, val)

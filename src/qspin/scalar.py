@@ -5,11 +5,18 @@ spectral parameters u, v) subject to the single relation
 
     (q - q^-1) * delta = z - z^-1.
 
-Values carry two coordinates:
+Values carry three coordinates:
 
-* ``normal`` -- a reduced rational function over the rationals in
-  (q, z, Delta, u, v), with delta rewritten as (z^2-1)q / ((q^2-1)z).
-  Equality of values is decided by comparing normal forms.
+* a factored value -- a rational constant, times a Laurent monomial in
+  (q, z, Delta, u, v), times powers of primitive integer polynomials.
+  Products, quotients and powers only add exponents; a sum expands its two
+  terms over their common factors and keeps the result as one new factor.
+* ``nf`` -- the normal form: the reduced fraction of two coprime
+  integer-coefficient polynomials in (q, z, Delta, u, v), the denominator's
+  leading coefficient positive, with delta rewritten as
+  (z^2-1)q / ((q^2-1)z).  It is built from the factored value with one
+  cancel when first read and then cached.  Equality of values is decided
+  by comparing normal forms.
 * ``expr`` -- an expression DAG over the generators.  The DAG retains
   delta (and the extended bracket/brace atoms) as primitive symbols so the
   classical specialization q, z -> 1, delta -> delta is well defined even
@@ -29,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.fields import field
 
 from .errors import (
@@ -44,9 +52,15 @@ from .errors import (
 # --------------------------------------------------------------------------
 # Underlying rational-function fields.
 
-FIELD, _q, _z, _Dcap, _u, _v = field("q,z,Delta,u,v", QQ)
+_VAR_NAMES = ("q", "z", "Delta", "u", "v")
+
+#: Fractions of integer polynomials: a reduced element is a coprime pair
+#: with a positive leading denominator coefficient.
+FIELD, _q, _z, _Dcap, _u, _v = field("q,z,Delta,u,v", ZZ)
 _RING = FIELD.ring
 _QG, _ZG, _DG, _UG, _VG = _RING.gens
+#: The same polynomials over QQ, for evaluation at rational points.
+_QRING = _RING.clone(domain=QQ)
 
 #: Classical coordinates: Q(delta, Delta).
 CLASSICAL_FIELD, _cd, _cD = field("delta,Delta", QQ)
@@ -158,37 +172,151 @@ def _map_dag(node, atom_fn):
 
 
 # --------------------------------------------------------------------------
+# Factored values.
+#
+# A nonzero value is c * x^m * prod f^e: a Fraction c, a Laurent monomial
+# x^m in (q, z, Delta, u, v), and a map from primitive integer polynomials f
+# (content 1, positive leading coefficient, no monomial factor, not
+# constant) to nonzero exponents e.  The map is never mutated once built.
+# Distinct keys need not be coprime; the one cancel that builds the normal
+# form removes whatever they share.
+
+_NGENS = 5
+_MONO1 = (0,) * _NGENS
+_NO_FACTORS: dict = {}
+_poly = _RING.dtype
+_mdiv = _RING.monomial_div
+
+
+def _primitive(poly):
+    """(k, m, p) with poly = k * x^m * p, k an int whose sign makes the
+    leading coefficient of p positive, and p primitive without a monomial
+    factor, or None when poly is a monomial."""
+    k = gcd(*poly.values())
+    if poly[max(poly)] < 0:
+        k = -k
+    m = tuple(map(min, zip(*poly)))
+    if len(poly) == 1:
+        return k, m, None
+    return k, m, _poly({_mdiv(mon, m): c // k for mon, c in poly.items()})
+
+
+def _expand(k: int, m: tuple, fac: dict):
+    """The polynomial k * x^m * prod f^e (m and every e nonnegative)."""
+    out = _poly({m: k})
+    for f, e in fac.items():
+        out = out * f**e
+    return out
+
+
+def _fac_mul(a: dict, b: dict, sign: int = 1) -> dict:
+    """Exponents of a * b^sign."""
+    if not b:
+        return a
+    if not a and sign == 1:
+        return b
+    out = dict(a)
+    for f, e in b.items():
+        e = out.get(f, 0) + sign * e
+        if e:
+            out[f] = e
+        else:
+            del out[f]
+    return out
+
+
+def _fac_over(fac: dict, common: dict) -> dict:
+    """Exponents of fac / common; all positive when common is the
+    factor-wise minimum of fac and another map."""
+    out = {f: e - common.get(f, 0) for f, e in fac.items()}
+    for f, e in common.items():
+        if f not in fac:
+            out[f] = -e
+    return {f: e for f, e in out.items() if e}
+
+
+def _wrap(nf, expr) -> "ScalarK":
+    """A reduced field element as a factored value, ``nf`` cached."""
+    if not nf:
+        return ScalarK(Fraction(0), _MONO1, _NO_FACTORS, expr, nf)
+    kn, mn, pn = _primitive(nf.numer)
+    kd, md, pd = _primitive(nf.denom)
+    fac = {}
+    if pn is not None:
+        fac[pn] = 1
+    if pd is not None:
+        fac[pd] = -1
+    mono = tuple(a - b for a, b in zip(mn, md))
+    return ScalarK(Fraction(kn, kd), mono, fac, expr, nf)
+
+
+# --------------------------------------------------------------------------
 # ScalarK.
 
 
 class ScalarK:
     """An exact element of the coefficient field.
 
-    Immutable; safe to share across threads.  Arithmetic keeps both the
-    normal form and (when available on both operands) the expression DAG.
-    Values produced by bulk matrix computations may drop the DAG; the
-    classical specialization then falls back to rational coordinates and
-    raises :class:`ClassicalSingular` if that route hits 0/0.
+    The value is kept factored, as ``c * x^m * prod f^e`` (see above), so
+    products, quotients, powers and negation are exponent arithmetic.  A
+    sum expands both terms over their factor-wise common part (the largest
+    denominator exponent and the smallest numerator exponent of each
+    factor, the smaller monomial, and the gcd of the constants) and keeps
+    the primitive part of the result as one new factor.  A value is zero
+    exactly when its constant is 0.
+
+    ``nf``, the reduced field element, is built on first use with one
+    cancel and cached; equality and hashing compare it.  ``expr`` is the
+    expression DAG, kept when both operands have one.  Values produced by
+    bulk matrix computations drop the DAG; the classical specialization
+    then falls back to rational coordinates and raises
+    :class:`ClassicalSingular` if that route hits 0/0.
+
+    Immutable up to the cache, which any thread may fill with the same
+    value; safe to share across threads.
     """
 
-    __slots__ = ("nf", "_expr")
+    __slots__ = ("_c", "_mono", "_fac", "_expr", "_nf")
 
-    def __init__(self, nf, expr=None):
-        self.nf = nf
+    def __init__(self, c: Fraction, mono: tuple, fac: dict, expr=None, nf=None):
+        self._c = c
+        self._mono = mono
+        self._fac = fac
         self._expr = expr
+        self._nf = nf
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_rational(x) -> "ScalarK":
         frac = Fraction(x)
-        nf = FIELD.ground_new(QQ(frac.numerator, frac.denominator))
-        return ScalarK(nf, ("rat", frac))
+        return ScalarK(frac, _MONO1, _NO_FACTORS, ("rat", frac))
 
     @staticmethod
     def from_field_element(nf) -> "ScalarK":
-        """Wrap a raw field element (no expression DAG)."""
-        return ScalarK(nf, None)
+        """Wrap a reduced field element (no expression DAG)."""
+        return _wrap(nf, None)
+
+    # -- normal form ---------------------------------------------------------
+
+    @property
+    def nf(self):
+        """The reduced field element: coprime integer numerator and
+        denominator, the denominator's leading coefficient positive."""
+        nf = self._nf
+        if nf is None:
+            c = self._c
+            if not c:
+                nf = FIELD.zero
+            else:
+                num = {f: e for f, e in self._fac.items() if e > 0}
+                den = {f: -e for f, e in self._fac.items() if e < 0}
+                nf = FIELD.new(
+                    _expand(c.numerator, tuple(max(e, 0) for e in self._mono), num),
+                    _expand(c.denominator, tuple(max(-e, 0) for e in self._mono), den),
+                )
+            self._nf = nf
+        return nf
 
     # -- coercion ----------------------------------------------------------
 
@@ -210,11 +338,11 @@ class ScalarK:
             return None
         return o
 
-    def _combine(self, other, kind, nf):
+    def _combine(self, other, kind, c, mono, fac):
         e = None
         if self._expr is not None and other._expr is not None:
             e = (kind, self._expr, other._expr)
-        return ScalarK(nf, e)
+        return ScalarK(c, mono, fac, e)
 
     # -- field operations ---------------------------------------------------
 
@@ -222,7 +350,7 @@ class ScalarK:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, "add", self.nf + o.nf)
+        return self._combine(o, "add", *_add(self, o))
 
     __radd__ = __add__
 
@@ -242,7 +370,11 @@ class ScalarK:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, "mul", self.nf * o.nf)
+        c = self._c * o._c
+        if not c:
+            return self._combine(o, "mul", c, _MONO1, _NO_FACTORS)
+        mono = tuple(a + b for a, b in zip(self._mono, o._mono))
+        return self._combine(o, "mul", c, mono, _fac_mul(self._fac, o._fac))
 
     __rmul__ = __mul__
 
@@ -250,9 +382,13 @@ class ScalarK:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        if not o.nf:
+        if not o._c:
             raise DivisionByZero("division by a scalar that normalizes to 0")
-        return self._combine(o, "div", self.nf / o.nf)
+        c = self._c / o._c
+        if not c:
+            return self._combine(o, "div", c, _MONO1, _NO_FACTORS)
+        mono = tuple(a - b for a, b in zip(self._mono, o._mono))
+        return self._combine(o, "div", c, mono, _fac_mul(self._fac, o._fac, -1))
 
     def __rtruediv__(self, other):
         o = self._pair(other)
@@ -262,18 +398,21 @@ class ScalarK:
 
     def __neg__(self):
         e = ("neg", self._expr) if self._expr is not None else None
-        return ScalarK(-self.nf, e)
+        return ScalarK(-self._c, self._mono, self._fac, e)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        if e < 0 and not self.nf:
+        if e < 0 and not self._c:
             raise DivisionByZero("inverting a scalar that normalizes to 0")
-        if e == 0 and not self.nf:
+        if e == 0 and not self._c:
             raise ArgumentOutOfRange("0^0 is undefined")
-        nf = self.nf**e if e >= 0 else 1 / (self.nf ** (-e))
         ex = ("pow", self._expr, e) if self._expr is not None else None
-        return ScalarK(nf, ex)
+        if not self._c or e == 0:
+            return ScalarK(self._c**e, _MONO1, _NO_FACTORS, ex)
+        mono = tuple(a * e for a in self._mono)
+        fac = {f: k * e for f, k in self._fac.items()}
+        return ScalarK(self._c**e, mono, fac, ex)
 
     def inv(self) -> "ScalarK":
         return self**-1
@@ -281,10 +420,10 @@ class ScalarK:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.nf
+        return not self._c
 
     def __bool__(self) -> bool:
-        return bool(self.nf)
+        return bool(self._c)
 
     def __eq__(self, other):
         o = ScalarK._coerce(other)
@@ -301,8 +440,40 @@ class ScalarK:
     # -- housekeeping ---------------------------------------------------------
 
     def compact(self) -> "ScalarK":
-        """Drop the expression DAG (keeps only the normal form)."""
-        return ScalarK(self.nf, None)
+        """Drop the expression DAG (keeps the value)."""
+        return ScalarK(self._c, self._mono, self._fac, None, self._nf)
+
+
+def _add(x: ScalarK, y: ScalarK) -> tuple:
+    """(c, m, fac) of x + y."""
+    if not x._c:
+        return y._c, y._mono, y._fac
+    if not y._c:
+        return x._c, x._mono, x._fac
+    fx, fy = x._fac, y._fac
+    # the factor-wise minimum of the exponents (a missing factor counts 0)
+    common = {}
+    for f, e in fx.items():
+        e = min(e, fy.get(f, 0))
+        if e:
+            common[f] = e
+    for f, e in fy.items():
+        if e < 0 and f not in fx:
+            common[f] = e
+    mono = tuple(map(min, x._mono, y._mono))
+    cx, cy = x._c, y._c
+    c = Fraction(gcd(cx.numerator, cy.numerator), lcm(cx.denominator, cy.denominator))
+    total = _expand(
+        int(cx / c), tuple(a - b for a, b in zip(x._mono, mono)), _fac_over(fx, common)
+    ) + _expand(
+        int(cy / c), tuple(a - b for a, b in zip(y._mono, mono)), _fac_over(fy, common)
+    )
+    if not total:
+        return Fraction(0), _MONO1, _NO_FACTORS
+    k, m, p = _primitive(total)
+    if p is not None:
+        common = _fac_mul(common, {p: 1})
+    return c * k, tuple(a + b for a, b in zip(mono, m)), common
 
 
 def scalar(x) -> ScalarK:
@@ -313,8 +484,31 @@ def scalar(x) -> ScalarK:
     return s
 
 
+def _unit(i: int) -> tuple:
+    return tuple(int(j == i) for j in range(_NGENS))
+
+
 def _gen(name: str) -> ScalarK:
-    return ScalarK(_GEN_NF[name], ("gen", name))
+    mono = _unit(_VAR_NAMES.index(name))
+    return ScalarK(Fraction(1), mono, _NO_FACTORS, ("gen", name))
+
+
+def _binomial(a: tuple, b: tuple) -> ScalarK:
+    """x^a - x^b as a value without DAG (a != b)."""
+    m = tuple(map(min, a, b))
+    k, _, p = _primitive(_poly({_mdiv(a, m): 1, _mdiv(b, m): -1}))
+    return ScalarK(Fraction(k), m, {p: 1})
+
+
+#: q - q^-1 = q^-1 (q^2 - 1), the denominator of every bracket.
+_QDIFF = _binomial((1, 0, 0, 0, 0), (-1, 0, 0, 0, 0))
+
+
+def _over_qdiff(a: tuple, node) -> ScalarK:
+    """(x^a - x^-a) / (q - q^-1) with DAG node ``node``."""
+    num = _binomial(a, tuple(-e for e in a))
+    mono = tuple(s - t for s, t in zip(num._mono, _QDIFF._mono))
+    return ScalarK(num._c, mono, _fac_mul(num._fac, _QDIFF._fac, -1), node)
 
 
 #: Generators.
@@ -323,9 +517,12 @@ Z = _gen("z")
 SPIN_DELTA = _gen("Delta")
 U = _gen("u")
 V = _gen("v")
-DELTA = ScalarK(_DELTA_NF, ("delta",))
+DELTA = _over_qdiff((0, 1, 0, 0, 0), ("delta",))
 ONE = ScalarK.from_rational(1)
 ZERO = ScalarK.from_rational(0)
+
+#: Bracket and brace atoms by DAG node, built on first use.
+_ATOMS: dict = {}
 
 
 def qint_atom(b: int, a: int) -> ScalarK:
@@ -333,7 +530,15 @@ def qint_atom(b: int, a: int) -> ScalarK:
 
     Its classical image is b*delta + a.
     """
-    return ScalarK(_qint_nf(b, a), ("qint", b, a))
+    node = ("qint", b, a)
+    x = _ATOMS.get(node)
+    if x is None:
+        if b == 0 and a == 0:
+            x = ScalarK(Fraction(0), _MONO1, _NO_FACTORS, node)
+        else:
+            x = _over_qdiff((a, b, 0, 0, 0), node)
+        x = _ATOMS.setdefault(node, x)
+    return x
 
 
 def brace_atom(k: int) -> ScalarK:
@@ -341,7 +546,15 @@ def brace_atom(k: int) -> ScalarK:
 
     Its classical image is 2.
     """
-    return ScalarK(_brace_nf(k), ("brace", k))
+    node = ("brace", k)
+    x = _ATOMS.get(node)
+    if x is None:
+        # z q^-k + z^-1 q^k = z^-1 q^-|k| (q^(|k|-k) z^2 + q^(|k|+k))
+        p = _poly({(abs(k) - k, 2, 0, 0, 0): 1, (abs(k) + k, 0, 0, 0, 0): 1})
+        x = _ATOMS.setdefault(
+            node, ScalarK(Fraction(1), (-abs(k), -1, 0, 0, 0), {p: 1}, node)
+        )
+    return x
 
 
 def equal(a: ScalarK, b: ScalarK) -> bool:
@@ -354,27 +567,34 @@ def bar(x: ScalarK) -> ScalarK:
 
     The normal form is reflected directly: the q and z exponents of the
     numerator and the denominator are negated and the result is shifted
-    back to polynomials, with one cancel.  Bracket and brace atoms are
-    individually invariant, so the expression DAG, when present, is mapped
-    generator-wise and kept for the classical specialization.
+    back to polynomials.  Reflection is a ring automorphism of the Laurent
+    polynomials and the shift leaves at most one side divisible by q or z,
+    so the pair stays coprime and needs no cancel, only the sign that makes
+    the denominator's leading coefficient positive.  Bracket and brace
+    atoms are individually invariant, so the expression DAG, when present,
+    is mapped generator-wise and kept for the classical specialization.
     """
     x = scalar(x)
+    if not x:
+        return x
     num, nq, nz = _reflect(x.nf.numer)
     den, dq, dz = _reflect(x.nf.denom)
     # bar(x) = (num q^-nq z^-nz) / (den q^-dq z^-dz)
     sq, sz = dq - nq, dz - nz
     num = num * _QG ** max(sq, 0) * _ZG ** max(sz, 0)
     den = den * _QG ** max(-sq, 0) * _ZG ** max(-sz, 0)
-    nf = FIELD.new(num, den)
+    if den.LC < 0:
+        num, den = -num, -den
+    nf = FIELD.raw_new(num, den)
     if x._expr is None:
-        return ScalarK.from_field_element(nf)
+        return _wrap(nf, None)
 
     def atom(node):
         if node[0] == "gen" and node[1] in ("q", "z"):
             return ("pow", node, -1)
         return node
 
-    return ScalarK(nf, _map_dag(x._expr, atom))
+    return _wrap(nf, _map_dag(x._expr, atom))
 
 
 def _reflect(poly):
@@ -388,6 +608,9 @@ def _reflect(poly):
 
 
 def _nf_of_expr(node):
+    """The normal form of a DAG, folded through field arithmetic: the
+    reference that factored values are tested against."""
+
     def div(xx, yy):
         if not yy:
             raise DivisionByZero("division by a scalar that normalizes to 0")
@@ -477,9 +700,8 @@ def integer_level(x: ScalarK, n: int) -> ScalarK:
     den = x.nf.denom.compose(_ZG, qn)
     if not den:
         raise DivisionByZero(f"denominator vanishes under z -> q^{n}")
-    nf = FIELD.new(num, den)
     e = _expr_integer_level(x._expr, n) if x._expr is not None else None
-    return ScalarK(nf, e)
+    return _wrap(FIELD.new(num, den), e)
 
 
 def classical(x: ScalarK):
@@ -552,10 +774,7 @@ def _poly_q1z1(poly):
     for monom, coeff in poly.terms():
         if monom[3] or monom[4]:
             raise ClassicalSingular("spectral generators have no classical image")
-        c = Fraction(int(coeff.numerator), int(coeff.denominator))
-        out = out + CLASSICAL_FIELD.ground_new(
-            QQ(c.numerator, c.denominator)
-        ) * _cD ** monom[2]
+        out = out + CLASSICAL_FIELD.ground_new(QQ(coeff)) * _cD ** monom[2]
     return out
 
 
@@ -577,8 +796,8 @@ def q_to_one(x: ScalarK):
     _require_gens_absent(den, (1,), "z")
     qm1 = _QG - 1
     while True:
-        n1 = num.evaluate([(_QG, QQ(1))])
-        d1 = den.evaluate([(_QG, QQ(1))])
+        n1 = num.evaluate(_QG, 1)
+        d1 = den.evaluate(_QG, 1)
         n_zero = not n1
         d_zero = not d1
         if not (n_zero and d_zero):
@@ -595,8 +814,7 @@ def q_to_one(x: ScalarK):
 def _ground_or_poly_to_classical(val):
     """Convert the result of evaluating away q (poly in z,Delta,u,v or ground)."""
     if not hasattr(val, "terms"):
-        c = Fraction(int(val.numerator), int(val.denominator))
-        return CLASSICAL_FIELD.ground_new(QQ(c.numerator, c.denominator))
+        return CLASSICAL_FIELD.ground_new(QQ(val))
     out = CLASSICAL_FIELD.zero
     for monom, coeff in val.terms():
         # remaining gens: (z, Delta, u, v); z was required absent upstream
@@ -604,10 +822,7 @@ def _ground_or_poly_to_classical(val):
             raise SpecializationError(
                 "value still involves z, u or v after the q -> 1 limit"
             )
-        c = Fraction(int(coeff.numerator), int(coeff.denominator))
-        out = out + CLASSICAL_FIELD.ground_new(
-            QQ(c.numerator, c.denominator)
-        ) * _cD ** monom[1]
+        out = out + CLASSICAL_FIELD.ground_new(QQ(coeff)) * _cD ** monom[1]
     return out
 
 
@@ -618,12 +833,15 @@ def numeric_probe(x: ScalarK, q0, n: int, Delta0) -> Fraction:
     num, den = y.nf.numer, y.nf.denom
     _require_gens_absent(num, (3, 4), "the spectral generators u, v")
     _require_gens_absent(den, (3, 4), "the spectral generators u, v")
+    # q0 and Delta0 are rationals: evaluate over QQ
+    num, den = num.set_ring(_QRING), den.set_ring(_QRING)
+    qg, zg, dg, ug, vg = _QRING.gens
     subs = [
-        (_QG, QQ(t.q0.numerator, t.q0.denominator)),
-        (_ZG, QQ(0)),  # z is already eliminated by the level specialization
-        (_DG, QQ(t.Delta0.numerator, t.Delta0.denominator)),
-        (_UG, QQ(0)),
-        (_VG, QQ(0)),
+        (qg, QQ(t.q0.numerator, t.q0.denominator)),
+        (zg, QQ(0)),  # z is already eliminated by the level specialization
+        (dg, QQ(t.Delta0.numerator, t.Delta0.denominator)),
+        (ug, QQ(0)),
+        (vg, QQ(0)),
     ]
     nv = num.evaluate(subs)
     dv = den.evaluate(subs)
@@ -693,45 +911,6 @@ def classical_poly_coeffs(val) -> dict[int, Fraction]:
 # --------------------------------------------------------------------------
 # Canonical text form.
 
-_VAR_NAMES = ("q", "z", "Delta", "u", "v")
-
-
-def _canonical_int_pair(nf):
-    """Scale numer/denom to coprime integer-coefficient polynomials with a
-    positive leading denominator coefficient."""
-    from math import gcd
-
-    num, den = nf.numer, nf.denom
-    lc = den.LC
-    if lc != 1:
-        num = num.quo_ground(lc)
-        den = den.quo_ground(lc)
-
-    def denoms(p):
-        out = 1
-        for _, c in p.terms():
-            fr = Fraction(int(c.numerator), int(c.denominator))
-            out = out * fr.denominator // gcd(out, fr.denominator)
-        return out
-
-    L = denoms(num)
-    L2 = denoms(den)
-    L = L * L2 // gcd(L, L2)
-    num = num.mul_ground(QQ(L))
-    den = den.mul_ground(QQ(L))
-
-    def intgcd(p, g):
-        for _, c in p.terms():
-            g = gcd(g, int(Fraction(int(c.numerator), int(c.denominator))))
-        return g
-
-    g = intgcd(num, 0)
-    g = intgcd(den, g)
-    if g > 1:
-        num = num.quo_ground(QQ(g))
-        den = den.quo_ground(QQ(g))
-    return num, den
-
 
 def _render_poly(poly) -> str:
     terms = sorted(poly.terms(), key=lambda t: t[0], reverse=True)
@@ -739,7 +918,7 @@ def _render_poly(poly) -> str:
         return "0"
     parts = []
     for monom, coeff in terms:
-        c = int(Fraction(int(coeff.numerator), int(coeff.denominator)))
+        c = int(coeff)
         factors = []
         for name, e in zip(_VAR_NAMES, monom):
             if e == 1:
@@ -762,7 +941,7 @@ def to_text(x: ScalarK) -> str:
     """Canonical textual form: reduced integer-coefficient numerator and
     denominator, terms in descending lexicographic monomial order."""
     x = scalar(x)
-    num, den = _canonical_int_pair(x.nf)
+    num, den = x.nf.numer, x.nf.denom
     ns = _render_poly(num)
     if den == den.ring.one:
         return ns
@@ -786,6 +965,26 @@ _NAME_MAP = {
 #: Deepest nesting of parentheses and unary minus the parser accepts; the
 #: recursive descent would otherwise exhaust the interpreter's stack.
 MAX_PARSE_DEPTH = 100
+
+#: Largest |exponent| the parser accepts.  Canonical texts use exponents up
+#: to 78 in ``fierz-table --max 5`` and up to 216 at ``--max 8``.
+MAX_PARSE_EXPONENT = 256
+
+#: Largest degree in any one generator of a parsed value's numerator or
+#: denominator, read off the factored form before anything is expanded.
+#: ``fierz-table --max 8`` texts reach degree 216 in q.
+MAX_PARSE_DEGREE = 256
+
+#: Largest expansion size of a parsed value's numerator or denominator:
+#: the number of monomials its degrees allow, prod(d + 1), times the bits
+#: of a bound on its coefficients (from the constant and the 1-norms of the
+#: factors).  Checked before a sum or a power expands anything, and on the
+#: result.  The largest ``fierz-table --max 8`` text measures 0.18e6.
+#: Reading ((q+z+1)^K + 1)/((q+z+2)^K + 1), nearly all of it the one
+#: cancel, takes 2.2 s at K = 65, the largest K accepted; forced past the
+#: bound it took 3.4 s at K = 70, 20 s at K = 100 and 215 s at K = 150
+#: (2-core x86 machine, Python 3.11, sympy 1.14, no gmpy2).
+MAX_PARSE_SIZE = 600_000
 
 
 class _Tok:
@@ -840,7 +1039,10 @@ class _Tok:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return sign * int(self.text[start : self.pos])
+        try:
+            return sign * int(self.text[start : self.pos])
+        except ValueError:  # past int()'s digit limit, or a non-ASCII digit
+            raise ParseError(f"unreadable integer at position {start}") from None
 
     def name(self) -> str | None:
         c = self.peek()
@@ -860,17 +1062,53 @@ def parse_scalar(text: str) -> ScalarK:
     val = _parse_sum(tok)
     if tok.peek() is not None:
         raise ParseError(f"trailing input at position {tok.pos}: {text[tok.pos:]!r}")
+    _check_size(val)
     return val
+
+
+def _check_size(x: ScalarK, e: int = 1) -> None:
+    """Raise ParseError if x**e is beyond MAX_PARSE_DEGREE or MAX_PARSE_SIZE."""
+    if not x._c:
+        return
+    e = abs(e)
+    degs = ([max(m, 0) for m in x._mono], [max(-m, 0) for m in x._mono])
+    # ceil(log2) of a bound on the coefficients: |c| times |f|_1^k per factor
+    bits = [(abs(x._c.numerator) - 1).bit_length(), (x._c.denominator - 1).bit_length()]
+    for f, k in x._fac.items():
+        side = 0 if k > 0 else 1
+        for i, d in enumerate(f.degrees()):
+            degs[side][i] += abs(k) * d
+        bits[side] += abs(k) * (sum(map(abs, f.values())) - 1).bit_length()
+    for deg, b in zip(degs, bits):
+        if max(deg) * e > MAX_PARSE_DEGREE:
+            raise ParseError(
+                f"degree {max(deg) * e} exceeds the parse bound {MAX_PARSE_DEGREE}"
+            )
+        size = b * e + 1
+        for d in deg:
+            size *= d * e + 1
+        if size > MAX_PARSE_SIZE:
+            raise ParseError(
+                f"expansion size {size} exceeds the parse bound {MAX_PARSE_SIZE}"
+            )
 
 
 def _parse_sum(tok: _Tok) -> ScalarK:
     acc = _parse_product(tok)
+    summed = False
     while True:
         op = tok.next_op("+-")
         if op is None:
             return acc
         rhs = _parse_product(tok)
+        # A sum expands both terms.  Once acc is a sum its numerator is
+        # expanded, so a term without factors (a monomial of a canonical
+        # text) adds in time linear in acc, which is not measured again.
+        _check_size(rhs)
+        if rhs._fac or not summed:
+            _check_size(acc)
         acc = acc + rhs if op == "+" else acc - rhs
+        summed = True
 
 
 def _parse_product(tok: _Tok) -> ScalarK:
@@ -898,6 +1136,12 @@ def _parse_factor(tok: _Tok) -> ScalarK:
     base = _parse_atom(tok)
     if tok.accept_power():
         e = _parse_exponent(tok)
+        if abs(e) > MAX_PARSE_EXPONENT:
+            raise ParseError(
+                f"exponent {e} exceeds the parse bound {MAX_PARSE_EXPONENT}"
+            )
+        # the constant is raised at once; the factors only later, on expansion
+        _check_size(base, e)
         base = base**e
     return base
 

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import qspin
+from qspin import cli, scalar
 from qspin.cli import main
 from qspin.networks import theta_network
 from qspin.recoupling import theta_vector
@@ -102,8 +104,8 @@ def test_fierz_table_stdout_and_file(tmp_path, capsys):
 
 
 def test_fierz_table_reproducible(capsys):
-    code, out1, _ = run(capsys, "fierz-table", "--max", "1", "--threads", "1")
-    code, out2, _ = run(capsys, "fierz-table", "--max", "1", "--threads", "4")
+    code, out1, _ = run(capsys, "fierz-table", "--max", "1")
+    code, out2, _ = run(capsys, "fierz-table", "--max", "1")
     assert out1 == out2
 
 
@@ -113,6 +115,70 @@ def test_dims(capsys):
     doc = json.loads(out)
     assert doc["dims"][0]["p"] == 0
     assert doc["dims"][0]["vector_tower"] == "1"
+
+
+def test_dims_specialized(capsys):
+    from qspin.matrixlab import dimq_sym_recursive
+    from qspin.recoupling import dimq_vector_recurrence_consistent
+    from qspin.scalar import classical, integer_level
+
+    code, out, err = run(capsys, "dims", "--p-max", "3", "--specialize", "classical")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[1] == "p=1  vector: 2*delta  symmetric: 2*delta"
+    for p, line in enumerate(lines):
+        assert line == (
+            f"p={p}  vector: {classical(dimq_vector_recurrence_consistent(p))}  "
+            f"symmetric: {classical(dimq_sym_recursive(p))}"
+        )
+    code, out, _ = run(capsys, "dims", "--p-max", "3", "--specialize", "n=2")
+    assert code == 0
+    for p, line in enumerate(out.splitlines()):
+        assert line == (
+            f"p={p}  vector: {to_text(integer_level(dimq_vector_recurrence_consistent(p), 2))}  "
+            f"symmetric: {to_text(integer_level(dimq_sym_recursive(p), 2))}"
+        )
+    # q -> 1 needs a z-free value: p = 0 is 1, p = 1 is a typed error
+    code, out, _ = run(capsys, "dims", "--p-max", "0", "--specialize", "q1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dims"] == [{"p": 0, "vector_tower": "1", "symmetric_tower": "1"}]
+    code, out, err = run(capsys, "dims", "--p-max", "1", "--specialize", "q1")
+    assert code == 2 and out == ""
+    assert err.startswith("error [SpecializationError]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fierz-table", "--max", str(cli.MAX_FIERZ_TABLE + 1)],
+        ["dims", "--p-max", str(cli.MAX_DIMS_P + 1)],
+    ],
+    ids=["fierz-table-max", "dims-p-max"],
+)
+def test_table_size_caps(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error [ArgumentOutOfRange]")
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        f"q^{scalar.MAX_PARSE_EXPONENT + 1}",
+        f"q^{scalar.MAX_PARSE_DEGREE}*q + 1",
+        "((q+z+1)^66+1)/((q+z+2)^66+1)",
+    ],
+    ids=["exponent", "degree", "size"],
+)
+def test_oversized_expr_is_a_typed_error(capsys, expr):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "specialize", "--expr", expr, "--to", "n=1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error [parse-error]")
 
 
 def test_chromatic(tmp_path, capsys):

@@ -130,13 +130,13 @@ def test_manifest_runner():
             {"name": "no-such-check", "params": {}},
         ],
     }
-    out = run_manifest(doc, threads=2)
+    out = run_manifest(doc)
     assert not out["all_passed"]
     by_name = {r["name"]: r for r in out["results"]}
     assert by_name["braid-invariants"]["passed"]
     assert by_name["no-such-check"]["error"] == "unknown check"
     # JSON front end round-trips
-    text = run_manifest_json(json.dumps(doc), threads=1)
+    text = run_manifest_json(json.dumps(doc))
     assert json.loads(text)["all_passed"] is False
 
 

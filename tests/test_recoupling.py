@@ -229,11 +229,5 @@ def test_fierz_table_json_round_trip():
             assert equal(back.entry(a, b), fierz(a, b))
 
 
-def test_fierz_table_parallel_matches_serial():
-    serial = FierzTable.generate(2, 2, threads=1)
-    parallel = FierzTable.generate(2, 2, threads=4)
-    assert serial.to_json() == parallel.to_json()
-
-
 def test_ffact_consistency():
     assert equal(ffact_ext(1), qint(2, 0))

@@ -297,3 +297,156 @@ def test_bar_on_normal_form_matches_dag(x):
     # values without a DAG take the same path
     assert bar(x.compact()).nf == y.nf
     assert bar(x.compact()).expr is None
+
+
+# --------------------------------------------------------------------------
+# The factored representation.
+
+_any_atom = st.one_of(
+    st.builds(qint_atom, st.integers(-2, 2), st.integers(-4, 4)),
+    st.builds(brace_atom, st.integers(-3, 3)),
+    st.sampled_from([Q, Z, DELTA, SPIN_DELTA, scalar.U, scalar.V]),
+    _rational.map(mk),
+)
+
+
+@st.composite
+def _field_exprs(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        return draw(_any_atom)
+    op = draw(st.sampled_from(["add", "sub", "mul", "div", "pow"]))
+    a = draw(_field_exprs(depth=depth - 1))
+    if op == "pow":
+        e = draw(st.integers(-3, 3))
+        if a.is_zero() and e <= 0:
+            return a
+        return a**e
+    b = draw(_field_exprs(depth=depth - 1))
+    if op == "div":
+        return a / b if b else a
+    return {"add": a + b, "sub": a - b, "mul": a * b}[op]
+
+
+@given(_field_exprs())
+@settings(max_examples=80, deadline=None)
+def test_factored_value_matches_field_fold(x):
+    nf = x.nf
+    # the independent fold of the DAG through field arithmetic
+    assert nf == scalar._nf_of_expr(x.expr)
+    # canonical over ZZ: coprime, content included, denominator LC positive
+    num, den = nf.numer, nf.denom
+    assert den.LC > 0
+    assert num.gcd(den) == 1 or not num
+    # zero is decided by the constant alone, never by building nf
+    assert bool(x) == bool(nf) == (not x.is_zero())
+    # a value split from its normal form has the same normal form
+    assert ScalarK.from_field_element(nf).nf == nf
+    assert to_text(parse_scalar(to_text(x))) == to_text(x)
+
+
+@given(_field_exprs(), _field_exprs(), _field_exprs())
+@settings(max_examples=40, deadline=None)
+def test_equal_values_along_different_factorizations(a, b, c):
+    for x, y in [((a + b) * c, a * c + b * c), (a - a, ZERO), (a * c - c * a, ZERO)]:
+        assert x == y and hash(x) == hash(y)
+    if c:
+        assert (a * c) / c == a and hash((a * c) / c) == hash(a)
+
+
+def test_atoms_with_equal_values_compare_and_hash_equal():
+    # [2n] = delta {0}, [b n + a] = z^b [a] + ... (two factorizations each)
+    pairs = [
+        (qint_atom(2, 0), DELTA * brace_atom(0)),
+        (qint_atom(1, 0), DELTA),
+        (qint_atom(-1, -2), -qint_atom(1, 2)),
+        (qint_atom(0, 4), qint_atom(0, 2) * (Q**2 + Q**-2)),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert to_text(x) == to_text(y)
+
+
+def test_zero_from_a_sum_round_trips():
+    x = qint_atom(1, 1) * brace_atom(2)
+    zero = x - brace_atom(2) * qint_atom(1, 1)
+    assert not zero and zero.is_zero()
+    assert zero.nf == scalar.FIELD.zero
+    assert to_text(zero) == "0"
+    back = parse_scalar(to_text(zero))
+    assert back == ZERO and not back
+    with pytest.raises(DivisionByZero):
+        ONE / zero
+    with pytest.raises(DivisionByZero):
+        zero**-1
+
+
+def test_fierz_cancels_once(monkeypatch):
+    from sympy.polys.rings import PolyElement
+
+    from qspin.recoupling import FierzTable, fierz
+
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counting(self, g):
+        calls.append(1)
+        return cancel(self, g)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting)
+    f = fierz(5, 5)
+    assert len(calls) == 0
+    f.nf
+    f.nf
+    assert len(calls) == 1
+    del calls[:]
+    FierzTable.generate(5, 5).to_json()
+    # one cancel per distinct entry F(a, b), a <= b <= 5
+    assert len(calls) <= 21
+
+
+# --------------------------------------------------------------------------
+# Parser bounds.
+
+
+def test_parse_exponent_bound():
+    cap = scalar.MAX_PARSE_EXPONENT
+    assert equal(parse_scalar(f"q^{cap}"), Q**cap)
+    assert equal(parse_scalar(f"q^(-{cap})"), Q**-cap)
+    for bad in [f"q^{cap + 1}", f"q^(-{cap + 1})", f"(q+z+1)^{4 * cap}"]:
+        with pytest.raises(ParseError, match="exponent"):
+            parse_scalar(bad)
+
+
+def test_parse_degree_bound():
+    cap = scalar.MAX_PARSE_DEGREE
+    assert equal(parse_scalar(f"q^{cap}*z^{cap} + 1"), Q**cap * Z**cap + 1)
+    for bad in [f"q^{cap}*q + 1", f"(q^{cap}*q)", f"1/(q^{cap}*q)", f"(q^{cap})^2"]:
+        with pytest.raises(ParseError, match="degree"):
+            parse_scalar(bad)
+
+
+def test_parse_size_bound():
+    # K = 65 is the largest accepted K of this family; its cancel takes
+    # about 2 s, so only its size is checked here
+    def text(k):
+        return f"((q+z+1)^{k}+1)/((q+z+2)^{k}+1)"
+
+    scalar._check_size(((Q + Z + 1) ** 65 + 1) / ((Q + Z + 2) ** 65 + 1))
+    # a product is only measured when a sum or power would expand it
+    product = "*".join(["(q+z+Delta+u+v+1)^6"] * 40)
+    for bad in [text(66), "((q+z+1)^200)^200", "((9^200)^200)^200",
+                "(q+z+Delta+u+v+1)^8 + 1", "1" * 5000, product + " + 1",
+                "1 + " + product, product]:
+        with pytest.raises(ParseError):
+            parse_scalar(bad)
+
+
+def test_stored_texts_still_parse():
+    import json
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench/data/readback_texts.json"
+    texts = [item["text"] for item in json.loads(path.read_text())["texts"]]
+    assert len(texts) == 51
+    for text in texts:
+        assert to_text(parse_scalar(text)) == text
