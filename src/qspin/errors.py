@@ -10,11 +10,8 @@ class DivisionByZero(QspinError):
 
 
 class ClassicalSingular(QspinError):
-    """A divisor's classical image (q, z -> 1) is zero.
-
-    The expression needed an algebraic cancellation before the classical
-    limit and the expression-level route could not provide it.
-    """
+    """A value has no classical image: it has a pole on the classical curve
+    z - z^-1 = delta (q - q^-1) at q = z = 1, or u or v is present in it."""
 
 
 class SpecializationError(QspinError):

@@ -166,9 +166,9 @@ class SquareMatrixK:
     ``den`` has a positive leading coefficient and shares no nonunit
     factor (integer or polynomial) with all numerators at once.  ``_dfac``
     holds the irreducible factors of ``den`` with their multiplicities.
-    ``entry`` wraps an entry as ScalarK without an expression DAG (matrix
-    work would blow the DAG up).  Numerators are shared between matrices
-    and never mutated.
+    ``entry`` wraps an entry as ScalarK, split from its reduced fraction;
+    every specialization, the classical one included, reads it like any
+    other value.  Numerators are shared between matrices and never mutated.
     """
 
     __slots__ = ("dim", "rows", "den", "_dfac")

@@ -5,7 +5,7 @@ spectral parameters u, v) subject to the single relation
 
     (q - q^-1) * delta = z - z^-1.
 
-Values carry three coordinates:
+Values carry two coordinates:
 
 * a factored value -- a rational constant, times a Laurent monomial in
   (q, z, Delta, u, v), times powers of primitive integer polynomials.
@@ -17,17 +17,15 @@ Values carry three coordinates:
   (z^2-1)q / ((q^2-1)z).  It is built from the factored value with one
   cancel when first read and then cached.  Equality of values is decided
   by comparing normal forms.
-* ``expr`` -- an expression DAG over the generators.  The DAG retains
-  delta (and the extended bracket/brace atoms) as primitive symbols so the
-  classical specialization q, z -> 1, delta -> delta is well defined even
-  though it is a 0/0 point in rational-function coordinates.
 
 Specializations:
 
 * ``IntegerLevel(n)``: z -> q^n (delta becomes the ordinary q-integer [n]).
-* ``Classical``: q, z -> 1 on the expression DAG; delta stays a free
-  variable; bracket atoms [b*n + a] map to b*delta + a and braces to 2.
-  The result lives in Q(delta, Delta).
+* ``Classical``: the limit q, z -> 1 along the curve
+  z - z^-1 = delta (q - q^-1), with delta and Delta kept as free symbols,
+  read off the factored value factor by factor.  Bracket atoms [b*n + a]
+  map to b*delta + a and braces to 2.  The result lives in Q(delta, Delta)
+  and depends only on the value, not on how it was built.
 * ``NumericProbe(q0, n, Delta0)``: IntegerLevel(n) followed by exact
   evaluation at a rational q0 (not 0 or +-1) and Delta -> Delta0.
 """
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from sympy import QQ, ZZ
 from sympy.polys.fields import field
@@ -56,119 +54,14 @@ _VAR_NAMES = ("q", "z", "Delta", "u", "v")
 
 #: Fractions of integer polynomials: a reduced element is a coprime pair
 #: with a positive leading denominator coefficient.
-FIELD, _q, _z, _Dcap, _u, _v = field("q,z,Delta,u,v", ZZ)
+FIELD = field("q,z,Delta,u,v", ZZ)[0]
 _RING = FIELD.ring
-_QG, _ZG, _DG, _UG, _VG = _RING.gens
+_QG, _ZG = _RING.gens[:2]
 #: The same polynomials over QQ, for evaluation at rational points.
 _QRING = _RING.clone(domain=QQ)
 
 #: Classical coordinates: Q(delta, Delta).
-CLASSICAL_FIELD, _cd, _cD = field("delta,Delta", QQ)
-
-# delta in rational-function coordinates: (z^2 - 1) q / ((q^2 - 1) z).
-_DELTA_NF = (_z * _z - 1) * _q / ((_q * _q - 1) * _z)
-
-
-def _fpow(base, e: int):
-    """Integer power of a field element, allowing negative exponents."""
-    if e >= 0:
-        return base**e
-    return 1 / (base ** (-e))
-
-
-# --------------------------------------------------------------------------
-# Expression DAG.
-#
-# Nodes are plain tuples; children are shared by reference so folds can
-# memoize on object identity.
-#
-#   ("rat", Fraction)          rational constant
-#   ("gen", name)              one of q, z, Delta, u, v
-#   ("delta",)                 the blow-up generator delta
-#   ("qint", b, a)             extended bracket [b*n + a]
-#   ("brace", k)               brace symbol {k} = z q^-k + z^-1 q^k
-#   ("add"|"mul"|"div", x, y)
-#   ("neg", x)
-#   ("pow", x, e)              integer e (may be negative)
-
-_GEN_NF = {"q": _q, "z": _z, "Delta": _Dcap, "u": _u, "v": _v}
-
-
-def _qint_nf(b: int, a: int):
-    return (_fpow(_z, b) * _fpow(_q, a) - _fpow(_z, -b) * _fpow(_q, -a)) / (
-        _q - 1 / _q
-    )
-
-
-def _brace_nf(k: int):
-    return _z * _fpow(_q, -k) + _fpow(_q, k) / _z
-
-
-def _fold(node, rat_fn, gen_fn, delta_fn, qint_fn, brace_fn, ops):
-    """Iterative post-order fold over a DAG.
-
-    ``ops`` maps each of "add", "mul", "div", "neg", "pow" to a combiner.
-    Memoizes on node identity so shared subtrees are evaluated once.
-    """
-    memo: dict[int, object] = {}
-    stack = [(node, False)]
-    while stack:
-        cur, ready = stack.pop()
-        key = id(cur)
-        if key in memo:
-            continue
-        kind = cur[0]
-        if kind == "rat":
-            memo[key] = rat_fn(cur[1])
-        elif kind == "gen":
-            memo[key] = gen_fn(cur[1])
-        elif kind == "delta":
-            memo[key] = delta_fn()
-        elif kind == "qint":
-            memo[key] = qint_fn(cur[1], cur[2])
-        elif kind == "brace":
-            memo[key] = brace_fn(cur[1])
-        elif kind in ("add", "mul", "div"):
-            if ready:
-                memo[key] = ops[kind](memo[id(cur[1])], memo[id(cur[2])])
-            else:
-                stack.append((cur, True))
-                stack.append((cur[1], False))
-                stack.append((cur[2], False))
-        elif kind == "neg":
-            if ready:
-                memo[key] = ops["neg"](memo[id(cur[1])])
-            else:
-                stack.append((cur, True))
-                stack.append((cur[1], False))
-        elif kind == "pow":
-            if ready:
-                memo[key] = ops["pow"](memo[id(cur[1])], cur[2])
-            else:
-                stack.append((cur, True))
-                stack.append((cur[1], False))
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown DAG node kind {kind!r}")
-    return memo[id(node)]
-
-
-def _map_dag(node, atom_fn):
-    """Rebuild a DAG applying ``atom_fn`` to leaf nodes (returns a node)."""
-    return _fold(
-        node,
-        rat_fn=lambda r: atom_fn(("rat", r)),
-        gen_fn=lambda n: atom_fn(("gen", n)),
-        delta_fn=lambda: atom_fn(("delta",)),
-        qint_fn=lambda b, a: atom_fn(("qint", b, a)),
-        brace_fn=lambda k: atom_fn(("brace", k)),
-        ops={
-            "add": lambda x, y: ("add", x, y),
-            "mul": lambda x, y: ("mul", x, y),
-            "div": lambda x, y: ("div", x, y),
-            "neg": lambda x: ("neg", x),
-            "pow": lambda x, e: ("pow", x, e),
-        },
-    )
+CLASSICAL_FIELD = field("delta,Delta", QQ)[0]
 
 
 # --------------------------------------------------------------------------
@@ -235,10 +128,10 @@ def _fac_over(fac: dict, common: dict) -> dict:
     return {f: e for f, e in out.items() if e}
 
 
-def _wrap(nf, expr) -> "ScalarK":
+def _wrap(nf) -> "ScalarK":
     """A reduced field element as a factored value, ``nf`` cached."""
     if not nf:
-        return ScalarK(Fraction(0), _MONO1, _NO_FACTORS, expr, nf)
+        return ScalarK(Fraction(0), _MONO1, _NO_FACTORS, nf)
     kn, mn, pn = _primitive(nf.numer)
     kd, md, pd = _primitive(nf.denom)
     fac = {}
@@ -247,7 +140,7 @@ def _wrap(nf, expr) -> "ScalarK":
     if pd is not None:
         fac[pd] = -1
     mono = tuple(a - b for a, b in zip(mn, md))
-    return ScalarK(Fraction(kn, kd), mono, fac, expr, nf)
+    return ScalarK(Fraction(kn, kd), mono, fac, nf)
 
 
 # --------------------------------------------------------------------------
@@ -266,36 +159,34 @@ class ScalarK:
     exactly when its constant is 0.
 
     ``nf``, the reduced field element, is built on first use with one
-    cancel and cached; equality and hashing compare it.  ``expr`` is the
-    expression DAG, kept when both operands have one.  Values produced by
-    bulk matrix computations drop the DAG; the classical specialization
-    then falls back to rational coordinates and raises
-    :class:`ClassicalSingular` if that route hits 0/0.
+    cancel and cached; equality and hashing compare it.  Everything else
+    (``bar``, ``integer_level``, ``classical``, ``to_text``) reads one of
+    these two coordinates, so a value's images do not depend on how it
+    was built: a matrix entry or a parsed canonical text behaves like the
+    product of atoms that printed it.
 
     Immutable up to the cache, which any thread may fill with the same
     value; safe to share across threads.
     """
 
-    __slots__ = ("_c", "_mono", "_fac", "_expr", "_nf")
+    __slots__ = ("_c", "_mono", "_fac", "_nf")
 
-    def __init__(self, c: Fraction, mono: tuple, fac: dict, expr=None, nf=None):
+    def __init__(self, c: Fraction, mono: tuple, fac: dict, nf=None):
         self._c = c
         self._mono = mono
         self._fac = fac
-        self._expr = expr
         self._nf = nf
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_rational(x) -> "ScalarK":
-        frac = Fraction(x)
-        return ScalarK(frac, _MONO1, _NO_FACTORS, ("rat", frac))
+        return ScalarK(Fraction(x), _MONO1, _NO_FACTORS)
 
     @staticmethod
     def from_field_element(nf) -> "ScalarK":
-        """Wrap a reduced field element (no expression DAG)."""
-        return _wrap(nf, None)
+        """Wrap a reduced field element."""
+        return _wrap(nf)
 
     # -- normal form ---------------------------------------------------------
 
@@ -328,21 +219,11 @@ class ScalarK:
             return ScalarK.from_rational(x)
         return NotImplemented
 
-    @property
-    def expr(self):
-        return self._expr
-
     def _pair(self, other):
         o = ScalarK._coerce(other)
         if o is NotImplemented:
             return None
         return o
-
-    def _combine(self, other, kind, c, mono, fac):
-        e = None
-        if self._expr is not None and other._expr is not None:
-            e = (kind, self._expr, other._expr)
-        return ScalarK(c, mono, fac, e)
 
     # -- field operations ---------------------------------------------------
 
@@ -350,7 +231,7 @@ class ScalarK:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, "add", *_add(self, o))
+        return ScalarK(*_add(self, o))
 
     __radd__ = __add__
 
@@ -372,9 +253,9 @@ class ScalarK:
             return NotImplemented
         c = self._c * o._c
         if not c:
-            return self._combine(o, "mul", c, _MONO1, _NO_FACTORS)
+            return ScalarK(c, _MONO1, _NO_FACTORS)
         mono = tuple(a + b for a, b in zip(self._mono, o._mono))
-        return self._combine(o, "mul", c, mono, _fac_mul(self._fac, o._fac))
+        return ScalarK(c, mono, _fac_mul(self._fac, o._fac))
 
     __rmul__ = __mul__
 
@@ -386,9 +267,9 @@ class ScalarK:
             raise DivisionByZero("division by a scalar that normalizes to 0")
         c = self._c / o._c
         if not c:
-            return self._combine(o, "div", c, _MONO1, _NO_FACTORS)
+            return ScalarK(c, _MONO1, _NO_FACTORS)
         mono = tuple(a - b for a, b in zip(self._mono, o._mono))
-        return self._combine(o, "div", c, mono, _fac_mul(self._fac, o._fac, -1))
+        return ScalarK(c, mono, _fac_mul(self._fac, o._fac, -1))
 
     def __rtruediv__(self, other):
         o = self._pair(other)
@@ -397,8 +278,7 @@ class ScalarK:
         return o / self
 
     def __neg__(self):
-        e = ("neg", self._expr) if self._expr is not None else None
-        return ScalarK(-self._c, self._mono, self._fac, e)
+        return ScalarK(-self._c, self._mono, self._fac)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -407,12 +287,11 @@ class ScalarK:
             raise DivisionByZero("inverting a scalar that normalizes to 0")
         if e == 0 and not self._c:
             raise ArgumentOutOfRange("0^0 is undefined")
-        ex = ("pow", self._expr, e) if self._expr is not None else None
         if not self._c or e == 0:
-            return ScalarK(self._c**e, _MONO1, _NO_FACTORS, ex)
+            return ScalarK(self._c**e, _MONO1, _NO_FACTORS)
         mono = tuple(a * e for a in self._mono)
         fac = {f: k * e for f, k in self._fac.items()}
-        return ScalarK(self._c**e, mono, fac, ex)
+        return ScalarK(self._c**e, mono, fac)
 
     def inv(self) -> "ScalarK":
         return self**-1
@@ -436,12 +315,6 @@ class ScalarK:
 
     def __repr__(self):
         return f"ScalarK({to_text(self)})"
-
-    # -- housekeeping ---------------------------------------------------------
-
-    def compact(self) -> "ScalarK":
-        """Drop the expression DAG (keeps the value)."""
-        return ScalarK(self._c, self._mono, self._fac, None, self._nf)
 
 
 def _add(x: ScalarK, y: ScalarK) -> tuple:
@@ -489,12 +362,11 @@ def _unit(i: int) -> tuple:
 
 
 def _gen(name: str) -> ScalarK:
-    mono = _unit(_VAR_NAMES.index(name))
-    return ScalarK(Fraction(1), mono, _NO_FACTORS, ("gen", name))
+    return ScalarK(Fraction(1), _unit(_VAR_NAMES.index(name)), _NO_FACTORS)
 
 
 def _binomial(a: tuple, b: tuple) -> ScalarK:
-    """x^a - x^b as a value without DAG (a != b)."""
+    """x^a - x^b as a value (a != b)."""
     m = tuple(map(min, a, b))
     k, _, p = _primitive(_poly({_mdiv(a, m): 1, _mdiv(b, m): -1}))
     return ScalarK(Fraction(k), m, {p: 1})
@@ -504,11 +376,11 @@ def _binomial(a: tuple, b: tuple) -> ScalarK:
 _QDIFF = _binomial((1, 0, 0, 0, 0), (-1, 0, 0, 0, 0))
 
 
-def _over_qdiff(a: tuple, node) -> ScalarK:
-    """(x^a - x^-a) / (q - q^-1) with DAG node ``node``."""
+def _over_qdiff(a: tuple) -> ScalarK:
+    """(x^a - x^-a) / (q - q^-1)."""
     num = _binomial(a, tuple(-e for e in a))
     mono = tuple(s - t for s, t in zip(num._mono, _QDIFF._mono))
-    return ScalarK(num._c, mono, _fac_mul(num._fac, _QDIFF._fac, -1), node)
+    return ScalarK(num._c, mono, _fac_mul(num._fac, _QDIFF._fac, -1))
 
 
 #: Generators.
@@ -517,43 +389,41 @@ Z = _gen("z")
 SPIN_DELTA = _gen("Delta")
 U = _gen("u")
 V = _gen("v")
-DELTA = _over_qdiff((0, 1, 0, 0, 0), ("delta",))
+DELTA = _over_qdiff((0, 1, 0, 0, 0))
 ONE = ScalarK.from_rational(1)
 ZERO = ScalarK.from_rational(0)
 
-#: Bracket and brace atoms by DAG node, built on first use.
+#: Bracket and brace atoms, built on first use.
 _ATOMS: dict = {}
 
 
 def qint_atom(b: int, a: int) -> ScalarK:
-    """The extended bracket [b*n + a] as a primitive DAG atom.
+    """The extended bracket [b*n + a] = (z^b q^a - z^-b q^-a) / (q - q^-1).
 
     Its classical image is b*delta + a.
     """
-    node = ("qint", b, a)
-    x = _ATOMS.get(node)
+    key = ("qint", b, a)
+    x = _ATOMS.get(key)
     if x is None:
         if b == 0 and a == 0:
-            x = ScalarK(Fraction(0), _MONO1, _NO_FACTORS, node)
+            x = ZERO
         else:
-            x = _over_qdiff((a, b, 0, 0, 0), node)
-        x = _ATOMS.setdefault(node, x)
+            x = _over_qdiff((a, b, 0, 0, 0))
+        x = _ATOMS.setdefault(key, x)
     return x
 
 
 def brace_atom(k: int) -> ScalarK:
-    """The brace symbol {k} = z q^-k + z^-1 q^k as a primitive DAG atom.
+    """The brace symbol {k} = z q^-k + z^-1 q^k.
 
     Its classical image is 2.
     """
-    node = ("brace", k)
-    x = _ATOMS.get(node)
+    key = ("brace", k)
+    x = _ATOMS.get(key)
     if x is None:
         # z q^-k + z^-1 q^k = z^-1 q^-|k| (q^(|k|-k) z^2 + q^(|k|+k))
         p = _poly({(abs(k) - k, 2, 0, 0, 0): 1, (abs(k) + k, 0, 0, 0, 0): 1})
-        x = _ATOMS.setdefault(
-            node, ScalarK(Fraction(1), (-abs(k), -1, 0, 0, 0), {p: 1}, node)
-        )
+        x = _ATOMS.setdefault(key, ScalarK(Fraction(1), (-abs(k), -1, 0, 0, 0), {p: 1}))
     return x
 
 
@@ -570,9 +440,8 @@ def bar(x: ScalarK) -> ScalarK:
     back to polynomials.  Reflection is a ring automorphism of the Laurent
     polynomials and the shift leaves at most one side divisible by q or z,
     so the pair stays coprime and needs no cancel, only the sign that makes
-    the denominator's leading coefficient positive.  Bracket and brace
-    atoms are individually invariant, so the expression DAG, when present,
-    is mapped generator-wise and kept for the classical specialization.
+    the denominator's leading coefficient positive.  The result is split
+    into a factored value with the reflected normal form cached.
     """
     x = scalar(x)
     if not x:
@@ -585,16 +454,7 @@ def bar(x: ScalarK) -> ScalarK:
     den = den * _QG ** max(-sq, 0) * _ZG ** max(-sz, 0)
     if den.LC < 0:
         num, den = -num, -den
-    nf = FIELD.raw_new(num, den)
-    if x._expr is None:
-        return _wrap(nf, None)
-
-    def atom(node):
-        if node[0] == "gen" and node[1] in ("q", "z"):
-            return ("pow", node, -1)
-        return node
-
-    return _wrap(nf, _map_dag(x._expr, atom))
+    return _wrap(FIELD.raw_new(num, den))
 
 
 def _reflect(poly):
@@ -605,32 +465,6 @@ def _reflect(poly):
     b = max(m[1] for m in poly)
     p = poly.new({(a - m[0], b - m[1]) + m[2:]: c for m, c in poly.items()})
     return p, a, b
-
-
-def _nf_of_expr(node):
-    """The normal form of a DAG, folded through field arithmetic: the
-    reference that factored values are tested against."""
-
-    def div(xx, yy):
-        if not yy:
-            raise DivisionByZero("division by a scalar that normalizes to 0")
-        return xx / yy
-
-    return _fold(
-        node,
-        rat_fn=lambda r: FIELD.ground_new(QQ(r.numerator, r.denominator)),
-        gen_fn=lambda n: _GEN_NF[n],
-        delta_fn=lambda: _DELTA_NF,
-        qint_fn=_qint_nf,
-        brace_fn=_brace_nf,
-        ops={
-            "add": lambda a, b: a + b,
-            "mul": lambda a, b: a * b,
-            "div": div,
-            "neg": lambda a: -a,
-            "pow": lambda a, e: _fpow(a, e),
-        },
-    )
 
 
 # --------------------------------------------------------------------------
@@ -650,7 +484,7 @@ class IntegerLevel:
 
 @dataclass(frozen=True)
 class Classical:
-    """q, z -> 1; delta -> delta; Delta -> Delta (in Q(delta, Delta))."""
+    """The limit q, z -> 1 along z - z^-1 = delta (q - q^-1), in Q(delta, Delta)."""
 
 
 @dataclass(frozen=True)
@@ -670,112 +504,104 @@ class NumericProbe:
             raise SpecializationError("NumericProbe requires a positive integer n")
 
 
-def _expr_integer_level(node, n: int):
-    qn = ("pow", ("gen", "q"), n)
-
-    def atom(nd):
-        k = nd[0]
-        if k == "gen" and nd[1] == "z":
-            return qn
-        if k == "delta":
-            return ("qint", 0, n)
-        if k == "qint":
-            return ("qint", 0, nd[1] * n + nd[2])
-        if k == "brace":
-            return (
-                "add",
-                ("pow", ("gen", "q"), n - nd[1]),
-                ("pow", ("gen", "q"), nd[1] - n),
-            )
-        return nd
-
-    return _map_dag(node, atom)
-
-
 def integer_level(x: ScalarK, n: int) -> ScalarK:
-    """Apply z -> q^n; the result is z-free (a function of q, Delta, u, v)."""
+    """Apply z -> q^n to the normal form; the result is z-free (a function
+    of q, Delta, u, v), reduced with one cancel and split into a factored
+    value."""
     x = scalar(x)
     qn = _QG**n
     num = x.nf.numer.compose(_ZG, qn)
     den = x.nf.denom.compose(_ZG, qn)
     if not den:
         raise DivisionByZero(f"denominator vanishes under z -> q^{n}")
-    e = _expr_integer_level(x._expr, n) if x._expr is not None else None
-    return _wrap(FIELD.new(num, den), e)
+    return _wrap(FIELD.new(num, den))
+
+
+# --------------------------------------------------------------------------
+# The classical curve.
+#
+# The curve z - z^-1 = delta (q - q^-1) passes through q = z = 1, smoothly,
+# with slope dz/dq = delta there; near that point z is a power series in
+# h = q - 1 with y = z - 1 = delta h + O(h^2).  Write a polynomial as
+# P = sum P_ij h^i y^j (its Taylor expansion at (1, 1)) and let mu be the
+# least i + j with P_ij != 0.  Along the curve P = L(1, delta) h^mu + ...,
+# where L = sum_{i+j=mu} P_ij h^i y^j is the lowest form; L(1, delta) is
+# not the zero polynomial because delta is a free symbol.  So the order of
+# P along the curve is its multiplicity mu at (1, 1), at most its degree,
+# and its leading coefficient is sum_{i+j=mu} P_ij delta^j.
+
+
+def _curve_lead(f) -> tuple:
+    """(mu, lead): f = lead * h^mu + O(h^(mu+1)) along the curve, with
+    ``lead`` a nonzero {(delta exponent, Delta exponent): int} map.
+
+    f has no u or v; its terms with equal Delta exponent form one
+    polynomial in (q, z), and the order of f is the least order of these.
+    The Taylor coefficients P_ij = sum c_ab C(a, i) C(b, j) are built one
+    total degree at a time, through the row sums sum_a c_ab C(a, i).
+    """
+    rows: dict = {}  # Delta exponent -> z exponent -> [(q exponent, c)]
+    for (a, b, g, _, _), c in f.items():
+        rows.setdefault(g, {}).setdefault(b, []).append((a, c))
+    shifted = {g: {b: [] for b in row} for g, row in rows.items()}
+    for mu in range(max(m[0] + m[1] for m in f) + 1):
+        lead = {}
+        for g, row in rows.items():
+            cols = shifted[g]
+            for b, terms in row.items():
+                cols[b].append(sum(c * comb(a, mu) for a, c in terms))
+            for j in range(mu + 1):
+                p = sum(col[mu - j] * comb(b, j) for b, col in cols.items())
+                if p:
+                    lead[j, g] = p
+        if lead:
+            return mu, lead
+    raise AssertionError("a nonzero polynomial vanishes to above its degree")
+
+
+def _has_spectral(polys, mono: tuple = _MONO1) -> bool:
+    """Whether u or v occurs in x^mono or in one of ``polys``."""
+    return bool(mono[3] or mono[4]) or any(m[3] or m[4] for f in polys for m in f)
 
 
 def classical(x: ScalarK):
-    """The classical image in Q(delta, Delta), via the expression DAG.
+    """The classical image in Q(delta, Delta): the limit q, z -> 1 along
+    the curve z - z^-1 = delta (q - q^-1), delta and Delta held free.
 
-    Raises :class:`ClassicalSingular` if a division has a zero classical
-    image (or if the value only exists in rational coordinates where the
-    limit is 0/0), and for the spectral generators u, v, which have no
-    classical image.
+    Read off the factored value c * x^m * prod f^e: the monomial tends to
+    Delta^m_Delta and each factor f is lead * h^mu + ... along the curve,
+    h = q - 1 (see :func:`_curve_lead`).  The image is 0 when sum e*mu is
+    positive and c * Delta^m_Delta * prod lead^e when it is zero; a
+    negative sum is a pole on the curve and raises
+    :class:`ClassicalSingular`, as does a value whose normal form
+    involves the spectral generators u or v, which have no classical image.
     """
     x = scalar(x)
-    if x._expr is None:
-        return _classical_of_nf(x.nf)
-
-    def gen_fn(name):
-        if name in ("q", "z"):
-            return CLASSICAL_FIELD.one
-        if name == "Delta":
-            return _cD
-        raise ClassicalSingular(f"generator {name} has no classical image")
-
-    def div(a, b):
-        if not b:
-            raise ClassicalSingular(
-                "division by a subexpression with classical image 0"
-            )
-        return a / b
-
-    def pw(a, e):
-        if e < 0 and not a:
-            raise ClassicalSingular(
-                "inverting a subexpression with classical image 0"
-            )
-        return a**e if e >= 0 else 1 / (a ** (-e))
-
-    return _fold(
-        x._expr,
-        rat_fn=lambda r: CLASSICAL_FIELD.ground_new(QQ(r.numerator, r.denominator)),
-        gen_fn=gen_fn,
-        delta_fn=lambda: _cd,
-        # the constant must be a field element: sympy's zero + int returns
-        # the bare int, so [0*n + a] would otherwise escape Q(delta, Delta)
-        qint_fn=lambda b, a: b * _cd + CLASSICAL_FIELD.ground_new(QQ(a)),
-        brace_fn=lambda k: CLASSICAL_FIELD.ground_new(QQ(2)),
-        ops={
-            "add": lambda a, b: a + b,
-            "mul": lambda a, b: a * b,
-            "div": div,
-            "neg": lambda a: -a,
-            "pow": pw,
-        },
-    )
-
-
-def _classical_of_nf(nf):
-    """q, z -> 1 directly on a normal form (no delta blow-up available)."""
-    num = _poly_q1z1(nf.numer)
-    den = _poly_q1z1(nf.denom)
-    if not den:
-        raise ClassicalSingular(
-            "classical image is 0/0 in rational coordinates and no "
-            "expression DAG is available"
-        )
-    return num / den
-
-
-def _poly_q1z1(poly):
-    """Map a (q, z, Delta, u, v) polynomial to Q(delta, Delta) at q=z=1."""
-    out = CLASSICAL_FIELD.zero
-    for monom, coeff in poly.terms():
-        if monom[3] or monom[4]:
-            raise ClassicalSingular("spectral generators have no classical image")
-        out = out + CLASSICAL_FIELD.ground_new(QQ(coeff)) * _cD ** monom[2]
-    return out
+    if not x:
+        return CLASSICAL_FIELD.zero
+    if _has_spectral(x._fac, x._mono):
+        # u or v may still cancel between factors; the normal form decides
+        nf = x.nf
+        if _has_spectral((nf.numer, nf.denom)):
+            raise ClassicalSingular("the spectral generators u, v have no classical image")
+        x = _wrap(nf)
+    fac, mono = x._fac, x._mono
+    cring = CLASSICAL_FIELD.ring
+    num = cring({(0, max(mono[2], 0)): QQ(x._c.numerator, x._c.denominator)})
+    den = cring({(0, max(-mono[2], 0)): 1})
+    order = 0
+    for f, e in fac.items():
+        mu, lead = _curve_lead(f)
+        order += mu * e
+        if e > 0:
+            num *= cring(lead) ** e
+        else:
+            den *= cring(lead) ** -e
+    if order > 0:
+        return CLASSICAL_FIELD.zero
+    if order < 0:
+        raise ClassicalSingular("the value has a pole on the classical curve")
+    return CLASSICAL_FIELD.new(num, den)
 
 
 def _require_gens_absent(poly, positions, what):
@@ -808,22 +634,21 @@ def q_to_one(x: ScalarK):
             raise SpecializationError("(q - 1) cancellation failed")
     if d_zero:
         raise DivisionByZero("pole at q = 1")
-    return _ground_or_poly_to_classical(n1) / _ground_or_poly_to_classical(d1)
+    return CLASSICAL_FIELD.new(_q1_poly(n1), _q1_poly(d1))
 
 
-def _ground_or_poly_to_classical(val):
-    """Convert the result of evaluating away q (poly in z,Delta,u,v or ground)."""
-    if not hasattr(val, "terms"):
-        return CLASSICAL_FIELD.ground_new(QQ(val))
-    out = CLASSICAL_FIELD.zero
-    for monom, coeff in val.terms():
-        # remaining gens: (z, Delta, u, v); z was required absent upstream
-        if monom[0] or monom[2] or monom[3]:
+def _q1_poly(poly):
+    """A polynomial in (z, Delta, u, v), q evaluated away, as a polynomial
+    in CLASSICAL_FIELD.ring; it may hold only Delta."""
+    terms = {}
+    for (z, d, u, v), coeff in poly.items():
+        # z was required absent upstream
+        if z or u or v:
             raise SpecializationError(
                 "value still involves z, u or v after the q -> 1 limit"
             )
-        out = out + CLASSICAL_FIELD.ground_new(QQ(coeff)) * _cD ** monom[1]
-    return out
+        terms[0, d] = coeff
+    return CLASSICAL_FIELD.ring(terms)
 
 
 def numeric_probe(x: ScalarK, q0, n: int, Delta0) -> Fraction:

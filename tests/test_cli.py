@@ -23,6 +23,41 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# Stdout of `--specialize classical` runs, captured when the classical image
+# was still folded over a per-value expression DAG; the image read off the
+# factored value must print the same bytes.
+DIMS_CLASSICAL = """\
+p=0  vector: 1  symmetric: 1
+p=1  vector: 2*delta  symmetric: 2*delta
+p=2  vector: 2*delta**2 - delta  symmetric: 2*delta**2 + delta - 1
+p=3  vector: (4*delta**3 - 6*delta**2 + 2*delta)/3  symmetric: (4*delta**3 + 6*delta**2 - 4*delta)/3
+p=4  vector: (4*delta**4 - 12*delta**3 + 11*delta**2 - 3*delta)/6  symmetric: (4*delta**4 + 12*delta**3 - delta**2 - 3*delta)/6
+p=5  vector: (4*delta**5 - 20*delta**4 + 35*delta**3 - 25*delta**2 + 6*delta)/15  symmetric: (4*delta**5 + 20*delta**4 + 15*delta**3 - 5*delta**2 - 4*delta)/15
+p=6  vector: (8*delta**6 - 60*delta**5 + 170*delta**4 - 225*delta**3 + 137*delta**2 - 30*delta)/90  symmetric: (8*delta**6 + 60*delta**5 + 110*delta**4 + 45*delta**3 - 28*delta**2 - 15*delta)/90
+p=7  vector: (8*delta**7 - 84*delta**6 + 350*delta**5 - 735*delta**4 + 812*delta**3 - 441*delta**2 + 90*delta)/315  symmetric: (8*delta**7 + 84*delta**6 + 266*delta**5 + 315*delta**4 + 77*delta**3 - 84*delta**2 - 36*delta)/315
+p=8  vector: (16*delta**8 - 224*delta**7 + 1288*delta**6 - 3920*delta**5 + 6769*delta**4 - 6566*delta**3 + 3267*delta**2 - 630*delta)/2520  symmetric: (16*delta**8 + 224*delta**7 + 1064*delta**6 + 2240*delta**5 + 2009*delta**4 + 266*delta**3 - 569*delta**2 - 210*delta)/2520
+p=9  vector: (16*delta**9 - 288*delta**8 + 2184*delta**7 - 9072*delta**6 + 22449*delta**5 - 33642*delta**4 + 29531*delta**3 - 13698*delta**2 + 2520*delta)/11340  symmetric: (16*delta**9 + 288*delta**8 + 1896*delta**7 + 6048*delta**6 + 9849*delta**5 + 7182*delta**4 + 299*delta**3 - 2178*delta**2 - 720*delta)/11340
+p=10  vector: (32*delta**10 - 720*delta**9 + 6960*delta**8 - 37800*delta**7 + 126546*delta**6 - 269325*delta**5 + 361840*delta**4 - 293175*delta**3 + 128322*delta**2 - 22680*delta)/113400  symmetric: (32*delta**10 + 720*delta**9 + 6240*delta**8 + 27720*delta**7 + 68586*delta**6 + 92925*delta**5 + 57235*delta**4 - 2295*delta**3 - 18693*delta**2 - 5670*delta)/113400
+"""
+
+THETA_CLASSICAL = {
+    '1': [(0, 0, 0)],
+    '2*delta': [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
+    '2*delta**2 - delta': [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)],
+    '(4*delta**3 - 6*delta**2 + 2*delta)/3': [(0, 0, 3), (0, 1, 2), (0, 2, 1), (0, 3, 0), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0), (3, 0, 0)],
+    '(4*delta**4 - 12*delta**3 + 11*delta**2 - 3*delta)/6': [(0, 0, 4), (0, 1, 3), (0, 2, 2), (0, 3, 1), (0, 4, 0), (1, 0, 3), (1, 3, 0), (2, 0, 2), (2, 2, 0), (3, 0, 1), (3, 1, 0), (4, 0, 0)],
+    '(2*delta**3 - 3*delta**2 + delta)/2': [(1, 1, 1)],
+    '(4*delta**4 - 12*delta**3 + 11*delta**2 - 3*delta)/9': [(1, 1, 2), (1, 2, 1), (2, 1, 1)],
+}
+
+OTHER_CLASSICAL = [
+    (['eval-theta', '--kind', 'spinor', '--r', '2', '--s', '0', '--t', '0', '--specialize', 'classical'],
+     '(2*delta**2*Delta - delta*Delta)/2\n'),
+    (['eval-3j', '--r', '1', '--s', '1', '--t', '1', '--kind', 'double', '--specialize', 'classical'],
+     '(2*delta**3*Delta**2 - 3*delta**2*Delta**2 + delta*Delta**2)/2\n'),
+]
+
+
 def test_eval_theta_text(capsys):
     code, out, _ = run(capsys, "eval-theta", "--r", "1", "--s", "0", "--t", "0")
     assert code == 0
@@ -146,6 +181,39 @@ def test_dims_specialized(capsys):
     code, out, err = run(capsys, "dims", "--p-max", "1", "--specialize", "q1")
     assert code == 2 and out == ""
     assert err.startswith("error [SpecializationError]")
+
+
+def test_classical_outputs_pinned(capsys):
+    code, out, err = run(capsys, "dims", "--p-max", "10", "--specialize", "classical")
+    assert (code, out, err) == (0, DIMS_CLASSICAL, "")
+    for want, triples in THETA_CLASSICAL.items():
+        for r, s, t in triples:
+            code, out, err = run(capsys, "eval-theta", "--r", str(r), "--s", str(s),
+                                 "--t", str(t), "--specialize", "classical")
+            assert (code, out, err) == (0, want + "\n", ""), (r, s, t)
+    assert sum(map(len, THETA_CLASSICAL.values())) == 35  # every r + s + t <= 4
+    for argv, want in OTHER_CLASSICAL:
+        assert run(capsys, *argv) == (0, want, "")
+
+
+def test_classical_of_canonical_texts(capsys):
+    # delta's own normal form reads back as delta
+    for text in ["(z^2-1)*q/((q^2-1)*z)", to_text(scalar.DELTA)]:
+        assert run(capsys, "specialize", "--expr", text, "--to", "classical") == (
+            0, "delta\n", "")
+    # the tool specializes its own output like the value that printed it
+    _, want, _ = run(capsys, "eval-theta", "--r", "1", "--s", "1", "--t", "2",
+                     "--specialize", "classical")
+    text = to_text(theta_vector(1, 1, 2))
+    assert run(capsys, "specialize", "--expr", text, "--to", "classical") == (0, want, "")
+
+
+@pytest.mark.parametrize("expr", ["1/(q-1)", "u"], ids=["pole", "spectral"])
+def test_classical_singular_is_a_typed_error(capsys, expr):
+    code, out, err = run(capsys, "specialize", "--expr", expr, "--to", "classical")
+    assert code == 2 and out == ""
+    assert err.startswith("error [ClassicalSingular]")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

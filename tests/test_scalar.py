@@ -9,6 +9,19 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.fields import FracElement
 
+from exprtree import (
+    Undefined,
+    bar_tree,
+    braces,
+    classical_fold,
+    field_fold,
+    gens,
+    qints,
+    rat,
+    rationals,
+    trees,
+    value,
+)
 from qspin import scalar
 from qspin.errors import (
     ArgumentOutOfRange,
@@ -113,16 +126,25 @@ def test_classical_images():
         assert cl == CLASSICAL_FIELD.ground_new(want)
     with pytest.raises(ClassicalSingular):
         classical(scalar.U)
+    # u and v raise wherever they stay in the value, and only there
+    for text in ["u", "v*q", "(u + q)/(q - 1)", "(q - 1)/(q + v)"]:
+        with pytest.raises(ClassicalSingular):
+            classical(parse_scalar(text))
+    assert not classical(scalar.U - scalar.U)
+    x = parse_scalar("(u*q + u - q - 1)/(u - 1)")  # u cancels between two factors
+    assert classical(x) == classical(parse_scalar(to_text(x))) == CLASSICAL_FIELD(2)
+    # a pole on the classical curve
+    with pytest.raises(ClassicalSingular):
+        classical(parse_scalar("1/(q - 1)"))
 
 
-_rational = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 # atoms whose classical image is nonzero; their products are safe divisors
 _unit_atom = st.one_of(
     st.builds(qint_atom, st.just(0), st.integers(-4, 4).filter(bool)),
     st.builds(qint_atom, st.integers(1, 2), st.integers(-4, 4)),
     st.builds(brace_atom, st.integers(-3, 3)),
     st.just(DELTA),
-    _rational.filter(bool).map(mk),
+    rationals.filter(bool).map(mk),
 )
 _unit = st.lists(_unit_atom, min_size=1, max_size=3).map(lambda xs: reduce(mul, xs))
 # plus the two atoms with classical image 0, [0] and the rational 0
@@ -187,19 +209,19 @@ def test_specialize_dispatch():
         specialize(x, "nonsense")
 
 
+def _at_delta(cl, n: int):
+    """An element of Q(delta, Delta) at delta = n, still in Q(delta, Delta)."""
+    ring, field = cl.numer.ring, cl.field
+    d = ring.gens[0]
+    # a ring quotient would stay a PolyElement
+    return field(cl.numer.compose(d, ring(n))) / field(cl.denom.compose(d, ring(n)))
+
+
 def test_specialization_square_on_atoms():
     # level n then q -> 1  ==  classical then delta -> n
     for n in (1, 2, 3):
         for x in [qint_atom(1, 1), qint_atom(2, -1), brace_atom(2), DELTA * DELTA]:
-            left = q_to_one(integer_level(x, n))
-            cl = classical(x)
-            ring, field = cl.numer.ring, cl.field
-            d = ring.gens[0]
-            # compare in Q(delta, Delta): a ring quotient stays a PolyElement
-            right = field(cl.numer.compose(d, ring(n))) / field(
-                cl.denom.compose(d, ring(n))
-            )
-            assert left == right
+            assert q_to_one(integer_level(x, n)) == _at_delta(classical(x), n)
 
 
 def test_canonical_text_examples():
@@ -262,77 +284,50 @@ def test_classical_poly_coeffs():
     assert classical_poly_coeffs(val) == {2: Fraction(1), 1: Fraction(-3)}
 
 
-def test_compact_drops_dag_but_keeps_value():
-    x = qint_atom(1, 2) + brace_atom(1)
-    y = x.compact()
-    assert equal(x, y)
+# --------------------------------------------------------------------------
+# The factored representation against the test-side expression tree.
 
-
-_bar_atom = st.sampled_from(
-    [Q, Z, DELTA, SPIN_DELTA, scalar.U, ONE, mk(Fraction(-3, 7)),
-     qint_atom(1, -1), qint_atom(2, 1), brace_atom(2)]
+# every atom is nonzero, so any integer power of one is defined
+_bar_atom = st.one_of(
+    gens("q", "z", "Delta", "u"),
+    st.sampled_from([("delta",), rat(1), rat(Fraction(-3, 7)), ("qint", 1, -1),
+                     ("qint", 2, 1), ("brace", 2)]),
+)
+_bar_trees = trees(
+    st.one_of(_bar_atom, st.builds(lambda x, e: ("pow", x, e), _bar_atom,
+                                   st.integers(-2, 2))),
+    ops=("add", "sub", "mul", "div"),
 )
 
 
-@st.composite
-def _bar_exprs(draw, depth=3):
-    if depth == 0 or draw(st.booleans()):
-        x = draw(_bar_atom)
-        return x ** draw(st.integers(-2, 2)) if draw(st.booleans()) else x
-    op = draw(st.sampled_from(["add", "mul", "sub", "div"]))
-    a = draw(_bar_exprs(depth=depth - 1))
-    b = draw(_bar_exprs(depth=depth - 1))
-    if op == "div":
-        return a / b if not b.is_zero() else a
-    return {"add": a + b, "mul": a * b, "sub": a - b}[op]
-
-
-@given(_bar_exprs())
+@given(_bar_trees)
 @settings(max_examples=60, deadline=None)
-def test_bar_on_normal_form_matches_dag(x):
+def test_bar_on_normal_form_matches_dag(tree):
+    x = value(tree)
     y = bar(x)
-    # the reflected normal form is the fold of the mapped DAG
-    assert y.nf == scalar._nf_of_expr(y.expr)
+    # the reflected normal form is the field fold of the reflected tree
+    assert y.nf == field_fold(bar_tree(tree))
     assert bar(y) == x
-    # values without a DAG take the same path
-    assert bar(x.compact()).nf == y.nf
-    assert bar(x.compact()).expr is None
 
-
-# --------------------------------------------------------------------------
-# The factored representation.
 
 _any_atom = st.one_of(
-    st.builds(qint_atom, st.integers(-2, 2), st.integers(-4, 4)),
-    st.builds(brace_atom, st.integers(-3, 3)),
-    st.sampled_from([Q, Z, DELTA, SPIN_DELTA, scalar.U, scalar.V]),
-    _rational.map(mk),
+    qints(st.integers(-2, 2), st.integers(-4, 4)),
+    braces(st.integers(-3, 3)),
+    gens("q", "z", "Delta", "u", "v"),
+    st.just(("delta",)),
+    rationals.map(rat),
 )
+_field_trees = trees(_any_atom)
+_field_exprs = _field_trees.map(value)
 
 
-@st.composite
-def _field_exprs(draw, depth=3):
-    if depth == 0 or draw(st.booleans()):
-        return draw(_any_atom)
-    op = draw(st.sampled_from(["add", "sub", "mul", "div", "pow"]))
-    a = draw(_field_exprs(depth=depth - 1))
-    if op == "pow":
-        e = draw(st.integers(-3, 3))
-        if a.is_zero() and e <= 0:
-            return a
-        return a**e
-    b = draw(_field_exprs(depth=depth - 1))
-    if op == "div":
-        return a / b if b else a
-    return {"add": a + b, "sub": a - b, "mul": a * b}[op]
-
-
-@given(_field_exprs())
+@given(_field_trees)
 @settings(max_examples=80, deadline=None)
-def test_factored_value_matches_field_fold(x):
+def test_factored_value_matches_field_fold(tree):
+    x = value(tree)
     nf = x.nf
-    # the independent fold of the DAG through field arithmetic
-    assert nf == scalar._nf_of_expr(x.expr)
+    # the independent fold of the tree through field arithmetic
+    assert nf == field_fold(tree)
     # canonical over ZZ: coprime, content included, denominator LC positive
     num, den = nf.numer, nf.denom
     assert den.LC > 0
@@ -344,7 +339,7 @@ def test_factored_value_matches_field_fold(x):
     assert to_text(parse_scalar(to_text(x))) == to_text(x)
 
 
-@given(_field_exprs(), _field_exprs(), _field_exprs())
+@given(_field_exprs, _field_exprs, _field_exprs)
 @settings(max_examples=40, deadline=None)
 def test_equal_values_along_different_factorizations(a, b, c):
     for x, y in [((a + b) * c, a * c + b * c), (a - a, ZERO), (a * c - c * a, ZERO)]:
@@ -441,12 +436,58 @@ def test_parse_size_bound():
             parse_scalar(bad)
 
 
-def test_stored_texts_still_parse():
+def _stored_texts() -> list:
     import json
     from pathlib import Path
 
     path = Path(__file__).resolve().parent.parent / "perfbench/data/readback_texts.json"
-    texts = [item["text"] for item in json.loads(path.read_text())["texts"]]
+    return [item["text"] for item in json.loads(path.read_text())["texts"]]
+
+
+def test_stored_texts_still_parse():
+    texts = _stored_texts()
     assert len(texts) == 51
     for text in texts:
         assert to_text(parse_scalar(text)) == text
+
+
+# --------------------------------------------------------------------------
+# The classical image is a function of the value.
+
+_classical_tree_atom = st.one_of(
+    qints(st.integers(-2, 2), st.integers(-4, 4)),
+    braces(st.integers(-3, 3)),
+    gens("q", "z", "Delta"),
+    st.just(("delta",)),
+    rationals.map(rat),
+)
+
+
+@given(trees(_classical_tree_atom))
+@settings(max_examples=80, deadline=None)
+def test_classical_matches_tree_fold(tree):
+    # where the atom-by-atom fold divides by no zero image, it is the limit
+    try:
+        want = classical_fold(tree)
+    except Undefined:
+        return
+    x = value(tree)
+    assert classical(x) == want
+    assert classical(parse_scalar(to_text(x))) == want
+
+
+def test_classical_of_fierz_texts():
+    from qspin.recoupling import FierzTable
+
+    table = FierzTable.generate(5, 5)
+    for (a, b), x in table.entries.items():
+        assert classical(parse_scalar(to_text(x))) == classical(x), (a, b)
+
+
+def test_classical_square_on_stored_texts():
+    # classical then delta -> n  ==  level n then q -> 1, read from text
+    for text in _stored_texts():
+        x = parse_scalar(text)
+        cl = classical(x)
+        for n in (1, 2, 3):
+            assert _at_delta(cl, n) == q_to_one(integer_level(x, n)), (text, n)
