@@ -168,7 +168,7 @@ def _cmd_chromatic(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
     doc = json.loads(text)
-    if "rectangles" in doc:
+    if isinstance(doc, dict) and "rectangles" in doc:
         sn = networks.StrandNetwork.from_json(text)
     else:
         sn = networks.medial(networks.LabelledNetwork.from_json(text))

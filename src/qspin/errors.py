@@ -43,7 +43,7 @@ class InadmissibleLabel(QspinError):
 
 
 class StateSpaceTooLarge(QspinError):
-    """The chromatic state sum exceeds the enumeration budget."""
+    """The chromatic state sum exceeds its line or live-state budget."""
 
 
 class ConstraintViolated(QspinError):

@@ -919,21 +919,40 @@ def _check_size(x: ScalarK, e: int = 1) -> None:
 
 
 def _parse_sum(tok: _Tok) -> ScalarK:
-    acc = _parse_product(tok)
-    summed = False
-    while True:
-        op = tok.next_op("+-")
-        if op is None:
-            return acc
+    terms = [_parse_product(tok)]
+    while (op := tok.next_op("+-")) is not None:
         rhs = _parse_product(tok)
-        # A sum expands both terms.  Once acc is a sum its numerator is
-        # expanded, so a term without factors (a monomial of a canonical
-        # text) adds in time linear in acc, which is not measured again.
-        _check_size(rhs)
-        if rhs._fac or not summed:
+        terms.append(rhs if op == "+" else -rhs)
+    if len(terms) == 1:
+        return terms[0]
+    # A sum expands its terms.  The terms without factors (the monomials of
+    # a canonical text) are collected into one polynomial, expanded once;
+    # adding them one by one would expand the running sum for each.
+    for t in terms:
+        _check_size(t)
+    acc = _monomial_sum([t for t in terms if not t._fac])
+    for t in terms:
+        if t._fac:
             _check_size(acc)
-        acc = acc + rhs if op == "+" else acc - rhs
-        summed = True
+            acc = acc + t
+    return acc
+
+
+def _monomial_sum(terms: list) -> ScalarK:
+    """The sum of factor-free values c * x^m as one factored value."""
+    coeffs: dict = {}
+    for t in terms:
+        coeffs[t._mono] = coeffs.get(t._mono, 0) + t._c
+    coeffs = {m: c for m, c in coeffs.items() if c}
+    if not coeffs:
+        return ZERO
+    low = tuple(map(min, zip(*coeffs)))
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    k, m, p = _primitive(
+        _poly({_mdiv(mono, low): int(c * den) for mono, c in coeffs.items()})
+    )
+    fac = _NO_FACTORS if p is None else {p: 1}
+    return ScalarK(Fraction(k, den), tuple(a + b for a, b in zip(low, m)), fac)
 
 
 def _parse_product(tok: _Tok) -> ScalarK:

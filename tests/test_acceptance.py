@@ -8,6 +8,7 @@ the discrepancy (failing-by-design), so a silent "fix" breaks the suite.
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 from math import factorial
 
 from qspin import matrixlab, networks, qcomb, recoupling, scalar
@@ -28,6 +29,7 @@ from qspin.networks import (
     gamma_oracle_trace,
     medial,
     tetrahedron_chromatic,
+    tetrahedron_network,
     theta_network,
     unknot,
 )
@@ -237,27 +239,43 @@ def _chromatic_at_2delta(poly: networks.DeltaPoly) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+_K4_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+
+def _admissible(a: int, b: int, c: int) -> bool:
+    return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
+
+
 def test_acceptance_08_chromatic_oracle():
     ok = True
-    # unknot(a <= 3) against the loop/projector closed forms
-    for a in range(4):
+    # unknot(a <= 8) against the loop/projector closed forms
+    for a in range(9):
         closed = dimq_vector_recurrence_consistent(a)
         chrom = chromatic_eval(medial(unknot(a)), "ProjectorNormalized")
         ok = ok and (_classical_delta_poly(closed) == _chromatic_at_2delta(chrom))
-    # every admissible theta with labels <= 3
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                if (a + b + c) % 2 or not (abs(a - b) <= c <= a + b):
-                    continue
-                r, s, t = AdmissibleTriple(a, b, c).rst
-                closed = theta_vector(r, s, t)
-                chrom = chromatic_eval(
-                    medial(theta_network(a, b, c)), "ProjectorNormalized"
-                )
-                ok = ok and (
-                    _classical_delta_poly(closed) == _chromatic_at_2delta(chrom)
-                )
+    # every admissible theta with labels <= 6
+    for a, b, c in product(range(7), repeat=3):
+        if not _admissible(a, b, c):
+            continue
+        r, s, t = AdmissibleTriple(a, b, c).rst
+        closed = theta_vector(r, s, t)
+        chrom = chromatic_eval(medial(theta_network(a, b, c)), "ProjectorNormalized")
+        ok = ok and (_classical_delta_poly(closed) == _chromatic_at_2delta(chrom))
+    # every admissible tetrahedron with labels <= 4 evaluates like every
+    # relabelling of it by a vertex permutation of K4
+    orbits: dict = {}
+    for labels in product(range(5), repeat=6):
+        label = dict(zip(_K4_EDGES, labels))
+        if not all(
+            _admissible(*(label[e] for e in _K4_EDGES if v in e)) for v in range(1, 5)
+        ):
+            continue
+        orbit = min(
+            tuple(label[tuple(sorted((p[v0 - 1], p[v1 - 1])))] for v0, v1 in _K4_EDGES)
+            for p in permutations((1, 2, 3, 4))
+        )
+        raw = chromatic_eval(medial(tetrahedron_network(list(labels))), "Raw")
+        ok = ok and orbits.setdefault(orbit, raw) == raw
     # tetrahedron, all-1 grid: frozen golden value (brute-force derived)
     t1 = TetrahedronSymbol.from_rows([[1] * 4, [1] * 4, [1] * 4])
     raw = tetrahedron_chromatic(t1, "Raw").as_dict()

@@ -12,7 +12,7 @@ import pytest
 import qspin
 from qspin import cli, scalar
 from qspin.cli import main
-from qspin.networks import theta_network
+from qspin.networks import MAX_TOTAL_LINES, cabled_unknot, theta_network
 from qspin.recoupling import theta_vector
 from qspin.scalar import equal, parse_scalar, to_text
 
@@ -265,6 +265,35 @@ def test_chromatic(tmp_path, capsys):
     assert "delta" in out
     code, _, err = run(capsys, "chromatic", "--file", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+_THETA_DOC = json.loads(theta_network(1, 1, 2).to_json())
+
+
+@pytest.mark.parametrize(
+    "doc,error",
+    [
+        ({"rectangles": {"r": 1}}, "ParseError"),
+        ([_THETA_DOC], "ParseError"),
+        ({"rectangles": {"r": "2"}, "link": []}, "ConstraintViolated"),
+        ({"rectangles": {"r": 1}, "link": [[["r", 1, "x"], ["r", 0, 0]]]}, "ParseError"),
+        (dict(_THETA_DOC, rotation=dict(_THETA_DOC["rotation"], w=[[0, 0]])),
+         "ParseError"),
+        ({"rectangles": {"r": 1},
+          "link": [[["r", 1, 0], ["r", 1, 0]], [["r", 0, 0], ["r", 0, 0]]]},
+         "ConstraintViolated"),
+        (json.loads(cabled_unknot(MAX_TOTAL_LINES + 1, True).to_json()),
+         "StateSpaceTooLarge"),
+    ],
+    ids=["missing-link", "top-level-list", "string-degree", "port-index-x",
+         "rotation-names-no-vertex", "port-linked-to-itself", "over-line-budget"],
+)
+def test_bad_network_file_is_a_typed_error(tmp_path, capsys, doc, error):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "chromatic", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error [{error}]")
 
 
 def test_check_named_suite(capsys):

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chromatic_oracle import brute_force_chromatic, strand_networks
 from qspin.errors import (
     ConstraintViolated,
     InadmissibleLabel,
@@ -14,6 +15,7 @@ from qspin.errors import (
     UnsupportedSize,
 )
 from qspin.networks import (
+    MAX_TOTAL_LINES,
     DeltaPoly,
     LabelledNetwork,
     StrandNetwork,
@@ -138,8 +140,19 @@ def test_zero_edge_deletion_invariance(r, s):
 
 
 def test_state_space_budget():
+    # theta(9, 9, 8) needs more live matching states than the budget; a
+    # network over the line budget is refused before any join
     with pytest.raises(StateSpaceTooLarge):
-        chromatic_eval(cabled_unknot(15, True))
+        chromatic_eval(medial(theta_network(9, 9, 8)))
+    with pytest.raises(StateSpaceTooLarge):
+        chromatic_eval(cabled_unknot(MAX_TOTAL_LINES + 1, True))
+
+
+@given(strand_networks())
+@settings(max_examples=150, deadline=None)
+def test_contraction_equals_brute_force(sn):
+    for norm in ("Raw", "ProjectorNormalized"):
+        assert chromatic_eval(sn, norm) == brute_force_chromatic(sn, norm)
 
 
 def test_network_json_round_trip():

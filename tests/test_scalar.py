@@ -436,6 +436,19 @@ def test_parse_size_bound():
             parse_scalar(bad)
 
 
+def test_parse_collects_the_monomials_of_a_sum(monkeypatch):
+    # the 1,681 monomials of the expanded text become one polynomial with
+    # one primitive part; adding them one by one took one per term
+    text = to_text(parse_scalar("(q-1)^40*(z-1)^40"))
+    calls = []
+    primitive = scalar._primitive
+    monkeypatch.setattr(scalar, "_primitive", lambda p: calls.append(p) or primitive(p))
+    x = parse_scalar(text)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert to_text(x) == text
+
+
 def _stored_texts() -> list:
     import json
     from pathlib import Path
