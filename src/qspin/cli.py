@@ -195,23 +195,19 @@ def _cmd_check(args) -> int:
         with open(args.manifest) as fh:
             doc = json.load(fh)
     elif args.suite and args.suite != "all":
-        full = matrixlab.default_manifest()
-        checks = [c for c in full["checks"] if c["name"] == args.suite]
-        if not checks:
+        if args.suite not in matrixlab.CHECKS:
             raise ValidationFailure("bad-suite", f"unknown suite {args.suite!r}")
-        doc = {"format_version": full["format_version"], "checks": checks}
+        doc = matrixlab.manifest([args.suite])
     else:
         doc = matrixlab.default_manifest()
     report = matrixlab.run_manifest(doc)
-    results = sorted(
-        report["results"], key=lambda r: (r["name"], json.dumps(r["params"], sort_keys=True))
+    report["results"].sort(
+        key=lambda r: (r["name"], json.dumps(r["params"], sort_keys=True))
     )
     if args.format == "json":
-        print(json.dumps({"format_version": report["format_version"],
-                          "results": results,
-                          "all_passed": report["all_passed"]}, indent=2))
+        print(json.dumps(report, indent=2))
     else:
-        for r in results:
+        for r in report["results"]:
             status = "PASS" if r["passed"] else "FAIL"
             extra = f"  ({r['error']})" if r.get("error") else ""
             print(f"{status}  {r['name']}  {json.dumps(r['params'], sort_keys=True)}{extra}")
@@ -288,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_chromatic)
 
     p = sub.add_parser("check", help="run verification suites")
-    p.add_argument("--suite", default=None, help="named check, or 'all'")
+    p.add_argument("--suite", default=None, help="a registry entry, or 'all'")
     p.add_argument("--all", dest="suite", action="store_const", const="all")
     p.add_argument("--manifest", default=None, help="manifest JSON path")
     common(p, specialize=False)

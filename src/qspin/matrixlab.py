@@ -21,21 +21,25 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import threading
-import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cache
+from itertools import product
 from math import gcd
+from typing import Callable, NamedTuple
 
+from . import networks, qcomb, recoupling
 from .errors import (
     ArgumentOutOfRange,
     CalibrationFailed,
     DivisorVanishes,
+    ParseError,
     UnsupportedSize,
 )
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
+from .scalar import _MONO1, _expand, _fac_mul
 
 # --------------------------------------------------------------------------
 # Integer polynomials in (q, z, Delta, u, v): numerators and denominators.
@@ -87,14 +91,6 @@ def _factors(den) -> tuple[int, dict]:
             fac[f] = fac.get(f, 0) + e
         got = _FACTORS[den] = (abs(cont), fac)
     return got
-
-
-def _den_of(cont: int, fac: dict):
-    """The polynomial cont * prod(f^e)."""
-    out = _poly({_PRING.zero_monom: cont})
-    for f, e in fac.items():
-        out = out * f**e
-    return out
 
 
 def _exquo(p, f):
@@ -183,12 +179,13 @@ class SquareMatrixK:
 
     def _normalize(self, cont: int, dfac: dict) -> "SquareMatrixK":
         """Set den = cont * prod(f^e) over ``dfac``, then cancel every
-        factor that divides all numerators."""
+        factor that divides all numerators.  ``dfac`` is not changed."""
         rows = self.rows
         if not rows:
             self.den, self._dfac = _PONE, {}
             return self
-        for f, e in list(dfac.items()):
+        left = {}
+        for f, e in dfac.items():
             while e:
                 quo = _divide_all(rows, f)
                 if quo is None:
@@ -196,9 +193,7 @@ class SquareMatrixK:
                 rows = quo
                 e -= 1
             if e:
-                dfac[f] = e
-            else:
-                del dfac[f]
+                left[f] = e
         g = _common_content(cont, rows)
         if g != 1:
             cont //= g
@@ -207,8 +202,8 @@ class SquareMatrixK:
                 for i, row in rows.items()
             }
         self.rows = rows
-        self._dfac = dfac
-        self.den = _den_of(cont, dfac)
+        self._dfac = left
+        self.den = _expand(cont, _MONO1, left)
         return self
 
     # -- construction -------------------------------------------------------
@@ -249,7 +244,7 @@ class SquareMatrixK:
         cont, fac = _factors(den)
         single = SquareMatrixK(self.dim)
         single.rows = {i: {j: num}}
-        total = self._lincomb(single._normalize(cont, dict(fac)), 1)
+        total = self._lincomb(single._normalize(cont, fac), 1)
         self.rows, self.den, self._dfac = total.rows, total.den, total._dfac
 
     def entry(self, i: int, j: int) -> ScalarK:
@@ -307,8 +302,8 @@ class SquareMatrixK:
         lfac = dict(self._dfac)
         for f, e in other._dfac.items():
             lfac[f] = max(lfac.get(f, 0), e)
-        ma = _den_of(lcont // ca, _fac_quotient(lfac, self._dfac))
-        mb = _den_of(lcont // cb, _fac_quotient(lfac, other._dfac))
+        ma = _expand(lcont // ca, _MONO1, _fac_mul(lfac, self._dfac, -1))
+        mb = _expand(lcont // cb, _MONO1, _fac_mul(lfac, other._dfac, -1))
         if sign < 0:
             mb = -mb
         out = SquareMatrixK(self.dim)
@@ -388,16 +383,6 @@ def _common_content(cont: int, rows: dict) -> int:
     return g
 
 
-def _fac_quotient(big: dict, small: dict) -> dict:
-    """The factor multiset big / small (small must divide big)."""
-    out = {}
-    for f, e in big.items():
-        e -= small.get(f, 0)
-        if e:
-            out[f] = e
-    return out
-
-
 def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
     """(content, factors) of a.den * b, where b is a matrix or a
     denominator polynomial."""
@@ -405,10 +390,7 @@ def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
         bcont, bfac = b.den.content(), b._dfac
     else:
         bcont, bfac = _factors(b)
-    fac = dict(a._dfac)
-    for f, e in bfac.items():
-        fac[f] = fac.get(f, 0) + e
-    return a.den.content() * bcont, fac
+    return a.den.content() * bcont, _fac_mul(a._dfac, bfac)
 
 
 # --------------------------------------------------------------------------
@@ -419,6 +401,10 @@ def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
 _BRAID_DATA: dict[int, "BraidData"] = {}
 #: Guards _BRAID_DATA and _TOWERS: library callers may build from threads.
 _CACHE_LOCK = threading.RLock()
+
+
+#: q - q^-1; its normal form is built once per process.
+_QM = Q - Q**-1
 
 
 def _rho(i: int) -> int:
@@ -455,10 +441,10 @@ def build_braid_data(n: int) -> BraidData:
 
     sigma^-1 is obtained from the skein relation
     sigma^-1 = sigma - (q - q^-1)(1 - u) and verified to be a true inverse;
-    it is then compared against the displayed sum shape, and any term-level
-    mismatch is reported as a warning (the display's -q E_{-i,i} (x) E_{i,-i}
-    term has the wrong sign).  The data is built once per n per process
-    (so the warning fires once per n) and shared: callers must not mutate it.
+    the entries where the printed display of sigma^-1 differs from it are
+    kept in ``sigma_inv_display_mismatches`` (see check_sigma_inv_display).
+    The data is built once per n per process and shared: callers must not
+    mutate it.
     """
     if n not in (1, 2, 3):
         raise UnsupportedSize("build_braid_data supports n in {1, 2, 3}")
@@ -469,16 +455,20 @@ def build_braid_data(n: int) -> BraidData:
         return data
 
 
-def _build_braid_data(n: int) -> BraidData:
-    idx = [i for i in range(-n, 0)] + [i for i in range(1, n + 1)]
+@cache
+def _basis(n: int):
+    """The basis order of V; P(a, c), the position of e_a (x) e_c in
+    V (x) V; and the weights w(i, j) = q^(rho(i) + rho(j))."""
+    idx = [*range(-n, 0), *range(1, n + 1)]
     pos = {i: k for k, i in enumerate(idx)}
-    d = 2 * n
-
-    def P(a: int, c: int) -> int:  # position of e_a (x) e_c in V (x) V
-        return pos[a] * d + pos[c]
-
     w = {(i, j): (Q ** (_rho(i) + _rho(j))).nf for i in idx for j in idx}
-    qm = (Q - Q**-1).nf
+    return idx, lambda a, c: pos[a] * 2 * n + pos[c], w
+
+
+def _build_braid_data(n: int) -> BraidData:
+    idx, P, w = _basis(n)
+    d = 2 * n
+    qm = _QM.nf
 
     u_mat = SquareMatrixK(d * d)
     for i in idx:
@@ -502,19 +492,8 @@ def _build_braid_data(n: int) -> BraidData:
     if sigma @ sigma_inv != one:
         raise CalibrationFailed("sigma * sigma^-1 != 1 for the chosen weights")
 
-    # Printed display of sigma^-1, for the term-level comparison.
-    printed = SquareMatrixK(d * d)
-    for i in idx:
-        printed.add_to(P(i, i), P(i, i), Q**-1)
-        printed.add_to(P(-i, i), P(i, -i), -Q)
-        for j in idx:
-            if j != i and j != -i:
-                printed.add_to(P(i, j), P(j, i), ONE)
-            if i > j:
-                printed.add_to(P(i, j), P(i, j), -qm)
-            if j > -i:
-                printed.add_to(P(i, -i), P(j, -j), qm * w[(i, j)])
     # the two denominators differ: compare a/den_a and b/den_b crosswise
+    printed = _sigma_inv_display(n, printed=True)
     zero = _PRING.zero
     mismatches = []
     for i, j in sorted(
@@ -524,13 +503,6 @@ def _build_braid_data(n: int) -> BraidData:
         b = printed.rows.get(i, {}).get(j, zero)
         if a * printed.den != b * sigma_inv.den:
             mismatches.append((i, j))
-    if mismatches:
-        warnings.warn(
-            "displayed sigma^-1 sum disagrees with the true inverse at "
-            f"{len(mismatches)} entries (e.g. the -q E_(-i,i) (x) E_(i,-i) "
-            "term); the true inverse is used",
-            stacklevel=3,
-        )
 
     data = BraidData(
         n=n,
@@ -544,6 +516,32 @@ def _build_braid_data(n: int) -> BraidData:
     return data
 
 
+def _sigma_inv_display(n: int, printed: bool) -> SquareMatrixK:
+    """The displayed sum for sigma^-1 on V (x) V.  Its E_(-i,i) (x) E_(i,-i)
+    terms are printed as -q; the true inverse has +q there."""
+    idx, P, w = _basis(n)
+    qm = _QM.nf
+    out = SquareMatrixK(4 * n * n)
+    for i in idx:
+        out.add_to(P(i, i), P(i, i), Q**-1)
+        out.add_to(P(-i, i), P(i, -i), -Q if printed else Q)
+        for j in idx:
+            if j != i and j != -i:
+                out.add_to(P(i, j), P(j, i), ONE)
+            if i > j:
+                out.add_to(P(i, j), P(i, j), -qm)
+            if j > -i:
+                out.add_to(P(i, -i), P(j, -j), qm * w[(i, j)])
+    return out
+
+
+def check_sigma_inv_display(n: int, printed: bool = False) -> bool:
+    """The displayed sum for sigma^-1 equals the true inverse (with the
+    printed sign of its q terms: it does not)."""
+    data = build_braid_data(n)
+    return _sigma_inv_display(n, printed) == data.sigma_inv
+
+
 def _derive_mu(data: BraidData) -> dict:
     """Derive the diagonal trace weight mu from u = |cup><cap|.
 
@@ -553,13 +551,7 @@ def _derive_mu(data: BraidData) -> dict:
     (weights mu) and the left partial closure (weights mu^-1) to both be
     the identity, and tr(mu) = tr(mu^-1) = loop value.
     """
-    idx = data.indices
-    pos = {i: k for k, i in enumerate(idx)}
-    d = data.d
-
-    def P(a, c):
-        return pos[a] * d + pos[c]
-
+    idx, P, _ = _basis(data.n)
     w = {}
     for i in idx:
         for j in idx:
@@ -592,14 +584,14 @@ def _derive_mu(data: BraidData) -> dict:
     return mu
 
 
-def check_braid_invariants(data: BraidData) -> bool:
+def check_braid_invariants(n: int) -> bool:
     """Skein relation, loop absorption, twist eigenvalues and braid relation."""
+    data = build_braid_data(n)
     d2 = data.d * data.d
     one = SquareMatrixK.identity(d2)
-    qm = Q - Q**-1
     zq = Q**data.n
     lp = data.loop
-    ok = data.sigma - data.sigma_inv == (one - data.u_mat).scale(qm)
+    ok = data.sigma - data.sigma_inv == (one - data.u_mat).scale(_QM)
     ok = ok and data.u_mat @ data.u_mat == data.u_mat.scale(lp)
     ok = ok and data.sigma @ data.u_mat == data.u_mat.scale(zq**-2 * Q)
     ok = ok and data.sigma_inv @ data.u_mat == data.u_mat.scale(zq**2 * Q**-1)
@@ -638,50 +630,53 @@ def hecke_two_dim_rep() -> StrandRep:
 
 def bmw_three_dim_rep() -> StrandRep:
     """The 3-dimensional representation of the 3-strand algebra at generic
-    z; u_i is recovered from the skein relation.
-
-    The displayed matrices carry -z^{+-1}(z q^-2 + z^-1 q^2) in the
-    sigma^{+-1} below/above-diagonal entry, but with that reading the two
-    displayed matrices are not inverse to each other and the braid relation
-    fails; solving the braid relation shows the exponent must be the
-    opposite sign, -z^{-+1}(z q^-2 + z^-1 q^2).  Every other entry is as
-    displayed, and with the fix the displayed inverses are exact inverses.
-    """
-    c = Z * Q**-2 + Z**-1 * Q**2
-    s1 = SquareMatrixK.from_rows(
-        [[Z**-2 * Q, 0, 0], [-(Z**-1) * c, -Q**-1, 0], [Q**-1, ONE, Q]]
-    )
-    s1i = SquareMatrixK.from_rows(
-        [[Z**2 * Q**-1, 0, 0], [-Z * c, -Q, 0], [Q, ONE, Q**-1]]
-    )
-    s2 = SquareMatrixK.from_rows(
-        [[Q, ONE, Q**-1], [0, -Q**-1, -(Z**-1) * c], [0, 0, Z**-2 * Q]]
-    )
-    s2i = SquareMatrixK.from_rows(
-        [[Q**-1, ONE, Q], [0, -Q, -Z * c], [0, 0, Z**2 * Q**-1]]
-    )
+    z; u_i is recovered from the skein relation."""
+    (s1, s1i, s2, s2i), holds = _bmw3(printed=False)
+    if not all(holds.values()):
+        raise CalibrationFailed(f"the 3-dim rep fails its relations: {holds}")
     one = SquareMatrixK.identity(3)
     qm = Q - Q**-1
     u1 = one - (s1 - s1i).scale(qm.inv())
     u2 = one - (s2 - s2i).scale(qm.inv())
-    for s, si in ((s1, s1i), (s2, s2i)):
-        if s @ si != one:
-            raise CalibrationFailed("representation is not invertible")
-    if s1 @ s2 @ s1 != s2 @ s1 @ s2:
-        raise CalibrationFailed("braid relation fails in the 3-dim rep")
     return StrandRep(3, [s1, s2], [s1i, s2i], [u1, u2], Z)
 
 
-def braid_rep_on_three_strands(data: BraidData) -> StrandRep:
-    """sigma_1 = sigma (x) 1, sigma_2 = 1 (x) sigma on V^(x)3."""
-    idm = SquareMatrixK.identity(data.d)
-    return StrandRep(
-        data.d**3,
-        [data.sigma.kron(idm), idm.kron(data.sigma)],
-        [data.sigma_inv.kron(idm), idm.kron(data.sigma_inv)],
-        [data.u_mat.kron(idm), idm.kron(data.u_mat)],
-        Q**data.n,
+def _bmw3(printed: bool) -> tuple:
+    """sigma_1, sigma_1^-1, sigma_2, sigma_2^-1 of the 3-dim rep, and
+    whether each relation holds: "sigma1-inverse" and "sigma2-inverse"
+    (the displayed sigma_i^-1 inverts sigma_i) and "braid".
+
+    The display carries -z^{+-1}(z q^-2 + z^-1 q^2) in the sigma^{+-1}
+    below/above-diagonal entry, and with it all three relations fail;
+    solving the braid relation shows the exponent must be the opposite
+    sign, -z^{-+1}(z q^-2 + z^-1 q^2).  Every other entry is as displayed.
+    """
+    e = 1 if printed else -1
+    c = Z * Q**-2 + Z**-1 * Q**2
+    s1 = SquareMatrixK.from_rows(
+        [[Z**-2 * Q, 0, 0], [-(Z**e) * c, -Q**-1, 0], [Q**-1, ONE, Q]]
     )
+    s1i = SquareMatrixK.from_rows(
+        [[Z**2 * Q**-1, 0, 0], [-(Z**-e) * c, -Q, 0], [Q, ONE, Q**-1]]
+    )
+    s2 = SquareMatrixK.from_rows(
+        [[Q, ONE, Q**-1], [0, -Q**-1, -(Z**e) * c], [0, 0, Z**-2 * Q]]
+    )
+    s2i = SquareMatrixK.from_rows(
+        [[Q**-1, ONE, Q], [0, -Q, -(Z**-e) * c], [0, 0, Z**2 * Q**-1]]
+    )
+    one = SquareMatrixK.identity(3)
+    holds = {
+        "sigma1-inverse": s1 @ s1i == one,
+        "sigma2-inverse": s2 @ s2i == one,
+        "braid": s1 @ s2 @ s1 == s2 @ s1 @ s2,
+    }
+    return (s1, s1i, s2, s2i), holds
+
+
+def check_bmw3_relation(relation: str, printed: bool = False) -> bool:
+    """One relation of the 3-dim rep (see _bmw3)."""
+    return _bmw3(printed)[1][relation]
 
 
 # --------------------------------------------------------------------------
@@ -737,35 +732,50 @@ def _rep_R(kind: str, rep: StrandRep, i: int, w: ScalarK) -> SquareMatrixK:
     )
 
 
-def check_ybe(kind: str, rep: StrandRep) -> bool:
+def _strand_rep(rep: str, n: int) -> StrandRep:
+    """A representation by name: "hecke2", "bmw3", or "tensor", V^(x)3 at
+    level n with sigma_1 = sigma (x) 1 and sigma_2 = 1 (x) sigma."""
+    if rep == "hecke2":
+        return hecke_two_dim_rep()
+    if rep == "bmw3":
+        return bmw_three_dim_rep()
+    if rep != "tensor":
+        raise ArgumentOutOfRange(f"unknown representation {rep!r}")
+    data = build_braid_data(n)
+    idm = SquareMatrixK.identity(data.d)
+    gens = [[m.kron(idm), idm.kron(m)]
+            for m in (data.sigma, data.sigma_inv, data.u_mat)]
+    return StrandRep(data.d**3, *gens, Q**n)
+
+
+def check_ybe(kind: str, rep: str, n: int = 1) -> bool:
     """R_1(u) R_2(uv) R_1(v) = R_2(v) R_1(uv) R_2(u) with FORMAL u, v."""
-    r1u = _rep_R(kind, rep, 0, U)
-    r2uv = _rep_R(kind, rep, 1, U * V)
-    r1v = _rep_R(kind, rep, 0, V)
-    r2u = _rep_R(kind, rep, 1, U)
-    r1uv = _rep_R(kind, rep, 0, U * V)
-    r2v = _rep_R(kind, rep, 1, V)
+    r = _strand_rep(rep, n)
+    r1u = _rep_R(kind, r, 0, U)
+    r2uv = _rep_R(kind, r, 1, U * V)
+    r1v = _rep_R(kind, r, 0, V)
+    r2u = _rep_R(kind, r, 1, U)
+    r1uv = _rep_R(kind, r, 0, U * V)
+    r2v = _rep_R(kind, r, 1, V)
     return r1u @ r2uv @ r1v == r2v @ r1uv @ r2u
 
 
-def check_unitarity(kind: str, rep: StrandRep, i: int = 0) -> bool:
+def check_unitarity(kind: str, rep: str) -> bool:
     """R(u) R(u^-1) = 1 with formal u, and R(1) = 1."""
-    one = SquareMatrixK.identity(rep.dim)
-    ru = _rep_R(kind, rep, i, U)
-    rui = _rep_R(kind, rep, i, U.inv())
-    return ru @ rui == one and _rep_R(kind, rep, i, ONE) == one
+    r = _strand_rep(rep, 1)
+    one = SquareMatrixK.identity(r.dim)
+    ru = _rep_R(kind, r, 0, U)
+    rui = _rep_R(kind, r, 0, U.inv())
+    return ru @ rui == one and _rep_R(kind, r, 0, ONE) == one
 
 
-def check_hecke_quotient(rep: StrandRep, i: int = 0) -> bool:
+def check_hecke_quotient(rep: str = "bmw3") -> bool:
     """Imposing u = 0 in the BMW_D combination reproduces the HeckeF matrix."""
+    r = _strand_rep(rep, 1)
     full = spectral_R(
-        "BMW_D", rep.sigmas[i], rep.sigma_invs[i], SquareMatrixK.zero(rep.dim),
-        U, rep.zval,
+        "BMW_D", r.sigmas[0], r.sigma_invs[0], SquareMatrixK.zero(r.dim), U, r.zval
     )
-    hecke = spectral_R(
-        "HeckeF", rep.sigmas[i], rep.sigma_invs[i], None, U, rep.zval
-    )
-    return full == hecke
+    return full == spectral_R("HeckeF", r.sigmas[0], r.sigma_invs[0], None, U, r.zval)
 
 
 # --------------------------------------------------------------------------
@@ -828,10 +838,13 @@ def strand_generator(data: BraidData, which: str, i: int, p: int) -> SquareMatri
     return left.kron(base).kron(right)
 
 
-def check_tower_eigenrelations(kind: str, data: BraidData, p_max: int) -> bool:
-    """Idempotency, u_i X = 0 = X u_i, sigma_i X = eig X = X sigma_i."""
-    _, eig = _TOWER_SPEC[kind]
-    tower = idempotent_tower(kind, data, p_max)
+def check_tower(kind: str, n: int, p_max: int) -> bool:
+    """For X = E(p) or F(p), 2 <= p <= p_max, at level n: idempotency,
+    u_i X = 0 = X u_i, sigma_i X = eig X = X sigma_i, and
+    R_i(u) X = X = X R_i(u) with FORMAL u."""
+    data = build_braid_data(n)
+    tower = idempotent_tower(kind, data, p_max)  # it checks the kind
+    rkind, eig = _TOWER_SPEC[kind]
     for p in range(2, p_max + 1):
         x = tower[p]
         if x @ x != x:
@@ -843,57 +856,28 @@ def check_tower_eigenrelations(kind: str, data: BraidData, p_max: int) -> bool:
                 return False
             if si @ x != x.scale(eig) or x @ si != x.scale(eig):
                 return False
-    return True
-
-
-def check_tower_absorption(kind: str, data: BraidData, p_max: int) -> bool:
-    """R_i(u) X(p) = X(p) = X(p) R_i(u) with FORMAL u."""
-    rkind, _ = _TOWER_SPEC[kind]
-    zq = Q**data.n
-    tower = idempotent_tower(kind, data, p_max)
-    for p in range(2, p_max + 1):
-        x = tower[p]
-        for i in range(1, p):
-            r = spectral_R(
-                rkind,
-                strand_generator(data, "sigma", i, p),
-                strand_generator(data, "sigma_inv", i, p),
-                strand_generator(data, "u", i, p),
-                U,
-                zq,
-            )
+            sii = strand_generator(data, "sigma_inv", i, p)
+            r = spectral_R(rkind, si, sii, ui, U, Q**n)
             if r @ x != x or x @ r != x:
                 return False
     return True
 
 
-def hecke_tower_in_rep(kind: str, rep: StrandRep, p_max: int = 3) -> dict:
-    """Idempotents from the Hecke spectral matrices inside a fixed
-    representation of the 3-strand algebra (all on the same space)."""
+def check_hecke_tower(kind: str) -> bool:
+    """In the 2-dim representation, the idempotents X(p+1) = X(p) R_p(q^p) X(p),
+    X(1) = 1, of the Hecke spectral matrices (HeckeF for kind F, HeckeE for
+    E) are idempotent for p = 2, 3 and satisfy sigma_i X = eig X = X sigma_i
+    with eig = q (F) or -q^-1 (E)."""
     if kind not in ("F", "E"):
         raise ArgumentOutOfRange("tower kind must be 'E' or 'F'")
-    if p_max > len(rep.sigmas) + 1:
-        raise UnsupportedSize("not enough generators in the representation")
-    rkind = "HeckeF" if kind == "F" else "HeckeE"
-    out = {1: SquareMatrixK.identity(rep.dim)}
-    for p in range(1, p_max):
-        r_p = _rep_R(rkind, rep, p - 1, Q**p)
-        out[p + 1] = out[p] @ r_p @ out[p]
-    return out
-
-
-def check_hecke_tower(kind: str) -> bool:
-    """In the 2-dim representation, Hecke-tower idempotents are idempotent
-    and satisfy sigma_i X = eig X with eig = q (F) or -q^-1 (E)."""
+    rkind, eig = {"F": ("HeckeF", Q), "E": ("HeckeE", -(Q**-1))}[kind]
     rep = hecke_two_dim_rep()
-    eig = Q if kind == "F" else -(Q**-1)
-    tower = hecke_tower_in_rep(kind, rep, 3)
-    for p in (2, 3):
-        x = tower[p]
+    x = SquareMatrixK.identity(rep.dim)
+    for p in (1, 2):
+        x = x @ _rep_R(rkind, rep, p - 1, Q**p) @ x
         if x @ x != x:
             return False
-        for i in range(p - 1):
-            s = rep.sigmas[i]
+        for s in rep.sigmas[:p]:
             if s @ x != x.scale(eig) or x @ s != x.scale(eig):
                 return False
     return True
@@ -990,145 +974,141 @@ def _canonical_skein_coeffs(c1, cs, csi, cu):
     return (cs + c1 / qm, csi - c1 / qm, cu + c1)
 
 
-def check_crossing_symmetry_D(report: bool = False):
+def check_crossing_symmetry_D(printed: bool = False) -> bool:
     """Quarter-turn symmetry of the BMW_D numerator.
 
     The quarter turn swaps 1 <-> u and sigma <-> sigma^-1.  Applying it to
     the numerator N(u) of R(u) and reducing to the canonical skein gauge
     must give a scalar multiple lambda of N(u^-1 z^-1 q); lambda is solved
-    from the sigma coefficient and asserted on the others.  The displayed
-    prefactor (u - u^-1)(u z q^-2 - u^-1 z^-1 q^-2) / D(u^-1 z^-1 q) is
-    compared against the solved lambda and the mismatch is reported.
+    from the sigma coefficient and asserted on the others, and it must
+    equal the prefactor (u - u^-1)(u z q^-2 - u^-1 z^-1 q^2) / D(u^-1 z^-1 q).
+    The printed prefactor has q^-2 for the last q^2 and does not.
     """
-    w = U
-    cs, csi, cu, den = spectral_coeffs("BMW_D", w, Z)
-    c1 = scalar(0)
+    cs, csi, cu, _ = spectral_coeffs("BMW_D", U, Z)
     # quarter turn: 1 <-> u, sigma <-> sigma^-1
-    t1, ts, tsi, tu = cu, csi, cs, c1
-    ts, tsi, tu = _canonical_skein_coeffs(t1, ts, tsi, tu)
-    w2 = U.inv() * Z.inv() * Q
-    bs, bsi, bu, bden = spectral_coeffs("BMW_D", w2, Z)
+    ts, tsi, tu = _canonical_skein_coeffs(cu, csi, cs, scalar(0))
+    bs, bsi, bu, bden = spectral_coeffs("BMW_D", U.inv() * Z.inv() * Q, Z)
     bs, bsi, bu = _canonical_skein_coeffs(scalar(0), bs, bsi, bu)
     lam = ts / bs
     ok = equal(tsi, lam * bsi) and equal(tu, lam * bu)
-    displayed = (U - U.inv()) * (U * Z * Q**-2 - U.inv() * Z.inv() * Q**-2) / bden
-    prefactor_matches = equal(lam, displayed)
-    # The displayed prefactor's last exponent is a typo: with q^2 instead of
-    # q^-2 in the second term the prefactor matches lambda exactly.
-    corrected = (U - U.inv()) * (U * Z * Q**-2 - U.inv() * Z.inv() * Q**2) / bden
-    corrected_matches = equal(lam, corrected)
-    if report:
-        return {
-            "proportional": ok,
-            "displayed_prefactor_matches": prefactor_matches,
-            "corrected_prefactor_matches": corrected_matches,
-            "lambda_over_displayed": None
-            if prefactor_matches
-            else lam / displayed,
-        }
-    return ok and corrected_matches
+    last = Q**-2 if printed else Q**2
+    prefactor = (U - U.inv()) * (U * Z * Q**-2 - U.inv() * Z.inv() * last) / bden
+    return ok and equal(lam, prefactor)
 
 
 # --------------------------------------------------------------------------
-# Check-runner manifest.
+# The check registry: every verification the program knows, by name.  The
+# check-runner manifest, `qspin check` and the tests all read this table.
 
 MANIFEST_FORMAT_VERSION = 1
 
 
-def _check_braid(n: int) -> bool:
-    return check_braid_invariants(build_braid_data(n))
+class Check(NamedTuple):
+    """``fn(**params)`` is True when the check holds, for each params dict
+    of ``grid``.  ``group`` is "matrix" (the suite ``qspin check --all``
+    runs), "identity" (the closed-form identities of qcomb, recoupling and
+    the gamma matrices) or "slip" (a documented formula slip in the source:
+    the row holds exactly while the printed form is wrong and the corrected
+    form right)."""
+
+    fn: Callable[..., bool]
+    grid: tuple
+    group: str
 
 
-def _check_ybe_named(kind: str, rep: str, n: int = 1) -> bool:
-    r = _resolve_rep(rep, n)
-    return check_ybe(kind, r)
+def _grid(**axes) -> tuple:
+    """Every combination of the axes' values, as params dicts."""
+    return tuple(dict(zip(axes, vals)) for vals in product(*axes.values()))
 
 
-def _check_unitarity_named(kind: str, rep: str, n: int = 1) -> bool:
-    r = _resolve_rep(rep, n)
-    return check_unitarity(kind, r)
-
-
-def _resolve_rep(rep: str, n: int) -> StrandRep:
-    if rep == "hecke2":
-        return hecke_two_dim_rep()
-    if rep == "bmw3":
-        return bmw_three_dim_rep()
-    if rep == "tensor":
-        return braid_rep_on_three_strands(build_braid_data(n))
-    raise ArgumentOutOfRange(f"unknown representation {rep!r}")
-
-
-def _check_tower(kind: str, n: int, p_max: int) -> bool:
-    data = build_braid_data(n)
-    return check_tower_eigenrelations(kind, data, p_max) and check_tower_absorption(
-        kind, data, p_max
-    )
-
-
-def _check_hecke_quotient_named() -> bool:
-    return check_hecke_quotient(bmw_three_dim_rep())
+def _slip(check: Callable[..., bool]) -> Callable[..., bool]:
+    """A slip's row function: ``check`` fails on the printed reading and
+    holds on the corrected one."""
+    return lambda **params: not check(**params, printed=True) and check(**params)
 
 
 CHECKS = {
-    "braid-invariants": _check_braid,
-    "ybe": _check_ybe_named,
-    "unitarity": _check_unitarity_named,
-    "tower": _check_tower,
-    "quantum-dims": check_quantum_dims,
-    "crossing-symmetry-D": check_crossing_symmetry_D,
-    "hecke-tower": check_hecke_tower,
-    "hecke-quotient": _check_hecke_quotient_named,
+    "braid-invariants": Check(check_braid_invariants, _grid(n=(1, 2)), "matrix"),
+    "ybe": Check(check_ybe, _grid(kind=("HeckeF", "HeckeE"), rep=("hecke2",))
+                 + _grid(kind=("BMW_D", "BMW_A"), rep=("bmw3",))
+                 + _grid(kind=("BMW_D", "BMW_A"), rep=("tensor",), n=(1,)), "matrix"),
+    "unitarity": Check(check_unitarity, _grid(kind=("BMW_D", "BMW_A"), rep=("bmw3",))
+                       + _grid(kind=("HeckeF", "HeckeE"), rep=("hecke2",)), "matrix"),
+    "tower": Check(check_tower, tuple({"kind": k, "n": n, "p_max": 3}
+                                      for n in (1, 2) for k in "EF"), "matrix"),
+    "quantum-dims": Check(check_quantum_dims, _grid(n=(1, 2), p_max=(3,)), "matrix"),
+    "crossing-symmetry-D": Check(check_crossing_symmetry_D, ({},), "matrix"),
+    "hecke-tower": Check(check_hecke_tower, _grid(kind=("F", "E")), "matrix"),
+    "hecke-quotient": Check(check_hecke_quotient, ({},), "matrix"),
+    "addition": Check(qcomb.random_addition_sweep, _grid(count=(200,), seed=(0,)),
+                      "identity"),
+    "cac": Check(qcomb.check_cac_identities, _grid(a=range(6)), "identity"),
+    "bracket-shift": Check(qcomb.ext_bracket_shift_identity, _grid(a=range(5)),
+                           "identity"),
+    "hecke-dims": Check(qcomb.check_hecke_dim_recurrences, _grid(p=range(5)),
+                        "identity"),
+    "dimq-recurrence": Check(recoupling.check_dimq_recurrence, _grid(p=range(1, 5)),
+                             "identity"),
+    "threej-double": Check(recoupling.check_threej_double,
+                           _grid(r=range(3), s=range(3), t=range(3)), "identity"),
+    "theta-vector": Check(recoupling.check_theta_vector,
+                          _grid(r=range(3), s=range(3), t=range(3)), "identity"),
+    "bubble": Check(recoupling.check_bubble_identity, tuple(
+        {"a": a, "b": b, "m": m} for a in range(4) for b in range(4)
+        for m in range(min(a, b) + 1)), "identity"),
+    "fierz-symmetry": Check(recoupling.check_fierz_symmetry,
+                            _grid(a=range(6), b=range(6)), "identity"),
+    "fierz-bar": Check(recoupling.check_fierz_bar_invariance,
+                       _grid(a=range(6), b=range(6)), "identity"),
+    "fierz-recurrence": Check(recoupling.fierz_recurrence_check,
+                              _grid(a=range(5), b=range(5)), "identity"),
+    "exp-coeff-half-form": Check(recoupling.check_exp_coeff_half_form,
+                                 _grid(p=(0, 2, 4)), "identity"),
+    "clifford": Check(networks.check_clifford, _grid(k=(1, 2, 3)), "identity"),
+    "addition-sign": Check(_slip(qcomb.random_addition_sweep),
+                           _grid(count=(20,), seed=(0,)), "slip"),
+    "cac-sign": Check(_slip(qcomb.check_cac_identities), _grid(a=(1, 2, 3)), "slip"),
+    "double-shift": Check(_slip(qcomb.check_double_shift),
+                          _grid(a=(-3, -2, -1, 1, 2, 3)), "slip"),
+    "dimq-closed-form": Check(_slip(recoupling.check_dimq_recurrence),
+                              _grid(p=(1, 2, 3)), "slip"),
+    "fierz-a0": Check(_slip(recoupling.check_fierz_a0), _grid(a=(1, 2, 3)), "slip"),
+    "fierz-recurrence-coefficient": Check(_slip(recoupling.fierz_recurrence_check),
+                                          _grid(a=range(5), b=range(1, 5)), "slip"),
+    "theta-spinor-empty": Check(_slip(recoupling.check_theta_spinor_empty), ({},),
+                                "slip"),
+    "crossing-prefactor": Check(_slip(check_crossing_symmetry_D), ({},), "slip"),
+    "sigma-inverse-display": Check(_slip(check_sigma_inv_display), _grid(n=(1, 2)),
+                                   "slip"),
+    "bmw3-exponent": Check(_slip(check_bmw3_relation), _grid(
+        relation=("sigma1-inverse", "sigma2-inverse", "braid")), "slip"),
 }
 
 
+def manifest(names) -> dict:
+    """A check-runner manifest document with every row of the named
+    registry entries."""
+    return {
+        "format_version": MANIFEST_FORMAT_VERSION,
+        "checks": [{"name": name, "params": dict(params)}
+                   for name in names for params in CHECKS[name].grid],
+    }
+
+
 def default_manifest() -> dict:
-    """The full matrix suite as a check-runner manifest document."""
-    checks = [
-        {"name": "braid-invariants", "params": {"n": 1}},
-        {"name": "braid-invariants", "params": {"n": 2}},
-        {"name": "ybe", "params": {"kind": "HeckeF", "rep": "hecke2"}},
-        {"name": "ybe", "params": {"kind": "HeckeE", "rep": "hecke2"}},
-        {"name": "ybe", "params": {"kind": "BMW_D", "rep": "bmw3"}},
-        {"name": "ybe", "params": {"kind": "BMW_A", "rep": "bmw3"}},
-        {"name": "ybe", "params": {"kind": "BMW_D", "rep": "tensor", "n": 1}},
-        {"name": "ybe", "params": {"kind": "BMW_A", "rep": "tensor", "n": 1}},
-        {"name": "unitarity", "params": {"kind": "BMW_D", "rep": "bmw3"}},
-        {"name": "unitarity", "params": {"kind": "BMW_A", "rep": "bmw3"}},
-        {"name": "unitarity", "params": {"kind": "HeckeF", "rep": "hecke2"}},
-        {"name": "unitarity", "params": {"kind": "HeckeE", "rep": "hecke2"}},
-        {"name": "tower", "params": {"kind": "E", "n": 1, "p_max": 3}},
-        {"name": "tower", "params": {"kind": "F", "n": 1, "p_max": 3}},
-        {"name": "tower", "params": {"kind": "E", "n": 2, "p_max": 3}},
-        {"name": "tower", "params": {"kind": "F", "n": 2, "p_max": 3}},
-        {"name": "quantum-dims", "params": {"n": 1, "p_max": 3}},
-        {"name": "quantum-dims", "params": {"n": 2, "p_max": 3}},
-        {"name": "crossing-symmetry-D", "params": {}},
-        {"name": "hecke-tower", "params": {"kind": "F"}},
-        {"name": "hecke-tower", "params": {"kind": "E"}},
-        {"name": "hecke-quotient", "params": {}},
-    ]
-    return {"format_version": MANIFEST_FORMAT_VERSION, "checks": checks}
+    """The matrix group, the suite ``qspin check --all`` runs."""
+    return manifest(name for name, check in CHECKS.items() if check.group == "matrix")
 
 
-def run_manifest(doc: dict) -> dict:
-    """Run a manifest; returns a machine-readable pass/fail table."""
-    checks = doc["checks"]
+def run_manifest(doc) -> dict:
+    """Run a manifest document; returns a machine-readable pass/fail table.
 
-    def run_one(item):
-        fn = CHECKS.get(item["name"])
-        if fn is None:
-            return {"name": item["name"], "params": item.get("params", {}),
-                    "passed": False, "error": "unknown check"}
-        try:
-            passed = bool(fn(**item.get("params", {})))
-            return {"name": item["name"], "params": item.get("params", {}),
-                    "passed": passed}
-        except Exception as exc:  # pragma: no cover - surfaced in the table
-            return {"name": item["name"], "params": item.get("params", {}),
-                    "passed": False, "error": f"{type(exc).__name__}: {exc}"}
-
-    results = [run_one(item) for item in checks]
+    A malformed document raises ParseError.  An unknown check name, params
+    off the grid of an identity or slip entry, or a check that raises, give
+    a failed row that carries the error.
+    """
+    results = [_run_row(item["name"], item.get("params", {}))
+               for item in _manifest_items(doc)]
     return {
         "format_version": MANIFEST_FORMAT_VERSION,
         "results": results,
@@ -1136,5 +1116,37 @@ def run_manifest(doc: dict) -> dict:
     }
 
 
-def run_manifest_json(text: str) -> str:
-    return json.dumps(run_manifest(json.loads(text)), indent=2)
+def _manifest_items(doc) -> list:
+    """The "checks" of a manifest document, each validated."""
+    if not isinstance(doc, dict):
+        raise ParseError("a manifest must be a JSON object")
+    version = doc.get("format_version", 1)
+    if type(version) is not int or version != MANIFEST_FORMAT_VERSION:
+        raise ParseError(f"unsupported manifest format_version {version!r}")
+    items = doc.get("checks")
+    if not isinstance(items, list):
+        raise ParseError('a manifest needs a "checks" list')
+    for item in items:
+        if not isinstance(item, dict) or not isinstance(item.get("name"), str):
+            raise ParseError('each manifest check needs a string "name"')
+        if not isinstance(item.get("params", {}), dict):
+            raise ParseError(f'"params" of check {item["name"]!r} must be an object')
+    return items
+
+
+def _run_row(name: str, params: dict) -> dict:
+    row = {"name": name, "params": params, "passed": False}
+    check = CHECKS.get(name)
+    if check is None:
+        row["error"] = "unknown check"
+        return row
+    # the matrix checks refuse sizes past their budget themselves; the
+    # identity and slip checks have no budget, so they run only on their grid
+    if check.group != "matrix" and params not in check.grid:
+        row["error"] = "params outside the registry grid"
+        return row
+    try:
+        row["passed"] = bool(check.fn(**params))
+    except Exception as exc:  # surfaced in the table
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row

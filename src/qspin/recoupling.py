@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from math import prod
 
 from .errors import ArgumentOutOfRange, InadmissibleTriple
 from .qcomb import brace, brace_shifted, ffact_ext, qbinom, qfact, qint
@@ -112,19 +113,16 @@ def dimq_vector_recurrence_consistent(a: int) -> ScalarK:
     return (brace(a) / brace(0)) * num / qfact(a)
 
 
-def check_dimq_recurrence(p: int, variant: str = "printed") -> bool:
+def check_dimq_recurrence(p: int, printed: bool = False) -> bool:
     """Test {p}[p+1]·dim(p+1) = {p+1}[2n-p]·dim(p), stated equivalently as
 
         ([2n-2p-2]/[n-p-1])·[2n-p]·dim(p) = ([2n-2p]/[n-p])·[p+1]·dim(p+1).
 
-    With variant="printed" (dimq_vector) this FAILS for p >= 1; with
-    variant="consistent" (dimq_vector_recurrence_consistent) it holds.
+    It holds for dimq_vector_recurrence_consistent; the printed closed form
+    (dimq_vector) FAILS it for p >= 1.
     """
     _check_nonneg(p=p)
-    fn = {
-        "printed": dimq_vector,
-        "consistent": dimq_vector_recurrence_consistent,
-    }[variant]
+    fn = dimq_vector if printed else dimq_vector_recurrence_consistent
     lhs = (qint(2, -2 * p - 2) / qint(1, -p - 1)) * qint(2, -p) * fn(p)
     rhs = (qint(2, -2 * p) / qint(1, -p)) * qint(0, p + 1) * fn(p + 1)
     return equal(lhs, rhs)
@@ -223,6 +221,14 @@ def theta_spinor(a: int) -> ScalarK:
     return out
 
 
+def check_theta_spinor_empty(printed: bool = False) -> bool:
+    """The spinor theta on no strands is the bare spinor loop Delta, the
+    empty spinor 3j.  The verbatim formula, theta_spinor(0), gives
+    Delta {1}/{0}."""
+    value = theta_spinor(0) if printed else SPIN_DELTA
+    return equal(value, threej_spinor(0, 0, 0))
+
+
 def x_coeff(r: int, s: int, t: int) -> ScalarK:
     """X(r,s,t): brace products over r, s, t divided by those over the
     pairwise sums."""
@@ -269,6 +275,22 @@ def threej_double(r: int, s: int, t: int) -> ScalarK:
     return out
 
 
+def check_threej_double(r: int, s: int, t: int) -> bool:
+    """Verify double 3j = spinor 3j * vertex_collapse * {m}/{0}, m = r+s+t."""
+    factor = vertex_collapse(AdmissibleTriple.from_rst(r, s, t)) * brace(r + s + t)
+    return equal(threej_double(r, s, t), threej_spinor(r, s, t) * factor / brace(0))
+
+
+def check_theta_vector(r: int, s: int, t: int) -> bool:
+    """Verify theta_vector = (threej_spinor / Delta) * prod_{k=1}^{r+s+t} {k}
+    * [r]![s]![t]! / ([r+s]![r+t]![s+t]!)."""
+    factor = qfact(r) * qfact(s) * qfact(t)
+    factor = factor / (qfact(r + s) * qfact(r + t) * qfact(s + t))
+    for k in range(1, r + s + t + 1):
+        factor = factor * brace(k)
+    return equal(theta_vector(r, s, t), threej_spinor(r, s, t) / SPIN_DELTA * factor)
+
+
 # --------------------------------------------------------------------------
 # Fierz coefficients.
 
@@ -307,13 +329,21 @@ def fierz_a0(a: int) -> ScalarK:
 
     This disagrees with fierz(a, 0) already at a = 1: it gives 1/2, where
     the completeness sum gives F(1,0) = [2n]/{0} = delta.  It is kept only
-    so the discrepancy stays pinned by a regression test.
+    so the discrepancy stays pinned (see check_fierz_a0).
     """
     _check_nonneg(a=a)
     out = ONE
     for k in range(a):
         out = out / brace_shifted(k)
     return out
+
+
+def check_fierz_a0(a: int, printed: bool = False) -> bool:
+    """Verify F(a,0) = prod_{k=0}^{a-1} [2n-k]/{k}, the one term of the
+    completeness sum at b = 0.  The printed closed form (fierz_a0) fails
+    for a >= 1."""
+    closed = fierz_a0(a) if printed else ffact_ext(a) / prod(map(brace, range(a)))
+    return equal(fierz(a, 0), closed)
 
 
 def fierz_a1(a: int) -> ScalarK:
@@ -326,38 +356,24 @@ def fierz_a1(a: int) -> ScalarK:
     return out
 
 
-def fierz_recurrence_check(a: int, b: int) -> bool:
-    """Report whether F(a+2,b) = ([2n-b]/{b}) F(a+1,b)
-    - ([a+1][2n-a]/({a+1}{a})) F(a,b).
-
-    This is a reporting operation, not an invariant: the [2n-b]/{b}
-    coefficient only works at b = 0.  See fierz_recurrence_corrected_check
-    for the form that holds on the whole table.
-    """
-    _check_nonneg(a=a, b=b)
-    lhs = fierz(a + 2, b)
-    rhs = (qint(2, -b) / brace(b)) * fierz(a + 1, b)
-    rhs = rhs - (qint(0, a + 1) * qint(2, -a) / (brace(a + 1) * brace(a))) * fierz(
-        a, b
-    )
-    return equal(lhs, rhs)
-
-
-def fierz_recurrence_corrected_check(a: int, b: int) -> bool:
+def fierz_recurrence_check(a: int, b: int, printed: bool = False) -> bool:
     """Verify F(a+2,b) = (-1)^b [n-b] F(a+1,b)
     - ([a+1][2n-a]/({a+1}{a})) F(a,b).
 
     The first coefficient (-1)^b [n-b] was solved for from the
-    completeness-sum values; it agrees with [2n-b]/{b} exactly at b = 0.
+    completeness-sum values.  The printed coefficient [2n-b]/{b} agrees
+    with it exactly at b = 0, so the printed recurrence fails for b >= 1.
     """
     _check_nonneg(a=a, b=b)
-    sign = scalar(-1 if b % 2 else 1)
-    lhs = fierz(a + 2, b)
-    rhs = sign * qint(1, -b) * fierz(a + 1, b)
+    if printed:
+        coeff = qint(2, -b) / brace(b)
+    else:
+        coeff = scalar(-1 if b % 2 else 1) * qint(1, -b)
+    rhs = coeff * fierz(a + 1, b)
     rhs = rhs - (qint(0, a + 1) * qint(2, -a) / (brace(a + 1) * brace(a))) * fierz(
         a, b
     )
-    return equal(lhs, rhs)
+    return equal(fierz(a + 2, b), rhs)
 
 
 def fierz_column_product(a: int, b: int, c: int) -> ScalarK:

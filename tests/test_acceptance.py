@@ -9,19 +9,16 @@ the discrepancy (failing-by-design), so a silent "fix" breaks the suite.
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
 
-from qspin import matrixlab, networks, qcomb, recoupling, scalar
+from registry_rows import rows_hold
+
+from qspin import networks, scalar
 from qspin.matrixlab import (
-    bmw_three_dim_rep,
-    braid_rep_on_three_strands,
-    build_braid_data,
+    CHECKS,
     check_quantum_dims,
-    check_tower_absorption,
-    check_tower_eigenrelations,
+    check_tower,
     check_unitarity,
     check_ybe,
-    hecke_two_dim_rep,
 )
 from qspin.networks import (
     TetrahedronSymbol,
@@ -33,23 +30,15 @@ from qspin.networks import (
     theta_network,
     unknot,
 )
-from qspin.qcomb import brace, qfact, qint
+from qspin.qcomb import brace, qint
 from qspin.recoupling import (
     AdmissibleTriple,
-    check_bubble_identity,
-    check_dimq_recurrence,
-    check_fierz_bar_invariance,
-    check_fierz_symmetry,
     dimq_vector_recurrence_consistent,
     fierz,
     fierz_a0,
     fierz_a1,
     fierz_recurrence_check,
-    fierz_recurrence_corrected_check,
     theta_vector,
-    threej_double,
-    threej_spinor,
-    vertex_collapse,
 )
 from qspin.scalar import (
     DELTA,
@@ -81,7 +70,7 @@ def test_acceptance_01_ring_consistency():
         ok = ok and equal(lhs, rhs)
     # addition identity, 200 random extended triples (the printed sign of
     # the final bracket is corrected; see the regression in criterion 10)
-    ok = ok and qcomb.random_addition_sweep(count=200, seed=0)
+    ok = ok and rows_hold("addition")
     _report(1, "ring consistency", ok)
 
 
@@ -124,15 +113,11 @@ def test_acceptance_02_specialization_square():
 def test_acceptance_03_yang_baxter():
     ok = True
     for kind in ("HeckeF", "HeckeE"):
-        rep = hecke_two_dim_rep()
-        ok = ok and check_ybe(kind, rep) and check_unitarity(kind, rep)
+        ok = ok and check_ybe(kind, "hecke2") and check_unitarity(kind, "hecke2")
     for kind in ("BMW_D", "BMW_A"):
-        rep = bmw_three_dim_rep()
-        ok = ok and check_ybe(kind, rep) and check_unitarity(kind, rep)
-    for n in (1, 2):
-        rep = braid_rep_on_three_strands(build_braid_data(n))
-        for kind in ("BMW_D", "BMW_A"):
-            ok = ok and check_ybe(kind, rep)
+        ok = ok and check_ybe(kind, "bmw3") and check_unitarity(kind, "bmw3")
+        for n in (1, 2):
+            ok = ok and check_ybe(kind, "tensor", n)
     _report(3, "yang-baxter + unitarity", ok)
 
 
@@ -140,12 +125,7 @@ def test_acceptance_03_yang_baxter():
 
 
 def test_acceptance_04_idempotent_towers():
-    ok = True
-    for n in (1, 2):
-        data = build_braid_data(n)
-        for kind in ("E", "F"):
-            ok = ok and check_tower_eigenrelations(kind, data, 4)
-            ok = ok and check_tower_absorption(kind, data, 4)
+    ok = all(check_tower(kind, n, 4) for n in (1, 2) for kind in ("E", "F"))
     _report(4, "idempotent towers", ok)
 
 
@@ -161,66 +141,25 @@ def test_acceptance_05_quantum_dimensions():
 
 
 def test_acceptance_06_recoupling_coherence():
-    ok = True
-    for r in range(3):
-        for s in range(3):
-            for t in range(3):
-                if r + s + t > 4:
-                    continue
-                m = r + s + t
-                tri = AdmissibleTriple.from_rst(r, s, t)
-                factor = vertex_collapse(tri) * brace(m) / brace(0)
-                ok = ok and equal(
-                    threej_double(r, s, t), threej_spinor(r, s, t) * factor
-                )
-                f2 = qfact(r) * qfact(s) * qfact(t)
-                f2 = f2 / (qfact(r + s) * qfact(r + t) * qfact(s + t))
-                for k in range(1, m + 1):
-                    f2 = f2 * brace(k)
-                ok = ok and equal(
-                    theta_vector(r, s, t), threej_spinor(r, s, t) / SPIN_DELTA * f2
-                )
-    for a in range(4):
-        for b in range(4):
-            for mm in range(min(a, b) + 1):
-                ok = ok and check_bubble_identity(a, b, mm)
-    for p in range(1, 5):
-        ok = ok and check_dimq_recurrence(p, variant="consistent")
-    _report(6, "recoupling coherence", ok)
+    rows = ("threej-double", "theta-vector", "bubble", "dimq-recurrence")
+    _report(6, "recoupling coherence", all(rows_hold(name) for name in rows))
 
 
 # 7 ------------------------------------------------------------------------
 
 
 def test_acceptance_07_fierz_suite():
-    ok = True
-    for a in range(6):
-        for b in range(6):
-            ok = ok and check_fierz_symmetry(a, b)
-            ok = ok and check_fierz_bar_invariance(a, b)
+    ok = rows_hold("fierz-symmetry") and rows_hold("fierz-bar")
     for a in range(1, 7):
         ok = ok and equal(fierz(a, 1), fierz_a1(a))
     ok = ok and equal(
         fierz(1, 1), -(qint(2, -2) * qint(2, 0)) / (brace(0) * brace(1))
     )
-    # recurrence residuals for a + b <= 8, reported: every nonzero residual
-    # of the printed recurrence must be a documented discrepancy (b >= 1)
-    # and the corrected recurrence must hold everywhere.
-    residuals = []
-    for a in range(5):
-        for b in range(5):
-            if a + b > 8:
-                continue
-            printed_ok = fierz_recurrence_check(a, b)
-            corrected_ok = fierz_recurrence_corrected_check(a, b)
-            ok = ok and corrected_ok
-            if not printed_ok:
-                residuals.append((a, b))
-                ok = ok and b >= 1  # documented: fails exactly for b >= 1
-            else:
-                ok = ok and b == 0
-    print(f"  fierz printed-recurrence nonzero residuals (documented): {residuals}")
-    ok = ok and len(residuals) > 0  # failing-by-design: residuals must exist
+    # the corrected recurrence holds for a, b <= 4; the printed one fails
+    # exactly for b >= 1 (a slip row each) and holds at b = 0
+    ok = ok and rows_hold("fierz-recurrence")
+    ok = ok and rows_hold("fierz-recurrence-coefficient")
+    ok = ok and all(fierz_recurrence_check(a, 0, printed=True) for a in range(5))
     _report(7, "fierz suite", ok)
 
 
@@ -320,12 +259,9 @@ def test_acceptance_09_gamma_oracle():
 
 
 def test_acceptance_10_regression_ledger():
-    ok = True
-    # (i) printed double-shift closed form for [2n+a]: wrong for a != 0;
-    # the corrected expansion is exact.  Direction pinned.
-    for a in (-2, -1, 1, 2):
-        true, printed, corrected = qcomb.printed_double_shift_mismatch(a)
-        ok = ok and equal(true, corrected) and not equal(true, printed)
+    # (i) every slip row of the registry: the printed form is wrong and the
+    # corrected form right.  Direction pinned.
+    ok = all(rows_hold(name) for name, check in CHECKS.items() if check.group == "slip")
     # (ii) printed F(a,0) closed form: disagrees with the completeness sum
     # at a = 1 (constant 1/2 where F(1,0) = [2n]/{0} = delta is required);
     # direction pinned by the exact ratio F(1,0) = 2 delta * printed.

@@ -58,6 +58,63 @@ OTHER_CLASSICAL = [
 ]
 
 
+# Stdout of `qspin check --all`, text and JSON, captured before the checks
+# were read from one registry.  The JSON is stored compactly; indented
+# as the CLI prints it, it is byte for byte the captured output.
+CHECK_ALL_TEXT = """\
+PASS  braid-invariants  {"n": 1}
+PASS  braid-invariants  {"n": 2}
+PASS  crossing-symmetry-D  {}
+PASS  hecke-quotient  {}
+PASS  hecke-tower  {"kind": "E"}
+PASS  hecke-tower  {"kind": "F"}
+PASS  quantum-dims  {"n": 1, "p_max": 3}
+PASS  quantum-dims  {"n": 2, "p_max": 3}
+PASS  tower  {"kind": "E", "n": 1, "p_max": 3}
+PASS  tower  {"kind": "E", "n": 2, "p_max": 3}
+PASS  tower  {"kind": "F", "n": 1, "p_max": 3}
+PASS  tower  {"kind": "F", "n": 2, "p_max": 3}
+PASS  unitarity  {"kind": "BMW_A", "rep": "bmw3"}
+PASS  unitarity  {"kind": "BMW_D", "rep": "bmw3"}
+PASS  unitarity  {"kind": "HeckeE", "rep": "hecke2"}
+PASS  unitarity  {"kind": "HeckeF", "rep": "hecke2"}
+PASS  ybe  {"kind": "BMW_A", "n": 1, "rep": "tensor"}
+PASS  ybe  {"kind": "BMW_A", "rep": "bmw3"}
+PASS  ybe  {"kind": "BMW_D", "n": 1, "rep": "tensor"}
+PASS  ybe  {"kind": "BMW_D", "rep": "bmw3"}
+PASS  ybe  {"kind": "HeckeE", "rep": "hecke2"}
+PASS  ybe  {"kind": "HeckeF", "rep": "hecke2"}
+all passed
+"""
+
+CHECK_ALL_JSON = (
+    '{"format_version":1,"results":['
+    '{"name":"braid-invariants","params":{"n":1},"passed":true},'
+    '{"name":"braid-invariants","params":{"n":2},"passed":true},'
+    '{"name":"crossing-symmetry-D","params":{},"passed":true},'
+    '{"name":"hecke-quotient","params":{},"passed":true},'
+    '{"name":"hecke-tower","params":{"kind":"E"},"passed":true},'
+    '{"name":"hecke-tower","params":{"kind":"F"},"passed":true},'
+    '{"name":"quantum-dims","params":{"n":1,"p_max":3},"passed":true},'
+    '{"name":"quantum-dims","params":{"n":2,"p_max":3},"passed":true},'
+    '{"name":"tower","params":{"kind":"E","n":1,"p_max":3},"passed":true},'
+    '{"name":"tower","params":{"kind":"E","n":2,"p_max":3},"passed":true},'
+    '{"name":"tower","params":{"kind":"F","n":1,"p_max":3},"passed":true},'
+    '{"name":"tower","params":{"kind":"F","n":2,"p_max":3},"passed":true},'
+    '{"name":"unitarity","params":{"kind":"BMW_A","rep":"bmw3"},"passed":true},'
+    '{"name":"unitarity","params":{"kind":"BMW_D","rep":"bmw3"},"passed":true},'
+    '{"name":"unitarity","params":{"kind":"HeckeE","rep":"hecke2"},"passed":true},'
+    '{"name":"unitarity","params":{"kind":"HeckeF","rep":"hecke2"},"passed":true},'
+    '{"name":"ybe","params":{"kind":"BMW_A","rep":"tensor","n":1},"passed":true},'
+    '{"name":"ybe","params":{"kind":"BMW_A","rep":"bmw3"},"passed":true},'
+    '{"name":"ybe","params":{"kind":"BMW_D","rep":"tensor","n":1},"passed":true},'
+    '{"name":"ybe","params":{"kind":"BMW_D","rep":"bmw3"},"passed":true},'
+    '{"name":"ybe","params":{"kind":"HeckeE","rep":"hecke2"},"passed":true},'
+    '{"name":"ybe","params":{"kind":"HeckeF","rep":"hecke2"},"passed":true}'
+    '],"all_passed":true}'
+)
+
+
 def test_eval_theta_text(capsys):
     code, out, _ = run(capsys, "eval-theta", "--r", "1", "--s", "0", "--t", "0")
     assert code == 0
@@ -296,6 +353,12 @@ def test_bad_network_file_is_a_typed_error(tmp_path, capsys, doc, error):
     assert err.startswith(f"error [{error}]")
 
 
+def test_check_all_pinned(capsys):
+    assert run(capsys, "check", "--all") == (0, CHECK_ALL_TEXT, "")
+    assert run(capsys, "check", "--all", "--format", "json") == (
+        0, json.dumps(json.loads(CHECK_ALL_JSON), indent=2) + "\n", "")
+
+
 def test_check_named_suite(capsys):
     code, out, _ = run(
         capsys, "check", "--suite", "crossing-symmetry-D", "--format", "json"
@@ -303,6 +366,11 @@ def test_check_named_suite(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["all_passed"] is True
+    # any registry entry is a suite: an identity and a slip
+    code, out, _ = run(capsys, "check", "--suite", "clifford")
+    assert code == 0 and out.endswith("all passed\n")
+    code, out, _ = run(capsys, "check", "--suite", "bmw3-exponent")
+    assert code == 0 and out.count("PASS  bmw3-exponent") == 3
 
 
 def test_check_bad_suite(capsys):
@@ -320,6 +388,32 @@ def test_check_failure_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--manifest", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"name": "ybe"}],
+        3,
+        {"format_version": 1},
+        {"checks": {"name": "ybe"}},
+        {"checks": ["ybe"]},
+        {"checks": [{"params": {}}]},
+        {"checks": [{"name": 3}]},
+        {"checks": [{"name": "hecke-tower", "params": "x"}]},
+        {"format_version": 2, "checks": []},
+        {"format_version": "1", "checks": []},
+    ],
+    ids=["top-level-list", "number", "no-checks", "checks-not-a-list",
+         "item-not-an-object", "no-name", "name-not-a-string",
+         "params-not-an-object", "format-version-2", "format-version-string"],
+)
+def test_bad_manifest_is_a_typed_error(tmp_path, capsys, doc):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--manifest", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error [ParseError]")
 
 
 def test_outputs_reproducible(capsys):
@@ -348,10 +442,9 @@ def test_module_entry_point_is_quiet():
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    # no warning either: the printed sigma^-1 display is registry data
     proc = subprocess.run(
-        [sys.executable, "-m", "qspin.cli", "check", "--suite", "hecke-tower"],
+        [sys.executable, "-m", "qspin.cli", "check", "--all"],
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert proc.stdout.endswith("all passed\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, CHECK_ALL_TEXT, "")

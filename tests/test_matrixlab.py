@@ -1,37 +1,28 @@
-"""Braid matrices, spectral R-matrices, idempotent towers, quantum traces."""
+"""Braid matrices, spectral R-matrices, idempotent towers, quantum traces,
+and the check registry."""
 
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from registry_rows import NAMED, OTHER_ROWS, row_id, rows_hold
 
 from qspin import matrixlab
+from qspin.errors import ParseError
 from qspin.matrixlab import (
+    CHECKS,
     R_KINDS,
     SquareMatrixK,
-    bmw_three_dim_rep,
-    braid_rep_on_three_strands,
     build_braid_data,
-    check_braid_invariants,
-    check_crossing_symmetry_D,
     check_hecke_quotient,
-    check_hecke_tower,
-    check_quantum_dims,
-    check_tower_absorption,
-    check_tower_eigenrelations,
-    check_unitarity,
-    check_ybe,
     default_manifest,
     dimq_sym_closed,
     dimq_sym_recursive,
-    hecke_two_dim_rep,
     idempotent_tower,
     quantum_trace,
     run_manifest,
-    run_manifest_json,
 )
 from qspin.scalar import FIELD, ONE, Q, U, Z, equal, integer_level, scalar
 
@@ -52,46 +43,44 @@ def test_sparse_matrix_algebra():
     assert (b @ a).entry(0, 0).is_zero()
 
 
+@pytest.mark.parametrize("name,params", OTHER_ROWS,
+                         ids=[row_id(*r) for r in OTHER_ROWS])
+def test_registry_row(name, params):
+    # the rows no named test runs.  A slip row holds while the printed form
+    # fails and the corrected form holds, so a silent "fix" turns it red
+    assert CHECKS[name].fn(**params)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_braid_invariants(n):
-    data = build_braid_data(n)
-    assert check_braid_invariants(data)
+    assert rows_hold("braid-invariants", n=n)
 
 
 def test_sigma_inverse_display_mismatch_documented():
-    # documented discrepancy: the displayed inverse braid matrix differs
-    # from the true inverse in a few entries; the derived inverse is used
-    # and the mismatch entries are recorded.  Failing-by-design guard: if
-    # the display ever matches, this test fails and the ledger is stale.
-    for n in (1, 2):
-        data = build_braid_data(n)
-        assert len(data.sigma_inv_display_mismatches) > 0
+    assert rows_hold("sigma-inverse-display")
 
 
 @pytest.mark.parametrize("kind", sorted(R_KINDS))
 def test_ybe_in_small_reps(kind):
-    rep = bmw_three_dim_rep() if kind.startswith("BMW") else hecke_two_dim_rep()
-    assert check_ybe(kind, rep)
-    assert check_unitarity(kind, rep)
+    rep = "bmw3" if kind.startswith("BMW") else "hecke2"
+    assert rows_hold("ybe", kind=kind, rep=rep)
+    assert rows_hold("unitarity", kind=kind, rep=rep)
 
 
 @pytest.mark.parametrize("kind", ["BMW_D", "BMW_A"])
 def test_ybe_in_tensor_rep(kind):
-    rep = braid_rep_on_three_strands(build_braid_data(1))
-    assert check_ybe(kind, rep)
+    assert rows_hold("ybe", kind=kind, rep="tensor")
 
 
 @pytest.mark.parametrize("kind", ["E", "F"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_towers(kind, n):
-    data = build_braid_data(n)
-    assert check_tower_eigenrelations(kind, data, 3)
-    assert check_tower_absorption(kind, data, 3)
+    assert rows_hold("tower", kind=kind, n=n)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_quantum_dims(n):
-    assert check_quantum_dims(n=n, p_max=3)
+    assert rows_hold("quantum-dims", n=n)
 
 
 def test_dimq_sym_closed_vs_recursive():
@@ -105,47 +94,54 @@ def test_dimq_sym_closed_vs_recursive():
 
 
 def test_hecke_tower_and_quotient():
-    assert check_hecke_tower(kind="F")
-    assert check_hecke_tower(kind="E")
-    assert check_hecke_quotient(hecke_two_dim_rep())
+    assert rows_hold("hecke-tower")
+    assert rows_hold("hecke-quotient")
+    # the registry's quotient row reads the 3-dim rep; this is the 2-dim one
+    assert check_hecke_quotient("hecke2")
 
 
 def test_crossing_symmetry_report():
-    ok = check_crossing_symmetry_D()
-    assert ok
-    report = check_crossing_symmetry_D(report=True)
-    assert report["proportional"]
-    assert report["corrected_prefactor_matches"]
-    # documented discrepancy: the displayed prefactor does NOT match
-    # (failing-by-design: flips if the display were correct after all)
-    assert not report["displayed_prefactor_matches"]
+    assert rows_hold("crossing-symmetry-D")
+    assert rows_hold("crossing-prefactor")
 
 
 def test_manifest_runner():
-    doc = {
-        "format_version": 1,
+    doc = {  # no format_version: it reads as 1
         "checks": [
             {"name": "braid-invariants", "params": {"n": 1}},
-            {"name": "crossing-symmetry-D", "params": {}},
-            {"name": "no-such-check", "params": {}},
+            {"name": "quantum-dims", "params": {"n": 3, "p_max": 2}},
+            {"name": "fierz-a0", "params": {"a": 1}},
+            {"name": "ybe", "params": {"kind": "nope", "rep": "bmw3"}},
+            {"name": "hecke-tower", "params": {"kind": "X"}},
+            {"name": "tower", "params": {"kind": "X", "n": 1, "p_max": 2}},
+            {"name": "fierz-recurrence", "params": {"a": 500, "b": 0}},
+            {"name": "no-such-check"},
         ],
     }
     out = run_manifest(doc)
     assert not out["all_passed"]
-    by_name = {r["name"]: r for r in out["results"]}
-    assert by_name["braid-invariants"]["passed"]
-    assert by_name["no-such-check"]["error"] == "unknown check"
-    # JSON front end round-trips
-    text = run_manifest_json(json.dumps(doc))
-    assert json.loads(text)["all_passed"] is False
+    passed = [r["passed"] for r in out["results"]]
+    assert passed == [True, True, True, False, False, False, False, False]
+    for row in out["results"][3:6]:
+        assert row["error"].startswith("ArgumentOutOfRange")
+    # an identity row runs only on its grid: it has no size budget
+    assert out["results"][6]["error"] == "params outside the registry grid"
+    assert out["results"][7] == {
+        "name": "no-such-check", "params": {}, "passed": False, "error": "unknown check"
+    }
+    with pytest.raises(ParseError):
+        run_manifest({"format_version": 2, "checks": []})
 
 
 def test_default_manifest_shape():
     doc = default_manifest()
     assert doc["format_version"] == matrixlab.MANIFEST_FORMAT_VERSION
-    names = {c["name"] for c in doc["checks"]}
-    assert {"braid-invariants", "ybe", "unitarity", "tower",
-            "quantum-dims", "crossing-symmetry-D"} <= names
+    assert len(doc["checks"]) == 22
+    assert {c["name"] for c in doc["checks"]} == {
+        name for name, check in CHECKS.items() if check.group == "matrix"
+    }
+    assert {check.group for check in CHECKS.values()} == {"matrix", "identity", "slip"}
+    assert NAMED <= CHECKS.keys()
 
 
 def test_braid_data_and_towers_built_once():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromatic_oracle import brute_force_chromatic, strand_networks
+from registry_rows import rows_hold
 from qspin.errors import (
     ConstraintViolated,
     InadmissibleLabel,
@@ -21,7 +22,6 @@ from qspin.networks import (
     StrandNetwork,
     TetrahedronSymbol,
     cabled_unknot,
-    check_clifford,
     chromatic_eval,
     delete_zero_edge,
     gamma_matrices,
@@ -173,8 +173,8 @@ def test_strand_network_validation():
 
 
 def test_gamma_clifford_relations():
+    assert rows_hold("clifford")
     for k in (1, 2, 3):
-        assert check_clifford(k)
         g = gamma_metric(k)
         assert g == [1, -1] * k
         # squares match the metric

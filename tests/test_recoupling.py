@@ -4,41 +4,29 @@ import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from registry_rows import rows_hold
 
-from qspin.errors import InadmissibleTriple
+from qspin.errors import ArgumentOutOfRange, InadmissibleTriple
 from qspin.qcomb import brace, ffact_ext, qfact, qint
 from qspin.recoupling import (
     AdmissibleTriple,
     FierzTable,
-    bubble,
-    check_bubble_identity,
-    check_dimq_recurrence,
     check_exp_coeff_half_form,
-    check_fierz_bar_invariance,
-    check_fierz_symmetry,
     completeness_C,
     curl,
     dimq_vector,
-    dimq_vector_recurrence_consistent,
     exp_coeff,
     fierz,
     fierz_a0,
     fierz_a1,
-    fierz_column_product,
     fierz_recurrence_check,
-    fierz_recurrence_corrected_check,
     gamma_cross_coeff,
     leg_hop,
     leg_hop_iter,
     projector_loop,
     tadpole_chain,
     theta_spinor,
-    theta_vector,
-    threej_double,
-    threej_spinor,
     twist,
-    vertex_collapse,
-    x_coeff,
 )
 from qspin.scalar import DELTA, ONE, SPIN_DELTA, bar, equal
 
@@ -69,11 +57,10 @@ def test_dimq_base_cases():
 
 
 def test_dimq_recurrence_variants():
-    # documented discrepancy: the printed closed form fails its own
-    # recurrence for p >= 1; the recurrence-consistent variant passes.
-    for p in range(1, 5):
-        assert check_dimq_recurrence(p, variant="consistent")
-    assert not all(check_dimq_recurrence(p, variant="printed") for p in (1, 2, 3))
+    # the printed closed form fails its own recurrence for p >= 1; the
+    # recurrence-consistent variant satisfies it
+    assert rows_hold("dimq-recurrence")
+    assert rows_hold("dimq-closed-form")
 
 
 def test_curl_twist_tadpole():
@@ -95,47 +82,22 @@ def test_projector_loop_vs_dim():
 
 
 def test_bubble_identity():
-    for a in range(0, 4):
-        for b in range(0, 4):
-            for m in range(0, min(a, b) + 1):
-                assert check_bubble_identity(a, b, m)
+    assert rows_hold("bubble")
 
 
 def test_theta_spinor_zero_strand_anomaly():
     # the verbatim a = 0 value carries a spurious {1}/{0} factor; this is
     # documented and pinned rather than silently patched.
     assert equal(theta_spinor(0), SPIN_DELTA * brace(1) / brace(0))
-    assert not equal(theta_spinor(0), SPIN_DELTA)
+    assert rows_hold("theta-spinor-empty")
 
 
 def test_threej_double_from_spinor_and_collapse():
-    # double 3j = spinor 3j * vertex_collapse * {m}/{0}
-    for r in range(0, 3):
-        for s in range(0, 3):
-            for t in range(0, 3):
-                m = r + s + t
-                tri = AdmissibleTriple.from_rst(r, s, t)
-                factor = vertex_collapse(tri) * brace(m) / brace(0)
-                assert equal(
-                    threej_double(r, s, t), threej_spinor(r, s, t) * factor
-                )
+    assert rows_hold("threej-double")
 
 
 def test_theta_vector_from_spinor_threej():
-    # theta_vector = (threej_spinor/Delta) * prod_{k=1}^{m} {k}
-    #                * [r]![s]![t]! / ([r+s]![r+t]![s+t]!)
-    for r in range(0, 3):
-        for s in range(0, 3):
-            for t in range(0, 3):
-                m = r + s + t
-                factor = qfact(r) * qfact(s) * qfact(t)
-                factor = factor / (qfact(r + s) * qfact(r + t) * qfact(s + t))
-                for k in range(1, m + 1):
-                    factor = factor * brace(k)
-                assert equal(
-                    theta_vector(r, s, t),
-                    threej_spinor(r, s, t) / SPIN_DELTA * factor,
-                )
+    assert rows_hold("theta-vector")
 
 
 def test_leg_hop_telescopes():
@@ -153,10 +115,8 @@ def test_gamma_cross_coeff():
 
 
 def test_fierz_symmetry_and_bar():
-    for a in range(0, 5):
-        for b in range(0, 5):
-            assert check_fierz_symmetry(a, b)
-            assert check_fierz_bar_invariance(a, b)
+    assert rows_hold("fierz-symmetry")
+    assert rows_hold("fierz-bar")
 
 
 def test_fierz_first_column():
@@ -168,26 +128,19 @@ def test_fierz_first_column():
 
 
 def test_fierz_a0_printed_form_quarantined():
-    # documented discrepancy: the printed F(a,0) closed form disagrees with
-    # the completeness sum already at a = 1 (constant 1/2 where
-    # F(1,0) = [2n]/{0} = delta is required).  Failing-by-design guard.
+    # the printed F(a,0) closed form disagrees with the completeness sum
+    # from a = 1 on (constant 1/2 where F(1,0) = [2n]/{0} = delta)
     assert equal(fierz(0, 0), fierz_a0(0))
-    assert not equal(fierz(1, 0), fierz_a0(1))
+    assert rows_hold("fierz-a0")
 
 
 def test_fierz_recurrence_printed_vs_corrected():
     # the printed three-term recurrence fails for every column b >= 1;
-    # with first coefficient (-1)^b [n-b] it holds (and agrees with the
-    # printed coefficient at b = 0).
-    for a in range(0, 4):
-        for b in range(0, 4):
-            if a + b > 8:
-                continue
-            assert fierz_recurrence_corrected_check(a, b)
-            if b == 0:
-                assert fierz_recurrence_check(a, b)
-            else:
-                assert not fierz_recurrence_check(a, b)
+    # with first coefficient (-1)^b [n-b] it holds, and the two
+    # coefficients agree at b = 0
+    assert rows_hold("fierz-recurrence")
+    assert rows_hold("fierz-recurrence-coefficient")
+    assert all(fierz_recurrence_check(a, 0, printed=True) for a in range(4))
 
 
 def test_completeness_C_baseline():
@@ -203,11 +156,10 @@ def test_exp_coeff():
     for p in range(0, 6):
         want = Z / (Z**2 * Q.inv() - scalar_sign(p + 1) * Q ** (p + 1))
         assert equal(exp_coeff(p), want)
-        if p % 2 == 0:
-            assert check_exp_coeff_half_form(p)
-        else:
-            with pytest.raises(Exception):
+        if p % 2:
+            with pytest.raises(ArgumentOutOfRange):
                 check_exp_coeff_half_form(p)
+    assert rows_hold("exp-coeff-half-form")
 
 
 def scalar_sign(k: int):
