@@ -122,6 +122,8 @@ def _cmd_eval_3j(args) -> int:
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
+    if value < 0:
+        raise ArgumentOutOfRange(f"{name} must be a nonnegative integer")
     if value > cap:
         raise ArgumentOutOfRange(f"{name} {value} exceeds the cap {cap}")
 
@@ -316,6 +318,8 @@ def main(argv=None) -> int:
         return _emit_error(type(exc).__name__, str(exc), fmt)
     except FileNotFoundError as exc:
         return _emit_error("file-not-found", str(exc), fmt)
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
+        return _emit_error(type(exc).__name__, str(exc), fmt)
     except json.JSONDecodeError as exc:
         return _emit_error("bad-json", str(exc), fmt)
 

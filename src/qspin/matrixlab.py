@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field as dc_field
-from functools import cache
+from functools import wraps
 from itertools import product
 from math import gcd
 from typing import Callable, NamedTuple
@@ -41,6 +41,29 @@ from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
 from .scalar import _MONO1, _expand, _fac_mul
 
+#: Guards every _built_once table: library callers may build from threads.
+_CACHE_LOCK = threading.RLock()
+
+
+def _built_once(build):
+    """Memoize ``build`` per positional arguments.  The first call builds
+    under _CACHE_LOCK, so every later call, from any thread, gets the
+    object that call built; callers must not mutate it.  ``__wrapped__``
+    builds afresh and ``cache_clear`` empties the table.  Arguments are
+    table keys: callers validate them first."""
+    table: dict = {}
+
+    @wraps(build)
+    def once(*args):
+        with _CACHE_LOCK:
+            if args not in table:
+                table[args] = build(*args)
+            return table[args]
+
+    once.cache_clear = table.clear
+    return once
+
+
 # --------------------------------------------------------------------------
 # Integer polynomials in (q, z, Delta, u, v): numerators and denominators.
 
@@ -51,19 +74,10 @@ _mmul = _PRING.monomial_mul
 _mdiv = _PRING.monomial_div
 
 
-def _nf(x) -> object:
-    """Coerce a ScalarK / int / field element to a raw field element."""
-    if isinstance(x, ScalarK):
-        return x.nf
-    if isinstance(x, int):
-        return scalar(x).nf
-    return x
-
-
 def _split(x) -> tuple:
-    """(numerator, denominator) of a scalar as integer polynomials, the
-    denominator with a positive leading coefficient."""
-    nf = _nf(x)
+    """(numerator, denominator) of a ScalarK or int as integer polynomials,
+    the denominator with a positive leading coefficient."""
+    nf = scalar(x).nf
     return nf.numer, nf.denom
 
 
@@ -74,23 +88,41 @@ def _to_field(num, den):
     return FIELD.new(num, den)
 
 
-#: Irreducible factors of each denominator seen, filled on first use.
-_FACTORS: dict = {}
-
-
+@_built_once
 def _factors(den) -> tuple[int, dict]:
     """(content, {irreducible factor with positive LC: multiplicity})."""
-    got = _FACTORS.get(den)
-    if got is None:
-        cont, facs = den.factor_list()
-        fac: dict = {}
-        for f, e in facs:
-            if f.LC < 0:
-                f = -f
-                cont *= (-1) ** e
-            fac[f] = fac.get(f, 0) + e
-        got = _FACTORS[den] = (abs(cont), fac)
-    return got
+    cont, facs = den.factor_list()
+    fac: dict = {}
+    for f, e in facs:
+        if f.LC < 0:
+            f = -f
+            cont *= (-1) ** e
+        fac[f] = fac.get(f, 0) + e
+    return abs(cont), fac
+
+
+def _common_den(dens: list) -> tuple[int, dict, list]:
+    """The lcm of denominators given as (content, factors), as (content,
+    factors), and for each denominator the polynomial lcm / denominator."""
+    cont, fac = 1, {}
+    for c, f in dens:
+        cont = cont * c // gcd(cont, c)
+        for p, e in f.items():
+            fac[p] = max(fac.get(p, 0), e)
+    mults = [_expand(cont // c, _MONO1, _fac_mul(fac, f, -1)) for c, f in dens]
+    return cont, fac, mults
+
+
+def _add_into(rows: dict, i: int, j: int, num) -> None:
+    """rows[i][j] += num, dropping an entry (and a row) that sums to zero."""
+    row = rows.setdefault(i, {})
+    num = row[j] + num if j in row else num
+    if num:
+        row[j] = num
+    else:
+        row.pop(j, None)
+        if not row:
+            del rows[i]
 
 
 def _exquo(p, f):
@@ -155,7 +187,7 @@ def _times(p, m):
 
 
 class SquareMatrixK:
-    """Sparse square matrix over the coefficient field.
+    """Sparse square matrix over the coefficient field, an immutable value.
 
     ``rows[i][j]`` is the integer-polynomial numerator of a nonzero entry
     and ``den`` the one denominator of all entries.  The form is canonical:
@@ -165,26 +197,22 @@ class SquareMatrixK:
     ``entry`` wraps an entry as ScalarK, split from its reduced fraction;
     every specialization, the classical one included, reads it like any
     other value.  Numerators are shared between matrices and never mutated.
+
+    Build matrices with ``from_entries`` or ``identity``; the operations
+    return new matrices.
     """
 
     __slots__ = ("dim", "rows", "den", "_dfac")
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, rows: dict, cont: int, dfac: dict):
+        """rows over the denominator cont * prod(f^e) over ``dfac``, with
+        every factor that divides all numerators cancelled.  ``rows`` is
+        taken over; ``dfac`` is not changed."""
         if dim < 1:
             raise ArgumentOutOfRange("matrix dimension must be positive")
-        self.dim = dim
-        self.rows: dict[int, dict[int, object]] = {}
-        self.den = _PONE
-        self._dfac: dict = {}
-
-    def _normalize(self, cont: int, dfac: dict) -> "SquareMatrixK":
-        """Set den = cont * prod(f^e) over ``dfac``, then cancel every
-        factor that divides all numerators.  ``dfac`` is not changed."""
-        rows = self.rows
-        if not rows:
-            self.den, self._dfac = _PONE, {}
-            return self
         left = {}
+        if not rows:
+            cont, dfac = 1, {}
         for f, e in dfac.items():
             while e:
                 quo = _divide_all(rows, f)
@@ -201,51 +229,34 @@ class SquareMatrixK:
                 i: {j: num.quo_ground(g) for j, num in row.items()}
                 for i, row in rows.items()
             }
-        self.rows = rows
+        self.dim = dim
+        self.rows: dict[int, dict[int, object]] = rows
         self._dfac = left
         self.den = _expand(cont, _MONO1, left)
-        return self
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
+    def from_entries(dim: int, entries) -> "SquareMatrixK":
+        """The matrix whose (i, j) entry is the sum of the scalars (ScalarK
+        or int) given for it in ``entries``, an iterable of (i, j, value);
+        positions not given are zero.  The sum is taken over one common
+        denominator and normalized once."""
+        split = [(i, j, *_split(val)) for i, j, val in entries]
+        dens = list(dict.fromkeys(den for *_, den in split))
+        cont, dfac, mults = _common_den([_factors(den) for den in dens])
+        mult = dict(zip(dens, mults))
+        rows: dict = {}
+        for i, j, num, den in split:
+            if num:
+                _add_into(rows, i, j, _times(num, mult[den]))
+        return SquareMatrixK(dim, rows, cont, dfac)
+
+    @staticmethod
     def identity(dim: int) -> "SquareMatrixK":
-        m = SquareMatrixK(dim)
-        for i in range(dim):
-            m.rows[i] = {i: _PONE}
-        return m
-
-    @staticmethod
-    def zero(dim: int) -> "SquareMatrixK":
-        return SquareMatrixK(dim)
-
-    @staticmethod
-    def from_rows(rows: list[list]) -> "SquareMatrixK":
-        m = SquareMatrixK(len(rows))
-        for i, row in enumerate(rows):
-            for j, val in enumerate(row):
-                m.add_to(i, j, val)
-        return m
-
-    def copy(self) -> "SquareMatrixK":
-        m = SquareMatrixK(self.dim)
-        m.rows = {i: dict(r) for i, r in self.rows.items()}
-        m.den = self.den
-        m._dfac = dict(self._dfac)
-        return m
+        return SquareMatrixK(dim, {i: {i: _PONE} for i in range(dim)}, 1, {})
 
     # -- entry access --------------------------------------------------------
-
-    def add_to(self, i: int, j: int, val) -> None:
-        """Add a scalar to entry (i, j) in place."""
-        num, den = _split(val)
-        if not num:
-            return
-        cont, fac = _factors(den)
-        single = SquareMatrixK(self.dim)
-        single.rows = {i: {j: num}}
-        total = self._lincomb(single._normalize(cont, fac), 1)
-        self.rows, self.den, self._dfac = total.rows, total.den, total._dfac
 
     def entry(self, i: int, j: int) -> ScalarK:
         num = self.rows.get(i, {}).get(j)
@@ -261,7 +272,7 @@ class SquareMatrixK:
     def __matmul__(self, other: "SquareMatrixK") -> "SquareMatrixK":
         if self.dim != other.dim:
             raise ArgumentOutOfRange("dimension mismatch in matrix product")
-        out = SquareMatrixK(self.dim)
+        rows = {}
         orows = other.rows
         for i, arow in self.rows.items():
             acc: dict[int, dict] = {}
@@ -285,8 +296,8 @@ class SquareMatrixK:
                 if t:
                     row[j] = _poly(t)
             if row:
-                out.rows[i] = row
-        return out._normalize(*_den_product(self, other))
+                rows[i] = row
+        return SquareMatrixK(self.dim, rows, *_den_product(self, other))
 
     def __add__(self, other: "SquareMatrixK") -> "SquareMatrixK":
         return self._lincomb(other, 1)
@@ -297,44 +308,25 @@ class SquareMatrixK:
     def _lincomb(self, other: "SquareMatrixK", sign: int) -> "SquareMatrixK":
         if self.dim != other.dim:
             raise ArgumentOutOfRange("dimension mismatch in matrix sum")
-        ca, cb = self.den.content(), other.den.content()
-        lcont = ca * cb // gcd(ca, cb)
-        lfac = dict(self._dfac)
-        for f, e in other._dfac.items():
-            lfac[f] = max(lfac.get(f, 0), e)
-        ma = _expand(lcont // ca, _MONO1, _fac_mul(lfac, self._dfac, -1))
-        mb = _expand(lcont // cb, _MONO1, _fac_mul(lfac, other._dfac, -1))
+        cont, dfac, (ma, mb) = _common_den(
+            [(self.den.content(), self._dfac), (other.den.content(), other._dfac)]
+        )
         if sign < 0:
             mb = -mb
-        out = SquareMatrixK(self.dim)
         rows = {i: {j: _times(v, ma) for j, v in row.items()}
                 for i, row in self.rows.items()}
         for i, row in other.rows.items():
-            orow = rows.setdefault(i, {})
             for j, v in row.items():
-                v = _times(v, mb)
-                cur = orow.get(j)
-                if cur is None:
-                    orow[j] = v
-                    continue
-                v = cur + v
-                if v:
-                    orow[j] = v
-                else:
-                    del orow[j]
-            if not orow:
-                del rows[i]
-        out.rows = rows
-        return out._normalize(lcont, lfac)
+                _add_into(rows, i, j, _times(v, mb))
+        return SquareMatrixK(self.dim, rows, cont, dfac)
 
     def scale(self, c) -> "SquareMatrixK":
         cnum, cden = _split(c)
-        out = SquareMatrixK(self.dim)
-        if not cnum or not self.rows:
-            return out
-        out.rows = {i: {j: v * cnum for j, v in row.items()}
-                    for i, row in self.rows.items()}
-        return out._normalize(*_den_product(self, cden))
+        if not cnum:
+            return SquareMatrixK(self.dim, {}, 1, {})
+        rows = {i: {j: v * cnum for j, v in row.items()}
+                for i, row in self.rows.items()}
+        return SquareMatrixK(self.dim, rows, *_den_product(self, cden))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareMatrixK):
@@ -345,22 +337,19 @@ class SquareMatrixK:
             and self.rows == other.rows
         )
 
-    def __hash__(self):  # pragma: no cover - matrices are not dict keys
-        raise TypeError("SquareMatrixK is unhashable")
-
     def is_zero(self) -> bool:
         return not self.rows
 
     def kron(self, other: "SquareMatrixK") -> "SquareMatrixK":
         d2 = other.dim
-        out = SquareMatrixK(self.dim * d2)
+        rows = {}
         for i, arow in self.rows.items():
             for k, brow in other.rows.items():
-                orow = out.rows.setdefault(i * d2 + k, {})
+                orow = rows.setdefault(i * d2 + k, {})
                 for j, aval in arow.items():
                     for l, bval in brow.items():
                         orow[j * d2 + l] = aval * bval
-        return out._normalize(*_den_product(self, other))
+        return SquareMatrixK(self.dim * d2, rows, *_den_product(self, other))
 
     def trace(self) -> ScalarK:
         acc = _PRING.zero
@@ -397,12 +386,6 @@ def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
 # Braid data on V (x) V at z = q^n.
 
 
-#: BraidData per n, built on first use.
-_BRAID_DATA: dict[int, "BraidData"] = {}
-#: Guards _BRAID_DATA and _TOWERS: library callers may build from threads.
-_CACHE_LOCK = threading.RLock()
-
-
 #: q - q^-1; its normal form is built once per process.
 _QM = Q - Q**-1
 
@@ -425,7 +408,6 @@ class BraidData:
     sigma_inv: SquareMatrixK
     u_mat: SquareMatrixK
     mu: dict = dc_field(default_factory=dict)
-    sigma_inv_display_mismatches: list = dc_field(default_factory=list)
 
     @property
     def d(self) -> int:
@@ -436,82 +418,61 @@ class BraidData:
         return integer_level(brace(1) * qint(1, 0), self.n)
 
 
+def _level(n) -> int:
+    """n, if braid data exists at level n."""
+    if n not in (1, 2, 3):
+        raise UnsupportedSize("build_braid_data supports n in {1, 2, 3}")
+    return n
+
+
 def build_braid_data(n: int) -> BraidData:
     """Construct sigma, sigma^-1, u on V (x) V for n in {1, 2, 3}.
 
     sigma^-1 is obtained from the skein relation
-    sigma^-1 = sigma - (q - q^-1)(1 - u) and verified to be a true inverse;
-    the entries where the printed display of sigma^-1 differs from it are
-    kept in ``sigma_inv_display_mismatches`` (see check_sigma_inv_display).
-    The data is built once per n per process and shared: callers must not
-    mutate it.
+    sigma^-1 = sigma - (q - q^-1)(1 - u) and verified to be a true inverse
+    (its printed display is not: see check_sigma_inv_display).  The data
+    is built once per n per process and shared: callers must not mutate it.
     """
-    if n not in (1, 2, 3):
-        raise UnsupportedSize("build_braid_data supports n in {1, 2, 3}")
-    with _CACHE_LOCK:
-        data = _BRAID_DATA.get(n)
-        if data is None:
-            data = _BRAID_DATA[n] = _build_braid_data(n)
-        return data
+    return _build_braid_data(_level(n))
 
 
-@cache
+@_built_once
 def _basis(n: int):
     """The basis order of V; P(a, c), the position of e_a (x) e_c in
     V (x) V; and the weights w(i, j) = q^(rho(i) + rho(j))."""
     idx = [*range(-n, 0), *range(1, n + 1)]
     pos = {i: k for k, i in enumerate(idx)}
-    w = {(i, j): (Q ** (_rho(i) + _rho(j))).nf for i in idx for j in idx}
+    w = {(i, j): Q ** (_rho(i) + _rho(j)) for i in idx for j in idx}
     return idx, lambda a, c: pos[a] * 2 * n + pos[c], w
 
 
+@_built_once
 def _build_braid_data(n: int) -> BraidData:
     idx, P, w = _basis(n)
-    d = 2 * n
-    qm = _QM.nf
+    qi = Q**-1
 
-    u_mat = SquareMatrixK(d * d)
-    for i in idx:
-        for j in idx:
-            u_mat.add_to(P(i, -i), P(j, -j), w[(i, j)])
+    def sigma_entries():
+        for i in idx:
+            yield P(i, i), P(i, i), Q
+            yield P(i, -i), P(-i, i), qi
+            for j in idx:
+                if j != i and j != -i:
+                    yield P(i, j), P(j, i), ONE
+                if i < j:
+                    yield P(i, j), P(i, j), _QM
+                if j < -i:
+                    yield P(i, -i), P(j, -j), -(_QM * w[i, j])
 
-    sigma = SquareMatrixK(d * d)
-    for i in idx:
-        sigma.add_to(P(i, i), P(i, i), Q)
-        sigma.add_to(P(i, -i), P(-i, i), Q**-1)
-        for j in idx:
-            if j != i and j != -i:
-                sigma.add_to(P(i, j), P(j, i), ONE)
-            if i < j:
-                sigma.add_to(P(i, j), P(i, j), qm)
-            if j < -i:
-                sigma.add_to(P(i, -i), P(j, -j), -(qm * w[(i, j)]))
-
-    one = SquareMatrixK.identity(d * d)
-    sigma_inv = sigma - (one - u_mat).scale(qm)
+    dim = 4 * n * n
+    u_mat = SquareMatrixK.from_entries(
+        dim, ((P(i, -i), P(j, -j), w[i, j]) for i in idx for j in idx)
+    )
+    sigma = SquareMatrixK.from_entries(dim, sigma_entries())
+    one = SquareMatrixK.identity(dim)
+    sigma_inv = sigma - (one - u_mat).scale(_QM)
     if sigma @ sigma_inv != one:
         raise CalibrationFailed("sigma * sigma^-1 != 1 for the chosen weights")
-
-    # the two denominators differ: compare a/den_a and b/den_b crosswise
-    printed = _sigma_inv_display(n, printed=True)
-    zero = _PRING.zero
-    mismatches = []
-    for i, j in sorted(
-        {(i, j) for m in (sigma_inv, printed) for i, row in m.rows.items() for j in row}
-    ):
-        a = sigma_inv.rows.get(i, {}).get(j, zero)
-        b = printed.rows.get(i, {}).get(j, zero)
-        if a * printed.den != b * sigma_inv.den:
-            mismatches.append((i, j))
-
-    data = BraidData(
-        n=n,
-        indices=idx,
-        sigma=sigma,
-        sigma_inv=sigma_inv,
-        u_mat=u_mat,
-        sigma_inv_display_mismatches=mismatches,
-    )
+    data = BraidData(n=n, indices=idx, sigma=sigma, sigma_inv=sigma_inv, u_mat=u_mat)
     data.mu = _derive_mu(data)
     return data
 
@@ -520,19 +481,20 @@ def _sigma_inv_display(n: int, printed: bool) -> SquareMatrixK:
     """The displayed sum for sigma^-1 on V (x) V.  Its E_(-i,i) (x) E_(i,-i)
     terms are printed as -q; the true inverse has +q there."""
     idx, P, w = _basis(n)
-    qm = _QM.nf
-    out = SquareMatrixK(4 * n * n)
-    for i in idx:
-        out.add_to(P(i, i), P(i, i), Q**-1)
-        out.add_to(P(-i, i), P(i, -i), -Q if printed else Q)
-        for j in idx:
-            if j != i and j != -i:
-                out.add_to(P(i, j), P(j, i), ONE)
-            if i > j:
-                out.add_to(P(i, j), P(i, j), -qm)
-            if j > -i:
-                out.add_to(P(i, -i), P(j, -j), qm * w[(i, j)])
-    return out
+
+    def entries():
+        for i in idx:
+            yield P(i, i), P(i, i), Q**-1
+            yield P(-i, i), P(i, -i), -Q if printed else Q
+            for j in idx:
+                if j != i and j != -i:
+                    yield P(i, j), P(j, i), ONE
+                if i > j:
+                    yield P(i, j), P(i, j), -_QM
+                if j > -i:
+                    yield P(i, -i), P(j, -j), _QM * w[i, j]
+
+    return SquareMatrixK.from_entries(4 * n * n, entries())
 
 
 def check_sigma_inv_display(n: int, printed: bool = False) -> bool:
@@ -606,65 +568,68 @@ def check_braid_invariants(n: int) -> bool:
 # Representations of the 2- and 3-strand algebras used in the YBE proofs.
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrandRep:
     """Matrices for generators sigma_1, ..., sigma_{k-1} on one space."""
 
     dim: int
-    sigmas: list
-    sigma_invs: list
-    u_mats: list
+    sigmas: tuple
+    sigma_invs: tuple
+    u_mats: tuple
     zval: ScalarK  # the value of z in this representation
 
 
+def _generator_pair(dim: int, entries: list) -> tuple:
+    """A generator of index 1 (sigma_1 or sigma_1^-1) with the given
+    (i, j, value) entries, and the same generator of index 2: its conjugate
+    by the basis reversal e_k -> e_(dim-1-k), as in both displays below."""
+    rev = [(dim - 1 - i, dim - 1 - j, v) for i, j, v in entries]
+    return tuple(SquareMatrixK.from_entries(dim, e) for e in (entries, rev))
+
+
+@_built_once
 def hecke_two_dim_rep() -> StrandRep:
     """The printed 2-dimensional representation of the 3-strand Hecke
     algebra: sigma_1 -> [[q,0],[1,-q^-1]], sigma_2 -> [[-q^-1,1],[0,q]]."""
-    s1 = SquareMatrixK.from_rows([[Q, 0], [ONE, -Q**-1]])
-    s1i = SquareMatrixK.from_rows([[Q**-1, 0], [ONE, -Q]])
-    s2 = SquareMatrixK.from_rows([[-Q**-1, ONE], [0, Q]])
-    s2i = SquareMatrixK.from_rows([[-Q, ONE], [0, Q**-1]])
-    zero = SquareMatrixK.zero(2)
-    return StrandRep(2, [s1, s2], [s1i, s2i], [zero, zero], Z)
+    qi = Q**-1
+    s1, s2 = _generator_pair(2, [(0, 0, Q), (1, 0, ONE), (1, 1, -qi)])
+    s1i, s2i = _generator_pair(2, [(0, 0, qi), (1, 0, ONE), (1, 1, -Q)])
+    zero = SquareMatrixK.from_entries(2, ())
+    return StrandRep(2, (s1, s2), (s1i, s2i), (zero, zero), Z)
 
 
+@_built_once
 def bmw_three_dim_rep() -> StrandRep:
     """The 3-dimensional representation of the 3-strand algebra at generic
     z; u_i is recovered from the skein relation."""
-    (s1, s1i, s2, s2i), holds = _bmw3(printed=False)
+    (s1, s1i, s2, s2i), holds = _bmw3(False)
     if not all(holds.values()):
         raise CalibrationFailed(f"the 3-dim rep fails its relations: {holds}")
     one = SquareMatrixK.identity(3)
-    qm = Q - Q**-1
-    u1 = one - (s1 - s1i).scale(qm.inv())
-    u2 = one - (s2 - s2i).scale(qm.inv())
-    return StrandRep(3, [s1, s2], [s1i, s2i], [u1, u2], Z)
+    u1 = one - (s1 - s1i).scale(_QM.inv())
+    u2 = one - (s2 - s2i).scale(_QM.inv())
+    return StrandRep(3, (s1, s2), (s1i, s2i), (u1, u2), Z)
 
 
+@_built_once
 def _bmw3(printed: bool) -> tuple:
     """sigma_1, sigma_1^-1, sigma_2, sigma_2^-1 of the 3-dim rep, and
     whether each relation holds: "sigma1-inverse" and "sigma2-inverse"
     (the displayed sigma_i^-1 inverts sigma_i) and "braid".
 
-    The display carries -z^{+-1}(z q^-2 + z^-1 q^2) in the sigma^{+-1}
-    below/above-diagonal entry, and with it all three relations fail;
-    solving the braid relation shows the exponent must be the opposite
-    sign, -z^{-+1}(z q^-2 + z^-1 q^2).  Every other entry is as displayed.
+    sigma_1 is displayed as [[z^-2 q, 0, 0], [-z^e c, -q^-1, 0],
+    [q^-1, 1, q]] and sigma_1^-1 as [[z^2 q^-1, 0, 0], [-z^-e c, -q, 0],
+    [q, 1, q^-1]], with c = z q^-2 + z^-1 q^2.  The display has e = 1, and
+    with it all three relations fail; solving the braid relation shows
+    e = -1.  Every other entry is as displayed.
     """
     e = 1 if printed else -1
     c = Z * Q**-2 + Z**-1 * Q**2
-    s1 = SquareMatrixK.from_rows(
-        [[Z**-2 * Q, 0, 0], [-(Z**e) * c, -Q**-1, 0], [Q**-1, ONE, Q]]
-    )
-    s1i = SquareMatrixK.from_rows(
-        [[Z**2 * Q**-1, 0, 0], [-(Z**-e) * c, -Q, 0], [Q, ONE, Q**-1]]
-    )
-    s2 = SquareMatrixK.from_rows(
-        [[Q, ONE, Q**-1], [0, -Q**-1, -(Z**e) * c], [0, 0, Z**-2 * Q]]
-    )
-    s2i = SquareMatrixK.from_rows(
-        [[Q**-1, ONE, Q], [0, -Q, -(Z**-e) * c], [0, 0, Z**2 * Q**-1]]
-    )
+    qi = Q**-1
+    s1, s2 = _generator_pair(3, [(0, 0, Z**-2 * Q), (1, 0, -(Z**e) * c),
+                                 (1, 1, -qi), (2, 0, qi), (2, 1, ONE), (2, 2, Q)])
+    s1i, s2i = _generator_pair(3, [(0, 0, Z**2 * qi), (1, 0, -(Z**-e) * c),
+                                   (1, 1, -Q), (2, 0, Q), (2, 1, ONE), (2, 2, qi)])
     one = SquareMatrixK.identity(3)
     holds = {
         "sigma1-inverse": s1 @ s1i == one,
@@ -741,9 +706,14 @@ def _strand_rep(rep: str, n: int) -> StrandRep:
         return bmw_three_dim_rep()
     if rep != "tensor":
         raise ArgumentOutOfRange(f"unknown representation {rep!r}")
-    data = build_braid_data(n)
+    return _tensor_rep(_level(n))
+
+
+@_built_once
+def _tensor_rep(n: int) -> StrandRep:
+    data = _build_braid_data(n)
     idm = SquareMatrixK.identity(data.d)
-    gens = [[m.kron(idm), idm.kron(m)]
+    gens = [(m.kron(idm), idm.kron(m))
             for m in (data.sigma, data.sigma_inv, data.u_mat)]
     return StrandRep(data.d**3, *gens, Q**n)
 
@@ -772,17 +742,13 @@ def check_unitarity(kind: str, rep: str) -> bool:
 def check_hecke_quotient(rep: str = "bmw3") -> bool:
     """Imposing u = 0 in the BMW_D combination reproduces the HeckeF matrix."""
     r = _strand_rep(rep, 1)
-    full = spectral_R(
-        "BMW_D", r.sigmas[0], r.sigma_invs[0], SquareMatrixK.zero(r.dim), U, r.zval
-    )
+    zero = SquareMatrixK.from_entries(r.dim, ())
+    full = spectral_R("BMW_D", r.sigmas[0], r.sigma_invs[0], zero, U, r.zval)
     return full == spectral_R("HeckeF", r.sigmas[0], r.sigma_invs[0], None, U, r.zval)
 
 
 # --------------------------------------------------------------------------
 # Idempotent towers.
-
-#: Towers per (kind, id(data)), each with its data, filled on first use.
-_TOWERS: dict[tuple[str, int], tuple["BraidData", dict]] = {}
 
 _TOWER_SPEC = {
     "F": ("BMW_D", Q),
@@ -794,35 +760,32 @@ def idempotent_tower(kind: str, data: BraidData, p_max: int) -> dict:
     """E(p) or F(p) on V^(x)p for p = 1..p_max, via
     X(p+1) = X(p) R_p(q^p) X(p) with X(1) = 1.
 
-    Each tower is built once per process and extended on demand; the
-    returned dict is fresh, the matrices in it are shared.
+    Each matrix is built once per process; the returned dict is fresh, the
+    matrices in it are shared.
     """
-    if kind not in _TOWER_SPEC:
+    if kind not in ("E", "F"):
         raise ArgumentOutOfRange("tower kind must be 'E' or 'F'")
     budget = 4 if data.n <= 2 else 3
     if p_max > budget:
         raise UnsupportedSize(
             f"p_max {p_max} exceeds the dimension budget for n = {data.n}"
         )
-    rkind, _ = _TOWER_SPEC[kind]
-    d = data.d
-    zq = Q**data.n
-    key = (kind, id(data))
-    with _CACHE_LOCK:
-        cached = _TOWERS.get(key)
-        out = cached[1] if cached else {1: SquareMatrixK.identity(d)}
-        if len(out) < p_max:
-            out = dict(out)
-            for p in range(len(out), p_max):
-                lifted = out[p].kron(SquareMatrixK.identity(d))
-                r_small = spectral_R(
-                    rkind, data.sigma, data.sigma_inv, data.u_mat, Q**p, zq
-                )
-                r_p = SquareMatrixK.identity(d ** (p - 1)).kron(r_small)
-                out[p + 1] = lifted @ r_p @ lifted
-            # the data object is kept alive so its id stays unique
-            _TOWERS[key] = (data, out)
-    return {p: out[p] for p in range(1, p_max + 1)}
+    return {p: _tower(kind, data.n, p) for p in range(1, p_max + 1)}
+
+
+@_built_once
+def _tower(kind: str, n: int, p: int) -> SquareMatrixK:
+    """X(p) of idempotent_tower at level n."""
+    data = _build_braid_data(n)
+    idm = SquareMatrixK.identity(data.d)
+    if p == 1:
+        return idm
+    lifted = _tower(kind, n, p - 1).kron(idm)
+    r_small = spectral_R(
+        _TOWER_SPEC[kind][0], data.sigma, data.sigma_inv, data.u_mat, Q ** (p - 1), Q**n
+    )
+    r_p = SquareMatrixK.identity(data.d ** (p - 2)).kron(r_small)
+    return lifted @ r_p @ lifted
 
 
 def strand_generator(data: BraidData, which: str, i: int, p: int) -> SquareMatrixK:

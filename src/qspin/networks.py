@@ -654,7 +654,7 @@ class TetrahedronSymbol:
     z: tuple  # 3 rows of 4
 
     @staticmethod
-    def from_rows(rows) -> "TetrahedronSymbol":
+    def from_grid(rows) -> "TetrahedronSymbol":
         if len(rows) != 3 or any(len(r) != 4 for r in rows):
             raise ConstraintViolated("tetrahedron symbol must be a 3x4 grid")
         return TetrahedronSymbol(tuple(tuple(r) for r in rows))

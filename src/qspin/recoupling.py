@@ -376,15 +376,6 @@ def fierz_recurrence_check(a: int, b: int, printed: bool = False) -> bool:
     return equal(fierz(a + 2, b), rhs)
 
 
-def fierz_column_product(a: int, b: int, c: int) -> ScalarK:
-    """Delta * (prod_{k=0}^{c-1} {k}/[2n-k]) * F(a,c) * F(b,c)."""
-    _check_nonneg(a=a, b=b, c=c)
-    out = SPIN_DELTA * fierz(a, c) * fierz(b, c)
-    for k in range(c):
-        out = out * brace(k) / qint(2, -k)
-    return out
-
-
 def check_fierz_symmetry(a: int, b: int) -> bool:
     return equal(fierz(a, b), fierz(b, a))
 

@@ -216,7 +216,7 @@ def test_acceptance_08_chromatic_oracle():
         raw = chromatic_eval(medial(tetrahedron_network(list(labels))), "Raw")
         ok = ok and orbits.setdefault(orbit, raw) == raw
     # tetrahedron, all-1 grid: frozen golden value (brute-force derived)
-    t1 = TetrahedronSymbol.from_rows([[1] * 4, [1] * 4, [1] * 4])
+    t1 = TetrahedronSymbol.from_grid([[1] * 4, [1] * 4, [1] * 4])
     raw = tetrahedron_chromatic(t1, "Raw").as_dict()
     ok = ok and raw == {
         4: Fraction(1), 3: Fraction(-5), 2: Fraction(8), 1: Fraction(-4)

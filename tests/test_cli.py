@@ -278,8 +278,10 @@ def test_classical_singular_is_a_typed_error(capsys, expr):
     [
         ["fierz-table", "--max", str(cli.MAX_FIERZ_TABLE + 1)],
         ["dims", "--p-max", str(cli.MAX_DIMS_P + 1)],
+        ["fierz-table", "--max", "-1"],
+        ["dims", "--p-max", "-1"],
     ],
-    ids=["fierz-table-max", "dims-p-max"],
+    ids=["fierz-table-max", "dims-p-max", "fierz-table-negative", "dims-negative"],
 )
 def test_table_size_caps(capsys, argv):
     start = time.perf_counter()
@@ -349,6 +351,27 @@ def test_bad_network_file_is_a_typed_error(tmp_path, capsys, doc, error):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "chromatic", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error [{error}]")
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["chromatic", "--file", "{dir}"], "IsADirectoryError"),
+        (["check", "--manifest", "{dir}"], "IsADirectoryError"),
+        (["fierz-table", "--max", "1", "--out", "{dir}"], "IsADirectoryError"),
+        (["chromatic", "--file", "{binary}"], "UnicodeDecodeError"),
+        (["check", "--manifest", "{binary}"], "UnicodeDecodeError"),
+    ],
+    ids=["chromatic-directory", "manifest-directory", "fierz-out-directory",
+         "chromatic-not-utf8", "manifest-not-utf8"],
+)
+def test_unreadable_file_is_a_typed_error(tmp_path, capsys, argv, error):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x7fELF\xff\xfe\x00\x01")
+    paths = {"{dir}": str(tmp_path), "{binary}": str(binary)}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith(f"error [{error}]")
 

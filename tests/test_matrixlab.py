@@ -7,13 +7,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from registry_rows import NAMED, OTHER_ROWS, row_id, rows_hold
 
 from qspin import matrixlab
 from qspin.errors import ParseError
 from qspin.matrixlab import (
     CHECKS,
-    R_KINDS,
     SquareMatrixK,
     build_braid_data,
     check_hecke_quotient,
@@ -24,63 +22,42 @@ from qspin.matrixlab import (
     quantum_trace,
     run_manifest,
 )
-from qspin.scalar import FIELD, ONE, Q, U, Z, equal, integer_level, scalar
+from qspin.scalar import FIELD, ONE, Q, U, Z, ScalarK, equal, integer_level, scalar
 
 
 def test_sparse_matrix_algebra():
     I = SquareMatrixK.identity(3)
-    z = SquareMatrixK.zero(3)
+    z = SquareMatrixK.from_entries(3, ())
     assert (I @ I) == I
     assert (I + z) == I
     assert (I - I).is_zero()
     assert I.kron(I) == SquareMatrixK.identity(9)
     assert equal(I.trace(), 3 * ONE)
-    a = SquareMatrixK.zero(2)
-    a.add_to(0, 1, Q)
-    b = SquareMatrixK.zero(2)
-    b.add_to(1, 0, Q)
+    a = SquareMatrixK.from_entries(2, [(0, 1, Q)])
+    b = SquareMatrixK.from_entries(2, [(1, 0, Q)])
     assert equal((a @ b).entry(0, 0), Q * Q)
     assert (b @ a).entry(0, 0).is_zero()
+    # scalars given for one position are summed; a sum of zero is no entry
+    c = SquareMatrixK.from_entries(2, [(0, 1, Q), (0, 1, Q**-1), (1, 1, Q), (1, 1, -Q)])
+    assert equal(c.entry(0, 1), Q + Q**-1)
+    assert c.nnz() == 1
+    with pytest.raises(TypeError):
+        hash(I)
 
 
-@pytest.mark.parametrize("name,params", OTHER_ROWS,
-                         ids=[row_id(*r) for r in OTHER_ROWS])
+#: Every row of the registry, once.
+ROWS = [(name, params) for name, check in CHECKS.items() for params in check.grid]
+
+
+@pytest.mark.parametrize(
+    "name,params", ROWS,
+    ids=["-".join([name, *(f"{k}={v}" for k, v in params.items())])
+         for name, params in ROWS],
+)
 def test_registry_row(name, params):
-    # the rows no named test runs.  A slip row holds while the printed form
-    # fails and the corrected form holds, so a silent "fix" turns it red
+    # a slip row holds while the printed form fails and the corrected form
+    # holds, so a silent "fix" of either turns it red
     assert CHECKS[name].fn(**params)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_braid_invariants(n):
-    assert rows_hold("braid-invariants", n=n)
-
-
-def test_sigma_inverse_display_mismatch_documented():
-    assert rows_hold("sigma-inverse-display")
-
-
-@pytest.mark.parametrize("kind", sorted(R_KINDS))
-def test_ybe_in_small_reps(kind):
-    rep = "bmw3" if kind.startswith("BMW") else "hecke2"
-    assert rows_hold("ybe", kind=kind, rep=rep)
-    assert rows_hold("unitarity", kind=kind, rep=rep)
-
-
-@pytest.mark.parametrize("kind", ["BMW_D", "BMW_A"])
-def test_ybe_in_tensor_rep(kind):
-    assert rows_hold("ybe", kind=kind, rep="tensor")
-
-
-@pytest.mark.parametrize("kind", ["E", "F"])
-@pytest.mark.parametrize("n", [1, 2])
-def test_towers(kind, n):
-    assert rows_hold("tower", kind=kind, n=n)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_quantum_dims(n):
-    assert rows_hold("quantum-dims", n=n)
 
 
 def test_dimq_sym_closed_vs_recursive():
@@ -94,15 +71,8 @@ def test_dimq_sym_closed_vs_recursive():
 
 
 def test_hecke_tower_and_quotient():
-    assert rows_hold("hecke-tower")
-    assert rows_hold("hecke-quotient")
     # the registry's quotient row reads the 3-dim rep; this is the 2-dim one
     assert check_hecke_quotient("hecke2")
-
-
-def test_crossing_symmetry_report():
-    assert rows_hold("crossing-symmetry-D")
-    assert rows_hold("crossing-prefactor")
 
 
 def test_manifest_runner():
@@ -116,12 +86,15 @@ def test_manifest_runner():
             {"name": "tower", "params": {"kind": "X", "n": 1, "p_max": 2}},
             {"name": "fierz-recurrence", "params": {"a": 500, "b": 0}},
             {"name": "no-such-check"},
+            # unhashable params fail validation before any memo lookup
+            {"name": "ybe", "params": {"kind": "BMW_D", "rep": "tensor", "n": [1]}},
+            {"name": "tower", "params": {"kind": ["E"], "n": 1, "p_max": 2}},
         ],
     }
     out = run_manifest(doc)
     assert not out["all_passed"]
     passed = [r["passed"] for r in out["results"]]
-    assert passed == [True, True, True, False, False, False, False, False]
+    assert passed == [True, True, True] + [False] * 7
     for row in out["results"][3:6]:
         assert row["error"].startswith("ArgumentOutOfRange")
     # an identity row runs only on its grid: it has no size budget
@@ -129,6 +102,8 @@ def test_manifest_runner():
     assert out["results"][7] == {
         "name": "no-such-check", "params": {}, "passed": False, "error": "unknown check"
     }
+    assert out["results"][8]["error"].startswith("UnsupportedSize")
+    assert out["results"][9]["error"].startswith("ArgumentOutOfRange")
     with pytest.raises(ParseError):
         run_manifest({"format_version": 2, "checks": []})
 
@@ -141,18 +116,21 @@ def test_default_manifest_shape():
         name for name, check in CHECKS.items() if check.group == "matrix"
     }
     assert {check.group for check in CHECKS.values()} == {"matrix", "identity", "slip"}
-    assert NAMED <= CHECKS.keys()
 
 
 def test_braid_data_and_towers_built_once():
     data = build_braid_data(2)
     assert build_braid_data(2) is data
-    again = matrixlab._build_braid_data(2)
+    again = matrixlab._build_braid_data.__wrapped__(2)  # built afresh
+    assert again is not data
     for name in ("sigma", "sigma_inv", "u_mat"):
         assert getattr(again, name) == getattr(data, name)
     assert again.mu == data.mu
-    assert len(build_braid_data(1).sigma_inv_display_mismatches) == 2
-    assert len(data.sigma_inv_display_mismatches) == 4
+    # the printed sigma^-1 display differs from the true inverse in 2n entries
+    for n in (1, 2, 3):
+        true_inv = build_braid_data(n).sigma_inv
+        assert (matrixlab._sigma_inv_display(n, True) - true_inv).nnz() == 2 * n
+        assert (matrixlab._sigma_inv_display(n, False) - true_inv).nnz() == 0
 
     long = idempotent_tower("F", data, 3)
     short = idempotent_tower("F", data, 2)
@@ -162,15 +140,17 @@ def test_braid_data_and_towers_built_once():
     short[2] = None  # changing the returned dict leaves the cache alone
     assert idempotent_tower("F", data, 2)[2] is long[2]
     # a tower built from scratch is the same
-    matrixlab._TOWERS.pop(("F", id(data)))
+    matrixlab._tower.cache_clear()
     rebuilt = idempotent_tower("F", data, 3)
+    assert rebuilt[3] is not long[3]
     assert all(rebuilt[p] == long[p] for p in (1, 2, 3))
 
 
 def test_cached_builds_are_shared_across_threads():
     # more threads than cores and a short switch interval: an unguarded
     # check-then-build would hand different threads different objects
-    matrixlab._BRAID_DATA.pop(1, None)
+    matrixlab._build_braid_data.cache_clear()
+    matrixlab._tower.cache_clear()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -229,7 +209,10 @@ def _matrices(draw, dim):
 
 
 def _mat(ref):
-    return SquareMatrixK.from_rows(ref)
+    return SquareMatrixK.from_entries(len(ref), [
+        (i, j, ScalarK.from_field_element(v))
+        for i, row in enumerate(ref) for j, v in enumerate(row)
+    ])
 
 
 def _assert_matches(m, ref):
@@ -300,9 +283,7 @@ def test_matrix_equality_is_exact(pair, c):
     assert (a + b) - b == a
     assert a.scale(c).scale(c.inv()) == a
     assert a.kron(SquareMatrixK.identity(1)) == a
-    changed = a.copy()
-    changed.add_to(0, 0, c)
+    single = SquareMatrixK.from_entries(a.dim, [(0, 0, c)])
+    changed = a + single
     assert changed != a
-    assert changed - a == SquareMatrixK.from_rows(
-        [[c if (i, j) == (0, 0) else 0 for j in range(a.dim)] for i in range(a.dim)]
-    )
+    assert changed - a == single

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromatic_oracle import brute_force_chromatic, strand_networks
-from registry_rows import rows_hold
 from qspin.errors import (
     ConstraintViolated,
     InadmissibleLabel,
@@ -100,7 +99,7 @@ def test_unknot_values():
 
 
 def test_tetrahedron_all_ones_golden():
-    t = TetrahedronSymbol.from_rows([[1] * 4, [1] * 4, [1] * 4])
+    t = TetrahedronSymbol.from_grid([[1] * 4, [1] * 4, [1] * 4])
     assert tetrahedron_check(t)
     assert tetrahedron_edge_labels(t) == [2] * 6
     raw = tetrahedron_chromatic(t, "Raw")
@@ -115,14 +114,14 @@ def test_tetrahedron_all_ones_golden():
 
 
 def test_tetrahedron_trivial_and_invalid():
-    t0 = TetrahedronSymbol.from_rows([[0] * 4] * 3)
+    t0 = TetrahedronSymbol.from_grid([[0] * 4] * 3)
     assert tetrahedron_chromatic(t0).as_dict() == {0: Fraction(1)}
     with pytest.raises(ConstraintViolated):
-        TetrahedronSymbol.from_rows([[1, 2], [3, 4]])
+        TetrahedronSymbol.from_grid([[1, 2], [3, 4]])
     with pytest.raises(ConstraintViolated):
-        tetrahedron_check(TetrahedronSymbol.from_rows([[-1] + [0] * 3] + [[0] * 4] * 2))
+        tetrahedron_check(TetrahedronSymbol.from_grid([[-1] + [0] * 3] + [[0] * 4] * 2))
     # inconsistent side sums
-    bad = TetrahedronSymbol.from_rows([[1, 0, 0, 0], [0] * 4, [0] * 4])
+    bad = TetrahedronSymbol.from_grid([[1, 0, 0, 0], [0] * 4, [0] * 4])
     with pytest.raises(ConstraintViolated):
         tetrahedron_edge_labels(bad)
 
@@ -173,7 +172,6 @@ def test_strand_network_validation():
 
 
 def test_gamma_clifford_relations():
-    assert rows_hold("clifford")
     for k in (1, 2, 3):
         g = gamma_metric(k)
         assert g == [1, -1] * k

@@ -4,7 +4,6 @@ import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from registry_rows import rows_hold
 
 from qspin.errors import ArgumentOutOfRange, InadmissibleTriple
 from qspin.qcomb import brace, ffact_ext, qfact, qint
@@ -56,13 +55,6 @@ def test_dimq_base_cases():
     assert equal(dimq_vector(1), brace(1) * DELTA)
 
 
-def test_dimq_recurrence_variants():
-    # the printed closed form fails its own recurrence for p >= 1; the
-    # recurrence-consistent variant satisfies it
-    assert rows_hold("dimq-recurrence")
-    assert rows_hold("dimq-closed-form")
-
-
 def test_curl_twist_tadpole():
     # bar inverts a curl (it is a monomial in q, z)
     for a in range(0, 4):
@@ -81,23 +73,11 @@ def test_projector_loop_vs_dim():
         assert equal(projector_loop(a), dimq_vector(a) * qfact(a) / braces)
 
 
-def test_bubble_identity():
-    assert rows_hold("bubble")
-
-
 def test_theta_spinor_zero_strand_anomaly():
     # the verbatim a = 0 value carries a spurious {1}/{0} factor; this is
-    # documented and pinned rather than silently patched.
+    # documented and pinned rather than silently patched (the registry's
+    # theta-spinor-empty row checks the corrected value).
     assert equal(theta_spinor(0), SPIN_DELTA * brace(1) / brace(0))
-    assert rows_hold("theta-spinor-empty")
-
-
-def test_threej_double_from_spinor_and_collapse():
-    assert rows_hold("threej-double")
-
-
-def test_theta_vector_from_spinor_threej():
-    assert rows_hold("theta-vector")
 
 
 def test_leg_hop_telescopes():
@@ -114,11 +94,6 @@ def test_gamma_cross_coeff():
         assert equal(gamma_cross_coeff(p), qint(0, p + 1) / brace(p + 1))
 
 
-def test_fierz_symmetry_and_bar():
-    assert rows_hold("fierz-symmetry")
-    assert rows_hold("fierz-bar")
-
-
 def test_fierz_first_column():
     # F(a,1) closed form agrees with the completeness sum for a <= 6
     for a in range(1, 7):
@@ -129,17 +104,15 @@ def test_fierz_first_column():
 
 def test_fierz_a0_printed_form_quarantined():
     # the printed F(a,0) closed form disagrees with the completeness sum
-    # from a = 1 on (constant 1/2 where F(1,0) = [2n]/{0} = delta)
+    # from a = 1 on (constant 1/2 where F(1,0) = [2n]/{0} = delta: the
+    # registry's fierz-a0 rows); at a = 0 they agree
     assert equal(fierz(0, 0), fierz_a0(0))
-    assert rows_hold("fierz-a0")
 
 
 def test_fierz_recurrence_printed_vs_corrected():
-    # the printed three-term recurrence fails for every column b >= 1;
-    # with first coefficient (-1)^b [n-b] it holds, and the two
-    # coefficients agree at b = 0
-    assert rows_hold("fierz-recurrence")
-    assert rows_hold("fierz-recurrence-coefficient")
+    # the printed three-term recurrence fails for every column b >= 1
+    # and with first coefficient (-1)^b [n-b] it holds (the registry's
+    # fierz-recurrence rows); the two coefficients agree at b = 0
     assert all(fierz_recurrence_check(a, 0, printed=True) for a in range(4))
 
 
@@ -150,7 +123,8 @@ def test_completeness_C_baseline():
 
 def test_exp_coeff():
     # c(p) = z / (z^2 q^{-1} - (-q)^{p+1}); the half-power product form
-    # agrees only at even p (documented).
+    # agrees only at even p (the registry's exp-coeff-half-form rows) and
+    # refuses odd p.
     from qspin.scalar import Q, Z
 
     for p in range(0, 6):
@@ -159,7 +133,6 @@ def test_exp_coeff():
         if p % 2:
             with pytest.raises(ArgumentOutOfRange):
                 check_exp_coeff_half_form(p)
-    assert rows_hold("exp-coeff-half-form")
 
 
 def scalar_sign(k: int):
