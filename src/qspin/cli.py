@@ -20,6 +20,11 @@ from .errors import ArgumentOutOfRange, QspinError
 MAX_FIERZ_TABLE = 8
 #: Largest ``dims --p-max``: 20 takes 2.7 s, 25 10 s, 30 took 30 s.
 MAX_DIMS_P = 25
+#: Largest level K of ``--specialize n=K`` and ``specialize --to n=K``.  At
+#: K = 16, ``dims --p-max 25`` takes 12 s and the slowest text the parser
+#: accepts, ((q+z+1)^65 + 1)/((q+z+2)^65 + 1), 4.1 s (2.8 s at K = 1).  At
+#: K = 64 they took 22 s and 15 s, and ``dims --p-max 25`` 84 s at K = 256.
+MAX_LEVEL = 16
 
 
 class ValidationFailure(Exception):
@@ -38,10 +43,12 @@ def _emit_error(kind: str, message: str, fmt: str) -> int:
 
 
 def _parse_specialize_target(text: str):
+    """The specialization ``text`` names (n=K, classical or q1), as a
+    function of a value."""
     if text == "classical":
-        return scalar.Classical()
+        return scalar.classical
     if text == "q1":
-        return "q1"
+        return scalar.q_to_one
     if text.startswith("n="):
         try:
             n = int(text[2:])
@@ -49,22 +56,20 @@ def _parse_specialize_target(text: str):
             raise ValidationFailure("bad-target", f"cannot parse level in {text!r}")
         if n < 1:
             raise ValidationFailure("bad-target", "level must be a positive integer")
-        return scalar.IntegerLevel(n)
+        if n > MAX_LEVEL:
+            raise ValidationFailure("bad-target", f"level {n} exceeds the cap {MAX_LEVEL}")
+        return lambda x: scalar.integer_level(x, n)
     raise ValidationFailure(
         "bad-target", f"unknown specialization target {text!r}; use n=K, classical, q1"
     )
 
 
-def _apply_specialize(value, target):
-    if target is None:
-        return value
-    if target == "q1":
-        return scalar.q_to_one(value)
-    return scalar.specialize(value, target)
+def _unspecialized(value):
+    return value
 
 
 def _value_text(value) -> str:
-    """Canonical text of a scalar, or of a classical or numeric image."""
+    """Canonical text of a scalar, or of a classical image."""
     if isinstance(value, scalar.ScalarK):
         return scalar.to_text(value)
     return str(value)
@@ -107,8 +112,7 @@ def _cmd_eval_theta(args) -> int:
                 "bad-labels", "the spinor theta takes a single nonzero count"
             )
         value = recoupling.theta_spinor(max(r, s, t))
-    value = _apply_specialize(value, args.target)
-    print(_render_scalar(value, args.format))
+    print(_render_scalar(args.target(value), args.format))
     return 0
 
 
@@ -116,8 +120,7 @@ def _cmd_eval_3j(args) -> int:
     if None in (args.r, args.s, args.t):
         raise ValidationFailure("bad-labels", "give --r --s --t")
     fn = recoupling.threej_double if args.kind == "double" else recoupling.threej_spinor
-    value = _apply_specialize(fn(args.r, args.s, args.t), args.target)
-    print(_render_scalar(value, args.format))
+    print(_render_scalar(args.target(fn(args.r, args.s, args.t)), args.format))
     return 0
 
 
@@ -152,8 +155,8 @@ def _cmd_dims(args) -> int:
         symmetric = matrixlab.dimq_sym_recursive(p)
         rows.append({
             "p": p,
-            "vector_tower": _value_text(_apply_specialize(vector, args.target)),
-            "symmetric_tower": _value_text(_apply_specialize(symmetric, args.target)),
+            "vector_tower": _value_text(args.target(vector)),
+            "symmetric_tower": _value_text(args.target(symmetric)),
         })
     if args.format == "json":
         print(json.dumps({"dims": rows}, indent=2))
@@ -179,16 +182,14 @@ def _cmd_chromatic(args) -> int:
         if args.normalization in ("projector", "ProjectorNormalized")
         else "Raw"
     )
-    poly = networks.chromatic_eval(sn, norm)
+    poly = networks.chromatic_eval(sn, norm)  # a polynomial in delta
     if args.at is not None:
-        val = poly(args.at)
-        out = {"at": str(args.at), "value": str(val)}
-        print(json.dumps(out) if args.format == "json" else str(val))
+        val = str(poly(args.at, 0))
+        print(json.dumps({"at": str(args.at), "value": val}) if args.format == "json" else val)
+    elif args.format == "json":
+        print(json.dumps({"coefficients": {str(d): str(c) for (d, _), c in poly.terms()}}))
     else:
-        if args.format == "json":
-            print(json.dumps({"coefficients": {str(d): str(c) for d, c in poly.coeffs}}))
-        else:
-            print(str(poly))
+        print(scalar._render_poly(poly, ("delta", "Delta")))
     return 0
 
 
@@ -223,8 +224,7 @@ def _cmd_specialize(args) -> int:
     except QspinError as exc:
         raise ValidationFailure("parse-error", str(exc))
     target = _parse_specialize_target(args.to)
-    value = _apply_specialize(value, target)
-    print(_render_scalar(value, args.format))
+    print(_render_scalar(target(value), args.format))
     return 0
 
 
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
         args.target = (
             _parse_specialize_target(args.target_text)
             if getattr(args, "target_text", None)
-            else None
+            else _unspecialized
         )
         return args.fn(args)
     except ValidationFailure as exc:

@@ -765,6 +765,8 @@ def idempotent_tower(kind: str, data: BraidData, p_max: int) -> dict:
     """
     if kind not in ("E", "F"):
         raise ArgumentOutOfRange("tower kind must be 'E' or 'F'")
+    if type(p_max) is not int or p_max < 1:
+        raise ArgumentOutOfRange(f"p_max must be a positive integer, not {p_max!r}")
     budget = 4 if data.n <= 2 else 3
     if p_max > budget:
         raise UnsupportedSize(

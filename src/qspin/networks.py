@@ -14,7 +14,8 @@ loops.  It is computed as a contraction, not by enumerating permutations:
 the rectangles are joined one input port at a time, and the state is the
 perfect matching that the open strand ends form (see ``chromatic_eval``).
 Raw uses the bare sum; ProjectorNormalized divides by the product of
-(side sum)! over rectangles.
+(side sum)! over rectangles.  The value is a polynomial in delta with
+rational coefficients, an element of ``CLASSICAL_FIELD.ring``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import factorial
 
+from sympy import QQ
+
 from .errors import (
     ConstraintViolated,
     InadmissibleLabel,
@@ -32,6 +35,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .recoupling import AdmissibleTriple
+from .scalar import CLASSICAL_FIELD
 
 # Budgets of the chromatic contraction, from one in-process run each on a
 # 2-core x86 machine (Python 3.11); RSS is the whole process's peak.
@@ -49,61 +53,8 @@ MAX_TOTAL_LINES = 64
 #: Marks a closed port in a matching state; port indices stay below it
 #: because a network has at most 2 * MAX_TOTAL_LINES ports.
 _CLOSED = 255
-
-
-# --------------------------------------------------------------------------
-# Delta polynomials.
-
-
-@dataclass(frozen=True)
-class DeltaPoly:
-    """A polynomial in the loop variable delta with exact coefficients."""
-
-    coeffs: tuple  # sorted tuple of (degree, Fraction), descending degree
-
-    @staticmethod
-    def from_dict(d: dict) -> "DeltaPoly":
-        items = tuple(
-            sorted(((k, Fraction(v)) for k, v in d.items() if v), reverse=True)
-        )
-        return DeltaPoly(items)
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in self.coeffs}
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        return sum((c * x**d for d, c in self.coeffs), Fraction(0))
-
-    def scale(self, c) -> "DeltaPoly":
-        c = Fraction(c)
-        return DeltaPoly.from_dict({d: v * c for d, v in self.coeffs})
-
-    def __mul__(self, other: "DeltaPoly") -> "DeltaPoly":
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self.coeffs:
-            for d2, c2 in other.coeffs:
-                out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + c1 * c2
-        return DeltaPoly.from_dict(out)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d, c in self.coeffs:
-            body = f"{abs(c)}" if d == 0 else (
-                ("" if abs(c) == 1 else f"{abs(c)}*")
-                + ("delta" if d == 1 else f"delta^{d}")
-            )
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
-
-    @staticmethod
-    def one() -> "DeltaPoly":
-        return DeltaPoly.from_dict({0: Fraction(1)})
+#: Builds a polynomial in delta from nonzero QQ coefficients, unchecked.
+_delta_poly = CLASSICAL_FIELD.ring.dtype
 
 
 # --------------------------------------------------------------------------
@@ -536,7 +487,7 @@ def medial(net: LabelledNetwork) -> StrandNetwork:
 # Chromatic state sum.
 
 
-def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw") -> DeltaPoly:
+def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw"):
     """The chromatic state sum  sum_S eps(S) delta^{|S|}  over permutation
     assignments S to the rectangles, computed as a contraction.
 
@@ -559,6 +510,9 @@ def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw") -> DeltaPoly:
     number of joins, sum d(d+1)/2; their product bounds the whole run.
 
     normalization: "Raw" or "ProjectorNormalized" (divide by prod d_r!).
+    The result is a polynomial in delta, an element of
+    ``CLASSICAL_FIELD.ring``; it is built as a polynomial, not through the
+    field, so it costs no cancel.
     """
     if normalization not in ("Raw", "ProjectorNormalized"):
         raise ConstraintViolated(f"unknown normalization {normalization!r}")
@@ -579,16 +533,15 @@ def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw") -> DeltaPoly:
         outs = [index[(r, 1, p)] for p in range(sn.rect_degree[r])]
         for k in range(sn.rect_degree[r]):
             states = _join(states, index[(r, 0, k)], outs)
-    # every port is closed now: at most one state is left, the empty one
-    poly = DeltaPoly.from_dict(next(iter(states.values()), {}))
-    for a in sn.free_loops:
-        poly = poly * DeltaPoly.from_dict({a: Fraction(1)})
+    norm = 1
     if normalization == "ProjectorNormalized":
-        norm = 1
         for r in rects:
             norm *= factorial(sn.rect_degree[r])
-        poly = poly.scale(Fraction(1, norm))
-    return poly
+    # every port is closed now: at most one state is left, the empty one;
+    # a free loop labelled a is a cable of a circles, a factor delta^a
+    shift = sum(sn.free_loops)
+    weight = next(iter(states.values()), {})
+    return _delta_poly({(loops + shift, 0): QQ(c, norm) for loops, c in weight.items()})
 
 
 def _join(states: dict, i: int, outs: list) -> dict:
@@ -636,9 +589,9 @@ def _join(states: dict, i: int, outs: list) -> dict:
     return out
 
 
-def penrose_eval(sn: StrandNetwork, normalization: str = "Raw") -> Fraction:
-    """The chromatic evaluation at delta = -2."""
-    return chromatic_eval(sn, normalization)(-2)
+def penrose_eval(sn: StrandNetwork, normalization: str = "Raw"):
+    """The chromatic evaluation at delta = -2, a rational."""
+    return chromatic_eval(sn, normalization)(-2, 0)
 
 
 # --------------------------------------------------------------------------
@@ -699,13 +652,11 @@ def tetrahedron_edge_labels(t: TetrahedronSymbol) -> list:
     return labels
 
 
-def tetrahedron_chromatic(
-    t: TetrahedronSymbol, normalization: str = "Raw"
-) -> DeltaPoly:
+def tetrahedron_chromatic(t: TetrahedronSymbol, normalization: str = "Raw"):
     """Chromatic evaluation of the strand network of a tetrahedron symbol."""
     labels = tetrahedron_edge_labels(t)
     if all(l == 0 for l in labels):
-        return DeltaPoly.one()
+        return CLASSICAL_FIELD.ring.one
     net = tetrahedron_network(labels)
     return chromatic_eval(medial(net), normalization)
 

@@ -18,21 +18,22 @@ Values carry two coordinates:
   cancel when first read and then cached.  Equality of values is decided
   by comparing normal forms.
 
-Specializations:
+Specializations, each a plain function of a value:
 
-* ``IntegerLevel(n)``: z -> q^n (delta becomes the ordinary q-integer [n]).
-* ``Classical``: the limit q, z -> 1 along the curve
+* ``integer_level(x, n)``: z -> q^n (delta becomes the ordinary q-integer [n]).
+* ``classical(x)``: the limit q, z -> 1 along the curve
   z - z^-1 = delta (q - q^-1), with delta and Delta kept as free symbols,
   read off the factored value factor by factor.  Bracket atoms [b*n + a]
   map to b*delta + a and braces to 2.  The result lives in Q(delta, Delta)
   and depends only on the value, not on how it was built.
-* ``NumericProbe(q0, n, Delta0)``: IntegerLevel(n) followed by exact
+* ``q_to_one(x)``: the classical image of a z-free value, which does not
+  depend on the curve along which q goes to 1.
+* ``numeric_probe(x, q0, n, Delta0)``: integer_level(x, n) followed by exact
   evaluation at a rational q0 (not 0 or +-1) and Delta -> Delta0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -468,40 +469,7 @@ def _reflect(poly):
 
 
 # --------------------------------------------------------------------------
-# Specialization targets.
-
-
-@dataclass(frozen=True)
-class IntegerLevel:
-    """z -> q^n."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise SpecializationError("IntegerLevel requires a positive integer")
-
-
-@dataclass(frozen=True)
-class Classical:
-    """The limit q, z -> 1 along z - z^-1 = delta (q - q^-1), in Q(delta, Delta)."""
-
-
-@dataclass(frozen=True)
-class NumericProbe:
-    """IntegerLevel(n), then exact evaluation at q = q0, Delta = Delta0."""
-
-    q0: Fraction
-    n: int
-    Delta0: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "q0", Fraction(self.q0))
-        object.__setattr__(self, "Delta0", Fraction(self.Delta0))
-        if self.q0 in (0, 1, -1):
-            raise SpecializationError("NumericProbe requires q0 not in {0, 1, -1}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise SpecializationError("NumericProbe requires a positive integer n")
+# Specializations.
 
 
 def integer_level(x: ScalarK, n: int) -> ScalarK:
@@ -614,47 +582,25 @@ def _require_gens_absent(poly, positions, what):
 
 
 def q_to_one(x: ScalarK):
-    """Exact limit q -> 1 of a z-free value; result lives in Q(delta, Delta)
-    (with delta absent).  Cancels matching powers of (q - 1) first."""
+    """The limit q -> 1 of a z-free value, in Q(delta, Delta) with delta
+    absent.  A z-free value does not depend on the curve along which q and
+    z go to 1, so the limit is its classical image: a pole at q = 1, or a
+    u or v left in the value, raises :class:`ClassicalSingular`."""
     x = scalar(x)
-    num, den = x.nf.numer, x.nf.denom
-    _require_gens_absent(num, (1,), "z")
-    _require_gens_absent(den, (1,), "z")
-    qm1 = _QG - 1
-    while True:
-        n1 = num.evaluate(_QG, 1)
-        d1 = den.evaluate(_QG, 1)
-        n_zero = not n1
-        d_zero = not d1
-        if not (n_zero and d_zero):
-            break
-        num, rn = divmod(num, qm1)
-        den, rd = divmod(den, qm1)
-        if rn or rd:  # pragma: no cover - defensive
-            raise SpecializationError("(q - 1) cancellation failed")
-    if d_zero:
-        raise DivisionByZero("pole at q = 1")
-    return CLASSICAL_FIELD.new(_q1_poly(n1), _q1_poly(d1))
-
-
-def _q1_poly(poly):
-    """A polynomial in (z, Delta, u, v), q evaluated away, as a polynomial
-    in CLASSICAL_FIELD.ring; it may hold only Delta."""
-    terms = {}
-    for (z, d, u, v), coeff in poly.items():
-        # z was required absent upstream
-        if z or u or v:
-            raise SpecializationError(
-                "value still involves z, u or v after the q -> 1 limit"
-            )
-        terms[0, d] = coeff
-    return CLASSICAL_FIELD.ring(terms)
+    _require_gens_absent(x.nf.numer, (1,), "z")
+    _require_gens_absent(x.nf.denom, (1,), "z")
+    return classical(x)
 
 
 def numeric_probe(x: ScalarK, q0, n: int, Delta0) -> Fraction:
-    """IntegerLevel(n) then exact rational evaluation."""
-    t = NumericProbe(Fraction(q0), n, Fraction(Delta0))
-    y = integer_level(x, t.n)
+    """integer_level(x, n), then exact evaluation at a rational q = q0, not
+    0 or +-1, and Delta = Delta0."""
+    q0, Delta0 = Fraction(q0), Fraction(Delta0)
+    if q0 in (0, 1, -1):
+        raise SpecializationError("numeric_probe requires q0 not in {0, 1, -1}")
+    if not isinstance(n, int) or n < 1:
+        raise SpecializationError("numeric_probe requires a positive integer n")
+    y = integer_level(x, n)
     num, den = y.nf.numer, y.nf.denom
     _require_gens_absent(num, (3, 4), "the spectral generators u, v")
     _require_gens_absent(den, (3, 4), "the spectral generators u, v")
@@ -662,9 +608,9 @@ def numeric_probe(x: ScalarK, q0, n: int, Delta0) -> Fraction:
     num, den = num.set_ring(_QRING), den.set_ring(_QRING)
     qg, zg, dg, ug, vg = _QRING.gens
     subs = [
-        (qg, QQ(t.q0.numerator, t.q0.denominator)),
+        (qg, QQ(q0.numerator, q0.denominator)),
         (zg, QQ(0)),  # z is already eliminated by the level specialization
-        (dg, QQ(t.Delta0.numerator, t.Delta0.denominator)),
+        (dg, QQ(Delta0.numerator, Delta0.denominator)),
         (ug, QQ(0)),
         (vg, QQ(0)),
     ]
@@ -676,76 +622,21 @@ def numeric_probe(x: ScalarK, q0, n: int, Delta0) -> Fraction:
     return Fraction(int(res.numerator), int(res.denominator))
 
 
-def classical_limit(x: ScalarK, n: int, Delta0=None):
-    """IntegerLevel(n) followed by the exact q -> 1 limit.
-
-    Returns an element of Q(Delta), or a Fraction if ``Delta0`` is given.
-    """
-    val = q_to_one(integer_level(x, n))
-    if Delta0 is None:
-        return val
-    D0 = Fraction(Delta0)
-    ring = val.numer.ring
-    for monom, _ in list(val.numer.terms()) + list(val.denom.terms()):
-        if monom[0]:
-            raise SpecializationError("value still involves delta")
-    subs = [(ring.gens[0], QQ(0)), (ring.gens[1], QQ(D0.numerator, D0.denominator))]
-    num = val.numer.evaluate(subs)
-    den = val.denom.evaluate(subs)
-    if not den:
-        raise DivisionByZero("denominator vanishes at Delta0")
-    res = QQ(num) / QQ(den)
-    return Fraction(int(res.numerator), int(res.denominator))
-
-
-def specialize(x: ScalarK, target):
-    """Apply a specialization target.
-
-    * IntegerLevel(n) -> ScalarK (z eliminated)
-    * Classical       -> element of Q(delta, Delta)
-    * NumericProbe    -> Fraction
-    """
-    if isinstance(target, IntegerLevel):
-        return integer_level(x, target.n)
-    if isinstance(target, Classical):
-        return classical(x)
-    if isinstance(target, NumericProbe):
-        return numeric_probe(x, target.q0, target.n, target.Delta0)
-    raise SpecializationError(f"unknown specialization target {target!r}")
-
-
-def classical_poly_coeffs(val) -> dict[int, Fraction]:
-    """Coefficients {degree: coeff} of a delta-polynomial in Q(delta, Delta).
-
-    Raises if the value is not a polynomial in delta alone.
-    """
-    num, den = val.numer, val.denom
-    out: dict[int, Fraction] = {}
-    for monom, coeff in num.terms():
-        if monom[1]:
-            raise SpecializationError("classical value involves Delta")
-        c = Fraction(int(coeff.numerator), int(coeff.denominator))
-        out[monom[0]] = out.get(monom[0], Fraction(0)) + c
-    dterms = den.terms()
-    if len(dterms) != 1 or dterms[0][0] != (0, 0):
-        raise SpecializationError("classical value is not a delta-polynomial")
-    dc = Fraction(int(dterms[0][1].numerator), int(dterms[0][1].denominator))
-    return {k: v / dc for k, v in out.items() if v}
-
-
 # --------------------------------------------------------------------------
 # Canonical text form.
 
 
-def _render_poly(poly) -> str:
+def _render_poly(poly, names=_VAR_NAMES) -> str:
+    """A polynomial as text, terms in descending lexicographic monomial
+    order, ``names`` naming its generators; integer or rational
+    coefficients."""
     terms = sorted(poly.terms(), key=lambda t: t[0], reverse=True)
     if not terms:
         return "0"
     parts = []
-    for monom, coeff in terms:
-        c = int(coeff)
+    for monom, c in terms:
         factors = []
-        for name, e in zip(_VAR_NAMES, monom):
+        for name, e in zip(names, monom):
             if e == 1:
                 factors.append(name)
             elif e > 1:

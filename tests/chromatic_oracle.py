@@ -4,18 +4,19 @@ contraction in ``qspin.networks``, and a strategy for random strand networks.
 ``brute_force_chromatic`` enumerates one permutation per rectangle, takes
 the parity of each from its inversions, and traces the closed loops of every
 assignment through the ambient linking: the product of d! over the
-rectangles, each with a walk over all ports.
+rectangles, each with a walk over all ports.  The sum is a polynomial in
+delta, an element of ``CLASSICAL_FIELD.ring`` like the program's.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
 
 from hypothesis import strategies as st
 
-from qspin.networks import DeltaPoly, StrandNetwork
+from qspin.networks import StrandNetwork
+from qspin.scalar import CLASSICAL_FIELD
 
 #: Most lines of a generated network.
 MAX_LINES = 10
@@ -30,7 +31,7 @@ def _inversions(p) -> int:
     )
 
 
-def brute_force_chromatic(sn: StrandNetwork, normalization: str = "Raw") -> DeltaPoly:
+def brute_force_chromatic(sn: StrandNetwork, normalization: str = "Raw"):
     """The state sum over permutation assignments to the rectangles.
 
     A permutation p of rectangle r sends the strand entering at (r, 0, k)
@@ -75,12 +76,13 @@ def brute_force_chromatic(sn: StrandNetwork, normalization: str = "Raw") -> Delt
         perm.pop(r, None)
 
     rec(0, {}, 1)
-    poly = DeltaPoly.from_dict(totals)
+    ring = CLASSICAL_FIELD.ring
+    delta = ring.gens[0]
+    poly = sum((c * delta**loops for loops, c in totals.items()), ring.zero)
     for a in sn.free_loops:
-        poly = poly * DeltaPoly.from_dict({a: 1})
+        poly *= delta**a
     if normalization == "ProjectorNormalized":
-        norm = prod(factorial(d) for d in sn.rect_degree.values())
-        poly = poly.scale(Fraction(1, norm))
+        poly /= prod(factorial(d) for d in sn.rect_degree.values())
     return poly
 
 

@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
+from q_limit import at_delta
 from registry_rows import rows_hold
 
-from qspin import networks, scalar
+from qspin import scalar
 from qspin.matrixlab import (
     CHECKS,
     check_quantum_dims,
@@ -41,13 +42,12 @@ from qspin.recoupling import (
     theta_vector,
 )
 from qspin.scalar import (
+    CLASSICAL_FIELD,
     DELTA,
     Q,
     SPIN_DELTA,
     Z,
     classical,
-    classical_limit,
-    classical_poly_coeffs,
     equal,
     integer_level,
     q_to_one,
@@ -77,16 +77,6 @@ def test_acceptance_01_ring_consistency():
 # 2 ------------------------------------------------------------------------
 
 
-def _classical_at(x, n: int):
-    """classical image with delta -> n, as an element of Q(delta, Delta)."""
-    cl = classical(x)
-    ring, field = cl.numer.ring, cl.field
-    d = ring.gens[0]
-    # divide in the field: a ring quotient by a constant stays a PolyElement,
-    # which never compares equal to the FracElement that q_to_one returns
-    return field(cl.numer.compose(d, ring(n))) / field(cl.denom.compose(d, ring(n)))
-
-
 def test_acceptance_02_specialization_square():
     rng = random.Random(7)
     pool = []
@@ -102,7 +92,7 @@ def test_acceptance_02_specialization_square():
     for x in pool:
         for n in (1, 2, 3):
             left = q_to_one(integer_level(x, n))
-            right = _classical_at(x, n)
+            right = at_delta(classical(x), n)
             ok = ok and (left == right)
     _report(2, "specialization square", ok)
 
@@ -166,16 +156,14 @@ def test_acceptance_07_fierz_suite():
 # 8 ------------------------------------------------------------------------
 
 
-def _classical_delta_poly(x) -> dict:
-    return classical_poly_coeffs(classical(x))
+_delta = CLASSICAL_FIELD.ring.gens[0]
 
 
-def _chromatic_at_2delta(poly: networks.DeltaPoly) -> dict:
-    # frozen calibration: delta_chromatic = 2 * delta_classical, factor 1
-    out = {}
-    for d, c in poly.coeffs:
-        out[d] = out.get(d, Fraction(0)) + c * 2**d
-    return {k: v for k, v in out.items() if v}
+def _matches_chromatic(closed, chrom) -> bool:
+    """Frozen calibration: delta_chromatic = 2 * delta_classical, factor 1.
+    The comparison is in the field: a polynomial never equals a fraction
+    whose denominator is not 1."""
+    return classical(closed) == CLASSICAL_FIELD(chrom.compose(_delta, 2 * _delta))
 
 
 _K4_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -191,7 +179,7 @@ def test_acceptance_08_chromatic_oracle():
     for a in range(9):
         closed = dimq_vector_recurrence_consistent(a)
         chrom = chromatic_eval(medial(unknot(a)), "ProjectorNormalized")
-        ok = ok and (_classical_delta_poly(closed) == _chromatic_at_2delta(chrom))
+        ok = ok and _matches_chromatic(closed, chrom)
     # every admissible theta with labels <= 6
     for a, b, c in product(range(7), repeat=3):
         if not _admissible(a, b, c):
@@ -199,7 +187,7 @@ def test_acceptance_08_chromatic_oracle():
         r, s, t = AdmissibleTriple(a, b, c).rst
         closed = theta_vector(r, s, t)
         chrom = chromatic_eval(medial(theta_network(a, b, c)), "ProjectorNormalized")
-        ok = ok and (_classical_delta_poly(closed) == _chromatic_at_2delta(chrom))
+        ok = ok and _matches_chromatic(closed, chrom)
     # every admissible tetrahedron with labels <= 4 evaluates like every
     # relabelling of it by a vertex permutation of K4
     orbits: dict = {}
@@ -217,14 +205,19 @@ def test_acceptance_08_chromatic_oracle():
         ok = ok and orbits.setdefault(orbit, raw) == raw
     # tetrahedron, all-1 grid: frozen golden value (brute-force derived)
     t1 = TetrahedronSymbol.from_grid([[1] * 4, [1] * 4, [1] * 4])
-    raw = tetrahedron_chromatic(t1, "Raw").as_dict()
-    ok = ok and raw == {
-        4: Fraction(1), 3: Fraction(-5), 2: Fraction(8), 1: Fraction(-4)
-    }
+    raw = tetrahedron_chromatic(t1, "Raw")
+    ok = ok and raw == _delta**4 - 5 * _delta**3 + 8 * _delta**2 - 4 * _delta
     _report(8, "chromatic oracle", ok)
 
 
 # 9 ------------------------------------------------------------------------
+
+
+def _q1_at(x, k: int, Delta0: int):
+    """The limit q -> 1 of x at level k, at Delta = Delta0, a rational."""
+    val = q_to_one(integer_level(x, k))
+    assert not any(d for d, _ in val.numer.monoms() + val.denom.monoms())  # in Q(Delta)
+    return val.numer(0, Delta0) / val.denom(0, Delta0)
 
 
 def test_acceptance_09_gamma_oracle():
@@ -245,11 +238,11 @@ def test_acceptance_09_gamma_oracle():
          [(0, 1), (2, 3), (4, 5), (6, 7)], SPIN_DELTA * DELTA**4, 4),
     ]
     for k in (1, 2, 3):
-        D0 = Fraction(2**k)
+        D0 = 2**k
         todo = cases + (long_cases if k <= 2 else [])
         for word, matching, closed, m in todo:
             g = gamma_oracle_trace(k, word, matching)
-            c = classical_limit(closed, k, D0)
+            c = _q1_at(closed, k, D0)
             # frozen rescaling: one factor of 2 per contracted pair
             ok = ok and (g == c * 2**m)
     _report(9, "gamma oracle", ok)

@@ -173,6 +173,12 @@ def test_specialize_subcommand(capsys):
     assert equal(parse_scalar(out.strip()), parse_scalar("1"))
     code, _, err = run(capsys, "specialize", "--expr", "q +", "--to", "n=1")
     assert code == 2
+    code, out, err = run(capsys, "specialize", "--expr", "q", "--to", "nonsense")
+    assert (code, out) == (2, "") and err.startswith("error [bad-target]")
+    # the level cap is inclusive
+    level = cli.MAX_LEVEL
+    assert run(capsys, "specialize", "--expr", "z", "--to", f"n={level}") == (
+        0, f"q^{level}\n", "")
 
 
 def test_eval_3j(capsys):
@@ -265,30 +271,43 @@ def test_classical_of_canonical_texts(capsys):
     assert run(capsys, "specialize", "--expr", text, "--to", "classical") == (0, want, "")
 
 
-@pytest.mark.parametrize("expr", ["1/(q-1)", "u"], ids=["pole", "spectral"])
-def test_classical_singular_is_a_typed_error(capsys, expr):
-    code, out, err = run(capsys, "specialize", "--expr", expr, "--to", "classical")
+@pytest.mark.parametrize(
+    "to,expr",
+    [("classical", "1/(q-1)"), ("classical", "u"), ("q1", "1/(q-1)"), ("q1", "u")],
+    ids=["pole", "spectral", "q1-pole", "q1-spectral"],
+)
+def test_classical_singular_is_a_typed_error(capsys, to, expr):
+    code, out, err = run(capsys, "specialize", "--expr", expr, "--to", to)
     assert code == 2 and out == ""
     assert err.startswith("error [ClassicalSingular]")
     assert "Traceback" not in err
 
 
+_LEVEL = f"n={cli.MAX_LEVEL + 1}"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,error",
     [
-        ["fierz-table", "--max", str(cli.MAX_FIERZ_TABLE + 1)],
-        ["dims", "--p-max", str(cli.MAX_DIMS_P + 1)],
-        ["fierz-table", "--max", "-1"],
-        ["dims", "--p-max", "-1"],
+        (["fierz-table", "--max", str(cli.MAX_FIERZ_TABLE + 1)], "ArgumentOutOfRange"),
+        (["dims", "--p-max", str(cli.MAX_DIMS_P + 1)], "ArgumentOutOfRange"),
+        (["fierz-table", "--max", "-1"], "ArgumentOutOfRange"),
+        (["dims", "--p-max", "-1"], "ArgumentOutOfRange"),
+        (["dims", "--p-max", "25", "--specialize", _LEVEL], "bad-target"),
+        (["eval-theta", "--r", "2", "--s", "2", "--t", "2", "--specialize", _LEVEL],
+         "bad-target"),
+        (["specialize", "--expr", "(z^3 - q)/(z^2 - q^2)", "--to", _LEVEL], "bad-target"),
+        (["specialize", "--expr", "q", "--to", "n=100000"], "bad-target"),
     ],
-    ids=["fierz-table-max", "dims-p-max", "fierz-table-negative", "dims-negative"],
+    ids=["fierz-table-max", "dims-p-max", "fierz-table-negative", "dims-negative",
+         "dims-level", "eval-theta-level", "specialize-level", "specialize-huge-level"],
 )
-def test_table_size_caps(capsys, argv):
+def test_table_size_caps(capsys, argv, error):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err.startswith("error [ArgumentOutOfRange]")
+    assert err.startswith(f"error [{error}]")
 
 
 @pytest.mark.parametrize(
@@ -324,6 +343,25 @@ def test_chromatic(tmp_path, capsys):
     assert "delta" in out
     code, _, err = run(capsys, "chromatic", "--file", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+# Output of `qspin chromatic` on theta(2, 2, 2), captured when chromatic
+# values were still printed by their own polynomial class.
+CHROMATIC_THETA_222 = [
+    (["--normalization", "projector"], "1/8*delta^3 - 3/8*delta^2 + 1/4*delta\n"),
+    (["--normalization", "projector", "--format", "json"],
+     '{"coefficients": {"3": "1/8", "2": "-3/8", "1": "1/4"}}\n'),
+    (["--normalization", "projector", "--at", "3"], "3/4\n"),
+    (["--normalization", "raw"], "delta^3 - 3*delta^2 + 2*delta\n"),
+]
+
+
+@pytest.mark.parametrize("argv,want", CHROMATIC_THETA_222,
+                         ids=["projector", "projector-json", "projector-at", "raw"])
+def test_chromatic_output_pinned(tmp_path, capsys, argv, want):
+    path = tmp_path / "theta.json"
+    path.write_text(theta_network(2, 2, 2).to_json())
+    assert run(capsys, "chromatic", "--file", str(path), *argv) == (0, want, "")
 
 
 _THETA_DOC = json.loads(theta_network(1, 1, 2).to_json())

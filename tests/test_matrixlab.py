@@ -89,12 +89,20 @@ def test_manifest_runner():
             # unhashable params fail validation before any memo lookup
             {"name": "ybe", "params": {"kind": "BMW_D", "rep": "tensor", "n": [1]}},
             {"name": "tower", "params": {"kind": ["E"], "n": 1, "p_max": 2}},
+            # p_max must be a positive integer; 0 used to pass vacuously
+            {"name": "tower", "params": {"kind": "E", "n": 1, "p_max": [2]}},
+            {"name": "tower", "params": {"kind": "F", "n": 1, "p_max": "3"}},
+            {"name": "tower", "params": {"kind": "E", "n": 1, "p_max": 0}},
+            {"name": "quantum-dims", "params": {"n": 1, "p_max": [2]}},
+            {"name": "quantum-dims", "params": {"n": 2, "p_max": "3"}},
+            {"name": "quantum-dims", "params": {"n": 1, "p_max": 0}},
+            {"name": "quantum-dims", "params": {"n": 1, "p_max": 2.0}},
         ],
     }
     out = run_manifest(doc)
     assert not out["all_passed"]
     passed = [r["passed"] for r in out["results"]]
-    assert passed == [True, True, True] + [False] * 7
+    assert passed == [True, True, True] + [False] * 14
     for row in out["results"][3:6]:
         assert row["error"].startswith("ArgumentOutOfRange")
     # an identity row runs only on its grid: it has no size budget
@@ -103,7 +111,8 @@ def test_manifest_runner():
         "name": "no-such-check", "params": {}, "passed": False, "error": "unknown check"
     }
     assert out["results"][8]["error"].startswith("UnsupportedSize")
-    assert out["results"][9]["error"].startswith("ArgumentOutOfRange")
+    for row in out["results"][9:]:
+        assert row["error"].startswith("ArgumentOutOfRange"), row
     with pytest.raises(ParseError):
         run_manifest({"format_version": 2, "checks": []})
 

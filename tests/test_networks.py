@@ -16,7 +16,6 @@ from qspin.errors import (
 )
 from qspin.networks import (
     MAX_TOTAL_LINES,
-    DeltaPoly,
     LabelledNetwork,
     StrandNetwork,
     TetrahedronSymbol,
@@ -35,6 +34,10 @@ from qspin.networks import (
     theta_network,
     unknot,
 )
+from qspin.scalar import CLASSICAL_FIELD, _render_poly
+
+_R = CLASSICAL_FIELD.ring
+_d = _R.gens[0]
 
 
 def _falling(x: Fraction, k: int) -> Fraction:
@@ -44,12 +47,20 @@ def _falling(x: Fraction, k: int) -> Fraction:
     return out
 
 
+def _at(poly, x):
+    """A polynomial in delta at delta = x, a rational."""
+    return poly(x, 0)
+
+
 def test_delta_poly_basics():
-    p = DeltaPoly.from_dict({2: 1, 0: -3})
-    assert p(2) == 1
-    assert str(p) == "delta^2 - 3"
-    q = p * DeltaPoly.from_dict({1: Fraction(1, 2)})
-    assert q.as_dict() == {3: Fraction(1, 2), 1: Fraction(-3, 2)}
+    # chromatic values are polynomials in delta, printed by the scalar renderer
+    p = _d**2 - 3
+    assert _at(p, 2) == 1
+    assert _render_poly(p, ("delta", "Delta")) == "delta^2 - 3"
+    q = p * _d / 2
+    assert q == _R({(3, 0): Fraction(1, 2), (1, 0): Fraction(-3, 2)})
+    assert _render_poly(q, ("delta", "Delta")) == "1/2*delta^3 - 3/2*delta"
+    assert _render_poly(_R.zero, ("delta", "Delta")) == "0"
 
 
 def test_network_validation():
@@ -85,16 +96,16 @@ def test_theta_closed_form(a, b, c):
         factorial(r + s) * factorial(r + t) * factorial(s + t),
     )
     for x in (-2, 0, 1, 5, 11):
-        assert poly(x) == coef * _falling(Fraction(x), m)
+        assert _at(poly, x) == coef * _falling(Fraction(x), m)
 
 
 def test_unknot_values():
     # plain cable: delta^a; through one projector: falling factorial / a!
-    assert chromatic_eval(cabled_unknot(3, False))(5) == 125
+    assert chromatic_eval(cabled_unknot(3, False)) == _d**3
     for a in range(4):
         poly = chromatic_eval(medial(unknot(a)), "ProjectorNormalized")
         for x in (-2, 3, 7):
-            assert poly(x) == _falling(Fraction(x), a) / factorial(a)
+            assert _at(poly, x) == _falling(Fraction(x), a) / factorial(a)
     assert penrose_eval(cabled_unknot(2, True)) == 6
 
 
@@ -103,19 +114,14 @@ def test_tetrahedron_all_ones_golden():
     assert tetrahedron_check(t)
     assert tetrahedron_edge_labels(t) == [2] * 6
     raw = tetrahedron_chromatic(t, "Raw")
-    assert raw.as_dict() == {
-        4: Fraction(1),
-        3: Fraction(-5),
-        2: Fraction(8),
-        1: Fraction(-4),
-    }
+    assert raw == _d**4 - 5 * _d**3 + 8 * _d**2 - 4 * _d
     normed = tetrahedron_chromatic(t, "ProjectorNormalized")
-    assert normed.as_dict() == {k: v / 64 for k, v in raw.as_dict().items()}
+    assert normed == raw / 64
 
 
 def test_tetrahedron_trivial_and_invalid():
     t0 = TetrahedronSymbol.from_grid([[0] * 4] * 3)
-    assert tetrahedron_chromatic(t0).as_dict() == {0: Fraction(1)}
+    assert tetrahedron_chromatic(t0) == 1
     with pytest.raises(ConstraintViolated):
         TetrahedronSymbol.from_grid([[1, 2], [3, 4]])
     with pytest.raises(ConstraintViolated):
@@ -135,7 +141,7 @@ def test_zero_edge_deletion_invariance(r, s):
     net = theta_network(a, a, 0)
     before = chromatic_eval(medial(net), "ProjectorNormalized")
     after = chromatic_eval(medial(delete_zero_edge(net, 2)), "ProjectorNormalized")
-    assert before.as_dict() == after.as_dict()
+    assert before == after
 
 
 def test_state_space_budget():
@@ -161,7 +167,7 @@ def test_network_json_round_trip():
     assert back.rotation == net.rotation
     sn = medial(net)
     sn2 = StrandNetwork.from_json(sn.to_json())
-    assert chromatic_eval(sn2)(9) == chromatic_eval(sn)(9)
+    assert chromatic_eval(sn2) == chromatic_eval(sn)
     # byte-identical reproducibility
     assert net.to_json() == LabelledNetwork.from_json(net.to_json()).to_json()
 

@@ -22,6 +22,7 @@ from exprtree import (
     trees,
     value,
 )
+from q_limit import at_delta, q_to_one_by_division
 from qspin import scalar
 from qspin.errors import (
     ArgumentOutOfRange,
@@ -38,15 +39,10 @@ from qspin.scalar import (
     SPIN_DELTA,
     Z,
     ZERO,
-    Classical,
-    IntegerLevel,
-    NumericProbe,
     ScalarK,
     bar,
     brace_atom,
     classical,
-    classical_limit,
-    classical_poly_coeffs,
     equal,
     integer_level,
     numeric_probe,
@@ -54,7 +50,6 @@ from qspin.scalar import (
     q_to_one,
     qint_atom,
     scalar as mk,
-    specialize,
     to_text,
 )
 
@@ -182,6 +177,10 @@ def test_q_to_one_cancels_poles():
     assert str(q_to_one(x)) == "3"
     with pytest.raises(SpecializationError):
         q_to_one(Z)  # still involves z
+    # a pole at q = 1 and the spectral generators have no classical image
+    for text in ["1/(q - 1)", "u", "v*q/(q + 1)"]:
+        with pytest.raises(ClassicalSingular):
+            q_to_one(parse_scalar(text))
 
 
 def test_numeric_probe_consistency():
@@ -191,37 +190,25 @@ def test_numeric_probe_consistency():
     # [n + 1] at z = q^n, n = 2: (q^3 - q^-3)/(q - q^-1)
     expect = (q0**3 - q0**-3) / (q0 - q0**-1) * 4
     assert v == expect
+    assert numeric_probe(DELTA, 2, 1, 1) == 1
+    for q0, n in [(0, 1), (1, 1), (-1, 2), (2, 0), (2, 1.5)]:
+        with pytest.raises(SpecializationError):
+            numeric_probe(x, q0, n, 4)
 
 
 def test_classical_limit_matches_delta_substitution():
     # q->1 of level-n [n+1] equals n+1
     for n in (1, 2, 3):
-        v = classical_limit(qint_atom(1, 1), n)
+        v = q_to_one(integer_level(qint_atom(1, 1), n))
         assert str(v) == str(n + 1)
-
-
-def test_specialize_dispatch():
-    x = qint_atom(1, 0)
-    assert isinstance(specialize(x, IntegerLevel(2)), ScalarK)
-    assert str(specialize(x, Classical())) == "delta"
-    assert specialize(DELTA, NumericProbe(Fraction(2), 1, Fraction(1))) == Fraction(1)
-    with pytest.raises(SpecializationError):
-        specialize(x, "nonsense")
-
-
-def _at_delta(cl, n: int):
-    """An element of Q(delta, Delta) at delta = n, still in Q(delta, Delta)."""
-    ring, field = cl.numer.ring, cl.field
-    d = ring.gens[0]
-    # a ring quotient would stay a PolyElement
-    return field(cl.numer.compose(d, ring(n))) / field(cl.denom.compose(d, ring(n)))
+        assert v == CLASSICAL_FIELD(n + 1)
 
 
 def test_specialization_square_on_atoms():
     # level n then q -> 1  ==  classical then delta -> n
     for n in (1, 2, 3):
         for x in [qint_atom(1, 1), qint_atom(2, -1), brace_atom(2), DELTA * DELTA]:
-            assert q_to_one(integer_level(x, n)) == _at_delta(classical(x), n)
+            assert q_to_one(integer_level(x, n)) == at_delta(classical(x), n)
 
 
 def test_canonical_text_examples():
@@ -277,11 +264,6 @@ def _exprs(draw, depth=3):
 @settings(max_examples=60, deadline=None)
 def test_text_round_trip_random(x):
     assert equal(parse_scalar(to_text(x)), x)
-
-
-def test_classical_poly_coeffs():
-    val = classical(DELTA * DELTA - 3 * DELTA)
-    assert classical_poly_coeffs(val) == {2: Fraction(1), 1: Fraction(-3)}
 
 
 # --------------------------------------------------------------------------
@@ -503,4 +485,38 @@ def test_classical_square_on_stored_texts():
         x = parse_scalar(text)
         cl = classical(x)
         for n in (1, 2, 3):
-            assert _at_delta(cl, n) == q_to_one(integer_level(x, n)), (text, n)
+            assert at_delta(cl, n) == q_to_one(integer_level(x, n)), (text, n)
+
+
+# --------------------------------------------------------------------------
+# q -> 1 against the (q - 1)-division reference.
+
+
+def _z_free_values():
+    """The stored texts, every Fierz coefficient with a, b <= 5, both
+    dimension towers to p = 10 and the thetas with r + s + t <= 4, each at
+    levels 1, 2 and 3."""
+    from qspin.matrixlab import dimq_sym_recursive
+    from qspin.recoupling import (
+        FierzTable,
+        dimq_vector_recurrence_consistent,
+        theta_vector,
+    )
+
+    values = [parse_scalar(text) for text in _stored_texts()]
+    values += FierzTable.generate(5, 5).entries.values()
+    for p in range(11):
+        values += [dimq_vector_recurrence_consistent(p), dimq_sym_recursive(p)]
+    values += [theta_vector(r, s, t) for r in range(5) for s in range(5)
+               for t in range(5) if r + s + t <= 4]
+    return [integer_level(x, n) for x in values for n in (1, 2, 3)]
+
+
+def test_q_to_one_matches_division_reference():
+    values = _z_free_values()
+    assert len(values) == 3 * (51 + 36 + 22 + 35)
+    # z-free values whose factors hold z, cancelling between them
+    values += [parse_scalar("(z^2 - 1)/((z - 1)*(z + 1))*q"),
+               parse_scalar("(z^3 - 1)*(q^2 - 1)/((z - 1)*(z^2 + z + 1)*(q - 1))")]
+    for x in values:
+        assert q_to_one(x) == q_to_one_by_division(x), to_text(x)
