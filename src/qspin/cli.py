@@ -8,6 +8,7 @@ error (with a machine-readable error object on stderr when --format json).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -16,15 +17,26 @@ from .errors import ArgumentOutOfRange, QspinError
 
 # Size caps, from one cold CLI run each on a 2-core x86 machine (Python
 # 3.11, sympy 1.14, no gmpy2).
-#: Largest ``fierz-table --max``: 8 takes 6.9 s, 9 took 14 s.
+#: Largest ``fierz-table --max``: 8 takes 3.1 s, 9 took 6.4 s and 10
+#: 14 s.  It stays at 8 because a ``--max 9`` table has exponents up to 266,
+#: past ``scalar.MAX_PARSE_EXPONENT``, so ``FierzTable.from_json`` could not
+#: read it back.
 MAX_FIERZ_TABLE = 8
-#: Largest ``dims --p-max``: 20 takes 2.7 s, 25 10 s, 30 took 30 s.
-MAX_DIMS_P = 25
+#: Largest ``dims --p-max``: 20 takes 1.4 s, 25 3.4 s, 28 5.7 s (12.2 s
+#: with ``--specialize n=16``, 7.7 s with n=1); 30 took 8.1 s (15.5 s at
+#: n=16) and 35 17 s.
+MAX_DIMS_P = 28
 #: Largest level K of ``--specialize n=K`` and ``specialize --to n=K``.  At
-#: K = 16, ``dims --p-max 25`` takes 12 s and the slowest text the parser
-#: accepts, ((q+z+1)^65 + 1)/((q+z+2)^65 + 1), 4.1 s (2.8 s at K = 1).  At
-#: K = 64 they took 22 s and 15 s, and ``dims --p-max 25`` 84 s at K = 256.
+#: K = 16, ``dims --p-max 28`` takes 12 s (25 took 7.9 s) and the slowest
+#: text the parser accepts, ((q+z+1)^65 + 1)/((q+z+2)^65 + 1), 3.4 s (3.0 s
+#: at K = 1).  At K = 64 they took 29 s and 15 s.
 MAX_LEVEL = 16
+#: Largest r + s + t of ``eval-theta`` and ``eval-3j``.  At 24 the slowest
+#: accepted call, ``eval-3j --kind double``, takes 4.0-4.4 s and prints
+#: 0.67 MB (``eval-theta --r 8 --s 8 --t 8`` 1.6 s, 0.29 MB; 4.0 s and
+#: 2.4 s with ``--specialize n=16``); at 25 it took 5.5 s, and at 30 12-13 s
+#: for 1.5 MB.
+MAX_EVAL_SUM = 24
 
 
 class ValidationFailure(Exception):
@@ -104,6 +116,7 @@ def _cmd_eval_theta(args) -> int:
                 "bad-labels", "give --r --s --t or all of --a --b --c"
             )
         r, s, t = args.r, args.s, args.t
+    _check_eval_cap(r, s, t)
     if args.kind == "vector":
         value = recoupling.theta_vector(r, s, t)
     else:
@@ -119,9 +132,15 @@ def _cmd_eval_theta(args) -> int:
 def _cmd_eval_3j(args) -> int:
     if None in (args.r, args.s, args.t):
         raise ValidationFailure("bad-labels", "give --r --s --t")
+    _check_eval_cap(args.r, args.s, args.t)
     fn = recoupling.threej_double if args.kind == "double" else recoupling.threej_spinor
     print(_render_scalar(args.target(fn(args.r, args.s, args.t)), args.format))
     return 0
+
+
+def _check_eval_cap(r: int, s: int, t: int) -> None:
+    if r + s + t > MAX_EVAL_SUM:
+        raise ArgumentOutOfRange(f"r + s + t = {r + s + t} exceeds the cap {MAX_EVAL_SUM}")
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
@@ -301,9 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     fmt = getattr(args, "format", "text")
     try:
         args.target = (

@@ -11,11 +11,14 @@ Conventions:
   calibration) are verified for this choice.
 * Matrices are sparse and fraction-free: rows[i][j] holds a nonzero
   integer-coefficient polynomial numerator and one denominator ``den`` is
-  shared by all entries.  Products and sums multiply and add polynomials
-  only; one normalization per operation then cancels the factors that
-  ``den`` shares with every numerator, so the stored form is canonical and
-  equality is structural.  A field element is built (one cancel) only when
-  an entry is read.
+  shared by all entries, kept with its irreducible factors.  Products and
+  sums multiply and add polynomials only; one normalization per operation
+  then trial-divides the numerators by each factor of ``den``, so the
+  stored form is canonical and equality is structural.  The factors of a
+  scalar's denominator are read off its reduced factor map (generators,
+  cyclotomic keys, and ``factor_list`` only for any other key), not found
+  by factoring the multiplied-out denominator.  A field element is built
+  (one cancel) only when an entry is read.
 * Inside BraidData, z is specialized to q^n throughout.
 """
 
@@ -39,7 +42,7 @@ from .errors import (
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
-from .scalar import _MONO1, _expand, _fac_mul
+from .scalar import _MONO1, _PHI, _exquo, _expand, _fac_mul
 
 #: Guards every _built_once table: library callers may build from threads.
 _CACHE_LOCK = threading.RLock()
@@ -89,16 +92,28 @@ def _to_field(num, den):
 
 
 @_built_once
-def _factors(den) -> tuple[int, dict]:
-    """(content, {irreducible factor with positive LC: multiplicity})."""
-    cont, facs = den.factor_list()
+def _irreducible(key) -> dict:
+    """{irreducible factor with positive LC: multiplicity} of a sum key of
+    a factored value (a primitive polynomial with positive LC)."""
     fac: dict = {}
-    for f, e in facs:
+    for f, e in key.factor_list()[1]:
         if f.LC < 0:
             f = -f
-            cont *= (-1) ** e
         fac[f] = fac.get(f, 0) + e
-    return abs(cont), fac
+    return fac
+
+
+def _den_factors(x: ScalarK) -> tuple[int, dict]:
+    """(content, {irreducible factor with positive LC: multiplicity}) of
+    the denominator of ``x.nf``, read off the reduced factor map: the
+    constant's denominator, the generators of the monomial, the cyclotomic
+    keys (irreducible), and the factors of each sum key."""
+    fac = {g: -e for g, e in zip(_PRING.gens, x._mono) if e < 0}
+    for f, e in x._reduced().items():
+        if e < 0:
+            for g, k in ({f: 1} if f in _PHI else _irreducible(f)).items():
+                fac[g] = fac.get(g, 0) - e * k
+    return x._c.denominator, fac
 
 
 def _common_den(dens: list) -> tuple[int, dict, list]:
@@ -123,35 +138,6 @@ def _add_into(rows: dict, i: int, j: int, num) -> None:
         row.pop(j, None)
         if not row:
             del rows[i]
-
-
-def _exquo(p, f):
-    """p / f if f divides p exactly, else None (stops at the first term
-    that does not divide).  The ring order is lex, so a polynomial's
-    leading monomial is its largest exponent tuple."""
-    fm = max(f)
-    fc = f[fm]
-    rest = [(m, c) for m, c in f.items() if m != fm]
-    p = dict(p)
-    quo = {}
-    while p:
-        m = max(p)
-        c = p.pop(m)
-        qm = _mdiv(m, fm)
-        if qm is None:
-            return None
-        t, r = divmod(c, fc)
-        if r:
-            return None
-        quo[qm] = t
-        for m2, c2 in rest:
-            k = _mmul(qm, m2)
-            v = p.get(k, 0) - t * c2
-            if v:
-                p[k] = v
-            else:
-                del p[k]
-    return _poly(quo)
 
 
 def _exquo_monomial(p, fm):
@@ -193,7 +179,9 @@ class SquareMatrixK:
     and ``den`` the one denominator of all entries.  The form is canonical:
     ``den`` has a positive leading coefficient and shares no nonunit
     factor (integer or polynomial) with all numerators at once.  ``_dfac``
-    holds the irreducible factors of ``den`` with their multiplicities.
+    holds the irreducible factors of ``den`` with their multiplicities;
+    the factors of a scalar's denominator come from its keys
+    (``_den_factors``).
     ``entry`` wraps an entry as ScalarK, split from its reduced fraction;
     every specialization, the classical one included, reads it like any
     other value.  Numerators are shared between matrices and never mutated.
@@ -242,14 +230,16 @@ class SquareMatrixK:
         or int) given for it in ``entries``, an iterable of (i, j, value);
         positions not given are zero.  The sum is taken over one common
         denominator and normalized once."""
-        split = [(i, j, *_split(val)) for i, j, val in entries]
-        dens = list(dict.fromkeys(den for *_, den in split))
-        cont, dfac, mults = _common_den([_factors(den) for den in dens])
+        split = [(i, j, scalar(val)) for i, j, val in entries]
+        dens: dict = {}  # each denominator -> a value with it
+        for *_, x in split:
+            dens.setdefault(x.nf.denom, x)
+        cont, dfac, mults = _common_den([_den_factors(x) for x in dens.values()])
         mult = dict(zip(dens, mults))
         rows: dict = {}
-        for i, j, num, den in split:
-            if num:
-                _add_into(rows, i, j, _times(num, mult[den]))
+        for i, j, x in split:
+            if x:
+                _add_into(rows, i, j, _times(x.nf.numer, mult[x.nf.denom]))
         return SquareMatrixK(dim, rows, cont, dfac)
 
     @staticmethod
@@ -321,12 +311,13 @@ class SquareMatrixK:
         return SquareMatrixK(self.dim, rows, cont, dfac)
 
     def scale(self, c) -> "SquareMatrixK":
-        cnum, cden = _split(c)
-        if not cnum:
+        c = scalar(c)
+        if not c:
             return SquareMatrixK(self.dim, {}, 1, {})
+        cnum = c.nf.numer
         rows = {i: {j: v * cnum for j, v in row.items()}
                 for i, row in self.rows.items()}
-        return SquareMatrixK(self.dim, rows, *_den_product(self, cden))
+        return SquareMatrixK(self.dim, rows, *_den_product(self, c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareMatrixK):
@@ -373,12 +364,12 @@ def _common_content(cont: int, rows: dict) -> int:
 
 
 def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
-    """(content, factors) of a.den * b, where b is a matrix or a
-    denominator polynomial."""
+    """(content, factors) of a.den times the denominator of b, a matrix or
+    a ScalarK."""
     if isinstance(b, SquareMatrixK):
         bcont, bfac = b.den.content(), b._dfac
     else:
-        bcont, bfac = _factors(b)
+        bcont, bfac = _den_factors(b)
     return a.den.content() * bcont, _fac_mul(a._dfac, bfac)
 
 

@@ -8,15 +8,21 @@ spectral parameters u, v) subject to the single relation
 Values carry two coordinates:
 
 * a factored value -- a rational constant, times a Laurent monomial in
-  (q, z, Delta, u, v), times powers of primitive integer polynomials.
-  Products, quotients and powers only add exponents; a sum expands its two
-  terms over their common factors and keeps the result as one new factor.
+  (q, z, Delta, u, v), times powers of primitive integer polynomials, the
+  keys.  Products, quotients and powers only add exponents; a sum expands
+  its two terms over their common factors and keeps the result as a new
+  key.  A unit binomial x^a +- x^b, which every bracket and brace is, is
+  kept as its cyclotomic keys Phi_d(t), t a primitive Laurent monomial;
+  these are irreducible, so two of them share a factor only when equal.
 * ``nf`` -- the normal form: the reduced fraction of two coprime
   integer-coefficient polynomials in (q, z, Delta, u, v), the denominator's
   leading coefficient positive, with delta rewritten as
-  (z^2-1)q / ((q^2-1)z).  It is built from the factored value with one
-  cancel when first read and then cached.  Equality of values is decided
-  by comparing normal forms.
+  (z^2-1)q / ((q^2-1)z).  It is built when first read and then cached: the
+  exponents of equal keys net out, every other key is trial-divided by the
+  cyclotomic keys on the other side, and only other keys left on both
+  sides go through a gcd (one cancel).  The two sides are then multiplied
+  out.  Values built from brackets and braces need no gcd at all.
+  Equality of values is decided by comparing normal forms.
 
 Specializations, each a plain function of a value:
 
@@ -72,13 +78,18 @@ CLASSICAL_FIELD = field("delta,Delta", QQ)[0]
 # x^m in (q, z, Delta, u, v), and a map from primitive integer polynomials f
 # (content 1, positive leading coefficient, no monomial factor, not
 # constant) to nonzero exponents e.  The map is never mutated once built.
-# Distinct keys need not be coprime; the one cancel that builds the normal
-# form removes whatever they share.
+#
+# Every new polynomial becomes keys through ``_keys``.  A unit binomial
+# x^a +- x^b is stored as its cyclotomic keys (see ``_split_binomial``),
+# which are irreducible, so two of them share a factor only when they are
+# the same key.  Any other polynomial is one "sum" key, which may share
+# factors with other keys; ``_reduce`` removes what the two sides share.
 
 _NGENS = 5
 _MONO1 = (0,) * _NGENS
 _NO_FACTORS: dict = {}
 _poly = _RING.dtype
+_mmul = _RING.monomial_mul
 _mdiv = _RING.monomial_div
 
 
@@ -96,11 +107,16 @@ def _primitive(poly):
 
 
 def _expand(k: int, m: tuple, fac: dict):
-    """The polynomial k * x^m * prod f^e (m and every e nonnegative)."""
-    out = _poly({m: k})
+    """The polynomial k * x^m * prod f^e (m and every e nonnegative); a
+    lone key f with k = 1 and m = 0 is returned as it is."""
+    out = None
     for f, e in fac.items():
-        out = out * f**e
-    return out
+        if e > 1:
+            f = f**e
+        out = f if out is None else out * f
+    if out is None:
+        return _poly({m: k})
+    return out if k == 1 and m == _MONO1 else out.mul_term((m, k))
 
 
 def _fac_mul(a: dict, b: dict, sign: int = 1) -> dict:
@@ -129,17 +145,180 @@ def _fac_over(fac: dict, common: dict) -> dict:
     return {f: e for f, e in out.items() if e}
 
 
+# --------------------------------------------------------------------------
+# Cyclotomic keys.
+#
+# Let x^a +- x^b be a unit binomial with no monomial factor, x^a its leading
+# term.  Then a and b have disjoint supports, a - b = g*w with w primitive,
+# and with t = x^w
+#
+#     x^a - x^b = x^(g w-) (t^g - 1) = x^(g w-) prod_{d | g} Phi_d(t),
+#     x^a + x^b = x^(g w-) (t^g + 1) = x^(g w-) prod_{d | 2g, d !| g} Phi_d(t),
+#
+# where w = w+ - w- splits w into its positive and negative parts.  The key
+# of Phi_d(t) is the polynomial x^(phi(d) w-) Phi_d(t), monic in the leading
+# term t^phi(d).  A change of variables in GL_5(Z) maps the primitive
+# monomial t to a single generator, so each key is irreducible.
+
+#: d -> the coefficients of Phi_d, lowest degree first; filled on first use.
+_CYCLOTOMIC: dict = {}
+#: Cyclotomic key Phi_d(x^w) -> (d, w); filled as binomials are split.
+_PHI: dict = {}
+#: Unit binomial -> its cyclotomic keys (a shared, never mutated map).
+_SPLITS: dict = {}
+
+
+def _cyclotomic(d: int) -> tuple:
+    """The coefficients of the cyclotomic polynomial Phi_d, lowest degree
+    first: x^d - 1 divided by Phi_e for every proper divisor e of d."""
+    coeffs = _CYCLOTOMIC.get(d)
+    if coeffs is None:
+        p = [-1] + [0] * (d - 1) + [1]
+        for e in range(1, d):
+            if d % e == 0:
+                f = _cyclotomic(e)
+                m = len(f) - 1
+                quo = [0] * (len(p) - m)
+                for i in range(len(quo) - 1, -1, -1):
+                    c = quo[i] = p[i + m]
+                    for j, fj in enumerate(f):
+                        p[i + j] -= c * fj
+                p = quo
+        coeffs = _CYCLOTOMIC.setdefault(d, tuple(p))
+    return coeffs
+
+
+def _split_binomial(a: tuple, b: tuple, sign: int) -> dict:
+    """The cyclotomic keys of x^a + sign * x^b (x^a the leading term, a and
+    b of disjoint supports), each with exponent 1."""
+    g = gcd(*(s - t for s, t in zip(a, b)))
+    wp = tuple(s // g for s in a)
+    wm = tuple(t // g for t in b)
+    if sign < 0:
+        orders = [d for d in range(1, g + 1) if g % d == 0]
+    else:
+        orders = [d for d in range(1, 2 * g + 1) if 2 * g % d == 0 and g % d]
+    keys = {}
+    for d in orders:
+        coeffs = _cyclotomic(d)
+        n = len(coeffs) - 1
+        key = _poly({
+            tuple(i * s + (n - i) * t for s, t in zip(wp, wm)): c
+            for i, c in enumerate(coeffs) if c
+        })
+        _PHI.setdefault(key, (d, tuple(s - t for s, t in zip(wp, wm))))
+        keys[key] = 1
+    return keys
+
+
+def _keys(p) -> dict:
+    """The keys of a new primitive polynomial p (positive leading
+    coefficient, no monomial factor, not constant), each with exponent 1:
+    the cyclotomic keys of a unit binomial, else p itself."""
+    if len(p) == 2:
+        keys = _SPLITS.get(p)
+        if keys is not None:
+            return keys
+        (a, ca), (b, cb) = sorted(p.items(), reverse=True)
+        if ca == 1 and cb in (1, -1):
+            return _SPLITS.setdefault(p, _split_binomial(a, b, cb))
+    return {p: 1}
+
+
+def _exquo(p, f):
+    """p / f if f divides p exactly, else None (stops at the first term
+    that does not divide).  The ring order is lex, so a polynomial's
+    leading monomial is its largest exponent tuple."""
+    fm = max(f)
+    fc = f[fm]
+    rest = [(m, c) for m, c in f.items() if m != fm]
+    p = dict(p)
+    quo = {}
+    while p:
+        m = max(p)
+        c = p.pop(m)
+        qm = _mdiv(m, fm)
+        if qm is None:
+            return None
+        t, r = divmod(c, fc)
+        if r:
+            return None
+        quo[qm] = t
+        for m2, c2 in rest:
+            k = _mmul(qm, m2)
+            v = p.get(k, 0) - t * c2
+            if v:
+                p[k] = v
+            else:
+                del p[k]
+    return _poly(quo)
+
+
+def _divide_once(fac: dict, phi: set, failed: set):
+    """(f, k, f / k) for the first sum key f of ``fac`` that a cyclotomic
+    key k (one in ``phi``) of the opposite sign divides, or None; pairs
+    found not to divide are added to ``failed`` and not tried again."""
+    for f, e in fac.items():
+        if f in phi:
+            continue
+        for k, ek in fac.items():
+            if k in phi and (ek > 0) != (e > 0) and (f, k) not in failed:
+                quo = _exquo(f, k)
+                if quo is not None:
+                    return f, k, quo
+                failed.add((f, k))
+    return None
+
+
+def _reduce(fac: dict) -> dict:
+    """The factor map ``fac`` with whatever its two sides share cancelled,
+    so that the expanded numerator and denominator are coprime.
+
+    Cyclotomic keys on opposite sides are distinct irreducibles, so only
+    sum keys can share a factor with the other side.  Each sum key is
+    trial-divided by the cyclotomic keys of the opposite sign, and a
+    quotient becomes keys again.  Sum keys left on both sides are passed,
+    multiplied out, to one cancel.
+
+    A key counts as cyclotomic if it was in ``_PHI`` when met here; a
+    polynomial another thread registers meanwhile stays a sum key, which
+    is always safe.
+    """
+    phi = {f for f in fac if f in _PHI}
+    if len(phi) == len(fac):
+        return fac
+    failed: set = set()  # (sum key, cyclotomic key) pairs that do not divide
+    while (hit := _divide_once(fac, phi, failed)) is not None:
+        f, k, quo = hit
+        e = fac[f]
+        # f^e = k^e * quo^e; k may change sides, so the scan starts over
+        fac = _fac_mul(_fac_mul(fac, {f: e}, -1), {k: e})
+        if len(quo) > 1:
+            keys = _keys(quo)
+            phi.update(g for g in keys if g in _PHI)
+            fac = _fac_mul(fac, {g: e for g in keys})
+    num = {f: e for f, e in fac.items() if e > 0 and f not in phi}
+    den = {f: -e for f, e in fac.items() if e < 0 and f not in phi}
+    if num and den:
+        n, d = _expand(1, _MONO1, num).cancel(_expand(1, _MONO1, den))
+        fac = {f: e for f, e in fac.items() if f in phi}
+        for p, sign in ((n, 1), (d, -1)):
+            if len(p) > 1:
+                fac = _fac_mul(fac, _keys(p), sign)
+    return fac
+
+
 def _wrap(nf) -> "ScalarK":
     """A reduced field element as a factored value, ``nf`` cached."""
     if not nf:
         return ScalarK(Fraction(0), _MONO1, _NO_FACTORS, nf)
     kn, mn, pn = _primitive(nf.numer)
     kd, md, pd = _primitive(nf.denom)
-    fac = {}
+    fac = _NO_FACTORS
     if pn is not None:
-        fac[pn] = 1
+        fac = _keys(pn)
     if pd is not None:
-        fac[pd] = -1
+        fac = _fac_mul(fac, _keys(pd), -1)
     mono = tuple(a - b for a, b in zip(mn, md))
     return ScalarK(Fraction(kn, kd), mono, fac, nf)
 
@@ -156,11 +335,13 @@ class ScalarK:
     sum expands both terms over their factor-wise common part (the largest
     denominator exponent and the smallest numerator exponent of each
     factor, the smaller monomial, and the gcd of the constants) and keeps
-    the primitive part of the result as one new factor.  A value is zero
-    exactly when its constant is 0.
+    the keys of the primitive part of the result (``_keys``).  A value is
+    zero exactly when its constant is 0.
 
-    ``nf``, the reduced field element, is built on first use with one
-    cancel and cached; equality and hashing compare it.  Everything else
+    ``nf``, the reduced field element, is built on first use and cached;
+    equality and hashing compare it.  It multiplies out the reduced factor
+    map (``_reduce``), which needs a gcd only for keys other than
+    cyclotomic ones left on both sides.  Everything else
     (``bar``, ``integer_level``, ``classical``, ``to_text``) reads one of
     these two coordinates, so a value's images do not depend on how it
     was built: a matrix entry or a parsed canonical text behaves like the
@@ -170,12 +351,15 @@ class ScalarK:
     value; safe to share across threads.
     """
 
-    __slots__ = ("_c", "_mono", "_fac", "_nf")
+    __slots__ = ("_c", "_mono", "_fac", "_red", "_nf")
 
     def __init__(self, c: Fraction, mono: tuple, fac: dict, nf=None):
+        """c * x^mono * prod f^e over ``fac``; ``nf``, when given, is its
+        reduced field element, and ``fac`` was split from it."""
         self._c = c
         self._mono = mono
         self._fac = fac
+        self._red = None if nf is None else fac
         self._nf = nf
 
     # -- construction ------------------------------------------------------
@@ -191,19 +375,33 @@ class ScalarK:
 
     # -- normal form ---------------------------------------------------------
 
+    def _reduced(self) -> dict:
+        """The factor map with the factors its two sides share cancelled
+        (see ``_reduce``), built on first use and cached."""
+        red = self._red
+        if red is None:
+            red = self._red = _reduce(self._fac)
+        return red
+
     @property
     def nf(self):
         """The reduced field element: coprime integer numerator and
-        denominator, the denominator's leading coefficient positive."""
+        denominator, the denominator's leading coefficient positive.
+
+        It is the reduced factor map multiplied out on each side.  Keys are
+        primitive with positive leading coefficients, so the content is the
+        constant's and the denominator's leading coefficient is positive.
+        """
         nf = self._nf
         if nf is None:
             c = self._c
             if not c:
                 nf = FIELD.zero
             else:
-                num = {f: e for f, e in self._fac.items() if e > 0}
-                den = {f: -e for f, e in self._fac.items() if e < 0}
-                nf = FIELD.new(
+                fac = self._reduced()
+                num = {f: e for f, e in fac.items() if e > 0}
+                den = {f: -e for f, e in fac.items() if e < 0}
+                nf = FIELD.raw_new(
                     _expand(c.numerator, tuple(max(e, 0) for e in self._mono), num),
                     _expand(c.denominator, tuple(max(-e, 0) for e in self._mono), den),
                 )
@@ -346,7 +544,7 @@ def _add(x: ScalarK, y: ScalarK) -> tuple:
         return Fraction(0), _MONO1, _NO_FACTORS
     k, m, p = _primitive(total)
     if p is not None:
-        common = _fac_mul(common, {p: 1})
+        common = _fac_mul(common, _keys(p))
     return c * k, tuple(a + b for a, b in zip(mono, m)), common
 
 
@@ -370,7 +568,7 @@ def _binomial(a: tuple, b: tuple) -> ScalarK:
     """x^a - x^b as a value (a != b)."""
     m = tuple(map(min, a, b))
     k, _, p = _primitive(_poly({_mdiv(a, m): 1, _mdiv(b, m): -1}))
-    return ScalarK(Fraction(k), m, {p: 1})
+    return ScalarK(Fraction(k), m, _keys(p))
 
 
 #: q - q^-1 = q^-1 (q^2 - 1), the denominator of every bracket.
@@ -424,7 +622,7 @@ def brace_atom(k: int) -> ScalarK:
     if x is None:
         # z q^-k + z^-1 q^k = z^-1 q^-|k| (q^(|k|-k) z^2 + q^(|k|+k))
         p = _poly({(abs(k) - k, 2, 0, 0, 0): 1, (abs(k) + k, 0, 0, 0, 0): 1})
-        x = _ATOMS.setdefault(key, ScalarK(Fraction(1), (-abs(k), -1, 0, 0, 0), {p: 1}))
+        x = _ATOMS.setdefault(key, ScalarK(Fraction(1), (-abs(k), -1, 0, 0, 0), _keys(p)))
     return x
 
 
@@ -788,18 +986,27 @@ def _check_size(x: ScalarK, e: int = 1) -> None:
         return
     e = abs(e)
     degs = ([max(m, 0) for m in x._mono], [max(-m, 0) for m in x._mono])
-    # ceil(log2) of a bound on the coefficients: |c| times |f|_1^k per factor
+    # ceil(log2) of a bound on the coefficients: |c| times |f|_1^k per sum
+    # key, and the 1-norm of the product of the cyclotomic keys in each t
     bits = [(abs(x._c.numerator) - 1).bit_length(), (x._c.denominator - 1).bit_length()]
+    groups: dict = {}  # (side, t) -> {d: k}
     for f, k in x._fac.items():
         side = 0 if k > 0 else 1
         for i, d in enumerate(f.degrees()):
             degs[side][i] += abs(k) * d
-        bits[side] += abs(k) * (sum(map(abs, f.values())) - 1).bit_length()
-    for deg, b in zip(degs, bits):
+        if f in _PHI:
+            d, w = _PHI[f]
+            groups.setdefault((side, w), {})[d] = abs(k)
+        else:
+            bits[side] += abs(k) * (sum(map(abs, f.values())) - 1).bit_length()
+    for side, (deg, b) in enumerate(zip(degs, bits)):
         if max(deg) * e > MAX_PARSE_DEGREE:
             raise ParseError(
                 f"degree {max(deg) * e} exceeds the parse bound {MAX_PARSE_DEGREE}"
             )
+        if groups:  # after the degree check, which bounds the products
+            b += sum((_cyclotomic_norm(orders) - 1).bit_length()
+                     for (s, _), orders in groups.items() if s == side)
         size = b * e + 1
         for d in deg:
             size *= d * e + 1
@@ -807,6 +1014,21 @@ def _check_size(x: ScalarK, e: int = 1) -> None:
             raise ParseError(
                 f"expansion size {size} exceeds the parse bound {MAX_PARSE_SIZE}"
             )
+
+
+def _cyclotomic_norm(orders: dict) -> int:
+    """The 1-norm of prod Phi_d^k over {d: k}; for every divisor d of g
+    with k = 1 it is that of t^g - 1, 2."""
+    p = [1]
+    for d, k in orders.items():
+        f = _cyclotomic(d)
+        for _ in range(k):
+            out = [0] * (len(p) + len(f) - 1)
+            for i, a in enumerate(p):
+                for j, c in enumerate(f):
+                    out[i + j] += a * c
+            p = out
+    return sum(map(abs, p))
 
 
 def _parse_sum(tok: _Tok) -> ScalarK:
@@ -842,7 +1064,7 @@ def _monomial_sum(terms: list) -> ScalarK:
     k, m, p = _primitive(
         _poly({_mdiv(mono, low): int(c * den) for mono, c in coeffs.items()})
     )
-    fac = _NO_FACTORS if p is None else {p: 1}
+    fac = _NO_FACTORS if p is None else _keys(p)
     return ScalarK(Fraction(k, den), tuple(a + b for a, b in zip(low, m)), fac)
 
 

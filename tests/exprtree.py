@@ -171,3 +171,31 @@ def trees(draw, atoms, ops=("add", "sub", "mul", "div", "pow"), exps=(-3, 3), de
     if op == "div" and not field_fold(b):
         return a
     return (op, a, b)
+
+
+def _shifted_brace(k: int) -> tuple:
+    """Q**k + Q**-k as a tree."""
+    q = ("gen", "q")
+    return ("add", ("pow", q, k), ("pow", q, -k))
+
+
+def _flip(name: str) -> st.SearchStrategy:
+    """x - 1 or 1 - x: the two signs of the cyclotomic key Phi_1(x)."""
+    g = ("gen", name)
+    return st.sampled_from([("sub", g, rat(1)), ("sub", rat(1), g)])
+
+
+#: Atoms that give a value every kind of key: the cyclotomic keys of
+#: brackets, braces, shifted braces and x -+ 1, and sum keys.
+key_atoms = st.one_of(
+    qints(st.integers(-2, 2), st.integers(-6, 6)),
+    braces(st.integers(-4, 4)),
+    gens("q", "z", "Delta", "u", "v"),
+    st.integers(1, 4).map(_shifted_brace),
+    st.sampled_from(["q", "z", "Delta", "u"]).flatmap(_flip),
+    # sums of generators and constants, which no split applies to
+    st.builds(lambda a, b, c: ("add", ("add", ("gen", a), ("gen", b)), rat(c)),
+              st.sampled_from(["q", "z", "Delta"]), st.sampled_from(["q", "z", "u"]),
+              st.integers(1, 3)),
+    rationals.map(rat),
+)

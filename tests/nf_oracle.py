@@ -1,0 +1,32 @@
+"""The normal form by one cancel, as the scalar layer built it before its
+factors were split into cyclotomic keys: the factored value multiplied out
+on each side and reduced by sympy's gcd.  It shares the factored value with
+``qspin.scalar`` but not the reduction, so it checks ``_reduce`` and the
+cancel-free normal form.
+"""
+
+from __future__ import annotations
+
+from qspin import scalar
+
+
+def cancel_nf(x: scalar.ScalarK):
+    """``FIELD.new`` of the multiplied-out numerator and denominator of x."""
+    c = x._c
+    if not c:
+        return scalar.FIELD.zero
+    num = {f: e for f, e in x._fac.items() if e > 0}
+    den = {f: -e for f, e in x._fac.items() if e < 0}
+    return scalar.FIELD.new(
+        scalar._expand(c.numerator, tuple(max(e, 0) for e in x._mono), num),
+        scalar._expand(c.denominator, tuple(max(-e, 0) for e in x._mono), den),
+    )
+
+
+def cancel_text(x: scalar.ScalarK) -> str:
+    """The canonical text of ``cancel_nf(x)``."""
+    nf = cancel_nf(x)
+    ns = scalar._render_poly(nf.numer)
+    if nf.denom == nf.denom.ring.one:
+        return ns
+    return f"({ns})/({scalar._render_poly(nf.denom)})"

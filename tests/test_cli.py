@@ -310,6 +310,22 @@ def test_table_size_caps(capsys, argv, error):
     assert err.startswith(f"error [{error}]")
 
 
+@pytest.mark.parametrize("command", ["eval-theta", "eval-3j"])
+def test_eval_size_cap(capsys, command):
+    cap = cli.MAX_EVAL_SUM
+    code, out, err = run(capsys, command, "--r", str(cap), "--s", "0", "--t", "0")
+    assert code == 0 and out.strip() and err == ""
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--r", str(cap - 1), "--s", "1", "--t", "1",
+                         "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "ArgumentOutOfRange",
+        "message": f"r + s + t = {cap + 1} exceeds the cap {cap}",
+    }}
+
+
 @pytest.mark.parametrize(
     "expr",
     [
@@ -475,6 +491,27 @@ def test_bad_manifest_is_a_typed_error(tmp_path, capsys, doc):
     code, out, err = run(capsys, "check", "--manifest", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error [ParseError]")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    # each call leaves the one parser as it was: a flag given in one call
+    # (a format, a target, a kind) is back at its default in the next
+    assert cli._parser() is cli._parser()
+    calls = [
+        ["eval-theta", "--r", "1", "--s", "1", "--t", "0", "--format", "json"],
+        ["eval-theta", "--r", "1", "--s", "0", "--t", "1"],
+        ["dims", "--p-max", "2", "--specialize", "n=2"],
+        ["dims", "--p-max", "2"],
+        ["eval-3j", "--r", "1", "--s", "1", "--t", "0", "--kind", "double"],
+        ["eval-3j", "--r", "1", "--s", "1", "--t", "0"],
+        ["specialize", "--expr", "q + 1", "--to", "classical", "--format", "json"],
+        ["fierz-table", "--max", str(cli.MAX_FIERZ_TABLE + 1), "--format", "json"],
+        ["fierz-table", "--max", "1"],
+        ["check", "--suite", "hecke-quotient"],
+    ]
+    memoized = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [run(capsys, *argv) for argv in calls] == memoized
 
 
 def test_outputs_reproducible(capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exprtree import key_atoms, trees, value
 from qspin import matrixlab
 from qspin.errors import ParseError
 from qspin.matrixlab import (
@@ -153,6 +154,46 @@ def test_braid_data_and_towers_built_once():
     rebuilt = idempotent_tower("F", data, 3)
     assert rebuilt[3] is not long[3]
     assert all(rebuilt[p] == long[p] for p in (1, 2, 3))
+
+
+def _factor_list(den) -> tuple:
+    """(content, {irreducible factor with positive LC: multiplicity})."""
+    cont, facs = den.factor_list()
+    fac: dict = {}
+    for f, e in facs:
+        if f.LC < 0:
+            f = -f
+            cont *= (-1) ** e
+        fac[f] = fac.get(f, 0) + e
+    return abs(cont), fac
+
+
+def test_denominator_factors_match_factor_list(monkeypatch):
+    # every denominator a check-all pass reads off a value's keys is the
+    # one factor_list finds in its multiplied-out normal form
+    from qspin import cli
+
+    seen = []
+    den_factors = matrixlab._den_factors
+    monkeypatch.setattr(
+        matrixlab, "_den_factors", lambda x: seen.append(x) or den_factors(x)
+    )
+    for built in vars(matrixlab).values():
+        if hasattr(built, "cache_clear"):
+            built.cache_clear()
+    assert cli.main(["check", "--all"]) == 0
+    dens = {x.nf.denom: x for x in seen}
+    assert len(dens) > 40
+    for den, x in dens.items():
+        assert den_factors(x) == _factor_list(den), den
+
+
+@given(trees(key_atoms, depth=4))
+@settings(max_examples=100, deadline=None)
+def test_denominator_factors_of_random_values(tree):
+    x = value(tree)
+    if x:
+        assert matrixlab._den_factors(x) == _factor_list(x.nf.denom)
 
 
 def test_cached_builds_are_shared_across_threads():

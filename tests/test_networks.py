@@ -21,7 +21,6 @@ from qspin.networks import (
     TetrahedronSymbol,
     cabled_unknot,
     chromatic_eval,
-    delete_zero_edge,
     gamma_matrices,
     gamma_metric,
     gamma_oracle_trace,
@@ -35,6 +34,7 @@ from qspin.networks import (
     unknot,
 )
 from qspin.scalar import CLASSICAL_FIELD, _render_poly
+from zero_edge import delete_zero_edge
 
 _R = CLASSICAL_FIELD.ring
 _d = _R.gens[0]

@@ -16,12 +16,14 @@ from exprtree import (
     classical_fold,
     field_fold,
     gens,
+    key_atoms,
     qints,
     rat,
     rationals,
     trees,
     value,
 )
+from nf_oracle import cancel_nf, cancel_text
 from q_limit import at_delta, q_to_one_by_division
 from qspin import scalar
 from qspin.errors import (
@@ -358,6 +360,8 @@ def test_zero_from_a_sum_round_trips():
 
 
 def test_fierz_cancels_once(monkeypatch):
+    # every factor of a Fierz coefficient is a cyclotomic key, so its
+    # normal form is multiplied out with no gcd at all
     from sympy.polys.rings import PolyElement
 
     from qspin.recoupling import FierzTable, fierz
@@ -371,14 +375,103 @@ def test_fierz_cancels_once(monkeypatch):
 
     monkeypatch.setattr(PolyElement, "cancel", counting)
     f = fierz(5, 5)
-    assert len(calls) == 0
     f.nf
-    f.nf
-    assert len(calls) == 1
-    del calls[:]
     FierzTable.generate(5, 5).to_json()
-    # one cancel per distinct entry F(a, b), a <= b <= 5
-    assert len(calls) <= 21
+    assert len(calls) == 0
+
+
+# --------------------------------------------------------------------------
+# Cyclotomic keys and the cancel-free normal form.
+
+
+@given(trees(key_atoms, depth=4))
+@settings(max_examples=150, deadline=None)
+def test_normal_form_matches_cancel_oracle(tree):
+    x = value(tree)
+    want = cancel_nf(x)
+    assert (x.nf.numer, x.nf.denom) == (want.numer, want.denom)
+    assert to_text(x) == cancel_text(x)
+    back = parse_scalar(to_text(x))
+    assert (back.nf.numer, back.nf.denom) == (want.numer, want.denom)
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        # Phi_1 on both sides, with opposite signs
+        (lambda: (ONE - Q) / (Q - 1), "-1"),
+        (lambda: (Z - Q) * (Q + 1) / ((Q - Z) * (Q**2 - 1)), "(-1)/(q - 1)"),
+        # a sum key divided by a cyclotomic key of the other side: Phi_3 Phi_6
+        (lambda: parse_scalar("q^3 + 2*q^2 + 2*q + 1") / qint_atom(0, 3),
+         "(q^3 + q^2)/(q^2 - q + 1)"),
+        # the quotient of a sum key is a unit binomial, split again
+        (lambda: parse_scalar("q^4 + q^3 - q - 1") / (Q**2 + Q + 1), "q^2 - 1"),
+        # sum keys on both sides, sharing (q + z + 1)
+        (lambda: (Q + Z + 1) * (Q + 2) / ((Q + Z + 1) * (Z + 3)), "(q + 2)/(z + 3)"),
+        (lambda: brace_atom(2) / (Q**4 + Z**2), "(1)/(q^2*z)"),
+    ],
+    ids=["phi1-flip", "phi1-flip-and-binomial", "sum-over-phi", "quotient-resplit",
+         "sum-over-sum", "brace-over-its-expansion"],
+)
+def test_normal_form_cases(monkeypatch, x, text):
+    from sympy.polys.rings import PolyElement
+
+    x = x()
+    calls = []
+    cancel = PolyElement.cancel
+    monkeypatch.setattr(PolyElement, "cancel", lambda f, g: calls.append(1) or cancel(f, g))
+    x.nf
+    monkeypatch.undo()
+    # only sum keys left on both sides need a gcd
+    assert len(calls) == (1 if text == "(q + 2)/(z + 3)" else 0)
+    want = cancel_nf(x)
+    assert (x.nf.numer, x.nf.denom) == (want.numer, want.denom)
+    assert to_text(x) == text
+
+
+def test_unit_binomials_split_into_cyclotomic_keys():
+    from sympy import cyclotomic_poly, divisors, symbols
+
+    q, z = symbols("q z")
+    for d in range(1, 61):
+        assert scalar._cyclotomic(d) == tuple(cyclotomic_poly(d, q, polys=True).all_coeffs()[::-1])
+
+    def keys(x):
+        assert all(f in scalar._PHI for f in x._fac)
+        return set(x._fac)
+
+    def ring(expr):
+        return scalar._RING.from_expr(expr)
+
+    # q^12 - 1 = Phi_1 Phi_2 Phi_3 Phi_4 Phi_6 Phi_12 (q)
+    assert keys(Q**12 - 1) == {ring(cyclotomic_poly(d, q)) for d in divisors(12)}
+    # z^3 q^-6 + 1 = q^-6 z^3 (t^3 + 1) with t = q^2 z^-1: Phi_2 Phi_6 (t)
+    assert keys(Z**3 * Q**-6 + 1) == {ring(z + q**2), ring(z**2 - z * q**2 + q**4)}
+    # a binomial with a coefficient other than +-1 stays one sum key
+    (key,) = (Q**2 - 4)._fac
+    assert key not in scalar._PHI
+
+
+def test_normal_forms_from_threads():
+    # threads splitting binomials no other value has met yet, into the
+    # shared key tables, each get the cancel oracle's normal form
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    def build(i):
+        x = (Q ** (60 + i) - Z**7) * (Q + Z + i) / ((Q ** (120 + 2 * i) - Z**14) * (Z**3 - i))
+        return x, (x.nf.numer, x.nf.denom)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(build, range(1, 25), timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    for x, got in results:
+        want = cancel_nf(x)
+        assert got == (want.numer, want.denom)
 
 
 # --------------------------------------------------------------------------
@@ -409,6 +502,9 @@ def test_parse_size_bound():
         return f"((q+z+1)^{k}+1)/((q+z+2)^{k}+1)"
 
     scalar._check_size(((Q + Z + 1) ** 65 + 1) / ((Q + Z + 2) ** 65 + 1))
+    # a unit binomial is measured by the 1-norm of its cyclotomic keys'
+    # product, 2, not by the product of their 1-norms (2^8 at t^128 - 1)
+    assert equal(parse_scalar("(q^128*z^128 - 1)^2 + 1"), (Q**128 * Z**128 - 1) ** 2 + 1)
     # a product is only measured when a sum or power would expand it
     product = "*".join(["(q+z+Delta+u+v+1)^6"] * 40)
     for bad in [text(66), "((q+z+1)^200)^200", "((9^200)^200)^200",
