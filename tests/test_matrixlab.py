@@ -156,21 +156,18 @@ def test_braid_data_and_towers_built_once():
     assert all(rebuilt[p] == long[p] for p in (1, 2, 3))
 
 
-def _factor_list(den) -> tuple:
-    """(content, {irreducible factor with positive LC: multiplicity})."""
-    cont, facs = den.factor_list()
-    fac: dict = {}
-    for f, e in facs:
-        if f.LC < 0:
-            f = -f
-            cont *= (-1) ** e
-        fac[f] = fac.get(f, 0) + e
-    return abs(cont), fac
+def _assert_den_factors(x):
+    """The content and keys _den_factors reads off x multiply out to the
+    denominator of x's normal form."""
+    cont, fac = matrixlab._den_factors(x)
+    den = FIELD.ring(cont)
+    for f, e in fac.items():
+        den *= f**e
+    assert den == x.nf.denom, x
 
 
-def test_denominator_factors_match_factor_list(monkeypatch):
-    # every denominator a check-all pass reads off a value's keys is the
-    # one factor_list finds in its multiplied-out normal form
+def test_denominator_factors_of_check_all(monkeypatch):
+    # every scalar a check-all pass puts into a matrix
     from qspin import cli
 
     seen = []
@@ -183,9 +180,9 @@ def test_denominator_factors_match_factor_list(monkeypatch):
             built.cache_clear()
     assert cli.main(["check", "--all"]) == 0
     dens = {x.nf.denom: x for x in seen}
-    assert len(dens) > 40
-    for den, x in dens.items():
-        assert den_factors(x) == _factor_list(den), den
+    assert len(dens) > 25
+    for x in dens.values():
+        _assert_den_factors(x)
 
 
 @given(trees(key_atoms, depth=4))
@@ -193,7 +190,21 @@ def test_denominator_factors_match_factor_list(monkeypatch):
 def test_denominator_factors_of_random_values(tree):
     x = value(tree)
     if x:
-        assert matrixlab._den_factors(x) == _factor_list(x.nf.denom)
+        _assert_den_factors(x)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("kind", ["E", "F"])
+def test_kept_towers_are_reduced(kind, n):
+    # each X(p) feeds X(p+1) = X(p) R X(p): a factor it kept in its
+    # denominator and every numerator would be squared at the next level
+    for p in (1, 2, 3):
+        x = matrixlab._tower(kind, n, p)
+        g = x.den
+        for row in x.rows.values():
+            for num in row.values():
+                g = g.gcd(num)
+        assert g == 1, (kind, n, p)
 
 
 def test_cached_builds_are_shared_across_threads():
@@ -266,7 +277,8 @@ def _mat(ref):
 
 
 def _assert_matches(m, ref):
-    """Entries equal the field reference, and the form is canonical."""
+    """Entries equal the field reference, only nonzero entries are stored,
+    and m equals the matrix built from the reference."""
     dim = len(ref)
     assert m.dim == dim
     for i in range(dim):
@@ -274,11 +286,7 @@ def _assert_matches(m, ref):
             assert m.entry(i, j).nf == ref[i][j]
             assert (j in m.rows.get(i, {})) == bool(ref[i][j])
     assert m.den.LC > 0
-    g = m.den
-    for row in m.rows.values():
-        for num in row.values():
-            g = g.gcd(num)
-    assert g == 1  # no nonunit factor, integer or polynomial, is common
+    assert m == _mat(ref)
 
 
 @given(st.integers(1, 4).flatmap(lambda d: st.tuples(_matrices(d), _matrices(d))),
@@ -305,6 +313,7 @@ def test_matrix_algebra_matches_field(pair, rk, c):
          for i in range(dim * dk)],
     )
     assert a.trace().nf == sum((ra[i][i] for i in rng), FIELD.zero)
+    assert (a == b) == (ra == rb)
 
 
 @given(st.integers(1, 2).flatmap(lambda p: _matrices(2**p)))
