@@ -5,13 +5,14 @@ explicit braid/R-matrix verification, and independent classical oracles.
 
 # The CLI is not imported here: `python -m qspin.cli` would otherwise find
 # it in sys.modules before running it.  `from qspin import cli` still works.
-from . import errors, matrixlab, networks, qcomb, recoupling, scalar
+from . import errors, matrixlab, networks, poly, qcomb, recoupling, scalar
 
 __all__ = [
     "cli",
     "errors",
     "matrixlab",
     "networks",
+    "poly",
     "qcomb",
     "recoupling",
     "scalar",

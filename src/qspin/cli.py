@@ -16,26 +16,26 @@ from . import matrixlab, networks, recoupling, scalar
 from .errors import ArgumentOutOfRange, QspinError
 
 # Size caps, from one cold CLI run each on a 2-core x86 machine (Python
-# 3.11, sympy 1.14, no gmpy2).
-#: Largest ``fierz-table --max``: 8 takes 3.1 s, 9 took 6.4 s and 10
-#: 14 s.  It stays at 8 because a ``--max 9`` table has exponents up to 266,
+# 3.11).
+#: Largest ``fierz-table --max``: 8 takes 1.6 s, 9 took 3.6 s and 10
+#: 7.8 s.  It stays at 8 because a ``--max 9`` table has exponents up to 266,
 #: past ``scalar.MAX_PARSE_EXPONENT``, so ``FierzTable.from_json`` could not
 #: read it back.
 MAX_FIERZ_TABLE = 8
-#: Largest ``dims --p-max``: 20 takes 1.4 s, 25 3.4 s, 28 5.7 s (12.2 s
-#: with ``--specialize n=16``, 7.7 s with n=1); 30 took 8.1 s (15.5 s at
-#: n=16) and 35 17 s.
+#: Largest ``dims --p-max``: 20 takes 1.2 s, 25 3.6 s, 28 5.8 s (8.8 s
+#: with ``--specialize n=16``, 5.4 s with n=1); 30 took 8.0 s (11.9 s at
+#: n=16) and 35 18 s.
 MAX_DIMS_P = 28
 #: Largest level K of ``--specialize n=K`` and ``specialize --to n=K``.  At
-#: K = 16, ``dims --p-max 28`` takes 12 s (25 took 7.9 s) and the slowest
-#: text the parser accepts, ((q+z+1)^65 + 1)/((q+z+2)^65 + 1), 3.4 s (3.0 s
-#: at K = 1).  At K = 64 they took 29 s and 15 s.
+#: K = 16, ``dims --p-max 28`` takes 8.8 s (25 took 5.4 s) and the slowest
+#: text the parser accepts, ((q+z+1)^65 + 1)/((q+z+2)^65 + 1), 3.0 s (2.0 s
+#: at K = 1).  At K = 64 they took 34 s and 15 s.
 MAX_LEVEL = 16
 #: Largest r + s + t of ``eval-theta`` and ``eval-3j``.  At 24 the slowest
-#: accepted call, ``eval-3j --kind double``, takes 4.0-4.4 s and prints
-#: 0.67 MB (``eval-theta --r 8 --s 8 --t 8`` 1.6 s, 0.29 MB; 4.0 s and
-#: 2.4 s with ``--specialize n=16``); at 25 it took 5.5 s, and at 30 12-13 s
-#: for 1.5 MB.
+#: accepted call, ``eval-3j --kind double --r 8 --s 8 --t 8``, takes 4.3 s
+#: and prints 0.64 MB (``eval-theta --r 8 --s 8 --t 8`` 1.5 s, 0.29 MB;
+#: 4.4 s and 1.6 s with ``--specialize n=16``); at 25 it took 5.9 s, and at
+#: 30 15 s for 1.5 MB.
 MAX_EVAL_SUM = 24
 
 

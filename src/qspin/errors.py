@@ -52,3 +52,8 @@ class ConstraintViolated(QspinError):
 
 class ParseError(QspinError):
     """A scalar expression or document failed to parse."""
+
+
+class GcdFailed(QspinError):
+    """The heuristic polynomial gcd found no evaluation point whose
+    candidate divides both polynomials."""

@@ -38,10 +38,11 @@ from .errors import (
     ParseError,
     UnsupportedSize,
 )
+from .poly import Poly, constant, exquo, monomial_mul, probe, rules_out
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
-from .scalar import _MONO1, _exquo, _expand, _fac_mul
+from .scalar import _MONO1, _expand, _fac_mul
 
 #: Guards every _built_once table: library callers may build from threads.
 _CACHE_LOCK = threading.RLock()
@@ -69,10 +70,9 @@ def _built_once(build):
 # --------------------------------------------------------------------------
 # Integer polynomials in (q, z, Delta, u, v): numerators and denominators.
 
-_PRING = FIELD.ring
-_PONE = _PRING.one
-_poly = _PRING.dtype
-_mmul = _PRING.monomial_mul
+_PONE = constant(1, 5)
+#: The generators q, z, Delta, u, v, as keys of a denominator.
+_GENS = tuple(Poly({tuple(int(j == i) for j in range(5)): 1}) for i in range(5))
 
 
 def _split(x) -> tuple:
@@ -82,18 +82,11 @@ def _split(x) -> tuple:
     return nf.numer, nf.denom
 
 
-def _to_field(num, den):
-    """num / den as a reduced field element (one cancel unless den = 1)."""
-    if den == _PONE:
-        return FIELD.raw_new(num)
-    return FIELD.new(num, den)
-
-
 def _den_factors(x: ScalarK) -> tuple[int, dict]:
     """(content, {key: multiplicity}) of the denominator of ``x.nf``, read
     off the reduced factor map as it is: the constant's denominator, the
     generators of the monomial, and the cyclotomic and sum keys."""
-    fac = {g: -e for g, e in zip(_PRING.gens, x._mono) if e < 0}
+    fac = {g: -e for g, e in zip(_GENS, x._mono) if e < 0}
     fac.update((f, -e) for f, e in x._reduced().items() if e < 0)
     return x._c.denominator, fac
 
@@ -124,9 +117,12 @@ def _add_into(rows: dict, i: int, j: int, num) -> None:
             del rows[i]
 
 
-def _times(p, m):
-    """p * m, sharing p when m is 1."""
-    return p if m == _PONE else p * m
+def _scaled(rows: dict, m) -> dict:
+    """New row dicts with every numerator times m; when m is 1, the
+    numerators themselves are shared."""
+    if m == _PONE:
+        return {i: dict(row) for i, row in rows.items()}
+    return {i: {j: v * m for j, v in row.items()} for i, row in rows.items()}
 
 
 class SquareMatrixK:
@@ -185,7 +181,7 @@ class SquareMatrixK:
         rows: dict = {}
         for i, j, x in split:
             if x:
-                _add_into(rows, i, j, _times(x.nf.numer, mult[x.nf.denom]))
+                _add_into(rows, i, j, x.nf.numer * mult[x.nf.denom])
         return SquareMatrixK(dim, rows, cont, dfac)
 
     @staticmethod
@@ -198,7 +194,7 @@ class SquareMatrixK:
         num = self.rows.get(i, {}).get(j)
         if num is None:
             return ScalarK.from_field_element(FIELD.zero)
-        return ScalarK.from_field_element(_to_field(num, self.den))
+        return ScalarK.from_field_element(FIELD.new(num, self.den))
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -224,13 +220,13 @@ class SquareMatrixK:
                     get = t.get
                     for mb, cb in bval.items():
                         for ma, ca in aterms:
-                            m = _mmul(ma, mb)
+                            m = monomial_mul(ma, mb)
                             t[m] = get(m, 0) + ca * cb
             row = {}
             for j, t in acc.items():
                 t = {m: c for m, c in t.items() if c}
                 if t:
-                    row[j] = _poly(t)
+                    row[j] = Poly(t)
             if row:
                 rows[i] = row
         return SquareMatrixK(self.dim, rows, *_den_product(self, other))
@@ -249,11 +245,10 @@ class SquareMatrixK:
         )
         if sign < 0:
             mb = -mb
-        rows = {i: {j: _times(v, ma) for j, v in row.items()}
-                for i, row in self.rows.items()}
-        for i, row in other.rows.items():
+        rows = _scaled(self.rows, ma)
+        for i, row in _scaled(other.rows, mb).items():
             for j, v in row.items():
-                _add_into(rows, i, j, _times(v, mb))
+                _add_into(rows, i, j, v)
         return SquareMatrixK(self.dim, rows, cont, dfac)
 
     def scale(self, c) -> "SquareMatrixK":
@@ -285,12 +280,12 @@ class SquareMatrixK:
         return SquareMatrixK(self.dim * d2, rows, *_den_product(self, other))
 
     def trace(self) -> ScalarK:
-        acc = _PRING.zero
+        acc = Poly()
         for i, row in self.rows.items():
             v = row.get(i)
             if v is not None:
                 acc = acc + v
-        return ScalarK.from_field_element(_to_field(acc, self.den))
+        return ScalarK.from_field_element(FIELD.new(acc, self.den))
 
 
 def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
@@ -309,7 +304,7 @@ def _divide_all(rows: dict, f):
     for i, row in rows.items():
         orow = {}
         for j, num in row.items():
-            quo = _exquo(num, f)
+            quo = exquo(num, f)
             if quo is None:
                 return None
             orow[j] = quo
@@ -319,15 +314,23 @@ def _divide_all(rows: dict, f):
 
 def _reduce(m: SquareMatrixK) -> SquareMatrixK:
     """m with each key of its denominator cancelled as often as it divides
-    every numerator, and then the content all numerators share."""
+    every numerator, and then the content all numerators share.
+
+    The numerators' values at the probe point are taken once and divided
+    along with them; a key whose value rules out one of theirs is not
+    tried (see ``poly.rules_out``)."""
     rows, left = m.rows, {}
+    values = [probe(num) for row in rows.values() for num in row.values()]
     for f, e in m._dfac.items():
-        while e:
+        fv = probe(f)
+        while e and not any(rules_out(fv, v) for v in values):
             quo = _divide_all(rows, f)
             if quo is None:
                 break
             rows = quo
             e -= 1
+            values = ([v // fv for v in values] if fv else
+                      [probe(num) for row in rows.values() for num in row.values()])
         if e:
             left[f] = e
     cont = m._cont
@@ -479,20 +482,20 @@ def _derive_mu(data: BraidData) -> dict:
         for j in idx:
             if P(j, -j) not in data.u_mat.rows.get(P(i, -i), {}):
                 raise CalibrationFailed("u is not supported on the cup pattern")
-            w[(i, j)] = data.u_mat.entry(P(i, -i), P(j, -j)).nf
+            w[(i, j)] = data.u_mat.entry(P(i, -i), P(j, -j))
     i0 = idx[0]
     for i in idx:
         for j in idx:
             if w[(i, j)] * w[(i0, i0)] != w[(i, i0)] * w[(i0, j)]:
                 raise CalibrationFailed("u does not factor as rank one")
     # mu_a = 1 / w(-a, -a): right closure gives w(a,a) mu_{-a} = 1.
-    mu = {a: ScalarK.from_field_element(1 / w[(-a, -a)]) for a in idx}
+    mu = {a: w[(-a, -a)].inv() for a in idx}
     for a in idx:
         # right partial closure of u with mu must be the identity
-        if not equal(ScalarK.from_field_element(w[(a, a)]) * mu[-a], ONE):
+        if not equal(w[(a, a)] * mu[-a], ONE):
             raise CalibrationFailed("right partial closure of u is not 1")
         # left partial closure of u with mu^-1 must be the identity
-        if not equal(ScalarK.from_field_element(w[(-a, -a)]) * mu[-a].inv(), ONE):
+        if not equal(w[(-a, -a)] * mu[-a].inv(), ONE):
             raise CalibrationFailed("left partial closure of u is not 1")
     lp = data.loop
     tot = scalar(0)
@@ -728,10 +731,10 @@ def idempotent_tower(kind: str, data: BraidData, p_max: int) -> dict:
         raise ArgumentOutOfRange("tower kind must be 'E' or 'F'")
     if type(p_max) is not int or p_max < 1:
         raise ArgumentOutOfRange(f"p_max must be a positive integer, not {p_max!r}")
-    # measured at p = 4 (2-core x86, Python 3.11, sympy 1.14), from a cold
-    # start: at n = 1 each tower builds and passes check_tower in 0.01 s; at
-    # n = 2 E(4) builds in 0.1 s and checks in 0.3 s, F(4) builds in 1.1 s
-    # and checks in 3.4 s.  p = 4 at n = 3 (d^p = 1296) is not measured.
+    # measured at p = 4 (2-core x86, Python 3.11), from a cold start: at
+    # n = 1 each tower builds and passes check_tower in 0.01 s; at n = 2
+    # E(4) builds in 0.07 s and checks in 0.2 s, F(4) builds in 0.9 s and
+    # checks in 3.2 s.  p = 4 at n = 3 (d^p = 1296) is not measured.
     budget = 4 if data.n <= 2 else 3
     if p_max > budget:
         raise UnsupportedSize(
@@ -837,7 +840,7 @@ def quantum_trace(x: SquareMatrixK, data: BraidData) -> ScalarK:
         raise ArgumentOutOfRange("matrix dimension is not a power of dim V")
     weights = [_split(data.mu[i]) for i in data.indices]
 
-    acc = _PRING.zero
+    acc = Poly()
     for i, row in x.rows.items():
         v = row.get(i)
         if v is None:
@@ -850,7 +853,7 @@ def quantum_trace(x: SquareMatrixK, data: BraidData) -> ScalarK:
     den = x.den
     for _, wden in weights:
         den = den * wden**p
-    return ScalarK.from_field_element(_to_field(acc, den))
+    return ScalarK.from_field_element(FIELD.new(acc, den))
 
 
 def dimq_sym_recursive(p: int) -> ScalarK:

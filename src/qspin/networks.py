@@ -15,7 +15,8 @@ the rectangles are joined one input port at a time, and the state is the
 perfect matching that the open strand ends form (see ``chromatic_eval``).
 Raw uses the bare sum; ProjectorNormalized divides by the product of
 (side sum)! over rectangles.  The value is a polynomial in delta with
-rational coefficients, an element of ``CLASSICAL_FIELD.ring``.
+``Fraction`` coefficients, a ``poly.Poly`` in the generators (delta, Delta)
+of the classical images.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import factorial
 
-from sympy import QQ
-
 from .errors import (
     ConstraintViolated,
     InadmissibleLabel,
@@ -34,8 +33,8 @@ from .errors import (
     StateSpaceTooLarge,
     UnsupportedSize,
 )
+from .poly import Poly, constant
 from .recoupling import AdmissibleTriple
-from .scalar import CLASSICAL_FIELD
 
 # Budgets of the chromatic contraction, from one in-process run each on a
 # 2-core x86 machine (Python 3.11); RSS is the whole process's peak.
@@ -53,8 +52,6 @@ MAX_TOTAL_LINES = 64
 #: Marks a closed port in a matching state; port indices stay below it
 #: because a network has at most 2 * MAX_TOTAL_LINES ports.
 _CLOSED = 255
-#: Builds a polynomial in delta from nonzero QQ coefficients, unchecked.
-_delta_poly = CLASSICAL_FIELD.ring.dtype
 
 
 # --------------------------------------------------------------------------
@@ -412,9 +409,9 @@ def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw"):
     number of joins, sum d(d+1)/2; their product bounds the whole run.
 
     normalization: "Raw" or "ProjectorNormalized" (divide by prod d_r!).
-    The result is a polynomial in delta, an element of
-    ``CLASSICAL_FIELD.ring``; it is built as a polynomial, not through the
-    field, so it costs no cancel.
+    The result is a polynomial in delta, a ``Poly`` in (delta, Delta)
+    with ``Fraction`` coefficients; it is built as a polynomial, not
+    through the field, so it costs no gcd.
     """
     if normalization not in ("Raw", "ProjectorNormalized"):
         raise ConstraintViolated(f"unknown normalization {normalization!r}")
@@ -443,7 +440,7 @@ def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw"):
     # a free loop labelled a is a cable of a circles, a factor delta^a
     shift = sum(sn.free_loops)
     weight = next(iter(states.values()), {})
-    return _delta_poly({(loops + shift, 0): QQ(c, norm) for loops, c in weight.items()})
+    return Poly({(loops + shift, 0): Fraction(c, norm) for loops, c in weight.items()})
 
 
 def _join(states: dict, i: int, outs: list) -> dict:
@@ -558,7 +555,7 @@ def tetrahedron_chromatic(t: TetrahedronSymbol, normalization: str = "Raw"):
     """Chromatic evaluation of the strand network of a tetrahedron symbol."""
     labels = tetrahedron_edge_labels(t)
     if all(l == 0 for l in labels):
-        return CLASSICAL_FIELD.ring.one
+        return constant(Fraction(1), 2)
     net = tetrahedron_network(labels)
     return chromatic_eval(medial(net), normalization)
 

@@ -43,9 +43,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from sympy import QQ, ZZ
-from sympy.polys.fields import field
-
 from .errors import (
     ArgumentOutOfRange,
     ClassicalSingular,
@@ -53,22 +50,19 @@ from .errors import (
     ParseError,
     SpecializationError,
 )
+from .poly import Field, Poly, cancel, exquo, monomial_div, probe, rules_out
 
 # --------------------------------------------------------------------------
 # Underlying rational-function fields.
 
 _VAR_NAMES = ("q", "z", "Delta", "u", "v")
 
-#: Fractions of integer polynomials: a reduced element is a coprime pair
-#: with a positive leading denominator coefficient.
-FIELD = field("q,z,Delta,u,v", ZZ)[0]
-_RING = FIELD.ring
-_QG, _ZG = _RING.gens[:2]
-#: The same polynomials over QQ, for evaluation at rational points.
-_QRING = _RING.clone(domain=QQ)
+#: Fractions of integer polynomials in (q, z, Delta, u, v): a reduced
+#: element is a coprime pair with a positive leading denominator coefficient.
+FIELD = Field(_VAR_NAMES)
 
-#: Classical coordinates: Q(delta, Delta).
-CLASSICAL_FIELD = field("delta,Delta", QQ)[0]
+#: Classical coordinates: Q(delta, Delta), reduced the same way.
+CLASSICAL_FIELD = Field(("delta", "Delta"))
 
 
 # --------------------------------------------------------------------------
@@ -88,9 +82,6 @@ CLASSICAL_FIELD = field("delta,Delta", QQ)[0]
 _NGENS = 5
 _MONO1 = (0,) * _NGENS
 _NO_FACTORS: dict = {}
-_poly = _RING.dtype
-_mmul = _RING.monomial_mul
-_mdiv = _RING.monomial_div
 
 
 def _primitive(poly):
@@ -103,7 +94,7 @@ def _primitive(poly):
     m = tuple(map(min, zip(*poly)))
     if len(poly) == 1:
         return k, m, None
-    return k, m, _poly({_mdiv(mon, m): c // k for mon, c in poly.items()})
+    return k, m, Poly({monomial_div(mon, m): c // k for mon, c in poly.items()})
 
 
 def _expand(k: int, m: tuple, fac: dict):
@@ -115,8 +106,8 @@ def _expand(k: int, m: tuple, fac: dict):
             f = f**e
         out = f if out is None else out * f
     if out is None:
-        return _poly({m: k})
-    return out if k == 1 and m == _MONO1 else out.mul_term((m, k))
+        return Poly({m: k})
+    return out.mul_term(m, k)
 
 
 def _fac_mul(a: dict, b: dict, sign: int = 1) -> dict:
@@ -202,7 +193,7 @@ def _split_binomial(a: tuple, b: tuple, sign: int) -> dict:
     for d in orders:
         coeffs = _cyclotomic(d)
         n = len(coeffs) - 1
-        key = _poly({
+        key = Poly({
             tuple(i * s + (n - i) * t for s, t in zip(wp, wm)): c
             for i, c in enumerate(coeffs) if c
         })
@@ -225,49 +216,30 @@ def _keys(p) -> dict:
     return {p: 1}
 
 
-def _exquo(p, f):
-    """p / f if f divides p exactly, else None (stops at the first term
-    that does not divide).  The ring order is lex, so a polynomial's
-    leading monomial is its largest exponent tuple."""
-    fm = max(f)
-    fc = f[fm]
-    rest = [(m, c) for m, c in f.items() if m != fm]
-    p = dict(p)
-    quo = {}
-    while p:
-        m = max(p)
-        c = p.pop(m)
-        qm = _mdiv(m, fm)
-        if qm is None:
-            return None
-        t, r = divmod(c, fc)
-        if r:
-            return None
-        quo[qm] = t
-        for m2, c2 in rest:
-            k = _mmul(qm, m2)
-            v = p.get(k, 0) - t * c2
-            if v:
-                p[k] = v
-            else:
-                del p[k]
-    return _poly(quo)
-
-
-def _divide_once(fac: dict, phi: set, failed: set):
+def _divide_once(fac: dict, phi: set, failed: set, values: dict):
     """(f, k, f / k) for the first sum key f of ``fac`` that a cyclotomic
     key k (one in ``phi``) of the opposite sign divides, or None; pairs
-    found not to divide are added to ``failed`` and not tried again."""
+    found not to divide are added to ``failed`` and not tried again.  A
+    pair whose values at the probe point (memoized in ``values``) rule the
+    division out is not divided at all."""
     for f, e in fac.items():
         if f in phi:
             continue
         for k, ek in fac.items():
             if k in phi and (ek > 0) != (e > 0) and (f, k) not in failed:
-                quo = _exquo(f, k)
-                if quo is not None:
-                    return f, k, quo
+                if not rules_out(_probe(k, values), _probe(f, values)):
+                    quo = exquo(f, k)
+                    if quo is not None:
+                        return f, k, quo
                 failed.add((f, k))
     return None
+
+
+def _probe(p, values: dict) -> int:
+    v = values.get(p)
+    if v is None:
+        v = values[p] = probe(p)
+    return v
 
 
 def _reduce(fac: dict) -> dict:
@@ -288,7 +260,8 @@ def _reduce(fac: dict) -> dict:
     if len(phi) == len(fac):
         return fac
     failed: set = set()  # (sum key, cyclotomic key) pairs that do not divide
-    while (hit := _divide_once(fac, phi, failed)) is not None:
+    values: dict = {}
+    while (hit := _divide_once(fac, phi, failed, values)) is not None:
         f, k, quo = hit
         e = fac[f]
         # f^e = k^e * quo^e; k may change sides, so the scan starts over
@@ -300,7 +273,7 @@ def _reduce(fac: dict) -> dict:
     num = {f: e for f, e in fac.items() if e > 0 and f not in phi}
     den = {f: -e for f, e in fac.items() if e < 0 and f not in phi}
     if num and den:
-        n, d = _expand(1, _MONO1, num).cancel(_expand(1, _MONO1, den))
+        n, d = cancel(_expand(1, _MONO1, num), _expand(1, _MONO1, den))
         fac = {f: e for f, e in fac.items() if f in phi}
         for p, sign in ((n, 1), (d, -1)):
             if len(p) > 1:
@@ -567,7 +540,7 @@ def _gen(name: str) -> ScalarK:
 def _binomial(a: tuple, b: tuple) -> ScalarK:
     """x^a - x^b as a value (a != b)."""
     m = tuple(map(min, a, b))
-    k, _, p = _primitive(_poly({_mdiv(a, m): 1, _mdiv(b, m): -1}))
+    k, _, p = _primitive(Poly({monomial_div(a, m): 1, monomial_div(b, m): -1}))
     return ScalarK(Fraction(k), m, _keys(p))
 
 
@@ -621,7 +594,7 @@ def brace_atom(k: int) -> ScalarK:
     x = _ATOMS.get(key)
     if x is None:
         # z q^-k + z^-1 q^k = z^-1 q^-|k| (q^(|k|-k) z^2 + q^(|k|+k))
-        p = _poly({(abs(k) - k, 2, 0, 0, 0): 1, (abs(k) + k, 0, 0, 0, 0): 1})
+        p = Poly({(abs(k) - k, 2, 0, 0, 0): 1, (abs(k) + k, 0, 0, 0, 0): 1})
         x = _ATOMS.setdefault(key, ScalarK(Fraction(1), (-abs(k), -1, 0, 0, 0), _keys(p)))
     return x
 
@@ -645,25 +618,21 @@ def bar(x: ScalarK) -> ScalarK:
     x = scalar(x)
     if not x:
         return x
-    num, nq, nz = _reflect(x.nf.numer)
-    den, dq, dz = _reflect(x.nf.denom)
-    # bar(x) = (num q^-nq z^-nz) / (den q^-dq z^-dz)
-    sq, sz = dq - nq, dz - nz
-    num = num * _QG ** max(sq, 0) * _ZG ** max(sz, 0)
-    den = den * _QG ** max(-sq, 0) * _ZG ** max(-sz, 0)
+    num, den = x.nf.numer, x.nf.denom
+    # bar(x) = (q^a z^b num(1/q, 1/z)) / (q^a z^b den(1/q, 1/z)), with a and
+    # b the largest q and z exponents on either side
+    a = max(m[0] for p in (num, den) for m in p)
+    b = max(m[1] for p in (num, den) for m in p)
+    num, den = _reflect(num, a, b), _reflect(den, a, b)
     if den.LC < 0:
         num, den = -num, -den
     return _wrap(FIELD.raw_new(num, den))
 
 
-def _reflect(poly):
-    """(p, a, b) with poly(1/q, 1/z) = p * q^-a * z^-b, p a polynomial."""
-    if not poly:
-        return poly, 0, 0
-    a = max(m[0] for m in poly)
-    b = max(m[1] for m in poly)
-    p = poly.new({(a - m[0], b - m[1]) + m[2:]: c for m, c in poly.items()})
-    return p, a, b
+def _reflect(poly, a: int, b: int):
+    """q^a z^b poly(1/q, 1/z), a polynomial when a and b are at least the
+    largest q and z exponents of poly."""
+    return Poly({(a - m[0], b - m[1]) + m[2:]: c for m, c in poly.items()})
 
 
 # --------------------------------------------------------------------------
@@ -672,15 +641,24 @@ def _reflect(poly):
 
 def integer_level(x: ScalarK, n: int) -> ScalarK:
     """Apply z -> q^n to the normal form; the result is z-free (a function
-    of q, Delta, u, v), reduced with one cancel and split into a factored
-    value."""
+    of q, Delta, u, v), reduced with one gcd and split into a factored
+    value.  The substitution re-keys each monomial, q^a z^b ... ->
+    q^(a + n b) ..., and adds the coefficients that meet."""
     x = scalar(x)
-    qn = _QG**n
-    num = x.nf.numer.compose(_ZG, qn)
-    den = x.nf.denom.compose(_ZG, qn)
+    num = _at_level(x.nf.numer, n)
+    den = _at_level(x.nf.denom, n)
     if not den:
         raise DivisionByZero(f"denominator vanishes under z -> q^{n}")
     return _wrap(FIELD.new(num, den))
+
+
+def _at_level(poly, n: int):
+    """poly with z -> q^n."""
+    out: dict = {}
+    for (a, b, *rest), c in poly.items():
+        m = (a + n * b, 0, *rest)
+        out[m] = out.get(m, 0) + c
+    return Poly({m: c for m, c in out.items() if c})
 
 
 # --------------------------------------------------------------------------
@@ -752,17 +730,16 @@ def classical(x: ScalarK):
             raise ClassicalSingular("the spectral generators u, v have no classical image")
         x = _wrap(nf)
     fac, mono = x._fac, x._mono
-    cring = CLASSICAL_FIELD.ring
-    num = cring({(0, max(mono[2], 0)): QQ(x._c.numerator, x._c.denominator)})
-    den = cring({(0, max(-mono[2], 0)): 1})
+    num = Poly({(0, max(mono[2], 0)): x._c.numerator})
+    den = Poly({(0, max(-mono[2], 0)): x._c.denominator})
     order = 0
     for f, e in fac.items():
         mu, lead = _curve_lead(f)
         order += mu * e
         if e > 0:
-            num *= cring(lead) ** e
+            num *= Poly(lead) ** e
         else:
-            den *= cring(lead) ** -e
+            den *= Poly(lead) ** -e
     if order > 0:
         return CLASSICAL_FIELD.zero
     if order < 0:
@@ -771,7 +748,7 @@ def classical(x: ScalarK):
 
 
 def _require_gens_absent(poly, positions, what):
-    for monom, _ in poly.terms():
+    for monom in poly:
         for p in positions:
             if monom[p]:
                 raise SpecializationError(
@@ -802,22 +779,12 @@ def numeric_probe(x: ScalarK, q0, n: int, Delta0) -> Fraction:
     num, den = y.nf.numer, y.nf.denom
     _require_gens_absent(num, (3, 4), "the spectral generators u, v")
     _require_gens_absent(den, (3, 4), "the spectral generators u, v")
-    # q0 and Delta0 are rationals: evaluate over QQ
-    num, den = num.set_ring(_QRING), den.set_ring(_QRING)
-    qg, zg, dg, ug, vg = _QRING.gens
-    subs = [
-        (qg, QQ(q0.numerator, q0.denominator)),
-        (zg, QQ(0)),  # z is already eliminated by the level specialization
-        (dg, QQ(Delta0.numerator, Delta0.denominator)),
-        (ug, QQ(0)),
-        (vg, QQ(0)),
-    ]
-    nv = num.evaluate(subs)
-    dv = den.evaluate(subs)
+    # z is already eliminated by the level specialization
+    nv = Fraction(num(q0, 0, Delta0, 0, 0))
+    dv = Fraction(den(q0, 0, Delta0, 0, 0))
     if not dv:
         raise DivisionByZero("denominator vanishes at the probe point")
-    res = QQ(nv) / QQ(dv)
-    return Fraction(int(res.numerator), int(res.denominator))
+    return nv / dv
 
 
 # --------------------------------------------------------------------------
@@ -828,7 +795,7 @@ def _render_poly(poly, names=_VAR_NAMES) -> str:
     """A polynomial as text, terms in descending lexicographic monomial
     order, ``names`` naming its generators; integer or rational
     coefficients."""
-    terms = sorted(poly.terms(), key=lambda t: t[0], reverse=True)
+    terms = poly.terms()
     if not terms:
         return "0"
     parts = []
@@ -857,7 +824,7 @@ def to_text(x: ScalarK) -> str:
     x = scalar(x)
     num, den = x.nf.numer, x.nf.denom
     ns = _render_poly(num)
-    if den == den.ring.one:
+    if den == FIELD.one.denom:
         return ns
     ds = _render_poly(den)
     return f"({ns})/({ds})"
@@ -894,10 +861,10 @@ MAX_PARSE_DEGREE = 256
 #: of a bound on its coefficients (from the constant and the 1-norms of the
 #: factors).  Checked before a sum or a power expands anything, and on the
 #: result.  The largest ``fierz-table --max 8`` text measures 0.18e6.
-#: Reading ((q+z+1)^K + 1)/((q+z+2)^K + 1), nearly all of it the one
-#: cancel, takes 2.2 s at K = 65, the largest K accepted; forced past the
-#: bound it took 3.4 s at K = 70, 20 s at K = 100 and 215 s at K = 150
-#: (2-core x86 machine, Python 3.11, sympy 1.14, no gmpy2).
+#: Reading ((q+z+1)^K + 1)/((q+z+2)^K + 1), half of it the one cancel and
+#: half expanding the powers, takes 2.0 s at K = 65, the largest K
+#: accepted; forced past the bound it took 2.8 s at K = 70, 18 s at
+#: K = 100 and 138 s at K = 150 (2-core x86 machine, Python 3.11).
 MAX_PARSE_SIZE = 600_000
 
 
@@ -1062,7 +1029,7 @@ def _monomial_sum(terms: list) -> ScalarK:
     low = tuple(map(min, zip(*coeffs)))
     den = lcm(*(c.denominator for c in coeffs.values()))
     k, m, p = _primitive(
-        _poly({_mdiv(mono, low): int(c * den) for mono, c in coeffs.items()})
+        Poly({monomial_div(mono, low): int(c * den) for mono, c in coeffs.items()})
     )
     fac = _NO_FACTORS if p is None else _keys(p)
     return ScalarK(Fraction(k, den), tuple(a + b for a, b in zip(low, m)), fac)

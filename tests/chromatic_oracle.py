@@ -5,7 +5,7 @@ contraction in ``qspin.networks``, and a strategy for random strand networks.
 the parity of each from its inversions, and traces the closed loops of every
 assignment through the ambient linking: the product of d! over the
 rectangles, each with a walk over all ports.  The sum is a polynomial in
-delta, an element of ``CLASSICAL_FIELD.ring`` like the program's.
+delta, an element of sympy's ``CLASSICAL.ring``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import factorial, prod
 from hypothesis import strategies as st
 
 from qspin.networks import StrandNetwork
-from qspin.scalar import CLASSICAL_FIELD
+from sympy_bridge import CLASSICAL
 
 #: Most lines of a generated network.
 MAX_LINES = 10
@@ -76,7 +76,7 @@ def brute_force_chromatic(sn: StrandNetwork, normalization: str = "Raw"):
         perm.pop(r, None)
 
     rec(0, {}, 1)
-    ring = CLASSICAL_FIELD.ring
+    ring = CLASSICAL.ring
     delta = ring.gens[0]
     poly = sum((c * delta**loops for loops, c in totals.items()), ring.zero)
     for a in sn.free_loops:

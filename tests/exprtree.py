@@ -24,13 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hypothesis import strategies as st
-from sympy import QQ, ZZ
-from sympy.polys.fields import field
+from sympy import QQ
 
 from qspin import scalar
+from sympy_bridge import CLASSICAL, FIELD
 
-FIELD, _q, _z, _D, _u, _v = field("q,z,Delta,u,v", ZZ)
-CLASSICAL, _cd, _cD = field("delta,Delta", QQ)
+_q, _z, _D, _u, _v = FIELD.gens
+_cd, _cD = CLASSICAL.gens
 
 
 class Undefined(Exception):
@@ -185,6 +185,13 @@ def _flip(name: str) -> st.SearchStrategy:
     return st.sampled_from([("sub", g, rat(1)), ("sub", rat(1), g)])
 
 
+#: Sums of generators and constants, which no split applies to: sum keys.
+sum_atoms = st.builds(
+    lambda a, b, c: ("add", ("add", ("gen", a), ("gen", b)), rat(c)),
+    st.sampled_from(["q", "z", "Delta"]), st.sampled_from(["q", "z", "u"]),
+    st.integers(1, 3),
+)
+
 #: Atoms that give a value every kind of key: the cyclotomic keys of
 #: brackets, braces, shifted braces and x -+ 1, and sum keys.
 key_atoms = st.one_of(
@@ -193,9 +200,6 @@ key_atoms = st.one_of(
     gens("q", "z", "Delta", "u", "v"),
     st.integers(1, 4).map(_shifted_brace),
     st.sampled_from(["q", "z", "Delta", "u"]).flatmap(_flip),
-    # sums of generators and constants, which no split applies to
-    st.builds(lambda a, b, c: ("add", ("add", ("gen", a), ("gen", b)), rat(c)),
-              st.sampled_from(["q", "z", "Delta"]), st.sampled_from(["q", "z", "u"]),
-              st.integers(1, 3)),
+    sum_atoms,
     rationals.map(rat),
 )

@@ -8,18 +8,20 @@ cancel-free normal form.
 from __future__ import annotations
 
 from qspin import scalar
+from sympy_bridge import FIELD, to_sympy
 
 
 def cancel_nf(x: scalar.ScalarK):
-    """``FIELD.new`` of the multiplied-out numerator and denominator of x."""
+    """sympy's ``FIELD.new`` of the multiplied-out numerator and denominator
+    of x."""
     c = x._c
     if not c:
-        return scalar.FIELD.zero
+        return FIELD.zero
     num = {f: e for f, e in x._fac.items() if e > 0}
     den = {f: -e for f, e in x._fac.items() if e < 0}
-    return scalar.FIELD.new(
-        scalar._expand(c.numerator, tuple(max(e, 0) for e in x._mono), num),
-        scalar._expand(c.denominator, tuple(max(-e, 0) for e in x._mono), den),
+    return FIELD.new(
+        to_sympy(scalar._expand(c.numerator, tuple(max(e, 0) for e in x._mono), num)),
+        to_sympy(scalar._expand(c.denominator, tuple(max(-e, 0) for e in x._mono), den)),
     )
 
 

@@ -4,17 +4,14 @@ with the classical image of ``qspin.scalar``.
 ``q_to_one_by_division`` takes the limit q -> 1 of a z-free value from its
 normal form alone: while numerator and denominator both vanish at q = 1,
 it divides both by (q - 1); then it evaluates them at q = 1.  ``at_delta``
-puts delta -> n in an element of Q(delta, Delta).
+puts delta -> n in an element of Q(delta, Delta).  Both compute in sympy
+and return the program's fractions.
 """
 
 from __future__ import annotations
 
-from sympy import QQ
-from sympy.polys.fields import field
-
 from qspin import scalar
-
-CLASSICAL = field("delta,Delta", QQ)[0]
+from sympy_bridge import CLASSICAL, from_sympy, to_sympy
 
 
 class NoLimit(Exception):
@@ -24,7 +21,8 @@ class NoLimit(Exception):
 def q_to_one_by_division(x: scalar.ScalarK):
     """The limit q -> 1 of a z-free value, in Q(delta, Delta) with delta
     absent, by dividing out the common powers of (q - 1)."""
-    num, den = x.nf.numer, x.nf.denom
+    nf = to_sympy(x.nf)
+    num, den = nf.numer, nf.denom
     q = num.ring.gens[0]
     while not num.evaluate(q, 1) and not den.evaluate(q, 1):
         num, rn = divmod(num, q - 1)
@@ -33,7 +31,7 @@ def q_to_one_by_division(x: scalar.ScalarK):
     num, den = num.evaluate(q, 1), den.evaluate(q, 1)
     if not den:
         raise NoLimit("pole at q = 1")
-    return CLASSICAL.new(_at_q1(num), _at_q1(den))
+    return from_sympy(CLASSICAL.new(_at_q1(num), _at_q1(den)))
 
 
 def _at_q1(poly):
@@ -46,8 +44,9 @@ def _at_q1(poly):
 
 def at_delta(cl, n: int):
     """An element of Q(delta, Delta) at delta = n, still in Q(delta, Delta)."""
+    cl = to_sympy(cl)
     ring, fld = cl.numer.ring, cl.field
     d = ring.gens[0]
     # divide in the field: a ring quotient by a constant stays a PolyElement,
     # which never compares equal to a field element
-    return fld(cl.numer.compose(d, ring(n))) / fld(cl.denom.compose(d, ring(n)))
+    return from_sympy(fld(cl.numer.compose(d, ring(n))) / fld(cl.denom.compose(d, ring(n))))

@@ -546,3 +546,28 @@ def test_module_entry_point_is_quiet():
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, CHECK_ALL_TEXT, "")
+
+
+def test_commands_do_not_import_sympy(tmp_path):
+    # sympy is the tests' oracle, not a dependency of the program: neither
+    # the import nor a run of any command may load it
+    src = str(Path(qspin.__file__).resolve().parent.parent)
+    net = tmp_path / "theta.json"
+    net.write_text(theta_network(2, 2, 2).to_json())
+    script = f"""
+import contextlib, io, sys
+import qspin.cli
+assert "sympy" not in sys.modules, "import qspin.cli"
+for argv in (["check", "--all"], ["fierz-table", "--max", "2"],
+             ["eval-theta", "--r", "1", "--s", "1", "--t", "0",
+              "--specialize", "classical"],
+             ["chromatic", "--file", {str(net)!r}, "--at", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qspin.cli.main(argv) == 0, argv
+    assert "sympy" not in sys.modules, argv
+"""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")

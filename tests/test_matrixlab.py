@@ -23,7 +23,8 @@ from qspin.matrixlab import (
     quantum_trace,
     run_manifest,
 )
-from qspin.scalar import FIELD, ONE, Q, U, Z, ScalarK, equal, integer_level, scalar
+from qspin.scalar import ONE, Q, U, Z, ScalarK, equal, integer_level, scalar
+from sympy_bridge import FIELD, from_sympy, to_sympy
 
 
 def test_sparse_matrix_algebra():
@@ -162,8 +163,8 @@ def _assert_den_factors(x):
     cont, fac = matrixlab._den_factors(x)
     den = FIELD.ring(cont)
     for f, e in fac.items():
-        den *= f**e
-    assert den == x.nf.denom, x
+        den *= to_sympy(f) ** e
+    assert den == to_sympy(x.nf).denom, x
 
 
 def test_denominator_factors_of_check_all(monkeypatch):
@@ -200,10 +201,10 @@ def test_kept_towers_are_reduced(kind, n):
     # denominator and every numerator would be squared at the next level
     for p in (1, 2, 3):
         x = matrixlab._tower(kind, n, p)
-        g = x.den
+        g = to_sympy(x.den)
         for row in x.rows.values():
             for num in row.values():
-                g = g.gcd(num)
+                g = g.gcd(to_sympy(num))
         assert g == 1, (kind, n, p)
 
 
@@ -266,12 +267,12 @@ def _entries():
 
 @st.composite
 def _matrices(draw, dim):
-    return [[draw(_entries()).nf for _ in range(dim)] for _ in range(dim)]
+    return [[to_sympy(draw(_entries()).nf) for _ in range(dim)] for _ in range(dim)]
 
 
 def _mat(ref):
     return SquareMatrixK.from_entries(len(ref), [
-        (i, j, ScalarK.from_field_element(v))
+        (i, j, ScalarK.from_field_element(from_sympy(v)))
         for i, row in enumerate(ref) for j, v in enumerate(row)
     ])
 
@@ -283,7 +284,7 @@ def _assert_matches(m, ref):
     assert m.dim == dim
     for i in range(dim):
         for j in range(dim):
-            assert m.entry(i, j).nf == ref[i][j]
+            assert to_sympy(m.entry(i, j).nf) == ref[i][j]
             assert (j in m.rows.get(i, {})) == bool(ref[i][j])
     assert m.den.LC > 0
     assert m == _mat(ref)
@@ -305,14 +306,14 @@ def test_matrix_algebra_matches_field(pair, rk, c):
     )
     _assert_matches(a + b, [[ra[i][j] + rb[i][j] for j in rng] for i in rng])
     _assert_matches(a - b, [[ra[i][j] - rb[i][j] for j in rng] for i in rng])
-    _assert_matches(a.scale(c), [[ra[i][j] * c.nf for j in rng] for i in rng])
+    _assert_matches(a.scale(c), [[ra[i][j] * to_sympy(c.nf) for j in rng] for i in rng])
     dk = len(rk)
     _assert_matches(
         a.kron(small),
         [[ra[i // dk][j // dk] * rk[i % dk][j % dk] for j in range(dim * dk)]
          for i in range(dim * dk)],
     )
-    assert a.trace().nf == sum((ra[i][i] for i in rng), FIELD.zero)
+    assert to_sympy(a.trace().nf) == sum((ra[i][i] for i in rng), FIELD.zero)
     assert (a == b) == (ra == rb)
 
 
@@ -322,14 +323,14 @@ def test_quantum_trace_matches_field(ref):
     data = build_braid_data(1)  # dim V = 2
     dim = len(ref)
     p = dim.bit_length() - 1
-    mu = [data.mu[a].nf for a in data.indices]
+    mu = [to_sympy(data.mu[a].nf) for a in data.indices]
     want = FIELD.zero
     for i in range(dim):
         w, t = FIELD.one, i
         for _ in range(p):
             w, t = w * mu[t % 2], t // 2
         want += ref[i][i] * w
-    assert quantum_trace(_mat(ref), data).nf == want
+    assert to_sympy(quantum_trace(_mat(ref), data).nf) == want
 
 
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(_matrices(d), _matrices(d))),

@@ -1,0 +1,153 @@
+"""The in-repo polynomials against sympy: the heuristic gcd, cancel, the
+probe test before a trial division, and the reduced fractions of
+Q(delta, Delta) with their text."""
+
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from exprtree import key_atoms, sum_atoms, trees, value
+from qspin import poly
+from qspin.errors import GcdFailed, QspinError
+from qspin.poly import Poly, cancel, cofactors, exquo, probe, rules_out
+from qspin.scalar import CLASSICAL_FIELD, classical
+from sympy_bridge import CLASSICAL, to_sympy
+
+
+def _numerator(tree):
+    x = value(tree)
+    return x.nf.numer if x else Poly({(0,) * 5: 1})
+
+
+@st.composite
+def _pairs(draw):
+    """(f, g) = (a c, b c): a, b and c numerators of key_atoms values, c
+    with a sum key, and a sum key in a or b too."""
+    small = trees(key_atoms, depth=2)
+    a = ("mul", draw(small), draw(sum_atoms))
+    b = draw(small)
+    if draw(st.booleans()):
+        a, b = b, a
+    c = ("mul", draw(small), draw(sum_atoms))
+    f, g, common = _numerator(a), _numerator(b), _numerator(c)
+    return f * common, g * common
+
+
+@given(_pairs())
+@settings(max_examples=150, deadline=None)
+def test_gcd_and_cancel_match_sympy(pair):
+    f, g = pair
+    sf, sg = to_sympy(f), to_sympy(g)
+    h, qf, qg = cofactors(f, g)
+    assert to_sympy(h) * to_sympy(qf) == sf
+    assert to_sympy(h) * to_sympy(qg) == sg
+    want = sf.gcd(sg)
+    assert to_sympy(h) in (want, -want)
+    n, d = cancel(f, g)
+    assert (to_sympy(n), to_sympy(d)) == sf.cancel(sg)
+
+
+def test_gcd_cases():
+    q, z = Poly({(1, 0, 0, 0, 0): 1}), Poly({(0, 1, 0, 0, 0): 1})
+    one = Poly({(0,) * 5: 1})
+    two = Poly({(0,) * 5: 2})
+    f = (q + one) * (q + z) * q * two
+    for g, h in [
+        (f, f),                                 # equal
+        (q * q * z, q),                         # a monomial
+        (two + two, two),                       # a constant
+        ((q + one) * (q - one) * z, (q + one)),  # a sum key and a monomial
+        (-(q + z) * two, (q + z) * two),        # a sign
+    ]:
+        got, qf, qg = cofactors(f, g)
+        assert got in (h, -h)
+        assert got * qf == f and got * qg == g
+    assert cancel(Poly(), q) == (Poly(), one)
+    assert cancel(q, -q * q) == (-one, q)
+
+
+def test_gcd_never_returns_an_unchecked_candidate(monkeypatch):
+    # a lift that divides neither polynomial, at every evaluation point
+    def wrong(h, xi, n):
+        return {(1,) + (0,) * (n - 1): 2, (0,) * n: 3}
+
+    monkeypatch.setattr(poly, "_interpolate", wrong)
+    q = Poly({(1, 0, 0, 0, 0): 1})
+    one = Poly({(0,) * 5: 1})
+    f, g = (q + one) * (q + one + one), (q + one) * (q - one - one)
+    with pytest.raises(GcdFailed) as err:
+        cofactors(f, g)
+    assert isinstance(err.value, QspinError)
+
+
+def test_polynomials_are_immutable_values():
+    p = Poly({(1, 0): 2, (0, 0): -1})
+    same = Poly({(0, 0): -1, (1, 0): 2})
+    assert p == same and hash(p) == hash(same)
+    for mutate in (lambda: p.__setitem__((2, 0), 1), lambda: p.pop((1, 0)),
+                   lambda: p.update({}), lambda: p.clear()):
+        with pytest.raises(TypeError):
+            mutate()
+    assert p == same
+    assert p.terms() == [((1, 0), 2), ((0, 0), -1)] and p.LC == 2
+    assert (p**3).terms()[0] == ((3, 0), 8)
+    assert p(Fraction(1, 2), 7) == 0
+
+
+@given(_pairs())
+@settings(max_examples=60, deadline=None)
+def test_probe_never_rules_out_a_true_divisor(pair):
+    f, g = pair
+    h, qf, _ = cofactors(f, g)
+    assert not rules_out(probe(h), probe(f))
+    assert not rules_out(probe(qf), probe(f))
+    if rules_out(probe(g), probe(f)):
+        assert exquo(f, g) is None
+
+
+# --------------------------------------------------------------------------
+# Q(delta, Delta).
+
+_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    max_size=4,
+).map(lambda d: {m: c for m, c in d.items() if c})
+
+
+def _integral(terms: dict, scale: int) -> Poly:
+    return Poly({m: int(c * scale) for m, c in terms.items()})
+
+
+@given(_terms, _terms.filter(bool), _terms.filter(bool), st.integers(-5, 5).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_classical_normal_form_and_text_match_sympy(num, den, common, k):
+    want = CLASSICAL(to_sympy(Poly(num), 2)) / CLASSICAL(to_sympy(Poly(den), 2))
+    # the same quotient as an integer pair sharing a factor and a constant
+    scale = lcm(*(c.denominator for t in (num, den, common) for c in t.values()))
+    c = _integral(common, scale) * Poly({(0, 0): k})
+    got = CLASSICAL_FIELD.new(_integral(num, scale) * c, _integral(den, scale) * c)
+    assert to_sympy(got) == want
+    assert (to_sympy(got.numer, 2), to_sympy(got.denom, 2)) == (want.numer, want.denom)
+    assert str(got) == str(want)
+
+
+@given(trees(key_atoms, depth=3))
+@settings(max_examples=80, deadline=None)
+def test_classical_images_print_as_sympy(tree):
+    try:
+        cl = classical(value(tree))
+    except QspinError:
+        return
+    assert str(cl) == str(to_sympy(cl))
+
+
+def test_classical_text_examples():
+    d, D = CLASSICAL.gens
+    for x in [(6 * d**2 * D + 2 * d - 1) / (4 * d + 8), -d**3 / 5, d / (2 * D),
+              3 / (d * D), CLASSICAL(0), CLASSICAL(Fraction(-3, 2)), -d + 1]:
+        num = Poly({m: int(c) for m, c in x.numer.items()})
+        den = Poly({m: int(c) for m, c in x.denom.items()})
+        assert str(CLASSICAL_FIELD.raw_new(num, den)) == str(x)

@@ -7,7 +7,6 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import QQ
-from sympy.polys.fields import FracElement
 
 from exprtree import (
     Undefined,
@@ -25,7 +24,7 @@ from exprtree import (
 )
 from nf_oracle import cancel_nf, cancel_text
 from q_limit import at_delta, q_to_one_by_division
-from qspin import scalar
+from qspin import poly, scalar
 from qspin.errors import (
     ArgumentOutOfRange,
     ClassicalSingular,
@@ -33,6 +32,7 @@ from qspin.errors import (
     ParseError,
     SpecializationError,
 )
+from qspin.poly import Frac
 from qspin.scalar import (
     CLASSICAL_FIELD,
     DELTA,
@@ -54,6 +54,7 @@ from qspin.scalar import (
     scalar as mk,
     to_text,
 )
+from sympy_bridge import CLASSICAL, FIELD, from_sympy, to_sympy
 
 
 def test_defining_relation():
@@ -119,8 +120,8 @@ def test_classical_images():
         (qint_atom(0, 3) ** -2, QQ(1, 9)),
     ]:
         cl = classical(x)
-        assert isinstance(cl, FracElement) and cl.field == CLASSICAL_FIELD
-        assert cl == CLASSICAL_FIELD.ground_new(want)
+        assert isinstance(cl, Frac) and cl.field is CLASSICAL_FIELD
+        assert to_sympy(cl) == CLASSICAL.ground_new(want)
     with pytest.raises(ClassicalSingular):
         classical(scalar.U)
     # u and v raise wherever they stay in the value, and only there
@@ -129,7 +130,8 @@ def test_classical_images():
             classical(parse_scalar(text))
     assert not classical(scalar.U - scalar.U)
     x = parse_scalar("(u*q + u - q - 1)/(u - 1)")  # u cancels between two factors
-    assert classical(x) == classical(parse_scalar(to_text(x))) == CLASSICAL_FIELD(2)
+    assert classical(x) == classical(parse_scalar(to_text(x)))
+    assert to_sympy(classical(x)) == CLASSICAL(2)
     # a pole on the classical curve
     with pytest.raises(ClassicalSingular):
         classical(parse_scalar("1/(q - 1)"))
@@ -170,7 +172,7 @@ def test_classical_stays_in_classical_field(x):
     # every atom, and so every sum, product, quotient and power, maps into
     # Q(delta, Delta), including a bracket [0*n + a], never a bare int/float
     cl = classical(x)
-    assert isinstance(cl, FracElement) and cl.field == CLASSICAL_FIELD
+    assert isinstance(cl, Frac) and cl.field is CLASSICAL_FIELD
 
 
 def test_q_to_one_cancels_poles():
@@ -203,7 +205,7 @@ def test_classical_limit_matches_delta_substitution():
     for n in (1, 2, 3):
         v = q_to_one(integer_level(qint_atom(1, 1), n))
         assert str(v) == str(n + 1)
-        assert v == CLASSICAL_FIELD(n + 1)
+        assert to_sympy(v) == CLASSICAL(n + 1)
 
 
 def test_specialization_square_on_atoms():
@@ -290,7 +292,7 @@ def test_bar_on_normal_form_matches_dag(tree):
     x = value(tree)
     y = bar(x)
     # the reflected normal form is the field fold of the reflected tree
-    assert y.nf == field_fold(bar_tree(tree))
+    assert to_sympy(y.nf) == field_fold(bar_tree(tree))
     assert bar(y) == x
 
 
@@ -311,9 +313,9 @@ def test_factored_value_matches_field_fold(tree):
     x = value(tree)
     nf = x.nf
     # the independent fold of the tree through field arithmetic
-    assert nf == field_fold(tree)
+    assert to_sympy(nf) == field_fold(tree)
     # canonical over ZZ: coprime, content included, denominator LC positive
-    num, den = nf.numer, nf.denom
+    num, den = to_sympy(nf).numer, to_sympy(nf).denom
     assert den.LC > 0
     assert num.gcd(den) == 1 or not num
     # zero is decided by the constant alone, never by building nf
@@ -321,6 +323,22 @@ def test_factored_value_matches_field_fold(tree):
     # a value split from its normal form has the same normal form
     assert ScalarK.from_field_element(nf).nf == nf
     assert to_text(parse_scalar(to_text(x))) == to_text(x)
+
+
+@given(_field_trees, st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_integer_level_matches_compose(tree, n):
+    # z -> q^n re-keys the monomials of the normal form; sympy composes
+    # and cancels the field fold of the tree
+    ring = FIELD.ring
+    q, z = ring.gens[:2]
+    want = field_fold(tree)
+    num, den = want.numer.compose(z, q**n), want.denom.compose(z, q**n)
+    if not den:
+        with pytest.raises(DivisionByZero):
+            integer_level(value(tree), n)
+        return
+    assert to_sympy(integer_level(value(tree), n).nf) == FIELD.new(num, den)
 
 
 @given(_field_exprs, _field_exprs, _field_exprs)
@@ -362,18 +380,16 @@ def test_zero_from_a_sum_round_trips():
 def test_fierz_cancels_once(monkeypatch):
     # every factor of a Fierz coefficient is a cyclotomic key, so its
     # normal form is multiplied out with no gcd at all
-    from sympy.polys.rings import PolyElement
-
     from qspin.recoupling import FierzTable, fierz
 
     calls = []
-    cancel = PolyElement.cancel
+    cofactors = poly.cofactors
 
-    def counting(self, g):
+    def counting(f, g):
         calls.append(1)
-        return cancel(self, g)
+        return cofactors(f, g)
 
-    monkeypatch.setattr(PolyElement, "cancel", counting)
+    monkeypatch.setattr(poly, "cofactors", counting)
     f = fierz(5, 5)
     f.nf
     FierzTable.generate(5, 5).to_json()
@@ -389,10 +405,11 @@ def test_fierz_cancels_once(monkeypatch):
 def test_normal_form_matches_cancel_oracle(tree):
     x = value(tree)
     want = cancel_nf(x)
-    assert (x.nf.numer, x.nf.denom) == (want.numer, want.denom)
+    got = to_sympy(x.nf)
+    assert (got.numer, got.denom) == (want.numer, want.denom)
     assert to_text(x) == cancel_text(x)
-    back = parse_scalar(to_text(x))
-    assert (back.nf.numer, back.nf.denom) == (want.numer, want.denom)
+    back = to_sympy(parse_scalar(to_text(x)).nf)
+    assert (back.numer, back.denom) == (want.numer, want.denom)
 
 
 @pytest.mark.parametrize(
@@ -414,18 +431,17 @@ def test_normal_form_matches_cancel_oracle(tree):
          "sum-over-sum", "brace-over-its-expansion"],
 )
 def test_normal_form_cases(monkeypatch, x, text):
-    from sympy.polys.rings import PolyElement
-
     x = x()
     calls = []
-    cancel = PolyElement.cancel
-    monkeypatch.setattr(PolyElement, "cancel", lambda f, g: calls.append(1) or cancel(f, g))
+    cofactors = poly.cofactors
+    monkeypatch.setattr(poly, "cofactors", lambda f, g: calls.append(1) or cofactors(f, g))
     x.nf
     monkeypatch.undo()
     # only sum keys left on both sides need a gcd
     assert len(calls) == (1 if text == "(q + 2)/(z + 3)" else 0)
     want = cancel_nf(x)
-    assert (x.nf.numer, x.nf.denom) == (want.numer, want.denom)
+    got = to_sympy(x.nf)
+    assert (got.numer, got.denom) == (want.numer, want.denom)
     assert to_text(x) == text
 
 
@@ -441,7 +457,7 @@ def test_unit_binomials_split_into_cyclotomic_keys():
         return set(x._fac)
 
     def ring(expr):
-        return scalar._RING.from_expr(expr)
+        return from_sympy(FIELD.ring.from_expr(expr))
 
     # q^12 - 1 = Phi_1 Phi_2 Phi_3 Phi_4 Phi_6 Phi_12 (q)
     assert keys(Q**12 - 1) == {ring(cyclotomic_poly(d, q)) for d in divisors(12)}
@@ -460,7 +476,7 @@ def test_normal_forms_from_threads():
 
     def build(i):
         x = (Q ** (60 + i) - Z**7) * (Q + Z + i) / ((Q ** (120 + 2 * i) - Z**14) * (Z**3 - i))
-        return x, (x.nf.numer, x.nf.denom)
+        return x, to_sympy(x.nf)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -471,7 +487,7 @@ def test_normal_forms_from_threads():
         sys.setswitchinterval(old)
     for x, got in results:
         want = cancel_nf(x)
-        assert got == (want.numer, want.denom)
+        assert (got.numer, got.denom) == (want.numer, want.denom)
 
 
 # --------------------------------------------------------------------------
@@ -563,8 +579,8 @@ def test_classical_matches_tree_fold(tree):
     except Undefined:
         return
     x = value(tree)
-    assert classical(x) == want
-    assert classical(parse_scalar(to_text(x))) == want
+    assert to_sympy(classical(x)) == want
+    assert to_sympy(classical(parse_scalar(to_text(x)))) == want
 
 
 def test_classical_of_fierz_texts():
