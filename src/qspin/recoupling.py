@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from math import prod
 
-from .errors import ArgumentOutOfRange, InadmissibleTriple
+from .errors import ArgumentOutOfRange, InadmissibleTriple, ParseError
 from .qcomb import brace, brace_shifted, ffact_ext, qbinom, qfact, qint
 from .scalar import (
     ONE,
@@ -452,8 +452,32 @@ class FierzTable:
 
     @staticmethod
     def from_json(text: str) -> "FierzTable":
-        doc = json.loads(text)
+        """The table of a ``to_json`` document; a malformed one raises
+        ParseError."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"Fierz table: not JSON ({exc})") from None
+        _expect(isinstance(doc, dict), "the top level must be a JSON object")
+        for key in ("max_a", "max_b", "entries"):
+            _expect(key in doc, f"missing {key!r}")
+        _expect(_is_int(doc["max_a"]) and _is_int(doc["max_b"]),
+                "'max_a' and 'max_b' must be integers")
+        _expect(isinstance(doc["entries"], list), "'entries' must be a list")
         table = FierzTable(doc["max_a"], doc["max_b"])
         for item in doc["entries"]:
-            table.entries[(item["a"], item["b"])] = parse_scalar(item["value"])
+            _expect(isinstance(item, dict), f"an entry must be an object, not {item!r}")
+            a, b, value = item.get("a"), item.get("b"), item.get("value")
+            _expect(_is_int(a) and _is_int(b), f"entry ({a!r}, {b!r}) needs integers a and b")
+            _expect(isinstance(value, str), f"the value of entry ({a}, {b}) must be a string")
+            table.entries[(a, b)] = parse_scalar(value)
         return table
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _expect(ok: bool, what: str) -> None:
+    if not ok:
+        raise ParseError(f"Fierz table: {what}")

@@ -40,7 +40,9 @@ Specializations, each a plain function of a value:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm
 
 from .errors import (
@@ -833,15 +835,10 @@ def to_text(x: ScalarK) -> str:
 # --------------------------------------------------------------------------
 # Parser for the canonical text form (and a superset: delta is accepted).
 
-_NAME_MAP = {
-    "q": lambda: Q,
-    "z": lambda: Z,
-    "u": lambda: U,
-    "v": lambda: V,
-    "Delta": lambda: SPIN_DELTA,
-    "delta": lambda: DELTA,
-}
+_NAME_MAP = {"q": Q, "z": Z, "Delta": SPIN_DELTA, "u": U, "v": V, "delta": DELTA}
 
+#: Generators by name, with their place in a monomial's exponent tuple.
+_GEN_INDEX = {name: i for i, name in enumerate(_VAR_NAMES)}
 
 #: Deepest nesting of parentheses and unary minus the parser accepts; the
 #: recursive descent would otherwise exhaust the interpreter's stack.
@@ -861,88 +858,79 @@ MAX_PARSE_DEGREE = 256
 #: of a bound on its coefficients (from the constant and the 1-norms of the
 #: factors).  Checked before a sum or a power expands anything, and on the
 #: result.  The largest ``fierz-table --max 8`` text measures 0.18e6.
-#: Reading ((q+z+1)^K + 1)/((q+z+2)^K + 1), half of it the one cancel and
-#: half expanding the powers, takes 2.0 s at K = 65, the largest K
-#: accepted; forced past the bound it took 2.8 s at K = 70, 18 s at
-#: K = 100 and 138 s at K = 150 (2-core x86 machine, Python 3.11).
+#: Reading ((q+z+1)^K + 1)/((q+z+2)^K + 1) and printing it takes 1.7 s at
+#: K = 65, the largest K accepted: 0.4 s to parse, which expands the
+#: powers, and 1.3 s for the one cancel.  Forced past the bound it took
+#: 2.4 s at K = 70, 19 s at K = 100 and 122 s at K = 150, the cancel 84%
+#: to 93% of it (2-core x86 machine, Python 3.11).
 MAX_PARSE_SIZE = 600_000
 
+# A generator's power x^e, |e| <= MAX_PARSE_EXPONENT, has degree |e| and
+# size |e| + 1, so the product rule reads it with no size check.
+assert MAX_PARSE_EXPONENT <= MAX_PARSE_DEGREE
+assert MAX_PARSE_EXPONENT + 1 <= MAX_PARSE_SIZE
 
-class _Tok:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
+#: The grammar's digits are those of str.isdigit(): the decimal digits of
+#: \d and these others, superscripts, subscripts, circled and parenthesized
+#: digits and a few scripts' digits.  int() reads none of the others, so a
+#: run such as '2²' is one integer that cannot be read.
+_DIGITS = (
+    r"[\d"
+    "\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+    "\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
+    "\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
+    "\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a]"
+)
 
-    def descend(self) -> None:
-        self.depth += 1
-        if self.depth > MAX_PARSE_DEPTH:
-            raise ParseError(
-                f"nesting deeper than {MAX_PARSE_DEPTH} at position {self.pos}"
-            )
+#: One token: a run of digits, a word (a name, or a stray numeric
+#: character and what follows it), '**', or any other character but
+#: whitespace, which separates tokens.
+_TOKEN = re.compile(rf"{_DIGITS}+|\w+|\*\*|\S")
 
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+#: The token after the last one.
+_END = ""
 
-    def next_op(self, chars) -> str | None:
-        c = self.peek()
-        if c is not None and c in chars:
-            # '**' counts as '^'
-            if c == "*" and self.text[self.pos : self.pos + 2] == "**":
-                return None
-            self.pos += 1
-            return c
-        return None
 
-    def accept_power(self) -> bool:
-        c = self.peek()
-        if c == "^":
-            self.pos += 1
-            return True
-        if c == "*" and self.text[self.pos : self.pos + 2] == "**":
-            self.pos += 2
-            return True
-        return False
+class _ErrorAt(Exception):
+    """A parse error at token ``index``, which ``parse_scalar`` raises as a
+    ParseError giving the token's character position plus ``shift``."""
 
-    def integer(self) -> int:
-        c = self.peek()
-        sign = 1
-        if c == "-":
-            self.pos += 1
-            sign = -1
-            c = self.peek()
-        if c is None or not c.isdigit():
-            raise ParseError(f"expected integer at position {self.pos}")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        try:
-            return sign * int(self.text[start : self.pos])
-        except ValueError:  # past int()'s digit limit, or a non-ASCII digit
-            raise ParseError(f"unreadable integer at position {start}") from None
+    def __init__(self, what: str, index: int, shift: int = 0):
+        super().__init__(what)
+        self.what, self.index, self.shift = what, index, shift
 
-    def name(self) -> str | None:
-        c = self.peek()
-        if c is None or not (c.isalpha() or c == "_"):
-            return None
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
+
+def _position(text: str, index: int) -> int:
+    """Where token ``index`` of text starts (len(text) for the end)."""
+    match = next(islice(_TOKEN.finditer(text), index, None), None)
+    return len(text) if match is None else match.start()
 
 
 def parse_scalar(text: str) -> ScalarK:
-    """Parse the canonical textual form (q, z, Delta, u, v, delta; + - * / ^)."""
-    tok = _Tok(text)
-    val = _parse_sum(tok)
-    if tok.peek() is not None:
-        raise ParseError(f"trailing input at position {tok.pos}: {text[tok.pos:]!r}")
+    """Parse the canonical textual form (q, z, Delta, u, v, delta; + - * / ^).
+
+    The text is split once into tokens by one regex, and a recursive
+    descent walks the list.  A product's leading run of integers and
+    generators joined by '*', each with an optional power, is read straight
+    into an integer and an exponent tuple, so a monomial of a canonical text
+    costs no ``ScalarK`` arithmetic; a sum collects such terms into one
+    polynomial.  The tokens' character positions are worked out again, by
+    the same regex, only when an error message needs one.  Every power,
+    every sum term and the whole value is checked against the
+    ``MAX_PARSE_*`` bounds before anything is expanded.
+    """
+    if not isinstance(text, str):
+        raise ParseError(f"a scalar text must be a string, not {type(text).__name__}")
+    toks = _TOKEN.findall(text)
+    toks.append(_END)
+    try:
+        val, i = _parse_sum(toks, 0, 0)
+    except _ErrorAt as exc:
+        pos = _position(text, exc.index) + exc.shift
+        raise ParseError(f"{exc.what} at position {pos}") from None
+    if toks[i] != _END:
+        pos = _position(text, i)
+        raise ParseError(f"trailing input at position {pos}: {text[pos:]!r}")
     _check_size(val)
     return val
 
@@ -967,20 +955,31 @@ def _check_size(x: ScalarK, e: int = 1) -> None:
         else:
             bits[side] += abs(k) * (sum(map(abs, f.values())) - 1).bit_length()
     for side, (deg, b) in enumerate(zip(degs, bits)):
-        if max(deg) * e > MAX_PARSE_DEGREE:
-            raise ParseError(
-                f"degree {max(deg) * e} exceeds the parse bound {MAX_PARSE_DEGREE}"
-            )
-        if groups:  # after the degree check, which bounds the products
-            b += sum((_cyclotomic_norm(orders) - 1).bit_length()
-                     for (s, _), orders in groups.items() if s == side)
-        size = b * e + 1
-        for d in deg:
-            size *= d * e + 1
-        if size > MAX_PARSE_SIZE:
-            raise ParseError(
-                f"expansion size {size} exceeds the parse bound {MAX_PARSE_SIZE}"
-            )
+        orders = [o for (s, _), o in groups.items() if s == side]
+        _check_side(deg, b, e, orders)
+
+
+def _check_monomial(k: int, mono: tuple) -> None:
+    """``_check_size`` of the factor-free value k * x^mono, k an int: the
+    denominator is x^-mono, with no coefficient bits."""
+    if k:
+        _check_side([max(m, 0) for m in mono], (abs(k) - 1).bit_length(), 1)
+        _check_side([max(-m, 0) for m in mono], 0, 1)
+
+
+def _check_side(deg: list, bits: int, e: int, orders=()) -> None:
+    """The bounds on one side of a value raised to e: ``deg`` its degrees,
+    ``bits`` its coefficient bits apart from its cyclotomic keys, and
+    ``orders`` those keys as {d: k}, one map per t."""
+    if max(deg) * e > MAX_PARSE_DEGREE:
+        raise ParseError(f"degree {max(deg) * e} exceeds the parse bound {MAX_PARSE_DEGREE}")
+    if orders:  # after the degree check, which bounds the products
+        bits += sum((_cyclotomic_norm(o) - 1).bit_length() for o in orders)
+    size = bits * e + 1
+    for d in deg:
+        size *= d * e + 1
+    if size > MAX_PARSE_SIZE:
+        raise ParseError(f"expansion size {size} exceeds the parse bound {MAX_PARSE_SIZE}")
 
 
 def _cyclotomic_norm(orders: dict) -> int:
@@ -998,31 +997,51 @@ def _cyclotomic_norm(orders: dict) -> int:
     return sum(map(abs, p))
 
 
-def _parse_sum(tok: _Tok) -> ScalarK:
-    terms = [_parse_product(tok)]
-    while (op := tok.next_op("+-")) is not None:
-        rhs = _parse_product(tok)
-        terms.append(rhs if op == "+" else -rhs)
+# The recursive descent.  Each rule takes the token list, the index of its
+# first token and the nesting depth, and returns its value and the index
+# after its last token.  A product that is one run of monomial factors
+# returns the pair (k, mono), an int and an exponent tuple; every other
+# value is a ScalarK.
+
+
+def _parse_sum(toks: list, i: int, depth: int):
+    term, i = _parse_product(toks, i, depth)
+    terms = [term]
+    while (op := toks[i]) == "+" or op == "-":
+        term, i = _parse_product(toks, i + 1, depth)
+        if op == "-":
+            term = (-term[0], term[1]) if type(term) is tuple else -term
+        terms.append(term)
     if len(terms) == 1:
-        return terms[0]
+        if type(term) is tuple:
+            term = ScalarK(Fraction(term[0]), term[1], _NO_FACTORS)
+        return term, i
     # A sum expands its terms.  The terms without factors (the monomials of
     # a canonical text) are collected into one polynomial, expanded once;
     # adding them one by one would expand the running sum for each.
+    monomials = []
     for t in terms:
-        _check_size(t)
-    acc = _monomial_sum([t for t in terms if not t._fac])
+        if type(t) is tuple:
+            _check_monomial(*t)
+            monomials.append(t)
+        else:
+            _check_size(t)
+            if not t._fac:
+                monomials.append((t._c, t._mono))
+    acc = _monomial_sum(monomials)
     for t in terms:
-        if t._fac:
+        if type(t) is not tuple and t._fac:
             _check_size(acc)
             acc = acc + t
-    return acc
+    return acc, i
 
 
 def _monomial_sum(terms: list) -> ScalarK:
-    """The sum of factor-free values c * x^m as one factored value."""
+    """The sum of the monomials c * x^m, given as pairs (c, m), as one
+    factored value."""
     coeffs: dict = {}
-    for t in terms:
-        coeffs[t._mono] = coeffs.get(t._mono, 0) + t._c
+    for c, mono in terms:
+        coeffs[mono] = coeffs.get(mono, 0) + c
     coeffs = {m: c for m, c in coeffs.items() if c}
     if not coeffs:
         return ZERO
@@ -1035,70 +1054,140 @@ def _monomial_sum(terms: list) -> ScalarK:
     return ScalarK(Fraction(k, den), tuple(a + b for a, b in zip(low, m)), fac)
 
 
-def _parse_product(tok: _Tok) -> ScalarK:
-    acc = _parse_factor(tok)
+def _parse_product(toks: list, i: int, depth: int):
+    k, mono, j = _parse_monomial_run(toks, i, depth)
+    if j == i:
+        acc, j = _parse_factor(toks, i, depth)
+    elif toks[j] == "*" or toks[j] == "/":
+        acc = ScalarK(Fraction(k), mono, _NO_FACTORS)
+    else:
+        return (k, mono), j
     while True:
-        c = tok.peek()
-        if c == "*" and tok.text[tok.pos : tok.pos + 2] != "**":
-            tok.pos += 1
-            acc = acc * _parse_factor(tok)
-        elif c == "/":
-            tok.pos += 1
-            acc = acc / _parse_factor(tok)
+        op = toks[j]
+        if op == "*":
+            rhs, j = _parse_factor(toks, j + 1, depth)
+            acc = acc * rhs
+        elif op == "/":
+            rhs, j = _parse_factor(toks, j + 1, depth)
+            acc = acc / rhs
         else:
-            return acc
+            return acc, j
 
 
-def _parse_factor(tok: _Tok) -> ScalarK:
-    c = tok.peek()
-    if c == "-":
-        tok.pos += 1
-        tok.descend()
-        val = -_parse_factor(tok)
-        tok.depth -= 1
-        return val
-    base = _parse_atom(tok)
-    if tok.accept_power():
-        e = _parse_exponent(tok)
-        if abs(e) > MAX_PARSE_EXPONENT:
-            raise ParseError(
-                f"exponent {e} exceeds the parse bound {MAX_PARSE_EXPONENT}"
-            )
+def _parse_monomial_run(toks: list, i: int, depth: int):
+    """(k, mono, j): the product k * x^mono of the factors from token i on
+    that are each an optional unary minus, an integer or a generator, and
+    an optional power (not a negative one of an integer), joined by '*';
+    j is the index after the last of them, i when there is none.
+
+    It checks what ``_parse_factor`` checks of these factors, in the same
+    order, and stops before any factor it does not read, so that factor
+    raises its errors there.  A generator's power needs no size check (see
+    the assertion beside the bounds); an integer's does.
+    """
+    k = 1
+    mono = [0] * _NGENS
+    j = end = i
+    while True:
+        t = toks[j]
+        sign = 1
+        if t == "-":
+            _descend(depth, j)
+            sign = -1
+            j += 1
+            t = toks[j]
+        g = _GEN_INDEX.get(t)
+        if g is None:
+            if not t.isdecimal():
+                break
+            try:
+                n = int(t)
+            except ValueError:  # past int()'s digit limit
+                break
+        j += 1
+        e = 1
+        if toks[j] == "^" or toks[j] == "**":
+            e, j = _parse_exponent(toks, j + 1)
+            if g is None:
+                if e < 1:
+                    break
+                _check_size(ScalarK.from_rational(n), e)
+        if g is None:
+            k *= sign * n**e
+        else:
+            k *= sign
+            mono[g] += e
+        end = j
+        if toks[j] != "*":
+            break
+        j += 1
+    if not k:
+        return 0, _MONO1, end
+    return k, tuple(mono), end
+
+
+def _parse_factor(toks: list, i: int, depth: int):
+    if toks[i] == "-":
+        val, i = _parse_factor(toks, i + 1, _descend(depth, i))
+        return -val, i
+    base, i = _parse_atom(toks, i, depth)
+    if toks[i] == "^" or toks[i] == "**":
+        e, i = _parse_exponent(toks, i + 1)
         # the constant is raised at once; the factors only later, on expansion
         _check_size(base, e)
         base = base**e
-    return base
+    return base, i
 
 
-def _parse_exponent(tok: _Tok) -> int:
-    if tok.peek() == "(":
-        tok.pos += 1
-        e = tok.integer()
-        if tok.peek() != ")":
+def _descend(depth: int, i: int) -> int:
+    """The nesting depth inside the '(' or unary minus at token i."""
+    if depth >= MAX_PARSE_DEPTH:
+        raise _ErrorAt(f"nesting deeper than {MAX_PARSE_DEPTH}", i, 1)
+    return depth + 1
+
+
+def _parse_exponent(toks: list, i: int):
+    """The exponent after a '^' or '**', within its bound."""
+    if toks[i] == "(":
+        e, i = _parse_integer(toks, i + 1)
+        if toks[i] != ")":
             raise ParseError("expected ')' after exponent")
-        tok.pos += 1
-        return e
-    return tok.integer()
+        i += 1
+    else:
+        e, i = _parse_integer(toks, i)
+    if abs(e) > MAX_PARSE_EXPONENT:
+        raise ParseError(f"exponent {e} exceeds the parse bound {MAX_PARSE_EXPONENT}")
+    return e, i
 
 
-def _parse_atom(tok: _Tok) -> ScalarK:
-    c = tok.peek()
-    if c is None:
+def _parse_integer(toks: list, i: int):
+    sign = 1
+    if toks[i] == "-":
+        sign = -1
+        i += 1
+    t = toks[i]
+    if not t[:1].isdigit():
+        raise _ErrorAt("expected integer", i)
+    try:
+        return sign * int(t), i + 1
+    except ValueError:  # past int()'s digit limit, or a digit it does not read
+        raise _ErrorAt("unreadable integer", i) from None
+
+
+def _parse_atom(toks: list, i: int, depth: int):
+    t = toks[i]
+    if t == _END:
         raise ParseError("unexpected end of input")
-    if c == "(":
-        tok.pos += 1
-        tok.descend()
-        val = _parse_sum(tok)
-        if tok.peek() != ")":
+    if t == "(":
+        val, i = _parse_sum(toks, i + 1, _descend(depth, i))
+        if toks[i] != ")":
             raise ParseError("expected ')'")
-        tok.pos += 1
-        tok.depth -= 1
-        return val
-    if c.isdigit():
-        return ScalarK.from_rational(tok.integer())
-    name = tok.name()
-    if name is None:
-        raise ParseError(f"unexpected character {c!r} at position {tok.pos}")
-    if name not in _NAME_MAP:
-        raise ParseError(f"unknown symbol {name!r}")
-    return _NAME_MAP[name]()
+        return val, i + 1
+    if t[0].isdigit():
+        n, i = _parse_integer(toks, i)
+        return ScalarK.from_rational(n), i
+    if not (t[0].isalpha() or t[0] == "_"):
+        raise _ErrorAt(f"unexpected character {t[0]!r}", i)
+    if t not in _NAME_MAP:
+        raise ParseError(f"unknown symbol {t!r}")
+    return _NAME_MAP[t], i + 1

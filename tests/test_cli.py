@@ -550,7 +550,8 @@ def test_module_entry_point_is_quiet():
 
 def test_commands_do_not_import_sympy(tmp_path):
     # sympy is the tests' oracle, not a dependency of the program: neither
-    # the import nor a run of any command may load it
+    # the import, a run of any command, nor reading a Fierz table back (the
+    # two paths that parse scalar texts) may load it
     src = str(Path(qspin.__file__).resolve().parent.parent)
     net = tmp_path / "theta.json"
     net.write_text(theta_network(2, 2, 2).to_json())
@@ -561,10 +562,14 @@ assert "sympy" not in sys.modules, "import qspin.cli"
 for argv in (["check", "--all"], ["fierz-table", "--max", "2"],
              ["eval-theta", "--r", "1", "--s", "1", "--t", "0",
               "--specialize", "classical"],
-             ["chromatic", "--file", {str(net)!r}, "--at", "3"]):
+             ["chromatic", "--file", {str(net)!r}, "--at", "3"],
+             ["specialize", "--expr", "(q^2*z - 3*Delta)/(q*z + 1)", "--to", "n=1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert qspin.cli.main(argv) == 0, argv
     assert "sympy" not in sys.modules, argv
+from qspin.recoupling import FierzTable
+FierzTable.from_json(FierzTable.generate(2, 2).to_json())
+assert "sympy" not in sys.modules, "FierzTable.from_json"
 """
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = src

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspin.errors import ArgumentOutOfRange, InadmissibleTriple
+from qspin.errors import ArgumentOutOfRange, InadmissibleTriple, ParseError
 from qspin.qcomb import brace, ffact_ext, qfact, qint
 from qspin.recoupling import (
     AdmissibleTriple,
@@ -152,6 +152,41 @@ def test_fierz_table_json_round_trip():
     for a in range(3):
         for b in range(3):
             assert equal(back.entry(a, b), fierz(a, b))
+
+
+def test_fierz_table_json_round_trip_is_byte_identical():
+    text = FierzTable.generate(3, 2).to_json()
+    assert FierzTable.from_json(text).to_json() == text
+
+
+_TABLE = json.loads(FierzTable.generate(1, 1).to_json())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{max_a: 1}", "not JSON"),
+        ("[]", "the top level must be a JSON object"),
+        (json.dumps({k: v for k, v in _TABLE.items() if k != "max_a"}), "missing 'max_a'"),
+        (json.dumps({k: v for k, v in _TABLE.items() if k != "max_b"}), "missing 'max_b'"),
+        (json.dumps({k: v for k, v in _TABLE.items() if k != "entries"}),
+         "missing 'entries'"),
+        (json.dumps({**_TABLE, "max_a": "1"}), "'max_a' and 'max_b' must be integers"),
+        (json.dumps({**_TABLE, "entries": {"a": 0}}), "'entries' must be a list"),
+        (json.dumps({**_TABLE, "entries": [[0, 0, "1"]]}), "an entry must be an object"),
+        (json.dumps({**_TABLE, "entries": [{"a": "0", "b": 0, "value": "1"}]}),
+         "needs integers a and b"),
+        (json.dumps({**_TABLE, "entries": [{"a": 0, "b": 1.0, "value": "1"}]}),
+         "needs integers a and b"),
+        (json.dumps({**_TABLE, "entries": [{"a": 0, "b": 0, "value": 1}]}),
+         "must be a string"),
+    ],
+    ids=["not-json", "list", "no-max_a", "no-max_b", "no-entries", "str-max_a",
+         "dict-entries", "list-entry", "str-a", "float-b", "int-value"],
+)
+def test_fierz_table_from_malformed_json_is_a_parse_error(text, message):
+    with pytest.raises(ParseError, match=message):
+        FierzTable.from_json(text)
 
 
 def test_ffact_consistency():

@@ -1,5 +1,7 @@
 """Coefficient field: normal forms, text round-trip, bar, specializations."""
 
+import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -23,6 +25,7 @@ from exprtree import (
     value,
 )
 from nf_oracle import cancel_nf, cancel_text
+import parse_oracle
 from q_limit import at_delta, q_to_one_by_division
 from qspin import poly, scalar
 from qspin.errors import (
@@ -30,6 +33,7 @@ from qspin.errors import (
     ClassicalSingular,
     DivisionByZero,
     ParseError,
+    QspinError,
     SpecializationError,
 )
 from qspin.poly import Frac
@@ -228,9 +232,46 @@ def test_parse_round_trip_basics():
         assert equal(parse_scalar(to_text(parse_scalar(text))), parse_scalar(text))
 
 
+_PARSE_ERRORS = [
+    ("", ParseError, "unexpected end of input"),
+    ("q +", ParseError, "unexpected end of input"),
+    ("(q", ParseError, "expected ')'"),
+    ("q ** ", ParseError, "expected integer at position 5"),
+    ("w + 1", ParseError, "unknown symbol 'w'"),
+    ("1 / / 2", ParseError, "unexpected character '/' at position 4"),
+    ("q^\u00b2", ParseError, "unreadable integer at position 2"),
+    ("q^(-3", ParseError, "expected ')' after exponent"),
+    ("q^x", ParseError, "expected integer at position 2"),
+    ("q z", ParseError, "trailing input at position 2: 'z'"),
+    ("2**3**2", ParseError, "trailing input at position 4: '**2'"),
+    ("q#", ParseError, "trailing input at position 1: '#'"),
+    (")", ParseError, "unexpected character ')' at position 0"),
+    ("(q)(z)", ParseError, "trailing input at position 3: '(z)'"),
+    ("1" * 5000, ParseError, "unreadable integer at position 0"),
+    ("0^0", ArgumentOutOfRange, "0^0 is undefined"),
+    ("0^(-1)", DivisionByZero, "inverting a scalar that normalizes to 0"),
+    ("1/0", DivisionByZero, "division by a scalar that normalizes to 0"),
+]
+
+
 def test_parse_errors():
-    for bad in ["", "q +", "(q", "q ** ", "w + 1", "1 / / 2"]:
-        with pytest.raises(ParseError):
+    for bad, kind, message in _PARSE_ERRORS:
+        with pytest.raises(kind) as info:
+            parse_scalar(bad)
+        assert (type(info.value), str(info.value)) == (kind, message), bad[:20]
+
+
+def test_parse_accepts():
+    # a non-ASCII decimal exponent, bare negative exponents, unary minus
+    # on a parenthesis, and any whitespace between tokens
+    for text, want in [("q^\u0663", "q^3"), ("q^-1", "(1)/(q)"), ("q**-2", "(1)/(q^2)"),
+                       ("-(-q)", "q"), ("q\t*\nz", "q*z")]:
+        assert to_text(parse_scalar(text)) == want, text
+
+
+def test_parse_of_a_non_string_is_a_parse_error():
+    for bad in [None, 3, b"q", ["q"]]:
+        with pytest.raises(ParseError, match="must be a string"):
             parse_scalar(bad)
 
 
@@ -513,7 +554,7 @@ def test_parse_degree_bound():
 
 def test_parse_size_bound():
     # K = 65 is the largest accepted K of this family; its cancel takes
-    # about 2 s, so only its size is checked here
+    # over a second, so only its size is checked here
     def text(k):
         return f"((q+z+1)^{k}+1)/((q+z+2)^{k}+1)"
 
@@ -556,6 +597,120 @@ def test_stored_texts_still_parse():
     assert len(texts) == 51
     for text in texts:
         assert to_text(parse_scalar(text)) == text
+
+
+def test_parse_reads_monomials_without_scalar_arithmetic(monkeypatch):
+    # a canonical text's monomials are read into exponent tuples; only the
+    # one '/' of (N)/(D) is ScalarK arithmetic
+    calls = []
+    for name in ("__mul__", "__pow__", "__truediv__"):
+        method = getattr(ScalarK, name)
+        monkeypatch.setattr(ScalarK, name, lambda self, other, _m=method, _n=name:
+                            calls.append(_n) or _m(self, other))
+    texts = _stored_texts()
+    for text in texts:
+        calls.clear()
+        parse_scalar(text)
+        assert calls == (["__truediv__"] if text.startswith("(") else []), text
+    assert sum(text.startswith("(") for text in texts) == 48
+
+
+def test_digit_tokens_are_the_isdigit_runs():
+    # the parser's digit class is str.isdigit(), which int() reads only in part
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(scalar._DIGITS, every) == [c for c in every if c.isdigit()]
+
+
+def _outcome(parse, text):
+    """The factored value a parser reads, or the type and message of the
+    error it raises."""
+    try:
+        x = parse(text)
+    except QspinError as exc:
+        return type(exc), str(exc)
+    return x._c, x._mono, x._fac
+
+
+_GAPS = st.sampled_from(["", "", "", " ", "  ", "\t", "\n "])
+_NAMES = st.sampled_from(["q", "z", "Delta", "u", "v", "delta"])
+_INTEGERS = st.one_of(st.integers(0, 12), st.integers(0, 10**30)).map(str)
+
+
+@st.composite
+def _scalar_texts(draw, depth=2):
+    """Texts of the parser's grammar: sums and products of generators and
+    integers, powers by '^' or '**' with bare or parenthesized, signed
+    exponents, unary minus chains and parentheses, with whitespace between
+    tokens."""
+    def gap():
+        return draw(_GAPS)
+
+    def factor(depth):
+        minus = draw(st.sampled_from(["", "", "", "-", "- ", "--"]))
+        kinds = ["name", "integer"] + (["paren"] if depth else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "name":
+            atom = draw(_NAMES)
+        elif kind == "integer":
+            atom = draw(_INTEGERS)
+        else:
+            atom = "(" + gap() + total(depth - 1) + gap() + ")"
+        if draw(st.integers(0, 2)) == 0:
+            e = str(draw(st.integers(-3, 4))).replace("-", draw(st.sampled_from(["-", "- "])))
+            if draw(st.booleans()):
+                e = "(" + gap() + e + gap() + ")"
+            atom += gap() + draw(st.sampled_from(["^", "**"])) + gap() + e
+        return minus + atom
+
+    def product(depth):
+        out = factor(depth)
+        for _ in range(draw(st.integers(0, 2))):
+            out += gap() + draw(st.sampled_from(["*", "*", "/"])) + gap() + factor(depth)
+        return out
+
+    def total(depth):
+        out = product(depth)
+        for _ in range(draw(st.integers(0, 2))):
+            out += gap() + draw(st.sampled_from(["+", "-"])) + gap() + product(depth)
+        return out
+
+    return gap() + total(depth) + gap()
+
+
+#: Characters that single-character corruptions put in a text.
+_CORRUPTIONS = "+-*/^() \t_#.qzDuvw0129\u00b2\u0663\u00bd\u2460"
+
+
+@st.composite
+def _corrupted(draw, texts):
+    """A text with one character replaced, inserted or deleted."""
+    text = draw(texts)
+    i = draw(st.integers(0, len(text)))
+    c = draw(st.sampled_from(_CORRUPTIONS))
+    edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if edit == "insert":
+        return text[:i] + c + text[i:]
+    return text[:i] + (c if edit == "replace" else "") + text[i + 1:]
+
+
+@given(st.one_of(_scalar_texts(), _corrupted(_scalar_texts())))
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_the_character_scanner(text):
+    assert _outcome(parse_scalar, text) == _outcome(parse_oracle.parse_scalar, text)
+
+
+@pytest.mark.parametrize("text", [
+    "2\u00b2", "2q", "q^2q", "(2q)", "q^(2q)", "\u00bd", "q*\u00bd", "q\u00b2",
+    "\u2460", "q^\u2460", "_x", "Delta2", "q*-z", "q*--z", "q*-(z)", "2^-1*q",
+    "-2^2*q", "0*q + z + 1", "0^2*q", "2^0*q", "q^ - 2", "q ^ ( - 2 )", "9^256*q",
+    "9^300", "q/0", "q^256*q + 1", "-" * 101 + "q", "q*" + "-" * 101 + "z",
+    "(" * 101 + "q", "(" * 100 + "-q" + ")" * 100, "1" * 5000 + "*q",
+    # terms past a bound in a sum that is not, and an integer's power
+    "q^256*q - q^256*q", "q^-256*q^-1 - q^-256*q^-1", "1" + "0" * 800 + "^256",
+    "9^200*q^200*z^200 - 9^200*q^200*z^200", "q^" + "1" * 5000, "3*q^2*z - q^-3*u/2 + delta*q",
+])
+def test_parse_matches_the_character_scanner_on_edge_cases(text):
+    assert _outcome(parse_scalar, text) == _outcome(parse_oracle.parse_scalar, text)
 
 
 # --------------------------------------------------------------------------
