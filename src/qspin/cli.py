@@ -222,7 +222,7 @@ def _cmd_check(args) -> int:
         doc = matrixlab.manifest([args.suite])
     else:
         doc = matrixlab.default_manifest()
-    report = matrixlab.run_manifest(doc)
+    report = matrixlab.run_manifest(doc, stats=args.stats)
     report["results"].sort(
         key=lambda r: (r["name"], json.dumps(r["params"], sort_keys=True))
     )
@@ -232,6 +232,8 @@ def _cmd_check(args) -> int:
         for r in report["results"]:
             status = "PASS" if r["passed"] else "FAIL"
             extra = f"  ({r['error']})" if r.get("error") else ""
+            if args.stats:
+                extra += f"  [{r['seconds']:.3f} s]"
             print(f"{status}  {r['name']}  {json.dumps(r['params'], sort_keys=True)}{extra}")
         print("all passed" if report["all_passed"] else "FAILURES PRESENT")
     return 0 if report["all_passed"] else 1
@@ -308,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default=None, help="a registry entry, or 'all'")
     p.add_argument("--all", dest="suite", action="store_const", const="all")
     p.add_argument("--manifest", default=None, help="manifest JSON path")
+    p.add_argument("--stats", action="store_true", help="add each row's wall time")
     common(p, specialize=False)
     p.set_defaults(fn=_cmd_check)
 

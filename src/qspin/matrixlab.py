@@ -12,12 +12,21 @@ Conventions:
 * Matrices are sparse and fraction-free: rows[i][j] holds a nonzero
   integer-coefficient polynomial numerator and one denominator ``den`` is
   shared by all entries, kept as the keys of the scalars' reduced factor
-  maps (generators, cyclotomic keys and sum keys).  Products and sums
-  multiply and add polynomials only and divide nothing.  ``a == b`` is a
-  zero test: a - b over a common denominator has no entries.  Only the
-  tower matrices X(p), which are kept and feed X(p+1), are reduced by
-  trial division.  A field element is built (one cancel) only when an
-  entry is read.
+  maps (generators, cyclotomic keys and sum keys).  A numerator is a plain
+  dict from packed monomials to int coefficients: q^a z^b Delta^c u^d v^e
+  is one int with a field of ``_W`` bits per generator, q the most
+  significant, so int order is lex order and a term product is one int
+  addition.  The top bit of each field is a guard bit, which exact division
+  reads to see that an exponent of the divisor exceeds one of the
+  dividend.  Each matrix carries a bound ``deg`` on its exponents, and one
+  past ``_MAXE`` raises UnsupportedSize, so no field ever carries into the
+  next.  Numerators are packed when a matrix is built from scalars and
+  unpacked to ``poly.Poly`` only where an entry, a trace or a probe value
+  is read.  Products and sums multiply and add polynomials only and divide
+  nothing.  ``a == b`` is a zero test: a - b over a common denominator has
+  no entries.  Only the tower matrices X(p), which are kept and feed
+  X(p+1), are reduced by trial division.  A field element is built (one
+  cancel) only when an entry is read.
 * Inside BraidData, z is specialized to q^n throughout.
 """
 
@@ -28,6 +37,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import wraps
 from itertools import product
 from math import gcd
+from time import perf_counter
 from typing import Callable, NamedTuple
 
 from . import networks, qcomb, recoupling
@@ -38,7 +48,7 @@ from .errors import (
     ParseError,
     UnsupportedSize,
 )
-from .poly import Poly, constant, exquo, monomial_mul, probe, rules_out
+from .poly import Poly, probe, rules_out
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
@@ -68,11 +78,83 @@ def _built_once(build):
 
 
 # --------------------------------------------------------------------------
-# Integer polynomials in (q, z, Delta, u, v): numerators and denominators.
+# Integer polynomials in (q, z, Delta, u, v): denominators as Poly keys,
+# matrix numerators packed.
 
-_PONE = constant(1, 5)
 #: The generators q, z, Delta, u, v, as keys of a denominator.
 _GENS = tuple(Poly({tuple(int(j == i) for j in range(5)): 1}) for i in range(5))
+
+#: Bits per generator in a packed monomial: q^a z^b Delta^c u^d v^e is the
+#: int with the fields a, b, c, d, e from the most significant down, so
+#: int order is lex order.  The top bit of each field is a guard bit.
+_W = 16
+#: The largest exponent a field holds.  Every matrix's degree bound stays
+#: at or below it, so the sum of two packed monomials never carries.
+_MAXE = (1 << (_W - 1)) - 1
+_FIELD_MASK = (1 << _W) - 1
+_GUARD = sum(1 << (_W - 1 + _W * k) for k in range(5))
+#: The packed polynomial 1.
+_ONE = {0: 1}
+
+
+def _bounded(deg: int) -> int:
+    """deg, if a field of a packed monomial holds it."""
+    if deg > _MAXE:
+        raise UnsupportedSize(f"matrix entries of degree up to {deg} exceed {_MAXE}")
+    return deg
+
+
+def _pack(p: Poly) -> tuple[dict, int]:
+    """An integer polynomial as a packed numerator, and its largest
+    exponent."""
+    out = {}
+    deg = 0
+    for (a, b, c, d, e), v in p.items():
+        deg = max(deg, a, b, c, d, e)
+        out[(((a << _W | b) << _W | c) << _W | d) << _W | e] = v
+    return out, _bounded(deg)
+
+
+def _unpack(num: dict) -> Poly:
+    """A packed numerator as a Poly."""
+    w, f = _W, _FIELD_MASK
+    return Poly({(m >> 4 * w, m >> 3 * w & f, m >> 2 * w & f, m >> w & f, m & f): c
+                 for m, c in num.items()})
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """The product of two packed numerators, its terms in the order
+    ``Poly.__mul__`` gives them."""
+    if len(b) > len(a):
+        a, b = b, a
+    if len(b) == 1:
+        ((mb, cb),) = b.items()
+        if not mb and cb == 1:
+            return a
+        return {m + mb: c * cb for m, c in a.items()}
+    out: dict = {}
+    get = out.get
+    terms = list(a.items())
+    for mb, cb in b.items():
+        for ma, ca in terms:
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _add(a: dict, b: dict) -> dict:
+    """The sum of two packed numerators, a new dict unless b is 0."""
+    if not b:
+        return a
+    out = dict(a)
+    get = out.get
+    for m, c in b.items():
+        c = get(m, 0) + c
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return out
 
 
 def _split(x) -> tuple:
@@ -105,10 +187,10 @@ def _common_den(dens: list) -> tuple[int, dict, list]:
     return cont, fac, mults
 
 
-def _add_into(rows: dict, i: int, j: int, num) -> None:
+def _add_into(rows: dict, i: int, j: int, num: dict) -> None:
     """rows[i][j] += num, dropping an entry (and a row) that sums to zero."""
     row = rows.setdefault(i, {})
-    num = row[j] + num if j in row else num
+    num = _add(row[j], num) if j in row else num
     if num:
         row[j] = num
     else:
@@ -117,42 +199,50 @@ def _add_into(rows: dict, i: int, j: int, num) -> None:
             del rows[i]
 
 
-def _scaled(rows: dict, m) -> dict:
-    """New row dicts with every numerator times m; when m is 1, the
-    numerators themselves are shared."""
-    if m == _PONE:
+def _scaled(rows: dict, m: dict) -> dict:
+    """New row dicts with every numerator times the packed m; when m is 1,
+    the numerators themselves are shared."""
+    if m == _ONE:
         return {i: dict(row) for i, row in rows.items()}
-    return {i: {j: v * m for j, v in row.items()} for i, row in rows.items()}
+    return {i: {j: _mul(v, m) for j, v in row.items()} for i, row in rows.items()}
 
 
 class SquareMatrixK:
     """Sparse square matrix over the coefficient field, an immutable value.
 
-    ``rows[i][j]`` is the integer-polynomial numerator of a nonzero entry
-    and ``den`` the one denominator of all entries, kept as a content and
-    a map of keys to multiplicities (``_den_factors``).  Products and sums
-    take numerators and keys as they come, with no division, so the form
-    is not unique: equality is decided by subtracting, and only the kept
-    tower matrices are reduced (``_reduce``).
-    ``entry`` wraps an entry as ScalarK, split from its reduced fraction;
-    every specialization, the classical one included, reads it like any
-    other value.  Numerators are shared between matrices and never mutated.
+    ``rows[i][j]`` is the numerator of a nonzero entry, a dict from packed
+    monomials (see ``_W``) to nonzero int coefficients, and ``den`` the one
+    denominator of all entries, kept as a content and a map of ``Poly``
+    keys to multiplicities (``_den_factors``).  ``deg`` bounds every
+    exponent of every numerator: a product or a Kronecker product adds its
+    operands' bounds, a sum takes the larger of each side's bound plus the
+    degree of the multiple that brings it to the common denominator, and a
+    bound past ``_MAXE`` raises UnsupportedSize, so no field of a packed
+    monomial ever carries into the next.  Products and sums take
+    numerators and keys as they come, with no division, so the form is not
+    unique: equality is decided by subtracting, and only the kept tower
+    matrices are reduced (``_reduce``).  ``entry`` unpacks an entry and
+    wraps it as ScalarK, split from its reduced fraction; every
+    specialization, the classical one included, reads it like any other
+    value.  Numerators are shared between matrices and never mutated.
 
     Build matrices with ``from_entries`` or ``identity``; the operations
     return new matrices.
     """
 
-    __slots__ = ("dim", "rows", "_cont", "_dfac", "_den")
+    __slots__ = ("dim", "rows", "deg", "_cont", "_dfac", "_den")
 
-    def __init__(self, dim: int, rows: dict, cont: int, dfac: dict):
-        """rows over the denominator cont * prod(f^e) over ``dfac``.
-        ``rows`` and ``dfac`` are taken over and never changed."""
+    def __init__(self, dim: int, rows: dict, cont: int, dfac: dict, deg: int):
+        """rows over the denominator cont * prod(f^e) over ``dfac``, every
+        exponent of a numerator at most ``deg``.  ``rows`` and ``dfac`` are
+        taken over and never changed."""
         if dim < 1:
             raise ArgumentOutOfRange("matrix dimension must be positive")
+        self.deg = _bounded(deg)
         if not rows:
             cont, dfac = 1, {}
         self.dim = dim
-        self.rows: dict[int, dict[int, object]] = rows
+        self.rows: dict[int, dict[int, dict]] = rows
         self._cont = cont
         self._dfac = dfac
         self._den = None
@@ -179,14 +269,17 @@ class SquareMatrixK:
         cont, dfac, mults = _common_den([_den_factors(x) for x in dens.values()])
         mult = dict(zip(dens, mults))
         rows: dict = {}
+        deg = 0
         for i, j, x in split:
             if x:
-                _add_into(rows, i, j, x.nf.numer * mult[x.nf.denom])
-        return SquareMatrixK(dim, rows, cont, dfac)
+                num, d = _pack(x.nf.numer * mult[x.nf.denom])
+                deg = max(deg, d)
+                _add_into(rows, i, j, num)
+        return SquareMatrixK(dim, rows, cont, dfac, deg)
 
     @staticmethod
     def identity(dim: int) -> "SquareMatrixK":
-        return SquareMatrixK(dim, {i: {i: _PONE} for i in range(dim)}, 1, {})
+        return SquareMatrixK(dim, {i: {i: _ONE} for i in range(dim)}, 1, {}, 0)
 
     # -- entry access --------------------------------------------------------
 
@@ -194,7 +287,7 @@ class SquareMatrixK:
         num = self.rows.get(i, {}).get(j)
         if num is None:
             return ScalarK.from_field_element(FIELD.zero)
-        return ScalarK.from_field_element(FIELD.new(num, self.den))
+        return ScalarK.from_field_element(FIELD.new(_unpack(num), self.den))
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -220,16 +313,17 @@ class SquareMatrixK:
                     get = t.get
                     for mb, cb in bval.items():
                         for ma, ca in aterms:
-                            m = monomial_mul(ma, mb)
+                            m = ma + mb
                             t[m] = get(m, 0) + ca * cb
             row = {}
             for j, t in acc.items():
                 t = {m: c for m, c in t.items() if c}
                 if t:
-                    row[j] = Poly(t)
+                    row[j] = t
             if row:
                 rows[i] = row
-        return SquareMatrixK(self.dim, rows, *_den_product(self, other))
+        return SquareMatrixK(self.dim, rows, *_den_product(self, other),
+                            self.deg + other.deg)
 
     def __add__(self, other: "SquareMatrixK") -> "SquareMatrixK":
         return self._lincomb(other, 1)
@@ -240,25 +334,27 @@ class SquareMatrixK:
     def _lincomb(self, other: "SquareMatrixK", sign: int) -> "SquareMatrixK":
         if self.dim != other.dim:
             raise ArgumentOutOfRange("dimension mismatch in matrix sum")
-        cont, dfac, (ma, mb) = _common_den(
+        cont, dfac, mults = _common_den(
             [(self._cont, self._dfac), (other._cont, other._dfac)]
         )
+        (ma, da), (mb, db) = map(_pack, mults)
         if sign < 0:
-            mb = -mb
+            mb = {m: -c for m, c in mb.items()}
         rows = _scaled(self.rows, ma)
-        for i, row in _scaled(other.rows, mb).items():
+        for i, row in other.rows.items():
             for j, v in row.items():
-                _add_into(rows, i, j, v)
-        return SquareMatrixK(self.dim, rows, cont, dfac)
+                _add_into(rows, i, j, _mul(v, mb))
+        return SquareMatrixK(self.dim, rows, cont, dfac,
+                            max(self.deg + da, other.deg + db))
 
     def scale(self, c) -> "SquareMatrixK":
         c = scalar(c)
         if not c:
-            return SquareMatrixK(self.dim, {}, 1, {})
-        cnum = c.nf.numer
-        rows = {i: {j: v * cnum for j, v in row.items()}
+            return SquareMatrixK(self.dim, {}, 1, {}, 0)
+        cnum, cdeg = _pack(c.nf.numer)
+        rows = {i: {j: _mul(v, cnum) for j, v in row.items()}
                 for i, row in self.rows.items()}
-        return SquareMatrixK(self.dim, rows, *_den_product(self, c))
+        return SquareMatrixK(self.dim, rows, *_den_product(self, c), self.deg + cdeg)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareMatrixK):
@@ -276,16 +372,17 @@ class SquareMatrixK:
                 orow = rows.setdefault(i * d2 + k, {})
                 for j, aval in arow.items():
                     for l, bval in brow.items():
-                        orow[j * d2 + l] = aval * bval
-        return SquareMatrixK(self.dim * d2, rows, *_den_product(self, other))
+                        orow[j * d2 + l] = _mul(aval, bval)
+        return SquareMatrixK(self.dim * d2, rows, *_den_product(self, other),
+                            self.deg + other.deg)
 
     def trace(self) -> ScalarK:
-        acc = Poly()
+        acc: dict = {}
         for i, row in self.rows.items():
             v = row.get(i)
             if v is not None:
-                acc = acc + v
-        return ScalarK.from_field_element(FIELD.new(acc, self.den))
+                acc = _add(acc, v)
+        return ScalarK.from_field_element(FIELD.new(_unpack(acc), self.den))
 
 
 def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
@@ -298,18 +395,66 @@ def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
     return a._cont * bcont, _fac_mul(a._dfac, bfac)
 
 
-def _divide_all(rows: dict, f):
-    """rows with every numerator divided by f, or None if f misses one."""
+def _divisor(f: Poly) -> tuple:
+    """f packed for _exquo: its leading monomial and coefficient, and its
+    other terms."""
+    fp, _ = _pack(f)
+    fm = max(fp)
+    return fm, fp[fm], [(m, c) for m, c in fp.items() if m != fm]
+
+
+def _exquo(p: dict, f: tuple):
+    """p / f for a packed numerator p and a divisor f from _divisor, or
+    None if f does not divide p.  Each step divides the leading term of the
+    remainder by that of f: with the guard bits G, the quotient's monomial
+    is (m | G) - fm less G, and a guard bit cleared by the subtraction
+    means fm does not divide m.  Were f to divide p, every remainder would
+    be f times the rest of the quotient, with no exponent past p's; so a
+    leading monomial with a guard bit set, an exponent past _MAXE, ends the
+    division too, and the sums of a quotient monomial and one of f, both
+    below the guard bits, cannot carry."""
+    fm, fc, rest = f
+    p = dict(p)
+    quo = {}
+    while p:
+        m = max(p)
+        c = p.pop(m)
+        d = (m | _GUARD) - fm
+        if m & _GUARD or d & _GUARD != _GUARD:
+            return None
+        t, r = divmod(c, fc)
+        if r:
+            return None
+        qm = d ^ _GUARD
+        quo[qm] = t
+        for m2, c2 in rest:
+            k = qm + m2
+            v = p.get(k, 0) - t * c2
+            if v:
+                p[k] = v
+            else:
+                del p[k]
+    return quo
+
+
+def _divide_all(rows: dict, f: tuple):
+    """rows with every numerator divided by f (from _divisor), or None if
+    f misses one."""
     out = {}
     for i, row in rows.items():
         orow = {}
         for j, num in row.items():
-            quo = exquo(num, f)
+            quo = _exquo(num, f)
             if quo is None:
                 return None
             orow[j] = quo
         out[i] = orow
     return out
+
+
+def _probes(rows: dict) -> list:
+    """The value of every numerator at the probe point."""
+    return [probe(_unpack(num)) for row in rows.values() for num in row.values()]
 
 
 def _reduce(m: SquareMatrixK) -> SquareMatrixK:
@@ -318,19 +463,20 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
 
     The numerators' values at the probe point are taken once and divided
     along with them; a key whose value rules out one of theirs is not
-    tried (see ``poly.rules_out``)."""
+    tried (see ``poly.rules_out``), nor is a key of larger degree than the
+    matrix's bound."""
     rows, left = m.rows, {}
-    values = [probe(num) for row in rows.values() for num in row.values()]
+    values = _probes(rows)
     for f, e in m._dfac.items():
-        fv = probe(f)
-        while e and not any(rules_out(fv, v) for v in values):
-            quo = _divide_all(rows, f)
-            if quo is None:
-                break
-            rows = quo
-            e -= 1
-            values = ([v // fv for v in values] if fv else
-                      [probe(num) for row in rows.values() for num in row.values()])
+        if max(map(max, f)) <= m.deg:
+            fv, fp = probe(f), _divisor(f)
+            while e and not any(rules_out(fv, v) for v in values):
+                quo = _divide_all(rows, fp)
+                if quo is None:
+                    break
+                rows = quo
+                e -= 1
+                values = [v // fv for v in values] if fv else _probes(rows)
         if e:
             left[f] = e
     cont = m._cont
@@ -339,10 +485,10 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
     if g != 1:
         cont //= g
         rows = {
-            i: {j: num.quo_ground(g) for j, num in row.items()}
+            i: {j: {k: c // g for k, c in num.items()} for j, num in row.items()}
             for i, row in rows.items()
         }
-    return SquareMatrixK(m.dim, rows, cont, left)
+    return SquareMatrixK(m.dim, rows, cont, left, m.deg)
 
 
 # --------------------------------------------------------------------------
@@ -733,8 +879,8 @@ def idempotent_tower(kind: str, data: BraidData, p_max: int) -> dict:
         raise ArgumentOutOfRange(f"p_max must be a positive integer, not {p_max!r}")
     # measured at p = 4 (2-core x86, Python 3.11), from a cold start: at
     # n = 1 each tower builds and passes check_tower in 0.01 s; at n = 2
-    # E(4) builds in 0.07 s and checks in 0.2 s, F(4) builds in 0.9 s and
-    # checks in 3.2 s.  p = 4 at n = 3 (d^p = 1296) is not measured.
+    # E(4) builds in 0.09 s and checks in 0.2 s, F(4) builds in 0.9 s and
+    # checks in 2.0 s.  p = 4 at n = 3 (d^p = 1296) is not measured.
     budget = 4 if data.n <= 2 else 3
     if p_max > budget:
         raise UnsupportedSize(
@@ -845,6 +991,7 @@ def quantum_trace(x: SquareMatrixK, data: BraidData) -> ScalarK:
         v = row.get(i)
         if v is None:
             continue
+        v = _unpack(v)
         digits = [i // d**k % d for k in range(p)]
         for a, (wnum, wden) in enumerate(weights):
             count = digits.count(a)
@@ -881,6 +1028,14 @@ def dimq_sym_closed(p: int) -> ScalarK:
     if p == 0:
         return ONE
     return qint(1, p - 1) / qint(1, -1) * qbinom_ext(2, p - 3, p)
+
+
+def check_dimq_sym_closed(p: int, n: int) -> bool:
+    """The closed form dimq_sym_closed(p) equals the telescoped product
+    dimq_sym_recursive(p) at level n >= 2, where its [n-1] denominator does
+    not vanish."""
+    closed = integer_level(dimq_sym_closed(p), n)
+    return equal(closed, integer_level(dimq_sym_recursive(p), n))
 
 
 def check_quantum_dims(n: int, p_max: int) -> bool:
@@ -982,7 +1137,11 @@ CHECKS = {
                            "identity"),
     "hecke-dims": Check(qcomb.check_hecke_dim_recurrences, _grid(p=range(5)),
                         "identity"),
+    "qbinom-recurrence": Check(qcomb.check_qbinom_recurrence,
+                               _grid(a=range(7), b=range(7)), "identity"),
     "dimq-recurrence": Check(recoupling.check_dimq_recurrence, _grid(p=range(1, 5)),
+                             "identity"),
+    "dimq-sym-closed": Check(check_dimq_sym_closed, _grid(p=range(1, 4), n=(2, 3)),
                              "identity"),
     "threej-double": Check(recoupling.check_threej_double,
                            _grid(r=range(3), s=range(3), t=range(3)), "identity"),
@@ -1035,15 +1194,22 @@ def default_manifest() -> dict:
     return manifest(name for name, check in CHECKS.items() if check.group == "matrix")
 
 
-def run_manifest(doc) -> dict:
+def run_manifest(doc, stats: bool = False) -> dict:
     """Run a manifest document; returns a machine-readable pass/fail table.
 
     A malformed document raises ParseError.  An unknown check name, params
     off the grid of an identity or slip entry, or a check that raises, give
-    a failed row that carries the error.
+    a failed row that carries the error.  With ``stats`` each row also
+    carries its wall time as "seconds".
     """
-    results = [_run_row(item["name"], item.get("params", {}))
-               for item in _manifest_items(doc)]
+    results = []
+    for item in _manifest_items(doc):
+        if stats:
+            start = perf_counter()
+        row = _run_row(item["name"], item.get("params", {}))
+        if stats:
+            row["seconds"] = perf_counter() - start
+        results.append(row)
     return {
         "format_version": MANIFEST_FORMAT_VERSION,
         "results": results,

@@ -76,8 +76,12 @@ def _expect(ok: bool, what: str) -> None:
 
 
 def _load(text: str, required: tuple) -> dict:
-    """The JSON object of a network file, its required keys present."""
-    doc = json.loads(text)
+    """The JSON object of a network file, its required keys present; text
+    that is not JSON, or not a str, raises ParseError."""
+    try:
+        doc = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"network file: not JSON ({exc})") from None
     _expect(isinstance(doc, dict), "the top level must be a JSON object")
     for key in required:
         _expect(key in doc, f"missing {key!r}")

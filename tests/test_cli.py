@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -410,6 +411,20 @@ def test_bad_network_file_is_a_typed_error(tmp_path, capsys, doc, error):
 
 
 @pytest.mark.parametrize(
+    "fmt,want",
+    [("text", "error [bad-json]: Expecting ',' delimiter: line 1 column 3 (char 2)\n"),
+     ("json", '{"error": {"type": "bad-json", "message": '
+              '"Expecting \',\' delimiter: line 1 column 3 (char 2)"}}\n')],
+)
+def test_chromatic_file_not_json_is_bad_json(tmp_path, capsys, fmt, want):
+    # the command reads the JSON itself, so the kind stays bad-json although
+    # the network readers raise ParseError for the same text
+    path = tmp_path / "net.json"
+    path.write_text("[1")
+    assert run(capsys, "chromatic", "--file", str(path), "--format", fmt) == (2, "", want)
+
+
+@pytest.mark.parametrize(
     "argv,error",
     [
         (["chromatic", "--file", "{dir}"], "IsADirectoryError"),
@@ -434,6 +449,22 @@ def test_check_all_pinned(capsys):
     assert run(capsys, "check", "--all") == (0, CHECK_ALL_TEXT, "")
     assert run(capsys, "check", "--all", "--format", "json") == (
         0, json.dumps(json.loads(CHECK_ALL_JSON), indent=2) + "\n", "")
+
+
+def test_check_stats_adds_row_times(capsys):
+    # the same rows as the pinned output, each with its wall time appended
+    code, out, err = run(capsys, "check", "--all", "--stats")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert all(re.search(r"  \[\d+\.\d{3} s\]$", line) for line in lines[:-1])
+    assert re.sub(r"  \[\d+\.\d{3} s\]$", "", out, flags=re.M) == CHECK_ALL_TEXT
+    code, out, err = run(capsys, "check", "--all", "--format", "json", "--stats")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    for row in doc["results"]:
+        assert isinstance(row["seconds"], float) and row["seconds"] >= 0
+        del row["seconds"]
+    assert doc == json.loads(CHECK_ALL_JSON)
 
 
 def test_check_named_suite(capsys):

@@ -8,22 +8,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matrix_oracle
 from exprtree import key_atoms, trees, value
 from qspin import matrixlab
-from qspin.errors import ParseError
+from qspin.poly import Poly, exquo
+from qspin.errors import ParseError, UnsupportedSize
 from qspin.matrixlab import (
     CHECKS,
     SquareMatrixK,
     build_braid_data,
     check_hecke_quotient,
     default_manifest,
-    dimq_sym_closed,
-    dimq_sym_recursive,
     idempotent_tower,
     quantum_trace,
     run_manifest,
 )
-from qspin.scalar import ONE, Q, U, Z, ScalarK, equal, integer_level, scalar
+from qspin.scalar import ONE, Q, U, Z, ScalarK, equal, scalar
 from sympy_bridge import FIELD, from_sympy, to_sympy
 
 
@@ -60,16 +60,6 @@ def test_registry_row(name, params):
     # a slip row holds while the printed form fails and the corrected form
     # holds, so a silent "fix" of either turns it red
     assert CHECKS[name].fn(**params)
-
-
-def test_dimq_sym_closed_vs_recursive():
-    # the closed form is singular at level 1 but matches the telescoped
-    # product generically (checked at level n = 2, 3 after specialization)
-    for p in range(1, 4):
-        for n in (2, 3):
-            lhs = integer_level(dimq_sym_closed(p), n)
-            rhs = integer_level(dimq_sym_recursive(p), n)
-            assert equal(lhs, rhs)
 
 
 def test_hecke_tower_and_quotient():
@@ -204,7 +194,7 @@ def test_kept_towers_are_reduced(kind, n):
         g = to_sympy(x.den)
         for row in x.rows.values():
             for num in row.values():
-                g = g.gcd(to_sympy(num))
+                g = g.gcd(to_sympy(matrixlab._unpack(num)))
         assert g == 1, (kind, n, p)
 
 
@@ -347,3 +337,113 @@ def test_matrix_equality_is_exact(pair, c):
     changed = a + single
     assert changed != a
     assert changed - a == single
+
+
+# --------------------------------------------------------------------------
+# Packed numerators against the tuple-keyed arithmetic of matrix_oracle.
+
+
+@st.composite
+def _sparse(draw, dim):
+    """dim and (i, j, value) entries of a dim x dim matrix: a position may
+    be given more than once, most are left empty, and the values are
+    exprtree values."""
+    cell = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                     trees(key_atoms, depth=1))
+    return dim, [(i, j, value(t)) for i, j, t in draw(st.lists(cell, max_size=dim + 2))]
+
+
+def _same(m, o):
+    """The packed matrix m holds what the oracle's matrix o holds: the same
+    numerators and denominator keys, the same entries, and m.deg bounds
+    every exponent."""
+    assert m.dim == o.dim
+    rows = {i: {j: matrixlab._unpack(v) for j, v in row.items()}
+            for i, row in m.rows.items()}
+    assert rows == o.rows
+    assert not any(isinstance(v, Poly) for row in m.rows.values() for v in row.values())
+    assert (m._cont, m._dfac) == (o._cont, o._dfac)
+    assert all(max(map(max, num)) <= m.deg for row in rows.values() for num in row.values())
+    for i in range(m.dim):
+        for j in range(m.dim):
+            assert m.entry(i, j).nf == o.entry(i, j).nf
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(_sparse(d), _sparse(d))),
+       st.integers(1, 2).flatmap(_sparse), trees(key_atoms, depth=1))
+@settings(max_examples=40, deadline=None)
+def test_packed_matrices_match_the_oracle(pair, small, c):
+    c = value(c)
+    (dim, ea), (_, eb) = pair
+    a, b = (SquareMatrixK.from_entries(dim, e) for e in (ea, eb))
+    oa, ob = (matrix_oracle.SquareMatrixK.from_entries(dim, e) for e in (ea, eb))
+    sk, ok = (cls.from_entries(*small)
+              for cls in (SquareMatrixK, matrix_oracle.SquareMatrixK))
+    _same(a, oa)
+    _same(a @ b, oa @ ob)
+    _same(a + b, oa + ob)
+    _same(a - b, oa - ob)
+    _same(a.scale(c), oa.scale(c))
+    _same(a.kron(sk), oa.kron(ok))
+    _same(matrixlab._reduce(a @ b), matrix_oracle._reduce(oa @ ob))
+    assert (a == b) == (oa == ob)
+    assert (a @ b == b @ a) == (oa @ ob == ob @ oa)
+    assert a.trace().nf == oa.trace().nf
+
+
+def test_degree_bound_past_the_field_width_is_refused():
+    assert matrixlab._MAXE == 2**15 - 1
+    big = Q ** 2**14
+    a = SquareMatrixK.from_entries(2, [(0, 0, big), (0, 1, ONE), (1, 0, Q)])
+    assert a.deg == 2**14
+    # a bound at the largest exponent a field holds is still exact
+    top = a @ SquareMatrixK.from_entries(2, [(0, 0, Q ** (2**14 - 1))])
+    assert top.deg == 2**15 - 1
+    assert equal(top.entry(0, 0), Q ** (2**15 - 1))
+    for op in (lambda: a @ a, lambda: a.kron(a), lambda: a.scale(big),
+               lambda: a - a.scale(big.inv()), lambda: a == a.scale(big.inv()),
+               lambda: a.scale(Q ** 2**15),
+               lambda: SquareMatrixK.from_entries(1, [(0, 0, Q ** 2**15)])):
+        with pytest.raises(UnsupportedSize):
+            op()
+    assert equal(a.entry(0, 0), big) and equal(a.entry(1, 0), Q)
+
+
+#: Integer polynomials in the five generators with small exponents.
+_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 5),
+                         st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(Poly)
+
+
+def _packed_quotient(p, f):
+    quo = matrixlab._exquo(matrixlab._pack(p)[0], matrixlab._divisor(f))
+    return quo if quo is None else matrixlab._unpack(quo)
+
+
+@given(_polys, _polys, _polys)
+@settings(max_examples=200, deadline=None)
+def test_packed_division_matches_exquo(f, g, r):
+    for p in (f * g, f * g + r):
+        if p:
+            assert _packed_quotient(p, f) == exquo(p, f)
+
+
+def test_packed_division_stops_at_a_guard_bit():
+    # dividing q^3 + z^27232 by q + z^20000 meets the remainder term
+    # q z^40000, past the bound; read without its guard bit as q z^7232, it
+    # would leave a zero remainder and a wrong quotient
+    q = (1, 0, 0, 0, 0)
+    f = Poly({q: 1, (0, 20000, 0, 0, 0): 1})
+    p = Poly({(3, 0, 0, 0, 0): 1, (0, 27232, 0, 0, 0): 1})
+    assert _packed_quotient(p, f) is None
+    assert exquo(p, f) is None
+    # below the bound the same division is exact
+    f, g = (Poly({q: 1, (0, 12000, 0, 0, 0): s}) for s in (1, -1))
+    assert _packed_quotient(f * g, f) == g
+
+
+def test_reduce_cancels_a_key_of_the_bound_degree():
+    # (q + 1) / (q + 1): the key's degree equals the matrix's bound
+    m = SquareMatrixK.from_entries(1, [(0, 0, 1 / (Q + 1))]).scale(Q + 1)
+    assert m.deg == 1 and m._dfac
+    r = matrixlab._reduce(m)
+    assert (r.rows, r._cont, r._dfac) == ({0: {0: {0: 1}}}, 1, {})

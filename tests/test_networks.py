@@ -11,6 +11,7 @@ from qspin.errors import (
     ConstraintViolated,
     InadmissibleLabel,
     InadmissibleTriple,
+    ParseError,
     StateSpaceTooLarge,
     UnsupportedSize,
 )
@@ -172,6 +173,20 @@ def test_network_json_round_trip():
     assert chromatic_eval(sn2) == chromatic_eval(sn)
     # byte-identical reproducibility
     assert net.to_json() == LabelledNetwork.from_json(net.to_json()).to_json()
+
+
+@pytest.mark.parametrize("load", [LabelledNetwork.from_json, StrandNetwork.from_json],
+                         ids=["labelled", "strand"])
+@pytest.mark.parametrize(
+    "text,message",
+    [("[1", r"not JSON \(Expecting ',' delimiter"), ("", "not JSON"),
+     (3, "not JSON .*not int"), (None, "not JSON .*not NoneType"),
+     (b"\xff", "not JSON .*can't decode")],
+    ids=["truncated", "empty", "int", "none", "not-utf8"],
+)
+def test_network_from_malformed_json_is_a_parse_error(load, text, message):
+    with pytest.raises(ParseError, match="^network file: " + message):
+        load(text)
 
 
 def test_strand_network_validation():

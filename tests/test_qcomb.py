@@ -10,7 +10,6 @@ from qspin.qcomb import (
     brace_shifted,
     check_addition,
     check_double_shift,
-    check_qbinom_recurrence,
     ffact_ext,
     hecke_dim_E,
     hecke_dim_F,
@@ -61,12 +60,6 @@ def test_qfact_and_qbinom():
     assert equal(qbinom(4, 2), qfact(4) / (qfact(2) * qfact(2)))
     with pytest.raises(ArgumentOutOfRange):
         qfact(-1)
-
-
-@given(st.integers(0, 6), st.integers(0, 6))
-@settings(max_examples=30, deadline=None)
-def test_qbinom_recurrence(a, b):
-    assert check_qbinom_recurrence(a, b)
 
 
 def test_falling_factorial_extended():
