@@ -14,6 +14,7 @@ import sys
 
 from . import matrixlab, networks, recoupling, scalar
 from .errors import ArgumentOutOfRange, QspinError
+from .poly import poly_str
 
 # Size caps, from one cold CLI run each on a 2-core x86 machine (Python
 # 3.11).
@@ -208,7 +209,7 @@ def _cmd_chromatic(args) -> int:
     elif args.format == "json":
         print(json.dumps({"coefficients": {str(d): str(c) for (d, _), c in poly.terms()}}))
     else:
-        print(scalar._render_poly(poly, ("delta", "Delta")))
+        print(poly_str(poly, ("delta", "Delta"), "^"))
     return 0
 
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all qspin modules."""
+"""Exception hierarchy shared by all qspin modules, and the reader of the
+JSON documents they load, which raises ParseError."""
+
+import json
 
 
 class QspinError(Exception):
@@ -57,3 +60,29 @@ class ParseError(QspinError):
 class GcdFailed(QspinError):
     """The heuristic polynomial gcd found no evaluation point whose
     candidate divides both polynomials."""
+
+
+def is_int(x) -> bool:
+    """Whether x is an int and not a bool: a JSON integer."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def expect(ok: bool, doc: str, what: str) -> None:
+    """Raise ParseError "<doc>: <what>" unless ``ok``."""
+    if not ok:
+        raise ParseError(f"{doc}: {what}")
+
+
+def json_object(text, doc: str, required: tuple) -> dict:
+    """The JSON object of a ``doc`` document, its ``required`` keys present.
+    Text that is not JSON, an argument that is not str or bytes, bytes
+    that are not UTF-8, or a top level that is not an object raise
+    ParseError "<doc>: ..."."""
+    try:
+        obj = json.loads(text)
+    except (TypeError, ValueError) as exc:  # UnicodeDecodeError included
+        raise ParseError(f"{doc}: not JSON ({exc})") from None
+    expect(isinstance(obj, dict), doc, "the top level must be a JSON object")
+    for key in required:
+        expect(key in obj, doc, f"missing {key!r}")
+    return obj

@@ -1097,9 +1097,10 @@ class Check(NamedTuple):
     """``fn(**params)`` is True when the check holds, for each params dict
     of ``grid``.  ``group`` is "matrix" (the suite ``qspin check --all``
     runs), "identity" (the closed-form identities of qcomb, recoupling and
-    the gamma matrices) or "slip" (a documented formula slip in the source:
-    the row holds exactly while the printed form is wrong and the corrected
-    form right)."""
+    the gamma matrices, and the closed forms against the chromatic and
+    gamma-trace oracles of ``networks``) or "slip" (a documented formula
+    slip in the source: the row holds exactly while the printed form is
+    wrong and the corrected form right)."""
 
     fn: Callable[..., bool]
     grid: tuple
@@ -1116,6 +1117,20 @@ def _slip(check: Callable[..., bool]) -> Callable[..., bool]:
     holds on the corrected one."""
     return lambda **params: not check(**params, printed=True) and check(**params)
 
+
+#: The gamma-trace words, each with the matching that contracts it.  The
+#: 8-letter word is traced at k <= 2 only: at k = 3 its trace would sum
+#: 6^4 products of eight 8 x 8 matrices.
+_GAMMA_WORDS = (
+    ([0, 0], [[0, 1]]),
+    ([0, 0, 1, 1], [[0, 1], [2, 3]]),
+    ([0, 1, 1, 0], [[0, 3], [1, 2]]),
+    ([0, 1, 0, 1], [[0, 2], [1, 3]]),
+    ([0, 0, 1, 1, 2, 2], [[0, 1], [2, 3], [4, 5]]),
+    ([0, 1, 2, 2, 1, 0], [[0, 5], [1, 4], [2, 3]]),
+    ([0, 0, 1, 2, 1, 2], [[0, 1], [2, 4], [3, 5]]),
+    ([0, 0, 1, 1, 2, 2, 3, 3], [[0, 1], [2, 3], [4, 5], [6, 7]]),
+)
 
 CHECKS = {
     "braid-invariants": Check(check_braid_invariants, _grid(n=(1, 2)), "matrix"),
@@ -1159,6 +1174,21 @@ CHECKS = {
     "exp-coeff-half-form": Check(recoupling.check_exp_coeff_half_form,
                                  _grid(p=(0, 2, 4)), "identity"),
     "clifford": Check(networks.check_clifford, _grid(k=(1, 2, 3)), "identity"),
+    "gamma-trace": Check(networks.check_gamma_trace, tuple(
+        {"k": k, "word": word, "matching": matching} for k in (1, 2, 3)
+        for word, matching in _GAMMA_WORDS if len(word) < 8 or k <= 2), "identity"),
+    "unknot-chromatic": Check(networks.check_unknot_chromatic, _grid(a=range(9)),
+                              "identity"),
+    "theta-chromatic": Check(networks.check_theta_chromatic, tuple(
+        {"r": r, "s": s, "t": t} for r, s, t in product(range(7), repeat=3)
+        if max(r + s, r + t, s + t) <= 6), "identity"),
+    "tetrahedron-relabelling": Check(networks.check_tetrahedron_relabelling,
+                                     _grid(max_label=(4,)), "identity"),
+    "fierz-a1": Check(recoupling.check_fierz_a1, _grid(a=range(1, 7)), "identity"),
+    "leg-hop": Check(recoupling.check_leg_hop_iter, _grid(a=range(4), r=range(4)),
+                     "identity"),
+    "gamma-cross-coeff": Check(recoupling.check_gamma_cross_coeff, _grid(p=range(4)),
+                               "identity"),
     "addition-sign": Check(_slip(qcomb.random_addition_sweep),
                            _grid(count=(20,), seed=(0,)), "slip"),
     "cac-sign": Check(_slip(qcomb.check_cac_identities), _grid(a=(1, 2, 3)), "slip"),

@@ -17,6 +17,11 @@ Raw uses the bare sum; ProjectorNormalized divides by the product of
 (side sum)! over rectangles.  The value is a polynomial in delta with
 ``Fraction`` coefficients, a ``poly.Poly`` in the generators (delta, Delta)
 of the classical images.
+
+The ``check_*`` functions hold the closed forms of ``recoupling`` to these
+oracles, as rows of ``matrixlab.CHECKS``: chromatic values are compared in
+Q(delta, Delta) with delta_chromatic = 2 delta_classical, and gamma traces
+with the limit q -> 1 of the closed form at level k.
 """
 
 from __future__ import annotations
@@ -24,17 +29,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import factorial
+from itertools import permutations, product
+from math import factorial, lcm
 
 from .errors import (
+    ArgumentOutOfRange,
     ConstraintViolated,
     InadmissibleLabel,
     ParseError,
     StateSpaceTooLarge,
     UnsupportedSize,
+    expect,
+    is_int,
+    json_object,
 )
 from .poly import Poly, constant
-from .recoupling import AdmissibleTriple
+from .recoupling import AdmissibleTriple, dimq_vector_recurrence_consistent, fierz, theta_vector
+from .scalar import CLASSICAL_FIELD, DELTA, SPIN_DELTA, classical, integer_level, q_to_one
 
 # Budgets of the chromatic contraction, from one in-process run each on a
 # 2-core x86 machine (Python 3.11); RSS is the whole process's peak.
@@ -58,53 +69,39 @@ _CLOSED = 255
 # Network files.
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+_FILE = "network file"
 
 
 def _is_name(x) -> bool:
-    return isinstance(x, str) or _is_int(x)
+    return isinstance(x, str) or is_int(x)
 
 
 def _is_pair(x, item=lambda y: True) -> bool:
     return isinstance(x, list) and len(x) == 2 and all(map(item, x))
 
 
-def _expect(ok: bool, what: str) -> None:
-    if not ok:
-        raise ParseError(f"network file: {what}")
-
-
-def _load(text: str, required: tuple) -> dict:
+def _load(text, required: tuple) -> dict:
     """The JSON object of a network file, its required keys present; text
-    that is not JSON, or not a str, raises ParseError."""
-    try:
-        doc = json.loads(text)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"network file: not JSON ({exc})") from None
-    _expect(isinstance(doc, dict), "the top level must be a JSON object")
-    for key in required:
-        _expect(key in doc, f"missing {key!r}")
-    _expect(
+    that is not a JSON object raises ParseError."""
+    doc = json_object(text, _FILE, required)
+    expect(
         isinstance(doc.get("free_loops", []), list)
-        and all(map(_is_int, doc.get("free_loops", []))),
-        "'free_loops' must be a list of integers",
+        and all(map(is_int, doc.get("free_loops", []))),
+        _FILE, "'free_loops' must be a list of integers",
     )
     return doc
 
 
 def _port(end) -> tuple:
     """A strand-network port [rectangle, side, index] as a tuple."""
-    _expect(
+    expect(
         isinstance(end, list) and len(end) == 3 and isinstance(end[0], str),
-        f"a port is [rectangle, side, index], not {end!r}",
+        _FILE, f"a port is [rectangle, side, index], not {end!r}",
     )
     try:
         return (end[0], int(end[1]), int(end[2]))
     except (TypeError, ValueError):
-        raise ParseError(
-            f"network file: port {end!r} has a non-integer side or index"
-        ) from None
+        raise ParseError(f"{_FILE}: port {end!r} has a non-integer side or index") from None
 
 
 # --------------------------------------------------------------------------
@@ -131,7 +128,7 @@ class LabelledNetwork:
         for ei, (v0, v1, label) in enumerate(self.edges):
             if v0 not in ends_at or v1 not in ends_at:
                 raise ConstraintViolated(f"edge {ei} ends at no vertex")
-            if not _is_int(label):
+            if not is_int(label):
                 raise ConstraintViolated(f"edge {ei} has a non-integer label")
             if label < 0:
                 raise InadmissibleLabel(f"edge {ei} has negative label")
@@ -174,27 +171,27 @@ class LabelledNetwork:
         doc = _load(text, ("vertices", "edges"))
         vertices, edges = doc["vertices"], doc["edges"]
         rotation = doc.get("rotation", {})
-        _expect(
+        expect(
             isinstance(vertices, list) and all(map(_is_name, vertices)),
-            "'vertices' must be a list of names or integers",
+            _FILE, "'vertices' must be a list of names or integers",
         )
-        _expect(
+        expect(
             isinstance(edges, list) and all(
                 isinstance(e, dict) and _is_pair(e.get("ends"), _is_name)
                 and "label" in e for e in edges
             ),
-            "each edge must be {\"ends\": [v, w], \"label\": a}",
+            _FILE, "each edge must be {\"ends\": [v, w], \"label\": a}",
         )
-        _expect(
+        expect(
             isinstance(rotation, dict) and all(
-                isinstance(rot, list) and all(_is_pair(end, _is_int) for end in rot)
+                isinstance(rot, list) and all(_is_pair(end, is_int) for end in rot)
                 for rot in rotation.values()
             ),
-            "'rotation' must map each vertex to a list of [edge, side]",
+            _FILE, "'rotation' must map each vertex to a list of [edge, side]",
         )
         by_str = {str(v): v for v in vertices}
         for v in rotation:
-            _expect(v in by_str, f"rotation key {v!r} names no vertex")
+            expect(v in by_str, _FILE, f"rotation key {v!r} names no vertex")
         net = LabelledNetwork(
             vertices=vertices,
             edges=[(e["ends"][0], e["ends"][1], e["label"]) for e in edges],
@@ -221,14 +218,17 @@ def theta_network(a: int, b: int, c: int) -> LabelledNetwork:
     return net
 
 
+#: The edges of K4, in the label order of ``tetrahedron_network``.
+_K4_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+
 def tetrahedron_network(labels=None) -> LabelledNetwork:
     """K4 with a planar rotation system (outer triangle 1,2,3; vertex 4
     inside).  ``labels`` maps the edge order
     (12, 13, 14, 23, 24, 34) to labels; default all 2."""
     if labels is None:
         labels = [2] * 6
-    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    edges = [(v0, v1, l) for (v0, v1), l in zip(pairs, labels)]
+    edges = [(v0, v1, l) for (v0, v1), l in zip(_K4_EDGES, labels)]
     end = {}
     for ei, (v0, v1, _) in enumerate(edges):
         end[(ei, v0)] = (ei, 0)
@@ -271,7 +271,7 @@ class StrandNetwork:
     def validate(self) -> None:
         expected = set()
         for r, d in self.rect_degree.items():
-            if not _is_int(d):
+            if not is_int(d):
                 raise ConstraintViolated(f"rectangle {r!r} has a non-integer degree")
             if d < 0:
                 raise InadmissibleLabel("negative rectangle degree")
@@ -308,11 +308,10 @@ class StrandNetwork:
     @staticmethod
     def from_json(text: str) -> "StrandNetwork":
         doc = _load(text, ("rectangles", "link"))
-        _expect(isinstance(doc["rectangles"], dict), "'rectangles' must be an object")
-        _expect(
-            isinstance(doc["link"], list)
-            and all(map(_is_pair, doc["link"])),
-            "'link' must be a list of port pairs",
+        expect(isinstance(doc["rectangles"], dict), _FILE, "'rectangles' must be an object")
+        expect(
+            isinstance(doc["link"], list) and all(map(_is_pair, doc["link"])),
+            _FILE, "'link' must be a list of port pairs",
         )
         degree = dict(doc["rectangles"])
         link = {}
@@ -492,11 +491,6 @@ def _join(states: dict, i: int, outs: list) -> dict:
     return out
 
 
-def penrose_eval(sn: StrandNetwork, normalization: str = "Raw"):
-    """The chromatic evaluation at delta = -2, a rational."""
-    return chromatic_eval(sn, normalization)(-2, 0)
-
-
 # --------------------------------------------------------------------------
 # Tetrahedron symbols.
 
@@ -514,6 +508,19 @@ class TetrahedronSymbol:
         if len(rows) != 3 or any(len(r) != 4 for r in rows):
             raise ConstraintViolated("tetrahedron symbol must be a 3x4 grid")
         return TetrahedronSymbol(tuple(tuple(r) for r in rows))
+
+    @staticmethod
+    def from_labels(labels) -> "TetrahedronSymbol":
+        """The symbol whose ``tetrahedron_edge_labels`` are ``labels``: at a
+        vertex whose rotation has labels l, corner i holds
+        (l_i + l_{i+1} - l_{i+2}) / 2."""
+        net = tetrahedron_network(list(labels))
+        rows = [[], [], []]
+        for v in net.vertices:
+            ls = [net.end_label(end) for end in net.rotation[v]]
+            for i, row in enumerate(rows):
+                row.append((ls[i] + ls[(i + 1) % 3] - ls[(i + 2) % 3]) // 2)
+        return TetrahedronSymbol.from_grid(rows)
 
     def row_sums(self):
         return [sum(r) for r in self.z]
@@ -562,6 +569,62 @@ def tetrahedron_chromatic(t: TetrahedronSymbol, normalization: str = "Raw"):
         return constant(Fraction(1), 2)
     net = tetrahedron_network(labels)
     return chromatic_eval(medial(net), normalization)
+
+
+# --------------------------------------------------------------------------
+# The chromatic oracle of the closed forms (rows of ``matrixlab.CHECKS``).
+
+
+def chromatic_classical(poly: Poly):
+    """A chromatic value as an element of CLASSICAL_FIELD, where the closed
+    forms' classical images live: delta_chromatic = 2 delta_classical, so
+    each delta^d term is scaled by 2^d."""
+    den = lcm(*(c.denominator for c in poly.values()))
+    num = Poly({m: int(c * den) << m[0] for m, c in poly.items()})
+    return CLASSICAL_FIELD.new(num, constant(den, 2))
+
+
+def check_unknot_chromatic(a: int) -> bool:
+    """An a-labelled unknot, as the medial network of a free loop and as an
+    a-cable closed through one projector, has the classical image of the
+    loop value dimq_vector_recurrence_consistent(a) as its normalized
+    chromatic value."""
+    closed = classical(dimq_vector_recurrence_consistent(a))
+    return all(
+        chromatic_classical(chromatic_eval(sn, "ProjectorNormalized")) == closed
+        for sn in (medial(unknot(a)), cabled_unknot(a, True))
+    )
+
+
+def check_theta_chromatic(r: int, s: int, t: int) -> bool:
+    """The theta network with internal counts (r, s, t) has the classical
+    image of theta_vector(r, s, t) as its normalized chromatic value."""
+    tri = AdmissibleTriple.from_rst(r, s, t)
+    chrom = chromatic_eval(medial(theta_network(tri.a, tri.b, tri.c)), "ProjectorNormalized")
+    return chromatic_classical(chrom) == classical(theta_vector(r, s, t))
+
+
+def _admissible(a: int, b: int, c: int) -> bool:
+    return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
+
+
+def check_tetrahedron_relabelling(max_label: int) -> bool:
+    """Every admissible tetrahedron with labels <= max_label, evaluated
+    from its symbol, has the Raw value of each of its relabellings by a
+    vertex permutation of K4."""
+    orbits: dict = {}
+    for labels in product(range(max_label + 1), repeat=6):
+        label = dict(zip(_K4_EDGES, labels))
+        if not all(_admissible(*(label[e] for e in _K4_EDGES if v in e)) for v in range(1, 5)):
+            continue
+        orbit = min(
+            tuple(label[tuple(sorted((p[v0 - 1], p[v1 - 1])))] for v0, v1 in _K4_EDGES)
+            for p in permutations((1, 2, 3, 4))
+        )
+        raw = tetrahedron_chromatic(TetrahedronSymbol.from_labels(labels))
+        if orbits.setdefault(orbit, raw) != raw:
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -684,3 +747,20 @@ def gamma_oracle_trace(k: int, word: list, matching: list) -> Fraction:
 
     rec(0)
     return Fraction(total)
+
+
+def check_gamma_trace(k: int, word: list, matching: list) -> bool:
+    """gamma_oracle_trace(k, word, matching) is 2^m times the limit q -> 1
+    at level k, at Delta = 2^k (the size of the matrices), of the closed
+    form of the m chords of ``matching``: the spinor loop Delta, times the
+    vector loop delta for each chord that crosses none and F(1, 1) for each
+    pair of chords that cross.  A chord that crosses two others has no
+    closed form here."""
+    chords = [sorted(p) for p in matching]
+    crossings = [sum(a < c < b < d or c < a < d < b for c, d in chords) for a, b in chords]
+    if max(crossings) > 1:
+        raise ArgumentOutOfRange("a chord crosses two others")
+    closed = SPIN_DELTA * DELTA ** crossings.count(0) * fierz(1, 1) ** (crossings.count(1) // 2)
+    limit = q_to_one(integer_level(closed, k))
+    value = Fraction(limit.numer(0, 2**k), limit.denom(0, 2**k))
+    return gamma_oracle_trace(k, word, matching) == value * 2 ** len(chords)

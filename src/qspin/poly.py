@@ -59,7 +59,7 @@ class Poly(dict):
     nonzero coefficients.  The empty map is 0.
 
     Only ``Poly`` operands mix in ``+``, ``-`` and ``*``; a ground factor
-    goes through :meth:`mul_term` or :meth:`quo_ground`.
+    goes through :meth:`mul_term`.
     """
 
     __slots__ = ("_hash",)
@@ -145,11 +145,6 @@ class Poly(dict):
             return Poly({k: v * c for k, v in self.items()})
         mul = monomial_mul if len(m) == 5 else _monomial_mul_any
         return Poly({mul(k, m): v * c for k, v in self.items()})
-
-    def quo_ground(self, c: int) -> "Poly":
-        """self with each integer coefficient divided by c, which divides
-        every one of them."""
-        return Poly({m: v // c for m, v in self.items()})
 
     def __call__(self, *values):
         """The value at the point ``values``, one per generator."""
@@ -496,12 +491,12 @@ class Frac:
 
     def __str__(self):
         names = self.field.names
-        num = _poly_str(self.numer, names)
+        num = poly_str(self.numer, names, "**")
         if self.denom == self.field.one.denom:
             return num
         if len(self.numer) > 1:
             num = f"({num})"
-        den = _poly_str(self.denom, names)
+        den = poly_str(self.denom, names, "**")
         if not _is_atom(self.denom):
             den = f"({den})"
         return f"{num}/{den}"
@@ -516,17 +511,18 @@ def _is_atom(p: Poly) -> bool:
     return not any(m) or (c == 1 and sum(m) == 1)
 
 
-def _poly_str(p: Poly, names: tuple) -> str:
-    """p as text for ``Frac.__str__``: terms in descending lex order,
-    ``**`` for powers, ``*`` between a coefficient and the generators, and
-    a coefficient of 1 omitted."""
+def poly_str(p, names: tuple, power: str) -> str:
+    """p as text: terms in descending lex order, ``power`` between a
+    generator and its exponent, ``*`` between a coefficient and the
+    generators, and a coefficient of 1 omitted.  ``p`` may be any
+    polynomial with ``terms()`` in that order."""
     if not p:
         return "0"
     parts = []
     for m, c in p.terms():
         parts.append(" - " if c < 0 else " + ")
         c = abs(c)
-        factors = [name if e == 1 else f"{name}**{e}" for name, e in zip(names, m) if e]
+        factors = [name if e == 1 else f"{name}{power}{e}" for name, e in zip(names, m) if e]
         if c != 1 or not factors:
             factors.insert(0, str(c))
         parts.append("*".join(factors))
@@ -534,4 +530,3 @@ def _poly_str(p: Poly, names: tuple) -> str:
     if head == " - ":
         parts.insert(0, "-")
     return "".join(parts)
-

@@ -1,6 +1,6 @@
 """Closed-form evaluations of the spinor/vector network families:
-loop and curl values, tadpole chains, vertex collapses, theta and
-three-vertex networks, and the two-parameter Fierz coefficients.
+loop and curl values, vertex collapses, theta and three-vertex networks,
+and the two-parameter Fierz coefficients.
 
 Conventions:
 
@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from math import prod
 
-from .errors import ArgumentOutOfRange, InadmissibleTriple, ParseError
+from .errors import ArgumentOutOfRange, InadmissibleTriple, expect, is_int, json_object
 from .qcomb import brace, brace_shifted, ffact_ext, qbinom, qfact, qint
 from .scalar import (
     ONE,
@@ -83,17 +83,7 @@ def dimq_vector(a: int) -> ScalarK:
     _check_nonneg(a=a)
     if a == 0:
         return ONE
-    return dimq_vector_raw(a)
-
-
-def dimq_vector_raw(a: int) -> ScalarK:
-    """The closed form ({1}/{0}) [2n choose a] applied verbatim, including
-    at a = 0 where it gives {1}/{0} rather than 1."""
-    _check_nonneg(a=a)
-    num = ONE
-    for k in range(a):
-        num = num * qint(2, -k)
-    return (brace(1) / brace(0)) * num / qfact(a)
+    return (brace(1) / brace(0)) * ffact_ext(a) / qfact(a)
 
 
 def dimq_vector_recurrence_consistent(a: int) -> ScalarK:
@@ -107,10 +97,7 @@ def dimq_vector_recurrence_consistent(a: int) -> ScalarK:
     _check_nonneg(a=a)
     if a == 0:
         return ONE
-    num = ONE
-    for k in range(a):
-        num = num * qint(2, -k)
-    return (brace(a) / brace(0)) * num / qfact(a)
+    return (brace(a) / brace(0)) * ffact_ext(a) / qfact(a)
 
 
 def check_dimq_recurrence(p: int, printed: bool = False) -> bool:
@@ -142,24 +129,6 @@ def twist(r: int, s: int, t: int) -> ScalarK:
     return scalar(sign) * Z ** (-2 * s) * Q ** ((s + t) * (s + r) - 2 * r * t)
 
 
-def tadpole_chain(a: int) -> ScalarK:
-    """Delta * prod_{k=1}^{a} [k]/{k}."""
-    _check_nonneg(a=a)
-    out = SPIN_DELTA
-    for k in range(1, a + 1):
-        out = out * qint(0, k) / brace(k)
-    return out
-
-
-def projector_loop(a: int) -> ScalarK:
-    """(prod_{k=1}^{a} 1/{k}) [a]! dimq_vector(a)."""
-    _check_nonneg(a=a)
-    out = qfact(a) * dimq_vector(a)
-    for k in range(1, a + 1):
-        out = out / brace(k)
-    return out
-
-
 def vertex_collapse(t: AdmissibleTriple) -> ScalarK:
     """Delta * (prod_{k=1}^{r+s+t} 1/{k}) * [a]![b]![c]! / ([r]![s]![t]!)."""
     r, s, tt = t.rst
@@ -176,6 +145,11 @@ def gamma_cross_coeff(p: int) -> ScalarK:
     return qint(0, p + 1) / brace(p + 1)
 
 
+def check_gamma_cross_coeff(p: int) -> bool:
+    """gamma_cross_coeff(p) equals its second form [p+1][n-p-1]/[2n-2p-2]."""
+    return equal(gamma_cross_coeff(p), qint(0, p + 1) * qint(1, -p - 1) / qint(2, -2 * p - 2))
+
+
 def leg_hop(r: int) -> ScalarK:
     """({r}/{r+1}) ([r+1]/[r+2])."""
     _check_nonneg(r=r)
@@ -188,13 +162,9 @@ def leg_hop_iter(a: int, r: int) -> ScalarK:
     return (brace(a) / brace(a + r + 1)) * (qint(0, a + 1) / qint(0, a + r + 2))
 
 
-def bubble(a: int, b: int, m: int) -> ScalarK:
-    """prod_{k=0}^{m-1} ({k} / ({a+k}{b+k})) [2n-a-b-k]."""
-    _check_nonneg(a=a, b=b, m=m)
-    out = ONE
-    for k in range(m):
-        out = out * brace(k) * qint(2, -a - b - k) / (brace(a + k) * brace(b + k))
-    return out
+def check_leg_hop_iter(a: int, r: int) -> bool:
+    """leg_hop_iter(a, r) is the product of leg_hop(a + j), j = 0, ..., r."""
+    return equal(leg_hop_iter(a, r), prod((leg_hop(a + j) for j in range(r + 1)), start=ONE))
 
 
 def check_bubble_identity(a: int, b: int, m: int) -> bool:
@@ -356,6 +326,11 @@ def fierz_a1(a: int) -> ScalarK:
     return out
 
 
+def check_fierz_a1(a: int) -> bool:
+    """The closed form fierz_a1(a) equals the completeness sum F(a, 1)."""
+    return equal(fierz(a, 1), fierz_a1(a))
+
+
 def fierz_recurrence_check(a: int, b: int, printed: bool = False) -> bool:
     """Verify F(a+2,b) = (-1)^b [n-b] F(a+1,b)
     - ([a+1][2n-a]/({a+1}{a})) F(a,b).
@@ -411,6 +386,7 @@ def check_exp_coeff_half_form(p: int) -> bool:
 # Fierz table.
 
 TABLE_FORMAT_VERSION = 1
+_TABLE = "Fierz table"
 
 
 @dataclass
@@ -454,30 +430,17 @@ class FierzTable:
     def from_json(text: str) -> "FierzTable":
         """The table of a ``to_json`` document; a malformed one raises
         ParseError."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"Fierz table: not JSON ({exc})") from None
-        _expect(isinstance(doc, dict), "the top level must be a JSON object")
-        for key in ("max_a", "max_b", "entries"):
-            _expect(key in doc, f"missing {key!r}")
-        _expect(_is_int(doc["max_a"]) and _is_int(doc["max_b"]),
-                "'max_a' and 'max_b' must be integers")
-        _expect(isinstance(doc["entries"], list), "'entries' must be a list")
+        doc = json_object(text, _TABLE, ("max_a", "max_b", "entries"))
+        expect(is_int(doc["max_a"]) and is_int(doc["max_b"]), _TABLE,
+               "'max_a' and 'max_b' must be integers")
+        expect(isinstance(doc["entries"], list), _TABLE, "'entries' must be a list")
         table = FierzTable(doc["max_a"], doc["max_b"])
         for item in doc["entries"]:
-            _expect(isinstance(item, dict), f"an entry must be an object, not {item!r}")
+            expect(isinstance(item, dict), _TABLE, f"an entry must be an object, not {item!r}")
             a, b, value = item.get("a"), item.get("b"), item.get("value")
-            _expect(_is_int(a) and _is_int(b), f"entry ({a!r}, {b!r}) needs integers a and b")
-            _expect(isinstance(value, str), f"the value of entry ({a}, {b}) must be a string")
+            expect(is_int(a) and is_int(b), _TABLE,
+                   f"entry ({a!r}, {b!r}) needs integers a and b")
+            expect(isinstance(value, str), _TABLE,
+                   f"the value of entry ({a}, {b}) must be a string")
             table.entries[(a, b)] = parse_scalar(value)
         return table
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _expect(ok: bool, what: str) -> None:
-    if not ok:
-        raise ParseError(f"Fierz table: {what}")

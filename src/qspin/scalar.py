@@ -52,7 +52,7 @@ from .errors import (
     ParseError,
     SpecializationError,
 )
-from .poly import Field, Poly, cancel, exquo, monomial_div, probe, rules_out
+from .poly import Field, Poly, cancel, exquo, monomial_div, poly_str, probe, rules_out
 
 # --------------------------------------------------------------------------
 # Underlying rational-function fields.
@@ -793,42 +793,15 @@ def numeric_probe(x: ScalarK, q0, n: int, Delta0) -> Fraction:
 # Canonical text form.
 
 
-def _render_poly(poly, names=_VAR_NAMES) -> str:
-    """A polynomial as text, terms in descending lexicographic monomial
-    order, ``names`` naming its generators; integer or rational
-    coefficients."""
-    terms = poly.terms()
-    if not terms:
-        return "0"
-    parts = []
-    for monom, c in terms:
-        factors = []
-        for name, e in zip(names, monom):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mono = "*".join(factors)
-        if mono:
-            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-        else:
-            body = str(abs(c))
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(parts)
-
-
 def to_text(x: ScalarK) -> str:
     """Canonical textual form: reduced integer-coefficient numerator and
     denominator, terms in descending lexicographic monomial order."""
     x = scalar(x)
     num, den = x.nf.numer, x.nf.denom
-    ns = _render_poly(num)
+    ns = poly_str(num, _VAR_NAMES, "^")
     if den == FIELD.one.denom:
         return ns
-    ds = _render_poly(den)
+    ds = poly_str(den, _VAR_NAMES, "^")
     return f"({ns})/({ds})"
 
 

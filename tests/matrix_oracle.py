@@ -288,7 +288,7 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
     if g != 1:
         cont //= g
         rows = {
-            i: {j: num.quo_ground(g) for j, num in row.items()}
+            i: {j: Poly({e: c // g for e, c in num.items()}) for j, num in row.items()}
             for i, row in rows.items()
         }
     return SquareMatrixK(m.dim, rows, cont, left)

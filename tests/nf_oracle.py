@@ -8,6 +8,7 @@ cancel-free normal form.
 from __future__ import annotations
 
 from qspin import scalar
+from qspin.poly import poly_str
 from sympy_bridge import FIELD, to_sympy
 
 
@@ -28,7 +29,7 @@ def cancel_nf(x: scalar.ScalarK):
 def cancel_text(x: scalar.ScalarK) -> str:
     """The canonical text of ``cancel_nf(x)``."""
     nf = cancel_nf(x)
-    ns = scalar._render_poly(nf.numer)
+    ns = poly_str(nf.numer, scalar.FIELD.names, "^")
     if nf.denom == nf.denom.ring.one:
         return ns
-    return f"({ns})/({scalar._render_poly(nf.denom)})"
+    return f"({ns})/({poly_str(nf.denom, scalar.FIELD.names, '^')})"

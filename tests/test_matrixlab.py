@@ -1,6 +1,7 @@
 """Braid matrices, spectral R-matrices, idempotent towers, quantum traces,
 and the check registry."""
 
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -20,6 +21,7 @@ from qspin.matrixlab import (
     check_hecke_quotient,
     default_manifest,
     idempotent_tower,
+    manifest,
     quantum_trace,
     run_manifest,
 )
@@ -117,6 +119,15 @@ def test_default_manifest_shape():
         name for name, check in CHECKS.items() if check.group == "matrix"
     }
     assert {check.group for check in CHECKS.values()} == {"matrix", "identity", "slip"}
+
+
+def test_rows_survive_a_manifest_file():
+    # a manifest file holds JSON lists where a grid may hold tuples, and the
+    # runner refuses identity and slip params that are not on the grid
+    for name, check in CHECKS.items():
+        items = json.loads(json.dumps(manifest([name])))["checks"]
+        assert len(items) == len(check.grid)
+        assert all(item["params"] in check.grid for item in items), name
 
 
 def test_braid_data_and_towers_built_once():

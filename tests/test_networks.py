@@ -25,17 +25,18 @@ from qspin.networks import (
     gamma_matrices,
     gamma_metric,
     gamma_oracle_trace,
+    chromatic_classical,
     medial,
-    penrose_eval,
     tetrahedron_check,
     tetrahedron_chromatic,
     tetrahedron_edge_labels,
-    tetrahedron_network,
     theta_network,
     unknot,
 )
-from qspin.poly import Poly
-from qspin.scalar import _render_poly
+from qspin.matrixlab import CHECKS
+from qspin.poly import Poly, poly_str
+from qspin.recoupling import AdmissibleTriple, dimq_vector_recurrence_consistent, theta_vector
+from qspin.scalar import classical
 from sympy_bridge import CLASSICAL, from_sympy, to_sympy
 from zero_edge import delete_zero_edge
 
@@ -56,14 +57,14 @@ def _at(poly, x):
 
 
 def test_delta_poly_basics():
-    # chromatic values are polynomials in delta, printed by the scalar renderer
+    # chromatic values are polynomials in delta, printed by poly_str
     p = from_sympy(_d**2 - 3)
     assert _at(p, 2) == 1
-    assert _render_poly(p, ("delta", "Delta")) == "delta^2 - 3"
+    assert poly_str(p, ("delta", "Delta"), "^") == "delta^2 - 3"
     q = from_sympy((_d**2 - 3) * _d / 2)
     assert q == Poly({(3, 0): Fraction(1, 2), (1, 0): Fraction(-3, 2)})
-    assert _render_poly(q, ("delta", "Delta")) == "1/2*delta^3 - 3/2*delta"
-    assert _render_poly(Poly(), ("delta", "Delta")) == "0"
+    assert poly_str(q, ("delta", "Delta"), "^") == "1/2*delta^3 - 3/2*delta"
+    assert poly_str(Poly(), ("delta", "Delta"), "^") == "0"
 
 
 def test_network_validation():
@@ -109,7 +110,25 @@ def test_unknot_values():
         poly = chromatic_eval(medial(unknot(a)), "ProjectorNormalized")
         for x in (-2, 3, 7):
             assert _at(poly, x) == _falling(Fraction(x), a) / factorial(a)
-    assert penrose_eval(cabled_unknot(2, True)) == 6
+    assert chromatic_eval(cabled_unknot(2, True))(-2, 0) == 6
+
+
+def test_chromatic_rows_match_sympy():
+    # the rows compare in CLASSICAL_FIELD; sympy's delta -> 2 delta
+    # composition is the oracle of that comparison, on each unknot and theta
+    # row and on each closed form paired with the next row's value
+    rows = [(dimq_vector_recurrence_consistent(p["a"]), unknot(p["a"]))
+            for p in CHECKS["unknot-chromatic"].grid]
+    for p in CHECKS["theta-chromatic"].grid:
+        tri = AdmissibleTriple.from_rst(**p)
+        rows.append((theta_vector(**p), theta_network(tri.a, tri.b, tri.c)))
+    values = [chromatic_eval(medial(net), "ProjectorNormalized") for _, net in rows]
+    for (closed, _), chrom, other in zip(rows, values, values[1:] + values[:1]):
+        for value in (chrom, other):
+            image = CLASSICAL(to_sympy(value, 2).compose(_d, 2 * _d))
+            assert to_sympy(chromatic_classical(value)) == image
+            assert (chromatic_classical(value) == classical(closed)) == (
+                to_sympy(classical(closed)) == image)
 
 
 def test_tetrahedron_all_ones_golden():

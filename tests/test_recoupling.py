@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from registry_rows import rows_hold
 from qspin.errors import ArgumentOutOfRange, InadmissibleTriple, ParseError
 from qspin.qcomb import brace, ffact_ext, qfact, qint
 from qspin.recoupling import (
@@ -17,13 +18,7 @@ from qspin.recoupling import (
     exp_coeff,
     fierz,
     fierz_a0,
-    fierz_a1,
     fierz_recurrence_check,
-    gamma_cross_coeff,
-    leg_hop,
-    leg_hop_iter,
-    projector_loop,
-    tadpole_chain,
     theta_spinor,
     twist,
 )
@@ -55,22 +50,11 @@ def test_dimq_base_cases():
     assert equal(dimq_vector(1), brace(1) * DELTA)
 
 
-def test_curl_twist_tadpole():
+def test_curl_twist():
     # bar inverts a curl (it is a monomial in q, z)
     for a in range(0, 4):
         assert equal(curl(a) * bar(curl(a)), ONE)
-    assert equal(tadpole_chain(0), SPIN_DELTA)
-    assert equal(tadpole_chain(2), SPIN_DELTA * qint(0, 1) * qint(0, 2)
-                 / (brace(1) * brace(2)))
     assert equal(twist(0, 0, 0), ONE)
-
-
-def test_projector_loop_vs_dim():
-    for a in range(0, 4):
-        braces = ONE
-        for k in range(1, a + 1):
-            braces = braces * brace(k)
-        assert equal(projector_loop(a), dimq_vector(a) * qfact(a) / braces)
 
 
 def test_theta_spinor_zero_strand_anomaly():
@@ -81,25 +65,18 @@ def test_theta_spinor_zero_strand_anomaly():
 
 
 def test_leg_hop_telescopes():
-    for a in range(0, 4):
-        for r in range(0, 4):
-            prod = ONE
-            for j in range(r + 1):
-                prod = prod * leg_hop(a + j)
-            assert equal(prod, leg_hop_iter(a, r))
+    # leg_hop_iter(a, r) against the product of leg_hop for a, r <= 3
+    assert rows_hold("leg-hop")
 
 
 def test_gamma_cross_coeff():
-    for p in range(0, 4):
-        assert equal(gamma_cross_coeff(p), qint(0, p + 1) / brace(p + 1))
+    # [p+1]/{p+1} against [p+1][n-p-1]/[2n-2p-2] for p <= 3
+    assert rows_hold("gamma-cross-coeff")
 
 
 def test_fierz_first_column():
     # F(a,1) closed form agrees with the completeness sum for a <= 6
-    for a in range(1, 7):
-        assert equal(fierz(a, 1), fierz_a1(a))
-    # analytic anchor: F(1,1) = -[2n-2][2n]/({0}{1})
-    assert equal(fierz(1, 1), -(qint(2, -2) * qint(2, 0)) / (brace(0) * brace(1)))
+    assert rows_hold("fierz-a1")
 
 
 def test_fierz_a0_printed_form_quarantined():
@@ -175,17 +152,20 @@ _TABLE = json.loads(FierzTable.generate(1, 1).to_json())
         (json.dumps({**_TABLE, "entries": {"a": 0}}), "'entries' must be a list"),
         (json.dumps({**_TABLE, "entries": [[0, 0, "1"]]}), "an entry must be an object"),
         (json.dumps({**_TABLE, "entries": [{"a": "0", "b": 0, "value": "1"}]}),
-         "needs integers a and b"),
+         r"entry \('0', 0\) needs integers a and b"),
         (json.dumps({**_TABLE, "entries": [{"a": 0, "b": 1.0, "value": "1"}]}),
-         "needs integers a and b"),
+         r"entry \(0, 1.0\) needs integers a and b"),
         (json.dumps({**_TABLE, "entries": [{"a": 0, "b": 0, "value": 1}]}),
-         "must be a string"),
+         r"the value of entry \(0, 0\) must be a string"),
+        (3, "not JSON .*not int"),
+        (b"\xff", "not JSON .*can't decode"),
     ],
     ids=["not-json", "list", "no-max_a", "no-max_b", "no-entries", "str-max_a",
-         "dict-entries", "list-entry", "str-a", "float-b", "int-value"],
+         "dict-entries", "list-entry", "str-a", "float-b", "int-value", "int",
+         "not-utf8"],
 )
 def test_fierz_table_from_malformed_json_is_a_parse_error(text, message):
-    with pytest.raises(ParseError, match=message):
+    with pytest.raises(ParseError, match="^Fierz table: " + message):
         FierzTable.from_json(text)
 
 
