@@ -33,7 +33,7 @@ Conventions:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import wraps
 from itertools import product
 from math import gcd
@@ -155,13 +155,6 @@ def _add(a: dict, b: dict) -> dict:
         else:
             del out[m]
     return out
-
-
-def _split(x) -> tuple:
-    """(numerator, denominator) of a ScalarK or int as integer polynomials,
-    the denominator with a positive leading coefficient."""
-    nf = scalar(x).nf
-    return nf.numer, nf.denom
 
 
 def _den_factors(x: ScalarK) -> tuple[int, dict]:
@@ -666,26 +659,55 @@ def check_braid_invariants(n: int) -> bool:
     ok = ok and data.u_mat @ data.u_mat == data.u_mat.scale(lp)
     ok = ok and data.sigma @ data.u_mat == data.u_mat.scale(zq**-2 * Q)
     ok = ok and data.sigma_inv @ data.u_mat == data.u_mat.scale(zq**2 * Q**-1)
-    idm = SquareMatrixK.identity(data.d)
-    s1 = data.sigma.kron(idm)
-    s2 = idm.kron(data.sigma)
-    ok = ok and s1 @ s2 @ s1 == s2 @ s1 @ s2
-    return ok
+    s1, s2 = _tensor_rep(data.n, 3).sigmas
+    return ok and s1 @ s2 @ s1 == s2 @ s1 @ s2
 
 
 # --------------------------------------------------------------------------
-# Representations of the 2- and 3-strand algebras used in the YBE proofs.
+# Strand representations: the generators of the k-strand algebra on one
+# space, and their spectral R-matrices.
 
 
 @dataclass(frozen=True)
 class StrandRep:
-    """Matrices for generators sigma_1, ..., sigma_{k-1} on one space."""
+    """Matrices for the generators sigma_1, ..., sigma_{k-1}, their
+    inverses and u_1, ..., u_{k-1} on one space; the tuples are indexed
+    from 0, so ``sigmas[i]`` is sigma_{i+1}."""
 
     dim: int
     sigmas: tuple
     sigma_invs: tuple
     u_mats: tuple
     zval: ScalarK  # the value of z in this representation
+
+    def R(self, kind: str, i: int, w: ScalarK) -> SquareMatrixK:
+        """The spectral R-matrix of the given kind on generator i at
+        parameter w (see spectral_coeffs)."""
+        cs, csi, cu, den = spectral_coeffs(kind, w, self.zval)
+        if den.is_zero():
+            raise DivisorVanishes(f"{kind} denominator vanishes at this parameter")
+        # each coefficient is divided as a scalar, whose factors cancel there
+        out = self.sigmas[i].scale(cs / den) + self.sigma_invs[i].scale(csi / den)
+        if not cu.is_zero():
+            out = out + self.u_mats[i].scale(cu / den)
+        return out
+
+
+@_built_once
+def _tensor_rep(n: int, p: int) -> StrandRep:
+    """V^(x)p at level n: generator i is 1^(x)i (x) X (x) 1^(x)(p-2-i) for X
+    = sigma, sigma^-1 or u on V (x) V, acting on strands (i+1, i+2).
+    Callers validate n (``_level`` or ``build_braid_data``) and p."""
+    data = _build_braid_data(n)
+    d = data.d
+
+    def lifted(x: SquareMatrixK) -> tuple:
+        return tuple(SquareMatrixK.identity(d**i).kron(x)
+                     .kron(SquareMatrixK.identity(d ** (p - 2 - i)))
+                     for i in range(p - 1))
+
+    return StrandRep(d**p, *map(lifted, (data.sigma, data.sigma_inv, data.u_mat)),
+                     Q**n)
 
 
 def _generator_pair(dim: int, entries: list) -> tuple:
@@ -779,63 +801,23 @@ def spectral_coeffs(kind: str, w: ScalarK, zval: ScalarK):
     raise ArgumentOutOfRange(f"unknown spectral kind {kind!r}")
 
 
-def spectral_R(
-    kind: str,
-    sigma: SquareMatrixK,
-    sigma_inv: SquareMatrixK,
-    u_mat: SquareMatrixK | None,
-    w: ScalarK,
-    zval: ScalarK,
-) -> SquareMatrixK:
-    """Assemble the spectral R-matrix of the given kind at parameter w."""
-    cs, csi, cu, den = spectral_coeffs(kind, w, zval)
-    if den.is_zero():
-        raise DivisorVanishes(f"{kind} denominator vanishes at this parameter")
-    # each coefficient is divided as a scalar, whose factors cancel there
-    out = sigma.scale(cs / den) + sigma_inv.scale(csi / den)
-    if not cu.is_zero():
-        if u_mat is None:
-            raise ArgumentOutOfRange(f"{kind} needs the u matrix")
-        out = out + u_mat.scale(cu / den)
-    return out
-
-
-def _rep_R(kind: str, rep: StrandRep, i: int, w: ScalarK) -> SquareMatrixK:
-    return spectral_R(
-        kind, rep.sigmas[i], rep.sigma_invs[i], rep.u_mats[i], w, rep.zval
-    )
-
-
 def _strand_rep(rep: str, n: int) -> StrandRep:
-    """A representation by name: "hecke2", "bmw3", or "tensor", V^(x)3 at
-    level n with sigma_1 = sigma (x) 1 and sigma_2 = 1 (x) sigma."""
+    """A 3-strand representation by name: "hecke2", "bmw3", or "tensor",
+    V^(x)3 at level n."""
     if rep == "hecke2":
         return hecke_two_dim_rep()
     if rep == "bmw3":
         return bmw_three_dim_rep()
     if rep != "tensor":
         raise ArgumentOutOfRange(f"unknown representation {rep!r}")
-    return _tensor_rep(_level(n))
-
-
-@_built_once
-def _tensor_rep(n: int) -> StrandRep:
-    data = _build_braid_data(n)
-    idm = SquareMatrixK.identity(data.d)
-    gens = [(m.kron(idm), idm.kron(m))
-            for m in (data.sigma, data.sigma_inv, data.u_mat)]
-    return StrandRep(data.d**3, *gens, Q**n)
+    return _tensor_rep(_level(n), 3)
 
 
 def check_ybe(kind: str, rep: str, n: int = 1) -> bool:
     """R_1(u) R_2(uv) R_1(v) = R_2(v) R_1(uv) R_2(u) with FORMAL u, v."""
     r = _strand_rep(rep, n)
-    r1u = _rep_R(kind, r, 0, U)
-    r2uv = _rep_R(kind, r, 1, U * V)
-    r1v = _rep_R(kind, r, 0, V)
-    r2u = _rep_R(kind, r, 1, U)
-    r1uv = _rep_R(kind, r, 0, U * V)
-    r2v = _rep_R(kind, r, 1, V)
+    r1u, r2uv, r1v = r.R(kind, 0, U), r.R(kind, 1, U * V), r.R(kind, 0, V)
+    r2u, r1uv, r2v = r.R(kind, 1, U), r.R(kind, 0, U * V), r.R(kind, 1, V)
     return r1u @ r2uv @ r1v == r2v @ r1uv @ r2u
 
 
@@ -843,17 +825,15 @@ def check_unitarity(kind: str, rep: str) -> bool:
     """R(u) R(u^-1) = 1 with formal u, and R(1) = 1."""
     r = _strand_rep(rep, 1)
     one = SquareMatrixK.identity(r.dim)
-    ru = _rep_R(kind, r, 0, U)
-    rui = _rep_R(kind, r, 0, U.inv())
-    return ru @ rui == one and _rep_R(kind, r, 0, ONE) == one
+    return r.R(kind, 0, U) @ r.R(kind, 0, U.inv()) == one and r.R(kind, 0, ONE) == one
 
 
 def check_hecke_quotient(rep: str = "bmw3") -> bool:
     """Imposing u = 0 in the BMW_D combination reproduces the HeckeF matrix."""
     r = _strand_rep(rep, 1)
     zero = SquareMatrixK.from_entries(r.dim, ())
-    full = spectral_R("BMW_D", r.sigmas[0], r.sigma_invs[0], zero, U, r.zval)
-    return full == spectral_R("HeckeF", r.sigmas[0], r.sigma_invs[0], None, U, r.zval)
+    quotient = replace(r, u_mats=(zero,) * len(r.u_mats))
+    return quotient.R("BMW_D", 0, U) == r.R("HeckeF", 0, U)
 
 
 # --------------------------------------------------------------------------
@@ -877,10 +857,13 @@ def idempotent_tower(kind: str, data: BraidData, p_max: int) -> dict:
         raise ArgumentOutOfRange("tower kind must be 'E' or 'F'")
     if type(p_max) is not int or p_max < 1:
         raise ArgumentOutOfRange(f"p_max must be a positive integer, not {p_max!r}")
-    # measured at p = 4 (2-core x86, Python 3.11), from a cold start: at
-    # n = 1 each tower builds and passes check_tower in 0.01 s; at n = 2
-    # E(4) builds in 0.09 s and checks in 0.2 s, F(4) builds in 0.9 s and
-    # checks in 2.0 s.  p = 4 at n = 3 (d^p = 1296) is not measured.
+    # measured at p = 4 (2-core x86, Python 3.11), from a cold start, E
+    # then F: at n = 1 each tower builds and passes check_tower in 0.01 s;
+    # at n = 2 E(4) builds in 0.07 s and checks in 0.1 s, F(4) builds in
+    # 0.8 s and checks in 1.9 s.  At n = 3 (d^p = 1296), with this budget
+    # raised, E(4) builds in 1.6-2.2 s and checks in 4.1 s, F(4) (nnz
+    # 44,730) builds in 7.7-8.1 s and checks in 33.9 s, at a peak RSS of
+    # 197 MB.
     budget = 4 if data.n <= 2 else 3
     if p_max > budget:
         raise UnsupportedSize(
@@ -893,29 +876,32 @@ def idempotent_tower(kind: str, data: BraidData, p_max: int) -> dict:
 def _tower(kind: str, n: int, p: int) -> SquareMatrixK:
     """X(p) of idempotent_tower at level n, reduced: it is kept, and it is
     a factor of X(p+1) twice."""
-    data = _build_braid_data(n)
-    idm = SquareMatrixK.identity(data.d)
+    idm = SquareMatrixK.identity(_build_braid_data(n).d)
     if p == 1:
         return idm
     lifted = _tower(kind, n, p - 1).kron(idm)
-    r_small = spectral_R(
-        _TOWER_SPEC[kind][0], data.sigma, data.sigma_inv, data.u_mat, Q ** (p - 1), Q**n
-    )
-    r_p = SquareMatrixK.identity(data.d ** (p - 2)).kron(r_small)
+    r_p = _tensor_rep(n, p).R(_TOWER_SPEC[kind][0], p - 2, Q ** (p - 1))
     return _reduce(lifted @ r_p @ lifted)
 
 
-def strand_generator(data: BraidData, which: str, i: int, p: int) -> SquareMatrixK:
-    """sigma_i / sigma_i^-1 / u_i acting on strands (i, i+1) of V^(x)p."""
-    base = {"sigma": data.sigma, "sigma_inv": data.sigma_inv, "u": data.u_mat}[
-        which
-    ]
-    d = data.d
-    if not 1 <= i <= p - 1:
-        raise ArgumentOutOfRange("strand index out of range")
-    left = SquareMatrixK.identity(d ** (i - 1))
-    right = SquareMatrixK.identity(d ** (p - 1 - i))
-    return left.kron(base).kron(right)
+def _is_tower_idempotent(x: SquareMatrixK, rep: StrandRep, p: int, rkind: str,
+                         eig: ScalarK) -> bool:
+    """For X = X(p) on rep, whose generators sigma_1, ..., sigma_{p-1} act
+    on it: idempotency, u_i X = 0 = X u_i, sigma_i X = eig X = X sigma_i,
+    and R_i(u) X = X = X R_i(u) of kind rkind with FORMAL u."""
+    if x @ x != x:
+        return False
+    x_eig = x.scale(eig)
+    for i in range(p - 1):
+        ui, si = rep.u_mats[i], rep.sigmas[i]
+        if not (ui @ x).is_zero() or not (x @ ui).is_zero():
+            return False
+        if si @ x != x_eig or x @ si != x_eig:
+            return False
+        r = rep.R(rkind, i, U)
+        if r @ x != x or x @ r != x:
+            return False
+    return True
 
 
 def check_tower(kind: str, n: int, p_max: int) -> bool:
@@ -923,45 +909,26 @@ def check_tower(kind: str, n: int, p_max: int) -> bool:
     u_i X = 0 = X u_i, sigma_i X = eig X = X sigma_i, and
     R_i(u) X = X = X R_i(u) with FORMAL u."""
     data = build_braid_data(n)
-    tower = idempotent_tower(kind, data, p_max)  # it checks the kind
+    tower = idempotent_tower(kind, data, p_max)  # it checks the kind and p_max
     rkind, _, eig = _TOWER_SPEC[kind]
-    for p in range(2, p_max + 1):
-        x = tower[p]
-        if x @ x != x:
-            return False
-        x_eig = x.scale(eig)
-        for i in range(1, p):
-            ui = strand_generator(data, "u", i, p)
-            si = strand_generator(data, "sigma", i, p)
-            if not (ui @ x).is_zero() or not (x @ ui).is_zero():
-                return False
-            if si @ x != x_eig or x @ si != x_eig:
-                return False
-            sii = strand_generator(data, "sigma_inv", i, p)
-            r = spectral_R(rkind, si, sii, ui, U, Q**n)
-            if r @ x != x or x @ r != x:
-                return False
-    return True
+    return all(_is_tower_idempotent(tower[p], _tensor_rep(data.n, p), p, rkind, eig)
+               for p in range(2, p_max + 1))
 
 
 def check_hecke_tower(kind: str) -> bool:
     """In the 2-dim representation, the idempotents X(p+1) = X(p) R_p(q^p) X(p),
     X(1) = 1, of the Hecke spectral matrices (HeckeF for kind F, HeckeE for
-    E) are idempotent for p = 2, 3 and satisfy sigma_i X = eig X = X sigma_i
-    with eig = q (F) or -q^-1 (E)."""
+    E) pass the tower test of check_tower for p = 2, 3, with eig = q (F)
+    or -q^-1 (E); u_i is 0 there."""
     if kind not in ("F", "E"):
         raise ArgumentOutOfRange("tower kind must be 'E' or 'F'")
     _, rkind, eig = _TOWER_SPEC[kind]
     rep = hecke_two_dim_rep()
     x = SquareMatrixK.identity(rep.dim)
-    for p in (1, 2):
-        x = x @ _rep_R(rkind, rep, p - 1, Q**p) @ x
-        if x @ x != x:
+    for p in (2, 3):
+        x = x @ rep.R(rkind, p - 2, Q ** (p - 1)) @ x
+        if not _is_tower_idempotent(x, rep, p, rkind, eig):
             return False
-        x_eig = x.scale(eig)
-        for s in rep.sigmas[:p]:
-            if s @ x != x_eig or x @ s != x_eig:
-                return False
     return True
 
 
@@ -970,37 +937,15 @@ def check_hecke_tower(kind: str) -> bool:
 
 
 def quantum_trace(x: SquareMatrixK, data: BraidData) -> ScalarK:
-    """tr(x mu^(x)p), with p determined from the matrix dimension.
-
-    The weighted diagonal is summed over the common denominator x.den * W,
-    W the product of every weight's denominator to the p-th power, so the
-    result is read with one cancel.
-    """
-    d = data.d
-    p = 0
-    dim = 1
-    while dim < x.dim:
-        dim *= d
-        p += 1
-    if dim != x.dim:
+    """tr(x mu^(x)p), with p determined from the matrix dimension."""
+    mu = SquareMatrixK.from_entries(
+        data.d, ((k, k, data.mu[a]) for k, a in enumerate(data.indices)))
+    weight = SquareMatrixK.identity(1)
+    while weight.dim < x.dim:
+        weight = weight.kron(mu)
+    if weight.dim != x.dim:
         raise ArgumentOutOfRange("matrix dimension is not a power of dim V")
-    weights = [_split(data.mu[i]) for i in data.indices]
-
-    acc = Poly()
-    for i, row in x.rows.items():
-        v = row.get(i)
-        if v is None:
-            continue
-        v = _unpack(v)
-        digits = [i // d**k % d for k in range(p)]
-        for a, (wnum, wden) in enumerate(weights):
-            count = digits.count(a)
-            v = v * wnum**count * wden ** (p - count)
-        acc = acc + v
-    den = x.den
-    for _, wden in weights:
-        den = den * wden**p
-    return ScalarK.from_field_element(FIELD.new(acc, den))
+    return (x @ weight).trace()
 
 
 def dimq_sym_recursive(p: int) -> ScalarK:

@@ -362,10 +362,8 @@ def medial(net: LabelledNetwork) -> StrandNetwork:
         for i in range(3):
             h, nh = rot[i], rot[(i + 1) % 3]
             other = rot[(i + 2) % 3]
-            m2 = net.end_label(h) + net.end_label(nh) - net.end_label(other)
-            if m2 < 0 or m2 % 2:
-                raise InadmissibleLabel(f"inadmissible triple at vertex {v!r}")
-            m = m2 // 2
+            # validate() has checked the triple: m is a nonnegative integer
+            m = (net.end_label(h) + net.end_label(nh) - net.end_label(other)) // 2
             dh = net.end_label(h)
             for j in range(m):
                 a = (h[0], h[1], pidx(h, dh - 1 - j))
@@ -719,6 +717,8 @@ def gamma_oracle_trace(k: int, word: list, matching: list) -> Fraction:
     flat = [i for p in pairs for i in p]
     if sorted(flat) != list(range(L)):
         raise ConstraintViolated("matching must cover each position once")
+    if len(set(word)) != L // 2 or any(word[a] != word[b] for a, b in pairs):
+        raise ConstraintViolated("positions must share a slot id exactly when matched")
     gs = gamma_matrices(k)
     g = gamma_metric(k)
     dim = 2**k

@@ -393,37 +393,31 @@ class ScalarK:
             return ScalarK.from_rational(x)
         return NotImplemented
 
-    def _pair(self, other):
-        o = ScalarK._coerce(other)
-        if o is NotImplemented:
-            return None
-        return o
-
     # -- field operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._pair(other)
-        if o is None:
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
         return ScalarK(*_add(self, o))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._pair(other)
-        if o is None:
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._pair(other)
-        if o is None:
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._pair(other)
-        if o is None:
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
         c = self._c * o._c
         if not c:
@@ -434,8 +428,8 @@ class ScalarK:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._pair(other)
-        if o is None:
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
         if not o._c:
             raise DivisionByZero("division by a scalar that normalizes to 0")
@@ -446,8 +440,8 @@ class ScalarK:
         return ScalarK(c, mono, _fac_mul(self._fac, o._fac, -1))
 
     def __rtruediv__(self, other):
-        o = self._pair(other)
-        if o is None:
+        o = self._coerce(other)
+        if o is NotImplemented:
             return NotImplemented
         return o / self
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import matrix_oracle
 from exprtree import key_atoms, trees, value
+from registry_rows import row_holds
 from qspin import matrixlab
 from qspin.poly import Poly, exquo
 from qspin.errors import ParseError, UnsupportedSize
@@ -61,7 +62,36 @@ ROWS = [(name, params) for name, check in CHECKS.items() for params in check.gri
 def test_registry_row(name, params):
     # a slip row holds while the printed form fails and the corrected form
     # holds, so a silent "fix" of either turns it red
-    assert CHECKS[name].fn(**params)
+    assert row_holds(name, params)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tensor_rep_generators_act_on_two_digits(n):
+    # generator i of V^(x)p is X on the base-d digits (i, i+1) of row and
+    # column, the most significant first, and 0 unless all other digits agree
+    data = build_braid_data(n)
+    d = data.d
+    for p in (1, 2, 3, 4):
+        rep = matrixlab._tensor_rep(n, p)
+        dim = d**p
+        assert rep.dim == dim and rep.zval == Q**n
+        digits = [[k // d ** (p - 1 - t) % d for t in range(p)] for k in range(dim)]
+        for mats, x in ((rep.sigmas, data.sigma), (rep.sigma_invs, data.sigma_inv),
+                        (rep.u_mats, data.u_mat)):
+            assert len(mats) == p - 1
+            want = {}  # an entry of x by its position, read once
+            for i, m in enumerate(mats):
+                for r, dr in enumerate(digits):
+                    row = m.rows.get(r, {})
+                    for c, dc in enumerate(digits):
+                        a, b = dr[i] * d + dr[i + 1], dc[i] * d + dc[i + 1]
+                        outer = dr[:i] + dr[i + 2:] == dc[:i] + dc[i + 2:]
+                        if not outer or b not in x.rows.get(a, {}):
+                            assert c not in row, (n, p, i, r, c)
+                            continue
+                        if (a, b) not in want:
+                            want[a, b] = x.entry(a, b)
+                        assert equal(m.entry(r, c), want[a, b]), (n, p, i, r, c)
 
 
 def test_hecke_tower_and_quotient():
@@ -318,7 +348,7 @@ def test_matrix_algebra_matches_field(pair, rk, c):
     assert (a == b) == (ra == rb)
 
 
-@given(st.integers(1, 2).flatmap(lambda p: _matrices(2**p)))
+@given(st.integers(1, 3).flatmap(lambda p: _matrices(2**p)))
 @settings(max_examples=30, deadline=None)
 def test_quantum_trace_matches_field(ref):
     data = build_braid_data(1)  # dim V = 2

@@ -253,3 +253,8 @@ def test_gamma_trace_validation():
         gamma_oracle_trace(1, [0] * 10, [(i, i + 1) for i in range(0, 10, 2)])
     with pytest.raises(ConstraintViolated):
         gamma_oracle_trace(1, [0, 0], [(0, 0)])
+    # equal slot ids name exactly the matched pairs: unequal ids in one pair
+    # (traced as [0, 0] once), and one id shared by two pairs
+    for word, matching in (([0, 1], [(0, 1)]), ([5, 7, 9, 9], [(0, 2), (1, 3)])):
+        with pytest.raises(ConstraintViolated, match="share a slot id"):
+            gamma_oracle_trace(1, word, matching)
