@@ -131,8 +131,6 @@ def _cmd_eval_theta(args) -> int:
 
 
 def _cmd_eval_3j(args) -> int:
-    if None in (args.r, args.s, args.t):
-        raise ValidationFailure("bad-labels", "give --r --s --t")
     _check_eval_cap(args.r, args.s, args.t)
     fn = recoupling.threej_double if args.kind == "double" else recoupling.threej_spinor
     print(_render_scalar(args.target(fn(args.r, args.s, args.t)), args.format))

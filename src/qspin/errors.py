@@ -37,10 +37,6 @@ class DivisorVanishes(QspinError):
     """A spectral denominator normalizes to zero after specialization."""
 
 
-class CalibrationFailed(QspinError):
-    """No diagonal trace weight reproduces the loop value on both closures."""
-
-
 class InadmissibleLabel(QspinError):
     """A network labelling violates admissibility at a vertex."""
 
@@ -50,7 +46,8 @@ class StateSpaceTooLarge(QspinError):
 
 
 class ConstraintViolated(QspinError):
-    """A tetrahedron grid violates its row/column or side-sum constraints."""
+    """An input violates a structural constraint: the shape, signs or side
+    sums of a tetrahedron grid, or the port linking of a network."""
 
 
 class ParseError(QspinError):

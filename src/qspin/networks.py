@@ -317,6 +317,9 @@ class StrandNetwork:
         link = {}
         for a, b in doc["link"]:
             ka, kb = _port(a), _port(b)
+            for port in (ka, kb):
+                if port in link:
+                    raise ConstraintViolated(f"port {port!r} is in two link pairs")
             link[ka] = kb
             link[kb] = ka
         sn = StrandNetwork(degree, link, list(doc.get("free_loops", [])))
@@ -520,25 +523,17 @@ class TetrahedronSymbol:
                 row.append((ls[i] + ls[(i + 1) % 3] - ls[(i + 2) % 3]) // 2)
         return TetrahedronSymbol.from_grid(rows)
 
-    def row_sums(self):
-        return [sum(r) for r in self.z]
 
-    def col_sums(self):
-        return [sum(self.z[i][j] for i in range(3)) for j in range(4)]
-
-
-def tetrahedron_check(t: TetrahedronSymbol) -> bool:
-    """Grid nonnegative and total row sum equals total column sum."""
+def tetrahedron_check(t: TetrahedronSymbol) -> None:
+    """Raise ConstraintViolated unless every grid entry is nonnegative."""
     if any(x < 0 for row in t.z for x in row):
         raise ConstraintViolated("tetrahedron grid entries must be nonnegative")
-    return sum(t.row_sums()) == sum(t.col_sums())
 
 
 def tetrahedron_edge_labels(t: TetrahedronSymbol) -> list:
     """Reconstruct the 6 edge labels of the reference K4 embedding from the
     corner counts; the two endpoint side sums of each edge must agree."""
-    if not tetrahedron_check(t):
-        raise ConstraintViolated("row/column sums do not balance")
+    tetrahedron_check(t)
     ref = tetrahedron_network()  # rotation layout source
     # label demanded at each edge-end: sum of the two adjacent corner counts
     demand: dict = {}

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -299,9 +300,17 @@ _LEVEL = f"n={cli.MAX_LEVEL + 1}"
          "bad-target"),
         (["specialize", "--expr", "(z^3 - q)/(z^2 - q^2)", "--to", _LEVEL], "bad-target"),
         (["specialize", "--expr", "q", "--to", "n=100000"], "bad-target"),
+        (["specialize", "--expr", "q", "--to", "n=0"], "bad-target"),
+        (["specialize", "--expr", "q", "--to", "n=abc"], "bad-target"),
+        (["eval-theta", "--a", "1"], "bad-labels"),
+        (["eval-theta", "--kind", "spinor", "--r", "1", "--s", "1", "--t", "0"],
+         "bad-labels"),
+        (["specialize", "--expr", "1/(z-q)", "--to", "n=1"], "DivisionByZero"),
     ],
     ids=["fierz-table-max", "dims-p-max", "fierz-table-negative", "dims-negative",
-         "dims-level", "eval-theta-level", "specialize-level", "specialize-huge-level"],
+         "dims-level", "eval-theta-level", "specialize-level", "specialize-huge-level",
+         "specialize-level-zero", "specialize-level-not-int", "eval-theta-partial-abc",
+         "spinor-theta-two-counts", "specialize-pole-at-level"],
 )
 def test_table_size_caps(capsys, argv, error):
     start = time.perf_counter()
@@ -382,6 +391,17 @@ def test_chromatic_output_pinned(tmp_path, capsys, argv, want):
 
 
 _THETA_DOC = json.loads(theta_network(1, 1, 2).to_json())
+#: Rectangles r and s of degree 1 joined in a circle, and a pair that
+#: links r's ports to each other again.
+_LINKS = [[["r", 1, 0], ["s", 0, 0]], [["s", 1, 0], ["r", 0, 0]]]
+_TWICE = [["r", 1, 0], ["r", 0, 0]]
+
+
+def _theta_with(edge: int, **fields) -> dict:
+    """_THETA_DOC with the given fields of one edge replaced."""
+    edges = [dict(e) for e in _THETA_DOC["edges"]]
+    edges[edge].update(fields)
+    return dict(_THETA_DOC, edges=edges)
 
 
 @pytest.mark.parametrize(
@@ -398,9 +418,24 @@ _THETA_DOC = json.loads(theta_network(1, 1, 2).to_json())
          "ConstraintViolated"),
         (json.loads(cabled_unknot(MAX_TOTAL_LINES + 1, True).to_json()),
          "StateSpaceTooLarge"),
+        # a port in two link pairs, the repeated pair listed first and last:
+        # both are refused, although with it first the later pairs alone
+        # form a valid involution
+        ({"rectangles": {"r": 1, "s": 1}, "link": [_TWICE] + _LINKS}, "ConstraintViolated"),
+        ({"rectangles": {"r": 1, "s": 1}, "link": _LINKS + [_TWICE]}, "ConstraintViolated"),
+        (_theta_with(0, ends=["u", "w"]), "ConstraintViolated"),
+        (_theta_with(0, label="2"), "ConstraintViolated"),
+        (_theta_with(0, label=-2), "InadmissibleLabel"),
+        (dict(_THETA_DOC, rotation=dict(_THETA_DOC["rotation"], u=[[0, 0], [1, 0]])),
+         "InadmissibleLabel"),
+        (dict(_THETA_DOC, free_loops=[-1]), "InadmissibleLabel"),
+        ({"rectangles": {"r": -1}, "link": []}, "InadmissibleLabel"),
     ],
     ids=["missing-link", "top-level-list", "string-degree", "port-index-x",
-         "rotation-names-no-vertex", "port-linked-to-itself", "over-line-budget"],
+         "rotation-names-no-vertex", "port-linked-to-itself", "over-line-budget",
+         "port-in-two-pairs-first", "port-in-two-pairs-last", "edge-to-unknown-vertex",
+         "non-integer-label", "negative-label", "vertex-not-trivalent",
+         "negative-free-loop", "negative-degree"],
 )
 def test_bad_network_file_is_a_typed_error(tmp_path, capsys, doc, error):
     path = tmp_path / "net.json"
@@ -449,6 +484,18 @@ def test_check_all_pinned(capsys):
     assert run(capsys, "check", "--all") == (0, CHECK_ALL_TEXT, "")
     assert run(capsys, "check", "--all", "--format", "json") == (
         0, json.dumps(json.loads(CHECK_ALL_JSON), indent=2) + "\n", "")
+
+
+# The stdout of `qspin fierz-table --max 5`, 33,253 bytes, by its sha256:
+# the write side of the scalar layer, pinned byte for byte.
+FIERZ_TABLE_5_SHA256 = "bd85fbd30995251be094b2160c18a7d60be7c3f361e74dffb2742da31ef400f3"
+
+
+def test_fierz_table_pinned(capsys):
+    code, out, err = run(capsys, "fierz-table", "--max", "5")
+    assert (code, err) == (0, "")
+    assert len(out.encode()) == 33253
+    assert hashlib.sha256(out.encode()).hexdigest() == FIERZ_TABLE_5_SHA256
 
 
 def test_check_stats_adds_row_times(capsys):

@@ -14,7 +14,7 @@ from exprtree import key_atoms, trees, value
 from registry_rows import row_holds
 from qspin import matrixlab
 from qspin.poly import Poly, exquo
-from qspin.errors import ParseError, UnsupportedSize
+from qspin.errors import ArgumentOutOfRange, ParseError, UnsupportedSize
 from qspin.matrixlab import (
     CHECKS,
     SquareMatrixK,
@@ -348,20 +348,30 @@ def test_matrix_algebra_matches_field(pair, rk, c):
     assert (a == b) == (ra == rb)
 
 
-@given(st.integers(1, 3).flatmap(lambda p: _matrices(2**p)))
+@given(st.integers(1, 3).flatmap(lambda p: _sparse(2**p)))
 @settings(max_examples=30, deadline=None)
-def test_quantum_trace_matches_field(ref):
+def test_quantum_trace_matches_field(sparse):
+    # most drawn positions are off the diagonal, and must not reach the trace
+    dim, entries = sparse
     data = build_braid_data(1)  # dim V = 2
-    dim = len(ref)
     p = dim.bit_length() - 1
     mu = [to_sympy(data.mu[a].nf) for a in data.indices]
     want = FIELD.zero
-    for i in range(dim):
-        w, t = FIELD.one, i
-        for _ in range(p):
-            w, t = w * mu[t % 2], t // 2
-        want += ref[i][i] * w
-    assert to_sympy(quantum_trace(_mat(ref), data).nf) == want
+    for i, j, v in entries:
+        if i == j:
+            w, t = FIELD.one, i
+            for _ in range(p):
+                w, t = w * mu[t % 2], t // 2
+            want += to_sympy(v.nf) * w
+    m = SquareMatrixK.from_entries(dim, entries)
+    assert to_sympy(quantum_trace(m, data).nf) == want
+
+
+def test_tower_budget_and_trace_dimension_are_typed_errors():
+    with pytest.raises(UnsupportedSize, match="exceeds the dimension budget"):
+        idempotent_tower("E", build_braid_data(3), 4)
+    with pytest.raises(ArgumentOutOfRange, match="not a power of dim V"):
+        quantum_trace(SquareMatrixK.identity(3), build_braid_data(1))
 
 
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(_matrices(d), _matrices(d))),

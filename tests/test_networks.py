@@ -133,7 +133,7 @@ def test_chromatic_rows_match_sympy():
 
 def test_tetrahedron_all_ones_golden():
     t = TetrahedronSymbol.from_grid([[1] * 4, [1] * 4, [1] * 4])
-    assert tetrahedron_check(t)
+    tetrahedron_check(t)
     assert tetrahedron_edge_labels(t) == [2] * 6
     raw = to_sympy(tetrahedron_chromatic(t, "Raw"))
     assert raw == _d**4 - 5 * _d**3 + 8 * _d**2 - 4 * _d
