@@ -49,7 +49,7 @@ from .errors import (
     ParseError,
     UnsupportedSize,
 )
-from .poly import Poly, probe, rules_out
+from .poly import Poly, probe
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
@@ -455,24 +455,34 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
     """m with each key of its denominator cancelled as often as it divides
     every numerator, and then the content all numerators share.
 
-    The numerators' values at the probe point are taken once and divided
-    along with them; a key whose value rules out one of theirs is not
-    tried (see ``poly.rules_out``), nor is a key of larger degree than the
-    matrix's bound."""
+    A key f of multiplicity e divides out as f^k in one pass over the
+    numerators, k the largest power the numerators could allow: at most e,
+    at most the matrix's degree bound over f's degree, and such that the
+    value of f^k at the probe point divides the numerators' values there
+    (a zero value of f shows nothing; see ``poly.rules_out``).  Only when
+    that pass fails is k stepped down.  The values are taken once and
+    divided along with the numerators."""
     rows, left = m.rows, {}
     values = _probes(rows)
     for f, e in m._dfac.items():
-        if max(map(max, f)) <= m.deg:
-            fv, fp = probe(f), _divisor(f)
-            while e and not any(rules_out(fv, v) for v in values):
-                quo = _divide_all(rows, fp)
-                if quo is None:
-                    break
+        fv = probe(f)
+        k = min(e, m.deg // max(map(max, f)))
+        if fv:
+            for v in values:
+                j = 0
+                while j < k and v % fv == 0:
+                    v //= fv
+                    j += 1
+                k = j
+        while k:
+            quo = _divide_all(rows, _divisor(f**k))
+            if quo is not None:
                 rows = quo
-                e -= 1
-                values = [v // fv for v in values] if fv else _probes(rows)
-        if e:
-            left[f] = e
+                values = [v // fv**k for v in values] if fv else _probes(rows)
+                break
+            k -= 1
+        if e > k:
+            left[f] = e - k
     cont = m._cont
     g = gcd(cont, *(c for row in rows.values() for num in row.values()
                     for c in num.values()))

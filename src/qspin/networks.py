@@ -269,16 +269,17 @@ class StrandNetwork:
     free_loops: list = dc_field(default_factory=list)
 
     def validate(self) -> None:
-        expected = set()
         for r, d in self.rect_degree.items():
             if not is_int(d):
                 raise ConstraintViolated(f"rectangle {r!r} has a non-integer degree")
             if d < 0:
                 raise InadmissibleLabel("negative rectangle degree")
-            for side in (0, 1):
-                for p in range(d):
-                    expected.add((r, side, p))
-        if set(self.link) != expected:
+        # the count first, so that a port set is built only for a link that
+        # could cover it
+        if len(self.link) != 2 * sum(self.rect_degree.values()) or set(self.link) != {
+            (r, side, p) for r, d in self.rect_degree.items()
+            for side in (0, 1) for p in range(d)
+        }:
             raise ConstraintViolated("ambient linking must cover every port")
         for key, val in self.link.items():
             if val == key:
@@ -350,8 +351,13 @@ def medial(net: LabelledNetwork) -> StrandNetwork:
     joined by m = (l_h + l_h' - l_other)/2 lines matching the last m ports
     of h against the first m of h', with the index flipped on side-1 ends
     so both sides of a rectangle are traversed coherently.
+
+    A network of more than ``MAX_TOTAL_LINES`` lines (labels and free
+    loops), which ``chromatic_eval`` would refuse, raises
+    StateSpaceTooLarge before any link is built.
     """
     net.validate()
+    _check_lines(sum(label for *_, label in net.edges) + sum(net.free_loops))
     label = {ei: net.edges[ei][2] for ei in range(len(net.edges))}
     link = {}
 
@@ -390,6 +396,11 @@ def medial(net: LabelledNetwork) -> StrandNetwork:
 # Chromatic state sum.
 
 
+def _check_lines(total: int) -> None:
+    if total > MAX_TOTAL_LINES:
+        raise StateSpaceTooLarge(f"{total} lines exceeds the budget {MAX_TOTAL_LINES}")
+
+
 def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw"):
     """The chromatic state sum  sum_S eps(S) delta^{|S|}  over permutation
     assignments S to the rectangles, computed as a contraction.
@@ -421,11 +432,7 @@ def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw"):
         raise ConstraintViolated(f"unknown normalization {normalization!r}")
     sn.validate()
     rects = sorted(sn.rect_degree, key=str)
-    total_lines = sum(sn.rect_degree.values())
-    if total_lines > MAX_TOTAL_LINES:
-        raise StateSpaceTooLarge(
-            f"{total_lines} lines exceeds the budget {MAX_TOTAL_LINES}"
-        )
+    _check_lines(sum(sn.rect_degree.values()))
     index = {}
     for r in rects:
         for side in (0, 1):

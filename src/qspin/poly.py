@@ -22,8 +22,9 @@ parts.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
-from operator import add, sub
+from operator import add, itemgetter, lshift, sub
 
 from .errors import GcdFailed
 
@@ -43,15 +44,6 @@ def monomial_div(a: tuple, b: tuple):
     """x^a / x^b as an exponent tuple, or None when it is not a monomial."""
     out = tuple(map(sub, a, b))
     return None if min(out) < 0 else out
-
-
-def _monomial_div5(a: tuple, b: tuple):
-    a0, a1, a2, a3, a4 = a
-    b0, b1, b2, b3, b4 = b
-    c0, c1, c2, c3, c4 = a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4
-    if c0 < 0 or c1 < 0 or c2 < 0 or c3 < 0 or c4 < 0:
-        return None
-    return (c0, c1, c2, c3, c4)
 
 
 class Poly(dict):
@@ -146,6 +138,15 @@ class Poly(dict):
         mul = monomial_mul if len(m) == 5 else _monomial_mul_any
         return Poly({mul(k, m): v * c for k, v in self.items()})
 
+    def div_term(self, m: tuple, c) -> "Poly":
+        """self / (c x^m), for c x^m dividing every term; self when it is
+        1."""
+        if any(m):
+            if c == 1:
+                return Poly({tuple(map(sub, k, m)): v for k, v in self.items()})
+            return Poly({tuple(map(sub, k, m)): v // c for k, v in self.items()})
+        return self if c == 1 else Poly({k: v // c for k, v in self.items()})
+
     def __call__(self, *values):
         """The value at the point ``values``, one per generator."""
         total = 0
@@ -186,36 +187,85 @@ def constant(c, ngens: int) -> Poly:
 
 
 def exquo(p: Poly, f: Poly):
-    """p / f if f divides p in Z[x], else None.  Each step divides the
-    leading term of the remainder by that of f and stops at the first one
-    that does not divide."""
+    """p / f if f divides p in Z[x], else None.
+
+    A one-term divisor c x^m divides p term by term.  Otherwise each step
+    divides the leading term of the remainder by that of f and stops at
+    the first one that does not divide.  The remainder's monomials are
+    packed into ints, one bit field per generator wide enough for p's
+    degree in it and a guard bit above, so that int order is lex order
+    and a heap yields each leading term.  Were f to divide p, the
+    quotient's degree in each generator would be p's less f's; so a
+    quotient monomial past that ends the division too, and a remainder
+    monomial, p's or a quotient monomial times one of f, never passes p's
+    degrees, so no field carries into the next."""
+    if len(f) == 1:
+        ((fm, fc),) = f.items()
+        if fc == 1 and not any(fm):
+            return Poly(p)
+        quo = {}
+        for m, c in p.items():
+            qm = monomial_div(m, fm)
+            if qm is None:
+                return None
+            t, r = divmod(c, fc)
+            if r:
+                return None
+            quo[qm] = t
+        return Poly(quo)
+    if not p:
+        return Poly()
+    top = tuple(map(max, zip(*p)))
+    room = tuple(map(sub, top, map(max, zip(*f))))
+    if min(room) < 0:
+        return None
+    # the first generator's field is the highest; w bits hold the exponents
+    # up to p's degree d
+    fields = []
+    guard = slack = shift = 0
+    for d, most in zip(reversed(top), reversed(room)):
+        w = d.bit_length()
+        fields.append((shift, (1 << w) - 1))
+        guard |= 1 << (shift + w)
+        slack |= ((1 << w) - 1 - most) << shift  # carries into the guard past ``most``
+        shift += w + 1
+    fields.reverse()
+    shifts = [s for s, _ in fields]
     fm = max(f)
     fc = f[fm]
-    rest = [(m, c) for m, c in f.items() if m != fm]
-    if len(fm) == 5:
-        mul, div = monomial_mul, _monomial_div5
-    else:
-        mul, div = _monomial_mul_any, monomial_div
-    p = dict(p)
+    fk = sum(map(lshift, fm, shifts))
+    rest = [(sum(map(lshift, m, shifts)), c) for m, c in f.items() if m != fm]
+    rem = {sum(map(lshift, m, shifts)): c for m, c in p.items()}
+    heap = [-k for k in rem]
+    heapify(heap)
     quo = {}
-    while p:
-        m = max(p)
-        c = p.pop(m)
-        qm = div(m, fm)
-        if qm is None:
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:  # cancelled after it was pushed
+            continue
+        # a guard bit cleared: fm does not divide k; set: past ``room``
+        qk = (k | guard) - fk
+        if qk & guard != guard:
+            return None
+        qk ^= guard
+        if (qk + slack) & guard:
             return None
         t, r = divmod(c, fc)
         if r:
             return None
-        quo[qm] = t
-        for m2, c2 in rest:
-            k = mul(qm, m2)
-            v = p.get(k, 0) - t * c2
-            if v:
-                p[k] = v
+        quo[qk] = t
+        for k2, c2 in rest:
+            k2 += qk
+            v = rem.get(k2)
+            if v is None:
+                rem[k2] = -t * c2
+                heappush(heap, -k2)
+            elif v == t * c2:
+                del rem[k2]
             else:
-                del p[k]
-    return Poly(quo)
+                rem[k2] = v - t * c2
+    return Poly({tuple(k >> s & mask for s, mask in fields): t for k, t in quo.items()})
 
 
 #: The integer point at which :func:`probe` evaluates a polynomial in
@@ -273,9 +323,7 @@ def cofactors(f: Poly, g: Poly) -> tuple:
     mf = tuple(map(min, zip(*f)))
     mg = tuple(map(min, zip(*g)))
     m = tuple(map(min, mf, mg))
-    # the primitive parts without a monomial factor
-    pf = {monomial_div(k, mf): v // cf for k, v in f.items()}
-    pg = {monomial_div(k, mg): v // cg for k, v in g.items()}
+    pf, pg = f.div_term(mf, cf), g.div_term(mg, cg)
     zero = (0,) * len(m)
     if len(pf) == 1 or len(pg) == 1:  # a primitive monomial-free term is 1
         h, qf, qg = {zero: 1}, pf, pg
@@ -284,10 +332,16 @@ def cofactors(f: Poly, g: Poly) -> tuple:
     else:
         h, qf, qg = _gcd_primitive(pf, pg)
     return (
-        Poly(h).mul_term(m, c),
-        Poly(qf).mul_term(tuple(map(sub, mf, m)), cf // c),
-        Poly(qg).mul_term(tuple(map(sub, mg, m)), cg // c),
+        _as_poly(h).mul_term(m, c),
+        _as_poly(qf).mul_term(tuple(map(sub, mf, m)), cf // c),
+        _as_poly(qg).mul_term(tuple(map(sub, mg, m)), cg // c),
     )
+
+
+def _as_poly(p: dict) -> Poly:
+    """p as a Poly, p itself when it is one: a cofactor 1 then returns the
+    very polynomial given, its hash already taken."""
+    return p if type(p) is Poly else Poly(p)
 
 
 def cancel(num: Poly, den: Poly) -> tuple:
@@ -304,16 +358,24 @@ def cancel(num: Poly, den: Poly) -> tuple:
 def _gcd_primitive(f: dict, g: dict) -> tuple:
     """cofactors of primitive f and g with no monomial factor, run on the
     generators that occur in either."""
+    used = [i for i, (a, b) in enumerate(zip(map(max, zip(*f)), map(max, zip(*g))))
+            if a or b]
     n = len(next(iter(f)))
-    used = [i for i in range(n) if any(k[i] for k in f) or any(k[i] for k in g)]
     if len(used) == n:
         return _heugcd(f, g, n)
-    out = _heugcd(_select(f, used), _select(g, used), len(used))
-    return tuple(_spread(p, used, n) for p in out)
+    h, qf, qg = _heugcd(_select(f, used), _select(g, used), len(used))
+    if len(h) == 1:  # primitive, positive and monomial-free: 1
+        return {(0,) * n: 1}, f, g
+    return _spread(h, used, n), _spread(qf, used, n), _spread(qg, used, n)
 
 
 def _select(p: dict, used: list) -> dict:
-    return {tuple(k[i] for i in used): v for k, v in p.items()}
+    """p's exponents of the generators ``used`` only."""
+    if len(used) == 1:
+        (i,) = used
+        return {(k[i],): v for k, v in p.items()}
+    pick = itemgetter(*used)
+    return {pick(k): v for k, v in p.items()}
 
 
 def _spread(p: dict, used: list, n: int) -> dict:

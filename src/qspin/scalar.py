@@ -96,7 +96,7 @@ def _primitive(poly):
     m = tuple(map(min, zip(*poly)))
     if len(poly) == 1:
         return k, m, None
-    return k, m, Poly({monomial_div(mon, m): c // k for mon, c in poly.items()})
+    return k, m, poly.div_term(m, k)
 
 
 def _expand(k: int, m: tuple, fac: dict):
@@ -651,9 +651,10 @@ def integer_level(x: ScalarK, n: int) -> ScalarK:
 def _at_level(poly, n: int):
     """poly with z -> q^n."""
     out: dict = {}
-    for (a, b, *rest), c in poly.items():
-        m = (a + n * b, 0, *rest)
-        out[m] = out.get(m, 0) + c
+    get = out.get
+    for (a, b, g, u, v), c in poly.items():
+        m = (a + n * b, 0, g, u, v)
+        out[m] = get(m, 0) + c
     return Poly({m: c for m, c in out.items() if c})
 
 
@@ -928,10 +929,32 @@ def _check_size(x: ScalarK, e: int = 1) -> None:
 
 def _check_monomial(k: int, mono: tuple) -> None:
     """``_check_size`` of the factor-free value k * x^mono, k an int: the
-    denominator is x^-mono, with no coefficient bits."""
-    if k:
-        _check_side([max(m, 0) for m in mono], (abs(k) - 1).bit_length(), 1)
-        _check_side([max(-m, 0) for m in mono], 0, 1)
+    denominator is x^-mono, with no coefficient bits.  The two
+    ``_check_side`` bounds of each side, read in one pass over mono."""
+    if not k:
+        return
+    top = bottom = 0
+    size = (abs(k) - 1).bit_length() + 1
+    den_size = 1
+    for m in mono:
+        if m > 0:
+            if m > top:
+                top = m
+            size *= m + 1
+        elif m:
+            if -m > bottom:
+                bottom = -m
+            den_size *= 1 - m
+    if top > MAX_PARSE_DEGREE:
+        raise ParseError(f"degree {top} exceeds the parse bound {MAX_PARSE_DEGREE}")
+    if size > MAX_PARSE_SIZE:
+        raise ParseError(f"expansion size {size} exceeds the parse bound {MAX_PARSE_SIZE}")
+    if bottom > MAX_PARSE_DEGREE:
+        raise ParseError(f"degree {bottom} exceeds the parse bound {MAX_PARSE_DEGREE}")
+    if den_size > MAX_PARSE_SIZE:
+        raise ParseError(
+            f"expansion size {den_size} exceeds the parse bound {MAX_PARSE_SIZE}"
+        )
 
 
 def _check_side(deg: list, bits: int, e: int, orders=()) -> None:
@@ -1009,16 +1032,13 @@ def _monomial_sum(terms: list) -> ScalarK:
     coeffs: dict = {}
     for c, mono in terms:
         coeffs[mono] = coeffs.get(mono, 0) + c
-    coeffs = {m: c for m, c in coeffs.items() if c}
-    if not coeffs:
-        return ZERO
-    low = tuple(map(min, zip(*coeffs)))
     den = lcm(*(c.denominator for c in coeffs.values()))
-    k, m, p = _primitive(
-        Poly({monomial_div(mono, low): int(c * den) for mono, c in coeffs.items()})
-    )
+    poly = Poly({mono: int(c * den) for mono, c in coeffs.items() if c})
+    if not poly:
+        return ZERO
+    k, m, p = _primitive(poly)
     fac = _NO_FACTORS if p is None else _keys(p)
-    return ScalarK(Fraction(k, den), tuple(a + b for a, b in zip(low, m)), fac)
+    return ScalarK(Fraction(k, den), m, fac)
 
 
 def _parse_product(toks: list, i: int, depth: int):

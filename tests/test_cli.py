@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -443,6 +444,31 @@ def test_bad_network_file_is_a_typed_error(tmp_path, capsys, doc, error):
     code, out, err = run(capsys, "chromatic", "--file", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error [{error}]")
+
+
+@pytest.mark.parametrize(
+    "doc,want",
+    [
+        (dict(_THETA_DOC, edges=[dict(e, label=200_000) for e in _THETA_DOC["edges"]]),
+         "error [StateSpaceTooLarge]: 600000 lines exceeds the budget 64\n"),
+        ({"rectangles": {"r": 2_000_000}, "link": []},
+         "error [ConstraintViolated]: ambient linking must cover every port\n"),
+    ],
+    ids=["theta-200000", "rectangle-2000000"],
+)
+def test_oversized_network_is_refused_before_it_is_built(tmp_path, capsys, doc, want):
+    # building the links of the theta, or the port set of the rectangle,
+    # would take hundreds of MB; the line count refuses both first
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        result = run(capsys, "chromatic", "--file", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", want)
+    assert peak < 10_000_000
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
-"""The in-repo polynomials against sympy: the heuristic gcd, cancel, the
-probe test before a trial division, and the reduced fractions of
-Q(delta, Delta) with their text."""
+"""The in-repo polynomials against sympy: exact division, the heuristic
+gcd, cancel, the probe test before a trial division, and the reduced
+fractions of Q(delta, Delta) with their text."""
 
 from fractions import Fraction
 from math import lcm
@@ -13,7 +13,7 @@ from qspin import poly
 from qspin.errors import GcdFailed, QspinError
 from qspin.poly import Poly, cancel, cofactors, exquo, probe, rules_out
 from qspin.scalar import CLASSICAL_FIELD, classical
-from sympy_bridge import CLASSICAL, to_sympy
+from sympy_bridge import CLASSICAL, INTEGER_RINGS, to_sympy
 
 
 def _numerator(tree):
@@ -33,6 +33,51 @@ def _pairs(draw):
     c = ("mul", draw(small), draw(sum_atoms))
     f, g, common = _numerator(a), _numerator(b), _numerator(c)
     return f * common, g * common
+
+
+@st.composite
+def _divisions(draw):
+    """(n, f, g, r): polynomials in n = 1..5 generators, g any polynomial,
+    a constant, a monomial or a binomial t^k +- 1 with t a monomial, and
+    r 0 or a polynomial to add to f g."""
+    n = draw(st.integers(1, 5))
+    monomials = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.integers(-9, 9).filter(bool)
+    polys = st.dictionaries(monomials, coeffs, min_size=1, max_size=6).map(Poly)
+    f = draw(polys)
+    g = draw(st.one_of(
+        polys,
+        coeffs.map(lambda c: Poly({(0,) * n: c})),
+        st.builds(lambda m, c: Poly({m: c}), monomials, coeffs),
+        st.builds(
+            lambda w, k, sign: Poly({tuple(k * e for e in w): 1, (0,) * n: sign}),
+            monomials.filter(any), st.integers(1, 4), st.sampled_from([1, -1]),
+        ),
+    ))
+    r = draw(st.one_of(st.just(Poly()), polys))
+    return n, f, g, r
+
+
+@given(_divisions())
+@settings(max_examples=300, deadline=None)
+def test_exact_division_matches_sympy(division):
+    n, f, g, r = division
+    assert exquo(f * g, g) == f
+    p = f * g + r
+    quo, rem = to_sympy(p, n, INTEGER_RINGS).div(to_sympy(g, n, INTEGER_RINGS))
+    got = exquo(p, g)
+    assert (got is None) == bool(rem)
+    if got is not None:
+        assert to_sympy(got, n, INTEGER_RINGS) == quo
+
+
+def test_exact_division_stops_past_the_degrees():
+    # x^3 y^3 + y^2 over x + y: the quotient's first monomial, x^2 y^3,
+    # already passes y's degree 3 - 1, and going on would carry y^6 out of
+    # its packed field
+    x, y = Poly({(1, 0): 1}), Poly({(0, 1): 1})
+    assert exquo(x**3 * y**3 + y**2, x + y) is None
+    assert exquo((x + y) * (x**2 * y**2 - y**3), x + y) == x**2 * y**2 - y**3
 
 
 @given(_pairs())

@@ -708,6 +708,17 @@ def test_parse_matches_the_character_scanner(text):
     # terms past a bound in a sum that is not, and an integer's power
     "q^256*q - q^256*q", "q^-256*q^-1 - q^-256*q^-1", "1" + "0" * 800 + "^256",
     "9^200*q^200*z^200 - 9^200*q^200*z^200", "q^" + "1" * 5000, "3*q^2*z - q^-3*u/2 + delta*q",
+    # a monomial term at and past each bound, on each side: degree 256 and
+    # 257; sizes 100 * 100 * 60 = 600,000 and (1372 coefficient bits + 1)
+    # * 19 * 23 = 600,001, or, with no coefficient bits in a denominator,
+    # 245 * 79 * 31 = 600,005, the least size past the bound there
+    "q^256 + z - z", "q^256*q + z - z", "z^-256 + q - q", "z^-256*z^-1 + q - q",
+    "q^99*z^99*Delta^59 + q - q", str(2**1372) + "*q^18*z^22 + q - q",
+    "q^-99*z^-99*Delta^-59 + q - q", "q^-244*z^-78*Delta^-30 + q - q",
+    # both sides past a bound: the numerator's degree, then its size, then
+    # the denominator's degree, then its size
+    "q^256*q*z^-256*z^-2 + 1", str(2**1372) + "*q^18*z^22*u^-256*u^-2 + 1",
+    "q^-244*z^-78*Delta^-30*u^-256*u^-1 + 1",
 ])
 def test_parse_matches_the_character_scanner_on_edge_cases(text):
     assert _outcome(parse_scalar, text) == _outcome(parse_oracle.parse_scalar, text)
