@@ -23,12 +23,13 @@ Conventions:
   dividend.  Each matrix carries a bound ``deg`` on its exponents, and one
   past ``_MAXE`` raises UnsupportedSize, so no field ever carries into the
   next.  Numerators are packed when a matrix is built from scalars and
-  unpacked to ``poly.Poly`` only where an entry, a trace or a probe value
-  is read.  Products and sums multiply and add polynomials only and divide
-  nothing.  ``a == b`` is a zero test: a - b over a common denominator has
-  no entries.  Only the tower matrices X(p), which are kept and feed
-  X(p+1), are reduced by trial division.  A field element is built (one
-  cancel) only when an entry is read.
+  unpacked to ``poly.Poly`` only where an entry or a trace is read.
+  Products and sums multiply and add polynomials only and divide nothing.
+  ``a == b`` compares entry by entry over a common denominator: the same
+  positions, and equal numerators once each side is brought to it.  Only
+  the tower matrices X(p), which are kept and feed X(p+1), are reduced by
+  trial division.  A field element is built (one cancel) only when an
+  entry is read.
 * Inside BraidData, z is specialized to q^n throughout.
 """
 
@@ -37,8 +38,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, replace
 from functools import wraps
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import gcd
+from operator import mul
 from time import perf_counter
 from typing import Callable, NamedTuple
 
@@ -49,7 +51,7 @@ from .errors import (
     ParseError,
     UnsupportedSize,
 )
-from .poly import Poly, probe
+from .poly import PROBE_POINT, Poly, probe
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
@@ -214,11 +216,12 @@ class SquareMatrixK:
     bound past ``_MAXE`` raises UnsupportedSize, so no field of a packed
     monomial ever carries into the next.  Products and sums take
     numerators and keys as they come, with no division, so the form is not
-    unique: equality is decided by subtracting, and only the kept tower
-    matrices are reduced (``_reduce``).  ``entry`` unpacks an entry and
-    wraps it as ScalarK, split from its reduced fraction; every
-    specialization, the classical one included, reads it like any other
-    value.  Numerators are shared between matrices and never mutated.
+    unique: equality is decided entry by entry over a common denominator,
+    and only the kept tower matrices are reduced (``_reduce``).  ``entry``
+    unpacks an entry and wraps it as ScalarK, split from its reduced
+    fraction; every specialization, the classical one included, reads it
+    like any other value.  Numerators are shared between matrices and
+    never mutated.
 
     Build matrices with ``from_entries`` or ``identity``; the operations
     return new matrices.
@@ -351,9 +354,25 @@ class SquareMatrixK:
         return SquareMatrixK(self.dim, rows, *_den_product(self, c), self.deg + cdeg)
 
     def __eq__(self, other) -> bool:
+        """Whether both sides hold the same entries, decided entry by entry
+        over their common denominator: the same positions hold an entry,
+        and num_a m_a == num_b m_b at each, m_a and m_b the multiples that
+        bring each side's denominator to the common one (a side whose
+        multiple is 1 is compared as it is).  The degree bound of those
+        products is checked before any is formed.  Nothing is subtracted."""
         if not isinstance(other, SquareMatrixK):
             return NotImplemented
-        return self.dim == other.dim and self._lincomb(other, -1).is_zero()
+        if self.dim != other.dim:
+            return False
+        *_, mults = _common_den([(self._cont, self._dfac), (other._cont, other._dfac)])
+        (ma, da), (mb, db) = map(_pack, mults)
+        _bounded(max(self.deg + da, other.deg + db))
+        arows, brows = self.rows, other.rows
+        if ma != _ONE:
+            arows = _scaled(arows, ma)
+        if mb != _ONE:
+            brows = _scaled(brows, mb)
+        return arows == brows
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -446,9 +465,16 @@ def _divide_all(rows: dict, f: tuple):
     return out
 
 
-def _probes(rows: dict) -> list:
-    """The value of every numerator at the probe point."""
-    return [probe(_unpack(num)) for row in rows.values() for num in row.values()]
+def _probes(rows: dict, deg: int) -> list:
+    """The value of every numerator at the probe point (``poly.probe``),
+    read off the packed monomials, no exponent past ``deg``: each term is
+    its coefficient times one entry of each generator's table of powers."""
+    t0, t1, t2, t3, t4 = (list(accumulate(repeat(x, deg), mul, initial=1))
+                          for x in PROBE_POINT)
+    w, f = _W, _FIELD_MASK
+    return [sum(c * t0[m >> 4 * w] * t1[m >> 3 * w & f] * t2[m >> 2 * w & f]
+                * t3[m >> w & f] * t4[m & f] for m, c in num.items())
+            for row in rows.values() for num in row.values()]
 
 
 def _reduce(m: SquareMatrixK) -> SquareMatrixK:
@@ -460,10 +486,11 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
     at most the matrix's degree bound over f's degree, and such that the
     value of f^k at the probe point divides the numerators' values there
     (a zero value of f shows nothing; see ``poly.rules_out``).  Only when
-    that pass fails is k stepped down.  The values are taken once and
+    that pass fails is k stepped down.  The values are read once off the
+    packed numerators, with tables of powers up to the degree bound, and
     divided along with the numerators."""
     rows, left = m.rows, {}
-    values = _probes(rows)
+    values = _probes(rows, m.deg)
     for f, e in m._dfac.items():
         fv = probe(f)
         k = min(e, m.deg // max(map(max, f)))
@@ -478,7 +505,7 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
             quo = _divide_all(rows, _divisor(f**k))
             if quo is not None:
                 rows = quo
-                values = [v // fv**k for v in values] if fv else _probes(rows)
+                values = [v // fv**k for v in values] if fv else _probes(rows, m.deg)
                 break
             k -= 1
         if e > k:
@@ -534,6 +561,8 @@ class BraidData:
 
 def _level(n) -> int:
     """n, if braid data exists at level n."""
+    if type(n) is not int:
+        raise ArgumentOutOfRange(f"n must be an integer, not {n!r}")
     if n not in (1, 2, 3):
         raise UnsupportedSize("build_braid_data supports n in {1, 2, 3}")
     return n
@@ -628,7 +657,8 @@ def check_braid_invariants(n: int) -> bool:
     ok = ok and data.u_mat @ data.u_mat == data.u_mat.scale(lp)
     ok = ok and data.sigma @ data.u_mat == data.u_mat.scale(zq**-2 * Q)
     ok = ok and data.sigma_inv @ data.u_mat == data.u_mat.scale(zq**2 * Q**-1)
-    s1, s2 = _tensor_rep(data.n, 3).sigmas
+    r = _tensor_rep(data.n, 3)
+    s1, s2 = (r.lift(i, r.sigmas[i]) for i in (0, 1))
     return ok and s1 @ s2 @ s1 == s2 @ s1 @ s2
 
 
@@ -639,44 +669,53 @@ def check_braid_invariants(n: int) -> bool:
 
 @dataclass(frozen=True)
 class StrandRep:
-    """Matrices for the generators sigma_1, ..., sigma_{k-1}, their
-    inverses and u_1, ..., u_{k-1} on one space; the tuples are indexed
-    from 0, so ``sigmas[i]`` is sigma_{i+1}."""
+    """The generators sigma_1, ..., sigma_{k-1}, their inverses and
+    u_1, ..., u_{k-1} on a space of dimension ``dim``; the tuples are
+    indexed from 0, so ``sigmas[i]`` is sigma_{i+1}.  Each tuple holds its
+    generator X on the strands it acts on, and on the whole space
+    generator i is 1_a (x) X (x) 1_b with (a, b) = ``pads[i]`` (``lift``);
+    a and b are 1 where X already acts on the whole space."""
 
     dim: int
     sigmas: tuple
     sigma_invs: tuple
     u_mats: tuple
     zval: ScalarK  # the value of z in this representation
+    pads: tuple
+
+    def lift(self, i: int, x: SquareMatrixK) -> SquareMatrixK:
+        """x, given on the strands of generator i, on the whole space:
+        1_a (x) x (x) 1_b with (a, b) = pads[i]."""
+        left, right = self.pads[i]
+        if left > 1:
+            x = SquareMatrixK.identity(left).kron(x)
+        if right > 1:
+            x = x.kron(SquareMatrixK.identity(right))
+        return x
 
     def R(self, kind: str, i: int, w: ScalarK) -> SquareMatrixK:
         """The spectral R-matrix of the given kind on generator i at
-        parameter w (see spectral_coeffs)."""
-        cs, csi, cu, den = spectral_coeffs(kind, w, self.zval)
-        if den.is_zero():
-            raise DivisorVanishes(f"{kind} denominator vanishes at this parameter")
-        # each coefficient is divided as a scalar, whose factors cancel there
-        out = self.sigmas[i].scale(cs / den) + self.sigma_invs[i].scale(csi / den)
-        if not cu.is_zero():
-            out = out + self.u_mats[i].scale(cu / den)
-        return out
+        parameter w (see spectral_coeffs).  The rep's own sigma_i,
+        sigma_i^-1 and u_i are summed where it holds them, on V (x) V for a
+        tensor power, and the sum is lifted to the whole space.  The
+        coefficients over the denominator come from a table built once per
+        (kind, w, z); a denominator that vanishes raises DivisorVanishes
+        and is not kept."""
+        cs, csi, cu = _spectral_scales(_kind(kind), w, self.zval)
+        out = self.sigmas[i].scale(cs) + self.sigma_invs[i].scale(csi)
+        if cu:
+            out = out + self.u_mats[i].scale(cu)
+        return self.lift(i, out)
 
 
-@_built_once
 def _tensor_rep(n: int, p: int) -> StrandRep:
     """V^(x)p at level n: generator i is 1^(x)i (x) X (x) 1^(x)(p-2-i) for X
     = sigma, sigma^-1 or u on V (x) V, acting on strands (i+1, i+2).
     Callers validate n (``_level`` or ``build_braid_data``) and p."""
     data = _build_braid_data(n)
-    d = data.d
-
-    def lifted(x: SquareMatrixK) -> tuple:
-        return tuple(SquareMatrixK.identity(d**i).kron(x)
-                     .kron(SquareMatrixK.identity(d ** (p - 2 - i)))
-                     for i in range(p - 1))
-
-    return StrandRep(d**p, *map(lifted, (data.sigma, data.sigma_inv, data.u_mat)),
-                     Q**n)
+    d, k = data.d, p - 1
+    return StrandRep(d**p, (data.sigma,) * k, (data.sigma_inv,) * k, (data.u_mat,) * k,
+                     Q**n, tuple((d**i, d ** (p - 2 - i)) for i in range(k)))
 
 
 def _generator_pair(dim: int, entries: list) -> tuple:
@@ -695,7 +734,7 @@ def hecke_two_dim_rep() -> StrandRep:
     s1, s2 = _generator_pair(2, [(0, 0, Q), (1, 0, ONE), (1, 1, -qi)])
     s1i, s2i = _generator_pair(2, [(0, 0, qi), (1, 0, ONE), (1, 1, -Q)])
     zero = SquareMatrixK.from_entries(2, ())
-    return StrandRep(2, (s1, s2), (s1i, s2i), (zero, zero), Z)
+    return StrandRep(2, (s1, s2), (s1i, s2i), (zero, zero), Z, ((1, 1),) * 2)
 
 
 @_built_once
@@ -707,7 +746,7 @@ def bmw_three_dim_rep() -> StrandRep:
     one = SquareMatrixK.identity(3)
     u1 = one - (s1 - s1i).scale(_QM.inv())
     u2 = one - (s2 - s2i).scale(_QM.inv())
-    return StrandRep(3, (s1, s2), (s1i, s2i), (u1, u2), Z)
+    return StrandRep(3, (s1, s2), (s1i, s2i), (u1, u2), Z, ((1, 1),) * 2)
 
 
 @_built_once
@@ -747,11 +786,19 @@ def check_bmw3_relation(relation: str, printed: bool = False) -> bool:
 # Spectral R-matrices.
 
 
+def _kind(kind) -> str:
+    """kind, if it names a spectral family."""
+    if kind not in ("HeckeF", "HeckeE", "BMW_D", "BMW_A"):
+        raise ArgumentOutOfRange(f"unknown spectral kind {kind!r}")
+    return kind
+
+
 def spectral_coeffs(kind: str, w: ScalarK, zval: ScalarK):
     """Return (c_sigma, c_sigma_inv, c_u, denominator) for the kind, so that
 
         R(w) = (c_sigma sigma + c_sigma_inv sigma^-1 + c_u u) / denominator.
     """
+    kind = _kind(kind)
     if kind == "HeckeF":
         return w, -(w.inv()), scalar(0), w * Q - w.inv() * Q**-1
     if kind == "HeckeE":
@@ -760,11 +807,20 @@ def spectral_coeffs(kind: str, w: ScalarK, zval: ScalarK):
         c = w * zval * Q**-1 - w.inv() * zval.inv() * Q
         cu = (zval * Q**-1 - zval.inv() * Q) * _QM
         return c * w, -(c * w.inv()), cu, c * (w * Q - w.inv() * Q**-1)
-    if kind == "BMW_A":
-        c = w * zval.inv() + w.inv() * zval
-        cu = (zval + zval.inv()) * _QM
-        return c * w.inv(), -(c * w), cu, c * (w * Q - w.inv() * Q**-1)
-    raise ArgumentOutOfRange(f"unknown spectral kind {kind!r}")
+    c = w * zval.inv() + w.inv() * zval  # BMW_A
+    cu = (zval + zval.inv()) * _QM
+    return c * w.inv(), -(c * w), cu, c * (w * Q - w.inv() * Q**-1)
+
+
+@_built_once
+def _spectral_scales(kind: str, w: ScalarK, zval: ScalarK) -> tuple:
+    """(c_sigma, c_sigma_inv, c_u) / denominator of spectral_coeffs, built
+    once per (kind, w, z)."""
+    cs, csi, cu, den = spectral_coeffs(kind, w, zval)
+    if den.is_zero():
+        raise DivisorVanishes(f"{kind} denominator vanishes at this parameter")
+    # each coefficient is divided as a scalar, whose factors cancel there
+    return cs / den, csi / den, cu / den
 
 
 def _strand_rep(rep: str, n: int) -> StrandRep:
@@ -797,8 +853,8 @@ def check_unitarity(kind: str, rep: str) -> bool:
 def check_hecke_quotient(rep: str = "bmw3") -> bool:
     """Imposing u = 0 in the BMW_D combination reproduces the HeckeF matrix."""
     r = _strand_rep(rep, 1)
-    zero = SquareMatrixK.from_entries(r.dim, ())
-    quotient = replace(r, u_mats=(zero,) * len(r.u_mats))
+    quotient = replace(r, u_mats=tuple(SquareMatrixK.from_entries(u.dim, ())
+                                       for u in r.u_mats))
     return quotient.R("BMW_D", 0, U) == r.R("HeckeF", 0, U)
 
 
@@ -859,7 +915,7 @@ def _is_tower_idempotent(x: SquareMatrixK, rep: StrandRep, p: int, rkind: str,
         return False
     x_eig = x.scale(eig)
     for i in range(p - 1):
-        ui, si = rep.u_mats[i], rep.sigmas[i]
+        ui, si = rep.lift(i, rep.u_mats[i]), rep.lift(i, rep.sigmas[i])
         if not (ui @ x).is_zero() or not (x @ ui).is_zero():
             return False
         if si @ x != x_eig or x @ si != x_eig:

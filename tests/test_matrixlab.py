@@ -4,6 +4,7 @@ and the check registry."""
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,13 @@ import matrix_oracle
 from exprtree import key_atoms, trees, value
 from registry_rows import row_holds
 from qspin import matrixlab
-from qspin.poly import Poly, exquo
-from qspin.errors import ArgumentOutOfRange, ParseError, UnsupportedSize
+from qspin.poly import Poly, exquo, probe
+from qspin.errors import (
+    ArgumentOutOfRange,
+    DivisorVanishes,
+    ParseError,
+    UnsupportedSize,
+)
 from qspin.matrixlab import (
     CHECKS,
     SquareMatrixK,
@@ -26,7 +32,7 @@ from qspin.matrixlab import (
     quantum_trace,
     run_manifest,
 )
-from qspin.scalar import ONE, Q, U, Z, ScalarK, equal, scalar
+from qspin.scalar import ONE, Q, U, V, Z, ScalarK, equal, scalar
 from sympy_bridge import FIELD, from_sympy, to_sympy
 
 
@@ -67,8 +73,9 @@ def test_registry_row(name, params):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_tensor_rep_generators_act_on_two_digits(n):
-    # generator i of V^(x)p is X on the base-d digits (i, i+1) of row and
-    # column, the most significant first, and 0 unless all other digits agree
+    # generator i of V^(x)p, lifted to the whole space, is X on the base-d
+    # digits (i, i+1) of row and column, the most significant first, and 0
+    # unless all other digits agree
     data = build_braid_data(n)
     d = data.d
     for p in (1, 2, 3, 4):
@@ -80,7 +87,8 @@ def test_tensor_rep_generators_act_on_two_digits(n):
                         (rep.u_mats, data.u_mat)):
             assert len(mats) == p - 1
             want = {}  # an entry of x by its position, read once
-            for i, m in enumerate(mats):
+            for i, local in enumerate(mats):
+                m = rep.lift(i, local)
                 for r, dr in enumerate(digits):
                     row = m.rows.get(r, {})
                     for c, dc in enumerate(digits):
@@ -92,6 +100,63 @@ def test_tensor_rep_generators_act_on_two_digits(n):
                         if (a, b) not in want:
                             want[a, b] = x.entry(a, b)
                         assert equal(m.entry(r, c), want[a, b]), (n, p, i, r, c)
+
+
+def _direct_R(rep, kind, i, w, d, p):
+    """The oracle of R_i(w) on the tensor power V^(x)p, dim V = d, summed on
+    the whole space: the coefficients of spectral_coeffs times sigma_i,
+    sigma_i^-1 and u_i, each lifted to the whole space first."""
+    cs, csi, cu, den = matrixlab.spectral_coeffs(kind, w, rep.zval)
+    if den.is_zero():
+        raise DivisorVanishes(f"{kind} denominator vanishes at this parameter")
+    s, si, u = (SquareMatrixK.identity(d**i).kron(x)
+                .kron(SquareMatrixK.identity(d ** (p - 2 - i)))
+                for x in (rep.sigmas[i], rep.sigma_invs[i], rep.u_mats[i]))
+    out = s.scale(cs / den) + si.scale(csi / den)
+    if not cu.is_zero():
+        out = out + u.scale(cu / den)
+    return out
+
+
+_KINDS = ("HeckeF", "HeckeE", "BMW_D", "BMW_A")
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
+def test_lifted_R_matches_the_direct_sum(n, p):
+    rep = matrixlab._tensor_rep(n, p)
+    d = build_braid_data(n).d
+    for kind in _KINDS:
+        for i in range(p - 1):
+            for w in (U, U * V, Q ** (p - 1)):
+                r = rep.R(kind, i, w)
+                assert r.dim == d**p
+                assert r == _direct_R(rep, kind, i, w, d, p), (kind, i, w)
+    if n != 2:
+        return
+    # at z = q^2 the BMW_D u coefficient is (q - q^-1)^2, not 0: R of a rep
+    # whose u_i are replaced reads the replacement, never the old u_i
+    no_u = replace(rep, u_mats=tuple(SquareMatrixK.from_entries(u.dim, ())
+                                     for u in rep.u_mats))
+    for i in range(p - 1):
+        for w in (U, U * V, Q ** (p - 1)):
+            r = no_u.R("BMW_D", i, w)
+            assert r == _direct_R(no_u, "BMW_D", i, w, d, p)
+            assert r != rep.R("BMW_D", i, w)
+
+
+def test_vanishing_spectral_denominator_is_refused():
+    # w q - w^-1 q^-1 vanishes at w = q^-1; so does the BMW_D factor
+    # w z q^-1 - w^-1 z^-1 q at z = q^2.  A refusal is not kept in the
+    # coefficient table, so a repeated call is refused again.
+    cases = [(matrixlab.hecke_two_dim_rep(), "HeckeF", 0),
+             (matrixlab._tensor_rep(2, 3), "BMW_D", 1),
+             (matrixlab._tensor_rep(1, 4), "HeckeE", 2)]
+    for rep, kind, i in cases:
+        for _ in range(2):
+            with pytest.raises(DivisorVanishes, match=f"{kind} denominator vanishes"):
+                rep.R(kind, i, Q**-1)
+    with pytest.raises(ArgumentOutOfRange, match="unknown spectral kind"):
+        matrixlab._tensor_rep(1, 3).R(["BMW_D"], 0, U)
 
 
 def test_hecke_tower_and_quotient():
@@ -134,11 +199,32 @@ def test_manifest_runner():
     assert out["results"][7] == {
         "name": "no-such-check", "params": {}, "passed": False, "error": "unknown check"
     }
-    assert out["results"][8]["error"].startswith("UnsupportedSize")
-    for row in out["results"][9:]:
+    for row in out["results"][8:]:
         assert row["error"].startswith("ArgumentOutOfRange"), row
     with pytest.raises(ParseError):
         run_manifest({"format_version": 2, "checks": []})
+
+
+def test_manifest_refuses_a_level_that_is_not_an_int():
+    # True == 1 and 1.0 == 1, so a membership test alone took True for
+    # level 1 and passed 1.0 and 2.0 on to a raw TypeError; {"n": True} is
+    # even on the grid of the slip row
+    rows = [("braid-invariants", {"n": True}), ("braid-invariants", {"n": 1.0}),
+            ("ybe", {"kind": "BMW_D", "rep": "tensor", "n": 2.0}),
+            ("tower", {"kind": "E", "n": False, "p_max": 2}),
+            ("quantum-dims", {"n": "2", "p_max": 2}),
+            ("sigma-inverse-display", {"n": True})]
+    out = run_manifest({"checks": [{"name": k, "params": p} for k, p in rows]})
+    for row in out["results"]:
+        assert not row["passed"]
+        assert row["error"] == (
+            f"ArgumentOutOfRange: n must be an integer, not {row['params']['n']!r}")
+    # an integer level past 3 is a size
+    out = run_manifest({"checks": [{"name": "braid-invariants", "params": {"n": 4}}]})
+    assert out["results"][0]["error"] == (
+        "UnsupportedSize: build_braid_data supports n in {1, 2, 3}")
+    with pytest.raises(ArgumentOutOfRange):
+        build_braid_data(True)
 
 
 def test_default_manifest_shape():
@@ -440,6 +526,53 @@ def test_packed_matrices_match_the_oracle(pair, small, c):
     assert (a == b) == (oa == ob)
     assert (a @ b == b @ a) == (oa @ ob == ob @ oa)
     assert a.trace().nf == oa.trace().nf
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(_sparse(d), _sparse(d))),
+       trees(key_atoms, depth=1), st.integers(0, 8), st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_entrywise_equality_matches_the_zero_test(pair, c, at, off):
+    # each pair is built alike in the program and in the oracle; == agrees
+    # with the zero test of the difference and with the oracle's ==
+    c = value(c) or ONE
+    (dim, ea), (_, eb) = pair
+    i, j = divmod(at % (dim * dim), dim)
+    k, l = divmod(off % (dim * dim), dim)
+    verdicts = []
+    for cls in (SquareMatrixK, matrix_oracle.SquareMatrixK):
+        a, b = (cls.from_entries(dim, e) for e in (ea, eb))
+        pairs = [
+            (a, b),
+            # equal, over larger unreduced denominators
+            (a, (a + b) - b), (a.scale(c).scale(c.inv()), (a + b) - b),
+            # one side lacks the entry (i, j), or has one more at (k, l)
+            (a, a - cls.from_entries(dim, [(i, j, a.entry(i, j))])),
+            (a, a + cls.from_entries(dim, [(k, l, c)])),
+        ]
+        verdicts.append([x == y for x, y in pairs])
+        assert verdicts[-1] == [(x - y).is_zero() for x, y in pairs]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][1:3] == [True, True]
+    assert not verdicts[0][4]
+    assert verdicts[0][3] == a.entry(i, j).is_zero()
+
+
+#: Integer polynomials in the five generators with exponents up to 40.
+_wide_polys = st.dictionaries(st.tuples(*[st.integers(0, 40)] * 5),
+                              st.integers(-10**6, 10**6).filter(bool),
+                              min_size=1, max_size=6).map(Poly)
+
+
+@given(st.lists(_wide_polys, min_size=1, max_size=7), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_packed_probes_match_probe(polys, slack):
+    packed = [matrixlab._pack(p) for p in polys]
+    rows = {}
+    for k, (num, _) in enumerate(packed):
+        rows.setdefault(k // 3, {})[k % 3] = num
+    deg = max(d for _, d in packed) + slack
+    want = [probe(matrixlab._unpack(num)) for row in rows.values() for num in row.values()]
+    assert matrixlab._probes(rows, deg) == want
 
 
 def test_degree_bound_past_the_field_width_is_refused():
