@@ -216,9 +216,10 @@ def _cmd_check(args) -> int:
         with open(args.manifest) as fh:
             doc = json.load(fh)
     elif args.suite and args.suite != "all":
-        if args.suite not in matrixlab.CHECKS:
+        names = matrixlab.suite(args.suite)
+        if not names:
             raise ValidationFailure("bad-suite", f"unknown suite {args.suite!r}")
-        doc = matrixlab.manifest([args.suite])
+        doc = matrixlab.manifest(names)
     else:
         doc = matrixlab.default_manifest()
     report = matrixlab.run_manifest(doc, stats=args.stats)
@@ -306,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_chromatic)
 
     p = sub.add_parser("check", help="run verification suites")
-    p.add_argument("--suite", default=None, help="a registry entry, or 'all'")
+    p.add_argument("--suite", default=None,
+                   help="a registry entry, a group (matrix, identity or slip), or 'all'")
     p.add_argument("--all", dest="suite", action="store_const", const="all")
     p.add_argument("--manifest", default=None, help="manifest JSON path")
     p.add_argument("--stats", action="store_true", help="add each row's wall time")

@@ -14,22 +14,18 @@ Conventions:
 * Matrices are sparse and fraction-free: rows[i][j] holds a nonzero
   integer-coefficient polynomial numerator and one denominator ``den`` is
   shared by all entries, kept as the keys of the scalars' reduced factor
-  maps (generators, cyclotomic keys and sum keys).  A numerator is a plain
-  dict from packed monomials to int coefficients: q^a z^b Delta^c u^d v^e
-  is one int with a field of ``_W`` bits per generator, q the most
-  significant, so int order is lex order and a term product is one int
-  addition.  The top bit of each field is a guard bit, which exact division
-  reads to see that an exponent of the divisor exceeds one of the
-  dividend.  Each matrix carries a bound ``deg`` on its exponents, and one
-  past ``_MAXE`` raises UnsupportedSize, so no field ever carries into the
-  next.  Numerators are packed when a matrix is built from scalars and
-  unpacked to ``poly.Poly`` only where an entry or a trace is read.
-  Products and sums multiply and add polynomials only and divide nothing.
-  ``a == b`` compares entry by entry over a common denominator: the same
-  positions, and equal numerators once each side is brought to it.  Only
-  the tower matrices X(p), which are kept and feed X(p+1), are reduced by
-  trial division.  A field element is built (one cancel) only when an
-  entry is read.
+  maps (generators, cyclotomic keys and sum keys).  A numerator is a
+  ``poly.Poly``, whose monomial keys are one int each, q's exponent in the
+  top field, so the product loop of ``@`` adds keys as ints.  Each matrix
+  carries a bound ``deg`` on its exponents, and one past
+  ``poly.MAX_EXPONENT`` raises UnsupportedSize, so that loop never carries
+  a field into the next; every other product, and exact division, is
+  ``poly``'s own.  Products and sums multiply and add polynomials only and
+  divide nothing.  ``a == b`` compares entry by entry over a common
+  denominator: the same positions, and equal numerators once each side is
+  brought to it.  Only the tower matrices X(p), which are kept and feed
+  X(p+1), are reduced by trial division.  A field element is built (one
+  cancel) only when an entry is read.
 * Inside BraidData, z is specialized to q^n throughout.
 """
 
@@ -38,9 +34,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, replace
 from functools import wraps
-from itertools import accumulate, product, repeat
+from itertools import product
 from math import gcd
-from operator import mul
 from time import perf_counter
 from typing import Callable, NamedTuple
 
@@ -51,11 +46,11 @@ from .errors import (
     ParseError,
     UnsupportedSize,
 )
-from .poly import PROBE_POINT, Poly, probe
+from .poly import MAX_EXPONENT, Poly, exquo, pack, probe
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
-from .scalar import _MONO1, _expand, _fac_mul
+from .scalar import _expand, _fac_mul
 
 #: Guards every _built_once table: library callers may build from threads.
 _CACHE_LOCK = threading.RLock()
@@ -81,83 +76,19 @@ def _built_once(build):
 
 
 # --------------------------------------------------------------------------
-# Integer polynomials in (q, z, Delta, u, v): denominators as Poly keys,
-# matrix numerators packed.
+# Integer polynomials in (q, z, Delta, u, v): numerators and denominators.
 
 #: The generators q, z, Delta, u, v, as keys of a denominator.
-_GENS = tuple(Poly({tuple(int(j == i) for j in range(5)): 1}) for i in range(5))
-
-#: Bits per generator in a packed monomial: q^a z^b Delta^c u^d v^e is the
-#: int with the fields a, b, c, d, e from the most significant down, so
-#: int order is lex order.  The top bit of each field is a guard bit.
-_W = 16
-#: The largest exponent a field holds.  Every matrix's degree bound stays
-#: at or below it, so the sum of two packed monomials never carries.
-_MAXE = (1 << (_W - 1)) - 1
-_FIELD_MASK = (1 << _W) - 1
-_GUARD = sum(1 << (_W - 1 + _W * k) for k in range(5))
-#: The packed polynomial 1.
-_ONE = {0: 1}
+_GENS = tuple(Poly({pack(tuple(int(j == i) for j in range(5))): 1}) for i in range(5))
+#: The polynomial 1.
+_ONE = Poly({0: 1})
 
 
 def _bounded(deg: int) -> int:
-    """deg, if a field of a packed monomial holds it."""
-    if deg > _MAXE:
-        raise UnsupportedSize(f"matrix entries of degree up to {deg} exceed {_MAXE}")
+    """deg, if a field of a monomial key holds it."""
+    if deg > MAX_EXPONENT:
+        raise UnsupportedSize(f"matrix entries of degree up to {deg} exceed {MAX_EXPONENT}")
     return deg
-
-
-def _pack(p: Poly) -> tuple[dict, int]:
-    """An integer polynomial as a packed numerator, and its largest
-    exponent."""
-    out = {}
-    deg = 0
-    for (a, b, c, d, e), v in p.items():
-        deg = max(deg, a, b, c, d, e)
-        out[(((a << _W | b) << _W | c) << _W | d) << _W | e] = v
-    return out, _bounded(deg)
-
-
-def _unpack(num: dict) -> Poly:
-    """A packed numerator as a Poly."""
-    w, f = _W, _FIELD_MASK
-    return Poly({(m >> 4 * w, m >> 3 * w & f, m >> 2 * w & f, m >> w & f, m & f): c
-                 for m, c in num.items()})
-
-
-def _mul(a: dict, b: dict) -> dict:
-    """The product of two packed numerators, its terms in the order
-    ``Poly.__mul__`` gives them."""
-    if len(b) > len(a):
-        a, b = b, a
-    if len(b) == 1:
-        ((mb, cb),) = b.items()
-        if not mb and cb == 1:
-            return a
-        return {m + mb: c * cb for m, c in a.items()}
-    out: dict = {}
-    get = out.get
-    terms = list(a.items())
-    for mb, cb in b.items():
-        for ma, ca in terms:
-            m = ma + mb
-            out[m] = get(m, 0) + ca * cb
-    return {m: c for m, c in out.items() if c}
-
-
-def _add(a: dict, b: dict) -> dict:
-    """The sum of two packed numerators, a new dict unless b is 0."""
-    if not b:
-        return a
-    out = dict(a)
-    get = out.get
-    for m, c in b.items():
-        c = get(m, 0) + c
-        if c:
-            out[m] = c
-        else:
-            del out[m]
-    return out
 
 
 def _den_factors(x: ScalarK) -> tuple[int, dict]:
@@ -179,14 +110,14 @@ def _common_den(dens: list) -> tuple[int, dict, list]:
         cont = cont * c // gcd(cont, c)
         for p, e in f.items():
             fac[p] = max(fac.get(p, 0), e)
-    mults = [_expand(cont // c, _MONO1, _fac_mul(fac, f, -1)) for c, f in dens]
+    mults = [_expand(cont // c, 0, _fac_mul(fac, f, -1)) for c, f in dens]
     return cont, fac, mults
 
 
-def _add_into(rows: dict, i: int, j: int, num: dict) -> None:
+def _add_into(rows: dict, i: int, j: int, num: Poly) -> None:
     """rows[i][j] += num, dropping an entry (and a row) that sums to zero."""
     row = rows.setdefault(i, {})
-    num = _add(row[j], num) if j in row else num
+    num = row[j] + num if j in row else num
     if num:
         row[j] = num
     else:
@@ -195,33 +126,33 @@ def _add_into(rows: dict, i: int, j: int, num: dict) -> None:
             del rows[i]
 
 
-def _scaled(rows: dict, m: dict) -> dict:
-    """New row dicts with every numerator times the packed m; when m is 1,
-    the numerators themselves are shared."""
+def _scaled(rows: dict, m: Poly) -> dict:
+    """New row dicts with every numerator times m; when m is 1, the
+    numerators themselves are shared."""
     if m == _ONE:
         return {i: dict(row) for i, row in rows.items()}
-    return {i: {j: _mul(v, m) for j, v in row.items()} for i, row in rows.items()}
+    return {i: {j: v * m for j, v in row.items()} for i, row in rows.items()}
 
 
 class SquareMatrixK:
     """Sparse square matrix over the coefficient field, an immutable value.
 
-    ``rows[i][j]`` is the numerator of a nonzero entry, a dict from packed
-    monomials (see ``_W``) to nonzero int coefficients, and ``den`` the one
-    denominator of all entries, kept as a content and a map of ``Poly``
-    keys to multiplicities (``_den_factors``).  ``deg`` bounds every
-    exponent of every numerator: a product or a Kronecker product adds its
-    operands' bounds, a sum takes the larger of each side's bound plus the
-    degree of the multiple that brings it to the common denominator, and a
-    bound past ``_MAXE`` raises UnsupportedSize, so no field of a packed
-    monomial ever carries into the next.  Products and sums take
-    numerators and keys as they come, with no division, so the form is not
-    unique: equality is decided entry by entry over a common denominator,
-    and only the kept tower matrices are reduced (``_reduce``).  ``entry``
-    unpacks an entry and wraps it as ScalarK, split from its reduced
-    fraction; every specialization, the classical one included, reads it
-    like any other value.  Numerators are shared between matrices and
-    never mutated.
+    ``rows[i][j]`` is the numerator of a nonzero entry, a ``poly.Poly``,
+    and ``den`` the one denominator of all entries, kept as a content and
+    a map of ``Poly`` keys to multiplicities (``_den_factors``).  ``deg``
+    bounds every exponent of every numerator: a product or a Kronecker
+    product adds its operands' bounds, a sum takes the larger of each
+    side's bound plus the degree of the multiple that brings it to the
+    common denominator, and a bound past ``poly.MAX_EXPONENT`` raises
+    UnsupportedSize, so the product loop of ``@``, which adds monomial
+    keys itself, never carries a field into its guard bit.  Products and
+    sums take numerators and keys as they come, with no division, so the
+    form is not unique: equality is decided entry by entry over a common
+    denominator, and only the kept tower matrices are reduced
+    (``_reduce``).  ``entry`` wraps an entry as ScalarK, split from its
+    reduced fraction; every specialization, the classical one included,
+    reads it like any other value.  Numerators are shared between
+    matrices and never mutated.
 
     Build matrices with ``from_entries`` or ``identity``; the operations
     return new matrices.
@@ -239,7 +170,7 @@ class SquareMatrixK:
         if not rows:
             cont, dfac = 1, {}
         self.dim = dim
-        self.rows: dict[int, dict[int, dict]] = rows
+        self.rows: dict[int, dict[int, Poly]] = rows
         self._cont = cont
         self._dfac = dfac
         self._den = None
@@ -248,7 +179,7 @@ class SquareMatrixK:
     def den(self):
         """The denominator multiplied out, on first use."""
         if self._den is None:
-            self._den = _expand(self._cont, _MONO1, self._dfac)
+            self._den = _expand(self._cont, 0, self._dfac)
         return self._den
 
     # -- construction -------------------------------------------------------
@@ -269,8 +200,8 @@ class SquareMatrixK:
         deg = 0
         for i, j, x in split:
             if x:
-                num, d = _pack(x.nf.numer * mult[x.nf.denom])
-                deg = max(deg, d)
+                num = x.nf.numer * mult[x.nf.denom]
+                deg = max(deg, num.degree())
                 _add_into(rows, i, j, num)
         return SquareMatrixK(dim, rows, cont, dfac, deg)
 
@@ -284,7 +215,7 @@ class SquareMatrixK:
         num = self.rows.get(i, {}).get(j)
         if num is None:
             return ScalarK.from_field_element(FIELD.zero)
-        return ScalarK.from_field_element(FIELD.new(_unpack(num), self.den))
+        return ScalarK.from_field_element(FIELD.new(num, self.den))
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -294,6 +225,7 @@ class SquareMatrixK:
     def __matmul__(self, other: "SquareMatrixK") -> "SquareMatrixK":
         if self.dim != other.dim:
             raise ArgumentOutOfRange("dimension mismatch in matrix product")
+        deg = _bounded(self.deg + other.deg)
         rows = {}
         orows = other.rows
         for i, arow in self.rows.items():
@@ -314,13 +246,13 @@ class SquareMatrixK:
                             t[m] = get(m, 0) + ca * cb
             row = {}
             for j, t in acc.items():
-                t = {m: c for m, c in t.items() if c}
+                if 0 in t.values():
+                    t = {m: c for m, c in t.items() if c}
                 if t:
-                    row[j] = t
+                    row[j] = Poly(t)
             if row:
                 rows[i] = row
-        return SquareMatrixK(self.dim, rows, *_den_product(self, other),
-                            self.deg + other.deg)
+        return SquareMatrixK(self.dim, rows, *_den_product(self, other), deg)
 
     def __add__(self, other: "SquareMatrixK") -> "SquareMatrixK":
         return self._lincomb(other, 1)
@@ -331,42 +263,39 @@ class SquareMatrixK:
     def _lincomb(self, other: "SquareMatrixK", sign: int) -> "SquareMatrixK":
         if self.dim != other.dim:
             raise ArgumentOutOfRange("dimension mismatch in matrix sum")
-        cont, dfac, mults = _common_den(
+        cont, dfac, (ma, mb) = _common_den(
             [(self._cont, self._dfac), (other._cont, other._dfac)]
         )
-        (ma, da), (mb, db) = map(_pack, mults)
+        deg = max(self.deg + ma.degree(), other.deg + mb.degree())
         if sign < 0:
-            mb = {m: -c for m, c in mb.items()}
+            mb = -mb
         rows = _scaled(self.rows, ma)
         for i, row in other.rows.items():
             for j, v in row.items():
-                _add_into(rows, i, j, _mul(v, mb))
-        return SquareMatrixK(self.dim, rows, cont, dfac,
-                            max(self.deg + da, other.deg + db))
+                _add_into(rows, i, j, v * mb)
+        return SquareMatrixK(self.dim, rows, cont, dfac, deg)
 
     def scale(self, c) -> "SquareMatrixK":
         c = scalar(c)
         if not c:
             return SquareMatrixK(self.dim, {}, 1, {}, 0)
-        cnum, cdeg = _pack(c.nf.numer)
-        rows = {i: {j: _mul(v, cnum) for j, v in row.items()}
+        cnum = c.nf.numer
+        rows = {i: {j: v * cnum for j, v in row.items()}
                 for i, row in self.rows.items()}
-        return SquareMatrixK(self.dim, rows, *_den_product(self, c), self.deg + cdeg)
+        return SquareMatrixK(self.dim, rows, *_den_product(self, c),
+                            self.deg + cnum.degree())
 
     def __eq__(self, other) -> bool:
         """Whether both sides hold the same entries, decided entry by entry
         over their common denominator: the same positions hold an entry,
         and num_a m_a == num_b m_b at each, m_a and m_b the multiples that
         bring each side's denominator to the common one (a side whose
-        multiple is 1 is compared as it is).  The degree bound of those
-        products is checked before any is formed.  Nothing is subtracted."""
+        multiple is 1 is compared as it is).  Nothing is subtracted."""
         if not isinstance(other, SquareMatrixK):
             return NotImplemented
         if self.dim != other.dim:
             return False
-        *_, mults = _common_den([(self._cont, self._dfac), (other._cont, other._dfac)])
-        (ma, da), (mb, db) = map(_pack, mults)
-        _bounded(max(self.deg + da, other.deg + db))
+        *_, (ma, mb) = _common_den([(self._cont, self._dfac), (other._cont, other._dfac)])
         arows, brows = self.rows, other.rows
         if ma != _ONE:
             arows = _scaled(arows, ma)
@@ -385,17 +314,17 @@ class SquareMatrixK:
                 orow = rows.setdefault(i * d2 + k, {})
                 for j, aval in arow.items():
                     for l, bval in brow.items():
-                        orow[j * d2 + l] = _mul(aval, bval)
+                        orow[j * d2 + l] = aval * bval
         return SquareMatrixK(self.dim * d2, rows, *_den_product(self, other),
                             self.deg + other.deg)
 
     def trace(self) -> ScalarK:
-        acc: dict = {}
+        acc = Poly()
         for i, row in self.rows.items():
             v = row.get(i)
             if v is not None:
-                acc = _add(acc, v)
-        return ScalarK.from_field_element(FIELD.new(_unpack(acc), self.den))
+                acc = acc + v
+        return ScalarK.from_field_element(FIELD.new(acc, self.den))
 
 
 def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
@@ -408,73 +337,18 @@ def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
     return a._cont * bcont, _fac_mul(a._dfac, bfac)
 
 
-def _divisor(f: Poly) -> tuple:
-    """f packed for _exquo: its leading monomial and coefficient, and its
-    other terms."""
-    fp, _ = _pack(f)
-    fm = max(fp)
-    return fm, fp[fm], [(m, c) for m, c in fp.items() if m != fm]
-
-
-def _exquo(p: dict, f: tuple):
-    """p / f for a packed numerator p and a divisor f from _divisor, or
-    None if f does not divide p.  Each step divides the leading term of the
-    remainder by that of f: with the guard bits G, the quotient's monomial
-    is (m | G) - fm less G, and a guard bit cleared by the subtraction
-    means fm does not divide m.  Were f to divide p, every remainder would
-    be f times the rest of the quotient, with no exponent past p's; so a
-    leading monomial with a guard bit set, an exponent past _MAXE, ends the
-    division too, and the sums of a quotient monomial and one of f, both
-    below the guard bits, cannot carry."""
-    fm, fc, rest = f
-    p = dict(p)
-    quo = {}
-    while p:
-        m = max(p)
-        c = p.pop(m)
-        d = (m | _GUARD) - fm
-        if m & _GUARD or d & _GUARD != _GUARD:
-            return None
-        t, r = divmod(c, fc)
-        if r:
-            return None
-        qm = d ^ _GUARD
-        quo[qm] = t
-        for m2, c2 in rest:
-            k = qm + m2
-            v = p.get(k, 0) - t * c2
-            if v:
-                p[k] = v
-            else:
-                del p[k]
-    return quo
-
-
-def _divide_all(rows: dict, f: tuple):
-    """rows with every numerator divided by f (from _divisor), or None if
-    f misses one."""
+def _divide_all(rows: dict, f: Poly):
+    """rows with every numerator divided by f, or None if f misses one."""
     out = {}
     for i, row in rows.items():
         orow = {}
         for j, num in row.items():
-            quo = _exquo(num, f)
+            quo = exquo(num, f)
             if quo is None:
                 return None
             orow[j] = quo
         out[i] = orow
     return out
-
-
-def _probes(rows: dict, deg: int) -> list:
-    """The value of every numerator at the probe point (``poly.probe``),
-    read off the packed monomials, no exponent past ``deg``: each term is
-    its coefficient times one entry of each generator's table of powers."""
-    t0, t1, t2, t3, t4 = (list(accumulate(repeat(x, deg), mul, initial=1))
-                          for x in PROBE_POINT)
-    w, f = _W, _FIELD_MASK
-    return [sum(c * t0[m >> 4 * w] * t1[m >> 3 * w & f] * t2[m >> 2 * w & f]
-                * t3[m >> w & f] * t4[m & f] for m, c in num.items())
-            for row in rows.values() for num in row.values()]
 
 
 def _reduce(m: SquareMatrixK) -> SquareMatrixK:
@@ -486,14 +360,13 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
     at most the matrix's degree bound over f's degree, and such that the
     value of f^k at the probe point divides the numerators' values there
     (a zero value of f shows nothing; see ``poly.rules_out``).  Only when
-    that pass fails is k stepped down.  The values are read once off the
-    packed numerators, with tables of powers up to the degree bound, and
+    that pass fails is k stepped down.  The values are taken once and
     divided along with the numerators."""
     rows, left = m.rows, {}
-    values = _probes(rows, m.deg)
+    values = [probe(num) for row in rows.values() for num in row.values()]
     for f, e in m._dfac.items():
         fv = probe(f)
-        k = min(e, m.deg // max(map(max, f)))
+        k = min(e, m.deg // f.degree())
         if fv:
             for v in values:
                 j = 0
@@ -502,10 +375,11 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
                     j += 1
                 k = j
         while k:
-            quo = _divide_all(rows, _divisor(f**k))
+            quo = _divide_all(rows, f**k)
             if quo is not None:
                 rows = quo
-                values = [v // fv**k for v in values] if fv else _probes(rows, m.deg)
+                values = ([v // fv**k for v in values] if fv else
+                          [probe(num) for row in rows.values() for num in row.values()])
                 break
             k -= 1
         if e > k:
@@ -516,7 +390,7 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
     if g != 1:
         cont //= g
         rows = {
-            i: {j: {k: c // g for k, c in num.items()} for j, num in row.items()}
+            i: {j: Poly({k: c // g for k, c in num.items()}) for j, num in row.items()}
             for i, row in rows.items()
         }
     return SquareMatrixK(m.dim, rows, cont, left, m.deg)
@@ -823,20 +697,22 @@ def _spectral_scales(kind: str, w: ScalarK, zval: ScalarK) -> tuple:
     return cs / den, csi / den, cu / den
 
 
-def _strand_rep(rep: str, n: int) -> StrandRep:
-    """A 3-strand representation by name: "hecke2", "bmw3", or "tensor",
-    V^(x)3 at level n."""
-    if rep == "hecke2":
-        return hecke_two_dim_rep()
-    if rep == "bmw3":
-        return bmw_three_dim_rep()
+def _strand_rep(rep: str, n=None) -> StrandRep:
+    """A 3-strand representation by name: "hecke2" or "bmw3", which have
+    no level and refuse an n, or "tensor", V^(x)3 at level n (1 when n is
+    not given)."""
+    if rep in ("hecke2", "bmw3"):
+        if n is not None:
+            raise ArgumentOutOfRange(f"representation {rep!r} has no level n; got {n!r}")
+        return hecke_two_dim_rep() if rep == "hecke2" else bmw_three_dim_rep()
     if rep != "tensor":
         raise ArgumentOutOfRange(f"unknown representation {rep!r}")
-    return _tensor_rep(_level(n), 3)
+    return _tensor_rep(_level(1 if n is None else n), 3)
 
 
-def check_ybe(kind: str, rep: str, n: int = 1) -> bool:
-    """R_1(u) R_2(uv) R_1(v) = R_2(v) R_1(uv) R_2(u) with FORMAL u, v."""
+def check_ybe(kind: str, rep: str, n=None) -> bool:
+    """R_1(u) R_2(uv) R_1(v) = R_2(v) R_1(uv) R_2(u) with FORMAL u, v, on
+    the representation ``rep`` (see ``_strand_rep``)."""
     r = _strand_rep(rep, n)
     r1u, r2uv, r1v = r.R(kind, 0, U), r.R(kind, 1, U * V), r.R(kind, 0, V)
     r2u, r1uv, r2v = r.R(kind, 1, U), r.R(kind, 0, U * V), r.R(kind, 1, V)
@@ -845,14 +721,14 @@ def check_ybe(kind: str, rep: str, n: int = 1) -> bool:
 
 def check_unitarity(kind: str, rep: str) -> bool:
     """R(u) R(u^-1) = 1 with formal u, and R(1) = 1."""
-    r = _strand_rep(rep, 1)
+    r = _strand_rep(rep)
     one = SquareMatrixK.identity(r.dim)
     return r.R(kind, 0, U) @ r.R(kind, 0, U.inv()) == one and r.R(kind, 0, ONE) == one
 
 
 def check_hecke_quotient(rep: str = "bmw3") -> bool:
     """Imposing u = 0 in the BMW_D combination reproduces the HeckeF matrix."""
-    r = _strand_rep(rep, 1)
+    r = _strand_rep(rep)
     quotient = replace(r, u_mats=tuple(SquareMatrixK.from_entries(u.dim, ())
                                        for u in r.u_mats))
     return quotient.R("BMW_D", 0, U) == r.R("HeckeF", 0, U)
@@ -918,10 +794,14 @@ def _is_tower_idempotent(x: SquareMatrixK, rep: StrandRep, p: int, rkind: str,
         ui, si = rep.lift(i, rep.u_mats[i]), rep.lift(i, rep.sigmas[i])
         if not (ui @ x).is_zero() or not (x @ ui).is_zero():
             return False
-        if si @ x != x_eig or x @ si != x_eig:
+        # the two products share their denominator, so they compare with
+        # no scaling, and only one is brought to X's
+        sx = si @ x
+        if sx != x @ si or sx != x_eig:
             return False
         r = rep.R(rkind, i, U)
-        if r @ x != x or x @ r != x:
+        rx = r @ x
+        if rx != x @ r or rx != x:
             return False
     return True
 
@@ -1186,9 +1066,18 @@ def manifest(names) -> dict:
     }
 
 
+def suite(name: str) -> list:
+    """The registry entries ``qspin check --suite name`` runs: the entry of
+    that name, or every entry of the group of that name, in registry order
+    (none when it is neither)."""
+    if name in CHECKS:
+        return [name]
+    return [entry for entry, check in CHECKS.items() if check.group == name]
+
+
 def default_manifest() -> dict:
     """The matrix group, the suite ``qspin check --all`` runs."""
-    return manifest(name for name, check in CHECKS.items() if check.group == "matrix")
+    return manifest(suite("matrix"))
 
 
 def run_manifest(doc, stats: bool = False) -> dict:

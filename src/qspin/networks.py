@@ -43,7 +43,7 @@ from .errors import (
     is_int,
     json_object,
 )
-from .poly import Poly, constant
+from .poly import FIELD_BITS, Poly, pack
 from .recoupling import AdmissibleTriple, dimq_vector_recurrence_consistent, fierz, theta_vector
 from .scalar import CLASSICAL_FIELD, DELTA, SPIN_DELTA, classical, integer_level, q_to_one
 
@@ -451,7 +451,9 @@ def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw"):
     # a free loop labelled a is a cable of a circles, a factor delta^a
     shift = sum(sn.free_loops)
     weight = next(iter(states.values()), {})
-    return Poly({(loops + shift, 0): Fraction(c, norm) for loops, c in weight.items()})
+    return CLASSICAL_FIELD.ring(
+        {pack((loops + shift, 0)): Fraction(c, norm) for loops, c in weight.items()}
+    )
 
 
 def _join(states: dict, i: int, outs: list) -> dict:
@@ -566,7 +568,7 @@ def tetrahedron_chromatic(t: TetrahedronSymbol, normalization: str = "Raw"):
     """Chromatic evaluation of the strand network of a tetrahedron symbol."""
     labels = tetrahedron_edge_labels(t)
     if all(l == 0 for l in labels):
-        return constant(Fraction(1), 2)
+        return CLASSICAL_FIELD.ring({0: Fraction(1)})
     net = tetrahedron_network(labels)
     return chromatic_eval(medial(net), normalization)
 
@@ -580,8 +582,8 @@ def chromatic_classical(poly: Poly):
     forms' classical images live: delta_chromatic = 2 delta_classical, so
     each delta^d term is scaled by 2^d."""
     den = lcm(*(c.denominator for c in poly.values()))
-    num = Poly({m: int(c * den) << m[0] for m, c in poly.items()})
-    return CLASSICAL_FIELD.new(num, constant(den, 2))
+    num = CLASSICAL_FIELD.ring({m: int(c * den) << (m >> FIELD_BITS) for m, c in poly.items()})
+    return CLASSICAL_FIELD.new(num, CLASSICAL_FIELD.ring({0: den}))
 
 
 def check_unknot_chromatic(a: int) -> bool:

@@ -1,10 +1,17 @@
 """Sparse polynomials over the integers and the rationals, their gcd, and
 the two fields of fractions the program computes in.
 
-A polynomial is a :class:`Poly`: an immutable, hashable map from exponent
-tuples (one entry per generator) to nonzero coefficients, ``int`` over Z
-and ``Fraction`` over Q.  Monomials are ordered lexicographically, so a
-polynomial's leading monomial is its largest exponent tuple.
+A polynomial is a :class:`Poly`: an immutable, hashable map from monomial
+keys to nonzero coefficients, ``int`` over Z and ``Fraction`` over Q.  A
+key is one int with a field of ``FIELD_BITS`` bits per generator, the
+first generator in the top field, so int order is lex order, a polynomial's
+leading monomial is its largest key, and a term product is one int
+addition.  The top bit of each field is a guard bit: an exponent holds at
+most ``MAX_EXPONENT``, a product that would pass it raises
+:class:`~qspin.errors.UnsupportedSize`, and exact division reads the guard
+bits to see that an exponent of the divisor exceeds one of the dividend.
+Keys are unpacked to exponent tuples only to print or to hand out
+(:meth:`Poly.terms`).
 
 The gcd over Z is the heuristic algorithm of Char, Geddes and Gonnet
 ("GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
@@ -22,39 +29,87 @@ parts.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from functools import cache, reduce
+from heapq import heappop, heappush
 from math import gcd, isqrt
-from operator import add, itemgetter, lshift, sub
+from operator import or_
+from struct import Struct, unpack
 
-from .errors import GcdFailed
+from .errors import ArgumentOutOfRange, GcdFailed, UnsupportedSize
+
+#: Bits per generator in a monomial key.  The top bit of each field is a
+#: guard bit, so two exponents of a field add without carrying into the next.
+FIELD_BITS = 16
+#: The largest exponent a field holds.
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+#: The most generators a polynomial has.
+MAX_GENS = 5
+_MASK = (1 << FIELD_BITS) - 1
+#: The guard bits of all MAX_GENS fields; a ring with fewer generators
+#: leaves its top fields 0.
+_GUARD = sum(1 << (FIELD_BITS - 1 + FIELD_BITS * i) for i in range(MAX_GENS))
+#: MAX_EXPONENT in every field.
+_FULL = _GUARD // (1 << (FIELD_BITS - 1)) * MAX_EXPONENT
 
 
-def monomial_mul(a: tuple, b: tuple) -> tuple:
-    """The product x^a x^b of two monomials in five generators."""
-    a0, a1, a2, a3, a4 = a
-    b0, b1, b2, b3, b4 = b
-    return (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
+def pack(exponents) -> int:
+    """The key of the monomial with these exponents, the first generator's
+    in the top field."""
+    key = 0
+    for e in exponents:
+        if not 0 <= e <= MAX_EXPONENT:
+            error = ArgumentOutOfRange if e < 0 else UnsupportedSize
+            raise error(f"a monomial exponent {e} is outside 0..{MAX_EXPONENT}")
+        key = key << FIELD_BITS | e
+    return key
 
 
-def _monomial_mul_any(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
+def _past_width(what: str) -> UnsupportedSize:
+    return UnsupportedSize(f"{what} has an exponent past the field width {MAX_EXPONENT}")
 
 
-def monomial_div(a: tuple, b: tuple):
-    """x^a / x^b as an exponent tuple, or None when it is not a monomial."""
-    out = tuple(map(sub, a, b))
-    return None if min(out) < 0 else out
+def monomial_gcd(p) -> int:
+    """The key of the largest monomial dividing every term of p (nonzero):
+    each generator's least exponent."""
+    if 0 in p:
+        return 0
+    used = reduce(or_, p)
+    low = 0
+    for s in range(0, used.bit_length(), FIELD_BITS):
+        if used >> s & _MASK:
+            col = [k >> s & _MASK for k in p]
+            if 0 not in col:
+                low |= min(col) << s
+    return low
 
 
 class Poly(dict):
-    """A sparse polynomial, an immutable map from exponent tuples to
-    nonzero coefficients.  The empty map is 0.
+    """A sparse polynomial in ``ngens`` generators, an immutable map from
+    monomial keys to nonzero coefficients.  The empty map is 0.
 
-    Only ``Poly`` operands mix in ``+``, ``-`` and ``*``; a ground factor
-    goes through :meth:`mul_term`.
+    ``Poly`` itself has the five generators (q, z, Delta, u, v) of the
+    coefficient field; :func:`ring` gives the class for another number.
+    Only operands of one class mix in ``+``, ``-`` and ``*``; a ground
+    factor goes through :meth:`mul_term`.  Build a polynomial from
+    exponent tuples with :meth:`from_terms`.
     """
 
     __slots__ = ("_hash",)
+
+    ngens = MAX_GENS
+    #: The bytes of a key, and their reading as an exponent tuple: 16-bit
+    #: fields as big-endian unsigned shorts.
+    _nbytes = 2 * MAX_GENS
+    _fields = Struct(f">{MAX_GENS}H").unpack
+
+    @classmethod
+    def from_terms(cls, terms: dict) -> "Poly":
+        """The polynomial with these {exponent tuple: nonzero coefficient}
+        terms, in as many generators as the tuples have (``cls.ngens`` when
+        there are none)."""
+        if not terms:
+            return cls()
+        return ring(len(next(iter(terms))))({pack(m): c for m, c in terms.items()})
 
     def __hash__(self):
         try:
@@ -70,12 +125,12 @@ class Poly(dict):
     clear = pop = popitem = setdefault = update = _immutable
 
     def __repr__(self):
-        return f"Poly({dict.__repr__(self)})"
+        return f"{type(self).__name__}.from_terms({dict(self.terms())})"
 
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.items()})
+        return type(self)({m: -c for m, c in self.items()})
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._plus(other.items()) if other else self
@@ -92,32 +147,40 @@ class Poly(dict):
                 out[m] = c
             else:
                 del out[m]
-        return Poly(out)
+        return type(self)(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if len(other) > len(self):
             self, other = other, self
-        if not other:
-            return other
         if len(other) == 1:
-            ((m, c),) = other.items()
-            return self.mul_term(m, c)
-        mul = monomial_mul if len(next(iter(self))) == 5 else _monomial_mul_any
-        out: dict = {}
-        get = out.get
-        terms = list(self.items())
-        for m2, c2 in other.items():
-            for m1, c1 in terms:
-                m = mul(m1, m2)
-                out[m] = get(m, 0) + c1 * c2
-        return Poly({m: c for m, c in out.items() if c})
+            ((m2, c2),) = other.items()
+            if not m2:
+                return self if c2 == 1 else type(self)({m: c * c2 for m, c in self.items()})
+            out = {m + m2: c * c2 for m, c in self.items()}
+        elif not other:
+            return other
+        else:
+            out = {}
+            get = out.get
+            terms = list(self.items())
+            for m2, c2 in other.items():
+                for m1, c1 in terms:
+                    m = m1 + m2
+                    out[m] = get(m, 0) + c1 * c2
+            out = {m: c for m, c in out.items() if c}
+        # a sum of two keys carries at most into a guard bit
+        if reduce(or_, out, 0) & _GUARD:
+            raise _past_width("a product")
+        return type(self)(out)
 
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
             return NotImplemented
         if len(self) == 1:
             ((m, c),) = self.items()
-            return Poly({tuple(a * e for a in m): c**e})
+            if m and max(self.exponents(m)) * e > MAX_EXPONENT:
+                raise _past_width("a power")
+            return type(self)({m * e: c**e})
         out = None
         base = self
         while True:
@@ -127,31 +190,26 @@ class Poly(dict):
             if not e:
                 break
             base = base * base
-        return constant(1, self.ngens) if out is None else out
+        return type(self)({0: 1}) if out is None else out
 
-    def mul_term(self, m: tuple, c) -> "Poly":
-        """self * c x^m."""
-        if not any(m):
-            if c == 1:
-                return self
-            return Poly({k: v * c for k, v in self.items()})
-        mul = monomial_mul if len(m) == 5 else _monomial_mul_any
-        return Poly({mul(k, m): v * c for k, v in self.items()})
+    def mul_term(self, m: int, c) -> "Poly":
+        """self * c x^m, m a key."""
+        return self * type(self)({m: c})
 
-    def div_term(self, m: tuple, c) -> "Poly":
+    def div_term(self, m: int, c) -> "Poly":
         """self / (c x^m), for c x^m dividing every term; self when it is
         1."""
-        if any(m):
+        if m:
             if c == 1:
-                return Poly({tuple(map(sub, k, m)): v for k, v in self.items()})
-            return Poly({tuple(map(sub, k, m)): v // c for k, v in self.items()})
-        return self if c == 1 else Poly({k: v // c for k, v in self.items()})
+                return type(self)({k - m: v for k, v in self.items()})
+            return type(self)({k - m: v // c for k, v in self.items()})
+        return self if c == 1 else type(self)({k: v // c for k, v in self.items()})
 
     def __call__(self, *values):
         """The value at the point ``values``, one per generator."""
         total = 0
         for m, c in self.items():
-            for x, e in zip(values, m):
+            for x, e in zip(values, self.exponents(m)):
                 if e:
                     c *= x**e
             total += c
@@ -159,9 +217,10 @@ class Poly(dict):
 
     # -- reading -------------------------------------------------------------
 
-    @property
-    def ngens(self) -> int:
-        return len(next(iter(self))) if self else 0
+    @classmethod
+    def exponents(cls, m: int) -> tuple:
+        """The exponent tuple of the key m."""
+        return cls._fields(m.to_bytes(cls._nbytes, "big"))
 
     @property
     def LC(self):
@@ -169,94 +228,122 @@ class Poly(dict):
         return self[max(self)] if self else 0
 
     def terms(self) -> list:
-        """(monomial, coefficient) pairs, monomials in descending lex order."""
-        return sorted(self.items(), reverse=True)
+        """(exponent tuple, coefficient) pairs, monomials in descending lex
+        order."""
+        fields, n = self._fields, self._nbytes
+        return [(fields(m.to_bytes(n, "big")), c) for m, c in sorted(self.items(), reverse=True)]
 
     def degrees(self) -> tuple:
-        """The largest exponent of each generator."""
-        return tuple(map(max, zip(*self)))
+        """The largest exponent of each generator (0 for 0), each read
+        off its field of the keys, and none for a field no key uses."""
+        used = reduce(or_, self, 0)
+        return tuple(max([m >> s & _MASK for m in self]) if used >> s & _MASK else 0
+                     for s in range(FIELD_BITS * (self.ngens - 1), -1, -FIELD_BITS))
+
+    def degree(self) -> int:
+        """The largest exponent of any generator (0 for 0), read off all
+        the keys' fields at once."""
+        n = self._nbytes
+        data = b"".join([m.to_bytes(n, "big") for m in self])
+        return max(unpack(f">{len(data) // 2}H", data), default=0)
 
 
-def constant(c, ngens: int) -> Poly:
-    """The constant c as a polynomial in ``ngens`` generators."""
-    return Poly({(0,) * ngens: c}) if c else Poly()
+@cache
+def ring(ngens: int) -> type:
+    """The :class:`Poly` class of polynomials in ``ngens`` generators, 1 to
+    MAX_GENS; ``Poly`` itself for MAX_GENS."""
+    if ngens == MAX_GENS:
+        return Poly
+    if type(ngens) is not int or not 1 <= ngens < MAX_GENS:
+        raise ArgumentOutOfRange(f"a polynomial has 1 to {MAX_GENS} generators, not {ngens!r}")
+    return type(f"Poly{ngens}", (Poly,), {
+        "__slots__": (), "ngens": ngens, "_nbytes": 2 * ngens,
+        "_fields": Struct(f">{ngens}H").unpack,
+    })
 
 
 # --------------------------------------------------------------------------
 # Exact division over Z.
 
 
-def exquo(p: Poly, f: Poly):
-    """p / f if f divides p in Z[x], else None.
+def exquo(p, f):
+    """p / f if f divides p in Z[x], else None; p and f are polynomials of
+    one class, or plain maps of keys (inside the gcd), and so is the
+    quotient.
 
     A one-term divisor c x^m divides p term by term.  Otherwise each step
-    divides the leading term of the remainder by that of f and stops at
-    the first one that does not divide.  The remainder's monomials are
-    packed into ints, one bit field per generator wide enough for p's
-    degree in it and a guard bit above, so that int order is lex order
-    and a heap yields each leading term.  Were f to divide p, the
-    quotient's degree in each generator would be p's less f's; so a
-    quotient monomial past that ends the division too, and a remainder
-    monomial, p's or a quotient monomial times one of f, never passes p's
-    degrees, so no field carries into the next."""
+    divides the leading term of the remainder by that of f, and stops at
+    the first one that does not divide.  The leading term is the larger of
+    p's next and the top of a heap of the terms the division adds
+    (Monagan and Pearce, "Sparse polynomial division using a heap",
+    J. Symbolic Comput. 46(7), 2011).
+    With the guard bits G, the quotient's key is (m | G) - fm less G, and
+    a guard bit cleared by the subtraction means fm does not divide m.
+    Were f to divide p, each remainder monomial would have p's degrees or
+    less, and the quotient's degree in each generator would be at most
+    p's less that of f's leading monomial.  The division bounds p's
+    degrees by the OR of its keys, at least p's degree in each field and
+    within the field width, and ends at a quotient monomial past that
+    bound less f's leading monomial, and at a remainder monomial, a
+    quotient monomial times one of f, with a guard bit set; such a sum of
+    two keys carries no further, so no field carries into the next."""
     if len(f) == 1:
         ((fm, fc),) = f.items()
-        if fc == 1 and not any(fm):
-            return Poly(p)
+        if fc == 1 and not fm:
+            return p
         quo = {}
         for m, c in p.items():
-            qm = monomial_div(m, fm)
-            if qm is None:
+            qm = (m | _GUARD) - fm
+            if qm & _GUARD != _GUARD:
                 return None
             t, r = divmod(c, fc)
             if r:
                 return None
-            quo[qm] = t
-        return Poly(quo)
+            quo[qm ^ _GUARD] = t
+        return type(p)(quo)
     if not p:
-        return Poly()
-    top = tuple(map(max, zip(*p)))
-    room = tuple(map(sub, top, map(max, zip(*f))))
-    if min(room) < 0:
-        return None
-    # the first generator's field is the highest; w bits hold the exponents
-    # up to p's degree d
-    fields = []
-    guard = slack = shift = 0
-    for d, most in zip(reversed(top), reversed(room)):
-        w = d.bit_length()
-        fields.append((shift, (1 << w) - 1))
-        guard |= 1 << (shift + w)
-        slack |= ((1 << w) - 1 - most) << shift  # carries into the guard past ``most``
-        shift += w + 1
-    fields.reverse()
-    shifts = [s for s, _ in fields]
+        return p
     fm = max(f)
     fc = f[fm]
-    fk = sum(map(lshift, fm, shifts))
-    rest = [(sum(map(lshift, m, shifts)), c) for m, c in f.items() if m != fm]
-    rem = {sum(map(lshift, m, shifts)): c for m, c in p.items()}
-    heap = [-k for k in rem]
-    heapify(heap)
+    room = (reduce(or_, p) | _GUARD) - fm
+    if room & _GUARD != _GUARD:  # f's leading monomial is past p's degrees
+        return None
+    # per field, MAX_EXPONENT less the room: a quotient exponent past the
+    # room carries into the guard bit
+    slack = _FULL - (room ^ _GUARD)
+    rem = dict(p)
+    # the remainder's keys, largest first: p's in order, -1 after them,
+    # merged with a heap of the keys the division adds
+    order = sorted(p, reverse=True)
+    order.append(-1)
+    i = 0
+    heap: list = []
     quo = {}
-    while heap:
-        k = -heappop(heap)
-        c = rem.pop(k, 0)
-        if not c:  # cancelled after it was pushed
+    while True:
+        if heap and -heap[0] > order[i]:
+            k = -heappop(heap)
+        elif (k := order[i]) < 0:
+            break
+        else:
+            i += 1
+        c = rem.get(k)
+        if c is None:  # cancelled since it was reached
             continue
-        # a guard bit cleared: fm does not divide k; set: past ``room``
-        qk = (k | guard) - fk
-        if qk & guard != guard:
+        qk = (k | _GUARD) - fm
+        if qk & _GUARD != _GUARD:
             return None
-        qk ^= guard
-        if (qk + slack) & guard:
+        qk ^= _GUARD
+        if (qk + slack) & _GUARD:
             return None
         t, r = divmod(c, fc)
         if r:
             return None
         quo[qk] = t
-        for k2, c2 in rest:
+        # t x^qk f; its leading term cancels the remainder's, c x^k
+        for k2, c2 in f.items():
             k2 += qk
+            if k2 & _GUARD:
+                return None
             v = rem.get(k2)
             if v is None:
                 rem[k2] = -t * c2
@@ -265,7 +352,7 @@ def exquo(p: Poly, f: Poly):
                 del rem[k2]
             else:
                 rem[k2] = v - t * c2
-    return Poly({tuple(k >> s & mask for s, mask in fields): t for k, t in quo.items()})
+    return type(p)(quo)
 
 
 #: The integer point at which :func:`probe` evaluates a polynomial in
@@ -275,22 +362,24 @@ PROBE_POINT = (1009, 31, 5, 7919, 97)
 
 
 def probe(p: Poly) -> int:
-    """p at PROBE_POINT.  If f divides p in Z[x], the quotient has an
-    integer value there too, so probe(f) divides probe(p); see
-    :func:`rules_out`."""
+    """p at PROBE_POINT, p in the five generators.  If f divides p in
+    Z[x], the quotient has an integer value there too, so probe(f) divides
+    probe(p); see :func:`rules_out`."""
     x0, x1, x2, x3, x4 = PROBE_POINT
+    w, f = FIELD_BITS, _MASK
     total = 0
-    for (a, b, c, d, e), v in p.items():
-        if a:
-            v *= x0**a
-        if b:
-            v *= x1**b
-        if c:
-            v *= x2**c
-        if d:
-            v *= x3**d
-        if e:
-            v *= x4**e
+    for m, v in p.items():
+        if m:
+            if e := m >> 4 * w:
+                v *= x0**e
+            if e := m >> 3 * w & f:
+                v *= x1**e
+            if e := m >> 2 * w & f:
+                v *= x2**e
+            if e := m >> w & f:
+                v *= x3**e
+            if e := m & f:
+                v *= x4**e
         total += v
     return total
 
@@ -317,111 +406,78 @@ def _content(p: dict) -> int:
 
 def cofactors(f: Poly, g: Poly) -> tuple:
     """(h, f / h, g / h) with h = gcd(f, g) over Z, content included, for
-    nonzero f and g in the same generators."""
+    nonzero f and g of one class."""
     cf, cg = _content(f), _content(g)
     c = gcd(cf, cg)
-    mf = tuple(map(min, zip(*f)))
-    mg = tuple(map(min, zip(*g)))
-    m = tuple(map(min, mf, mg))
+    mf, mg = monomial_gcd(f), monomial_gcd(g)
+    m = monomial_gcd((mf, mg))
     pf, pg = f.div_term(mf, cf), g.div_term(mg, cg)
-    zero = (0,) * len(m)
     if len(pf) == 1 or len(pg) == 1:  # a primitive monomial-free term is 1
-        h, qf, qg = {zero: 1}, pf, pg
+        h, qf, qg = {0: 1}, pf, pg
     elif pf == pg:
-        h, qf, qg = pf, {zero: 1}, {zero: 1}
+        h, qf, qg = pf, {0: 1}, {0: 1}
     else:
-        h, qf, qg = _gcd_primitive(pf, pg)
+        h, qf, qg = _heugcd(pf, pg)
+    cls = type(f)
     return (
-        _as_poly(h).mul_term(m, c),
-        _as_poly(qf).mul_term(tuple(map(sub, mf, m)), cf // c),
-        _as_poly(qg).mul_term(tuple(map(sub, mg, m)), cg // c),
+        _as_poly(h, cls).mul_term(m, c),
+        _as_poly(qf, cls).mul_term(mf - m, cf // c),
+        _as_poly(qg, cls).mul_term(mg - m, cg // c),
     )
 
 
-def _as_poly(p: dict) -> Poly:
-    """p as a Poly, p itself when it is one: a cofactor 1 then returns the
-    very polynomial given, its hash already taken."""
-    return p if type(p) is Poly else Poly(p)
+def _as_poly(p: dict, cls: type) -> Poly:
+    """p as a polynomial of class cls, p itself when it is one: a cofactor
+    1 then returns the very polynomial given, its hash already taken."""
+    return p if type(p) is cls else cls(p)
 
 
 def cancel(num: Poly, den: Poly) -> tuple:
     """num / den over Z as a reduced pair (n, d): coprime, the content
     included, d's leading coefficient positive.  den is nonzero."""
     if not num:
-        return num, constant(1, len(next(iter(den))))
+        return num, type(den)({0: 1})
     _, n, d = cofactors(num, den)
     if d.LC < 0:
         n, d = -n, -d
     return n, d
 
 
-def _gcd_primitive(f: dict, g: dict) -> tuple:
-    """cofactors of primitive f and g with no monomial factor, run on the
-    generators that occur in either."""
-    used = [i for i, (a, b) in enumerate(zip(map(max, zip(*f)), map(max, zip(*g))))
-            if a or b]
-    n = len(next(iter(f)))
-    if len(used) == n:
-        return _heugcd(f, g, n)
-    h, qf, qg = _heugcd(_select(f, used), _select(g, used), len(used))
-    if len(h) == 1:  # primitive, positive and monomial-free: 1
-        return {(0,) * n: 1}, f, g
-    return _spread(h, used, n), _spread(qf, used, n), _spread(qg, used, n)
-
-
-def _select(p: dict, used: list) -> dict:
-    """p's exponents of the generators ``used`` only."""
-    if len(used) == 1:
-        (i,) = used
-        return {(k[i],): v for k, v in p.items()}
-    pick = itemgetter(*used)
-    return {pick(k): v for k, v in p.items()}
-
-
-def _spread(p: dict, used: list, n: int) -> dict:
-    """The inverse of _select: exponents back in n generators."""
-    out = {}
-    for k, v in p.items():
-        full = [0] * n
-        for i, e in zip(used, k):
-            full[i] = e
-        out[tuple(full)] = v
-    return out
-
-
-def _heugcd(f: dict, g: dict, n: int) -> tuple:
-    """(h, f / h, g / h), h = gcd(f, g), for nonzero f and g in n >= 1
-    generators, by GCDHEU: the first generator is evaluated at an integer
-    xi, the gcd of the images (integers when n = 1, else polynomials in
-    the other generators, by recursion) is lifted back through the
-    balanced xi-adic digits of its coefficients, and a candidate is kept
-    only if it divides both f and g exactly.  The candidates are that
-    lift's primitive part, and f or g divided by the lift of its image's
+def _heugcd(f: dict, g: dict) -> tuple:
+    """(h, f / h, g / h), h = gcd(f, g), for nonzero f and g, by GCDHEU:
+    the top generator either uses is evaluated at an integer xi, the gcd of
+    the images (polynomials in the lower generators, by recursion, down to
+    the integer gcd of constants) is lifted back through the balanced
+    xi-adic digits of its coefficients, and a candidate is kept only if it
+    divides both f and g exactly.  The candidates are that lift's
+    primitive part, and f or g divided by the lift of its image's
     cofactor.  With xi at least 2 min(|f|, |g|) + 2 (|.| the largest
     coefficient), a candidate that divides both is the gcd (Char, Geddes
     and Gonnet); a larger xi keeps that, so each retry grows xi.
     """
+    top = (reduce(or_, f) | reduce(or_, g)).bit_length()
+    if not top:  # two constants
+        a, b = f[0], g[0]
+        h = gcd(a, b)
+        return {0: h}, {0: a // h}, {0: b // h}
+    shift = (top - 1) // FIELD_BITS * FIELD_BITS
     c = gcd(gcd(*f.values()), gcd(*g.values()))
     if c != 1:
         f = {k: v // c for k, v in f.items()}
         g = {k: v // c for k, v in g.items()}
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(HEU_GCD_TRIES):
-        ff = _evaluate_first(f, xi, n)
-        gg = _evaluate_first(g, xi, n)
+        ff = _evaluate_first(f, xi, shift)
+        gg = _evaluate_first(g, xi, shift)
         if ff and gg:
-            if n == 1:
-                h = gcd(ff, gg)
-                cff, cfg = ff // h, gg // h
-            else:
-                h, cff, cfg = _heugcd(ff, gg, n - 1)
-            h = _primitive_part(_interpolate(h, xi, n))
+            h, cff, cfg = _heugcd(ff, gg)
+            h = _primitive_part(_interpolate(h, xi, shift))
             if (qf := exquo(f, h)) is not None and (qg := exquo(g, h)) is not None:
                 return _times(h, c), qf, qg
-            qf = _interpolate(cff, xi, n)
+            qf = _interpolate(cff, xi, shift)
             if (h := exquo(f, qf)) is not None and (qg := exquo(g, h)) is not None:
                 return _times(h, c), qf, qg
-            qg = _interpolate(cfg, xi, n)
+            qg = _interpolate(cfg, xi, shift)
             if (h := exquo(g, qg)) is not None and (qf := exquo(f, h)) is not None:
                 return _times(h, c), qf, qg
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
@@ -432,54 +488,47 @@ def _times(p: dict, c: int) -> dict:
     return p if c == 1 else {k: v * c for k, v in p.items()}
 
 
-def _evaluate_first(p: dict, xi: int, n: int):
-    """p with its first generator set to xi: an integer when n = 1, else a
-    map of the other generators' exponents to integers."""
-    if n == 1:
-        return sum(v * xi**k[0] for k, v in p.items())
+def _evaluate_first(p: dict, xi: int, shift: int) -> dict:
+    """p with the generator of the field at ``shift``, its top one, set to
+    xi: a map of the lower fields' keys to integers."""
+    if not shift:  # the last field: one integer
+        value = sum(v * xi**k for k, v in p.items())
+        return {0: value} if value else {}
     out: dict = {}
     powers: dict = {}
+    low = (1 << shift) - 1
     for k, v in p.items():
-        e = k[0]
+        e = k >> shift
         x = powers.get(e)
         if x is None:
             x = powers[e] = xi**e
-        rest = k[1:]
+        rest = k & low
         out[rest] = out.get(rest, 0) + v * x
     return {k: v for k, v in out.items() if v}
 
 
-def _interpolate(h, xi: int, n: int) -> dict:
-    """The polynomial whose first generator's coefficients are the
-    balanced xi-adic digits of h (an integer when n = 1, else a map of
-    the other generators' exponents to integers), its leading
-    coefficient made positive."""
+def _interpolate(h: dict, xi: int, shift: int) -> dict:
+    """The polynomial whose coefficients in the generator of the field at
+    ``shift`` are the balanced xi-adic digits of h's, a map of the lower
+    fields' keys to integers, its leading coefficient made positive."""
     half = xi // 2
     out = {}
     i = 0
-    if n == 1:
-        while h:
-            d = h % xi
+    while h:
+        if i > MAX_EXPONENT:
+            raise UnsupportedSize(f"a gcd candidate has an exponent past {MAX_EXPONENT}")
+        nxt = {}
+        for k, v in h.items():
+            d = v % xi
             if d > half:
                 d -= xi
-            h = (h - d) // xi
             if d:
-                out[(i,)] = d
-            i += 1
-    else:
-        while h:
-            nxt = {}
-            for k, v in h.items():
-                d = v % xi
-                if d > half:
-                    d -= xi
-                if d:
-                    out[(i,) + k] = d
-                v = (v - d) // xi
-                if v:
-                    nxt[k] = v
-            h = nxt
-            i += 1
+                out[i << shift | k] = d
+            v = (v - d) // xi
+            if v:
+                nxt[k] = v
+        h = nxt
+        i += 1
     if out[max(out)] < 0:
         out = {k: -v for k, v in out.items()}
     return out
@@ -498,14 +547,16 @@ class Field:
     """The fractions of integer polynomials in the named generators.
 
     ``new`` reduces a pair (one gcd); ``raw_new`` takes a pair that is
-    already reduced.  Elements are :class:`Frac` values; ``zero`` and
-    ``one`` are the fractions 0 and 1.
+    already reduced.  ``ring`` is the :class:`Poly` class of the pairs'
+    polynomials.  Elements are :class:`Frac` values; ``zero`` and ``one``
+    are the fractions 0 and 1.
     """
 
     def __init__(self, names: tuple):
         self.names = names
-        one = constant(1, len(names))
-        self.zero = Frac(self, Poly(), one)
+        self.ring = ring(len(names))
+        one = self.ring({0: 1})
+        self.zero = Frac(self, self.ring(), one)
         self.one = Frac(self, one, one)
 
     def new(self, num: Poly, den: Poly) -> "Frac":
@@ -570,7 +621,7 @@ def _is_atom(p: Poly) -> bool:
     if len(p) != 1:
         return False
     ((m, c),) = p.items()
-    return not any(m) or (c == 1 and sum(m) == 1)
+    return not m or (c == 1 and sum(p.exponents(m)) == 1)
 
 
 def poly_str(p, names: tuple, power: str) -> str:

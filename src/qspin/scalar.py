@@ -44,6 +44,7 @@ import re
 from fractions import Fraction
 from itertools import islice
 from math import comb, gcd, lcm
+from operator import add, sub
 
 from .errors import (
     ArgumentOutOfRange,
@@ -51,8 +52,21 @@ from .errors import (
     DivisionByZero,
     ParseError,
     SpecializationError,
+    UnsupportedSize,
 )
-from .poly import Field, Poly, cancel, exquo, monomial_div, poly_str, probe, rules_out
+from .poly import (
+    FIELD_BITS,
+    MAX_EXPONENT,
+    Field,
+    Poly,
+    cancel,
+    exquo,
+    monomial_gcd,
+    pack,
+    poly_str,
+    probe,
+    rules_out,
+)
 
 # --------------------------------------------------------------------------
 # Underlying rational-function fields.
@@ -85,22 +99,30 @@ _NGENS = 5
 _MONO1 = (0,) * _NGENS
 _NO_FACTORS: dict = {}
 
+# A monomial key (see ``poly``) holds q's exponent in its top field, then
+# z's, Delta's, u's and v's; no field passes MAX_EXPONENT, so it is a mask.
+_Q_SHIFT, _Z_SHIFT = 4 * FIELD_BITS, 3 * FIELD_BITS
+#: A key's z field; its Delta, u and v fields; its u and v fields.
+_Z_FIELD, _LOW_FIELDS = MAX_EXPONENT << _Z_SHIFT, (1 << _Z_SHIFT) - 1
+_UV_FIELDS = (1 << 2 * FIELD_BITS) - 1
+
 
 def _primitive(poly):
     """(k, m, p) with poly = k * x^m * p, k an int whose sign makes the
     leading coefficient of p positive, and p primitive without a monomial
-    factor, or None when poly is a monomial."""
+    factor, or None when poly is a monomial; m is an exponent tuple."""
     k = gcd(*poly.values())
     if poly[max(poly)] < 0:
         k = -k
-    m = tuple(map(min, zip(*poly)))
+    low = monomial_gcd(poly)
+    m = poly.exponents(low)
     if len(poly) == 1:
         return k, m, None
-    return k, m, poly.div_term(m, k)
+    return k, m, poly.div_term(low, k)
 
 
-def _expand(k: int, m: tuple, fac: dict):
-    """The polynomial k * x^m * prod f^e (m and every e nonnegative); a
+def _expand(k: int, m: int, fac: dict):
+    """The polynomial k * x^m * prod f^e (m a key, every e positive); a
     lone key f with k = 1 and m = 0 is returned as it is."""
     out = None
     for f, e in fac.items():
@@ -181,12 +203,14 @@ def _cyclotomic(d: int) -> tuple:
     return coeffs
 
 
-def _split_binomial(a: tuple, b: tuple, sign: int) -> dict:
-    """The cyclotomic keys of x^a + sign * x^b (x^a the leading term, a and
-    b of disjoint supports), each with exponent 1."""
-    g = gcd(*(s - t for s, t in zip(a, b)))
-    wp = tuple(s // g for s in a)
-    wm = tuple(t // g for t in b)
+def _split_binomial(a: int, b: int, sign: int) -> dict:
+    """The cyclotomic keys of x^a + sign * x^b (x^a the leading term, the
+    keys a and b of disjoint supports), each with exponent 1."""
+    ea, eb = Poly.exponents(a), Poly.exponents(b)
+    g = gcd(*ea, *eb)
+    # every field of a and b is a multiple of g, so the keys divide fieldwise
+    wp, wm = a // g, b // g
+    w = tuple(s // g - t // g for s, t in zip(ea, eb))
     if sign < 0:
         orders = [d for d in range(1, g + 1) if g % d == 0]
     else:
@@ -194,12 +218,9 @@ def _split_binomial(a: tuple, b: tuple, sign: int) -> dict:
     keys = {}
     for d in orders:
         coeffs = _cyclotomic(d)
-        n = len(coeffs) - 1
-        key = Poly({
-            tuple(i * s + (n - i) * t for s, t in zip(wp, wm)): c
-            for i, c in enumerate(coeffs) if c
-        })
-        _PHI.setdefault(key, (d, tuple(s - t for s, t in zip(wp, wm))))
+        n = len(coeffs) - 1  # at most g, so no field passes a's or b's
+        key = Poly({i * wp + (n - i) * wm: c for i, c in enumerate(coeffs) if c})
+        _PHI.setdefault(key, (d, w))
         keys[key] = 1
     return keys
 
@@ -275,7 +296,7 @@ def _reduce(fac: dict) -> dict:
     num = {f: e for f, e in fac.items() if e > 0 and f not in phi}
     den = {f: -e for f, e in fac.items() if e < 0 and f not in phi}
     if num and den:
-        n, d = cancel(_expand(1, _MONO1, num), _expand(1, _MONO1, den))
+        n, d = cancel(_expand(1, 0, num), _expand(1, 0, den))
         fac = {f: e for f, e in fac.items() if f in phi}
         for p, sign in ((n, 1), (d, -1)):
             if len(p) > 1:
@@ -294,7 +315,7 @@ def _wrap(nf) -> "ScalarK":
         fac = _keys(pn)
     if pd is not None:
         fac = _fac_mul(fac, _keys(pd), -1)
-    mono = tuple(a - b for a, b in zip(mn, md))
+    mono = tuple(map(sub, mn, md))
     return ScalarK(Fraction(kn, kd), mono, fac, nf)
 
 
@@ -377,8 +398,8 @@ class ScalarK:
                 num = {f: e for f, e in fac.items() if e > 0}
                 den = {f: -e for f, e in fac.items() if e < 0}
                 nf = FIELD.raw_new(
-                    _expand(c.numerator, tuple(max(e, 0) for e in self._mono), num),
-                    _expand(c.denominator, tuple(max(-e, 0) for e in self._mono), den),
+                    _expand(c.numerator, pack(max(e, 0) for e in self._mono), num),
+                    _expand(c.denominator, pack(max(-e, 0) for e in self._mono), den),
                 )
             self._nf = nf
         return nf
@@ -422,7 +443,7 @@ class ScalarK:
         c = self._c * o._c
         if not c:
             return ScalarK(c, _MONO1, _NO_FACTORS)
-        mono = tuple(a + b for a, b in zip(self._mono, o._mono))
+        mono = tuple(map(add, self._mono, o._mono))
         return ScalarK(c, mono, _fac_mul(self._fac, o._fac))
 
     __rmul__ = __mul__
@@ -436,7 +457,7 @@ class ScalarK:
         c = self._c / o._c
         if not c:
             return ScalarK(c, _MONO1, _NO_FACTORS)
-        mono = tuple(a - b for a, b in zip(self._mono, o._mono))
+        mono = tuple(map(sub, self._mono, o._mono))
         return ScalarK(c, mono, _fac_mul(self._fac, o._fac, -1))
 
     def __rtruediv__(self, other):
@@ -505,16 +526,16 @@ def _add(x: ScalarK, y: ScalarK) -> tuple:
     cx, cy = x._c, y._c
     c = Fraction(gcd(cx.numerator, cy.numerator), lcm(cx.denominator, cy.denominator))
     total = _expand(
-        int(cx / c), tuple(a - b for a, b in zip(x._mono, mono)), _fac_over(fx, common)
+        int(cx / c), pack(map(sub, x._mono, mono)), _fac_over(fx, common)
     ) + _expand(
-        int(cy / c), tuple(a - b for a, b in zip(y._mono, mono)), _fac_over(fy, common)
+        int(cy / c), pack(map(sub, y._mono, mono)), _fac_over(fy, common)
     )
     if not total:
         return Fraction(0), _MONO1, _NO_FACTORS
     k, m, p = _primitive(total)
     if p is not None:
         common = _fac_mul(common, _keys(p))
-    return c * k, tuple(a + b for a, b in zip(mono, m)), common
+    return c * k, tuple(map(add, mono, m)), common
 
 
 def scalar(x) -> ScalarK:
@@ -536,7 +557,7 @@ def _gen(name: str) -> ScalarK:
 def _binomial(a: tuple, b: tuple) -> ScalarK:
     """x^a - x^b as a value (a != b)."""
     m = tuple(map(min, a, b))
-    k, _, p = _primitive(Poly({monomial_div(a, m): 1, monomial_div(b, m): -1}))
+    k, _, p = _primitive(Poly({pack(map(sub, a, m)): 1, pack(map(sub, b, m)): -1}))
     return ScalarK(Fraction(k), m, _keys(p))
 
 
@@ -547,7 +568,7 @@ _QDIFF = _binomial((1, 0, 0, 0, 0), (-1, 0, 0, 0, 0))
 def _over_qdiff(a: tuple) -> ScalarK:
     """(x^a - x^-a) / (q - q^-1)."""
     num = _binomial(a, tuple(-e for e in a))
-    mono = tuple(s - t for s, t in zip(num._mono, _QDIFF._mono))
+    mono = tuple(map(sub, num._mono, _QDIFF._mono))
     return ScalarK(num._c, mono, _fac_mul(num._fac, _QDIFF._fac, -1))
 
 
@@ -590,7 +611,7 @@ def brace_atom(k: int) -> ScalarK:
     x = _ATOMS.get(key)
     if x is None:
         # z q^-k + z^-1 q^k = z^-1 q^-|k| (q^(|k|-k) z^2 + q^(|k|+k))
-        p = Poly({(abs(k) - k, 2, 0, 0, 0): 1, (abs(k) + k, 0, 0, 0, 0): 1})
+        p = Poly({pack((abs(k) - k, 2, 0, 0, 0)): 1, pack((abs(k) + k, 0, 0, 0, 0)): 1})
         x = _ATOMS.setdefault(key, ScalarK(Fraction(1), (-abs(k), -1, 0, 0, 0), _keys(p)))
     return x
 
@@ -616,9 +637,10 @@ def bar(x: ScalarK) -> ScalarK:
         return x
     num, den = x.nf.numer, x.nf.denom
     # bar(x) = (q^a z^b num(1/q, 1/z)) / (q^a z^b den(1/q, 1/z)), with a and
-    # b the largest q and z exponents on either side
-    a = max(m[0] for p in (num, den) for m in p)
-    b = max(m[1] for p in (num, den) for m in p)
+    # b the largest q and z exponents on either side; q's field is the top
+    # one, so the largest key has the largest q exponent
+    a = max(max(num), max(den)) >> _Q_SHIFT
+    b = max([m >> _Z_SHIFT & MAX_EXPONENT for p in (num, den) for m in p])
     num, den = _reflect(num, a, b), _reflect(den, a, b)
     if den.LC < 0:
         num, den = -num, -den
@@ -627,8 +649,10 @@ def bar(x: ScalarK) -> ScalarK:
 
 def _reflect(poly, a: int, b: int):
     """q^a z^b poly(1/q, 1/z), a polynomial when a and b are at least the
-    largest q and z exponents of poly."""
-    return Poly({(a - m[0], b - m[1]) + m[2:]: c for m, c in poly.items()})
+    largest q and z exponents of poly: each key's q and z fields are taken
+    from those of q^a z^b, with no borrow."""
+    top = pack((a, b, 0, 0, 0))
+    return Poly({top - (m & ~_LOW_FIELDS) | m & _LOW_FIELDS: c for m, c in poly.items()})
 
 
 # --------------------------------------------------------------------------
@@ -645,17 +669,27 @@ def integer_level(x: ScalarK, n: int) -> ScalarK:
     den = _at_level(x.nf.denom, n)
     if not den:
         raise DivisionByZero(f"denominator vanishes under z -> q^{n}")
-    return _wrap(FIELD.new(num, den))
+    # q's field is the top one, so a key's q exponent is key >> _Q_SHIFT, a
+    # negative one too, and the least and the largest keys hold the extremes
+    low = min(min(num, default=0), min(den)) >> _Q_SHIFT
+    if low < 0:  # n < 0: clear q^low from both sides
+        num, den = ({m - (low << _Q_SHIFT): c for m, c in p.items()} for p in (num, den))
+    top = max(max(num, default=0), max(den)) >> _Q_SHIFT
+    if top > MAX_EXPONENT:
+        raise UnsupportedSize(f"z -> q^{n} gives q^{top}, past the field width {MAX_EXPONENT}")
+    return _wrap(FIELD.new(Poly(num), Poly(den)))
 
 
-def _at_level(poly, n: int):
-    """poly with z -> q^n."""
+def _at_level(poly, n: int) -> dict:
+    """The terms of poly with z -> q^n, each key's z exponent times n added
+    to its q field, which may pass the field width or go below 0."""
     out: dict = {}
     get = out.get
-    for (a, b, g, u, v), c in poly.items():
-        m = (a + n * b, 0, g, u, v)
+    keep, z, q = ~_Z_FIELD, _Z_SHIFT, _Q_SHIFT
+    for m, c in poly.items():
+        m = (m & keep) + ((m >> z & MAX_EXPONENT) * n << q)
         out[m] = get(m, 0) + c
-    return Poly({m: c for m, c in out.items() if c})
+    return {m: c for m, c in out.items() if c}
 
 
 # --------------------------------------------------------------------------
@@ -674,7 +708,7 @@ def _at_level(poly, n: int):
 
 def _curve_lead(f) -> tuple:
     """(mu, lead): f = lead * h^mu + O(h^(mu+1)) along the curve, with
-    ``lead`` a nonzero {(delta exponent, Delta exponent): int} map.
+    ``lead`` a nonzero polynomial in (delta, Delta).
 
     f has no u or v; its terms with equal Delta exponent form one
     polynomial in (q, z), and the order of f is the least order of these.
@@ -682,10 +716,13 @@ def _curve_lead(f) -> tuple:
     total degree at a time, through the row sums sum_a c_ab C(a, i).
     """
     rows: dict = {}  # Delta exponent -> z exponent -> [(q exponent, c)]
-    for (a, b, g, _, _), c in f.items():
+    top = 0
+    for m, c in f.items():
+        a, b, g, _, _ = Poly.exponents(m)
         rows.setdefault(g, {}).setdefault(b, []).append((a, c))
+        top = max(top, a + b)
     shifted = {g: {b: [] for b in row} for g, row in rows.items()}
-    for mu in range(max(m[0] + m[1] for m in f) + 1):
+    for mu in range(top + 1):
         lead = {}
         for g, row in rows.items():
             cols = shifted[g]
@@ -694,15 +731,15 @@ def _curve_lead(f) -> tuple:
             for j in range(mu + 1):
                 p = sum(col[mu - j] * comb(b, j) for b, col in cols.items())
                 if p:
-                    lead[j, g] = p
+                    lead[j << FIELD_BITS | g] = p
         if lead:
-            return mu, lead
+            return mu, CLASSICAL_FIELD.ring(lead)
     raise AssertionError("a nonzero polynomial vanishes to above its degree")
 
 
 def _has_spectral(polys, mono: tuple = _MONO1) -> bool:
     """Whether u or v occurs in x^mono or in one of ``polys``."""
-    return bool(mono[3] or mono[4]) or any(m[3] or m[4] for f in polys for m in f)
+    return bool(mono[3] or mono[4]) or any(m & _UV_FIELDS for f in polys for m in f)
 
 
 def classical(x: ScalarK):
@@ -727,16 +764,17 @@ def classical(x: ScalarK):
             raise ClassicalSingular("the spectral generators u, v have no classical image")
         x = _wrap(nf)
     fac, mono = x._fac, x._mono
-    num = Poly({(0, max(mono[2], 0)): x._c.numerator})
-    den = Poly({(0, max(-mono[2], 0)): x._c.denominator})
+    ring = CLASSICAL_FIELD.ring
+    num = ring({pack((0, max(mono[2], 0))): x._c.numerator})
+    den = ring({pack((0, max(-mono[2], 0))): x._c.denominator})
     order = 0
     for f, e in fac.items():
         mu, lead = _curve_lead(f)
         order += mu * e
         if e > 0:
-            num *= Poly(lead) ** e
+            num *= lead**e
         else:
-            den *= Poly(lead) ** -e
+            den *= lead**-e
     if order > 0:
         return CLASSICAL_FIELD.zero
     if order < 0:
@@ -744,13 +782,11 @@ def classical(x: ScalarK):
     return CLASSICAL_FIELD.new(num, den)
 
 
-def _require_gens_absent(poly, positions, what):
-    for monom in poly:
-        for p in positions:
-            if monom[p]:
-                raise SpecializationError(
-                    f"value still involves {what}; cannot specialize"
-                )
+def _require_gens_absent(poly, fields: int, what):
+    """Raise SpecializationError if a key of poly has an exponent in
+    ``fields``, a mask of key fields."""
+    if any(m & fields for m in poly):
+        raise SpecializationError(f"value still involves {what}; cannot specialize")
 
 
 def q_to_one(x: ScalarK):
@@ -759,8 +795,8 @@ def q_to_one(x: ScalarK):
     z go to 1, so the limit is its classical image: a pole at q = 1, or a
     u or v left in the value, raises :class:`ClassicalSingular`."""
     x = scalar(x)
-    _require_gens_absent(x.nf.numer, (1,), "z")
-    _require_gens_absent(x.nf.denom, (1,), "z")
+    _require_gens_absent(x.nf.numer, _Z_FIELD, "z")
+    _require_gens_absent(x.nf.denom, _Z_FIELD, "z")
     return classical(x)
 
 
@@ -774,8 +810,8 @@ def numeric_probe(x: ScalarK, q0, n: int, Delta0) -> Fraction:
         raise SpecializationError("numeric_probe requires a positive integer n")
     y = integer_level(x, n)
     num, den = y.nf.numer, y.nf.denom
-    _require_gens_absent(num, (3, 4), "the spectral generators u, v")
-    _require_gens_absent(den, (3, 4), "the spectral generators u, v")
+    _require_gens_absent(num, _UV_FIELDS, "the spectral generators u, v")
+    _require_gens_absent(den, _UV_FIELDS, "the spectral generators u, v")
     # z is already eliminated by the level specialization
     nv = Fraction(num(q0, 0, Delta0, 0, 0))
     dv = Fraction(den(q0, 0, Delta0, 0, 0))
@@ -1032,13 +1068,25 @@ def _monomial_sum(terms: list) -> ScalarK:
     coeffs: dict = {}
     for c, mono in terms:
         coeffs[mono] = coeffs.get(mono, 0) + c
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    poly = Poly({mono: int(c * den) for mono, c in coeffs.items() if c})
-    if not poly:
+    coeffs = {mono: c for mono, c in coeffs.items() if c}
+    if not coeffs:
         return ZERO
+    # The keys of the monomials over x^low, low the least exponent of each
+    # generator.  A key is the linear form sum e_i 2^(w (4 - i)) of the
+    # exponents, w = FIELD_BITS, which has a value for negative ones too; so
+    # each key is one subtraction, once pack has checked that every
+    # generator's exponents span at most a field.
+    cols = list(zip(*coeffs))
+    low = tuple(map(min, cols))
+    pack(map(sub, map(max, cols), low))
+    w = FIELD_BITS
+    keys = [((((a << w) + b << w) + g << w) + u << w) + v for a, b, g, u, v in [*coeffs, low]]
+    base = keys.pop()
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    poly = Poly({k - base: int(c * den) for k, c in zip(keys, coeffs.values())})
     k, m, p = _primitive(poly)
     fac = _NO_FACTORS if p is None else _keys(p)
-    return ScalarK(Fraction(k, den), m, fac)
+    return ScalarK(Fraction(k, den), tuple(map(add, low, m)), fac)
 
 
 def _parse_product(toks: list, i: int, depth: int):

@@ -1,10 +1,12 @@
 """The fraction-free matrix arithmetic as it was before packed monomials:
-numerators are ``poly.Poly`` values keyed by exponent tuples, and every
-term product builds a tuple with ``monomial_mul``.  Kept verbatim as the
+numerators are ``tuple_poly.TPoly`` values keyed by exponent tuples, and
+every term product builds a tuple with ``monomial_mul``.  Kept as the
 oracle of ``qspin.matrixlab.SquareMatrixK``: the two must give the same
 entries, the same equality and the same reduced towers.  It shares the
-scalar values and the polynomial type with the program, not the packed
-monomials, the packed exact division or the degree bound.
+scalar values and the denominator keys with the program, not the packed
+monomials, the polynomial arithmetic, the exact division, the probe or
+the degree bound: program polynomials are unpacked where they come in
+and packed again only to build an entry's field element.
 """
 
 from __future__ import annotations
@@ -12,16 +14,17 @@ from __future__ import annotations
 from math import gcd
 
 from qspin.errors import ArgumentOutOfRange
-from qspin.poly import Poly, constant, exquo, monomial_mul, probe, rules_out
+from qspin.poly import Poly, rules_out
 from qspin.scalar import FIELD, ScalarK, scalar
-from qspin.scalar import _MONO1, _expand, _fac_mul
+from qspin.scalar import _expand, _fac_mul
+from tuple_poly import TPoly, exquo, monomial_mul, probe
 
 # --------------------------------------------------------------------------
 # Integer polynomials in (q, z, Delta, u, v): numerators and denominators.
 
-_PONE = constant(1, 5)
+_PONE = TPoly({(0,) * 5: 1})
 #: The generators q, z, Delta, u, v, as keys of a denominator.
-_GENS = tuple(Poly({tuple(int(j == i) for j in range(5)): 1}) for i in range(5))
+_GENS = tuple(Poly.from_terms({tuple(int(j == i) for j in range(5)): 1}) for i in range(5))
 
 
 def _split(x) -> tuple:
@@ -50,7 +53,7 @@ def _common_den(dens: list) -> tuple[int, dict, list]:
         cont = cont * c // gcd(cont, c)
         for p, e in f.items():
             fac[p] = max(fac.get(p, 0), e)
-    mults = [_expand(cont // c, _MONO1, _fac_mul(fac, f, -1)) for c, f in dens]
+    mults = [TPoly.of(_expand(cont // c, 0, _fac_mul(fac, f, -1))) for c, f in dens]
     return cont, fac, mults
 
 
@@ -110,7 +113,7 @@ class SquareMatrixK:
     def den(self):
         """The denominator multiplied out, on first use."""
         if self._den is None:
-            self._den = _expand(self._cont, _MONO1, self._dfac)
+            self._den = _expand(self._cont, 0, self._dfac)
         return self._den
 
     # -- construction -------------------------------------------------------
@@ -130,7 +133,7 @@ class SquareMatrixK:
         rows: dict = {}
         for i, j, x in split:
             if x:
-                _add_into(rows, i, j, x.nf.numer * mult[x.nf.denom])
+                _add_into(rows, i, j, TPoly.of(x.nf.numer) * mult[x.nf.denom])
         return SquareMatrixK(dim, rows, cont, dfac)
 
     @staticmethod
@@ -143,7 +146,7 @@ class SquareMatrixK:
         num = self.rows.get(i, {}).get(j)
         if num is None:
             return ScalarK.from_field_element(FIELD.zero)
-        return ScalarK.from_field_element(FIELD.new(num, self.den))
+        return ScalarK.from_field_element(FIELD.new(num.to_program(), self.den))
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -175,7 +178,7 @@ class SquareMatrixK:
             for j, t in acc.items():
                 t = {m: c for m, c in t.items() if c}
                 if t:
-                    row[j] = Poly(t)
+                    row[j] = TPoly(t)
             if row:
                 rows[i] = row
         return SquareMatrixK(self.dim, rows, *_den_product(self, other))
@@ -204,7 +207,7 @@ class SquareMatrixK:
         c = scalar(c)
         if not c:
             return SquareMatrixK(self.dim, {}, 1, {})
-        cnum = c.nf.numer
+        cnum = TPoly.of(c.nf.numer)
         rows = {i: {j: v * cnum for j, v in row.items()}
                 for i, row in self.rows.items()}
         return SquareMatrixK(self.dim, rows, *_den_product(self, c))
@@ -229,12 +232,12 @@ class SquareMatrixK:
         return SquareMatrixK(self.dim * d2, rows, *_den_product(self, other))
 
     def trace(self) -> ScalarK:
-        acc = Poly()
+        acc = TPoly()
         for i, row in self.rows.items():
             v = row.get(i)
             if v is not None:
                 acc = acc + v
-        return ScalarK.from_field_element(FIELD.new(acc, self.den))
+        return ScalarK.from_field_element(FIELD.new(acc.to_program(), self.den))
 
 
 def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
@@ -270,7 +273,8 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
     tried (see ``poly.rules_out``)."""
     rows, left = m.rows, {}
     values = [probe(num) for row in rows.values() for num in row.values()]
-    for f, e in m._dfac.items():
+    for key, e in m._dfac.items():
+        f = TPoly.of(key)
         fv = probe(f)
         while e and not any(rules_out(fv, v) for v in values):
             quo = _divide_all(rows, f)
@@ -281,14 +285,14 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
             values = ([v // fv for v in values] if fv else
                       [probe(num) for row in rows.values() for num in row.values()])
         if e:
-            left[f] = e
+            left[key] = e
     cont = m._cont
     g = gcd(cont, *(c for row in rows.values() for num in row.values()
                     for c in num.values()))
     if g != 1:
         cont //= g
         rows = {
-            i: {j: Poly({e: c // g for e, c in num.items()}) for j, num in row.items()}
+            i: {j: TPoly({e: c // g for e, c in num.items()}) for j, num in row.items()}
             for i, row in rows.items()
         }
     return SquareMatrixK(m.dim, rows, cont, left)

@@ -8,7 +8,7 @@ cancel-free normal form.
 from __future__ import annotations
 
 from qspin import scalar
-from qspin.poly import poly_str
+from qspin.poly import pack, poly_str
 from sympy_bridge import FIELD, to_sympy
 
 
@@ -21,8 +21,8 @@ def cancel_nf(x: scalar.ScalarK):
     num = {f: e for f, e in x._fac.items() if e > 0}
     den = {f: -e for f, e in x._fac.items() if e < 0}
     return FIELD.new(
-        to_sympy(scalar._expand(c.numerator, tuple(max(e, 0) for e in x._mono), num)),
-        to_sympy(scalar._expand(c.denominator, tuple(max(-e, 0) for e in x._mono), den)),
+        to_sympy(scalar._expand(c.numerator, pack(max(e, 0) for e in x._mono), num)),
+        to_sympy(scalar._expand(c.denominator, pack(max(-e, 0) for e in x._mono), den)),
     )
 
 

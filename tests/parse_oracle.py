@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from qspin.errors import ParseError
-from qspin.poly import Poly, monomial_div
+from qspin.poly import Poly
 from qspin.scalar import (
     DELTA,
     MAX_PARSE_DEGREE,
@@ -33,6 +33,7 @@ from qspin.scalar import (
     _keys,
     _primitive,
 )
+from tuple_poly import monomial_div
 
 _NAME_MAP = {
     "q": lambda: Q,
@@ -190,7 +191,7 @@ def _monomial_sum(terms: list) -> ScalarK:
     low = tuple(map(min, zip(*coeffs)))
     den = lcm(*(c.denominator for c in coeffs.values()))
     k, m, p = _primitive(
-        Poly({monomial_div(mono, low): int(c * den) for mono, c in coeffs.items()})
+        Poly.from_terms({monomial_div(mono, low): int(c * den) for mono, c in coeffs.items()})
     )
     fac = _NO_FACTORS if p is None else _keys(p)
     return ScalarK(Fraction(k, den), tuple(a + b for a, b in zip(low, m)), fac)

@@ -43,10 +43,10 @@ def to_sympy(x, ngens: int | None = None, rings: dict = _RINGS):
     if isinstance(x, poly.Frac):
         fld = _SYMPY[x.field]
         ring = fld.ring
-        return fld.raw_new(*(ring({m: _coeff(ring.domain, c) for m, c in p.items()})
+        return fld.raw_new(*(ring({m: _coeff(ring.domain, c) for m, c in p.terms()})
                              for p in (x.numer, x.denom)))
     ring = rings[ngens if ngens is not None else x.ngens]
-    return ring({m: _coeff(ring.domain, c) for m, c in x.items()})
+    return ring({m: _coeff(ring.domain, c) for m, c in x.terms()})
 
 
 def _from_coeff(c):
@@ -59,4 +59,4 @@ def from_sympy(x):
     taken as reduced, or a sympy polynomial as a program polynomial."""
     if isinstance(x, FracElement):
         return _PROGRAM[x.field].raw_new(from_sympy(x.numer), from_sympy(x.denom))
-    return poly.Poly({m: _from_coeff(c) for m, c in x.items()})
+    return poly.ring(x.ring.ngens).from_terms({m: _from_coeff(c) for m, c in x.items()})

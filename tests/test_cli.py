@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qspin
-from qspin import cli, scalar
+from qspin import cli, matrixlab, scalar
 from qspin.cli import main
 from qspin.networks import MAX_TOTAL_LINES, cabled_unknot, theta_network
 from qspin.recoupling import theta_vector
@@ -512,6 +512,21 @@ def test_check_all_pinned(capsys):
         0, json.dumps(json.loads(CHECK_ALL_JSON), indent=2) + "\n", "")
 
 
+# The stdout of `qspin check --all` in text and in JSON, by their sha256:
+# the same bytes as above, as fingerprints to compare other runs with.
+CHECK_ALL_SHA256 = {
+    "text": "98e94af0b90cc0b9ace8d7c2b7f1fe59be631f24af1ab94a5f7c112483a8d8bc",
+    "json": "7883756a3cce7ffcf4afc42e39fc7eb7ecfc508f4f04436ff15d4d5cc79ce2af",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_all_sha256_pinned(capsys, fmt):
+    code, out, err = run(capsys, "check", "--all", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_SHA256[fmt]
+
+
 # The stdout of `qspin fierz-table --max 5`, 33,253 bytes, by its sha256:
 # the write side of the scalar layer, pinned byte for byte.
 FIERZ_TABLE_5_SHA256 = "bd85fbd30995251be094b2160c18a7d60be7c3f361e74dffb2742da31ef400f3"
@@ -555,8 +570,40 @@ def test_check_named_suite(capsys):
 
 
 def test_check_bad_suite(capsys):
-    code, _, err = run(capsys, "check", "--suite", "no-such-suite")
-    assert code == 2
+    code, out, err = run(capsys, "check", "--suite", "no-such-suite")
+    assert (code, out) == (2, "")
+    assert err.startswith("error [bad-suite]: unknown suite 'no-such-suite'")
+
+
+def test_check_group_suites(capsys, monkeypatch):
+    # a group name runs every registry entry of the group, in registry order
+    def entries(group):
+        return [name for name, c in matrixlab.CHECKS.items() if c.group == group]
+
+    assert all(entries(g) for g in ("matrix", "identity", "slip"))
+    assert not {"matrix", "identity", "slip", "all"} & set(matrixlab.CHECKS)
+    # the matrix group is the suite of --all
+    assert run(capsys, "check", "--suite", "matrix") == (0, CHECK_ALL_TEXT, "")
+    code, out, err = run(capsys, "check", "--suite", "slip", "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["results"]
+    want = matrixlab.manifest(entries("slip"))["checks"]
+    assert len(rows) == len(want) and all(r["passed"] for r in rows)
+    assert {(r["name"], json.dumps(r["params"], sort_keys=True)) for r in rows} == {
+        (c["name"], json.dumps(c["params"], sort_keys=True)) for c in want}
+    # the identity rows each run as a registry row test; here only the rows
+    # the CLI hands on, and the exit code of a failed table
+    seen = []
+
+    def failing(doc, stats=False):
+        seen.append(doc)
+        return {"format_version": 1, "all_passed": False,
+                "results": [{"name": "x", "params": {}, "passed": False}]}
+
+    monkeypatch.setattr(matrixlab, "run_manifest", failing)
+    code, out, _ = run(capsys, "check", "--suite", "identity")
+    assert seen == [matrixlab.manifest(entries("identity"))]
+    assert (code, out) == (1, "FAIL  x  {}\nFAILURES PRESENT\n")
 
 
 def test_check_failure_exit_code(tmp_path, capsys):

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matrix_oracle
+import tuple_poly
 from exprtree import key_atoms, trees, value
 from registry_rows import row_holds
 from qspin import matrixlab
-from qspin.poly import Poly, exquo, probe
+from qspin.poly import MAX_EXPONENT, Poly, exquo, probe
 from qspin.errors import (
     ArgumentOutOfRange,
     DivisorVanishes,
@@ -227,6 +228,30 @@ def test_manifest_refuses_a_level_that_is_not_an_int():
         build_braid_data(True)
 
 
+def test_printed_reps_refuse_a_level():
+    # hecke2 and bmw3 have no level: a row that gives them one reported
+    # PASS for whatever n it named
+    rows = [{"kind": "HeckeF", "rep": "hecke2", "n": 99},
+            {"kind": "HeckeF", "rep": "hecke2", "n": True},
+            {"kind": "BMW_D", "rep": "bmw3", "n": 1}]
+    out = run_manifest({"checks": [{"name": "ybe", "params": p} for p in rows]})
+    for row in out["results"]:
+        assert not row["passed"]
+        assert row["error"] == (f"ArgumentOutOfRange: representation "
+                                f"{row['params']['rep']!r} has no level n; "
+                                f"got {row['params']['n']!r}")
+    # the tensor rep still reads its level; the printed reps pass without one
+    out = run_manifest({"checks": [
+        {"name": "ybe", "params": {"kind": "BMW_D", "rep": "tensor", "n": 99}},
+        {"name": "ybe", "params": {"kind": "HeckeF", "rep": "hecke2"}},
+    ]})
+    assert out["results"][0]["error"] == (
+        "UnsupportedSize: build_braid_data supports n in {1, 2, 3}")
+    assert out["results"][1]["passed"]
+    assert not any("n" in row["params"] for row in default_manifest()["checks"]
+                   if row["name"] == "ybe" and row["params"]["rep"] != "tensor")
+
+
 def test_default_manifest_shape():
     doc = default_manifest()
     assert doc["format_version"] == matrixlab.MANIFEST_FORMAT_VERSION
@@ -321,7 +346,7 @@ def test_kept_towers_are_reduced(kind, n):
         g = to_sympy(x.den)
         for row in x.rows.values():
             for num in row.values():
-                g = g.gcd(to_sympy(matrixlab._unpack(num)))
+                g = g.gcd(to_sympy(num))
         assert g == 1, (kind, n, p)
 
 
@@ -495,10 +520,10 @@ def _same(m, o):
     numerators and denominator keys, the same entries, and m.deg bounds
     every exponent."""
     assert m.dim == o.dim
-    rows = {i: {j: matrixlab._unpack(v) for j, v in row.items()}
+    rows = {i: {j: dict(v.terms()) for j, v in row.items()}
             for i, row in m.rows.items()}
     assert rows == o.rows
-    assert not any(isinstance(v, Poly) for row in m.rows.values() for v in row.values())
+    assert all(type(v) is Poly for row in m.rows.values() for v in row.values())
     assert (m._cont, m._dfac) == (o._cont, o._dfac)
     assert all(max(map(max, num)) <= m.deg for row in rows.values() for num in row.values())
     for i in range(m.dim):
@@ -557,26 +582,23 @@ def test_entrywise_equality_matches_the_zero_test(pair, c, at, off):
     assert verdicts[0][3] == a.entry(i, j).is_zero()
 
 
-#: Integer polynomials in the five generators with exponents up to 40.
-_wide_polys = st.dictionaries(st.tuples(*[st.integers(0, 40)] * 5),
-                              st.integers(-10**6, 10**6).filter(bool),
-                              min_size=1, max_size=6).map(Poly)
+#: Integer polynomials in the five generators with exponents up to 40, as
+#: {exponent tuple: coefficient} maps.
+_wide_terms = st.dictionaries(st.tuples(*[st.integers(0, 40)] * 5),
+                              st.integers(-10**6, 10**6).filter(bool), min_size=1, max_size=6)
 
 
-@given(st.lists(_wide_polys, min_size=1, max_size=7), st.integers(0, 5))
+@given(st.lists(_wide_terms, min_size=1, max_size=7))
 @settings(max_examples=100, deadline=None)
-def test_packed_probes_match_probe(polys, slack):
-    packed = [matrixlab._pack(p) for p in polys]
-    rows = {}
-    for k, (num, _) in enumerate(packed):
-        rows.setdefault(k // 3, {})[k % 3] = num
-    deg = max(d for _, d in packed) + slack
-    want = [probe(matrixlab._unpack(num)) for row in rows.values() for num in row.values()]
-    assert matrixlab._probes(rows, deg) == want
+def test_packed_probes_match_probe(terms):
+    # probe reads each exponent off its field of the packed key; the
+    # reference takes it from the exponent tuple
+    for t in terms:
+        assert probe(Poly.from_terms(t)) == tuple_poly.probe(tuple_poly.TPoly(t))
 
 
 def test_degree_bound_past_the_field_width_is_refused():
-    assert matrixlab._MAXE == 2**15 - 1
+    assert MAX_EXPONENT == 2**15 - 1
     big = Q ** 2**14
     a = SquareMatrixK.from_entries(2, [(0, 0, big), (0, 1, ONE), (1, 0, Q)])
     assert a.deg == 2**14
@@ -593,36 +615,48 @@ def test_degree_bound_past_the_field_width_is_refused():
     assert equal(a.entry(0, 0), big) and equal(a.entry(1, 0), Q)
 
 
-#: Integer polynomials in the five generators with small exponents.
-_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 5),
-                         st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(Poly)
+#: Integer polynomials in the five generators with small exponents, keyed
+#: by exponent tuples.
+_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 5), st.integers(-3, 3).filter(bool),
+                         min_size=1, max_size=4).map(tuple_poly.TPoly)
 
 
 def _packed_quotient(p, f):
-    quo = matrixlab._exquo(matrixlab._pack(p)[0], matrixlab._divisor(f))
-    return quo if quo is None else matrixlab._unpack(quo)
+    """p / f by the program's exquo on packed keys, unpacked, or None."""
+    quo = exquo(p.to_program(), f.to_program())
+    return quo if quo is None else tuple_poly.TPoly.of(quo)
 
 
 @given(_polys, _polys, _polys)
 @settings(max_examples=200, deadline=None)
 def test_packed_division_matches_exquo(f, g, r):
+    # against the schoolbook division of tuple-keyed polynomials
     for p in (f * g, f * g + r):
         if p:
-            assert _packed_quotient(p, f) == exquo(p, f)
+            assert _packed_quotient(p, f) == tuple_poly.exquo(p, f)
 
 
 def test_packed_division_stops_at_a_guard_bit():
-    # dividing q^3 + z^27232 by q + z^20000 meets the remainder term
-    # q z^40000, past the bound; read without its guard bit as q z^7232, it
-    # would leave a zero remainder and a wrong quotient
+    # dividing q^3 + z^27232 by q + z^20000: the quotient's second monomial
+    # q z^20000 passes the room z^7232 that p leaves over f, which ends the
+    # division before the remainder term q z^40000, past the field width
+    # and read without its guard bit as q z^7232, could be formed
+    tp = tuple_poly.TPoly
     q = (1, 0, 0, 0, 0)
-    f = Poly({q: 1, (0, 20000, 0, 0, 0): 1})
-    p = Poly({(3, 0, 0, 0, 0): 1, (0, 27232, 0, 0, 0): 1})
+    f = tp({q: 1, (0, 20000, 0, 0, 0): 1})
+    p = tp({(3, 0, 0, 0, 0): 1, (0, 27232, 0, 0, 0): 1})
     assert _packed_quotient(p, f) is None
-    assert exquo(p, f) is None
+    assert tuple_poly.exquo(p, f) is None
     # below the bound the same division is exact
-    f, g = (Poly({q: 1, (0, 12000, 0, 0, 0): s}) for s in (1, -1))
+    f, g = (tp({q: 1, (0, 12000, 0, 0, 0): s}) for s in (1, -1))
     assert _packed_quotient(f * g, f) == g
+    # q^4 - q^3 z^15046 - q^2 z^30092 over q - z^15046 meets the remainder
+    # term q z^45138, past the bound; read without its guard bit as
+    # q z^12370, the division would end in a wrong quotient
+    f = tp({q: 1, (0, 15046, 0, 0, 0): -1})
+    p = tp({(4, 0, 0, 0, 0): 1, (3, 15046, 0, 0, 0): -1, (2, 30092, 0, 0, 0): -1})
+    assert _packed_quotient(p, f) is None
+    assert tuple_poly.exquo(p, f) is None
 
 
 def test_reduce_cancels_a_key_of_the_bound_degree():

@@ -62,7 +62,7 @@ def test_delta_poly_basics():
     assert _at(p, 2) == 1
     assert poly_str(p, ("delta", "Delta"), "^") == "delta^2 - 3"
     q = from_sympy((_d**2 - 3) * _d / 2)
-    assert q == Poly({(3, 0): Fraction(1, 2), (1, 0): Fraction(-3, 2)})
+    assert q == Poly.from_terms({(3, 0): Fraction(1, 2), (1, 0): Fraction(-3, 2)})
     assert poly_str(q, ("delta", "Delta"), "^") == "1/2*delta^3 - 3/2*delta"
     assert poly_str(Poly(), ("delta", "Delta"), "^") == "0"
 

@@ -10,15 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from exprtree import key_atoms, sum_atoms, trees, value
 from qspin import poly
-from qspin.errors import GcdFailed, QspinError
-from qspin.poly import Poly, cancel, cofactors, exquo, probe, rules_out
+from qspin.errors import ArgumentOutOfRange, GcdFailed, QspinError, UnsupportedSize
+from qspin.poly import MAX_EXPONENT, Poly, cancel, cofactors, exquo, probe, rules_out
 from qspin.scalar import CLASSICAL_FIELD, classical
 from sympy_bridge import CLASSICAL, INTEGER_RINGS, to_sympy
 
 
 def _numerator(tree):
     x = value(tree)
-    return x.nf.numer if x else Poly({(0,) * 5: 1})
+    return x.nf.numer if x else Poly.from_terms({(0,) * 5: 1})
 
 
 @st.composite
@@ -43,14 +43,14 @@ def _divisions(draw):
     n = draw(st.integers(1, 5))
     monomials = st.tuples(*[st.integers(0, 3)] * n)
     coeffs = st.integers(-9, 9).filter(bool)
-    polys = st.dictionaries(monomials, coeffs, min_size=1, max_size=6).map(Poly)
+    polys = st.dictionaries(monomials, coeffs, min_size=1, max_size=6).map(Poly.from_terms)
     f = draw(polys)
     g = draw(st.one_of(
         polys,
-        coeffs.map(lambda c: Poly({(0,) * n: c})),
-        st.builds(lambda m, c: Poly({m: c}), monomials, coeffs),
+        coeffs.map(lambda c: Poly.from_terms({(0,) * n: c})),
+        st.builds(lambda m, c: Poly.from_terms({m: c}), monomials, coeffs),
         st.builds(
-            lambda w, k, sign: Poly({tuple(k * e for e in w): 1, (0,) * n: sign}),
+            lambda w, k, sign: Poly.from_terms({tuple(k * e for e in w): 1, (0,) * n: sign}),
             monomials.filter(any), st.integers(1, 4), st.sampled_from([1, -1]),
         ),
     ))
@@ -71,13 +71,18 @@ def test_exact_division_matches_sympy(division):
         assert to_sympy(got, n, INTEGER_RINGS) == quo
 
 
-def test_exact_division_stops_past_the_degrees():
+def test_exact_division_stops_past_the_degrees(monkeypatch):
     # x^3 y^3 + y^2 over x + y: the quotient's first monomial, x^2 y^3,
-    # already passes y's degree 3 - 1, and going on would carry y^6 out of
-    # its packed field
-    x, y = Poly({(1, 0): 1}), Poly({(0, 1): 1})
+    # already passes y's degree 3 - 1, which ends the division
+    x, y = Poly.from_terms({(1, 0): 1}), Poly.from_terms({(0, 1): 1})
     assert exquo(x**3 * y**3 + y**2, x + y) is None
     assert exquo((x + y) * (x**2 * y**2 - y**3), x + y) == x**2 * y**2 - y**3
+    # x^200 over x - y: the second quotient monomial, x^198 y, passes p's
+    # degree 0 in y; run on, the division would add 200 remainder terms
+    pushes = []
+    monkeypatch.setattr(poly, "heappush", lambda heap, k: pushes.append(k) or heap.append(k))
+    assert exquo(x**200, x - y) is None
+    assert len(pushes) == 1
 
 
 @given(_pairs())
@@ -95,9 +100,9 @@ def test_gcd_and_cancel_match_sympy(pair):
 
 
 def test_gcd_cases():
-    q, z = Poly({(1, 0, 0, 0, 0): 1}), Poly({(0, 1, 0, 0, 0): 1})
-    one = Poly({(0,) * 5: 1})
-    two = Poly({(0,) * 5: 2})
+    q, z = Poly.from_terms({(1, 0, 0, 0, 0): 1}), Poly.from_terms({(0, 1, 0, 0, 0): 1})
+    one = Poly.from_terms({(0,) * 5: 1})
+    two = Poly.from_terms({(0,) * 5: 2})
     f = (q + one) * (q + z) * q * two
     for g, h in [
         (f, f),                                 # equal
@@ -115,21 +120,42 @@ def test_gcd_cases():
 
 def test_gcd_never_returns_an_unchecked_candidate(monkeypatch):
     # a lift that divides neither polynomial, at every evaluation point
-    def wrong(h, xi, n):
-        return {(1,) + (0,) * (n - 1): 2, (0,) * n: 3}
+    def wrong(h, xi, shift):
+        return {1 << shift: 2, 0: 3}
 
     monkeypatch.setattr(poly, "_interpolate", wrong)
-    q = Poly({(1, 0, 0, 0, 0): 1})
-    one = Poly({(0,) * 5: 1})
+    q = Poly.from_terms({(1, 0, 0, 0, 0): 1})
+    one = Poly.from_terms({(0,) * 5: 1})
     f, g = (q + one) * (q + one + one), (q + one) * (q - one - one)
     with pytest.raises(GcdFailed) as err:
         cofactors(f, g)
     assert isinstance(err.value, QspinError)
 
 
+def test_exponents_stop_at_the_field_width():
+    # each generator's field holds exponents up to 2^15 - 1; a product or a
+    # power that reaches it is exact, one past it raises
+    assert MAX_EXPONENT == 2**15 - 1
+    x, y = Poly.from_terms({(1, 0): 1}), Poly.from_terms({(0, 1): 1})
+    one = Poly.from_terms({(0, 0): 1})
+    top = x ** (MAX_EXPONENT - 1) * x
+    assert top.terms() == [((MAX_EXPONENT, 0), 1)]
+    wide = (x ** 2**14 + y) * (x ** (2**14 - 1) + one)
+    assert wide.degrees() == (MAX_EXPONENT, 1)
+    assert (y ** (2**14) * (y ** (2**14 - 1) + x)).degrees() == (1, MAX_EXPONENT)
+    for op in (lambda: top * x, lambda: top.mul_term(next(iter(x)), 3),
+               lambda: (x ** 2**14 + y) * (x ** 2**14 + one),
+               lambda: (y ** 2**14 + x) * y ** 2**14, lambda: x ** 2**15,
+               lambda: Poly.from_terms({(2**15, 0): 1})):
+        with pytest.raises(UnsupportedSize):
+            op()
+    with pytest.raises(ArgumentOutOfRange):
+        Poly.from_terms({(-1, 0): 1})
+
+
 def test_polynomials_are_immutable_values():
-    p = Poly({(1, 0): 2, (0, 0): -1})
-    same = Poly({(0, 0): -1, (1, 0): 2})
+    p = Poly.from_terms({(1, 0): 2, (0, 0): -1})
+    same = Poly.from_terms({(0, 0): -1, (1, 0): 2})
     assert p == same and hash(p) == hash(same)
     for mutate in (lambda: p.__setitem__((2, 0), 1), lambda: p.pop((1, 0)),
                    lambda: p.update({}), lambda: p.clear()):
@@ -163,16 +189,16 @@ _terms = st.dictionaries(
 
 
 def _integral(terms: dict, scale: int) -> Poly:
-    return Poly({m: int(c * scale) for m, c in terms.items()})
+    return CLASSICAL_FIELD.ring.from_terms({m: int(c * scale) for m, c in terms.items()})
 
 
 @given(_terms, _terms.filter(bool), _terms.filter(bool), st.integers(-5, 5).filter(bool))
 @settings(max_examples=200, deadline=None)
 def test_classical_normal_form_and_text_match_sympy(num, den, common, k):
-    want = CLASSICAL(to_sympy(Poly(num), 2)) / CLASSICAL(to_sympy(Poly(den), 2))
+    want = CLASSICAL(to_sympy(Poly.from_terms(num), 2)) / CLASSICAL(to_sympy(Poly.from_terms(den), 2))
     # the same quotient as an integer pair sharing a factor and a constant
     scale = lcm(*(c.denominator for t in (num, den, common) for c in t.values()))
-    c = _integral(common, scale) * Poly({(0, 0): k})
+    c = _integral(common, scale) * Poly.from_terms({(0, 0): k})
     got = CLASSICAL_FIELD.new(_integral(num, scale) * c, _integral(den, scale) * c)
     assert to_sympy(got) == want
     assert (to_sympy(got.numer, 2), to_sympy(got.denom, 2)) == (want.numer, want.denom)
@@ -193,6 +219,6 @@ def test_classical_text_examples():
     d, D = CLASSICAL.gens
     for x in [(6 * d**2 * D + 2 * d - 1) / (4 * d + 8), -d**3 / 5, d / (2 * D),
               3 / (d * D), CLASSICAL(0), CLASSICAL(Fraction(-3, 2)), -d + 1]:
-        num = Poly({m: int(c) for m, c in x.numer.items()})
-        den = Poly({m: int(c) for m, c in x.denom.items()})
+        num = Poly.from_terms({m: int(c) for m, c in x.numer.items()})
+        den = Poly.from_terms({m: int(c) for m, c in x.denom.items()})
         assert str(CLASSICAL_FIELD.raw_new(num, den)) == str(x)

@@ -35,8 +35,9 @@ from qspin.errors import (
     ParseError,
     QspinError,
     SpecializationError,
+    UnsupportedSize,
 )
-from qspin.poly import Frac
+from qspin.poly import MAX_EXPONENT, Frac
 from qspin.scalar import (
     CLASSICAL_FIELD,
     DELTA,
@@ -111,6 +112,31 @@ def test_integer_level_of_qint(b, a, n):
     got = integer_level(qint_atom(b, a), n)
     want = integer_level(qint_atom(0, b * n + a), n)
     assert equal(got, want)
+
+
+def test_integer_level_past_the_field_width_is_refused():
+    # z -> q^n multiplies z's exponent into q's field: z^2000 at n = 16
+    # fills it to q^32000, and at n = 17 it would pass it
+    x = Z**2000 / (Z + Q)
+    assert equal(integer_level(x, 16), Q**32000 / (Q**16 + Q))
+    for y in (x, Z**2000):
+        for n in (17, 10**6):
+            with pytest.raises(UnsupportedSize):
+                integer_level(y, n)
+    # n < 0 clears the negative powers of q from both sides
+    assert integer_level(Z, -1) == Q**-1
+    assert integer_level(x, -2) == Q**-4000 / (Q**-2 + Q)
+    with pytest.raises(UnsupportedSize):
+        integer_level(x, -17)
+
+
+def test_parse_bounds_fit_the_field_width():
+    # a parsed value's degree in each generator is at most MAX_PARSE_DEGREE;
+    # z -> q^n at a level the CLI accepts adds n times z's degree to q's
+    from qspin.cli import MAX_LEVEL
+
+    assert scalar.MAX_PARSE_EXPONENT <= scalar.MAX_PARSE_DEGREE
+    assert scalar.MAX_PARSE_DEGREE * (1 + MAX_LEVEL) <= MAX_EXPONENT == 2**15 - 1
 
 
 def test_classical_images():
