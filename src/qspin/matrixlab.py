@@ -32,7 +32,6 @@ Conventions:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
 from functools import wraps
 from itertools import product
 from math import gcd
@@ -212,6 +211,8 @@ class SquareMatrixK:
     # -- entry access --------------------------------------------------------
 
     def entry(self, i: int, j: int) -> ScalarK:
+        """Entry (i, j) as a field element.  Besides the tests, the
+        benchmark's numeric tower check reads entries through it."""
         num = self.rows.get(i, {}).get(j)
         if num is None:
             return ScalarK.from_field_element(FIELD.zero)
@@ -408,8 +409,7 @@ def _rho(i: int) -> int:
     return (abs(i) - 1) * (1 if i > 0 else -1)
 
 
-@dataclass
-class BraidData:
+class BraidData(NamedTuple):
     """Braid matrices on V (x) V with z specialized to q^n.
 
     ``indices`` orders the basis of V; ``mu`` is the quantum-trace weight
@@ -541,8 +541,7 @@ def check_braid_invariants(n: int) -> bool:
 # space, and their spectral R-matrices.
 
 
-@dataclass(frozen=True)
-class StrandRep:
+class StrandRep(NamedTuple):
     """The generators sigma_1, ..., sigma_{k-1}, their inverses and
     u_1, ..., u_{k-1} on a space of dimension ``dim``; the tuples are
     indexed from 0, so ``sigmas[i]`` is sigma_{i+1}.  Each tuple holds its
@@ -729,7 +728,7 @@ def check_unitarity(kind: str, rep: str) -> bool:
 def check_hecke_quotient(rep: str = "bmw3") -> bool:
     """Imposing u = 0 in the BMW_D combination reproduces the HeckeF matrix."""
     r = _strand_rep(rep)
-    quotient = replace(r, u_mats=tuple(SquareMatrixK.from_entries(u.dim, ())
+    quotient = r._replace(u_mats=tuple(SquareMatrixK.from_entries(u.dim, ())
                                        for u in r.u_mats))
     return quotient.R("BMW_D", 0, U) == r.R("HeckeF", 0, U)
 

@@ -27,10 +27,10 @@ with the limit q -> 1 of the closed form at level k.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, lcm
+from typing import NamedTuple
 
 from .errors import (
     ArgumentOutOfRange,
@@ -108,7 +108,6 @@ def _port(end) -> tuple:
 # Labelled trivalent networks.
 
 
-@dataclass
 class LabelledNetwork:
     """Trivalent network with a rotation system.
 
@@ -118,10 +117,14 @@ class LabelledNetwork:
     labelled circles disjoint from the graph.
     """
 
-    vertices: list
-    edges: list
-    rotation: dict
-    free_loops: list = dc_field(default_factory=list)
+    __slots__ = ("vertices", "edges", "rotation", "free_loops")
+
+    def __init__(self, vertices: list, edges: list, rotation: dict,
+                 free_loops: list | None = None):
+        self.vertices = vertices
+        self.edges = edges
+        self.rotation = rotation
+        self.free_loops = [] if free_loops is None else free_loops
 
     def validate(self) -> None:
         ends_at: dict = {v: [] for v in self.vertices}
@@ -255,7 +258,6 @@ def unknot(a: int) -> LabelledNetwork:
 # Strand networks.
 
 
-@dataclass
 class StrandNetwork:
     """One antisymmetrizer rectangle per element of ``rect_degree``; lines
     enter side 0 and leave side 1.  ``link`` is the ambient involution on
@@ -264,9 +266,12 @@ class StrandNetwork:
     (a labelled-a circle is a cable of a parallel lines, value delta^a).
     """
 
-    rect_degree: dict
-    link: dict
-    free_loops: list = dc_field(default_factory=list)
+    __slots__ = ("rect_degree", "link", "free_loops")
+
+    def __init__(self, rect_degree: dict, link: dict, free_loops: list | None = None):
+        self.rect_degree = rect_degree
+        self.link = link
+        self.free_loops = [] if free_loops is None else free_loops
 
     def validate(self) -> None:
         for r, d in self.rect_degree.items():
@@ -505,8 +510,7 @@ def _join(states: dict, i: int, outs: list) -> dict:
 # Tetrahedron symbols.
 
 
-@dataclass(frozen=True)
-class TetrahedronSymbol:
+class TetrahedronSymbol(NamedTuple):
     """3x4 grid z[i][j]: the i-th internal strand count at vertex j+1 of
     the reference tetrahedron embedding (corner i joins the i-th and
     (i+1)-st edge-ends of the vertex rotation)."""

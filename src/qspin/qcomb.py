@@ -15,7 +15,7 @@ where z stands for q^n.  The case b = 0 recovers the ordinary q-integer
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ArgumentOutOfRange
 from .scalar import (
@@ -45,8 +45,7 @@ def brace_shifted(k: int) -> ScalarK:
     return Q**k + Q**-k
 
 
-@dataclass(frozen=True)
-class ExtSymbol:
+class ExtSymbol(NamedTuple):
     """The formal symbol [b*n + a]."""
 
     b: int

@@ -13,7 +13,6 @@ Conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from math import prod
 
 from .errors import ArgumentOutOfRange, InadmissibleTriple, expect, is_int, json_object
@@ -38,27 +37,19 @@ def _check_nonneg(**kwargs):
             raise ArgumentOutOfRange(f"{name} must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
 class AdmissibleTriple:
     """External edge labels (a, b, c) of a trivalent vertex, with the
     internal strand counts (r, s, t) given by a = r+t, b = r+s, c = s+t."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        _check_nonneg(a=self.a, b=self.b, c=self.c)
-        if (self.a + self.b + self.c) % 2:
-            raise InadmissibleTriple(f"{(self.a, self.b, self.c)}: odd total")
-        if (
-            self.a + self.b < self.c
-            or self.b + self.c < self.a
-            or self.c + self.a < self.b
-        ):
-            raise InadmissibleTriple(
-                f"{(self.a, self.b, self.c)}: triangle inequality fails"
-            )
+    def __init__(self, a: int, b: int, c: int):
+        _check_nonneg(a=a, b=b, c=c)
+        if (a + b + c) % 2:
+            raise InadmissibleTriple(f"{(a, b, c)}: odd total")
+        if a + b < c or b + c < a or c + a < b:
+            raise InadmissibleTriple(f"{(a, b, c)}: triangle inequality fails")
+        self.a, self.b, self.c = a, b, c
 
     @property
     def rst(self) -> tuple[int, int, int]:
@@ -389,13 +380,19 @@ TABLE_FORMAT_VERSION = 1
 _TABLE = "Fierz table"
 
 
-@dataclass
 class FierzTable:
-    """Symmetric table of Fierz coefficients F(a, b), 0 <= a, b <= max."""
+    """Symmetric table of Fierz coefficients F(a, b), 0 <= a, b <= max.
 
-    max_a: int
-    max_b: int
-    entries: dict = dc_field(default_factory=dict)
+    ``entries`` maps (a, b) to F(a, b), and callers read it directly: an
+    accessor would only rename the lookup, and nothing in the program
+    reads single entries."""
+
+    __slots__ = ("max_a", "max_b", "entries")
+
+    def __init__(self, max_a: int, max_b: int, entries: dict | None = None):
+        self.max_a = max_a
+        self.max_b = max_b
+        self.entries = {} if entries is None else entries
 
     @staticmethod
     def generate(max_a: int, max_b: int) -> "FierzTable":
@@ -407,9 +404,6 @@ class FierzTable:
         for a, b in grid:
             table.entries[(a, b)] = vals[(min(a, b), max(a, b))]
         return table
-
-    def entry(self, a: int, b: int) -> ScalarK:
-        return self.entries[(a, b)]
 
     def to_json(self) -> str:
         items = [

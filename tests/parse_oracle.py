@@ -143,6 +143,8 @@ def _check_size(x: ScalarK, e: int = 1) -> None:
             groups.setdefault((side, w), {})[d] = abs(k)
         else:
             bits[side] += abs(k) * (sum(map(abs, f.values())) - 1).bit_length()
+    # an expanded polynomial: one key, to the first power, in the numerator
+    lone = e == 1 and len(x._fac) == 1 and list(x._fac.values()) == [1]
     for side, (deg, b) in enumerate(zip(degs, bits)):
         if max(deg) * e > MAX_PARSE_DEGREE:
             raise ParseError(
@@ -152,8 +154,11 @@ def _check_size(x: ScalarK, e: int = 1) -> None:
             b += sum((_cyclotomic_norm(orders) - 1).bit_length()
                      for (s, _), orders in groups.items() if s == side)
         size = b * e + 1
-        for d in deg:
-            size *= d * e + 1
+        if lone and side == 0:
+            size *= len(next(iter(x._fac)))
+        else:
+            for d in deg:
+                size *= d * e + 1
         if size > MAX_PARSE_SIZE:
             raise ParseError(
                 f"expansion size {size} exceeds the parse bound {MAX_PARSE_SIZE}"

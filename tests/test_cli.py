@@ -699,17 +699,19 @@ def test_module_entry_point_is_quiet():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, CHECK_ALL_TEXT, "")
 
 
-def test_commands_do_not_import_sympy(tmp_path):
-    # sympy is the tests' oracle, not a dependency of the program: neither
-    # the import, a run of any command, nor reading a Fierz table back (the
-    # two paths that parse scalar texts) may load it
+def _drive_commands(tmp_path, holds: str) -> None:
+    """In a fresh interpreter, import qspin.cli, run five commands and read
+    a Fierz table back, and assert the expression ``holds`` after each step.
+    ``bare`` in it is the set of modules the interpreter held at its start."""
     src = str(Path(qspin.__file__).resolve().parent.parent)
     net = tmp_path / "theta.json"
     net.write_text(theta_network(2, 2, 2).to_json())
     script = f"""
-import contextlib, io, sys
+import sys
+bare = set(sys.modules)
+import contextlib, io
 import qspin.cli
-assert "sympy" not in sys.modules, "import qspin.cli"
+assert {holds}, "import qspin.cli"
 for argv in (["check", "--all"], ["fierz-table", "--max", "2"],
              ["eval-theta", "--r", "1", "--s", "1", "--t", "0",
               "--specialize", "classical"],
@@ -717,13 +719,26 @@ for argv in (["check", "--all"], ["fierz-table", "--max", "2"],
              ["specialize", "--expr", "(q^2*z - 3*Delta)/(q*z + 1)", "--to", "n=1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert qspin.cli.main(argv) == 0, argv
-    assert "sympy" not in sys.modules, argv
+    assert {holds}, argv
 from qspin.recoupling import FierzTable
 FierzTable.from_json(FierzTable.generate(2, 2).to_json())
-assert "sympy" not in sys.modules, "FierzTable.from_json"
+assert {holds}, "FierzTable.from_json"
 """
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = src
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_commands_do_not_import_sympy(tmp_path):
+    # sympy is the tests' oracle, not a dependency of the program: neither
+    # the import, a run of any command, nor reading a Fierz table back (the
+    # two paths that parse scalar texts) may load it
+    _drive_commands(tmp_path, '"sympy" not in sys.modules')
+
+
+def test_commands_do_not_import_dataclasses(tmp_path):
+    # every CLI call pays the import, and dataclasses would bring inspect,
+    # ast, dis and tokenize into it; the program needs none of them
+    _drive_commands(tmp_path, 'not {"dataclasses", "inspect"} & (set(sys.modules) - bare)')

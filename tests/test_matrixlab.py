@@ -4,7 +4,6 @@ and the check registry."""
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -136,7 +135,7 @@ def test_lifted_R_matches_the_direct_sum(n, p):
         return
     # at z = q^2 the BMW_D u coefficient is (q - q^-1)^2, not 0: R of a rep
     # whose u_i are replaced reads the replacement, never the old u_i
-    no_u = replace(rep, u_mats=tuple(SquareMatrixK.from_entries(u.dim, ())
+    no_u = rep._replace(u_mats=tuple(SquareMatrixK.from_entries(u.dim, ())
                                      for u in rep.u_mats))
     for i in range(p - 1):
         for w in (U, U * V, Q ** (p - 1)):
@@ -297,6 +296,15 @@ def test_braid_data_and_towers_built_once():
     rebuilt = idempotent_tower("F", data, 3)
     assert rebuilt[3] is not long[3]
     assert all(rebuilt[p] == long[p] for p in (1, 2, 3))
+
+
+def test_shared_braid_data_is_read_only():
+    # build_braid_data hands every caller one cached object, and a tensor
+    # rep holds its matrices: neither takes an assignment
+    with pytest.raises(AttributeError):
+        build_braid_data(1).mu = {}
+    with pytest.raises(AttributeError):
+        matrixlab._tensor_rep(1, 3).u_mats = ()
 
 
 def _assert_den_factors(x):

@@ -128,7 +128,7 @@ def test_fierz_table_json_round_trip():
     back = FierzTable.from_json(table.to_json())
     for a in range(3):
         for b in range(3):
-            assert equal(back.entry(a, b), fierz(a, b))
+            assert equal(back.entries[a, b], fierz(a, b))
 
 
 def test_fierz_table_json_round_trip_is_byte_identical():

@@ -7,7 +7,7 @@ from functools import reduce
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import QQ
 
 from exprtree import (
@@ -469,6 +469,10 @@ def test_fierz_cancels_once(monkeypatch):
 
 @given(trees(key_atoms, depth=4))
 @settings(max_examples=150, deadline=None)
+# a polynomial whose canonical text, 387 terms, the degrees alone measured
+# past MAX_PARSE_SIZE
+@example(("add", ("pow", ("pow", ("add", ("brace", 1), ("add", ("add", ("gen", "Delta"),
+          ("gen", "u")), rat(1))), 3), 3), ("brace", 0)))
 def test_normal_form_matches_cancel_oracle(tree):
     x = value(tree)
     want = cancel_nf(x)
@@ -590,9 +594,14 @@ def test_parse_size_bound():
     assert equal(parse_scalar("(q^128*z^128 - 1)^2 + 1"), (Q**128 * Z**128 - 1) ** 2 + 1)
     # a product is only measured when a sum or power would expand it
     product = "*".join(["(q+z+Delta+u+v+1)^6"] * 40)
+    # an expanded polynomial by its 2 terms, not the 1.2e6 its degrees
+    # allow; by them again over a key, under 1, squared or times a key
+    sparse = "q^99*z^99*Delta^59 + q"
+    assert equal(parse_scalar(sparse), Q**99 * Z**99 * SPIN_DELTA**59 + Q)
     for bad in [text(66), "((q+z+1)^200)^200", "((9^200)^200)^200",
                 "(q+z+Delta+u+v+1)^8 + 1", "1" * 5000, product + " + 1",
-                "1 + " + product, product]:
+                "1 + " + product, product, f"({sparse})/(q + 2)", f"1/({sparse})",
+                f"({sparse})^2", f"({sparse})*(z + 1)"]:
         with pytest.raises(ParseError):
             parse_scalar(bad)
 
@@ -745,6 +754,8 @@ def test_parse_matches_the_character_scanner(text):
     # the denominator's degree, then its size
     "q^256*q*z^-256*z^-2 + 1", str(2**1372) + "*q^18*z^22*u^-256*u^-2 + 1",
     "q^-244*z^-78*Delta^-30*u^-256*u^-1 + 1",
+    # an expanded polynomial, measured by its terms, and the same below 1
+    "q^99*z^99*Delta^59 + q", "1/(q^99*z^99*Delta^59 + q)",
 ])
 def test_parse_matches_the_character_scanner_on_edge_cases(text):
     assert _outcome(parse_scalar, text) == _outcome(parse_oracle.parse_scalar, text)
