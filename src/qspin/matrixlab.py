@@ -24,8 +24,8 @@ Conventions:
   divide nothing.  ``a == b`` compares entry by entry over a common
   denominator: the same positions, and equal numerators once each side is
   brought to it.  Only the tower matrices X(p), which are kept and feed
-  X(p+1), are reduced by trial division.  A field element is built (one
-  cancel) only when an entry is read.
+  X(p+1), are reduced, by trial division alone (``_reduce``).  A field
+  element is built (one cancel) only when an entry is read.
 * Inside BraidData, z is specialized to q^n throughout.
 """
 
@@ -45,7 +45,7 @@ from .errors import (
     ParseError,
     UnsupportedSize,
 )
-from .poly import MAX_EXPONENT, Poly, exquo, pack, probe
+from .poly import MAX_EXPONENT, Poly, exquo, pack
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
@@ -357,30 +357,18 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
     every numerator, and then the content all numerators share.
 
     A key f of multiplicity e divides out as f^k in one pass over the
-    numerators, k the largest power the numerators could allow: at most e,
-    at most the matrix's degree bound over f's degree, and such that the
-    value of f^k at the probe point divides the numerators' values there
-    (a zero value of f shows nothing; see ``poly.rules_out``).  Only when
-    that pass fails is k stepped down.  The values are taken once and
-    divided along with the numerators."""
+    numerators, k the largest power, counting down from e, for which that
+    pass succeeds.  No probe value guides k: the tower keys nearly always
+    divide out whole, so the numerators' values at a probe point, which
+    would rule out a failing pass, cost more than the passes they save
+    (679 values to save 10 of 37 passes in one ``check --all``)."""
     rows, left = m.rows, {}
-    values = [probe(num) for row in rows.values() for num in row.values()]
     for f, e in m._dfac.items():
-        fv = probe(f)
-        k = min(e, m.deg // f.degree())
-        if fv:
-            for v in values:
-                j = 0
-                while j < k and v % fv == 0:
-                    v //= fv
-                    j += 1
-                k = j
+        k = e
         while k:
             quo = _divide_all(rows, f**k)
             if quo is not None:
                 rows = quo
-                values = ([v // fv**k for v in values] if fv else
-                          [probe(num) for row in rows.values() for num in row.values()])
                 break
             k -= 1
         if e > k:

@@ -425,15 +425,22 @@ class FierzTable:
         """The table of a ``to_json`` document; a malformed one raises
         ParseError."""
         doc = json_object(text, _TABLE, ("max_a", "max_b", "entries"))
-        expect(is_int(doc["max_a"]) and is_int(doc["max_b"]), _TABLE,
-               "'max_a' and 'max_b' must be integers")
+        version = doc.get("format_version", 1)
+        expect(type(version) is int and version == TABLE_FORMAT_VERSION, _TABLE,
+               f"unsupported format_version {version!r}")
+        max_a, max_b = doc["max_a"], doc["max_b"]
+        expect(is_int(max_a) and is_int(max_b) and min(max_a, max_b) >= 0, _TABLE,
+               "'max_a' and 'max_b' must be integers >= 0")
         expect(isinstance(doc["entries"], list), _TABLE, "'entries' must be a list")
-        table = FierzTable(doc["max_a"], doc["max_b"])
+        table = FierzTable(max_a, max_b)
         for item in doc["entries"]:
             expect(isinstance(item, dict), _TABLE, f"an entry must be an object, not {item!r}")
             a, b, value = item.get("a"), item.get("b"), item.get("value")
             expect(is_int(a) and is_int(b), _TABLE,
                    f"entry ({a!r}, {b!r}) needs integers a and b")
+            expect(0 <= a <= max_a and 0 <= b <= max_b, _TABLE,
+                   f"entry ({a}, {b}) lies outside the table")
+            expect((a, b) not in table.entries, _TABLE, f"entry ({a}, {b}) is given twice")
             expect(isinstance(value, str), _TABLE,
                    f"the value of entry ({a}, {b}) must be a string")
             table.entries[(a, b)] = parse_scalar(value)

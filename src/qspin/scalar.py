@@ -244,7 +244,10 @@ def _divide_once(fac: dict, phi: set, failed: set, values: dict):
     key k (one in ``phi``) of the opposite sign divides, or None; pairs
     found not to divide are added to ``failed`` and not tried again.  A
     pair whose values at the probe point (memoized in ``values``) rule the
-    division out is not divided at all."""
+    division out is not divided at all.  Most pairs tried here do not
+    divide, and dividing by a monic cyclotomic key fails only at the end,
+    so the filter pays: without it ``fierz-table --max 5`` took 19% longer
+    (0.0519 s to 0.0615 s, slower in 6 of 6 paired runs on 2-core x86)."""
     for f, e in fac.items():
         if f in phi:
             continue
@@ -872,7 +875,13 @@ MAX_PARSE_DEGREE = 256
 #: nothing is left to expand, and with no key below it there is no gcd to
 #: take.  A canonical text of 9,045 characters, 387 terms of degrees
 #: (18, 18, 9, 9), measures 8,514 by its terms and 794,200 by its
-#: degrees; it reads back in 3 ms on the same machine.
+#: degrees; it reads back in 3 ms on the same machine.  A value with no
+#: key at all, a monomial, is one term on each side for any power, so
+#: only its degrees and its coefficient's bits are bounded:
+#: (1)/(q^244*z^78*Delta^30), 600,005 by its degrees, reads back.  A
+#: lone key below 1 keeps the measure by degrees, as in
+#: (1)/(q^99*z^99*Delta^59 + q): a sum multiplies it into every other
+#: term, so its degrees are what that costs.
 MAX_PARSE_SIZE = 600_000
 
 # A generator's power x^e, |e| <= MAX_PARSE_EXPONENT, has degree |e| and
@@ -964,8 +973,10 @@ def _check_size(x: ScalarK, e: int = 1) -> None:
             groups.setdefault((side, w), {})[d] = abs(k)
         else:
             bits[side] += abs(k) * (sum(map(abs, f.values())) - 1).bit_length()
-    terms = [None, None]  # of a polynomial already expanded: see MAX_PARSE_SIZE
-    if e == 1 and len(x._fac) == 1:
+    terms = [None, None]  # of a monomial or an expanded polynomial: see MAX_PARSE_SIZE
+    if not x._fac:
+        terms = [1, 1]
+    elif e == 1 and len(x._fac) == 1:
         (f, k), = x._fac.items()
         if k == 1:
             terms[0] = len(f)
@@ -975,33 +986,18 @@ def _check_size(x: ScalarK, e: int = 1) -> None:
 
 
 def _check_monomial(k: int, mono: tuple) -> None:
-    """``_check_size`` of the factor-free value k * x^mono, k an int: the
-    denominator is x^-mono, with no coefficient bits.  The two
-    ``_check_side`` bounds of each side, read in one pass over mono."""
+    """``_check_size`` of the factor-free value k * x^mono, k an int: one
+    term on each side, with no coefficient bits below, so the bounds are
+    its two degrees and the size of its numerator, bits + 1."""
     if not k:
         return
-    top = bottom = 0
+    if max(mono) > MAX_PARSE_DEGREE:
+        raise ParseError(f"degree {max(mono)} exceeds the parse bound {MAX_PARSE_DEGREE}")
     size = (abs(k) - 1).bit_length() + 1
-    den_size = 1
-    for m in mono:
-        if m > 0:
-            if m > top:
-                top = m
-            size *= m + 1
-        elif m:
-            if -m > bottom:
-                bottom = -m
-            den_size *= 1 - m
-    if top > MAX_PARSE_DEGREE:
-        raise ParseError(f"degree {top} exceeds the parse bound {MAX_PARSE_DEGREE}")
     if size > MAX_PARSE_SIZE:
         raise ParseError(f"expansion size {size} exceeds the parse bound {MAX_PARSE_SIZE}")
-    if bottom > MAX_PARSE_DEGREE:
-        raise ParseError(f"degree {bottom} exceeds the parse bound {MAX_PARSE_DEGREE}")
-    if den_size > MAX_PARSE_SIZE:
-        raise ParseError(
-            f"expansion size {den_size} exceeds the parse bound {MAX_PARSE_SIZE}"
-        )
+    if -min(mono) > MAX_PARSE_DEGREE:
+        raise ParseError(f"degree {-min(mono)} exceeds the parse bound {MAX_PARSE_DEGREE}")
 
 
 def _check_side(deg: list, bits: int, e: int, orders=(), terms=None) -> None:

@@ -156,7 +156,7 @@ def _check_size(x: ScalarK, e: int = 1) -> None:
         size = b * e + 1
         if lone and side == 0:
             size *= len(next(iter(x._fac)))
-        else:
+        elif x._fac:  # a monomial is one term on each side, for any power
             for d in deg:
                 size *= d * e + 1
         if size > MAX_PARSE_SIZE:

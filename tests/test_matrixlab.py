@@ -667,8 +667,43 @@ def test_packed_division_stops_at_a_guard_bit():
     assert tuple_poly.exquo(p, f) is None
 
 
+def _in_q(coeffs: dict) -> Poly:
+    """The polynomial in q with {exponent: coefficient} ``coeffs``."""
+    return Poly.from_terms({(e, 0, 0, 0, 0): c for e, c in coeffs.items()})
+
+
+def test_reduce_counts_each_key_down_to_the_power_that_divides():
+    # how often a key cancels is decided by counting its power down from
+    # its multiplicity until a pass divides: each case against the oracle
+    # and against its pinned (content, keys, numerators)
+    f, g = _in_q({1: 1, 0: 1}), _in_q({2: 1, 1: 1, 0: 1})
+    a, b = _in_q({1: 1, 0: 2}), _in_q({1: 1})
+    cases = [
+        # f^3 below, and numerators that share only f^2
+        ((1, {f: 3}, [f**2 * a, f**2 * b]), (1, {f: 1}, [a, b])),
+        # a key that divides no numerator
+        ((1, {g: 2}, [a, b]), (1, {g: 2}, [a, b])),
+        # a key that cancels fully
+        ((1, {f: 2}, [f**2 * b, f**3]), (1, {}, [b, f])),
+        # a content every numerator shares
+        ((6, {}, [_in_q({1: 4, 0: 2}), _in_q({0: 6})]),
+         (3, {}, [_in_q({1: 2, 0: 1}), _in_q({0: 3})])),
+    ]
+    for (cont, dfac, nums), (rcont, rdfac, rnums) in cases:
+        deg = max(num.degree() for num in nums)
+        m = SquareMatrixK(2, {0: dict(enumerate(nums))}, cont, dict(dfac), deg)
+        o = matrix_oracle.SquareMatrixK(
+            2, {0: {j: tuple_poly.TPoly.of(num) for j, num in enumerate(nums)}},
+            cont, dict(dfac))
+        r = matrixlab._reduce(m)
+        _same(r, matrix_oracle._reduce(o))
+        assert (r.rows, r._cont, r._dfac) == ({0: dict(enumerate(rnums))}, rcont, rdfac)
+
+
 def test_reduce_cancels_a_key_of_the_bound_degree():
-    # (q + 1) / (q + 1): the key's degree equals the matrix's bound
+    # (q + 1) / (q + 1) cancels though the key's degree equals the
+    # matrix's degree bound: no bound on the power is read, only trial
+    # division decides it
     m = SquareMatrixK.from_entries(1, [(0, 0, 1 / (Q + 1))]).scale(Q + 1)
     assert m.deg == 1 and m._dfac
     r = matrixlab._reduce(m)

@@ -159,10 +159,18 @@ _TABLE = json.loads(FierzTable.generate(1, 1).to_json())
          r"the value of entry \(0, 0\) must be a string"),
         (3, "not JSON .*not int"),
         (b"\xff", "not JSON .*can't decode"),
+        (json.dumps({**_TABLE, "format_version": 99}), "unsupported format_version 99"),
+        (json.dumps({**_TABLE, "max_a": -1}), "'max_a' and 'max_b' must be integers >= 0"),
+        (json.dumps({**_TABLE, "max_a": 0, "max_b": 0,
+                     "entries": [{"a": 5, "b": -3, "value": "1"}]}),
+         r"entry \(5, -3\) lies outside the table"),
+        (json.dumps({**_TABLE, "entries": _TABLE["entries"] + _TABLE["entries"][:1]}),
+         r"entry \(0, 0\) is given twice"),
     ],
     ids=["not-json", "list", "no-max_a", "no-max_b", "no-entries", "str-max_a",
          "dict-entries", "list-entry", "str-a", "float-b", "int-value", "int",
-         "not-utf8"],
+         "not-utf8", "format_version-99", "negative-max_a", "entry-outside",
+         "entry-twice"],
 )
 def test_fierz_table_from_malformed_json_is_a_parse_error(text, message):
     with pytest.raises(ParseError, match="^Fierz table: " + message):

@@ -44,6 +44,8 @@ from qspin.scalar import (
     ONE,
     Q,
     SPIN_DELTA,
+    U,
+    V,
     Z,
     ZERO,
     ScalarK,
@@ -606,6 +608,19 @@ def test_parse_size_bound():
             parse_scalar(bad)
 
 
+@pytest.mark.parametrize("x, text", [
+    (Q**-244 * Z**-78 * SPIN_DELTA**-30, "(1)/(q^244*z^78*Delta^30)"),
+    (Q**99 * Z**99 * SPIN_DELTA**59 * U, "q^99*z^99*Delta^59*u"),
+    (Q**200 * Z**200 * SPIN_DELTA**200 * U**200 * V**200, "q^200*z^200*Delta^200*u^200*v^200"),
+])
+def test_printed_monomials_read_back(x, text):
+    # a monomial is one term on each side; by the monomials its degrees
+    # allow these measure 600,005, 1,200,000 and 328,080,401,001
+    assert to_text(x) == text
+    back = parse_scalar(text)
+    assert equal(back, x) and to_text(back) == text
+
+
 def test_parse_collects_the_monomials_of_a_sum(monkeypatch):
     # the 1,681 monomials of the expanded text become one polynomial with
     # one primitive part; adding them one by one took one per term
@@ -734,6 +749,12 @@ def test_parse_matches_the_character_scanner(text):
     assert _outcome(parse_scalar, text) == _outcome(parse_oracle.parse_scalar, text)
 
 
+def _twos(count: int, rest: str):
+    """The case of a run of ``count`` factors 2^256, a coefficient of
+    256 * count bits, followed by ``rest``; its id names the run."""
+    return pytest.param("*".join(["2^256"] * count) + rest, id=f"(2^256)x{count}{rest}")
+
+
 @pytest.mark.parametrize("text", [
     "2\u00b2", "2q", "q^2q", "(2q)", "q^(2q)", "\u00bd", "q*\u00bd", "q\u00b2",
     "\u2460", "q^\u2460", "_x", "Delta2", "q*-z", "q*--z", "q*-(z)", "2^-1*q",
@@ -744,16 +765,20 @@ def test_parse_matches_the_character_scanner(text):
     "q^256*q - q^256*q", "q^-256*q^-1 - q^-256*q^-1", "1" + "0" * 800 + "^256",
     "9^200*q^200*z^200 - 9^200*q^200*z^200", "q^" + "1" * 5000, "3*q^2*z - q^-3*u/2 + delta*q",
     # a monomial term at and past each bound, on each side: degree 256 and
-    # 257; sizes 100 * 100 * 60 = 600,000 and (1372 coefficient bits + 1)
-    # * 19 * 23 = 600,001, or, with no coefficient bits in a denominator,
-    # 245 * 79 * 31 = 600,005, the least size past the bound there
+    # 257; a monomial is one term, so its size is its coefficient bits + 1:
+    # 2,343 factors 2^256 make 599,809, within the bound, and 2,344 make
+    # 600,065, past it; a denominator has no coefficient bits
     "q^256 + z - z", "q^256*q + z - z", "z^-256 + q - q", "z^-256*z^-1 + q - q",
+    _twos(2343, "*q + z - z"), _twos(2344, "*q + z - z"), _twos(2344, "*q"),
+    # sizes the degrees would allow, 100 * 100 * 60 = 600,000 and
+    # (1372 coefficient bits + 1) * 19 * 23 = 600,001, and below 1
+    # 245 * 79 * 31 = 600,005: a monomial has one term, so all read
     "q^99*z^99*Delta^59 + q - q", str(2**1372) + "*q^18*z^22 + q - q",
     "q^-99*z^-99*Delta^-59 + q - q", "q^-244*z^-78*Delta^-30 + q - q",
     # both sides past a bound: the numerator's degree, then its size, then
-    # the denominator's degree, then its size
-    "q^256*q*z^-256*z^-2 + 1", str(2**1372) + "*q^18*z^22*u^-256*u^-2 + 1",
-    "q^-244*z^-78*Delta^-30*u^-256*u^-1 + 1",
+    # the denominator's degree
+    "q^256*q*z^-256*z^-2 + 1", _twos(2344, "*q^256*q + 1"), _twos(2344, "*u^-256*u^-2 + 1"),
+    str(2**1372) + "*q^18*z^22*u^-256*u^-2 + 1", "q^-244*z^-78*Delta^-30*u^-256*u^-1 + 1",
     # an expanded polynomial, measured by its terms, and the same below 1
     "q^99*z^99*Delta^59 + q", "1/(q^99*z^99*Delta^59 + q)",
 ])
