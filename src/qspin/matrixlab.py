@@ -16,16 +16,22 @@ Conventions:
   shared by all entries, kept as the keys of the scalars' reduced factor
   maps (generators, cyclotomic keys and sum keys).  A numerator is a
   ``poly.Poly``, whose monomial keys are one int each, q's exponent in the
-  top field, so the product loop of ``@`` adds keys as ints.  Each matrix
-  carries a bound ``deg`` on its exponents, and one past
-  ``poly.MAX_EXPONENT`` raises UnsupportedSize, so that loop never carries
-  a field into the next; every other product, and exact division, is
-  ``poly``'s own.  Products and sums multiply and add polynomials only and
-  divide nothing.  ``a == b`` compares entry by entry over a common
-  denominator: the same positions, and equal numerators once each side is
-  brought to it.  Only the tower matrices X(p), which are kept and feed
-  X(p+1), are reduced, by trial division alone (``_reduce``).  A field
-  element is built (one cancel) only when an entry is read.
+  top field.  ``@`` builds each row of a product in one map of ints: the
+  column sits above the monomial fields of a key, so a term product is one
+  int addition (Gustavson's row-wise product, ACM TOMS 4(3), 1978).  Each
+  matrix carries a bound ``deg`` on its exponents, and one past
+  ``poly.MAX_EXPONENT`` raises UnsupportedSize, so that addition never
+  carries a field into the next or into the column; every other product,
+  and exact division, is ``poly``'s own.  Products and sums multiply and
+  add polynomials only and divide nothing.  A map over every entry
+  (scaling, exact division, content) works on each distinct numerator
+  once and shares the result among the entries equal to it (``_mapped``):
+  the tower matrices hold few distinct numerators in many places.
+  ``a == b`` compares entry by entry over a common denominator: the same
+  positions, and equal numerators once each side is brought to it.  Only
+  the tower matrices X(p), which are kept and feed X(p+1), are reduced, by
+  trial division alone (``_reduce``).  A field element is built (one
+  cancel) only when an entry is read.
 * Inside BraidData, z is specialized to q^n throughout.
 """
 
@@ -45,7 +51,7 @@ from .errors import (
     ParseError,
     UnsupportedSize,
 )
-from .poly import MAX_EXPONENT, Poly, exquo, pack
+from .poly import FIELD_BITS, MAX_EXPONENT, MAX_GENS, Poly, exquo, pack
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
@@ -81,6 +87,10 @@ def _built_once(build):
 _GENS = tuple(Poly({pack(tuple(int(j == i) for j in range(5))): 1}) for i in range(5))
 #: The polynomial 1.
 _ONE = Poly({0: 1})
+#: The shift of the column above the monomial key in a product's row
+#: accumulator (``SquareMatrixK.__matmul__``), and the mask of the key.
+_COL = MAX_GENS * FIELD_BITS
+_MONO = (1 << _COL) - 1
 
 
 def _bounded(deg: int) -> int:
@@ -125,12 +135,31 @@ def _add_into(rows: dict, i: int, j: int, num: Poly) -> None:
             del rows[i]
 
 
+def _mapped(rows: dict, fn) -> dict | None:
+    """New row dicts with fn(v) for every numerator v, or None as soon as
+    fn gives None.  fn is called once per distinct numerator: an entry
+    equal to one already mapped shares its result."""
+    memo: dict = {}
+    out = {}
+    for i, row in rows.items():
+        orow = {}
+        for j, v in row.items():
+            r = memo.get(v)
+            if r is None:
+                r = memo[v] = fn(v)
+                if r is None:
+                    return None
+            orow[j] = r
+        out[i] = orow
+    return out
+
+
 def _scaled(rows: dict, m: Poly) -> dict:
     """New row dicts with every numerator times m; when m is 1, the
     numerators themselves are shared."""
     if m == _ONE:
         return {i: dict(row) for i, row in rows.items()}
-    return {i: {j: v * m for j, v in row.items()} for i, row in rows.items()}
+    return _mapped(rows, lambda v: v * m)
 
 
 class SquareMatrixK:
@@ -143,15 +172,16 @@ class SquareMatrixK:
     product adds its operands' bounds, a sum takes the larger of each
     side's bound plus the degree of the multiple that brings it to the
     common denominator, and a bound past ``poly.MAX_EXPONENT`` raises
-    UnsupportedSize, so the product loop of ``@``, which adds monomial
-    keys itself, never carries a field into its guard bit.  Products and
-    sums take numerators and keys as they come, with no division, so the
-    form is not unique: equality is decided entry by entry over a common
-    denominator, and only the kept tower matrices are reduced
-    (``_reduce``).  ``entry`` wraps an entry as ScalarK, split from its
-    reduced fraction; every specialization, the classical one included,
-    reads it like any other value.  Numerators are shared between
-    matrices and never mutated.
+    UnsupportedSize, so the row accumulator of ``@``, which adds monomial
+    keys with the column above them, never carries a field into its guard
+    bit or the column.  Products and sums take numerators and keys as
+    they come, with no division, so the form is not unique: equality is
+    decided entry by entry over a common denominator, and only the kept
+    tower matrices are reduced (``_reduce``).  ``entry`` wraps an entry
+    as ScalarK, split from its reduced fraction; every specialization,
+    the classical one included, reads it like any other value.
+    Numerators are shared between matrices, and between the entries of
+    one matrix that hold equal ones (``_mapped``), and never mutated.
 
     Build matrices with ``from_entries`` or ``identity``; the operations
     return new matrices.
@@ -227,32 +257,33 @@ class SquareMatrixK:
         if self.dim != other.dim:
             raise ArgumentOutOfRange("dimension mismatch in matrix product")
         deg = _bounded(self.deg + other.deg)
+        # each row of other as one list of terms: c x^m of entry (k, j) as
+        # (m + (j << _COL), c), so that row i of the product sums in one
+        # map, a_ik times row k for each k; deg keeps every key's fields
+        # below _COL, so no sum carries into the column
+        flat = {k: [(m + (j << _COL), c) for j, bval in brow.items() for m, c in bval.items()]
+                for k, brow in other.rows.items()}
         rows = {}
-        orows = other.rows
         for i, arow in self.rows.items():
-            acc: dict[int, dict] = {}
+            acc: dict[int, int] = {}
+            get = acc.get
             for k, aval in arow.items():
-                brow = orows.get(k)
-                if not brow:
-                    continue
-                aterms = list(aval.items())
-                for j, bval in brow.items():
-                    t = acc.get(j)
+                bterms = flat.get(k)
+                if bterms:
+                    for ma, ca in aval.items():
+                        for m, cb in bterms:
+                            m += ma
+                            acc[m] = get(m, 0) + ca * cb
+            row: dict[int, dict] = {}
+            for m, c in acc.items():
+                if c:
+                    j = m >> _COL
+                    t = row.get(j)
                     if t is None:
-                        t = acc[j] = {}
-                    get = t.get
-                    for mb, cb in bval.items():
-                        for ma, ca in aterms:
-                            m = ma + mb
-                            t[m] = get(m, 0) + ca * cb
-            row = {}
-            for j, t in acc.items():
-                if 0 in t.values():
-                    t = {m: c for m, c in t.items() if c}
-                if t:
-                    row[j] = Poly(t)
+                        t = row[j] = {}
+                    t[m & _MONO] = c
             if row:
-                rows[i] = row
+                rows[i] = {j: Poly(t) for j, t in row.items()}
         return SquareMatrixK(self.dim, rows, *_den_product(self, other), deg)
 
     def __add__(self, other: "SquareMatrixK") -> "SquareMatrixK":
@@ -271,9 +302,9 @@ class SquareMatrixK:
         if sign < 0:
             mb = -mb
         rows = _scaled(self.rows, ma)
-        for i, row in other.rows.items():
+        for i, row in _scaled(other.rows, mb).items():
             for j, v in row.items():
-                _add_into(rows, i, j, v * mb)
+                _add_into(rows, i, j, v)
         return SquareMatrixK(self.dim, rows, cont, dfac, deg)
 
     def scale(self, c) -> "SquareMatrixK":
@@ -281,9 +312,7 @@ class SquareMatrixK:
         if not c:
             return SquareMatrixK(self.dim, {}, 1, {}, 0)
         cnum = c.nf.numer
-        rows = {i: {j: v * cnum for j, v in row.items()}
-                for i, row in self.rows.items()}
-        return SquareMatrixK(self.dim, rows, *_den_product(self, c),
+        return SquareMatrixK(self.dim, _scaled(self.rows, cnum), *_den_product(self, c),
                             self.deg + cnum.degree())
 
     def __eq__(self, other) -> bool:
@@ -338,35 +367,23 @@ def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
     return a._cont * bcont, _fac_mul(a._dfac, bfac)
 
 
-def _divide_all(rows: dict, f: Poly):
-    """rows with every numerator divided by f, or None if f misses one."""
-    out = {}
-    for i, row in rows.items():
-        orow = {}
-        for j, num in row.items():
-            quo = exquo(num, f)
-            if quo is None:
-                return None
-            orow[j] = quo
-        out[i] = orow
-    return out
-
-
 def _reduce(m: SquareMatrixK) -> SquareMatrixK:
     """m with each key of its denominator cancelled as often as it divides
     every numerator, and then the content all numerators share.
 
     A key f of multiplicity e divides out as f^k in one pass over the
-    numerators, k the largest power, counting down from e, for which that
-    pass succeeds.  No probe value guides k: the tower keys nearly always
-    divide out whole, so the numerators' values at a probe point, which
-    would rule out a failing pass, cost more than the passes they save
-    (679 values to save 10 of 37 passes in one ``check --all``)."""
+    distinct numerators (F(3) at n = 2 has 400 entries and 22 distinct
+    numerators), k the largest power, counting down from e, for which
+    that pass succeeds.  No probe value guides k: the tower keys nearly
+    always divide out whole, so the numerators' values at a probe point,
+    which would rule out a failing pass, cost more than the passes they
+    save (679 values to save 10 of 37 passes in one ``check --all``)."""
     rows, left = m.rows, {}
     for f, e in m._dfac.items():
         k = e
         while k:
-            quo = _divide_all(rows, f**k)
+            fk = f**k
+            quo = _mapped(rows, lambda num: exquo(num, fk))
             if quo is not None:
                 rows = quo
                 break
@@ -378,10 +395,7 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
                     for c in num.values()))
     if g != 1:
         cont //= g
-        rows = {
-            i: {j: Poly({k: c // g for k, c in num.items()}) for j, num in row.items()}
-            for i, row in rows.items()
-        }
+        rows = _mapped(rows, lambda num: num.div_term(0, g))
     return SquareMatrixK(m.dim, rows, cont, left, m.deg)
 
 
@@ -744,11 +758,12 @@ def idempotent_tower(kind: str, data: BraidData, p_max: int) -> dict:
         raise ArgumentOutOfRange(f"p_max must be a positive integer, not {p_max!r}")
     # measured at p = 4 (2-core x86, Python 3.11), from a cold start, E
     # then F: at n = 1 each tower builds and passes check_tower in 0.01 s;
-    # at n = 2 E(4) builds in 0.07 s and checks in 0.1 s, F(4) builds in
-    # 0.8 s and checks in 1.9 s.  At n = 3 (d^p = 1296), with this budget
-    # raised, E(4) builds in 1.6-2.2 s and checks in 4.1 s, F(4) (nnz
-    # 44,730) builds in 7.7-8.1 s and checks in 33.9 s, at a peak RSS of
-    # 197 MB.
+    # at n = 2 E(4) builds in 0.04 s and checks in 0.08 s, F(4) builds in
+    # 0.16 s and checks in 1.4 s.  At n = 3 (d^p = 1296), with this budget
+    # raised, each in its own cold process, E(4) builds in 0.3-0.6 s and
+    # checks in 1.7-2.9 s, F(4) (nnz 44,730) builds in 1.5-1.8 s and
+    # checks in 16-19 s, at a peak RSS of 216 MB: the products of the F(4)
+    # check keep the budget at 3.
     budget = 4 if data.n <= 2 else 3
     if p_max > budget:
         raise UnsupportedSize(

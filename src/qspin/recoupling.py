@@ -423,7 +423,8 @@ class FierzTable:
     @staticmethod
     def from_json(text: str) -> "FierzTable":
         """The table of a ``to_json`` document; a malformed one raises
-        ParseError."""
+        ParseError, and so does one that misses an entry of the grid or
+        holds F(a, b) and F(b, a) unequal."""
         doc = json_object(text, _TABLE, ("max_a", "max_b", "entries"))
         version = doc.get("format_version", 1)
         expect(type(version) is int and version == TABLE_FORMAT_VERSION, _TABLE,
@@ -444,4 +445,13 @@ class FierzTable:
             expect(isinstance(value, str), _TABLE,
                    f"the value of entry ({a}, {b}) must be a string")
             table.entries[(a, b)] = parse_scalar(value)
+        entries = table.entries
+        # the entries lie in the grid, so this scan ends within len + 1 cells
+        missing = next(((a, b) for a in range(max_a + 1) for b in range(max_b + 1)
+                        if (a, b) not in entries), None)
+        expect(missing is None, _TABLE, f"entry {missing} is missing")
+        for (a, b), value in entries.items():
+            if a < b and (b, a) in entries:
+                expect(equal(value, entries[b, a]), _TABLE,
+                       f"entries ({a}, {b}) and ({b}, {a}) differ")
         return table

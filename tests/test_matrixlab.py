@@ -2,9 +2,12 @@
 and the check registry."""
 
 import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -561,6 +564,56 @@ def test_packed_matrices_match_the_oracle(pair, small, c):
     assert a.trace().nf == oa.trace().nf
 
 
+@st.composite
+def _repeated(draw, dim):
+    """dim, a pool of one to three exprtree values, and two patterns of a
+    dim x dim matrix over the pool: each position holds nothing, or a pool
+    value's numerator itself (one Poly object at every position that holds
+    it this way) or a copy of it built apart."""
+    pool = [value(t) for t in draw(st.lists(trees(key_atoms, depth=1), min_size=1,
+                                            max_size=3))]
+    cell = st.one_of(st.none(), st.tuples(st.integers(0, len(pool) - 1), st.booleans()))
+    patterns = [draw(st.lists(cell, min_size=dim * dim, max_size=dim * dim))
+                for _ in range(2)]
+    return dim, pool, patterns
+
+
+def _from_pool(dim, base, pattern):
+    """The program's and the oracle's matrix of a pattern of ``_repeated``:
+    pool value k is the numerator at (k, 0) of base, over base's
+    denominator."""
+    rows = {}
+    for at, cell in enumerate(pattern):
+        num = cell and base.rows.get(cell[0], {}).get(0)
+        if num:
+            i, j = divmod(at, dim)
+            rows.setdefault(i, {})[j] = Poly(num) if cell[1] else num
+    orows = {i: {j: tuple_poly.TPoly.of(v) for j, v in row.items()}
+             for i, row in rows.items()}
+    return (SquareMatrixK(dim, rows, base._cont, dict(base._dfac), base.deg),
+            matrix_oracle.SquareMatrixK(dim, orows, base._cont, dict(base._dfac)))
+
+
+@given(st.integers(1, 3).flatmap(_repeated), trees(key_atoms, depth=1))
+@settings(max_examples=40, deadline=None)
+def test_repeated_numerators_match_the_oracle(drawn, c):
+    # the kernels map each distinct numerator once and share the result
+    # among the entries equal to it; the oracle maps every entry on its own
+    dim, pool, patterns = drawn
+    c = value(c)
+    base = SquareMatrixK.from_entries(len(pool), [(k, 0, v) for k, v in enumerate(pool)])
+    (a, oa), (b, ob) = (_from_pool(dim, base, p) for p in patterns)
+    pairs = [(a @ b, oa @ ob), (a @ a, oa @ oa), (a + b, oa + ob), (a - b, oa - ob),
+             (a.scale(c), oa.scale(c))]
+    for m, o in pairs:
+        _same(m, o)
+    for m, o in [(a, oa), *pairs]:
+        _same(matrixlab._reduce(m), matrix_oracle._reduce(o))
+    assert (a == b) == (oa == ob)
+    assert (a.scale(c) == b.scale(c)) == (oa.scale(c) == ob.scale(c))
+    assert (a + b) - b == a
+
+
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(_sparse(d), _sparse(d))),
        trees(key_atoms, depth=1), st.integers(0, 8), st.integers(0, 8))
 @settings(max_examples=40, deadline=None)
@@ -621,6 +674,49 @@ def test_degree_bound_past_the_field_width_is_refused():
         with pytest.raises(UnsupportedSize):
             op()
     assert equal(a.entry(0, 0), big) and equal(a.entry(1, 0), Q)
+
+
+def test_product_at_the_field_width_keeps_its_column():
+    # row i of a product sums its terms in one map, keyed by monomial and
+    # column together; an exponent at the largest a field holds must leave
+    # the column bits above it as they are, so the entry stays at (1, 2)
+    a = SquareMatrixK.from_entries(3, [(1, 1, Q ** 2**14), (1, 0, Z)])
+    b = SquareMatrixK.from_entries(3, [(1, 2, Q ** (2**14 - 1)), (0, 2, Q), (2, 0, ONE)])
+    top = a @ b
+    assert top.deg == MAX_EXPONENT
+    want = Q**MAX_EXPONENT + Z * Q
+    assert top.rows == {1: {2: want.nf.numer}}
+    assert equal(top.entry(1, 2), want)
+
+
+#: The poly.exquo calls of one ``qspin check --all``: _reduce divides each
+#: distinct numerator of a kept tower matrix once per power it tries
+#: (2,554 calls when it divided every entry).
+CHECK_ALL_EXQUO_CALLS = 242
+
+
+def test_check_all_divides_each_distinct_numerator_once():
+    # in a fresh interpreter, where no tower is built yet
+    script = """
+import contextlib, io
+from qspin import cli, matrixlab
+calls = 0
+exquo = matrixlab.exquo
+def counted(p, f):
+    global calls
+    calls += 1
+    return exquo(p, f)
+matrixlab.exquo = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["check", "--all"]) == 0
+print(calls)
+"""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(matrixlab.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert int(proc.stdout) == CHECK_ALL_EXQUO_CALLS
 
 
 #: Integer polynomials in the five generators with small exponents, keyed

@@ -166,11 +166,18 @@ _TABLE = json.loads(FierzTable.generate(1, 1).to_json())
          r"entry \(5, -3\) lies outside the table"),
         (json.dumps({**_TABLE, "entries": _TABLE["entries"] + _TABLE["entries"][:1]}),
          r"entry \(0, 0\) is given twice"),
+        (json.dumps({"max_a": 3, "max_b": 3, "entries": []}), r"entry \(0, 0\) is missing"),
+        (json.dumps({**_TABLE, "entries": _TABLE["entries"][:3]}),
+         r"entry \(1, 1\) is missing"),
+        (json.dumps({**_TABLE, "entries": [
+            {**e, "value": {(0, 1): "7", (1, 0): "5"}.get((e["a"], e["b"]), e["value"])}
+            for e in _TABLE["entries"]]}),
+         r"entries \(0, 1\) and \(1, 0\) differ"),
     ],
     ids=["not-json", "list", "no-max_a", "no-max_b", "no-entries", "str-max_a",
          "dict-entries", "list-entry", "str-a", "float-b", "int-value", "int",
          "not-utf8", "format_version-99", "negative-max_a", "entry-outside",
-         "entry-twice"],
+         "entry-twice", "no-entries-listed", "entry-missing", "asymmetric"],
 )
 def test_fierz_table_from_malformed_json_is_a_parse_error(text, message):
     with pytest.raises(ParseError, match="^Fierz table: " + message):
