@@ -54,7 +54,7 @@ from .errors import (
 from .poly import FIELD_BITS, MAX_EXPONENT, MAX_GENS, Poly, exquo, pack
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent
-from .scalar import FIELD, ONE, Q, U, V, Z, ScalarK, equal, integer_level, scalar
+from .scalar import FIELD, ONE, QDIFF, Q, U, V, Z, ScalarK, equal, integer_level, scalar
 from .scalar import _expand, _fac_mul
 
 #: Guards every _built_once table: library callers may build from threads.
@@ -403,10 +403,6 @@ def _reduce(m: SquareMatrixK) -> SquareMatrixK:
 # Braid data on V (x) V at z = q^n.
 
 
-#: q - q^-1; its normal form is built once per process.
-_QM = Q - Q**-1
-
-
 def _rho(i: int) -> int:
     return (abs(i) - 1) * (1 if i > 0 else -1)
 
@@ -478,9 +474,9 @@ def _build_braid_data(n: int) -> BraidData:
                 if j != i and j != -i:
                     yield P(i, j), P(j, i), ONE
                 if i < j:
-                    yield P(i, j), P(i, j), _QM
+                    yield P(i, j), P(i, j), QDIFF
                 if j < -i:
-                    yield P(i, -i), P(j, -j), -(_QM * w[i, j])
+                    yield P(i, -i), P(j, -j), -(QDIFF * w[i, j])
 
     dim = 4 * n * n
     u_mat = SquareMatrixK.from_entries(
@@ -488,7 +484,7 @@ def _build_braid_data(n: int) -> BraidData:
     )
     sigma = SquareMatrixK.from_entries(dim, sigma_entries())
     one = SquareMatrixK.identity(dim)
-    sigma_inv = sigma - (one - u_mat).scale(_QM)
+    sigma_inv = sigma - (one - u_mat).scale(QDIFF)
     mu = {a: w[-a, -a].inv() for a in idx}
     return BraidData(n=n, indices=idx, sigma=sigma, sigma_inv=sigma_inv, u_mat=u_mat,
                      mu=mu)
@@ -507,9 +503,9 @@ def _sigma_inv_display(n: int, printed: bool) -> SquareMatrixK:
                 if j != i and j != -i:
                     yield P(i, j), P(j, i), ONE
                 if i > j:
-                    yield P(i, j), P(i, j), -_QM
+                    yield P(i, j), P(i, j), -QDIFF
                 if j > -i:
-                    yield P(i, -i), P(j, -j), _QM * w[i, j]
+                    yield P(i, -i), P(j, -j), QDIFF * w[i, j]
 
     return SquareMatrixK.from_entries(4 * n * n, entries())
 
@@ -619,8 +615,8 @@ def bmw_three_dim_rep() -> StrandRep:
     check its relations."""
     (s1, s1i, s2, s2i), _ = _bmw3(False)
     one = SquareMatrixK.identity(3)
-    u1 = one - (s1 - s1i).scale(_QM.inv())
-    u2 = one - (s2 - s2i).scale(_QM.inv())
+    u1 = one - (s1 - s1i).scale(QDIFF.inv())
+    u2 = one - (s2 - s2i).scale(QDIFF.inv())
     return StrandRep(3, (s1, s2), (s1i, s2i), (u1, u2), Z, ((1, 1),) * 2)
 
 
@@ -680,10 +676,10 @@ def spectral_coeffs(kind: str, w: ScalarK, zval: ScalarK):
         return w.inv(), -w, scalar(0), w * Q - w.inv() * Q**-1
     if kind == "BMW_D":
         c = w * zval * Q**-1 - w.inv() * zval.inv() * Q
-        cu = (zval * Q**-1 - zval.inv() * Q) * _QM
+        cu = (zval * Q**-1 - zval.inv() * Q) * QDIFF
         return c * w, -(c * w.inv()), cu, c * (w * Q - w.inv() * Q**-1)
     c = w * zval.inv() + w.inv() * zval  # BMW_A
-    cu = (zval + zval.inv()) * _QM
+    cu = (zval + zval.inv()) * QDIFF
     return c * w.inv(), -(c * w), cu, c * (w * Q - w.inv() * Q**-1)
 
 
@@ -910,7 +906,7 @@ def _canonical_skein_coeffs(c1, cs, csi, cu):
     """Rewrite a formal combination a*1 + b*sigma + c*sigma^-1 + d*u in the
     canonical gauge with zero coefficient on 1, using
     1 = (sigma - sigma^-1)/(q - q^-1) + u."""
-    return (cs + c1 / _QM, csi - c1 / _QM, cu + c1)
+    return (cs + c1 / QDIFF, csi - c1 / QDIFF, cu + c1)
 
 
 def check_crossing_symmetry_D(printed: bool = False) -> bool:

@@ -36,7 +36,6 @@ from .errors import (
     ArgumentOutOfRange,
     ConstraintViolated,
     InadmissibleLabel,
-    ParseError,
     StateSpaceTooLarge,
     UnsupportedSize,
     expect,
@@ -98,10 +97,11 @@ def _port(end) -> tuple:
         isinstance(end, list) and len(end) == 3 and isinstance(end[0], str),
         _FILE, f"a port is [rectangle, side, index], not {end!r}",
     )
-    try:
-        return (end[0], int(end[1]), int(end[2]))
-    except (TypeError, ValueError):
-        raise ParseError(f"{_FILE}: port {end!r} has a non-integer side or index") from None
+    expect(
+        is_int(end[1]) and is_int(end[2]),
+        _FILE, f"port {end!r} has a non-integer side or index",
+    )
+    return tuple(end)
 
 
 # --------------------------------------------------------------------------
@@ -570,10 +570,7 @@ def tetrahedron_edge_labels(t: TetrahedronSymbol) -> list:
 
 def tetrahedron_chromatic(t: TetrahedronSymbol, normalization: str = "Raw"):
     """Chromatic evaluation of the strand network of a tetrahedron symbol."""
-    labels = tetrahedron_edge_labels(t)
-    if all(l == 0 for l in labels):
-        return CLASSICAL_FIELD.ring({0: Fraction(1)})
-    net = tetrahedron_network(labels)
+    net = tetrahedron_network(tetrahedron_edge_labels(t))
     return chromatic_eval(medial(net), normalization)
 
 

@@ -10,6 +10,9 @@ where z stands for q^n.  The case b = 0 recovers the ordinary q-integer
 
     {k}          = z q^-k + z^-1 q^k      ( = [2n - 2k] / [n - k] )
     brace_shifted(k) = q^k + q^-k         (the symbol {n - k})
+
+``qint`` and ``brace`` build each one by the field's own arithmetic,
+whose sum splits it into its cyclotomic keys.
 """
 
 from __future__ import annotations
@@ -18,26 +21,35 @@ import random
 from typing import NamedTuple
 
 from .errors import ArgumentOutOfRange
-from .scalar import (
-    DELTA,
-    ONE,
-    Q,
-    Z,
-    ScalarK,
-    brace_atom,
-    equal,
-    qint_atom,
-)
+from .scalar import DELTA, ONE, QDIFF, Q, Z, ScalarK, equal
+
+#: Brackets and braces by ("qint", b, a) and ("brace", k), each built on
+#: first use; ``setdefault`` keeps one object when threads race to build it.
+_SYMBOLS: dict = {}
 
 
 def qint(b: int, a: int) -> ScalarK:
-    """The extended q-integer [b*n + a]."""
-    return qint_atom(b, a)
+    """The extended q-integer [b*n + a] = (z^b q^a - z^-b q^-a) / (q - q^-1).
+
+    Its classical image is b*delta + a.
+    """
+    key = ("qint", b, a)
+    x = _SYMBOLS.get(key)
+    if x is None:
+        x = _SYMBOLS.setdefault(key, (Z**b * Q**a - Z**-b * Q**-a) / QDIFF)
+    return x
 
 
 def brace(k: int) -> ScalarK:
-    """The brace symbol {k} = z q^-k + z^-1 q^k."""
-    return brace_atom(k)
+    """The brace symbol {k} = z q^-k + z^-1 q^k.
+
+    Its classical image is 2.
+    """
+    key = ("brace", k)
+    x = _SYMBOLS.get(key)
+    if x is None:
+        x = _SYMBOLS.setdefault(key, Z * Q**-k + Z**-1 * Q**k)
+    return x
 
 
 def brace_shifted(k: int) -> ScalarK:

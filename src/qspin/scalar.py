@@ -14,6 +14,8 @@ Values carry two coordinates:
   key.  A unit binomial x^a +- x^b, which every bracket and brace is, is
   kept as its cyclotomic keys Phi_d(t), t a primitive Laurent monomial;
   these are irreducible, so two of them share a factor only when equal.
+  Brackets and braces are built by this arithmetic alone, in ``qcomb``,
+  over ``QDIFF`` = q - q^-1, the one definition of their denominator.
 * ``nf`` -- the normal form: the reduced fraction of two coprime
   integer-coefficient polynomials in (q, z, Delta, u, v), the denominator's
   leading coefficient positive, with delta rewritten as
@@ -148,16 +150,6 @@ def _fac_mul(a: dict, b: dict, sign: int = 1) -> dict:
         else:
             del out[f]
     return out
-
-
-def _fac_over(fac: dict, common: dict) -> dict:
-    """Exponents of fac / common; all positive when common is the
-    factor-wise minimum of fac and another map."""
-    out = {f: e - common.get(f, 0) for f, e in fac.items()}
-    for f, e in common.items():
-        if f not in fac:
-            out[f] = -e
-    return {f: e for f, e in out.items() if e}
 
 
 # --------------------------------------------------------------------------
@@ -528,10 +520,11 @@ def _add(x: ScalarK, y: ScalarK) -> tuple:
     mono = tuple(map(min, x._mono, y._mono))
     cx, cy = x._c, y._c
     c = Fraction(gcd(cx.numerator, cy.numerator), lcm(cx.denominator, cy.denominator))
+    # fx / common and fy / common: every exponent left is positive
     total = _expand(
-        int(cx / c), pack(map(sub, x._mono, mono)), _fac_over(fx, common)
+        int(cx / c), pack(map(sub, x._mono, mono)), _fac_mul(fx, common, -1)
     ) + _expand(
-        int(cy / c), pack(map(sub, y._mono, mono)), _fac_over(fy, common)
+        int(cy / c), pack(map(sub, y._mono, mono)), _fac_mul(fy, common, -1)
     )
     if not total:
         return Fraction(0), _MONO1, _NO_FACTORS
@@ -557,66 +550,17 @@ def _gen(name: str) -> ScalarK:
     return ScalarK(Fraction(1), _unit(_VAR_NAMES.index(name)), _NO_FACTORS)
 
 
-def _binomial(a: tuple, b: tuple) -> ScalarK:
-    """x^a - x^b as a value (a != b)."""
-    m = tuple(map(min, a, b))
-    k, _, p = _primitive(Poly({pack(map(sub, a, m)): 1, pack(map(sub, b, m)): -1}))
-    return ScalarK(Fraction(k), m, _keys(p))
-
-
-#: q - q^-1 = q^-1 (q^2 - 1), the denominator of every bracket.
-_QDIFF = _binomial((1, 0, 0, 0, 0), (-1, 0, 0, 0, 0))
-
-
-def _over_qdiff(a: tuple) -> ScalarK:
-    """(x^a - x^-a) / (q - q^-1)."""
-    num = _binomial(a, tuple(-e for e in a))
-    mono = tuple(map(sub, num._mono, _QDIFF._mono))
-    return ScalarK(num._c, mono, _fac_mul(num._fac, _QDIFF._fac, -1))
-
-
 #: Generators.
 Q = _gen("q")
 Z = _gen("z")
 SPIN_DELTA = _gen("Delta")
 U = _gen("u")
 V = _gen("v")
-DELTA = _over_qdiff((0, 1, 0, 0, 0))
+#: q - q^-1, the denominator of every bracket (see ``qcomb.qint``).
+QDIFF = Q - Q**-1
+DELTA = (Z - Z**-1) / QDIFF
 ONE = ScalarK.from_rational(1)
 ZERO = ScalarK.from_rational(0)
-
-#: Bracket and brace atoms, built on first use.
-_ATOMS: dict = {}
-
-
-def qint_atom(b: int, a: int) -> ScalarK:
-    """The extended bracket [b*n + a] = (z^b q^a - z^-b q^-a) / (q - q^-1).
-
-    Its classical image is b*delta + a.
-    """
-    key = ("qint", b, a)
-    x = _ATOMS.get(key)
-    if x is None:
-        if b == 0 and a == 0:
-            x = ZERO
-        else:
-            x = _over_qdiff((a, b, 0, 0, 0))
-        x = _ATOMS.setdefault(key, x)
-    return x
-
-
-def brace_atom(k: int) -> ScalarK:
-    """The brace symbol {k} = z q^-k + z^-1 q^k.
-
-    Its classical image is 2.
-    """
-    key = ("brace", k)
-    x = _ATOMS.get(key)
-    if x is None:
-        # z q^-k + z^-1 q^k = z^-1 q^-|k| (q^(|k|-k) z^2 + q^(|k|+k))
-        p = Poly({pack((abs(k) - k, 2, 0, 0, 0)): 1, pack((abs(k) + k, 0, 0, 0, 0)): 1})
-        x = _ATOMS.setdefault(key, ScalarK(Fraction(1), (-abs(k), -1, 0, 0, 0), _keys(p)))
-    return x
 
 
 def equal(a: ScalarK, b: ScalarK) -> bool:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 from sympy import QQ
 
-from qspin import scalar
+from qspin import qcomb, scalar
 from sympy_bridge import CLASSICAL, FIELD
 
 _q, _z, _D, _u, _v = FIELD.gens
@@ -54,9 +54,9 @@ def value(node) -> scalar.ScalarK:
     if kind == "delta":
         return scalar.DELTA
     if kind == "qint":
-        return scalar.qint_atom(node[1], node[2])
+        return qcomb.qint(node[1], node[2])
     if kind == "brace":
-        return scalar.brace_atom(node[1])
+        return qcomb.brace(node[1])
     return _binary(node, value, {
         "add": lambda a, b: a + b, "sub": lambda a, b: a - b,
         "mul": lambda a, b: a * b, "div": lambda a, b: a / b,

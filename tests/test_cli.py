@@ -398,6 +398,11 @@ _LINKS = [[["r", 1, 0], ["s", 0, 0]], [["s", 1, 0], ["r", 0, 0]]]
 _TWICE = [["r", 1, 0], ["r", 0, 0]]
 
 
+def _links_from(end: list) -> dict:
+    """The circle of _LINKS with r's side-1 port written as ``end``."""
+    return {"rectangles": {"r": 1, "s": 1}, "link": [[end, ["s", 0, 0]], _LINKS[1]]}
+
+
 def _theta_with(edge: int, **fields) -> dict:
     """_THETA_DOC with the given fields of one edge replaced."""
     edges = [dict(e) for e in _THETA_DOC["edges"]]
@@ -431,12 +436,19 @@ def _theta_with(edge: int, **fields) -> dict:
          "InadmissibleLabel"),
         (dict(_THETA_DOC, free_loops=[-1]), "InadmissibleLabel"),
         ({"rectangles": {"r": -1}, "link": []}, "InadmissibleLabel"),
+        # a side or index that is not a JSON integer, even one int() reads
+        (_links_from(["r", 1.9, 0]), "ParseError"),
+        (_links_from(["r", 1.0, 0]), "ParseError"),
+        (_links_from(["r", "1", 0]), "ParseError"),
+        (_links_from(["r", True, 0]), "ParseError"),
+        (_links_from(["r", 1, 0.5]), "ParseError"),
     ],
     ids=["missing-link", "top-level-list", "string-degree", "port-index-x",
          "rotation-names-no-vertex", "port-linked-to-itself", "over-line-budget",
          "port-in-two-pairs-first", "port-in-two-pairs-last", "edge-to-unknown-vertex",
          "non-integer-label", "negative-label", "vertex-not-trivalent",
-         "negative-free-loop", "negative-degree"],
+         "negative-free-loop", "negative-degree", "port-side-float", "port-side-whole-float",
+         "port-side-string", "port-side-bool", "port-index-float"],
 )
 def test_bad_network_file_is_a_typed_error(tmp_path, capsys, doc, error):
     path = tmp_path / "net.json"

@@ -143,7 +143,8 @@ def test_tetrahedron_all_ones_golden():
 
 def test_tetrahedron_trivial_and_invalid():
     t0 = TetrahedronSymbol.from_grid([[0] * 4] * 3)
-    assert to_sympy(tetrahedron_chromatic(t0)) == 1
+    for normalization in ("Raw", "ProjectorNormalized"):
+        assert to_sympy(tetrahedron_chromatic(t0, normalization)) == 1
     with pytest.raises(ConstraintViolated):
         TetrahedronSymbol.from_grid([[1, 2], [3, 4]])
     with pytest.raises(ConstraintViolated):

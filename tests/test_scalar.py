@@ -38,6 +38,7 @@ from qspin.errors import (
     UnsupportedSize,
 )
 from qspin.poly import MAX_EXPONENT, Frac
+from qspin.qcomb import brace, qint
 from qspin.scalar import (
     CLASSICAL_FIELD,
     DELTA,
@@ -50,14 +51,12 @@ from qspin.scalar import (
     ZERO,
     ScalarK,
     bar,
-    brace_atom,
     classical,
     equal,
     integer_level,
     numeric_probe,
     parse_scalar,
     q_to_one,
-    qint_atom,
     scalar as mk,
     to_text,
 )
@@ -84,26 +83,34 @@ def test_qint_and_brace_atoms():
     # [b n + a] = (z^b q^a - z^-b q^-a)/(q - q^-1)
     for b in range(-2, 3):
         for a in range(-3, 4):
-            lhs = qint_atom(b, a)
+            lhs = qint(b, a)
             rhs = (Z**b * Q**a - Z**-b * Q**-a) / (Q - Q.inv())
             assert equal(lhs, rhs)
     for k in range(-3, 4):
-        assert equal(brace_atom(k), Z * Q**-k + Z.inv() * Q**k)
+        assert equal(brace(k), Z * Q**-k + Z.inv() * Q**k)
+    # built once, and held as cyclotomic keys only, so that values built
+    # from them need no gcd (see test_fierz_cancels_once)
+    atoms = [(qint, (b, a)) for b in range(-2, 3) for a in range(-6, 7)]
+    atoms += [(brace, (k,)) for k in range(-6, 7)]
+    for make, args in atoms:
+        x = make(*args)
+        assert all(f in scalar._PHI for f in x._fac)
+        assert make(*args) is x
 
 
 def test_bar_is_involution_and_ring_map():
-    vals = [Q, Z, DELTA, SPIN_DELTA, qint_atom(2, -1), brace_atom(3), Q + Z * DELTA]
+    vals = [Q, Z, DELTA, SPIN_DELTA, qint(2, -1), brace(3), Q + Z * DELTA]
     for x in vals:
         assert equal(bar(bar(x)), x)
-    a, b = Q + DELTA, Z - qint_atom(1, 1)
+    a, b = Q + DELTA, Z - qint(1, 1)
     assert equal(bar(a * b), bar(a) * bar(b))
     assert equal(bar(a + b), bar(a) + bar(b))
 
 
 def test_bar_fixes_qints_and_braces():
     # the extended bracket and brace are bar-invariant
-    assert equal(bar(qint_atom(2, -3)), qint_atom(2, -3))
-    assert equal(bar(brace_atom(2)), brace_atom(2))
+    assert equal(bar(qint(2, -3)), qint(2, -3))
+    assert equal(bar(brace(2)), brace(2))
     assert equal(bar(DELTA), DELTA)
 
 
@@ -111,8 +118,8 @@ def test_bar_fixes_qints_and_braces():
 @settings(max_examples=40, deadline=None)
 def test_integer_level_of_qint(b, a, n):
     # [b n + a] at level n is the ordinary q-integer [b*n + a]
-    got = integer_level(qint_atom(b, a), n)
-    want = integer_level(qint_atom(0, b * n + a), n)
+    got = integer_level(qint(b, a), n)
+    want = integer_level(qint(0, b * n + a), n)
     assert equal(got, want)
 
 
@@ -143,13 +150,13 @@ def test_parse_bounds_fit_the_field_width():
 
 def test_classical_images():
     assert str(classical(DELTA)) == "delta"
-    assert str(classical(brace_atom(5))) == "2"
+    assert str(classical(brace(5))) == "2"
     # [b n + a] -> b*delta + a
-    assert str(classical(qint_atom(2, -1))) == "2*delta - 1"
+    assert str(classical(qint(2, -1))) == "2*delta - 1"
     # exact rationals, not Python floats: [3]/[2] -> 3/2 and [3]^-2 -> 1/9
     for x, want in [
-        (qint_atom(0, 3) / qint_atom(0, 2), QQ(3, 2)),
-        (qint_atom(0, 3) ** -2, QQ(1, 9)),
+        (qint(0, 3) / qint(0, 2), QQ(3, 2)),
+        (qint(0, 3) ** -2, QQ(1, 9)),
     ]:
         cl = classical(x)
         assert isinstance(cl, Frac) and cl.field is CLASSICAL_FIELD
@@ -171,15 +178,15 @@ def test_classical_images():
 
 # atoms whose classical image is nonzero; their products are safe divisors
 _unit_atom = st.one_of(
-    st.builds(qint_atom, st.just(0), st.integers(-4, 4).filter(bool)),
-    st.builds(qint_atom, st.integers(1, 2), st.integers(-4, 4)),
-    st.builds(brace_atom, st.integers(-3, 3)),
+    st.builds(qint, st.just(0), st.integers(-4, 4).filter(bool)),
+    st.builds(qint, st.integers(1, 2), st.integers(-4, 4)),
+    st.builds(brace, st.integers(-3, 3)),
     st.just(DELTA),
     rationals.filter(bool).map(mk),
 )
 _unit = st.lists(_unit_atom, min_size=1, max_size=3).map(lambda xs: reduce(mul, xs))
 # plus the two atoms with classical image 0, [0] and the rational 0
-_classical_atom = st.one_of(_unit_atom, st.just(qint_atom(0, 0)), st.just(mk(0)))
+_classical_atom = st.one_of(_unit_atom, st.just(qint(0, 0)), st.just(mk(0)))
 
 
 @st.composite
@@ -209,7 +216,7 @@ def test_classical_stays_in_classical_field(x):
 
 def test_q_to_one_cancels_poles():
     # [3]/[1] -> 3 exactly
-    x = qint_atom(0, 3) / qint_atom(0, 1)
+    x = qint(0, 3) / qint(0, 1)
     assert str(q_to_one(x)) == "3"
     with pytest.raises(SpecializationError):
         q_to_one(Z)  # still involves z
@@ -220,7 +227,7 @@ def test_q_to_one_cancels_poles():
 
 
 def test_numeric_probe_consistency():
-    x = qint_atom(1, 1) * SPIN_DELTA
+    x = qint(1, 1) * SPIN_DELTA
     v = numeric_probe(x, Fraction(3, 2), 2, Fraction(4))
     q0 = Fraction(3, 2)
     # [n + 1] at z = q^n, n = 2: (q^3 - q^-3)/(q - q^-1)
@@ -235,7 +242,7 @@ def test_numeric_probe_consistency():
 def test_classical_limit_matches_delta_substitution():
     # q->1 of level-n [n+1] equals n+1
     for n in (1, 2, 3):
-        v = q_to_one(integer_level(qint_atom(1, 1), n))
+        v = q_to_one(integer_level(qint(1, 1), n))
         assert str(v) == str(n + 1)
         assert to_sympy(v) == CLASSICAL(n + 1)
 
@@ -243,7 +250,7 @@ def test_classical_limit_matches_delta_substitution():
 def test_specialization_square_on_atoms():
     # level n then q -> 1  ==  classical then delta -> n
     for n in (1, 2, 3):
-        for x in [qint_atom(1, 1), qint_atom(2, -1), brace_atom(2), DELTA * DELTA]:
+        for x in [qint(1, 1), qint(2, -1), brace(2), DELTA * DELTA]:
             assert q_to_one(integer_level(x, n)) == at_delta(classical(x), n)
 
 
@@ -422,10 +429,10 @@ def test_equal_values_along_different_factorizations(a, b, c):
 def test_atoms_with_equal_values_compare_and_hash_equal():
     # [2n] = delta {0}, [b n + a] = z^b [a] + ... (two factorizations each)
     pairs = [
-        (qint_atom(2, 0), DELTA * brace_atom(0)),
-        (qint_atom(1, 0), DELTA),
-        (qint_atom(-1, -2), -qint_atom(1, 2)),
-        (qint_atom(0, 4), qint_atom(0, 2) * (Q**2 + Q**-2)),
+        (qint(2, 0), DELTA * brace(0)),
+        (qint(1, 0), DELTA),
+        (qint(-1, -2), -qint(1, 2)),
+        (qint(0, 4), qint(0, 2) * (Q**2 + Q**-2)),
     ]
     for x, y in pairs:
         assert x == y and hash(x) == hash(y)
@@ -433,8 +440,8 @@ def test_atoms_with_equal_values_compare_and_hash_equal():
 
 
 def test_zero_from_a_sum_round_trips():
-    x = qint_atom(1, 1) * brace_atom(2)
-    zero = x - brace_atom(2) * qint_atom(1, 1)
+    x = qint(1, 1) * brace(2)
+    zero = x - brace(2) * qint(1, 1)
     assert not zero and zero.is_zero()
     assert zero.nf == scalar.FIELD.zero
     assert to_text(zero) == "0"
@@ -492,13 +499,13 @@ def test_normal_form_matches_cancel_oracle(tree):
         (lambda: (ONE - Q) / (Q - 1), "-1"),
         (lambda: (Z - Q) * (Q + 1) / ((Q - Z) * (Q**2 - 1)), "(-1)/(q - 1)"),
         # a sum key divided by a cyclotomic key of the other side: Phi_3 Phi_6
-        (lambda: parse_scalar("q^3 + 2*q^2 + 2*q + 1") / qint_atom(0, 3),
+        (lambda: parse_scalar("q^3 + 2*q^2 + 2*q + 1") / qint(0, 3),
          "(q^3 + q^2)/(q^2 - q + 1)"),
         # the quotient of a sum key is a unit binomial, split again
         (lambda: parse_scalar("q^4 + q^3 - q - 1") / (Q**2 + Q + 1), "q^2 - 1"),
         # sum keys on both sides, sharing (q + z + 1)
         (lambda: (Q + Z + 1) * (Q + 2) / ((Q + Z + 1) * (Z + 3)), "(q + 2)/(z + 3)"),
-        (lambda: brace_atom(2) / (Q**4 + Z**2), "(1)/(q^2*z)"),
+        (lambda: brace(2) / (Q**4 + Z**2), "(1)/(q^2*z)"),
     ],
     ids=["phi1-flip", "phi1-flip-and-binomial", "sum-over-phi", "quotient-resplit",
          "sum-over-sum", "brace-over-its-expansion"],
