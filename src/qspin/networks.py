@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from .errors import (
@@ -46,18 +46,20 @@ from .poly import FIELD_BITS, Poly, pack
 from .recoupling import AdmissibleTriple, dimq_vector_recurrence_consistent, fierz, theta_vector
 from .scalar import CLASSICAL_FIELD, DELTA, SPIN_DELTA, classical, integer_level, q_to_one
 
-# Budgets of the chromatic contraction, from one in-process run each on a
-# 2-core x86 machine (Python 3.11); RSS is the whole process's peak.
+# Budgets of the chromatic contraction, from three to ten in-process runs
+# each on a 2-core x86 machine (Python 3.11) whose speed drifts by up to 2x
+# from run to run; RSS is the whole process's peak.
 #: Most matching states one join may build.  It bounds the memory and the
-#: work of each join.  theta(7, 7, 6) peaks at 24,480 states (0.8 s,
-#: 73 MB) and tetrahedron (6, 5, 3, 6, 6, 5) at 84,708, the slowest
-#: accepted input seen (4.2 s, 144 MB).  theta(8, 8, 8), which needs
-#: 326,880 states, is refused after 0.7 s (102 MB) and cable 14 after
-#: 2.1 s (124 MB).
+#: work of each join.  theta(7, 7, 6) peaks at 24,480 states (0.24-0.39 s,
+#: 23 MB) and tetrahedron (6, 5, 3, 6, 6, 5) at 84,708, the slowest
+#: accepted input seen (1.09-2.28 s, 50 MB).  theta(8, 8, 8), which needs
+#: 326,880 states, is refused after 0.19-0.33 s (38 MB) and cable 14 after
+#: 0.57-0.61 s (49 MB).
 MAX_LIVE_STATES = 10**5
-#: Most lines (the total rectangle degree).  It bounds the number of joins
-#: and the length of a state: a ring of ten 6-line rectangles (60 lines)
-#: never exceeds 14,400 states and takes 2.1 s (67 MB).
+#: Most lines: the total rectangle degree plus the free loops.  It bounds
+#: the number of joins and the length of a state: a ring of ten 6-line
+#: rectangles (60 lines) never exceeds 14,400 states and takes 0.71-0.92 s
+#: (22 MB).
 MAX_TOTAL_LINES = 64
 #: Marks a closed port in a matching state; port indices stay below it
 #: because a network has at most 2 * MAX_TOTAL_LINES ports.
@@ -413,20 +415,30 @@ def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw"):
     The rectangles are taken one at a time, and each rectangle one input
     port at a time.  A state is the perfect matching that the open strand
     ends form among the ports not yet closed (at the start, the ambient
-    linking), and it carries an integer polynomial in delta.  Joining input
-    k of rectangle r to a still-open output j of r multiplies by
-    (-1)^(open outputs of r below j), the Lehmer-code digit of the
-    permutation's parity.  If the two ends were partners the join closes a
-    loop (times delta); otherwise it splices their partners together.
-    Equal states are summed and zero entries dropped.  This is the
-    factorization A_d = (A_{d-1} x 1)(1 - s_{d-1} + s_{d-1}s_{d-2} - ...):
+    linking), and it carries an integer polynomial in delta, its weight.
+    Joining input k of rectangle r to a still-open output j of r
+    multiplies by (-1)^(open outputs of r below j), the Lehmer-code digit
+    of the permutation's parity.  If the two ends were partners the join
+    closes a loop (times delta); otherwise it splices their partners
+    together.  Equal states are summed and zero weights dropped.  This is
+    the factorization A_d = (A_{d-1} x 1)(1 - s_{d-1} + s_{d-1}s_{d-2} - ...):
     d(d+1)/2 joins per rectangle instead of d! permutations.
 
+    A weight is held as one int, the polynomial at delta = 2^W with
+    W = (prod d_r!).bit_length() + 1 (Kronecker substitution).  Each of
+    its coefficients is a signed count of at most prod d_r! partial
+    assignments, so it lies strictly inside +-2^(W-1): the balanced
+    base-2^W digits of the int are the coefficients, and the int is 0
+    exactly when the polynomial is.  Closing a loop is a shift by W, a
+    sign is a negation, and summing equal states is one addition.
+
     ``MAX_LIVE_STATES`` bounds the work of each join: a join raises
-    StateSpaceTooLarge as soon as it has built more states than that, so
-    it costs at most that many copies of one matching of 2 * (total lines)
-    ports.  ``MAX_TOTAL_LINES`` bounds the length of a matching and the
-    number of joins, sum d(d+1)/2; their product bounds the whole run.
+    StateSpaceTooLarge as soon as it has built more states than that.  A
+    state holds one matching of 2 * (total lines) ports and one int of at
+    most (lines + 1) * W bits, since a state has closed at most one loop
+    per line.  ``MAX_TOTAL_LINES`` bounds those lengths and the number of
+    joins, sum d(d+1)/2; the product of the two budgets bounds the run.
+    The free loops count toward the lines too.
 
     normalization: "Raw" or "ProjectorNormalized" (divide by prod d_r!).
     The result is a polynomial in delta, a ``Poly`` in (delta, Delta)
@@ -437,73 +449,83 @@ def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw"):
         raise ConstraintViolated(f"unknown normalization {normalization!r}")
     sn.validate()
     rects = sorted(sn.rect_degree, key=str)
-    _check_lines(sum(sn.rect_degree.values()))
+    _check_lines(sum(sn.rect_degree.values()) + sum(sn.free_loops))
     index = {}
     for r in rects:
         for side in (0, 1):
             for p in range(sn.rect_degree[r]):
                 index[(r, side, p)] = len(index)
-    states = {bytes(index[sn.link[port]] for port in index): {0: 1}}
+    assignments = prod(map(factorial, sn.rect_degree.values()))
+    width = assignments.bit_length() + 1
+    states = {bytes(index[sn.link[port]] for port in index): 1}
     for r in rects:
         outs = [index[(r, 1, p)] for p in range(sn.rect_degree[r])]
         for k in range(sn.rect_degree[r]):
-            states = _join(states, index[(r, 0, k)], outs)
-    norm = 1
-    if normalization == "ProjectorNormalized":
-        for r in rects:
-            norm *= factorial(sn.rect_degree[r])
+            states = _join(states, index[(r, 0, k)], outs, width)
+    norm = assignments if normalization == "ProjectorNormalized" else 1
     # every port is closed now: at most one state is left, the empty one;
     # a free loop labelled a is a cable of a circles, a factor delta^a
-    shift = sum(sn.free_loops)
-    weight = next(iter(states.values()), {})
-    return CLASSICAL_FIELD.ring(
-        {pack((loops + shift, 0)): Fraction(c, norm) for loops, c in weight.items()}
-    )
+    loops = sum(sn.free_loops)
+    weight = next(iter(states.values()), 0)
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    terms = {}
+    while weight:
+        c = weight & mask
+        if c >= half:
+            c -= 1 << width
+        if c:
+            terms[pack((loops, 0))] = Fraction(c, norm)
+        weight = (weight - c) >> width
+        loops += 1
+    return CLASSICAL_FIELD.ring(terms)
 
 
-def _join(states: dict, i: int, outs: list) -> dict:
+def _join(states: dict, i: int, outs: list, width: int) -> dict:
     """Join input port ``i`` to each open port of ``outs`` in every state.
 
     A state is a bytes object giving each port's partner, or ``_CLOSED``
-    once the port is closed; its weight maps a loop count to an integer
-    coefficient.  Raises StateSpaceTooLarge as soon as the join has built
-    more than MAX_LIVE_STATES states, counted before zero weights are
-    dropped, so that no join holds more than that many.
+    once the port is closed; its weight is a polynomial in delta packed
+    into one int at delta = 2^width (see ``chromatic_eval``), so closing a
+    loop is ``<< width``.  A join changes the partners of four ports at
+    most, and each open port occurs once as a partner, so the new state is
+    the old one with those four values translated by a table.  Raises
+    StateSpaceTooLarge as soon as the join has built more than
+    MAX_LIVE_STATES states, counted before zero weights are dropped, so
+    that no join holds more than that many.
     """
     nxt: dict = {}
+    get = nxt.get
+    identity = bytearray(range(256))
     for match, weight in states.items():
         pi = match[i]
-        sign = 1
         for j in outs:
             pj = match[j]
             if pj == _CLOSED:
                 continue
-            new = bytearray(match)
-            new[i] = new[j] = _CLOSED
+            # match holds pi at port i, pj at j, i at pi and j at pj
+            table = identity[:]
             if pi == j:
-                shift = 1
+                # i and j were partners: close both, and a loop
+                table[i] = table[j] = _CLOSED
+                term = weight << width
             else:
-                new[pi] = pj
-                new[pj] = pi
-                shift = 0
-            key = bytes(new)
-            acc = nxt.get(key)
+                # close i and j, and make pi and pj partners
+                table[i], table[j] = pj, pi
+                table[pi] = table[pj] = _CLOSED
+                term = weight
+            key = match.translate(table)
+            acc = get(key)
             if acc is None:
                 if len(nxt) == MAX_LIVE_STATES:
                     raise StateSpaceTooLarge(
                         f"more than {MAX_LIVE_STATES} live matching states"
                     )
-                acc = nxt[key] = {}
-            for loops, c in weight.items():
-                loops += shift
-                acc[loops] = acc.get(loops, 0) + sign * c
-            sign = -sign
-    out = {}
-    for key, acc in nxt.items():
-        acc = {loops: c for loops, c in acc.items() if c}
-        if acc:
-            out[key] = acc
-    return out
+                nxt[key] = term
+            else:
+                nxt[key] = acc + term
+            # the Lehmer digit of the next open output has the other sign
+            weight = -weight
+    return {key: weight for key, weight in nxt.items() if weight}
 
 
 # --------------------------------------------------------------------------

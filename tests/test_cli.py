@@ -391,6 +391,71 @@ def test_chromatic_output_pinned(tmp_path, capsys, argv, want):
     assert run(capsys, "chromatic", "--file", str(path), *argv) == (0, want, "")
 
 
+def _theta_doc(labels) -> dict:
+    """Two vertices joined by three edges with these labels."""
+    return {
+        "vertices": ["u", "v"],
+        "edges": [{"ends": ["u", "v"], "label": a} for a in labels],
+        "rotation": {"u": [[0, 0], [1, 0], [2, 0]], "v": [[2, 1], [1, 1], [0, 1]]},
+    }
+
+
+def _tetrahedron_doc(labels) -> dict:
+    """K4 with edges (12, 13, 14, 23, 24, 34) labelled ``labels``, outer
+    triangle 1, 2, 3 and vertex 4 inside."""
+    return {
+        "vertices": [1, 2, 3, 4],
+        "edges": [{"ends": ends, "label": a}
+                  for ends, a in zip([[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]], labels)],
+        "rotation": {"1": [[0, 0], [2, 0], [1, 0]], "2": [[3, 0], [4, 0], [0, 1]],
+                     "3": [[1, 1], [5, 0], [3, 1]], "4": [[2, 1], [4, 1], [5, 1]]},
+    }
+
+
+def _cable_doc(a: int) -> dict:
+    """A cable of ``a`` lines closed on itself through one rectangle."""
+    return {"rectangles": {"r": a}, "link": [[["r", 1, p], ["r", 0, p]] for p in range(a)]}
+
+
+# The stdout of `qspin chromatic --file F --normalization N --format json`
+# by its sha256, for the network shapes the chromatic benchmark evaluates:
+# two thetas, four tetrahedra and four cables.  Captured when each state's
+# weight was still a dict from loop counts to coefficients.
+CHROMATIC_SHA256 = [
+    ("theta-5-5-4", _theta_doc((5, 5, 4)), "projector",
+     "fd23f8b23ce76b1e6a89d53561d169da5932b4c9ab904e9913dcadb655e7e095"),
+    ("theta-4-4-4", _theta_doc((4, 4, 4)), "projector",
+     "9497f4e257b8d49ae19521e39b9e1f362f9cb20b967e2ae32a59886c9fca818f"),
+    ("tetrahedron-2-2-2-2-2-2", _tetrahedron_doc((2, 2, 2, 2, 2, 2)), "raw",
+     "c610c86f78f1be2ef28c0a13bf91c987086a4d2fc531668589fb8576850bffb6"),
+    ("tetrahedron-3-2-3-1-2-3", _tetrahedron_doc((3, 2, 3, 1, 2, 3)), "raw",
+     "50d67357de8ef942e7ff7de6d27d1d79d86cc4761523bb5a6e08301b3f8d8904"),
+    ("tetrahedron-4-3-1-3-1-2", _tetrahedron_doc((4, 3, 1, 3, 1, 2)), "raw",
+     "d4a4b93b8058b3982b35cc8afdb2c76c503027cb67302fc762f2a2a20f1051fa"),
+    ("tetrahedron-4-4-0-4-0-0", _tetrahedron_doc((4, 4, 0, 4, 0, 0)), "raw",
+     "7793317cf9a0f80fd166e725e3a69778f1a2e8f042f213b8111de76a52710f6d"),
+    ("cable-3", _cable_doc(3), "raw",
+     "bc4088b722dd0ba656f7803d0478a492e117b3389d00eb884a81bc05a7238109"),
+    ("cable-4", _cable_doc(4), "raw",
+     "eabb244fd44d13e2c9a27b4be93504b49df62b85cc534415c9a81d78baf31f3f"),
+    ("cable-5", _cable_doc(5), "raw",
+     "9349106f4ed27a82cff3cb4d427943ee854e3d2f49fc04fd13e20cdb7aa8757e"),
+    ("cable-6", _cable_doc(6), "raw",
+     "93c31d5da846445a1d870b94c0fd83ce19f8445a92f3e70c9aa12ea5aa6e4048"),
+]
+
+
+@pytest.mark.parametrize("doc,normalization,digest", [row[1:] for row in CHROMATIC_SHA256],
+                         ids=[row[0] for row in CHROMATIC_SHA256])
+def test_chromatic_sha256_pinned(tmp_path, capsys, doc, normalization, digest):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "chromatic", "--file", str(path),
+                         "--normalization", normalization, "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _THETA_DOC = json.loads(theta_network(1, 1, 2).to_json())
 #: Rectangles r and s of degree 1 joined in a circle, and a pair that
 #: links r's ports to each other again.
@@ -442,13 +507,18 @@ def _theta_with(edge: int, **fields) -> dict:
         (_links_from(["r", "1", 0]), "ParseError"),
         (_links_from(["r", True, 0]), "ParseError"),
         (_links_from(["r", 1, 0.5]), "ParseError"),
+        # a strand file's free loops count toward the line budget, as a
+        # labelled file's do
+        ({"rectangles": {}, "link": [], "free_loops": [100]}, "StateSpaceTooLarge"),
+        ({"rectangles": {}, "link": [], "free_loops": [40000]}, "StateSpaceTooLarge"),
     ],
     ids=["missing-link", "top-level-list", "string-degree", "port-index-x",
          "rotation-names-no-vertex", "port-linked-to-itself", "over-line-budget",
          "port-in-two-pairs-first", "port-in-two-pairs-last", "edge-to-unknown-vertex",
          "non-integer-label", "negative-label", "vertex-not-trivalent",
          "negative-free-loop", "negative-degree", "port-side-float", "port-side-whole-float",
-         "port-side-string", "port-side-bool", "port-index-float"],
+         "port-side-string", "port-side-bool", "port-index-float",
+         "strand-free-loops-100", "strand-free-loops-40000"],
 )
 def test_bad_network_file_is_a_typed_error(tmp_path, capsys, doc, error):
     path = tmp_path / "net.json"

@@ -183,6 +183,46 @@ def test_contraction_equals_brute_force(sn):
         assert to_sympy(chromatic_eval(sn, norm), 2) == brute_force_chromatic(sn, norm)
 
 
+def _falling_coefficients(a: int) -> list:
+    """The coefficients of delta(delta - 1)...(delta - a + 1), lowest
+    degree first, by integer polynomial products."""
+    coeffs = [1]
+    for i in range(a):
+        # times (delta - i)
+        coeffs = [lo - i * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+@pytest.mark.parametrize("a", range(1, 13))
+def test_cable_is_the_falling_factorial(a):
+    # past the brute-force cap: coefficients are Stirling numbers of both
+    # signs, up to about 1.2e8 at a = 12, decoded from one packed weight
+    coeffs = _falling_coefficients(a)
+    for normalization, norm in (("Raw", 1), ("ProjectorNormalized", factorial(a))):
+        assert chromatic_eval(cabled_unknot(a, True), normalization).terms() == [
+            ((k, 0), Fraction(c, norm)) for k, c in reversed(list(enumerate(coeffs))) if c
+        ]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_degree_one_rectangles_meet_the_coefficient_bound(data):
+    # every rectangle has only the identity, so the value is delta^loops
+    # with coefficient 1 = prod d_r!: the bound on a coefficient is met
+    n = data.draw(st.integers(1, MAX_TOTAL_LINES))
+    ports = [(f"r{i}", side, 0) for i in range(n) for side in (0, 1)]
+    order = data.draw(st.permutations(ports))
+    link = {}
+    for a, b in zip(order[::2], order[1::2]):
+        link[a] = b
+        link[b] = a
+    sn = StrandNetwork({f"r{i}": 1 for i in range(n)}, link)
+    for norm in ("Raw", "ProjectorNormalized"):
+        value = chromatic_eval(sn, norm)
+        assert len(value) == 1 and list(value.values()) == [1]
+        assert to_sympy(value, 2) == brute_force_chromatic(sn, norm)
+
+
 def test_network_json_round_trip():
     net = theta_network(2, 1, 1)
     back = LabelledNetwork.from_json(net.to_json())
