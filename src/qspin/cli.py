@@ -138,6 +138,10 @@ def _cmd_eval_3j(args) -> int:
 
 
 def _check_eval_cap(r: int, s: int, t: int) -> None:
+    # a negative count would also slip under the cap
+    for name, value in zip("rst", (r, s, t)):
+        if value < 0:
+            raise ArgumentOutOfRange(f"{name} must be a nonnegative integer")
     if r + s + t > MAX_EVAL_SUM:
         raise ArgumentOutOfRange(f"r + s + t = {r + s + t} exceeds the cap {MAX_EVAL_SUM}")
 

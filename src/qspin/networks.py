@@ -117,6 +117,10 @@ class LabelledNetwork:
     side 0 at v0 and side 1 at v1.  rotation[v] lists the incident
     edge-ends in cyclic (counterclockwise) order.  free_loops are closed
     labelled circles disjoint from the graph.
+
+    The constructor checks the network (``validate``), and every function
+    that receives one takes it as checked: a network is not to be mutated
+    once built.
     """
 
     __slots__ = ("vertices", "edges", "rotation", "free_loops")
@@ -127,6 +131,7 @@ class LabelledNetwork:
         self.edges = edges
         self.rotation = rotation
         self.free_loops = [] if free_loops is None else free_loops
+        self.validate()
 
     def validate(self) -> None:
         ends_at: dict = {v: [] for v in self.vertices}
@@ -197,7 +202,7 @@ class LabelledNetwork:
         by_str = {str(v): v for v in vertices}
         for v in rotation:
             expect(v in by_str, _FILE, f"rotation key {v!r} names no vertex")
-        net = LabelledNetwork(
+        return LabelledNetwork(
             vertices=vertices,
             edges=[(e["ends"][0], e["ends"][1], e["label"]) for e in edges],
             rotation={
@@ -205,13 +210,11 @@ class LabelledNetwork:
             },
             free_loops=list(doc.get("free_loops", [])),
         )
-        net.validate()
-        return net
 
 
 def theta_network(a: int, b: int, c: int) -> LabelledNetwork:
     """Two vertices joined by three edges labelled a, b, c."""
-    net = LabelledNetwork(
+    return LabelledNetwork(
         vertices=["u", "v"],
         edges=[("u", "v", a), ("u", "v", b), ("u", "v", c)],
         rotation={
@@ -219,12 +222,18 @@ def theta_network(a: int, b: int, c: int) -> LabelledNetwork:
             "v": [(2, 1), (1, 1), (0, 1)],
         },
     )
-    net.validate()
-    return net
 
 
 #: The edges of K4, in the label order of ``tetrahedron_network``.
 _K4_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+#: The rotation system of ``tetrahedron_network``: each vertex's
+#: edge-ends (index into _K4_EDGES, side) in cyclic order.
+_K4_ROTATION = {
+    1: ((0, 0), (2, 0), (1, 0)),
+    2: ((3, 0), (4, 0), (0, 1)),
+    3: ((1, 1), (5, 0), (3, 1)),
+    4: ((2, 1), (4, 1), (5, 1)),
+}
 
 
 def tetrahedron_network(labels=None) -> LabelledNetwork:
@@ -233,27 +242,16 @@ def tetrahedron_network(labels=None) -> LabelledNetwork:
     (12, 13, 14, 23, 24, 34) to labels; default all 2."""
     if labels is None:
         labels = [2] * 6
-    edges = [(v0, v1, l) for (v0, v1), l in zip(_K4_EDGES, labels)]
-    end = {}
-    for ei, (v0, v1, _) in enumerate(edges):
-        end[(ei, v0)] = (ei, 0)
-        end[(ei, v1)] = (ei, 1)
-    rotation = {
-        1: [end[(0, 1)], end[(2, 1)], end[(1, 1)]],
-        2: [end[(3, 2)], end[(4, 2)], end[(0, 2)]],
-        3: [end[(1, 3)], end[(5, 3)], end[(3, 3)]],
-        4: [end[(2, 4)], end[(4, 4)], end[(5, 4)]],
-    }
-    net = LabelledNetwork(vertices=[1, 2, 3, 4], edges=edges, rotation=rotation)
-    net.validate()
-    return net
+    return LabelledNetwork(
+        vertices=list(_K4_ROTATION),
+        edges=[(v0, v1, l) for (v0, v1), l in zip(_K4_EDGES, labels)],
+        rotation={v: list(rot) for v, rot in _K4_ROTATION.items()},
+    )
 
 
 def unknot(a: int) -> LabelledNetwork:
     """A free circle labelled a (no vertices)."""
-    net = LabelledNetwork(vertices=[], edges=[], rotation={}, free_loops=[a])
-    net.validate()
-    return net
+    return LabelledNetwork(vertices=[], edges=[], rotation={}, free_loops=[a])
 
 
 # --------------------------------------------------------------------------
@@ -266,6 +264,10 @@ class StrandNetwork:
     line endpoints (rect, side, port) describing how strands connect the
     rectangles.  ``free_loops`` are labelled circles with no rectangle
     (a labelled-a circle is a cable of a parallel lines, value delta^a).
+
+    The constructor checks the network (``validate``), and every function
+    that receives one takes it as checked: a network is not to be mutated
+    once built.
     """
 
     __slots__ = ("rect_degree", "link", "free_loops")
@@ -274,6 +276,7 @@ class StrandNetwork:
         self.rect_degree = rect_degree
         self.link = link
         self.free_loops = [] if free_loops is None else free_loops
+        self.validate()
 
     def validate(self) -> None:
         for r, d in self.rect_degree.items():
@@ -330,9 +333,7 @@ class StrandNetwork:
                     raise ConstraintViolated(f"port {port!r} is in two link pairs")
             link[ka] = kb
             link[kb] = ka
-        sn = StrandNetwork(degree, link, list(doc.get("free_loops", [])))
-        sn.validate()
-        return sn
+        return StrandNetwork(degree, link, list(doc.get("free_loops", [])))
 
 
 def cabled_unknot(a: int, with_projector: bool) -> StrandNetwork:
@@ -344,9 +345,7 @@ def cabled_unknot(a: int, with_projector: bool) -> StrandNetwork:
     for p in range(a):
         link[("r", 1, p)] = ("r", 0, p)
         link[("r", 0, p)] = ("r", 1, p)
-    sn = StrandNetwork({"r": a}, link)
-    sn.validate()
-    return sn
+    return StrandNetwork({"r": a}, link)
 
 
 def medial(net: LabelledNetwork) -> StrandNetwork:
@@ -363,7 +362,6 @@ def medial(net: LabelledNetwork) -> StrandNetwork:
     loops), which ``chromatic_eval`` would refuse, raises
     StateSpaceTooLarge before any link is built.
     """
-    net.validate()
     _check_lines(sum(label for *_, label in net.edges) + sum(net.free_loops))
     label = {ei: net.edges[ei][2] for ei in range(len(net.edges))}
     link = {}
@@ -378,7 +376,7 @@ def medial(net: LabelledNetwork) -> StrandNetwork:
         for i in range(3):
             h, nh = rot[i], rot[(i + 1) % 3]
             other = rot[(i + 2) % 3]
-            # validate() has checked the triple: m is a nonnegative integer
+            # the constructor has checked the triple: m is a nonnegative integer
             m = (net.end_label(h) + net.end_label(nh) - net.end_label(other)) // 2
             dh = net.end_label(h)
             for j in range(m):
@@ -394,9 +392,7 @@ def medial(net: LabelledNetwork) -> StrandNetwork:
         for p in range(a):
             link[(r, 1, p)] = (r, 0, p)
             link[(r, 0, p)] = (r, 1, p)
-    sn = StrandNetwork(rect_degree=degree, link=link)
-    sn.validate()
-    return sn
+    return StrandNetwork(rect_degree=degree, link=link)
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +443,6 @@ def chromatic_eval(sn: StrandNetwork, normalization: str = "Raw"):
     """
     if normalization not in ("Raw", "ProjectorNormalized"):
         raise ConstraintViolated(f"unknown normalization {normalization!r}")
-    sn.validate()
     rects = sorted(sn.rect_degree, key=str)
     _check_lines(sum(sn.rect_degree.values()) + sum(sn.free_loops))
     index = {}
@@ -569,11 +564,9 @@ def tetrahedron_edge_labels(t: TetrahedronSymbol) -> list:
     """Reconstruct the 6 edge labels of the reference K4 embedding from the
     corner counts; the two endpoint side sums of each edge must agree."""
     tetrahedron_check(t)
-    ref = tetrahedron_network()  # rotation layout source
     # label demanded at each edge-end: sum of the two adjacent corner counts
     demand: dict = {}
-    for j, v in enumerate(ref.vertices):
-        rot = ref.rotation[v]
+    for j, rot in enumerate(_K4_ROTATION.values()):
         for i in range(3):
             end = rot[i]
             # end sits between corners (i-1, i) and (i, i+1): rows (i-1)%3, i

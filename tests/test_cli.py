@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qspin
-from qspin import cli, matrixlab, scalar
+from qspin import cli, matrixlab, networks, scalar
 from qspin.cli import main
 from qspin.networks import MAX_TOTAL_LINES, cabled_unknot, theta_network
 from qspin.recoupling import theta_vector
@@ -307,11 +307,17 @@ _LEVEL = f"n={cli.MAX_LEVEL + 1}"
         (["eval-theta", "--kind", "spinor", "--r", "1", "--s", "1", "--t", "0"],
          "bad-labels"),
         (["specialize", "--expr", "1/(z-q)", "--to", "n=1"], "DivisionByZero"),
+        # a negative count would shrink r + s + t under the cap
+        (["eval-theta", "--kind", "spinor", "--r", "-3", "--s", "0", "--t", "0"],
+         "ArgumentOutOfRange"),
+        (["eval-theta", "--kind", "spinor", "--r", "0", "--s", "-2", "--t", "0"],
+         "ArgumentOutOfRange"),
     ],
     ids=["fierz-table-max", "dims-p-max", "fierz-table-negative", "dims-negative",
          "dims-level", "eval-theta-level", "specialize-level", "specialize-huge-level",
          "specialize-level-zero", "specialize-level-not-int", "eval-theta-partial-abc",
-         "spinor-theta-two-counts", "specialize-pole-at-level"],
+         "spinor-theta-two-counts", "specialize-pole-at-level",
+         "spinor-theta-negative-r", "spinor-theta-negative-s"],
 )
 def test_table_size_caps(capsys, argv, error):
     start = time.perf_counter()
@@ -473,6 +479,25 @@ def _theta_with(edge: int, **fields) -> dict:
     edges = [dict(e) for e in _THETA_DOC["edges"]]
     edges[edge].update(fields)
     return dict(_THETA_DOC, edges=edges)
+
+
+def test_each_network_is_checked_once(tmp_path, capsys, monkeypatch):
+    # the constructors check a network; medial and chromatic_eval take it
+    # as checked
+    counts = {}
+    for cls in (networks.LabelledNetwork, networks.StrandNetwork):
+        def counted(self, check=cls.validate, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            check(self)
+        monkeypatch.setattr(cls, "validate", counted)
+    for net, want in ((theta_network(2, 2, 2), {"LabelledNetwork": 1, "StrandNetwork": 1}),
+                      (cabled_unknot(3, True), {"StrandNetwork": 1})):
+        path = tmp_path / "net.json"
+        path.write_text(net.to_json())
+        counts.clear()
+        code, out, err = run(capsys, "chromatic", "--file", str(path))
+        assert (code, err) == (0, "") and out
+        assert counts == want
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Network oracles: medial state sum, tetrahedra, gamma matrices."""
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -30,8 +31,11 @@ from qspin.networks import (
     tetrahedron_check,
     tetrahedron_chromatic,
     tetrahedron_edge_labels,
+    tetrahedron_network,
     theta_network,
     unknot,
+    _K4_EDGES,
+    _K4_ROTATION,
 )
 from qspin.matrixlab import CHECKS
 from qspin.poly import Poly, poly_str
@@ -74,6 +78,11 @@ def test_network_validation():
         theta_network(4, 1, 1)  # triangle fails
     with pytest.raises(InadmissibleLabel):
         unknot(-1)
+    # the constructors check every network, these two included
+    with pytest.raises(InadmissibleLabel):
+        cabled_unknot(-1, False)
+    with pytest.raises(InadmissibleLabel):
+        StrandNetwork({}, {}, [-1])
 
 
 _theta_triples = [
@@ -139,6 +148,23 @@ def test_tetrahedron_all_ones_golden():
     assert raw == _d**4 - 5 * _d**3 + 8 * _d**2 - 4 * _d
     normed = to_sympy(tetrahedron_chromatic(t, "ProjectorNormalized"))
     assert normed == raw / 64
+
+
+def test_k4_layout_round_trip():
+    # the symbol of a labelling, read back through the shared rotation,
+    # gives the labelling again
+    admissible = 0
+    for labels in product(range(4), repeat=6):
+        at = [[l for e, l in zip(_K4_EDGES, labels) if v in e] for v in range(1, 5)]
+        if not all(sum(ls) % 2 == 0 and 2 * max(ls) <= sum(ls) for ls in at):
+            with pytest.raises(InadmissibleTriple):
+                TetrahedronSymbol.from_labels(labels)
+            continue
+        admissible += 1
+        assert tetrahedron_edge_labels(TetrahedronSymbol.from_labels(labels)) == list(labels)
+        rotation = tetrahedron_network(list(labels)).rotation
+        assert {v: tuple(rot) for v, rot in rotation.items()} == _K4_ROTATION
+    assert admissible == 181
 
 
 def test_tetrahedron_trivial_and_invalid():
@@ -251,7 +277,7 @@ def test_network_from_malformed_json_is_a_parse_error(load, text, message):
 
 def test_strand_network_validation():
     with pytest.raises(ConstraintViolated):
-        StrandNetwork({"r": 1}, {}).validate()
+        StrandNetwork({"r": 1}, {})
 
 
 def test_gamma_clifford_relations():

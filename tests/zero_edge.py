@@ -95,14 +95,12 @@ def delete_zero_edge(net: LabelledNetwork, ei: int) -> LabelledNetwork:
     new_rot = {}
     for v in new_vertices:
         new_rot[v] = [endmap[end] for end in net.rotation[v]]
-    out = LabelledNetwork(
+    return LabelledNetwork(
         vertices=new_vertices,
         edges=new_edges,
         rotation=new_rot,
         free_loops=new_loops,
     )
-    out.validate()
-    return out
 
 
 def _end_vertex(net: LabelledNetwork, end):
