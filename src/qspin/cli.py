@@ -219,7 +219,7 @@ def _cmd_check(args) -> int:
     if args.manifest:
         with open(args.manifest) as fh:
             doc = json.load(fh)
-    elif args.suite and args.suite != "all":
+    elif args.suite is not None and args.suite != "all":
         names = matrixlab.suite(args.suite)
         if not names:
             raise ValidationFailure("bad-suite", f"unknown suite {args.suite!r}")

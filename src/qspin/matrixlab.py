@@ -155,11 +155,35 @@ def _mapped(rows: dict, fn) -> dict | None:
 
 
 def _scaled(rows: dict, m: Poly) -> dict:
-    """New row dicts with every numerator times m; when m is 1, the
-    numerators themselves are shared."""
-    if m == _ONE:
-        return {i: dict(row) for i, row in rows.items()}
-    return _mapped(rows, lambda v: v * m)
+    """Row dicts with every numerator times m: ``rows`` itself when m is
+    1, which callers must not mutate."""
+    return rows if m == _ONE else _mapped(rows, lambda v: v * m)
+
+
+def _combination(dim: int, terms) -> "SquareMatrixK":
+    """The sum of c m over the (matrix m, scalar c) terms, every m of
+    dimension dim, over one common denominator (``_common_den``) of each
+    term's m.den times the denominator of c.  Each term's distinct
+    numerators are multiplied once, by its multiple times the numerator of
+    c; a zero scalar or a zero matrix adds nothing.  Entries, sums,
+    scalings, R-matrices and the skein relations are all built here."""
+    live = []
+    for m, c in terms:
+        if m.dim != dim:
+            raise ArgumentOutOfRange("dimension mismatch in matrix sum")
+        c = scalar(c)
+        if c and m.rows:
+            live.append((m, c))
+    cont, dfac, mults = _common_den([_den_product(m, c) for m, c in live])
+    rows: dict = {}
+    deg = 0
+    for (m, c), mult in zip(live, mults):
+        k = mult * c.nf.numer
+        deg = max(deg, m.deg + k.degree())
+        for i, row in _scaled(m.rows, k).items():
+            for j, v in row.items():
+                _add_into(rows, i, j, v)
+    return SquareMatrixK(dim, rows, cont, dfac, deg)
 
 
 class SquareMatrixK:
@@ -169,9 +193,9 @@ class SquareMatrixK:
     and ``den`` the one denominator of all entries, kept as a content and
     a map of ``Poly`` keys to multiplicities (``_den_factors``).  ``deg``
     bounds every exponent of every numerator: a product or a Kronecker
-    product adds its operands' bounds, a sum takes the larger of each
-    side's bound plus the degree of the multiple that brings it to the
-    common denominator, and a bound past ``poly.MAX_EXPONENT`` raises
+    product adds its operands' bounds, a linear combination takes the
+    largest of each term's bound plus the degree of the factor that scales
+    it (``_combination``), and a bound past ``poly.MAX_EXPONENT`` raises
     UnsupportedSize, so the row accumulator of ``@``, which adds monomial
     keys with the column above them, never carries a field into its guard
     bit or the column.  Products and sums take numerators and keys as
@@ -184,7 +208,8 @@ class SquareMatrixK:
     one matrix that hold equal ones (``_mapped``), and never mutated.
 
     Build matrices with ``from_entries`` or ``identity``; the operations
-    return new matrices.
+    return new matrices.  Sums, differences, scalings and entries are
+    linear combinations, each one call of ``_combination``.
     """
 
     __slots__ = ("dim", "rows", "deg", "_cont", "_dfac", "_den")
@@ -217,22 +242,10 @@ class SquareMatrixK:
     def from_entries(dim: int, entries) -> "SquareMatrixK":
         """The matrix whose (i, j) entry is the sum of the scalars (ScalarK
         or int) given for it in ``entries``, an iterable of (i, j, value);
-        positions not given are zero.  The sum is taken over one common
-        denominator."""
-        split = [(i, j, scalar(val)) for i, j, val in entries]
-        dens: dict = {}  # each denominator -> a value with it
-        for *_, x in split:
-            dens.setdefault(x.nf.denom, x)
-        cont, dfac, mults = _common_den([_den_factors(x) for x in dens.values()])
-        mult = dict(zip(dens, mults))
-        rows: dict = {}
-        deg = 0
-        for i, j, x in split:
-            if x:
-                num = x.nf.numer * mult[x.nf.denom]
-                deg = max(deg, num.degree())
-                _add_into(rows, i, j, num)
-        return SquareMatrixK(dim, rows, cont, dfac, deg)
+        positions not given are zero.  It is the combination of the unit
+        matrices E_ij with the values."""
+        return _combination(dim, [(SquareMatrixK(dim, {i: {j: _ONE}}, 1, {}, 0), val)
+                                  for i, j, val in entries])
 
     @staticmethod
     def identity(dim: int) -> "SquareMatrixK":
@@ -287,33 +300,13 @@ class SquareMatrixK:
         return SquareMatrixK(self.dim, rows, *_den_product(self, other), deg)
 
     def __add__(self, other: "SquareMatrixK") -> "SquareMatrixK":
-        return self._lincomb(other, 1)
+        return _combination(self.dim, [(self, 1), (other, 1)])
 
     def __sub__(self, other: "SquareMatrixK") -> "SquareMatrixK":
-        return self._lincomb(other, -1)
-
-    def _lincomb(self, other: "SquareMatrixK", sign: int) -> "SquareMatrixK":
-        if self.dim != other.dim:
-            raise ArgumentOutOfRange("dimension mismatch in matrix sum")
-        cont, dfac, (ma, mb) = _common_den(
-            [(self._cont, self._dfac), (other._cont, other._dfac)]
-        )
-        deg = max(self.deg + ma.degree(), other.deg + mb.degree())
-        if sign < 0:
-            mb = -mb
-        rows = _scaled(self.rows, ma)
-        for i, row in _scaled(other.rows, mb).items():
-            for j, v in row.items():
-                _add_into(rows, i, j, v)
-        return SquareMatrixK(self.dim, rows, cont, dfac, deg)
+        return _combination(self.dim, [(self, 1), (other, -1)])
 
     def scale(self, c) -> "SquareMatrixK":
-        c = scalar(c)
-        if not c:
-            return SquareMatrixK(self.dim, {}, 1, {}, 0)
-        cnum = c.nf.numer
-        return SquareMatrixK(self.dim, _scaled(self.rows, cnum), *_den_product(self, c),
-                            self.deg + cnum.degree())
+        return _combination(self.dim, [(self, c)])
 
     def __eq__(self, other) -> bool:
         """Whether both sides hold the same entries, decided entry by entry
@@ -326,12 +319,7 @@ class SquareMatrixK:
         if self.dim != other.dim:
             return False
         *_, (ma, mb) = _common_den([(self._cont, self._dfac), (other._cont, other._dfac)])
-        arows, brows = self.rows, other.rows
-        if ma != _ONE:
-            arows = _scaled(arows, ma)
-        if mb != _ONE:
-            brows = _scaled(brows, mb)
-        return arows == brows
+        return _scaled(self.rows, ma) == _scaled(other.rows, mb)
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -484,7 +472,7 @@ def _build_braid_data(n: int) -> BraidData:
     )
     sigma = SquareMatrixK.from_entries(dim, sigma_entries())
     one = SquareMatrixK.identity(dim)
-    sigma_inv = sigma - (one - u_mat).scale(QDIFF)
+    sigma_inv = _combination(dim, [(sigma, 1), (one, -QDIFF), (u_mat, QDIFF)])
     mu = {a: w[-a, -a].inv() for a in idx}
     return BraidData(n=n, indices=idx, sigma=sigma, sigma_inv=sigma_inv, u_mat=u_mat,
                      mu=mu)
@@ -573,10 +561,9 @@ class StrandRep(NamedTuple):
         (kind, w, z); a denominator that vanishes raises DivisorVanishes
         and is not kept."""
         cs, csi, cu = _spectral_scales(_kind(kind), w, self.zval)
-        out = self.sigmas[i].scale(cs) + self.sigma_invs[i].scale(csi)
-        if cu:
-            out = out + self.u_mats[i].scale(cu)
-        return self.lift(i, out)
+        s = self.sigmas[i]
+        return self.lift(i, _combination(s.dim, [(s, cs), (self.sigma_invs[i], csi),
+                                                 (self.u_mats[i], cu)]))
 
 
 def _tensor_rep(n: int, p: int) -> StrandRep:
@@ -614,9 +601,8 @@ def bmw_three_dim_rep() -> StrandRep:
     z; u_i is recovered from the skein relation.  The bmw3-exponent rows
     check its relations."""
     (s1, s1i, s2, s2i), _ = _bmw3(False)
-    one = SquareMatrixK.identity(3)
-    u1 = one - (s1 - s1i).scale(QDIFF.inv())
-    u2 = one - (s2 - s2i).scale(QDIFF.inv())
+    one, c = SquareMatrixK.identity(3), QDIFF.inv()
+    u1, u2 = (_combination(3, [(one, 1), (s, -c), (si, c)]) for s, si in ((s1, s1i), (s2, s2i)))
     return StrandRep(3, (s1, s2), (s1i, s2i), (u1, u2), Z, ((1, 1),) * 2)
 
 
@@ -1119,6 +1105,16 @@ def _manifest_items(doc) -> list:
     return items
 
 
+def _typed(x):
+    """x with the type beside each value, in dicts and lists, so that the
+    values True, 1 and 1.0, which are equal, compare unequal."""
+    if isinstance(x, dict):
+        return {k: _typed(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_typed(v) for v in x]
+    return type(x), x
+
+
 def _run_row(name: str, params: dict) -> dict:
     row = {"name": name, "params": params, "passed": False}
     check = CHECKS.get(name)
@@ -1127,7 +1123,8 @@ def _run_row(name: str, params: dict) -> dict:
         return row
     # the matrix checks refuse sizes past their budget themselves; the
     # identity and slip checks have no budget, so they run only on their grid
-    if check.group != "matrix" and params not in check.grid:
+    if check.group != "matrix" and not any(
+            params == p and _typed(params) == _typed(p) for p in check.grid):
         row["error"] = "params outside the registry grid"
         return row
     try:

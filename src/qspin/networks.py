@@ -134,7 +134,11 @@ class LabelledNetwork:
         self.validate()
 
     def validate(self) -> None:
-        ends_at: dict = {v: [] for v in self.vertices}
+        ends_at: dict = {}
+        for v in self.vertices:
+            if v in ends_at:
+                raise ConstraintViolated(f"vertex {v!r} is listed twice")
+            ends_at[v] = []
         for ei, (v0, v1, label) in enumerate(self.edges):
             if v0 not in ends_at or v1 not in ends_at:
                 raise ConstraintViolated(f"edge {ei} ends at no vertex")
@@ -698,26 +702,17 @@ def gamma_metric(k: int) -> list:
 
 
 def check_clifford(k: int) -> bool:
+    """gamma_a gamma_b + gamma_b gamma_a = 2 g_ab 1 for every a <= b."""
     gs = gamma_matrices(k)
     g = gamma_metric(k)
     dim = 2**k
     for a in range(2 * k):
         for b in range(a, 2 * k):
-            anti = [
-                [
-                    sum(
-                        gs[a][i][l] * gs[b][l][j] + gs[b][i][l] * gs[a][l][j]
-                        for l in range(dim)
-                    )
-                    for j in range(dim)
-                ]
-                for i in range(dim)
-            ]
+            ab, ba = _matmul_int(gs[a], gs[b]), _matmul_int(gs[b], gs[a])
             want = 2 * g[a] if a == b else 0
-            for i in range(dim):
-                for j in range(dim):
-                    if anti[i][j] != (want if i == j else 0):
-                        return False
+            if any(ab[i][j] + ba[i][j] != (want if i == j else 0)
+                   for i in range(dim) for j in range(dim)):
+                return False
     return True
 
 
@@ -742,30 +737,16 @@ def gamma_oracle_trace(k: int, word: list, matching: list) -> Fraction:
     gs = gamma_matrices(k)
     g = gamma_metric(k)
     dim = 2**k
-    m = L // 2
     total = 0
-    # assign an index to each pair; positions in a pair share it
     idx = [0] * L
-
-    def rec(pi: int):
-        nonlocal total
-        if pi == m:
-            mat = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-            for pos in range(L):
-                mat = _matmul_int(mat, gs[idx[pos]])
-            tr = sum(mat[i][i] for i in range(dim))
-            weight = 1
-            for a, b in pairs:
-                weight *= g[idx[a]]
-            total += weight * tr
-            return
-        a, b = pairs[pi]
-        for mu in range(2 * k):
-            idx[a] = mu
-            idx[b] = mu
-            rec(pi + 1)
-
-    rec(0)
+    # an index for each pair; the positions of a pair share it
+    for mus in product(range(2 * k), repeat=len(pairs)):
+        for (a, b), mu in zip(pairs, mus):
+            idx[a] = idx[b] = mu
+        mat = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for mu in idx:
+            mat = _matmul_int(mat, gs[mu])
+        total += prod(g[mu] for mu in mus) * sum(mat[i][i] for i in range(dim))
     return Fraction(total)
 
 

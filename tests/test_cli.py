@@ -520,6 +520,7 @@ def test_each_network_is_checked_once(tmp_path, capsys, monkeypatch):
         ({"rectangles": {"r": 1, "s": 1}, "link": [_TWICE] + _LINKS}, "ConstraintViolated"),
         ({"rectangles": {"r": 1, "s": 1}, "link": _LINKS + [_TWICE]}, "ConstraintViolated"),
         (_theta_with(0, ends=["u", "w"]), "ConstraintViolated"),
+        (dict(_THETA_DOC, vertices=["u", "v", "v"]), "ConstraintViolated"),
         (_theta_with(0, label="2"), "ConstraintViolated"),
         (_theta_with(0, label=-2), "InadmissibleLabel"),
         (dict(_THETA_DOC, rotation=dict(_THETA_DOC["rotation"], u=[[0, 0], [1, 0]])),
@@ -540,7 +541,7 @@ def test_each_network_is_checked_once(tmp_path, capsys, monkeypatch):
     ids=["missing-link", "top-level-list", "string-degree", "port-index-x",
          "rotation-names-no-vertex", "port-linked-to-itself", "over-line-budget",
          "port-in-two-pairs-first", "port-in-two-pairs-last", "edge-to-unknown-vertex",
-         "non-integer-label", "negative-label", "vertex-not-trivalent",
+         "repeated-vertex", "non-integer-label", "negative-label", "vertex-not-trivalent",
          "negative-free-loop", "negative-degree", "port-side-float", "port-side-whole-float",
          "port-side-string", "port-side-bool", "port-index-float",
          "strand-free-loops-100", "strand-free-loops-40000"],
@@ -677,9 +678,11 @@ def test_check_named_suite(capsys):
 
 
 def test_check_bad_suite(capsys):
-    code, out, err = run(capsys, "check", "--suite", "no-such-suite")
-    assert (code, out) == (2, "")
-    assert err.startswith("error [bad-suite]: unknown suite 'no-such-suite'")
+    # the empty name names no suite, and is not read as --all
+    for name in ("no-such-suite", ""):
+        code, out, err = run(capsys, "check", "--suite", name)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error [bad-suite]: unknown suite {name!r}")
 
 
 def test_check_group_suites(capsys, monkeypatch):

@@ -177,6 +177,9 @@ def test_manifest_runner():
             {"name": "hecke-tower", "params": {"kind": "X"}},
             {"name": "tower", "params": {"kind": "X", "n": 1, "p_max": 2}},
             {"name": "fierz-recurrence", "params": {"a": 500, "b": 0}},
+            # True == 1 and 2.0 == 2: equal to a grid row, but not of its types
+            {"name": "bubble", "params": {"a": True, "b": False, "m": False}},
+            {"name": "cac", "params": {"a": 2.0}},
             {"name": "no-such-check"},
             # unhashable params fail validation before any memo lookup
             {"name": "ybe", "params": {"kind": "BMW_D", "rep": "tensor", "n": [1]}},
@@ -194,15 +197,16 @@ def test_manifest_runner():
     out = run_manifest(doc)
     assert not out["all_passed"]
     passed = [r["passed"] for r in out["results"]]
-    assert passed == [True, True, True] + [False] * 14
+    assert passed == [True, True, True] + [False] * 16
     for row in out["results"][3:6]:
         assert row["error"].startswith("ArgumentOutOfRange")
     # an identity row runs only on its grid: it has no size budget
-    assert out["results"][6]["error"] == "params outside the registry grid"
-    assert out["results"][7] == {
+    for row in out["results"][6:9]:
+        assert row["error"] == "params outside the registry grid"
+    assert out["results"][9] == {
         "name": "no-such-check", "params": {}, "passed": False, "error": "unknown check"
     }
-    for row in out["results"][8:]:
+    for row in out["results"][10:]:
         assert row["error"].startswith("ArgumentOutOfRange"), row
     with pytest.raises(ParseError):
         run_manifest({"format_version": 2, "checks": []})
@@ -210,18 +214,19 @@ def test_manifest_runner():
 
 def test_manifest_refuses_a_level_that_is_not_an_int():
     # True == 1 and 1.0 == 1, so a membership test alone took True for
-    # level 1 and passed 1.0 and 2.0 on to a raw TypeError; {"n": True} is
-    # even on the grid of the slip row
+    # level 1 and passed 1.0 and 2.0 on to a raw TypeError
     rows = [("braid-invariants", {"n": True}), ("braid-invariants", {"n": 1.0}),
             ("ybe", {"kind": "BMW_D", "rep": "tensor", "n": 2.0}),
             ("tower", {"kind": "E", "n": False, "p_max": 2}),
-            ("quantum-dims", {"n": "2", "p_max": 2}),
-            ("sigma-inverse-display", {"n": True})]
+            ("quantum-dims", {"n": "2", "p_max": 2})]
     out = run_manifest({"checks": [{"name": k, "params": p} for k, p in rows]})
     for row in out["results"]:
         assert not row["passed"]
         assert row["error"] == (
             f"ArgumentOutOfRange: n must be an integer, not {row['params']['n']!r}")
+    # {"n": True} equals a row of the slip entry's grid, but is not one
+    out = run_manifest({"checks": [{"name": "sigma-inverse-display", "params": {"n": True}}]})
+    assert out["results"][0]["error"] == "params outside the registry grid"
     # an integer level past 3 is a size
     out = run_manifest({"checks": [{"name": "braid-invariants", "params": {"n": 4}}]})
     assert out["results"][0]["error"] == (
@@ -562,6 +567,15 @@ def test_packed_matrices_match_the_oracle(pair, small, c):
     assert (a == b) == (oa == ob)
     assert (a @ b == b @ a) == (oa @ ob == ob @ oa)
     assert a.trace().nf == oa.trace().nf
+    # the n-ary sum over the common denominator that chained scalings and
+    # sums reach; a zero scalar and a zero matrix add nothing to it, though
+    # the first scales, and the second is scaled by, a fresh key's inverse
+    w = (Q + 3).inv()
+    zero, wide, ozero, owide = (
+        m for cls in (SquareMatrixK, matrix_oracle.SquareMatrixK)
+        for m in (cls.from_entries(dim, ()), cls.from_entries(dim, [(0, 0, w)])))
+    _same(matrixlab._combination(dim, [(a, c), (wide, 0), (zero, w), (b, ONE), (a @ b, -c)]),
+          oa.scale(c) + owide.scale(0) + ozero.scale(w) + ob.scale(ONE) + (oa @ ob).scale(-c))
 
 
 @st.composite

@@ -83,6 +83,10 @@ def test_network_validation():
         cabled_unknot(-1, False)
     with pytest.raises(InadmissibleLabel):
         StrandNetwork({}, {}, [-1])
+    # a vertex listed twice is refused, though the rotation names it once
+    theta = theta_network(1, 1, 2)
+    with pytest.raises(ConstraintViolated, match="vertex 'v' is listed twice"):
+        LabelledNetwork(["u", "v", "v"], theta.edges, theta.rotation)
 
 
 _theta_triples = [
