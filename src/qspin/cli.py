@@ -23,20 +23,21 @@ from .poly import poly_str
 #: past ``scalar.MAX_PARSE_EXPONENT``, so ``FierzTable.from_json`` could not
 #: read it back.
 MAX_FIERZ_TABLE = 8
-#: Largest ``dims --p-max``: 20 takes 1.2 s, 25 3.6 s, 28 5.8 s (8.8 s
-#: with ``--specialize n=16``, 5.4 s with n=1); 30 took 8.0 s (11.9 s at
-#: n=16) and 35 18 s.
+#: Largest ``dims --p-max``: 20 takes 1.2 s, 25 3.6 s, 28 5.8 s (1.2-2.3 s
+#: with ``--specialize n=16`` and 0.11 s with n=1, three runs each, since
+#: z -> q^n goes key by key); 30 took 8.0 s and 35 18 s.
 MAX_DIMS_P = 28
 #: Largest level K of ``--specialize n=K`` and ``specialize --to n=K``.  At
-#: K = 16, ``dims --p-max 28`` takes 8.8 s (25 took 5.4 s) and the slowest
-#: text the parser accepts, ((q+z+1)^65 + 1)/((q+z+2)^65 + 1), 3.0 s (2.0 s
-#: at K = 1).  At K = 64 they took 34 s and 15 s.
+#: K = 16, ``dims --p-max 28`` takes 1.2-2.3 s and the slowest text the
+#: parser accepts, ((q+z+1)^65 + 1)/((q+z+2)^65 + 1), 1.4-1.6 s (0.9-1.0 s
+#: at K = 1), three runs each.  At K = 64 they took 34 s and 15 s, when
+#: z -> q^n still cancelled the whole normal form.
 MAX_LEVEL = 16
 #: Largest r + s + t of ``eval-theta`` and ``eval-3j``.  At 24 the slowest
 #: accepted call, ``eval-3j --kind double --r 8 --s 8 --t 8``, takes 4.3 s
 #: and prints 0.64 MB (``eval-theta --r 8 --s 8 --t 8`` 1.5 s, 0.29 MB;
-#: 4.4 s and 1.6 s with ``--specialize n=16``); at 25 it took 5.9 s, and at
-#: 30 15 s for 1.5 MB.
+#: 0.13-0.17 s and 0.08-0.09 s with ``--specialize n=16``, three runs
+#: each); at 25 it took 5.9 s, and at 30 15 s for 1.5 MB.
 MAX_EVAL_SUM = 24
 
 

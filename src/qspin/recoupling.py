@@ -406,10 +406,14 @@ class FierzTable:
         return table
 
     def to_json(self) -> str:
-        items = [
-            {"a": a, "b": b, "value": to_text(v)}
-            for (a, b), v in sorted(self.entries.items())
-        ]
+        # F(a, b) and F(b, a) of a generated table are one value: render it once
+        texts: dict = {}
+        items = []
+        for (a, b), v in sorted(self.entries.items()):
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = to_text(v)
+            items.append({"a": a, "b": b, "value": text})
         return json.dumps(
             {
                 "format_version": TABLE_FORMAT_VERSION,

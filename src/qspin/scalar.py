@@ -28,7 +28,9 @@ Values carry two coordinates:
 
 Specializations, each a plain function of a value:
 
-* ``integer_level(x, n)``: z -> q^n (delta becomes the ordinary q-integer [n]).
+* ``integer_level(x, n)``: z -> q^n (delta becomes the ordinary q-integer [n]),
+  mapped key by key over the reduced factor map, so that the level value
+  of brackets and braces keeps cyclotomic keys and takes no gcd.
 * ``classical(x)``: the limit q, z -> 1 along the curve
   z - z^-1 = delta (q - q^-1), with delta and Delta kept as free symbols,
   read off the factored value factor by factor.  Bracket atoms [b*n + a]
@@ -45,7 +47,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add, sub
 
 from .errors import (
@@ -55,6 +57,7 @@ from .errors import (
     ParseError,
     SpecializationError,
     UnsupportedSize,
+    is_int,
 )
 from .poly import (
     FIELD_BITS,
@@ -169,52 +172,86 @@ def _fac_mul(a: dict, b: dict, sign: int = 1) -> dict:
 
 #: d -> the coefficients of Phi_d, lowest degree first; filled on first use.
 _CYCLOTOMIC: dict = {}
-#: Cyclotomic key Phi_d(x^w) -> (d, w); filled as binomials are split.
+#: Cyclotomic key Phi_d(x^w) -> (d, w); filled as keys are built.
 _PHI: dict = {}
+#: (d, w) -> the cyclotomic key Phi_d(x^w), the inverse of ``_PHI``.
+_PHI_KEYS: dict = {}
 #: Unit binomial -> its cyclotomic keys (a shared, never mutated map).
 _SPLITS: dict = {}
+#: (d, w, n) -> the image of the key Phi_d(x^w) under z -> q^n.
+_PHI_IMAGES: dict = {}
 
 
 def _cyclotomic(d: int) -> tuple:
     """The coefficients of the cyclotomic polynomial Phi_d, lowest degree
-    first: x^d - 1 divided by Phi_e for every proper divisor e of d."""
+    first.  With r the product of d's primes, Phi_d(x) = Phi_r(x^(d/r)),
+    and for r > 1 Phi_r(x) = prod_{e | r} (1 - x^e)^mu(r/e): each factor
+    multiplies or divides the coefficients in one pass."""
     coeffs = _CYCLOTOMIC.get(d)
     if coeffs is None:
-        p = [-1] + [0] * (d - 1) + [1]
-        for e in range(1, d):
-            if d % e == 0:
-                f = _cyclotomic(e)
-                m = len(f) - 1
-                quo = [0] * (len(p) - m)
-                for i in range(len(quo) - 1, -1, -1):
-                    c = quo[i] = p[i + m]
-                    for j, fj in enumerate(f):
-                        p[i + j] -= c * fj
-                p = quo
-        coeffs = _CYCLOTOMIC.setdefault(d, tuple(p))
+        primes, m, p = [], d, 2
+        while p * p <= m:
+            if m % p == 0:
+                primes.append(p)
+                while m % p == 0:
+                    m //= p
+            p += 1
+        if m > 1:
+            primes.append(m)
+        r = prod(primes)
+        if r == 1:
+            phi = [-1, 1]
+        else:
+            divs = [(1, (-1) ** len(primes))]  # (e, mu(r/e)) over the e | r
+            for p in primes:
+                divs += [(e * p, -mu) for e, mu in divs]
+            phi = [1]
+            for e, mu in sorted(divs, key=lambda em: -em[1]):  # the products first
+                if mu > 0:  # times 1 - x^e
+                    phi += [0] * e
+                    for i in range(len(phi) - 1, e - 1, -1):
+                        phi[i] -= phi[i - e]
+                else:  # divided by 1 - x^e, exactly
+                    for i in range(e, len(phi)):
+                        phi[i] += phi[i - e]
+                    del phi[len(phi) - e:]
+        k = d // r
+        coeffs = [0] * ((len(phi) - 1) * k + 1)
+        coeffs[::k] = phi
+        coeffs = _CYCLOTOMIC.setdefault(d, tuple(coeffs))
     return coeffs
+
+
+def _phi_key(d: int, w: tuple) -> Poly:
+    """The cyclotomic key x^(phi(d) w-) Phi_d(x^w) of a primitive w whose
+    first nonzero entry is positive, registered in ``_PHI``; phi(d) times
+    each entry of w must fit a field."""
+    key = _PHI_KEYS.get((d, w))
+    if key is None:
+        coeffs = _cyclotomic(d)
+        n = len(coeffs) - 1
+        wp, wm = pack(max(e, 0) for e in w), pack(max(-e, 0) for e in w)
+        key = Poly({i * wp + (n - i) * wm: c for i, c in enumerate(coeffs) if c})
+        _PHI.setdefault(key, (d, w))
+        key = _PHI_KEYS.setdefault((d, w), key)
+    return key
+
+
+def _orders(d: int, g: int) -> list:
+    """The e with Phi_d(t^g) = prod Phi_e(t), g > 0: the e | dg with
+    e / gcd(e, g) = d, which are the d h over the divisors h of g with
+    gcd(d, g / h) = 1."""
+    return [d * h for h in range(1, g + 1) if g % h == 0 and gcd(d, g // h) == 1]
 
 
 def _split_binomial(a: int, b: int, sign: int) -> dict:
     """The cyclotomic keys of x^a + sign * x^b (x^a the leading term, the
-    keys a and b of disjoint supports), each with exponent 1."""
+    keys a and b of disjoint supports), each with exponent 1: with
+    t^g = x^(a - b), t^g - 1 = Phi_1(t^g) and t^g + 1 = Phi_2(t^g)."""
     ea, eb = Poly.exponents(a), Poly.exponents(b)
     g = gcd(*ea, *eb)
-    # every field of a and b is a multiple of g, so the keys divide fieldwise
-    wp, wm = a // g, b // g
     w = tuple(s // g - t // g for s, t in zip(ea, eb))
-    if sign < 0:
-        orders = [d for d in range(1, g + 1) if g % d == 0]
-    else:
-        orders = [d for d in range(1, 2 * g + 1) if 2 * g % d == 0 and g % d]
-    keys = {}
-    for d in orders:
-        coeffs = _cyclotomic(d)
-        n = len(coeffs) - 1  # at most g, so no field passes a's or b's
-        key = Poly({i * wp + (n - i) * wm: c for i, c in enumerate(coeffs) if c})
-        _PHI.setdefault(key, (d, w))
-        keys[key] = 1
-    return keys
+    return {_phi_key(e, w): 1 for e in _orders(1 if sign < 0 else 2, g)}
 
 
 def _keys(p) -> dict:
@@ -331,12 +368,14 @@ class ScalarK:
 
     ``nf``, the reduced field element, is built on first use and cached;
     equality and hashing compare it.  It multiplies out the reduced factor
-    map (``_reduce``), which needs a gcd only for keys other than
-    cyclotomic ones left on both sides.  Everything else
-    (``bar``, ``integer_level``, ``classical``, ``to_text``) reads one of
-    these two coordinates, so a value's images do not depend on how it
-    was built: a matrix entry or a parsed canonical text behaves like the
-    product of atoms that printed it.
+    map (``_reduce``, also cached), which needs a gcd only for keys other
+    than cyclotomic ones left on both sides.  Everything else reads one of
+    these coordinates: ``bar`` and ``to_text`` the normal form,
+    ``classical`` and ``q_to_one`` the factors, and ``integer_level`` the
+    reduced factor map, key by key, its result again a factored value.  So
+    a value's images do not depend on how it was built: a matrix entry or
+    a parsed canonical text behaves like the product of atoms that printed
+    it.
 
     Immutable up to the cache, which any thread may fill with the same
     value; safe to share across threads.
@@ -607,24 +646,119 @@ def _reflect(poly, a: int, b: int):
 
 
 def integer_level(x: ScalarK, n: int) -> ScalarK:
-    """Apply z -> q^n to the normal form; the result is z-free (a function
-    of q, Delta, u, v), reduced with one gcd and split into a factored
-    value.  The substitution re-keys each monomial, q^a z^b ... ->
-    q^(a + n b) ..., and adds the coefficients that meet."""
+    """z -> q^n (delta becomes the ordinary q-integer [n]), applied key by
+    key to the reduced factor map; the result is z-free (a function of q,
+    Delta, u, v), a factored value whose normal form is built only when
+    something reads it.
+
+    The monomial and each sum key are re-keyed term by term, q^a z^b ...
+    -> q^(a + n b) ..., and a sum key's image becomes the keys of its
+    primitive part.  A cyclotomic key Phi_d(t) is mapped whole: t becomes
+    s^g, s a primitive monomial, and Phi_d(s^g) is the product of the
+    Phi_e(s) over e | dg with e / gcd(e, g) = d (through Phi_d's
+    palindromy when g < 0), or the constant Phi_d(1) when t becomes 1.  So
+    a value built from brackets and braces keeps cyclotomic keys, and its
+    level value needs no gcd.  A factor that vanishes raises
+    DivisionByZero in the denominator and makes the value 0 in the
+    numerator.  The two sides, multiplied out and cleared of q^-k together
+    as n < 0 needs, must keep q's exponents within MAX_EXPONENT: that is
+    read off the keys' images, and UnsupportedSize is raised past it; a
+    key too wide on its own is not built at all.
+    """
+    if not is_int(n):
+        raise SpecializationError(f"the level n must be an int, not {type(n).__name__}")
     x = scalar(x)
-    num = _at_level(x.nf.numer, n)
-    den = _at_level(x.nf.denom, n)
-    if not den:
+    if not x:
+        return x
+    mono = x._mono
+    # the least and the largest q exponents of each side's image
+    low = [max(mono[0], 0) + n * max(mono[1], 0), max(-mono[0], 0) + n * max(-mono[1], 0)]
+    high = list(low)
+    vanishes = [False, False]
+    c, mono, fac = x._c, list(_sigma(mono, n)), {}
+    for f, e in x._reduced().items():
+        side = 0 if e > 0 else 1
+        lo, hi, k, m, keys = _phi_image(*_PHI[f], n) if f in _PHI else _sum_image(_at_level(f, n))
+        if not k:
+            vanishes[side] = True
+            continue
+        low[side] += abs(e) * lo
+        high[side] += abs(e) * hi
+        if keys is None:  # too wide to build: the value is refused below
+            continue
+        if k != 1:
+            c *= Fraction(k) ** e
+        for i, a in enumerate(m):
+            mono[i] += e * a
+        for g in keys:
+            fac[g] = fac.get(g, 0) + e
+    if vanishes[1]:
         raise DivisionByZero(f"denominator vanishes under z -> q^{n}")
-    # q's field is the top one, so a key's q exponent is key >> _Q_SHIFT, a
-    # negative one too, and the least and the largest keys hold the extremes
-    low = min(min(num, default=0), min(den)) >> _Q_SHIFT
-    if low < 0:  # n < 0: clear q^low from both sides
-        num, den = ({m - (low << _Q_SHIFT): c for m, c in p.items()} for p in (num, den))
-    top = max(max(num, default=0), max(den)) >> _Q_SHIFT
+    if vanishes[0]:  # a numerator 0 multiplies out to no terms, counted as q^0
+        low[0] = high[0] = 0
+    top = max(high) - min(*low, 0)
     if top > MAX_EXPONENT:
         raise UnsupportedSize(f"z -> q^{n} gives q^{top}, past the field width {MAX_EXPONENT}")
-    return _wrap(FIELD.new(Poly(num), Poly(den)))
+    if vanishes[0]:
+        return ZERO
+    return ScalarK(c, tuple(mono), {g: e for g, e in fac.items() if e})
+
+
+def _sigma(m: tuple, n: int) -> tuple:
+    """The exponent tuple m with z -> q^n."""
+    return (m[0] + n * m[1], 0, *m[2:])
+
+
+# The image of one key under z -> q^n, as (lo, hi, k, m, keys): the image is
+# k * x^m * prod keys, its q exponents run from lo to hi, k is 0 when it
+# vanishes, and keys is None when its own q exponents span more than
+# MAX_EXPONENT, so that the whole value is refused before such keys are
+# built.
+
+
+def _phi_image(d: int, w: tuple, n: int) -> tuple:
+    """The image of the cyclotomic key x^(phi(d) w-) Phi_d(x^w), which is
+    x^base Phi_d(x^v) with base and v the images of phi(d) w- and w; built
+    once for each (d, w, n)."""
+    image = _PHI_IMAGES.get((d, w, n))
+    if image is None:
+        image = _PHI_IMAGES.setdefault((d, w, n), _phi_image_of(d, w, n))
+    return image
+
+
+def _phi_image_of(d: int, w: tuple, n: int) -> tuple:
+    """``_phi_image``, built afresh."""
+    coeffs = _cyclotomic(d)
+    phi = len(coeffs) - 1
+    v = _sigma(w, n)
+    base = _sigma(tuple(phi * max(-a, 0) for a in w), n)
+    lo, hi = base[0] + min(0, phi * v[0]), base[0] + max(0, phi * v[0])
+    if not any(v):
+        return lo, hi, sum(coeffs), base, ()
+    # Phi_e(x^s) = x^(-phi(e) s-) times its key, and the phi(e) add up to
+    # phi(d) g; with v = -g s, Phi_d(1/t) = t^-phi(d) Phi_d(t), less for d = 1
+    m = tuple(b - phi * max(-a, 0) for a, b in zip(v, base))
+    if hi - lo > MAX_EXPONENT:
+        return lo, hi, 1, m, None
+    g = gcd(*v)
+    s = tuple(a // g for a in v)
+    k = 1
+    if next(a for a in s if a) < 0:
+        s = tuple(-a for a in s)
+        k = -1 if d == 1 else 1
+    return lo, hi, k, m, tuple(_phi_key(e, s) for e in _orders(d, g))
+
+
+def _sum_image(terms: dict) -> tuple:
+    """The image of a sum key, given as its terms with z -> q^n (whose q
+    exponents may be negative): the keys of its primitive part."""
+    if not terms:
+        return 0, 0, 0, None, None
+    lo, hi = min(terms) >> _Q_SHIFT, max(terms) >> _Q_SHIFT
+    if hi - lo > MAX_EXPONENT:
+        return lo, hi, 1, None, None
+    k, m, p = _primitive(Poly({t - (lo << _Q_SHIFT): c for t, c in terms.items()}))
+    return lo, hi, k, (m[0] + lo, *m[1:]), () if p is None else _keys(p)
 
 
 def _at_level(poly, n: int) -> dict:
@@ -632,9 +766,10 @@ def _at_level(poly, n: int) -> dict:
     to its q field, which may pass the field width or go below 0."""
     out: dict = {}
     get = out.get
-    keep, z, q = ~_Z_FIELD, _Z_SHIFT, _Q_SHIFT
+    # a z exponent b moves b * step: b off z's field, b * n onto q's
+    step, z = (n << _Q_SHIFT) - (1 << _Z_SHIFT), _Z_SHIFT
     for m, c in poly.items():
-        m = (m & keep) + ((m >> z & MAX_EXPONENT) * n << q)
+        m += (m >> z & MAX_EXPONENT) * step
         out[m] = get(m, 0) + c
     return {m: c for m, c in out.items() if c}
 
@@ -660,9 +795,18 @@ def _curve_lead(f) -> tuple:
     f has no u or v; its terms with equal Delta exponent form one
     polynomial in (q, z), and the order of f is the least order of these.
     The Taylor coefficients P_ij = sum c_ab C(a, i) C(b, j) are built one
-    total degree at a time, through the row sums sum_a c_ab C(a, i).
+    total degree at a time, through the row sums sum_a c_ab C(a, i); for a
+    z-free f, every factor of a level value, P_i0 is the row sum itself.
     """
-    rows: dict = {}  # Delta exponent -> z exponent -> [(q exponent, c)]
+    if not any(m & _Z_FIELD for m in f):
+        rows: dict = {}  # Delta exponent -> [(q exponent, c)]
+        for m, c in f.items():
+            rows.setdefault(m >> 2 * FIELD_BITS & MAX_EXPONENT, []).append((m >> _Q_SHIFT, c))
+        for mu in range((max(f) >> _Q_SHIFT) + 1):
+            lead = {g: p for g, row in rows.items() if (p := sum([c * comb(a, mu) for a, c in row]))}
+            if lead:
+                return mu, CLASSICAL_FIELD.ring(lead)
+    rows = {}  # Delta exponent -> z exponent -> [(q exponent, c)]
     top = 0
     for m, c in f.items():
         a, b, g, _, _ = Poly.exponents(m)
@@ -684,9 +828,10 @@ def _curve_lead(f) -> tuple:
     raise AssertionError("a nonzero polynomial vanishes to above its degree")
 
 
-def _has_spectral(polys, mono: tuple = _MONO1) -> bool:
-    """Whether u or v occurs in x^mono or in one of ``polys``."""
-    return bool(mono[3] or mono[4]) or any(m & _UV_FIELDS for f in polys for m in f)
+def _involves(fields: int, polys) -> bool:
+    """Whether a key of one of ``polys`` has an exponent in ``fields``, a
+    mask of key fields."""
+    return any(m & fields for f in polys for m in f)
 
 
 def classical(x: ScalarK):
@@ -704,10 +849,10 @@ def classical(x: ScalarK):
     x = scalar(x)
     if not x:
         return CLASSICAL_FIELD.zero
-    if _has_spectral(x._fac, x._mono):
+    if x._mono[3] or x._mono[4] or _involves(_UV_FIELDS, x._fac):
         # u or v may still cancel between factors; the normal form decides
         nf = x.nf
-        if _has_spectral((nf.numer, nf.denom)):
+        if _involves(_UV_FIELDS, (nf.numer, nf.denom)):
             raise ClassicalSingular("the spectral generators u, v have no classical image")
         x = _wrap(nf)
     fac, mono = x._fac, x._mono
@@ -729,21 +874,20 @@ def classical(x: ScalarK):
     return CLASSICAL_FIELD.new(num, den)
 
 
-def _require_gens_absent(poly, fields: int, what):
-    """Raise SpecializationError if a key of poly has an exponent in
-    ``fields``, a mask of key fields."""
-    if any(m & fields for m in poly):
-        raise SpecializationError(f"value still involves {what}; cannot specialize")
-
-
 def q_to_one(x: ScalarK):
     """The limit q -> 1 of a z-free value, in Q(delta, Delta) with delta
     absent.  A z-free value does not depend on the curve along which q and
     z go to 1, so the limit is its classical image: a pole at q = 1, or a
-    u or v left in the value, raises :class:`ClassicalSingular`."""
+    u or v left in the value, raises :class:`ClassicalSingular`.
+
+    The factors are checked for z first, as :func:`classical` checks u and
+    v, so a level value is read off its keys; the normal form is read only
+    when z occurs in a factor, where it may still cancel."""
     x = scalar(x)
-    _require_gens_absent(x.nf.numer, _Z_FIELD, "z")
-    _require_gens_absent(x.nf.denom, _Z_FIELD, "z")
+    if x._mono[1] or _involves(_Z_FIELD, x._fac):
+        nf = x.nf
+        if _involves(_Z_FIELD, (nf.numer, nf.denom)):
+            raise SpecializationError("value still involves z; cannot specialize")
     return classical(x)
 
 
@@ -753,12 +897,13 @@ def numeric_probe(x: ScalarK, q0, n: int, Delta0) -> Fraction:
     q0, Delta0 = Fraction(q0), Fraction(Delta0)
     if q0 in (0, 1, -1):
         raise SpecializationError("numeric_probe requires q0 not in {0, 1, -1}")
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise SpecializationError("numeric_probe requires a positive integer n")
     y = integer_level(x, n)
     num, den = y.nf.numer, y.nf.denom
-    _require_gens_absent(num, _UV_FIELDS, "the spectral generators u, v")
-    _require_gens_absent(den, _UV_FIELDS, "the spectral generators u, v")
+    if _involves(_UV_FIELDS, (num, den)):
+        raise SpecializationError(
+            "value still involves the spectral generators u, v; cannot specialize")
     # z is already eliminated by the level specialization
     nv = Fraction(num(q0, 0, Delta0, 0, 0))
     dv = Fraction(den(q0, 0, Delta0, 0, 0))

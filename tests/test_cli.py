@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import qspin
+from counting import counting
 from qspin import cli, matrixlab, networks, scalar
 from qspin.cli import main
 from qspin.networks import MAX_TOTAL_LINES, cabled_unknot, theta_network
@@ -481,23 +482,18 @@ def _theta_with(edge: int, **fields) -> dict:
     return dict(_THETA_DOC, edges=edges)
 
 
-def test_each_network_is_checked_once(tmp_path, capsys, monkeypatch):
+def test_each_network_is_checked_once(tmp_path, capsys):
     # the constructors check a network; medial and chromatic_eval take it
     # as checked
-    counts = {}
-    for cls in (networks.LabelledNetwork, networks.StrandNetwork):
-        def counted(self, check=cls.validate, name=cls.__name__):
-            counts[name] = counts.get(name, 0) + 1
-            check(self)
-        monkeypatch.setattr(cls, "validate", counted)
-    for net, want in ((theta_network(2, 2, 2), {"LabelledNetwork": 1, "StrandNetwork": 1}),
-                      (cabled_unknot(3, True), {"StrandNetwork": 1})):
+    # (LabelledNetwork.validate, StrandNetwork.validate) calls
+    for net, want in ((theta_network(2, 2, 2), (1, 1)), (cabled_unknot(3, True), (0, 1))):
         path = tmp_path / "net.json"
         path.write_text(net.to_json())
-        counts.clear()
-        code, out, err = run(capsys, "chromatic", "--file", str(path))
+        with counting(networks.LabelledNetwork, "validate") as labelled, \
+                counting(networks.StrandNetwork, "validate") as strand:
+            code, out, err = run(capsys, "chromatic", "--file", str(path))
         assert (code, err) == (0, "") and out
-        assert counts == want
+        assert (labelled.count, strand.count) == want
 
 
 @pytest.mark.parametrize(
@@ -645,6 +641,26 @@ def test_fierz_table_pinned(capsys):
     assert (code, err) == (0, "")
     assert len(out.encode()) == 33253
     assert hashlib.sha256(out.encode()).hexdigest() == FIERZ_TABLE_5_SHA256
+
+
+# The stdout of the closed-form commands at their caps, specialized to the
+# largest level, by its sha256: captured when z -> q^n cancelled the whole
+# normal form at the level, which the key-by-key map must not change.
+CAP_LEVEL_SHA256 = [
+    (["eval-3j", "--kind", "double", "--r", "8", "--s", "8", "--t", "8", "--specialize", "n=16"],
+     "dedeb0bbee3a6e7d906e6d7193e5421bf8e7e5f265b608704a6eafa972225f29"),
+    (["eval-theta", "--r", "8", "--s", "8", "--t", "8", "--specialize", "n=16"],
+     "02d4519327023516527abd827098fc85679299b883f524f96cb3fd2a28afc4e3"),
+    (["dims", "--p-max", "28", "--specialize", "n=16"],
+     "ad8a5589d6eccae213b3f0e895c61654e2c223e8f724d02e722a36f50d54d4cb"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CAP_LEVEL_SHA256, ids=[row[0][0] for row in CAP_LEVEL_SHA256])
+def test_cap_levels_sha256_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_check_stats_adds_row_times(capsys):

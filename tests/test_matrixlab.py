@@ -713,20 +713,15 @@ def test_check_all_divides_each_distinct_numerator_once():
     # in a fresh interpreter, where no tower is built yet
     script = """
 import contextlib, io
+from counting import counting
 from qspin import cli, matrixlab
-calls = 0
-exquo = matrixlab.exquo
-def counted(p, f):
-    global calls
-    calls += 1
-    return exquo(p, f)
-matrixlab.exquo = counted
-with contextlib.redirect_stdout(io.StringIO()):
+with counting(matrixlab, "exquo") as exquo, contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["check", "--all"]) == 0
-print(calls)
+print(exquo.count)
 """
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(Path(matrixlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(matrixlab.__file__).resolve().parent.parent),
+                                         str(Path(__file__).resolve().parent)])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")

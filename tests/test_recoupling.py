@@ -5,7 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from counting import counting
 from registry_rows import rows_hold
+from qspin import recoupling
 from qspin.errors import ArgumentOutOfRange, InadmissibleTriple, ParseError
 from qspin.qcomb import brace, ffact_ext, qfact, qint
 from qspin.recoupling import (
@@ -134,6 +136,14 @@ def test_fierz_table_json_round_trip():
 def test_fierz_table_json_round_trip_is_byte_identical():
     text = FierzTable.generate(3, 2).to_json()
     assert FierzTable.from_json(text).to_json() == text
+
+
+def test_fierz_table_renders_each_value_once():
+    # F(a, b) and F(b, a) are one value: 21 distinct values in 36 cells
+    table = FierzTable.generate(5, 5)
+    with counting(recoupling, "to_text") as renders:
+        table.to_json()
+    assert renders.count == 21
 
 
 _TABLE = json.loads(FierzTable.generate(1, 1).to_json())

@@ -1,10 +1,14 @@
 """Coefficient field: normal forms, text round-trip, bar, specializations."""
 
+import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +28,8 @@ from exprtree import (
     trees,
     value,
 )
+from counting import counting
+import level_oracle
 from nf_oracle import cancel_nf, cancel_text
 import parse_oracle
 from q_limit import at_delta, q_to_one_by_division
@@ -139,6 +145,97 @@ def test_integer_level_past_the_field_width_is_refused():
         integer_level(x, -17)
 
 
+def _level_outcome(level, x, n):
+    """level(x, n), or the type of the QspinError it raises."""
+    try:
+        return level(x, n)
+    except QspinError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("x, n", [
+    # the two sides are bounded before cancelling, q^32000 less q^2000 too
+    (lambda: Z**2000 / Q**2000, 17),
+    (lambda: Z**2000 / Q**2000, 16),
+    (lambda: Q**-3000 * Z**2000, -15),
+    (lambda: Q**-3000 * Z**2000, -16),
+    # a numerator that vanishes, over a denominator past the width
+    (lambda: (Z - Q) / (Z**2000 + 1), 1),
+    (lambda: (Z - Q) / (Z**2000 + 1), -17),
+    # Phi_d(z) for d | 1000 at q^32000, and past it
+    (lambda: (Z**1000 - 1) * Q**-7, 32),
+    (lambda: (Z**1000 - 1) / (Z**1000 + Q), 33),
+    (lambda: (Q + Z * Q**-5) / (Z**1000 - 1), -32),
+])
+def test_integer_level_at_the_field_width_matches_the_oracle(x, n):
+    x = x()
+    want = _level_outcome(level_oracle.integer_level, x, n)
+    got = _level_outcome(integer_level, x, n)
+    assert got is want if isinstance(want, type) else got == want
+
+
+@pytest.mark.parametrize("n", [2.0, True, False, "2", None, Fraction(2)])
+def test_integer_level_refuses_a_level_that_is_not_an_int(n):
+    # refused before any work: the factor map is not even reduced
+    x = qint(1, 1) * (Q + Z + 1) / (Z + 2)
+    with pytest.raises(SpecializationError, match="the level n must be an int"):
+        integer_level(x, n)
+    assert x._red is None and x._nf is None
+
+
+#: Products and quotients of brackets and braces alone, as in the closed
+#: forms: every key is cyclotomic.
+_bracket_trees = trees(st.one_of(qints(st.integers(-2, 2), st.integers(-6, 6)),
+                                 braces(st.integers(-4, 4)), rationals.map(rat)),
+                       ops=("mul", "div", "pow"), depth=4)
+
+
+@given(st.one_of(trees(key_atoms, depth=4), _bracket_trees), st.integers(-3, 4))
+@settings(max_examples=200, deadline=None)
+def test_integer_level_matches_the_oracle(tree, n):
+    # key by key against the whole normal form composed and cancelled
+    x = value(tree)
+    want = _level_outcome(level_oracle.integer_level, x, n)
+    with counting(poly, "cofactors") as gcds:
+        got = _level_outcome(integer_level, x, n)
+        if isinstance(got, ScalarK):
+            got.nf
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert isinstance(got, ScalarK) and got == want
+    assert not any(m & scalar._Z_FIELD for f in got._fac for m in f) and not got._mono[1]
+    if all(f in scalar._PHI for f in x._reduced()):
+        # cyclotomic keys map to cyclotomic keys, whose normal form needs no gcd
+        assert all(f in scalar._PHI for f in got._fac)
+        assert gcds.count == 0
+
+
+def test_cyclotomic_keys_at_level_match_substitution():
+    # Phi_d(t) with t -> s^g: the cyclotomic keys of prod Phi_e(s), e | dg
+    # with e / gcd(e, g) = d, against the key substituted term by term,
+    # in the numerator and in the denominator
+    directions = [
+        ((0, 1, 0, 0, 0), lambda g: g),  # t = z, t -> q^g at n = g
+        ((1, -1, 0, 0, 0), lambda g: 1 - g),  # t = q/z, t -> q^g at n = 1 - g
+        ((0, 3, 2, 0, 0), lambda g: g),  # t = z^3 Delta^2 -> q^3g Delta^2
+    ]
+    for d in range(1, 31):
+        for w, level in directions:
+            key = scalar._phi_key(d, w)
+            for g in range(-10, 11):
+                n = level(g)
+                for e in (1, -1):
+                    x = ScalarK(Fraction(1), scalar._MONO1, {key: e})
+                    want = _level_outcome(level_oracle.integer_level, x, n)
+                    got = _level_outcome(integer_level, x, n)
+                    if isinstance(want, type):
+                        assert got is want, (d, w, g, e)
+                        continue
+                    assert got == want, (d, w, g, e)
+                    assert all(f in scalar._PHI for f in got._fac), (d, w, g, e)
+
+
 def test_parse_bounds_fit_the_field_width():
     # a parsed value's degree in each generator is at most MAX_PARSE_DEGREE;
     # z -> q^n at a level the CLI accepts adds n times z's degree to q's
@@ -234,7 +331,7 @@ def test_numeric_probe_consistency():
     expect = (q0**3 - q0**-3) / (q0 - q0**-1) * 4
     assert v == expect
     assert numeric_probe(DELTA, 2, 1, 1) == 1
-    for q0, n in [(0, 1), (1, 1), (-1, 2), (2, 0), (2, 1.5)]:
+    for q0, n in [(0, 1), (1, 1), (-1, 2), (2, 0), (2, 1.5), (2, True)]:
         with pytest.raises(SpecializationError):
             numeric_probe(x, q0, n, 4)
 
@@ -453,23 +550,57 @@ def test_zero_from_a_sum_round_trips():
         zero**-1
 
 
-def test_fierz_cancels_once(monkeypatch):
+def test_fierz_cancels_once():
     # every factor of a Fierz coefficient is a cyclotomic key, so its
     # normal form is multiplied out with no gcd at all
     from qspin.recoupling import FierzTable, fierz
 
-    calls = []
-    cofactors = poly.cofactors
+    with counting(poly, "cofactors") as gcds:
+        f = fierz(5, 5)
+        f.nf
+        FierzTable.generate(5, 5).to_json()
+    assert gcds.count == 0
 
-    def counting(f, g):
-        calls.append(1)
-        return cofactors(f, g)
 
-    monkeypatch.setattr(poly, "cofactors", counting)
-    f = fierz(5, 5)
-    f.nf
-    FierzTable.generate(5, 5).to_json()
-    assert len(calls) == 0
+#: poly.cofactors calls, each one gcd: per readback pass of the stored
+#: texts (parse, z -> q^n and q -> 1 for n = 1, 2, 3, to_text, bar), per
+#: ``qspin check --all``, and per ``eval-3j`` at the caps with n = 16.
+#: They were 197, 20 and 1 when integer_level cancelled the whole normal
+#: form at the level; the readback's 124 are the 44 gcds of the texts' own
+#: normal forms and the 80 of their classical images.
+GCD_COUNTS = {"readback": 124, "check-all": 7, "eval-3j-cap": 0}
+
+
+def test_gcd_counts_pinned():
+    # in a fresh interpreter, where no tower is built yet
+    script = """
+import contextlib, io, json, sys
+from counting import counting
+from qspin import cli, poly, scalar
+counts = {}
+with counting(poly, "cofactors") as gcds:
+    for text in json.loads(sys.stdin.read()):
+        x = scalar.parse_scalar(text)
+        for n in (1, 2, 3):
+            scalar.q_to_one(scalar.integer_level(x, n))
+        scalar.to_text(x)
+        scalar.bar(x)
+counts["readback"] = gcds.count
+for name, argv in (("check-all", ["check", "--all"]),
+                   ("eval-3j-cap", ["eval-3j", "--kind", "double", "--r", "8", "--s", "8",
+                                    "--t", "8", "--specialize", "n=16"])):
+    with counting(poly, "cofactors") as gcds, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    counts[name] = gcds.count
+print(json.dumps(counts))
+"""
+    here = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(_stored_texts()),
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == GCD_COUNTS
 
 
 # --------------------------------------------------------------------------
@@ -510,15 +641,12 @@ def test_normal_form_matches_cancel_oracle(tree):
     ids=["phi1-flip", "phi1-flip-and-binomial", "sum-over-phi", "quotient-resplit",
          "sum-over-sum", "brace-over-its-expansion"],
 )
-def test_normal_form_cases(monkeypatch, x, text):
+def test_normal_form_cases(x, text):
     x = x()
-    calls = []
-    cofactors = poly.cofactors
-    monkeypatch.setattr(poly, "cofactors", lambda f, g: calls.append(1) or cofactors(f, g))
-    x.nf
-    monkeypatch.undo()
+    with counting(poly, "cofactors") as gcds:
+        x.nf
     # only sum keys left on both sides need a gcd
-    assert len(calls) == (1 if text == "(q + 2)/(z + 3)" else 0)
+    assert gcds.count == (1 if text == "(q + 2)/(z + 3)" else 0)
     want = cancel_nf(x)
     got = to_sympy(x.nf)
     assert (got.numer, got.denom) == (want.numer, want.denom)
@@ -529,7 +657,8 @@ def test_unit_binomials_split_into_cyclotomic_keys():
     from sympy import cyclotomic_poly, divisors, symbols
 
     q, z = symbols("q z")
-    for d in range(1, 61):
+    # the orders a level reaches too: Phi_d(q^16) has keys up to 16 d
+    for d in [*range(1, 61), 210, 256, 1155, 3600, 4096]:
         assert scalar._cyclotomic(d) == tuple(cyclotomic_poly(d, q, polys=True).all_coeffs()[::-1])
 
     def keys(x):
@@ -642,9 +771,6 @@ def test_parse_collects_the_monomials_of_a_sum(monkeypatch):
 
 
 def _stored_texts() -> list:
-    import json
-    from pathlib import Path
-
     path = Path(__file__).resolve().parent.parent / "perfbench/data/readback_texts.json"
     return [item["text"] for item in json.loads(path.read_text())["texts"]]
 
