@@ -106,18 +106,21 @@ def _even_total_or_die(label_sum: int) -> None:
 
 
 def _cmd_eval_theta(args) -> int:
-    if args.a is not None or args.b is not None or args.c is not None:
-        if None in (args.a, args.b, args.c):
+    abc, rst = (args.a, args.b, args.c), (args.r, args.s, args.t)
+    if abc != (None,) * 3 and rst != (None,) * 3:
+        raise ValidationFailure("bad-labels", "give --r --s --t or --a --b --c, not both")
+    if abc != (None,) * 3:
+        if None in abc:
             raise ValidationFailure("bad-labels", "give all of --a --b --c")
         _even_total_or_die(args.a + args.b + args.c)
         triple = recoupling.AdmissibleTriple(args.a, args.b, args.c)
         r, s, t = triple.rst
     else:
-        if None in (args.r, args.s, args.t):
+        if None in rst:
             raise ValidationFailure(
                 "bad-labels", "give --r --s --t or all of --a --b --c"
             )
-        r, s, t = args.r, args.s, args.t
+        r, s, t = rst
     _check_eval_cap(r, s, t)
     if args.kind == "vector":
         value = recoupling.theta_vector(r, s, t)

@@ -64,6 +64,14 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_counts(**counts) -> None:
+    """Raise ArgumentOutOfRange unless every count is an int (not a bool)
+    and >= 0."""
+    for name, value in counts.items():
+        if not is_int(value) or value < 0:
+            raise ArgumentOutOfRange(f"{name} must be a nonnegative integer")
+
+
 def expect(ok: bool, doc: str, what: str) -> None:
     """Raise ParseError "<doc>: <what>" unless ``ok``."""
     if not ok:

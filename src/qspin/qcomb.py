@@ -12,15 +12,19 @@ where z stands for q^n.  The case b = 0 recovers the ordinary q-integer
     brace_shifted(k) = q^k + q^-k         (the symbol {n - k})
 
 ``qint`` and ``brace`` build each one by the field's own arithmetic,
-whose sum splits it into its cyclotomic keys.
+whose sum splits it into its cyclotomic keys.  ``qint_falling`` and
+``brace_prod`` are their products over a run of consecutive arguments,
+of which every factorial, binomial and closed form is built.  Every count
+argument is an int >= 0 (``errors.check_counts``).
 """
 
 from __future__ import annotations
 
 import random
+from math import prod
 from typing import NamedTuple
 
-from .errors import ArgumentOutOfRange
+from .errors import ArgumentOutOfRange, check_counts
 from .scalar import DELTA, ONE, QDIFF, Q, Z, ScalarK, equal
 
 #: Brackets and braces by ("qint", b, a) and ("brace", k), each built on
@@ -74,41 +78,42 @@ class ExtSymbol(NamedTuple):
         return ExtSymbol(self.b - other.b, self.a - other.a)
 
 
+def qint_falling(b: int, a: int, m: int) -> ScalarK:
+    """The m-term falling product [b*n + a][b*n + a - 1]...[b*n + a - m + 1];
+    1 at m = 0."""
+    check_counts(m=m)
+    return prod((qint(b, a - k) for k in range(m)), start=ONE)
+
+
+def brace_prod(lo: int, hi: int) -> ScalarK:
+    """{lo}{lo + 1}...{hi - 1}; 1 when hi <= lo."""
+    check_counts(lo=lo, hi=hi)
+    return prod(map(brace, range(lo, hi)), start=ONE)
+
+
 def qfact(a: int) -> ScalarK:
-    """[a]! = [1][2]...[a]."""
-    if a < 0:
-        raise ArgumentOutOfRange("qfact requires a >= 0")
-    out = ONE
-    for k in range(1, a + 1):
-        out = out * qint(0, k)
-    return out
+    """[a]! = [a][a-1]...[1]."""
+    check_counts(a=a)
+    return qint_falling(0, a, a)
 
 
 def qbinom(a: int, m: int) -> ScalarK:
     """Ordinary Gaussian binomial [a choose m]."""
-    if a < 0 or m < 0 or m > a:
+    check_counts(a=a, m=m)
+    if m > a:
         raise ArgumentOutOfRange("qbinom requires 0 <= m <= a")
     return qfact(a) / (qfact(m) * qfact(a - m))
 
 
 def qbinom_ext(b: int, a: int, m: int) -> ScalarK:
     """Extended binomial [b*n + a choose m] = prod_{k=0}^{m-1} [b*n + a - k] / [m]!."""
-    if m < 0:
-        raise ArgumentOutOfRange("qbinom_ext requires m >= 0")
-    num = ONE
-    for k in range(m):
-        num = num * qint(b, a - k)
-    return num / qfact(m)
+    return qint_falling(b, a, m) / qfact(m)
 
 
 def ffact_ext(a: int) -> ScalarK:
     """Falling-factorial product prod_{k=0}^{a-1} [2n - k]."""
-    if a < 0:
-        raise ArgumentOutOfRange("ffact_ext requires a >= 0")
-    out = ONE
-    for k in range(a):
-        out = out * qint(2, -k)
-    return out
+    check_counts(a=a)
+    return qint_falling(2, 0, a)
 
 
 def check_addition(
@@ -127,8 +132,7 @@ def check_addition(
 
 def check_qbinom_recurrence(a: int, b: int) -> bool:
     """Verify [a+b+1 choose a] = q^a [a+b choose a] + q^{-b-1} [a+b choose a-1]."""
-    if a < 0 or b < 0:
-        raise ArgumentOutOfRange("requires a, b >= 0")
+    check_counts(a=a, b=b)
     lhs = qbinom(a + b + 1, a)
     rhs = Q**a * qbinom(a + b, a)
     if a >= 1:
@@ -158,8 +162,7 @@ def hecke_dim_E(p: int) -> ScalarK:
 
 def check_hecke_dim_recurrences(p: int) -> bool:
     """Verify [p+1] D_F(p+1) = [n+p] D_F(p) and [p+1] D_E(p+1) = [n-p] D_E(p)."""
-    if p < 0:
-        raise ArgumentOutOfRange("requires p >= 0")
+    check_counts(p=p)
     f_ok = equal(
         qint(0, p + 1) * hecke_dim_F(p + 1), qint(1, p) * hecke_dim_F(p)
     )

@@ -15,8 +15,15 @@ from __future__ import annotations
 import json
 from math import prod
 
-from .errors import ArgumentOutOfRange, InadmissibleTriple, expect, is_int, json_object
-from .qcomb import brace, brace_shifted, ffact_ext, qbinom, qfact, qint
+from .errors import (
+    ArgumentOutOfRange,
+    InadmissibleTriple,
+    check_counts,
+    expect,
+    is_int,
+    json_object,
+)
+from .qcomb import brace, brace_prod, brace_shifted, ffact_ext, qbinom, qfact, qint
 from .scalar import (
     ONE,
     Q,
@@ -31,12 +38,6 @@ from .scalar import (
 )
 
 
-def _check_nonneg(**kwargs):
-    for name, val in kwargs.items():
-        if not isinstance(val, int) or val < 0:
-            raise ArgumentOutOfRange(f"{name} must be a nonnegative integer")
-
-
 class AdmissibleTriple:
     """External edge labels (a, b, c) of a trivalent vertex, with the
     internal strand counts (r, s, t) given by a = r+t, b = r+s, c = s+t."""
@@ -44,7 +45,7 @@ class AdmissibleTriple:
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int):
-        _check_nonneg(a=a, b=b, c=c)
+        check_counts(a=a, b=b, c=c)
         if (a + b + c) % 2:
             raise InadmissibleTriple(f"{(a, b, c)}: odd total")
         if a + b < c or b + c < a or c + a < b:
@@ -60,7 +61,7 @@ class AdmissibleTriple:
 
     @staticmethod
     def from_rst(r: int, s: int, t: int) -> "AdmissibleTriple":
-        _check_nonneg(r=r, s=s, t=t)
+        check_counts(r=r, s=s, t=t)
         return AdmissibleTriple(r + t, r + s, s + t)
 
 
@@ -71,7 +72,7 @@ class AdmissibleTriple:
 def dimq_vector(a: int) -> ScalarK:
     """Quantum dimension of the a-th symmetric label: ({1}/{0}) [2n choose a]
     for a >= 1, and 1 for a = 0 (the empty diagram)."""
-    _check_nonneg(a=a)
+    check_counts(a=a)
     if a == 0:
         return ONE
     return (brace(1) / brace(0)) * ffact_ext(a) / qfact(a)
@@ -85,7 +86,7 @@ def dimq_vector_recurrence_consistent(a: int) -> ScalarK:
 
     and matches quantum traces of the antisymmetric idempotents.  The
     verbatim closed form above does not (see check_dimq_recurrence)."""
-    _check_nonneg(a=a)
+    check_counts(a=a)
     if a == 0:
         return ONE
     return (brace(a) / brace(0)) * ffact_ext(a) / qfact(a)
@@ -99,7 +100,7 @@ def check_dimq_recurrence(p: int, printed: bool = False) -> bool:
     It holds for dimq_vector_recurrence_consistent; the printed closed form
     (dimq_vector) FAILS it for p >= 1.
     """
-    _check_nonneg(p=p)
+    check_counts(p=p)
     fn = dimq_vector if printed else dimq_vector_recurrence_consistent
     lhs = (qint(2, -2 * p - 2) / qint(1, -p - 1)) * qint(2, -p) * fn(p)
     rhs = (qint(2, -2 * p) / qint(1, -p)) * qint(0, p + 1) * fn(p + 1)
@@ -108,14 +109,14 @@ def check_dimq_recurrence(p: int, printed: bool = False) -> bool:
 
 def curl(a: int) -> ScalarK:
     """Curl (positive kink) value on an a-labelled strand: z^{2a} q^{-a^2}."""
-    _check_nonneg(a=a)
+    check_counts(a=a)
     return Z ** (2 * a) * Q ** (-a * a)
 
 
 def twist(r: int, s: int, t: int) -> ScalarK:
     """Half-twist value at a vertex with internal counts (r, s, t):
     (-1)^{st+rs+rt} z^{-2s} q^{(s+t)(s+r)-2rt}."""
-    _check_nonneg(r=r, s=s, t=t)
+    check_counts(r=r, s=s, t=t)
     sign = -1 if (s * t + r * s + r * t) % 2 else 1
     return scalar(sign) * Z ** (-2 * s) * Q ** ((s + t) * (s + r) - 2 * r * t)
 
@@ -123,16 +124,13 @@ def twist(r: int, s: int, t: int) -> ScalarK:
 def vertex_collapse(t: AdmissibleTriple) -> ScalarK:
     """Delta * (prod_{k=1}^{r+s+t} 1/{k}) * [a]![b]![c]! / ([r]![s]![t]!)."""
     r, s, tt = t.rst
-    out = SPIN_DELTA * qfact(t.a) * qfact(t.b) * qfact(t.c)
-    out = out / (qfact(r) * qfact(s) * qfact(tt))
-    for k in range(1, r + s + tt + 1):
-        out = out / brace(k)
-    return out
+    return (SPIN_DELTA / brace_prod(1, r + s + tt + 1)
+            * qfact(t.a) * qfact(t.b) * qfact(t.c) / (qfact(r) * qfact(s) * qfact(tt)))
 
 
 def gamma_cross_coeff(p: int) -> ScalarK:
     """The subtraction coefficient [p+1]/{p+1} (= [p+1][n-p-1]/[2n-2p-2])."""
-    _check_nonneg(p=p)
+    check_counts(p=p)
     return qint(0, p + 1) / brace(p + 1)
 
 
@@ -143,13 +141,13 @@ def check_gamma_cross_coeff(p: int) -> bool:
 
 def leg_hop(r: int) -> ScalarK:
     """({r}/{r+1}) ([r+1]/[r+2])."""
-    _check_nonneg(r=r)
+    check_counts(r=r)
     return (brace(r) / brace(r + 1)) * (qint(0, r + 1) / qint(0, r + 2))
 
 
 def leg_hop_iter(a: int, r: int) -> ScalarK:
     """({a}/{a+r+1}) ([a+1]/[a+r+2]); telescoped iterate of leg_hop."""
-    _check_nonneg(a=a, r=r)
+    check_counts(a=a, r=r)
     return (brace(a) / brace(a + r + 1)) * (qint(0, a + 1) / qint(0, a + r + 2))
 
 
@@ -160,6 +158,7 @@ def check_leg_hop_iter(a: int, r: int) -> bool:
 
 def check_bubble_identity(a: int, b: int, m: int) -> bool:
     """Verify [2n-b-m]{a+m} - [a]{b} = [2n-a-b-m]{m}."""
+    check_counts(a=a, b=b, m=m)
     lhs = qint(2, -b - m) * brace(a + m) - qint(0, a) * brace(b)
     rhs = qint(2, -a - b - m) * brace(m)
     return equal(lhs, rhs)
@@ -175,11 +174,8 @@ def theta_spinor(a: int) -> ScalarK:
     Note the verbatim formula gives Delta*{1}/{0} at a = 0, not Delta; the
     intended domain is a >= 1 and the raw value is returned unchanged.
     """
-    _check_nonneg(a=a)
-    out = SPIN_DELTA * (brace(1) / brace(0)) * ffact_ext(a)
-    for k in range(1, a + 1):
-        out = out / brace(k)
-    return out
+    check_counts(a=a)
+    return SPIN_DELTA / brace_prod(1, a + 1) * (brace(1) / brace(0)) * ffact_ext(a)
 
 
 def check_theta_spinor_empty(printed: bool = False) -> bool:
@@ -191,49 +187,39 @@ def check_theta_spinor_empty(printed: bool = False) -> bool:
 
 
 def x_coeff(r: int, s: int, t: int) -> ScalarK:
-    """X(r,s,t): brace products over r, s, t divided by those over the
-    pairwise sums."""
-    _check_nonneg(r=r, s=s, t=t)
-    out = ONE
-    for m in (r, s, t):
-        for k in range(m):
-            out = out * brace(k)
-    for m in (r + s, r + t, s + t):
-        for k in range(m):
-            out = out / brace(k)
-    return out
+    """X(r,s,t): the brace products {0}...{m-1} over m = r, s, t divided by
+    those over the pairwise sums, which cancel to
+
+        1 / ({r}...{r+s-1} {s}...{s+t-1} {t}...{t+r-1}).
+    """
+    check_counts(r=r, s=s, t=t)
+    return ONE / (brace_prod(r, r + s) * brace_prod(s, s + t) * brace_prod(t, t + r))
 
 
 def threej_spinor(r: int, s: int, t: int) -> ScalarK:
     """Delta * X(r,s,t) * [2n][2n-1]...[2n-(r+s+t)+1]."""
-    _check_nonneg(r=r, s=s, t=t)
+    check_counts(r=r, s=s, t=t)
     return SPIN_DELTA * x_coeff(r, s, t) * ffact_ext(r + s + t)
 
 
 def theta_vector(r: int, s: int, t: int) -> ScalarK:
     """X(r,s,t) * (prod_{k=1}^{r+s+t} {k}) * [r]![s]![t]! /
     ([r+s]![r+t]![s+t]!) * [2n]...[2n-(r+s+t)+1]."""
-    _check_nonneg(r=r, s=s, t=t)
-    out = x_coeff(r, s, t) * ffact_ext(r + s + t)
-    for k in range(1, r + s + t + 1):
-        out = out * brace(k)
-    out = out * qfact(r) * qfact(s) * qfact(t)
-    out = out / (qfact(r + s) * qfact(r + t) * qfact(s + t))
-    return out
+    check_counts(r=r, s=s, t=t)
+    return (x_coeff(r, s, t) * brace_prod(1, r + s + t + 1)
+            * qfact(r) * qfact(s) * qfact(t) / (qfact(r + s) * qfact(r + t) * qfact(s + t))
+            * ffact_ext(r + s + t))
 
 
 def threej_double(r: int, s: int, t: int) -> ScalarK:
     """Delta^2 * (prod_{k=0}^{r+s+t-1} 1/{k}) * X(r,s,t) *
     [a]![b]![c]!/([r]![s]![t]!) * [2n]...[2n-(r+s+t)+1],
     with (a,b,c) = (r+t, r+s, s+t)."""
-    _check_nonneg(r=r, s=s, t=t)
+    check_counts(r=r, s=s, t=t)
     a, b, c = r + t, r + s, s + t
-    out = SPIN_DELTA**2 * x_coeff(r, s, t) * ffact_ext(r + s + t)
-    out = out * qfact(a) * qfact(b) * qfact(c)
-    out = out / (qfact(r) * qfact(s) * qfact(t))
-    for k in range(r + s + t):
-        out = out / brace(k)
-    return out
+    return (SPIN_DELTA**2 / brace_prod(0, r + s + t) * x_coeff(r, s, t)
+            * qfact(a) * qfact(b) * qfact(c) / (qfact(r) * qfact(s) * qfact(t))
+            * ffact_ext(r + s + t))
 
 
 def check_threej_double(r: int, s: int, t: int) -> bool:
@@ -245,11 +231,9 @@ def check_threej_double(r: int, s: int, t: int) -> bool:
 def check_theta_vector(r: int, s: int, t: int) -> bool:
     """Verify theta_vector = (threej_spinor / Delta) * prod_{k=1}^{r+s+t} {k}
     * [r]![s]![t]! / ([r+s]![r+t]![s+t]!)."""
-    factor = qfact(r) * qfact(s) * qfact(t)
-    factor = factor / (qfact(r + s) * qfact(r + t) * qfact(s + t))
-    for k in range(1, r + s + t + 1):
-        factor = factor * brace(k)
-    return equal(theta_vector(r, s, t), threej_spinor(r, s, t) / SPIN_DELTA * factor)
+    rhs = (threej_spinor(r, s, t) / SPIN_DELTA * brace_prod(1, r + s + t + 1)
+           * qfact(r) * qfact(s) * qfact(t) / (qfact(r + s) * qfact(r + t) * qfact(s + t)))
+    return equal(theta_vector(r, s, t), rhs)
 
 
 # --------------------------------------------------------------------------
@@ -258,13 +242,11 @@ def check_theta_vector(r: int, s: int, t: int) -> bool:
 
 def completeness_C(a: int, b: int, m: int) -> ScalarK:
     """(prod_{k=a+b-2m+1}^{a+b-m} 1/{k}) [a choose m][b choose m][m]!."""
-    _check_nonneg(a=a, b=b, m=m)
+    check_counts(a=a, b=b, m=m)
     if m > min(a, b):
         raise ArgumentOutOfRange("completeness_C requires m <= min(a, b)")
-    out = qbinom(a, m) * qbinom(b, m) * qfact(m)
-    for k in range(a + b - 2 * m + 1, a + b - m + 1):
-        out = out / brace(k)
-    return out
+    return (qbinom(a, m) * qbinom(b, m) * qfact(m)
+            / brace_prod(a + b - 2 * m + 1, a + b - m + 1))
 
 
 def fierz(a: int, b: int) -> ScalarK:
@@ -274,7 +256,7 @@ def fierz(a: int, b: int) -> ScalarK:
                              q^{ab-2(a-m)(b-m)} X(a-m,b-m,m)
                              [2n][2n-1]...[2n-(a+b-m)+1].
     """
-    _check_nonneg(a=a, b=b)
+    check_counts(a=a, b=b)
     out = scalar(0)
     for m in range(min(a, b) + 1):
         sign = -1 if (a * b - m * m) % 2 else 1
@@ -292,7 +274,7 @@ def fierz_a0(a: int) -> ScalarK:
     the completeness sum gives F(1,0) = [2n]/{0} = delta.  It is kept only
     so the discrepancy stays pinned (see check_fierz_a0).
     """
-    _check_nonneg(a=a)
+    check_counts(a=a)
     out = ONE
     for k in range(a):
         out = out / brace_shifted(k)
@@ -303,18 +285,15 @@ def check_fierz_a0(a: int, printed: bool = False) -> bool:
     """Verify F(a,0) = prod_{k=0}^{a-1} [2n-k]/{k}, the one term of the
     completeness sum at b = 0.  The printed closed form (fierz_a0) fails
     for a >= 1."""
-    closed = fierz_a0(a) if printed else ffact_ext(a) / prod(map(brace, range(a)))
+    closed = fierz_a0(a) if printed else ffact_ext(a) / brace_prod(0, a)
     return equal(fierz(a, 0), closed)
 
 
 def fierz_a1(a: int) -> ScalarK:
     """(-1)^a (prod_{k=0}^{a} 1/{k}) [2n-2a] [2n][2n-1]...[2n-a+1]."""
-    if not isinstance(a, int) or a < 1:
+    if not is_int(a) or a < 1:
         raise ArgumentOutOfRange("fierz_a1 requires a >= 1")
-    out = scalar(-1 if a % 2 else 1) * qint(2, -2 * a) * ffact_ext(a)
-    for k in range(a + 1):
-        out = out / brace(k)
-    return out
+    return scalar(-1 if a % 2 else 1) / brace_prod(0, a + 1) * qint(2, -2 * a) * ffact_ext(a)
 
 
 def check_fierz_a1(a: int) -> bool:
@@ -330,7 +309,7 @@ def fierz_recurrence_check(a: int, b: int, printed: bool = False) -> bool:
     completeness-sum values.  The printed coefficient [2n-b]/{b} agrees
     with it exactly at b = 0, so the printed recurrence fails for b >= 1.
     """
-    _check_nonneg(a=a, b=b)
+    check_counts(a=a, b=b)
     if printed:
         coeff = qint(2, -b) / brace(b)
     else:
@@ -358,7 +337,7 @@ def check_fierz_bar_invariance(a: int, b: int) -> bool:
 def exp_coeff(p: int) -> ScalarK:
     """The strand-expansion coefficient z / (z^2 q^-1 - (-q)^{p+1}),
     taken as the definition for every p (it needs no half-integer powers)."""
-    _check_nonneg(p=p)
+    check_counts(p=p)
     sign = -1 if (p + 1) % 2 else 1
     return Z / (Z**2 * Q**-1 - scalar(sign) * Q ** (p + 1))
 
@@ -366,6 +345,7 @@ def exp_coeff(p: int) -> ScalarK:
 def check_exp_coeff_half_form(p: int) -> bool:
     """For even p, the half-power form q^{-p/2}/(z q^{-p/2-1} + z^-1 q^{p/2+1})
     is field-expressible and must agree with exp_coeff(p)."""
+    check_counts(p=p)
     if p % 2:
         raise ArgumentOutOfRange("the half-power form needs p even")
     h = p // 2
@@ -396,7 +376,7 @@ class FierzTable:
 
     @staticmethod
     def generate(max_a: int, max_b: int) -> "FierzTable":
-        _check_nonneg(max_a=max_a, max_b=max_b)
+        check_counts(max_a=max_a, max_b=max_b)
         grid = [(a, b) for a in range(max_a + 1) for b in range(max_b + 1)]
         keys = sorted({(min(a, b), max(a, b)) for a, b in grid})
         vals = {ab: fierz(*ab) for ab in keys}

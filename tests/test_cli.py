@@ -313,12 +313,15 @@ _LEVEL = f"n={cli.MAX_LEVEL + 1}"
          "ArgumentOutOfRange"),
         (["eval-theta", "--kind", "spinor", "--r", "0", "--s", "-2", "--t", "0"],
          "ArgumentOutOfRange"),
+        # one label set would be ignored
+        (["eval-theta", "--a", "2", "--b", "2", "--c", "2", "--r", "5"], "bad-labels"),
     ],
     ids=["fierz-table-max", "dims-p-max", "fierz-table-negative", "dims-negative",
          "dims-level", "eval-theta-level", "specialize-level", "specialize-huge-level",
          "specialize-level-zero", "specialize-level-not-int", "eval-theta-partial-abc",
          "spinor-theta-two-counts", "specialize-pole-at-level",
-         "spinor-theta-negative-r", "spinor-theta-negative-s"],
+         "spinor-theta-negative-r", "spinor-theta-negative-s",
+         "eval-theta-both-label-sets"],
 )
 def test_table_size_caps(capsys, argv, error):
     start = time.perf_counter()
@@ -658,6 +661,31 @@ CAP_LEVEL_SHA256 = [
 
 @pytest.mark.parametrize("argv,digest", CAP_LEVEL_SHA256, ids=[row[0][0] for row in CAP_LEVEL_SHA256])
 def test_cap_levels_sha256_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The unspecialized stdout of the closed-form commands, by its sha256:
+# captured when each product of brackets and braces was its own loop, which
+# the shared products of qcomb must not change.
+CLOSED_FORM_SHA256 = [
+    (["eval-theta", "--r", "3", "--s", "2", "--t", "2"],
+     "b5022885362d59a64ee12cf5b8cf9f79f6e63a6769a802060325faebddfc6dc1"),
+    (["eval-theta", "--kind", "spinor", "--r", "6", "--s", "0", "--t", "0"],
+     "265efe9a69e913d4fff2084c49875dd16001aa9272055d582eb31f9a41cf47db"),
+    (["eval-3j", "--r", "3", "--s", "3", "--t", "2"],
+     "c7c38732b16d174ba5f8a76751df2fe185b190d9c8bf4e33529d58273f0ed8da"),
+    (["eval-3j", "--kind", "double", "--r", "3", "--s", "3", "--t", "2"],
+     "0c11830fd8a8bd4f778ef39184eb8ccacf47ebb58ea9d723c0fd4cafb3b3f2ff"),
+    (["dims", "--p-max", "8"],
+     "77558f0e9770c27c2c192fd679893fc499072a212b51a973368418ea3421467b"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CLOSED_FORM_SHA256,
+                         ids=["theta-vector", "theta-spinor", "3j-spinor", "3j-double", "dims"])
+def test_closed_forms_sha256_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,6 +1,7 @@
 """Import hygiene of ``src/qspin``, read from each module's syntax tree:
-no module imports a name it never uses, and ``scalar`` imports from no
-qspin module but ``errors`` and ``poly``."""
+no module imports a name it never uses, no private module-level name goes
+unread, and ``scalar`` imports from no qspin module but ``errors`` and
+``poly``."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,62 @@ def test_the_guard_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_a_name_it_never_uses(module):
     assert _unused_imports((SRC / module).read_text()) == []
+
+
+def _unread_private_names(sources: dict) -> list:
+    """The private module-level functions, classes and constants of
+    ``sources`` (module name -> source) that no source reads, as
+    (module, name) pairs.
+
+    A name is read where it is loaded (``_f(x)``) or taken as an attribute
+    (``scalar._f``), in any of the sources; a name read only inside its own
+    body, as a recursive function reads itself, counts as read.  Dunder
+    names are not private."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_the_guard_finds_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "_USED = 1\n"
+            "_DEAD: int = 2\n"
+            "_X, (_Y, _Z) = 3, (4, 5)\n"
+            "__all__ = ['f']\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else _USED\n"
+            "class _Gone:\n"
+            "    pass\n"
+            "def f(x):\n"
+            "    _local = x\n"
+            "    return _X + b._helper()\n"
+        ),
+        "b.py": "def _helper():\n    return _Y\n",
+    }
+    assert _unread_private_names(sources) == [
+        ("a.py", "_DEAD"), ("a.py", "_Gone"), ("a.py", "_Z")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert _unread_private_names(sources) == []
 
 
 def _qspin_sources(source: str) -> set:

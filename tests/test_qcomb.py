@@ -7,6 +7,7 @@ from qspin.errors import ArgumentOutOfRange
 from qspin.qcomb import (
     ExtSymbol,
     brace,
+    brace_prod,
     brace_shifted,
     check_addition,
     check_double_shift,
@@ -14,8 +15,10 @@ from qspin.qcomb import (
     hecke_dim_E,
     hecke_dim_F,
     qbinom,
+    qbinom_ext,
     qfact,
     qint,
+    qint_falling,
 )
 from qspin.scalar import ONE, Q, equal, integer_level
 
@@ -60,6 +63,35 @@ def test_qfact_and_qbinom():
     assert equal(qbinom(4, 2), qfact(4) / (qfact(2) * qfact(2)))
     with pytest.raises(ArgumentOutOfRange):
         qfact(-1)
+
+
+@pytest.mark.parametrize("b", [0, 1, 2])
+def test_products_equal_their_explicit_factors(b):
+    for a in range(-3, 4):
+        out = ONE
+        assert equal(qint_falling(b, a, 0), ONE)
+        for m in range(1, 5):
+            out = out * qint(b, a - m + 1)
+            assert equal(qint_falling(b, a, m), out)
+    for lo in range(4):
+        out = ONE
+        assert equal(brace_prod(lo, lo), ONE) and equal(brace_prod(lo + 2, lo), ONE)
+        for hi in range(lo + 1, lo + 5):
+            out = out * brace(hi - 1)
+            assert equal(brace_prod(lo, hi), out)
+
+
+# a count is an int >= 0: a bool, a float or a negative int is refused
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5, -1], ids=repr)
+@pytest.mark.parametrize("call", [
+    qfact, ffact_ext, lambda m: qint_falling(1, 2, m), lambda m: qbinom_ext(2, 0, m),
+    lambda a: qbinom(a, 0), lambda m: qbinom(3, m), lambda lo: brace_prod(lo, 3),
+    lambda hi: brace_prod(0, hi), hecke_dim_F, hecke_dim_E,
+], ids=["qfact", "ffact_ext", "qint_falling", "qbinom_ext", "qbinom-a", "qbinom-m",
+        "brace_prod-lo", "brace_prod-hi", "hecke_dim_F", "hecke_dim_E"])
+def test_counts_refuse_non_counts(call, bad):
+    with pytest.raises(ArgumentOutOfRange):
+        call(bad)
 
 
 def test_falling_factorial_extended():

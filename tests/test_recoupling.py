@@ -9,7 +9,7 @@ from counting import counting
 from registry_rows import rows_hold
 from qspin import recoupling
 from qspin.errors import ArgumentOutOfRange, InadmissibleTriple, ParseError
-from qspin.qcomb import brace, ffact_ext, qfact, qint
+from qspin.qcomb import brace, brace_prod, ffact_ext, qfact, qint
 from qspin.recoupling import (
     AdmissibleTriple,
     FierzTable,
@@ -95,9 +95,38 @@ def test_fierz_recurrence_printed_vs_corrected():
     assert all(fierz_recurrence_check(a, 0, printed=True) for a in range(4))
 
 
+def test_x_coeff_is_its_uncancelled_quotient():
+    # X(r,s,t) against the six brace products it is defined by
+    for r in range(4):
+        for s in range(4):
+            for t in range(4):
+                full = (brace_prod(0, r) * brace_prod(0, s) * brace_prod(0, t)
+                        / (brace_prod(0, r + s) * brace_prod(0, r + t) * brace_prod(0, s + t)))
+                assert equal(recoupling.x_coeff(r, s, t), full)
+
+
 def test_completeness_C_baseline():
     assert equal(completeness_C(0, 0, 0), ONE)
     assert equal(completeness_C(1, 1, 1), qfact(1) / brace(1))
+
+
+# a count is an int >= 0: a bool, a float or a negative int is refused
+# (fierz_a1 takes a >= 1, which refuses them too)
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5, -1], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda a: fierz(a, 1), lambda b: fierz(1, b), recoupling.fierz_a1, fierz_a0,
+    lambda m: completeness_C(2, 2, m), lambda r: recoupling.x_coeff(r, 1, 1),
+    lambda r: recoupling.theta_vector(r, 1, 1), lambda t: recoupling.threej_double(1, 1, t),
+    theta_spinor, dimq_vector, curl, lambda a: AdmissibleTriple(a, 1, 1),
+    lambda s: AdmissibleTriple.from_rst(1, s, 1), recoupling.leg_hop,
+    lambda m: recoupling.check_bubble_identity(1, 1, m),
+    lambda a: FierzTable.generate(a, 1),
+], ids=["fierz-a", "fierz-b", "fierz_a1", "fierz_a0", "completeness_C", "x_coeff",
+        "theta_vector", "threej_double", "theta_spinor", "dimq_vector", "curl",
+        "AdmissibleTriple", "from_rst", "leg_hop", "bubble", "FierzTable.generate"])
+def test_counts_refuse_non_counts(call, bad):
+    with pytest.raises(ArgumentOutOfRange):
+        call(bad)
 
 
 def test_exp_coeff():
