@@ -14,7 +14,7 @@ where z stands for q^n.  The case b = 0 recovers the ordinary q-integer
 ``qint`` and ``brace`` build each one by the field's own arithmetic,
 whose sum splits it into its cyclotomic keys.  ``qint_falling`` and
 ``brace_prod`` are their products over a run of consecutive arguments,
-of which every factorial, binomial and closed form is built.  Every count
+of which the factorials, binomials and closed forms are built.  Every count
 argument is an int >= 0 (``errors.check_counts``).
 """
 
