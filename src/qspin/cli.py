@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import matrixlab, networks, recoupling, scalar
-from .errors import ArgumentOutOfRange, QspinError
+from .errors import ArgumentOutOfRange, QspinError, check_counts
 from .poly import poly_str
 
 # Size caps, from one cold CLI run each on a 2-core x86 machine (Python
@@ -142,17 +142,13 @@ def _cmd_eval_3j(args) -> int:
 
 
 def _check_eval_cap(r: int, s: int, t: int) -> None:
-    # a negative count would also slip under the cap
-    for name, value in zip("rst", (r, s, t)):
-        if value < 0:
-            raise ArgumentOutOfRange(f"{name} must be a nonnegative integer")
+    check_counts(r=r, s=s, t=t)  # a negative count would also slip under the cap
     if r + s + t > MAX_EVAL_SUM:
         raise ArgumentOutOfRange(f"r + s + t = {r + s + t} exceeds the cap {MAX_EVAL_SUM}")
 
 
 def _check_cap(name: str, value: int, cap: int) -> None:
-    if value < 0:
-        raise ArgumentOutOfRange(f"{name} must be a nonnegative integer")
+    check_counts(**{name: value})
     if value > cap:
         raise ArgumentOutOfRange(f"{name} {value} exceeds the cap {cap}")
 

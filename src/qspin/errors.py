@@ -64,6 +64,13 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_ints(**values) -> None:
+    """Raise ArgumentOutOfRange unless every value is an int (not a bool)."""
+    for name, value in values.items():
+        if not is_int(value):
+            raise ArgumentOutOfRange(f"{name} must be an integer")
+
+
 def check_counts(**counts) -> None:
     """Raise ArgumentOutOfRange unless every count is an int (not a bool)
     and >= 0."""

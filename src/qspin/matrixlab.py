@@ -38,7 +38,7 @@ Conventions:
 from __future__ import annotations
 
 import threading
-from functools import wraps
+from functools import cache, wraps
 from itertools import product
 from math import gcd
 from time import perf_counter
@@ -50,6 +50,7 @@ from .errors import (
     DivisorVanishes,
     ParseError,
     UnsupportedSize,
+    check_counts,
 )
 from .poly import FIELD_BITS, MAX_EXPONENT, MAX_GENS, Poly, exquo, pack
 from .qcomb import brace, qbinom_ext, qint
@@ -57,26 +58,24 @@ from .recoupling import dimq_vector_recurrence_consistent
 from .scalar import FIELD, ONE, QDIFF, Q, U, V, Z, ScalarK, equal, integer_level, scalar
 from .scalar import _expand, _fac_mul
 
-#: Guards every _built_once table: library callers may build from threads.
+#: Guards every _built_once cache: library callers may build from threads.
 _CACHE_LOCK = threading.RLock()
 
 
 def _built_once(build):
-    """Memoize ``build`` per positional arguments.  The first call builds
-    under _CACHE_LOCK, so every later call, from any thread, gets the
-    object that call built; callers must not mutate it.  ``__wrapped__``
-    builds afresh and ``cache_clear`` empties the table.  Arguments are
-    table keys: callers validate them first."""
-    table: dict = {}
+    """``functools.cache`` of ``build``, entered under _CACHE_LOCK, so that
+    every call after the first, from any thread, gets the object the first
+    built; callers must not mutate it.  ``__wrapped__`` builds afresh and
+    ``cache_clear`` empties the cache.  Arguments are cache keys: callers
+    validate them first."""
+    cached = cache(build)
 
     @wraps(build)
     def once(*args):
         with _CACHE_LOCK:
-            if args not in table:
-                table[args] = build(*args)
-            return table[args]
+            return cached(*args)
 
-    once.cache_clear = table.clear
+    once.cache_clear = cached.cache_clear
     return once
 
 
@@ -840,8 +839,7 @@ def dimq_sym_recursive(p: int) -> ScalarK:
     seeded with dim(1) = {1} delta.  (The telescoped product stays finite
     at every integer level, unlike the closed form's [n-1] denominator.)
     """
-    if p < 0:
-        raise ArgumentOutOfRange("p must be nonnegative")
+    check_counts(p=p)
     if p == 0:
         return ONE
     out = brace(1) * qint(1, 0)
@@ -854,8 +852,7 @@ def dimq_sym_closed(p: int) -> ScalarK:
     """Closed form [n+p-1]/[n-1] * [2n+p-3 choose p] (generic z; the [n-1]
     denominator vanishes at integer level n = 1, where the recursive form
     must be used)."""
-    if p < 0:
-        raise ArgumentOutOfRange("p must be nonnegative")
+    check_counts(p=p)
     if p == 0:
         return ONE
     return qint(1, p - 1) / qint(1, -1) * qbinom_ext(2, p - 3, p)

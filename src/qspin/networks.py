@@ -157,6 +157,8 @@ class LabelledNetwork:
             a, b, c = (self.edges[e][2] for e, _ in rot)
             AdmissibleTriple(a, b, c)  # raises InadmissibleTriple if bad
         for a in self.free_loops:
+            if not is_int(a):
+                raise ConstraintViolated("free loop has a non-integer label")
             if a < 0:
                 raise InadmissibleLabel("free loop has negative label")
 
@@ -301,6 +303,8 @@ class StrandNetwork:
             if self.link.get(val) != key:
                 raise ConstraintViolated("ambient linking is not an involution")
         for a in self.free_loops:
+            if not is_int(a):
+                raise ConstraintViolated("free loop has a non-integer label")
             if a < 0:
                 raise InadmissibleLabel("free loop has negative label")
 

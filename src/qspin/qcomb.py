@@ -12,52 +12,49 @@ where z stands for q^n.  The case b = 0 recovers the ordinary q-integer
     brace_shifted(k) = q^k + q^-k         (the symbol {n - k})
 
 ``qint`` and ``brace`` build each one by the field's own arithmetic,
-whose sum splits it into its cyclotomic keys.  ``qint_falling`` and
-``brace_prod`` are their products over a run of consecutive arguments,
-of which the factorials, binomials and closed forms are built.  Every count
-argument is an int >= 0 (``errors.check_counts``).
+whose sum splits it into its cyclotomic keys, once per argument type and
+value.  ``qint_falling`` and ``brace_prod`` are their products over a run
+of consecutive arguments, of which the factorials, binomials and closed
+forms are built.  Every argument of a bracket or brace is an int
+(``errors.check_ints``), and every count argument an int >= 0
+(``errors.check_counts``).
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
-from .errors import ArgumentOutOfRange, check_counts
+from .errors import ArgumentOutOfRange, check_counts, check_ints
 from .scalar import DELTA, ONE, QDIFF, Q, Z, ScalarK, equal
 
-#: Brackets and braces by ("qint", b, a) and ("brace", k), each built on
-#: first use; ``setdefault`` keeps one object when threads race to build it.
-_SYMBOLS: dict = {}
 
-
+# typed, so that qint(True, 0) is checked and refused, not served [n]
+@lru_cache(maxsize=None, typed=True)
 def qint(b: int, a: int) -> ScalarK:
     """The extended q-integer [b*n + a] = (z^b q^a - z^-b q^-a) / (q - q^-1).
 
     Its classical image is b*delta + a.
     """
-    key = ("qint", b, a)
-    x = _SYMBOLS.get(key)
-    if x is None:
-        x = _SYMBOLS.setdefault(key, (Z**b * Q**a - Z**-b * Q**-a) / QDIFF)
-    return x
+    check_ints(b=b, a=a)
+    return (Z**b * Q**a - Z**-b * Q**-a) / QDIFF
 
 
+@lru_cache(maxsize=None, typed=True)
 def brace(k: int) -> ScalarK:
     """The brace symbol {k} = z q^-k + z^-1 q^k.
 
     Its classical image is 2.
     """
-    key = ("brace", k)
-    x = _SYMBOLS.get(key)
-    if x is None:
-        x = _SYMBOLS.setdefault(key, Z * Q**-k + Z**-1 * Q**k)
-    return x
+    check_ints(k=k)
+    return Z * Q**-k + Z**-1 * Q**k
 
 
 def brace_shifted(k: int) -> ScalarK:
     """The shifted brace {n - k} = q^k + q^-k (z replaced by q^n formally)."""
+    check_ints(k=k)
     return Q**k + Q**-k
 
 

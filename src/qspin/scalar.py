@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from math import comb, gcd, lcm, prod
 from operator import add, sub
@@ -170,70 +171,58 @@ def _fac_mul(a: dict, b: dict, sign: int = 1) -> dict:
 # term t^phi(d).  A change of variables in GL_5(Z) maps the primitive
 # monomial t to a single generator, so each key is irreducible.
 
-#: d -> the coefficients of Phi_d, lowest degree first; filled on first use.
-_CYCLOTOMIC: dict = {}
-#: Cyclotomic key Phi_d(x^w) -> (d, w); filled as keys are built.
+#: Cyclotomic key Phi_d(x^w) -> (d, w); filled as ``_phi_key`` builds keys.
 _PHI: dict = {}
-#: (d, w) -> the cyclotomic key Phi_d(x^w), the inverse of ``_PHI``.
-_PHI_KEYS: dict = {}
-#: Unit binomial -> its cyclotomic keys (a shared, never mutated map).
-_SPLITS: dict = {}
-#: (d, w, n) -> the image of the key Phi_d(x^w) under z -> q^n.
-_PHI_IMAGES: dict = {}
 
 
+@cache
 def _cyclotomic(d: int) -> tuple:
     """The coefficients of the cyclotomic polynomial Phi_d, lowest degree
     first.  With r the product of d's primes, Phi_d(x) = Phi_r(x^(d/r)),
     and for r > 1 Phi_r(x) = prod_{e | r} (1 - x^e)^mu(r/e): each factor
     multiplies or divides the coefficients in one pass."""
-    coeffs = _CYCLOTOMIC.get(d)
-    if coeffs is None:
-        primes, m, p = [], d, 2
-        while p * p <= m:
-            if m % p == 0:
-                primes.append(p)
-                while m % p == 0:
-                    m //= p
-            p += 1
-        if m > 1:
-            primes.append(m)
-        r = prod(primes)
-        if r == 1:
-            phi = [-1, 1]
-        else:
-            divs = [(1, (-1) ** len(primes))]  # (e, mu(r/e)) over the e | r
-            for p in primes:
-                divs += [(e * p, -mu) for e, mu in divs]
-            phi = [1]
-            for e, mu in sorted(divs, key=lambda em: -em[1]):  # the products first
-                if mu > 0:  # times 1 - x^e
-                    phi += [0] * e
-                    for i in range(len(phi) - 1, e - 1, -1):
-                        phi[i] -= phi[i - e]
-                else:  # divided by 1 - x^e, exactly
-                    for i in range(e, len(phi)):
-                        phi[i] += phi[i - e]
-                    del phi[len(phi) - e:]
-        k = d // r
-        coeffs = [0] * ((len(phi) - 1) * k + 1)
-        coeffs[::k] = phi
-        coeffs = _CYCLOTOMIC.setdefault(d, tuple(coeffs))
-    return coeffs
+    primes, m, p = [], d, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    r = prod(primes)
+    if r == 1:
+        phi = [-1, 1]
+    else:
+        divs = [(1, (-1) ** len(primes))]  # (e, mu(r/e)) over the e | r
+        for p in primes:
+            divs += [(e * p, -mu) for e, mu in divs]
+        phi = [1]
+        for e, mu in sorted(divs, key=lambda em: -em[1]):  # the products first
+            if mu > 0:  # times 1 - x^e
+                phi += [0] * e
+                for i in range(len(phi) - 1, e - 1, -1):
+                    phi[i] -= phi[i - e]
+            else:  # divided by 1 - x^e, exactly
+                for i in range(e, len(phi)):
+                    phi[i] += phi[i - e]
+                del phi[len(phi) - e:]
+    k = d // r
+    coeffs = [0] * ((len(phi) - 1) * k + 1)
+    coeffs[::k] = phi
+    return tuple(coeffs)
 
 
+@cache
 def _phi_key(d: int, w: tuple) -> Poly:
     """The cyclotomic key x^(phi(d) w-) Phi_d(x^w) of a primitive w whose
     first nonzero entry is positive, registered in ``_PHI``; phi(d) times
     each entry of w must fit a field."""
-    key = _PHI_KEYS.get((d, w))
-    if key is None:
-        coeffs = _cyclotomic(d)
-        n = len(coeffs) - 1
-        wp, wm = pack(max(e, 0) for e in w), pack(max(-e, 0) for e in w)
-        key = Poly({i * wp + (n - i) * wm: c for i, c in enumerate(coeffs) if c})
-        _PHI.setdefault(key, (d, w))
-        key = _PHI_KEYS.setdefault((d, w), key)
+    coeffs = _cyclotomic(d)
+    n = len(coeffs) - 1
+    wp, wm = pack(max(e, 0) for e in w), pack(max(-e, 0) for e in w)
+    key = Poly({i * wp + (n - i) * wm: c for i, c in enumerate(coeffs) if c})
+    _PHI.setdefault(key, (d, w))
     return key
 
 
@@ -244,10 +233,15 @@ def _orders(d: int, g: int) -> list:
     return [d * h for h in range(1, g + 1) if g % h == 0 and gcd(d, g // h) == 1]
 
 
-def _split_binomial(a: int, b: int, sign: int) -> dict:
-    """The cyclotomic keys of x^a + sign * x^b (x^a the leading term, the
-    keys a and b of disjoint supports), each with exponent 1: with
+@cache
+def _split_binomial(p) -> dict | None:
+    """The cyclotomic keys of a binomial p = x^a + sign * x^b (x^a the
+    leading term, the keys a and b of disjoint supports), each with
+    exponent 1, or None unless it is a unit binomial (sign = +-1): with
     t^g = x^(a - b), t^g - 1 = Phi_1(t^g) and t^g + 1 = Phi_2(t^g)."""
+    (a, ca), (b, sign) = sorted(p.items(), reverse=True)
+    if ca != 1 or sign not in (1, -1):
+        return None
     ea, eb = Poly.exponents(a), Poly.exponents(b)
     g = gcd(*ea, *eb)
     w = tuple(s // g - t // g for s, t in zip(ea, eb))
@@ -258,21 +252,14 @@ def _keys(p) -> dict:
     """The keys of a new primitive polynomial p (positive leading
     coefficient, no monomial factor, not constant), each with exponent 1:
     the cyclotomic keys of a unit binomial, else p itself."""
-    if len(p) == 2:
-        keys = _SPLITS.get(p)
-        if keys is not None:
-            return keys
-        (a, ca), (b, cb) = sorted(p.items(), reverse=True)
-        if ca == 1 and cb in (1, -1):
-            return _SPLITS.setdefault(p, _split_binomial(a, b, cb))
-    return {p: 1}
+    return len(p) == 2 and _split_binomial(p) or {p: 1}
 
 
-def _divide_once(fac: dict, phi: set, failed: set, values: dict):
+def _divide_once(fac: dict, phi: set, failed: set, value):
     """(f, k, f / k) for the first sum key f of ``fac`` that a cyclotomic
     key k (one in ``phi``) of the opposite sign divides, or None; pairs
     found not to divide are added to ``failed`` and not tried again.  A
-    pair whose values at the probe point (memoized in ``values``) rule the
+    pair whose values at the probe point (``value``, a cached probe) rule the
     division out is not divided at all.  Most pairs tried here do not
     divide, and dividing by a monic cyclotomic key fails only at the end,
     so the filter pays: without it ``fierz-table --max 5`` took 19% longer
@@ -282,19 +269,12 @@ def _divide_once(fac: dict, phi: set, failed: set, values: dict):
             continue
         for k, ek in fac.items():
             if k in phi and (ek > 0) != (e > 0) and (f, k) not in failed:
-                if not rules_out(_probe(k, values), _probe(f, values)):
+                if not rules_out(value(k), value(f)):
                     quo = exquo(f, k)
                     if quo is not None:
                         return f, k, quo
                 failed.add((f, k))
     return None
-
-
-def _probe(p, values: dict) -> int:
-    v = values.get(p)
-    if v is None:
-        v = values[p] = probe(p)
-    return v
 
 
 def _reduce(fac: dict) -> dict:
@@ -315,8 +295,8 @@ def _reduce(fac: dict) -> dict:
     if len(phi) == len(fac):
         return fac
     failed: set = set()  # (sum key, cyclotomic key) pairs that do not divide
-    values: dict = {}
-    while (hit := _divide_once(fac, phi, failed, values)) is not None:
+    value = cache(probe)  # for this reduction only
+    while (hit := _divide_once(fac, phi, failed, value)) is not None:
         f, k, quo = hit
         e = fac[f]
         # f^e = k^e * quo^e; k may change sides, so the scan starts over
@@ -716,18 +696,10 @@ def _sigma(m: tuple, n: int) -> tuple:
 # built.
 
 
+@cache
 def _phi_image(d: int, w: tuple, n: int) -> tuple:
     """The image of the cyclotomic key x^(phi(d) w-) Phi_d(x^w), which is
-    x^base Phi_d(x^v) with base and v the images of phi(d) w- and w; built
-    once for each (d, w, n)."""
-    image = _PHI_IMAGES.get((d, w, n))
-    if image is None:
-        image = _PHI_IMAGES.setdefault((d, w, n), _phi_image_of(d, w, n))
-    return image
-
-
-def _phi_image_of(d: int, w: tuple, n: int) -> tuple:
-    """``_phi_image``, built afresh."""
+    x^base Phi_d(x^v) with base and v the images of phi(d) w- and w."""
     coeffs = _cyclotomic(d)
     phi = len(coeffs) - 1
     v = _sigma(w, n)

@@ -30,6 +30,8 @@ from qspin.matrixlab import (
     build_braid_data,
     check_hecke_quotient,
     default_manifest,
+    dimq_sym_closed,
+    dimq_sym_recursive,
     idempotent_tower,
     manifest,
     quantum_trace,
@@ -276,6 +278,14 @@ def test_rows_survive_a_manifest_file():
         items = json.loads(json.dumps(manifest([name])))["checks"]
         assert len(items) == len(check.grid)
         assert all(item["params"] in check.grid for item in items), name
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5, -1], ids=repr)
+@pytest.mark.parametrize("dim", [dimq_sym_recursive, dimq_sym_closed],
+                         ids=["recursive", "closed"])
+def test_symmetric_dims_refuse_non_counts(dim, bad):
+    with pytest.raises(ArgumentOutOfRange, match="^p must be a nonnegative integer$"):
+        dim(bad)
 
 
 def test_braid_data_and_towers_built_once():

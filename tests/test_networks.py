@@ -83,6 +83,12 @@ def test_network_validation():
         cabled_unknot(-1, False)
     with pytest.raises(InadmissibleLabel):
         StrandNetwork({}, {}, [-1])
+    # a free loop's label is an int, not a bool or a float, in both classes
+    for bad in (True, 1.0, 1.5):
+        for build in (lambda: LabelledNetwork([], [], {}, [bad]),
+                      lambda: StrandNetwork({}, {}, [bad]), lambda: unknot(bad)):
+            with pytest.raises(ConstraintViolated, match="free loop has a non-integer label"):
+                build()
     # a vertex listed twice is refused, though the rotation names it once
     theta = theta_network(1, 1, 2)
     with pytest.raises(ConstraintViolated, match="vertex 'v' is listed twice"):

@@ -94,6 +94,19 @@ def test_counts_refuse_non_counts(call, bad):
         call(bad)
 
 
+# a bracket or brace argument is an int of either sign: a bool or a float
+# is refused, also once the int of equal value is cached
+@pytest.mark.parametrize("bad", [True, False, 1.0, -2.0, 2.5], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda b: qint(b, 0), lambda a: qint(0, a), brace, brace_shifted,
+], ids=["qint-b", "qint-a", "brace", "brace_shifted"])
+def test_bracket_arguments_refuse_non_ints(call, bad):
+    call(int(bad))
+    call(-int(bad))
+    with pytest.raises(ArgumentOutOfRange, match="must be an integer$"):
+        call(bad)
+
+
 def test_falling_factorial_extended():
     assert equal(ffact_ext(0), ONE)
     assert equal(ffact_ext(2), qint(2, 0) * qint(2, -1))
