@@ -63,11 +63,10 @@ _CACHE_LOCK = threading.RLock()
 
 
 def _built_once(build):
-    """``functools.cache`` of ``build``, entered under _CACHE_LOCK, so that
-    every call after the first, from any thread, gets the object the first
-    built; callers must not mutate it.  ``__wrapped__`` builds afresh and
-    ``cache_clear`` empties the cache.  Arguments are cache keys: callers
-    validate them first."""
+    """``functools.cache`` of ``build`` entered under _CACHE_LOCK: every call
+    after the first, from any thread, gets the object the first built, which
+    callers must not mutate.  ``__wrapped__`` builds afresh.  Arguments are
+    cache keys: callers validate them first."""
     cached = cache(build)
 
     @wraps(build)
@@ -853,8 +852,6 @@ def dimq_sym_closed(p: int) -> ScalarK:
     denominator vanishes at integer level n = 1, where the recursive form
     must be used)."""
     check_counts(p=p)
-    if p == 0:
-        return ONE
     return qint(1, p - 1) / qint(1, -1) * qbinom_ext(2, p - 3, p)
 
 

@@ -11,12 +11,11 @@ where z stands for q^n.  The case b = 0 recovers the ordinary q-integer
     {k}          = z q^-k + z^-1 q^k      ( = [2n - 2k] / [n - k] )
     brace_shifted(k) = q^k + q^-k         (the symbol {n - k})
 
-``qint`` and ``brace`` build each one by the field's own arithmetic,
-whose sum splits it into its cyclotomic keys, once per argument type and
-value.  ``qint_falling`` and ``brace_prod`` are their products over a run
-of consecutive arguments, of which the factorials, binomials and closed
-forms are built.  Every argument of a bracket or brace is an int
-(``errors.check_ints``), and every count argument an int >= 0
+``qint`` and ``brace`` build each one by the field's own arithmetic, once
+per argument value and type, so that qint(True, 0) is refused as not an int
+(``errors.check_ints``), not served [n].  ``qint_falling`` and ``brace_prod``
+are their products over runs of arguments, of which the factorials,
+binomials and closed forms are built.  Every count argument is an int >= 0
 (``errors.check_counts``).
 """
 
@@ -31,7 +30,6 @@ from .errors import ArgumentOutOfRange, check_counts, check_ints
 from .scalar import DELTA, ONE, QDIFF, Q, Z, ScalarK, equal
 
 
-# typed, so that qint(True, 0) is checked and refused, not served [n]
 @lru_cache(maxsize=None, typed=True)
 def qint(b: int, a: int) -> ScalarK:
     """The extended q-integer [b*n + a] = (z^b q^a - z^-b q^-a) / (q - q^-1).

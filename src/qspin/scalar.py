@@ -234,32 +234,32 @@ def _orders(d: int, g: int) -> list:
 
 
 @cache
-def _split_binomial(p) -> dict | None:
-    """The cyclotomic keys of a binomial p = x^a + sign * x^b (x^a the
-    leading term, the keys a and b of disjoint supports), each with
-    exponent 1, or None unless it is a unit binomial (sign = +-1): with
-    t^g = x^(a - b), t^g - 1 = Phi_1(t^g) and t^g + 1 = Phi_2(t^g)."""
-    (a, ca), (b, sign) = sorted(p.items(), reverse=True)
-    if ca != 1 or sign not in (1, -1):
-        return None
+def _split_binomial(p) -> dict:
+    """The keys of a binomial p = x^a + c x^b (x^a the leading term, the
+    keys a and b of disjoint supports), each with exponent 1: its cyclotomic
+    keys if c = +-1, with t^g = x^(a - b), t^g - 1 = Phi_1(t^g) and
+    t^g + 1 = Phi_2(t^g); else p itself."""
+    (a, ca), (b, c) = sorted(p.items(), reverse=True)
+    if ca != 1 or c not in (1, -1):
+        return {p: 1}
     ea, eb = Poly.exponents(a), Poly.exponents(b)
     g = gcd(*ea, *eb)
     w = tuple(s // g - t // g for s, t in zip(ea, eb))
-    return {_phi_key(e, w): 1 for e in _orders(1 if sign < 0 else 2, g)}
+    return {_phi_key(e, w): 1 for e in _orders(1 if c < 0 else 2, g)}
 
 
 def _keys(p) -> dict:
     """The keys of a new primitive polynomial p (positive leading
     coefficient, no monomial factor, not constant), each with exponent 1:
     the cyclotomic keys of a unit binomial, else p itself."""
-    return len(p) == 2 and _split_binomial(p) or {p: 1}
+    return _split_binomial(p) if len(p) == 2 else {p: 1}
 
 
-def _divide_once(fac: dict, phi: set, failed: set, value):
+def _divide_once(fac: dict, phi: set, failed: set, values: dict):
     """(f, k, f / k) for the first sum key f of ``fac`` that a cyclotomic
     key k (one in ``phi``) of the opposite sign divides, or None; pairs
     found not to divide are added to ``failed`` and not tried again.  A
-    pair whose values at the probe point (``value``, a cached probe) rule the
+    pair whose values at the probe point (memoized in ``values``) rule the
     division out is not divided at all.  Most pairs tried here do not
     divide, and dividing by a monic cyclotomic key fails only at the end,
     so the filter pays: without it ``fierz-table --max 5`` took 19% longer
@@ -269,12 +269,19 @@ def _divide_once(fac: dict, phi: set, failed: set, value):
             continue
         for k, ek in fac.items():
             if k in phi and (ek > 0) != (e > 0) and (f, k) not in failed:
-                if not rules_out(value(k), value(f)):
+                if not rules_out(_probe(k, values), _probe(f, values)):
                     quo = exquo(f, k)
                     if quo is not None:
                         return f, k, quo
                 failed.add((f, k))
     return None
+
+
+def _probe(p, values: dict) -> int:
+    v = values.get(p)
+    if v is None:
+        v = values[p] = probe(p)
+    return v
 
 
 def _reduce(fac: dict) -> dict:
@@ -295,8 +302,8 @@ def _reduce(fac: dict) -> dict:
     if len(phi) == len(fac):
         return fac
     failed: set = set()  # (sum key, cyclotomic key) pairs that do not divide
-    value = cache(probe)  # for this reduction only
-    while (hit := _divide_once(fac, phi, failed, value)) is not None:
+    values: dict = {}
+    while (hit := _divide_once(fac, phi, failed, values)) is not None:
         f, k, quo = hit
         e = fac[f]
         # f^e = k^e * quo^e; k may change sides, so the scan starts over
