@@ -47,7 +47,9 @@ def readback():
 
 
 def command(*argv):
-    return lambda: cli.main(list(argv)) == 0 or sys.exit(f"{argv} failed")
+    def run():
+        assert cli.main(list(argv)) == 0, argv
+    return run
 
 
 runs = {

@@ -286,6 +286,8 @@ def test_rows_survive_a_manifest_file():
 def test_symmetric_dims_refuse_non_counts(dim, bad):
     with pytest.raises(ArgumentOutOfRange, match="^p must be a nonnegative integer$"):
         dim(bad)
+    # p = 0, below the registry grid, is the empty product of either form
+    assert equal(dim(0), ONE)
 
 
 def test_braid_data_and_towers_built_once():
