@@ -1,16 +1,15 @@
 """Command-line front end: evaluation, table generation, verification.
 
-Subcommands: eval-theta, eval-3j, fierz-table, dims, chromatic, check,
-specialize.  Exit codes: 0 success, 1 internal check failure, 2 validation
-error (with a machine-readable error object on stderr when --format json).
+Subcommands: eval-theta, eval-3j, fierz-table, dims, chromatic, check, specialize;
+``--help`` lists their options.  Exit codes: 0 success, 1 check failure, 2 validation
+error, ``bad-args`` for a bad argument (an error object on stderr with --format json).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from . import matrixlab, networks, recoupling, scalar
 from .errors import ArgumentOutOfRange, QspinError, check_counts
@@ -253,96 +252,122 @@ def _cmd_specialize(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qspin", description="Exact two-parameter spinor recoupling toolkit"
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+_FORMAT = ("--format", ("text", "json"), "text", False)
+_SPECIALIZE = ("--specialize", str, None, False)
 
-    def common(p, specialize=True):
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        if specialize:
-            p.add_argument(
-                "--specialize",
-                dest="target_text",
-                default=None,
-                help="post-process scalars: n=K, classical, or q1",
-            )
-
-    p = sub.add_parser("eval-theta", help="closed theta values")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--c", type=int, default=None)
-    p.add_argument("--kind", choices=["vector", "spinor"], default="vector")
-    common(p)
-    p.set_defaults(fn=_cmd_eval_theta)
-
-    p = sub.add_parser("eval-3j", help="closed trivalent vertex values")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--kind", choices=["spinor", "double"], default="spinor")
-    common(p)
-    p.set_defaults(fn=_cmd_eval_3j)
-
-    p = sub.add_parser("fierz-table", help="generate a Fierz coefficient table")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--out", default=None)
-    common(p, specialize=False)
-    p.set_defaults(fn=_cmd_fierz_table)
-
-    p = sub.add_parser("dims", help="quantum dimension towers")
-    p.add_argument("--p-max", type=int, default=3)
-    common(p)
-    p.set_defaults(fn=_cmd_dims)
-
-    p = sub.add_parser("chromatic", help="chromatic/Penrose state sum of a network file")
-    p.add_argument("--file", required=True)
-    p.add_argument(
-        "--normalization",
-        choices=["raw", "projector", "Raw", "ProjectorNormalized"],
-        default="raw",
-    )
-    p.add_argument("--at", type=int, default=None, help="evaluate at an integer delta")
-    common(p, specialize=False)
-    p.set_defaults(fn=_cmd_chromatic)
-
-    p = sub.add_parser("check", help="run verification suites")
-    p.add_argument("--suite", default=None,
-                   help="a registry entry, a group (matrix, identity or slip), or 'all'")
-    p.add_argument("--all", dest="suite", action="store_const", const="all")
-    p.add_argument("--manifest", default=None, help="manifest JSON path")
-    p.add_argument("--stats", action="store_true", help="add each row's wall time")
-    common(p, specialize=False)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("specialize", help="specialize a scalar expression")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--to", required=True, help="n=K, classical, or q1")
-    common(p, specialize=False)
-    p.set_defaults(fn=_cmd_specialize)
-
-    return parser
+#: Each subcommand: its handler, its help line and its options.  An option
+#: is (flag, kind, default, required), and its value is the attribute the
+#: flag names (``--p-max`` sets ``p_max``).  The kind is int or str, the
+#: type of the value; a tuple, its choices; or a one-item dict, the
+#: attribute and the constant that the flag sets without a value.
+_COMMANDS = {
+    "eval-theta": (_cmd_eval_theta, "closed theta values", (
+        ("--r", int, None, False), ("--s", int, None, False), ("--t", int, None, False),
+        ("--a", int, None, False), ("--b", int, None, False), ("--c", int, None, False),
+        ("--kind", ("vector", "spinor"), "vector", False), _FORMAT, _SPECIALIZE)),
+    "eval-3j": (_cmd_eval_3j, "closed trivalent vertex values", (
+        ("--r", int, None, True), ("--s", int, None, True), ("--t", int, None, True),
+        ("--kind", ("spinor", "double"), "spinor", False), _FORMAT, _SPECIALIZE)),
+    "fierz-table": (_cmd_fierz_table, "generate a Fierz coefficient table", (
+        ("--max", int, None, True), ("--out", str, None, False), _FORMAT)),
+    "dims": (_cmd_dims, "quantum dimension towers", (
+        ("--p-max", int, 3, False), _FORMAT, _SPECIALIZE)),
+    "chromatic": (_cmd_chromatic, "chromatic/Penrose state sum of a network file", (
+        ("--file", str, None, True),
+        ("--normalization", ("raw", "projector", "Raw", "ProjectorNormalized"), "raw", False),
+        ("--at", int, None, False), _FORMAT)),
+    "check": (_cmd_check, "run verification suites", (
+        ("--suite", str, None, False), ("--all", {"suite": "all"}, None, False),
+        ("--manifest", str, None, False), ("--stats", {"stats": True}, False, False), _FORMAT)),
+    "specialize": (_cmd_specialize, "specialize a scalar expression", (
+        ("--expr", str, None, True), ("--to", str, None, True), _FORMAT)),
+}
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    return build_parser()
+def _dest(flag: str, kind) -> str:
+    return next(iter(kind)) if isinstance(kind, dict) else flag[2:].replace("-", "_")
+
+
+def _cmd_help(args) -> int:
+    """Print the usage of ``qspin``, or of ``args.command``, from ``_COMMANDS``."""
+    if args.command is None:
+        rows = [f"  {name:<13}{line}" for name, (_, line, _) in _COMMANDS.items()]
+        print("usage: qspin COMMAND [OPTION ...]\n\ncommands:\n" + "\n".join(rows))
+        return 0
+    _, line, options = _COMMANDS[args.command]
+    print(f"usage: qspin {args.command} [OPTION ...]\n\n{line}\n\noptions:")
+    for flag, kind, default, required in options:
+        value = (" {%s}" % ",".join(kind) if isinstance(kind, tuple)
+                 else " INT" if kind is int else " TEXT" if kind is str else "")
+        note = (" (required)" if required else
+                f" (default {default})" if value and default is not None else "")
+        print(f"  {flag}{value}{note}")
+    return 0
+
+
+def _bad_args(message: str) -> ValidationFailure:
+    return ValidationFailure("bad-args", message)
+
+
+def _read_args(argv) -> SimpleNamespace:
+    """A fresh namespace for one command line: the handler ``fn`` and one
+    attribute per option of the command.  ``--opt value`` and
+    ``--opt=value`` both set an option, the last one wins, and a flag may
+    be shortened to a unique prefix."""
+    command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        return SimpleNamespace(fn=_cmd_help, command=None, format="text", specialize=None)
+    if command not in _COMMANDS:
+        what = "no command given" if command[:1] in ("", "-") else f"unknown command {command!r}"
+        raise _bad_args(f"{what}; choose from {', '.join(_COMMANDS)}")
+    fn, _, options = _COMMANDS[command]
+    args = SimpleNamespace(fn=fn, command=command, specialize=None)
+    vars(args).update((_dest(flag, kind), default) for flag, kind, default, _ in options)
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        text, eq, value = token.partition("=")
+        names = [text] if text in kinds else [
+            f for f in (*kinds, "--help") if text[:2] == "--" and f.startswith(text)]
+        if token == "-h" or names == ["--help"]:
+            args.fn = _cmd_help
+            return args
+        if len(names) != 1:
+            raise _bad_args(f"ambiguous option {text}: {', '.join(names)}" if names
+                            else f"unrecognized argument {token!r}")
+        flag, kind = names[0], kinds[names[0]]
+        if isinstance(kind, dict):
+            if eq:
+                raise _bad_args(f"argument {flag}: takes no value")
+            vars(args).update(kind)
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value[:2] == "--":
+                    raise _bad_args(f"argument {flag}: expected one value")
+            if isinstance(kind, tuple) and value not in kind:
+                raise _bad_args(f"argument {flag}: invalid choice {value!r}; "
+                                f"choose from {', '.join(kind)}")
+            try:
+                setattr(args, _dest(flag, kind), int(value) if kind is int else value)
+            except ValueError:
+                raise _bad_args(f"argument {flag}: invalid int value {value!r}") from None
+    missing = [flag for flag, kind, _, required in options
+               if required and getattr(args, _dest(flag, kind)) is None]
+    if missing:
+        raise _bad_args(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    fmt = getattr(args, "format", "text")
+    argv = sys.argv[1:] if argv is None else argv
+    json_asked = "--format=json" in argv or ("--format", "json") in zip(argv, argv[1:])
+    fmt = "json" if json_asked else "text"
     try:
-        args.target = (
-            _parse_specialize_target(args.target_text)
-            if getattr(args, "target_text", None)
-            else _unspecialized
-        )
+        args = _read_args(argv)
+        fmt = args.format
+        args.target = (_parse_specialize_target(args.specialize) if args.specialize
+                       else _unspecialized)
         return args.fn(args)
     except ValidationFailure as exc:
         return _emit_error(exc.kind, str(exc), fmt)

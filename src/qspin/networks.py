@@ -38,6 +38,7 @@ from .errors import (
     InadmissibleLabel,
     StateSpaceTooLarge,
     UnsupportedSize,
+    check_counts,
     expect,
     is_int,
     json_object,
@@ -638,6 +639,7 @@ def check_tetrahedron_relabelling(max_label: int) -> bool:
     """Every admissible tetrahedron with labels <= max_label, evaluated
     from its symbol, has the Raw value of each of its relabellings by a
     vertex permutation of K4."""
+    check_counts(max_label=max_label)
     orbits: dict = {}
     for labels in product(range(max_label + 1), repeat=6):
         label = dict(zip(_K4_EDGES, labels))
@@ -678,6 +680,7 @@ def gamma_matrices(k: int) -> list:
     diag(+1, -1, +1, -1, ...), built from the integer Pauli ladder:
     gamma_{2i-1} = Z...Z X 1...1 (squares to +1),
     gamma_{2i}   = Z...Z (XZ) 1...1 (squares to -1)."""
+    check_counts(k=k)
     if k < 1 or k > 3:
         raise UnsupportedSize("gamma oracle supports k in {1, 2, 3}")
     X = [[0, 1], [1, 0]]
@@ -702,6 +705,7 @@ def gamma_matrices(k: int) -> list:
 
 def gamma_metric(k: int) -> list:
     """Diagonal split metric: g_{mu,mu} = +1 for odd mu, -1 for even mu."""
+    check_counts(k=k)
     return [1 if mu % 2 == 0 else -1 for mu in range(2 * k)]
 
 

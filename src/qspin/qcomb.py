@@ -76,6 +76,7 @@ class ExtSymbol(NamedTuple):
 def qint_falling(b: int, a: int, m: int) -> ScalarK:
     """The m-term falling product [b*n + a][b*n + a - 1]...[b*n + a - m + 1];
     1 at m = 0."""
+    check_ints(b=b, a=a)
     check_counts(m=m)
     return prod((qint(b, a - k) for k in range(m)), start=ONE)
 

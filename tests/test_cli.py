@@ -798,10 +798,10 @@ def test_bad_manifest_is_a_typed_error(tmp_path, capsys, doc):
     assert err.startswith("error [ParseError]")
 
 
-def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
-    # each call leaves the one parser as it was: a flag given in one call
-    # (a format, a target, a kind) is back at its default in the next
-    assert cli._parser() is cli._parser()
+def test_calls_keep_no_state(capsys):
+    # no call leaks into the next: a flag given in one call (a format, a
+    # target, a kind) is back at its default in the next, so each call
+    # gives the same result whichever calls ran before it
     calls = [
         ["eval-theta", "--r", "1", "--s", "1", "--t", "0", "--format", "json"],
         ["eval-theta", "--r", "1", "--s", "0", "--t", "1"],
@@ -814,9 +814,57 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
         ["fierz-table", "--max", "1"],
         ["check", "--suite", "hecke-quotient"],
     ]
-    memoized = [run(capsys, *argv) for argv in calls]
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
-    assert [run(capsys, *argv) for argv in calls] == memoized
+    forward = [run(capsys, *argv) for argv in calls]
+    backward = [run(capsys, *argv) for argv in reversed(calls)]
+    assert backward[::-1] == forward
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, message", [
+    (["eval-3j", "--r", "1", "--s", "1"], "the following arguments are required: --t"),
+    (["fierz-table", "--max", "x"], "argument --max: invalid int value 'x'"),
+    (["eval-3j", "--r", "1", "--s", "1", "--t", "0", "--kind", "bad"],
+     "argument --kind: invalid choice 'bad'; choose from spinor, double"),
+    (["dims", "--p-min", "2"], "unrecognized argument '--p-min'"),
+    (["chromatic", "--f", "net.json"], "ambiguous option --f: --file, --format"),
+    (["bogus"], "unknown command 'bogus'; choose from eval-theta, eval-3j, "
+                "fierz-table, dims, chromatic, check, specialize"),
+    ([], "no command given; choose from eval-theta, eval-3j, "
+         "fierz-table, dims, chromatic, check, specialize"),
+], ids=["missing-required", "invalid-int", "invalid-choice", "unknown-option",
+        "ambiguous-prefix", "unknown-command", "empty"])
+def test_bad_arguments_are_a_typed_error(capsys, argv, message, fmt):
+    if fmt == "text":
+        assert run(capsys, *argv) == (2, "", f"error [bad-args]: {message}\n")
+    else:
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {"type": "bad-args", "message": message}}
+
+
+def test_argument_forms(capsys):
+    # --opt=value, a unique prefix, a negative value and a repeated option,
+    # whose last value wins, all read as the plain form does
+    plain = run(capsys, "eval-3j", "--r", "1", "--s", "1", "--t", "2", "--kind", "double")
+    assert plain[0] == 0
+    assert run(capsys, "eval-3j", "--r=1", "--s", "1", "--t=2", "--k=double") == plain
+    assert run(capsys, "eval-3j", "--r", "5", "--s", "1", "--t", "2", "--r", "1",
+               "--kind", "double") == plain
+    assert run(capsys, "specialize", "--to", "n=1", "--expr", "-q") == (0, "-q\n", "")
+    assert run(capsys, "check", "--suite", "nope", "--all", "--format", "json")[0] == 0
+
+
+def test_help_lists_commands_and_options(capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        for command in ("eval-theta", "eval-3j", "fierz-table", "dims", "chromatic",
+                        "check", "specialize"):
+            assert f"\n  {command} " in out
+        code, out, err = run(capsys, "chromatic", flag)
+        assert (code, err) == (0, "")
+        for option in ("--file", "--normalization", "--at", "--format"):
+            assert f"\n  {option} " in out
 
 
 def test_outputs_reproducible(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from chromatic_oracle import brute_force_chromatic, strand_networks
 from qspin.errors import (
+    ArgumentOutOfRange,
     ConstraintViolated,
     InadmissibleLabel,
     InadmissibleTriple,
@@ -23,6 +24,8 @@ from qspin.networks import (
     TetrahedronSymbol,
     cabled_unknot,
     chromatic_eval,
+    check_clifford,
+    check_tetrahedron_relabelling,
     gamma_matrices,
     gamma_metric,
     gamma_oracle_trace,
@@ -307,6 +310,11 @@ def test_gamma_clifford_relations():
             ]
     with pytest.raises(UnsupportedSize):
         gamma_matrices(4)
+    # k is a count: gamma_metric(True) once read [1, -1], and 1.5 reached range()
+    for call in (gamma_matrices, gamma_metric, check_clifford, check_tetrahedron_relabelling):
+        for bad in (True, 1.5, -1):
+            with pytest.raises(ArgumentOutOfRange, match="must be a nonnegative integer"):
+                call(bad)
 
 
 def test_gamma_trace_contractions():

@@ -95,11 +95,15 @@ def test_counts_refuse_non_counts(call, bad):
 
 
 # a bracket or brace argument is an int of either sign: a bool or a float
-# is refused, also once the int of equal value is cached
+# is refused, also once the int of equal value is cached, and also by the
+# products of brackets at m = 0, where no bracket is built
 @pytest.mark.parametrize("bad", [True, False, 1.0, -2.0, 2.5], ids=repr)
 @pytest.mark.parametrize("call", [
     lambda b: qint(b, 0), lambda a: qint(0, a), brace, brace_shifted,
-], ids=["qint-b", "qint-a", "brace", "brace_shifted"])
+    lambda b: qint_falling(b, 0, 0), lambda a: qint_falling(0, a, 0),
+    lambda b: qbinom_ext(b, 0, 0), lambda a: qbinom_ext(0, a, 0),
+], ids=["qint-b", "qint-a", "brace", "brace_shifted", "qint_falling-b", "qint_falling-a",
+        "qbinom_ext-b", "qbinom_ext-a"])
 def test_bracket_arguments_refuse_non_ints(call, bad):
     call(int(bad))
     call(-int(bad))
