@@ -330,8 +330,7 @@ def _read_args(argv) -> SimpleNamespace:
         names = [text] if text in kinds else [
             f for f in (*kinds, "--help") if text[:2] == "--" and f.startswith(text)]
         if token == "-h" or names == ["--help"]:
-            args.fn = _cmd_help
-            return args
+            return SimpleNamespace(fn=_cmd_help, command=command, format="text", specialize=None)
         if len(names) != 1:
             raise _bad_args(f"ambiguous option {text}: {', '.join(names)}" if names
                             else f"unrecognized argument {token!r}")

@@ -942,5 +942,8 @@ def test_commands_do_not_import_sympy(tmp_path):
 
 def test_commands_do_not_import_dataclasses(tmp_path):
     # every CLI call pays the import, and dataclasses would bring inspect,
-    # ast, dis and tokenize into it; the program needs none of them
-    _drive_commands(tmp_path, 'not {"dataclasses", "inspect"} & (set(sys.modules) - bare)')
+    # ast, dis and tokenize into it; the program needs none of them, nor
+    # argparse, whose place the command table of cli.py takes
+    _drive_commands(
+        tmp_path, 'not {"dataclasses", "inspect", "argparse"} & (set(sys.modules) - bare)'
+    )
