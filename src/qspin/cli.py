@@ -2,12 +2,15 @@
 
 Subcommands: eval-theta, eval-3j, fierz-table, dims, chromatic, check, specialize;
 ``--help`` lists their options.  Exit codes: 0 success, 1 check failure, 2 validation
-error, ``bad-args`` for a bad argument (an error object on stderr with --format json).
+error, ``bad-args`` for a bad argument (an error object on stderr with --format json),
+141 (128 + SIGPIPE) with nothing on stderr when standard output is closed before all of
+it is written, as by ``| head``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -38,6 +41,10 @@ MAX_LEVEL = 16
 #: 0.13-0.17 s and 0.08-0.09 s with ``--specialize n=16``, three runs
 #: each); at 25 it took 5.9 s, and at 30 15 s for 1.5 MB.
 MAX_EVAL_SUM = 24
+
+#: The exit status when the reader of standard output has gone: 128 +
+#: SIGPIPE, as a shell reports a command that the signal ended.
+EXIT_BROKEN_PIPE = 141
 
 
 class ValidationFailure(Exception):
@@ -367,7 +374,17 @@ def main(argv=None) -> int:
         fmt = args.format
         args.target = (_parse_specialize_target(args.specialize) if args.specialize
                        else _unspecialized)
-        return args.fn(args)
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when the process started without a stdout
+            sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to os.devnull, where the flush at exit
+        # cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ValidationFailure as exc:
         return _emit_error(exc.kind, str(exc), fmt)
     except QspinError as exc:

@@ -73,6 +73,7 @@ class ExtSymbol(NamedTuple):
         return ExtSymbol(self.b - other.b, self.a - other.a)
 
 
+@lru_cache(maxsize=None, typed=True)
 def qint_falling(b: int, a: int, m: int) -> ScalarK:
     """The m-term falling product [b*n + a][b*n + a - 1]...[b*n + a - m + 1];
     1 at m = 0."""
@@ -81,6 +82,7 @@ def qint_falling(b: int, a: int, m: int) -> ScalarK:
     return prod((qint(b, a - k) for k in range(m)), start=ONE)
 
 
+@lru_cache(maxsize=None, typed=True)
 def brace_prod(lo: int, hi: int) -> ScalarK:
     """{lo}{lo + 1}...{hi - 1}; 1 when hi <= lo."""
     check_counts(lo=lo, hi=hi)

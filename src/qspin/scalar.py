@@ -649,7 +649,8 @@ def integer_level(x: ScalarK, n: int) -> ScalarK:
     DivisionByZero in the denominator and makes the value 0 in the
     numerator.  The two sides, multiplied out and cleared of q^-k together
     as n < 0 needs, must keep q's exponents within MAX_EXPONENT: that is
-    read off the keys' images, and UnsupportedSize is raised past it; a
+    read off the keys' images and the monomial's, mapped whole so that its
+    q^s counts on one side only, and UnsupportedSize is raised past it; a
     key too wide on its own is not built at all.
     """
     if not is_int(n):
@@ -657,12 +658,13 @@ def integer_level(x: ScalarK, n: int) -> ScalarK:
     x = scalar(x)
     if not x:
         return x
-    mono = x._mono
-    # the least and the largest q exponents of each side's image
-    low = [max(mono[0], 0) + n * max(mono[1], 0), max(-mono[0], 0) + n * max(-mono[1], 0)]
+    mono = list(_sigma(x._mono, n))
+    # the least and the largest q exponents of each side's image, the
+    # monomial's q^s on the side of its sign
+    low = [max(mono[0], 0), max(-mono[0], 0)]
     high = list(low)
     vanishes = [False, False]
-    c, mono, fac = x._c, list(_sigma(mono, n)), {}
+    c, fac = x._c, {}
     for f, e in x._reduced().items():
         side = 0 if e > 0 else 1
         lo, hi, k, m, keys = _phi_image(*_PHI[f], n) if f in _PHI else _sum_image(_at_level(f, n))

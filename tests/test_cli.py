@@ -600,9 +600,14 @@ def test_chromatic_file_not_json_is_bad_json(tmp_path, capsys, fmt, want):
         (["fierz-table", "--max", "1", "--out", "{dir}"], "IsADirectoryError"),
         (["chromatic", "--file", "{binary}"], "UnicodeDecodeError"),
         (["check", "--manifest", "{binary}"], "UnicodeDecodeError"),
+        # a full device fails the write with ENOSPC: a file error, not the
+        # quiet exit of a closed stdout
+        pytest.param(["fierz-table", "--max", "1", "--out", "/dev/full"], "OSError",
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                              reason="no /dev/full")),
     ],
     ids=["chromatic-directory", "manifest-directory", "fierz-out-directory",
-         "chromatic-not-utf8", "manifest-not-utf8"],
+         "chromatic-not-utf8", "manifest-not-utf8", "fierz-out-full"],
 )
 def test_unreadable_file_is_a_typed_error(tmp_path, capsys, argv, error):
     binary = tmp_path / "binary"
@@ -899,6 +904,44 @@ def test_module_entry_point_is_quiet():
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, CHECK_ALL_TEXT, "")
+
+
+def _entry_point(*argv):
+    """``python -m qspin.cli`` with ``argv``, and the environment to run it
+    in: none of the caller's PYTHON* variables, so stdout is buffered."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(qspin.__file__).resolve().parent.parent)
+    return [sys.executable, "-m", "qspin.cli", *argv], env
+
+
+def test_a_reader_gone_mid_write_ends_the_run_quietly():
+    # 153 KB of output, more than a pipe holds: the write blocks until the
+    # reader has gone, then fails
+    cmd, env = _entry_point("fierz-table", "--max", "7")
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.read(10) == b'{\n  "forma'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert (code, err) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_reader_gone_before_the_start_ends_the_run_quietly(buffered):
+    # buffered, the write fails at the flush that ends main, not at exit
+    # (which printed "Exception ignored" and exited 120); unbuffered, in
+    # the print itself
+    cmd, env = _entry_point("eval-theta", "--r", "1", "--s", "1", "--t", "0")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 def _drive_commands(tmp_path, holds: str) -> None:

@@ -1,7 +1,7 @@
 """Import hygiene of ``src/qspin``, read from each module's syntax tree:
 no module imports a name it never uses, no private module-level name goes
-unread, and ``scalar`` imports from no qspin module but ``errors`` and
-``poly``."""
+unread, ``scalar`` imports from no qspin module but ``errors`` and
+``poly``, and every ``lru_cache`` keys its arguments by type."""
 
 import ast
 from pathlib import Path
@@ -127,3 +127,45 @@ def test_scalar_imports_only_errors_and_poly():
     assert _qspin_sources("from . import poly\nfrom .x.y import z\nimport qspin.cli, os") == {
         "poly", "x", "cli"}
     assert _qspin_sources((SRC / "scalar.py").read_text()) == {"errors", "poly"}
+
+
+def _untyped_caches(source: str) -> list:
+    """The lines of the ``lru_cache`` decorators in ``source`` that do not
+    pass ``typed=True``: without it ``f(True)`` is served ``f(1)``'s
+    value, and ``f(1.0)`` too."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            name = ast.unparse(call.func if call else dec)
+            if name.split(".")[-1] != "lru_cache":
+                continue
+            typed = [k.value for k in call.keywords if k.arg == "typed"] if call else []
+            if not (typed and isinstance(typed[0], ast.Constant) and typed[0].value is True):
+                out.append(dec.lineno)
+    return out
+
+
+def test_the_guard_finds_an_untyped_cache():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=None, typed=True)\n"
+        "def ok(n): return n\n"
+        "@lru_cache\n"
+        "def bare(n): return n\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def untyped(n): return n\n"
+        "@lru_cache(typed=False)\n"
+        "def off(n): return n\n"
+        "@lru_cache(None, True)\n"
+        "def positional(n): return n\n"
+    )
+    assert _untyped_caches(source) == [5, 7, 9, 11]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_lru_cache_is_typed(module):
+    assert _untyped_caches((SRC / module).read_text()) == []

@@ -81,7 +81,8 @@ def test_products_equal_their_explicit_factors(b):
             assert equal(brace_prod(lo, hi), out)
 
 
-# a count is an int >= 0: a bool, a float or a negative int is refused
+# a count is an int >= 0: a bool, a float or a negative int is refused,
+# also once the equal int is cached
 @pytest.mark.parametrize("bad", [True, 1.0, 2.5, -1], ids=repr)
 @pytest.mark.parametrize("call", [
     qfact, ffact_ext, lambda m: qint_falling(1, 2, m), lambda m: qbinom_ext(2, 0, m),
@@ -90,8 +91,15 @@ def test_products_equal_their_explicit_factors(b):
 ], ids=["qfact", "ffact_ext", "qint_falling", "qbinom_ext", "qbinom-a", "qbinom-m",
         "brace_prod-lo", "brace_prod-hi", "hecke_dim_F", "hecke_dim_E"])
 def test_counts_refuse_non_counts(call, bad):
+    if bad == int(bad) >= 0:
+        call(int(bad))
     with pytest.raises(ArgumentOutOfRange):
         call(bad)
+
+
+def test_products_are_built_once():
+    assert qint_falling(1, 2, 3) is qint_falling(1, 2, 3)
+    assert brace_prod(1, 4) is brace_prod(1, 4)
 
 
 # a bracket or brace argument is an int of either sign: a bool or a float

@@ -143,6 +143,12 @@ def test_integer_level_past_the_field_width_is_refused():
     assert integer_level(x, -2) == Q**-4000 / (Q**-2 + Q)
     with pytest.raises(UnsupportedSize):
         integer_level(x, -17)
+    # the monomial is mapped whole before its q power takes a side: z^2000
+    # over q^2000 at n = 17 is q^32000, not q^34000 over q^2000
+    assert integer_level(Z**2000 / Q**2000, 17) == Q**32000
+    assert integer_level(Q**2000 / Z**2000, 17) == Q**-32000
+    with pytest.raises(UnsupportedSize):
+        integer_level(Z**2000 / Q**1000, 17)
 
 
 def _level_outcome(level, x, n):
@@ -154,9 +160,11 @@ def _level_outcome(level, x, n):
 
 
 @pytest.mark.parametrize("x, n", [
-    # the two sides are bounded before cancelling, q^32000 less q^2000 too
+    # the monomial is mapped before it is split: q^32000, not q^34000 / q^2000
     (lambda: Z**2000 / Q**2000, 17),
     (lambda: Z**2000 / Q**2000, 16),
+    (lambda: Q**1000 / Z**1850, 18),
+    (lambda: (Z - Q) * Z**1060 / Q**1000, 31),
     (lambda: Q**-3000 * Z**2000, -15),
     (lambda: Q**-3000 * Z**2000, -16),
     # a numerator that vanishes, over a denominator past the width
