@@ -15,7 +15,9 @@ where z stands for q^n.  The case b = 0 recovers the ordinary q-integer
 per argument value and type, so that qint(True, 0) is refused as not an int
 (``errors.check_ints``), not served [n].  ``qint_falling`` and ``brace_prod``
 are their products over runs of arguments, of which the factorials,
-binomials and closed forms are built.  Every count argument is an int >= 0
+binomials and closed forms are built; each is cached the same way and
+folded left from 1 in argument order, the order in which the product's keys
+are later multiplied out.  Every count argument is an int >= 0
 (``errors.check_counts``).
 """
 

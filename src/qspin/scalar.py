@@ -647,22 +647,20 @@ def integer_level(x: ScalarK, n: int) -> ScalarK:
     a value built from brackets and braces keeps cyclotomic keys, and its
     level value needs no gcd.  A factor that vanishes raises
     DivisionByZero in the denominator and makes the value 0 in the
-    numerator.  The two sides, multiplied out and cleared of q^-k together
-    as n < 0 needs, must keep q's exponents within MAX_EXPONENT: that is
-    read off the keys' images and the monomial's, mapped whole so that its
-    q^s counts on one side only, and UnsupportedSize is raised past it; a
-    key too wide on its own is not built at all.
+    numerator.  The two sides, multiplied out, must keep q's exponents
+    within MAX_EXPONENT once the powers of q the value and every key image
+    carry are gathered into one q^s, counted on one side only: that is read
+    off the keys' images, and UnsupportedSize is raised past it; a key too
+    wide on its own is not built at all.
     """
     if not is_int(n):
         raise SpecializationError(f"the level n must be an int, not {type(n).__name__}")
     x = scalar(x)
     if not x:
         return x
-    mono = list(_sigma(x._mono, n))
-    # the least and the largest q exponents of each side's image, the
-    # monomial's q^s on the side of its sign
-    low = [max(mono[0], 0), max(-mono[0], 0)]
-    high = list(low)
+    # the span of q's exponents on each side once the monomials of the key
+    # images, whose q parts are their least exponents lo, are moved to mono
+    mono, span = list(_sigma(x._mono, n)), [0, 0]
     vanishes = [False, False]
     c, fac = x._c, {}
     for f, e in x._reduced().items():
@@ -671,9 +669,9 @@ def integer_level(x: ScalarK, n: int) -> ScalarK:
         if not k:
             vanishes[side] = True
             continue
-        low[side] += abs(e) * lo
-        high[side] += abs(e) * hi
+        span[side] += abs(e) * (hi - lo)
         if keys is None:  # too wide to build: the value is refused below
+            mono[0] += e * lo
             continue
         if k != 1:
             c *= Fraction(k) ** e
@@ -683,9 +681,9 @@ def integer_level(x: ScalarK, n: int) -> ScalarK:
             fac[g] = fac.get(g, 0) + e
     if vanishes[1]:
         raise DivisionByZero(f"denominator vanishes under z -> q^{n}")
-    if vanishes[0]:  # a numerator 0 multiplies out to no terms, counted as q^0
-        low[0] = high[0] = 0
-    top = max(high) - min(*low, 0)
+    s = mono[0]  # the q^s of the value and of every key image, on one side
+    # a numerator 0 multiplies out to no terms, counted as q^0
+    top = span[1] if vanishes[0] else max(span[0] + max(s, 0), span[1] + max(-s, 0))
     if top > MAX_EXPONENT:
         raise UnsupportedSize(f"z -> q^{n} gives q^{top}, past the field width {MAX_EXPONENT}")
     if vanishes[0]:

@@ -15,49 +15,32 @@ from qspin.scalar import FIELD, ScalarK, scalar
 
 
 def integer_level(x, n: int) -> ScalarK:
-    """z -> q^n applied to x's normal form.  The monomial factors of the
-    two sides are taken off and their quotient mapped whole, so that its
-    q^s goes to the numerator when s > 0 and to the denominator when s < 0.
-    A denominator that vanishes raises DivisionByZero; a q exponent past
-    MAX_EXPONENT on either side, once both sides are cleared of negative
-    powers of q together, raises UnsupportedSize."""
+    """z -> q^n applied to x's normal form.  A denominator that vanishes
+    raises DivisionByZero.  Each side's power of q is then taken out and
+    the two netted into one q^s on one side; a q exponent past MAX_EXPONENT
+    on either side raises UnsupportedSize."""
     nf = scalar(x).nf
-    num, den = dict(nf.numer.terms()), dict(nf.denom.terms())
-    if num:
-        cn, cd = _least(num), _least(den)
-        m = [a - b for a, b in zip(cn, cd)]
-        m = (m[0] + n * m[1], 0, *m[2:])
-        num = _shifted(num, [max(e, 0) - c for e, c in zip(m, cn)])
-        den = _shifted(den, [max(-e, 0) - c for e, c in zip(m, cd)])
-    num, den = _at_level(num, n), _at_level(den, n)
+    num, den = _at_level(nf.numer, n), _at_level(nf.denom, n)
     if not den:
         raise DivisionByZero(f"denominator vanishes under z -> q^{n}")
-    # q's exponents on both sides, a numerator 0 counted as q^0
-    qs = [m[0] for m in num] or [0]
-    qs += [m[0] for m in den]
-    shift = min(*qs, 0)
-    top = max(qs) - shift
+    b = min(m[0] for m in den)
+    a = min((m[0] for m in num), default=b)  # a numerator 0 counted as q^0
+    num, den = _times_q(num, max(a - b, 0) - a), _times_q(den, max(b - a, 0) - b)
+    top = max(m[0] for m in [*num, *den])
     if top > MAX_EXPONENT:
         raise UnsupportedSize(f"z -> q^{n} gives q^{top}, past the field width {MAX_EXPONENT}")
-    num, den = (Poly.from_terms({(m[0] - shift, *m[1:]): c for m, c in p.items()})
-                for p in (num, den))
-    return ScalarK.from_field_element(FIELD.new(num, den))
+    return ScalarK.from_field_element(FIELD.new(Poly.from_terms(num), Poly.from_terms(den)))
 
 
-def _least(terms: dict) -> list:
-    """The exponents of the largest monomial that divides every term."""
-    return [min(col) for col in zip(*terms)]
-
-
-def _shifted(terms: dict, by: list) -> dict:
-    """The terms multiplied by the monomial of exponents ``by``."""
-    return {tuple(a + b for a, b in zip(m, by)): c for m, c in terms.items()}
-
-
-def _at_level(terms: dict, n: int) -> dict:
-    """The terms, {exponent tuple: coefficient}, with z -> q^n."""
+def _at_level(poly, n: int) -> dict:
+    """The terms of poly, {exponent tuple: coefficient}, with z -> q^n."""
     out: dict = {}
-    for (a, b, *rest), c in terms.items():
+    for (a, b, *rest), c in poly.terms():
         m = (a + n * b, 0, *rest)
         out[m] = out.get(m, 0) + c
     return {m: c for m, c in out.items() if c}
+
+
+def _times_q(terms: dict, k: int) -> dict:
+    """The terms times q^k."""
+    return {(m[0] + k, *m[1:]): c for m, c in terms.items()}
