@@ -929,9 +929,9 @@ def test_a_reader_gone_mid_write_ends_the_run_quietly():
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_a_reader_gone_before_the_start_ends_the_run_quietly(buffered):
-    # buffered, the write fails at the flush that ends main, not at exit
-    # (which printed "Exception ignored" and exited 120); unbuffered, in
-    # the print itself
+    # buffered, the write fails at the flush that ends main, before the
+    # interpreter's own flush at exit could report it; unbuffered, in the
+    # print itself
     cmd, env = _entry_point("eval-theta", "--r", "1", "--s", "1", "--t", "0")
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
