@@ -4,7 +4,8 @@ Subcommands: eval-theta, eval-3j, fierz-table, dims, chromatic, check, specializ
 ``--help`` lists their options.  Exit codes: 0 success, 1 check failure, 2 validation
 error, ``bad-args`` for a bad argument (an error object on stderr with --format json),
 141 (128 + SIGPIPE) with nothing on stderr when standard output is closed before all of
-it is written, as by ``| head``.
+it is written, as by ``| head``.  A run started with no standard output at all (fd 1
+closed) is refused with exit 2 before it does any work.
 """
 
 from __future__ import annotations
@@ -18,16 +19,17 @@ from . import matrixlab, networks, recoupling, scalar
 from .errors import ArgumentOutOfRange, QspinError, check_counts
 from .poly import poly_str
 
-# Size caps, from one cold CLI run each on a 2-core x86 machine (Python
-# 3.11).
-#: Largest ``fierz-table --max``: 8 takes 1.6 s, 9 took 3.6 s and 10
-#: 7.8 s.  It stays at 8 because a ``--max 9`` table has exponents up to 266,
-#: past ``scalar.MAX_PARSE_EXPONENT``, so ``FierzTable.from_json`` could not
-#: read it back.
+# Size caps, from cold runs on a 2-core x86 machine (Python 3.11.7), each
+# the fastest and slowest of three to five.  A size past its cap was timed
+# as the same computation in a fresh interpreter.
+#: Largest ``fierz-table --max``: 8 takes 0.37-0.65 s, 9 0.69-1.16 s and 10
+#: 1.4-2.2 s.  It stays at 8 because a ``--max 9`` table has exponents up to
+#: 266, past ``scalar.MAX_PARSE_EXPONENT``, so ``FierzTable.from_json``
+#: could not read it back.
 MAX_FIERZ_TABLE = 8
-#: Largest ``dims --p-max``: 20 takes 1.2 s, 25 3.6 s, 28 5.8 s (1.2-2.3 s
-#: with ``--specialize n=16`` and 0.11 s with n=1, three runs each, since
-#: z -> q^n goes key by key); 30 took 8.0 s and 35 18 s.
+#: Largest ``dims --p-max``: 20 takes 0.77-0.80 s, 25 2.0-2.1 s and 28
+#: 2.1-3.2 s (1.2-2.3 s with ``--specialize n=16`` and 0.12-0.16 s with n=1,
+#: since z -> q^n goes key by key); 30 takes 3.0-4.3 s and 35 7.4-7.9 s.
 MAX_DIMS_P = 28
 #: Largest level K of ``--specialize n=K`` and ``specialize --to n=K``.  At
 #: K = 16, ``dims --p-max 28`` takes 1.2-2.3 s and the slowest text the
@@ -36,10 +38,11 @@ MAX_DIMS_P = 28
 #: z -> q^n still cancelled the whole normal form.
 MAX_LEVEL = 16
 #: Largest r + s + t of ``eval-theta`` and ``eval-3j``.  At 24 the slowest
-#: accepted call, ``eval-3j --kind double --r 8 --s 8 --t 8``, takes 4.3 s
-#: and prints 0.64 MB (``eval-theta --r 8 --s 8 --t 8`` 1.5 s, 0.29 MB;
-#: 0.13-0.17 s and 0.08-0.09 s with ``--specialize n=16``, three runs
-#: each); at 25 it took 5.9 s, and at 30 15 s for 1.5 MB.
+#: accepted call, ``eval-theta --r 8 --s 8 --t 8``, takes 0.74-1.38 s and
+#: prints 0.29 MB (``eval-3j --kind double --r 8 --s 8 --t 8`` 0.49-0.89 s,
+#: 0.64 MB; 0.09-0.14 s and 0.13-0.30 s with ``--specialize n=16``).  At 25
+#: the theta takes 0.83-1.01 s, and at 30 2.2-3.0 s; the 3j double at 30
+#: takes 1.2-1.7 s and prints 1.5 MB.
 MAX_EVAL_SUM = 24
 
 #: The exit status when the reader of standard output has gone: 128 +
@@ -370,13 +373,14 @@ def main(argv=None) -> int:
     json_asked = "--format=json" in argv or ("--format", "json") in zip(argv, argv[1:])
     fmt = "json" if json_asked else "text"
     try:
+        if sys.stdout is None:  # the process started with fd 1 closed: print would drop
+            raise OSError("standard output is closed")
         args = _read_args(argv)
         fmt = args.format
         args.target = (_parse_specialize_target(args.specialize) if args.specialize
                        else _unspecialized)
         code = args.fn(args)
-        if sys.stdout is not None:  # None when the process started without a stdout
-            sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:
         # what is still buffered goes to os.devnull, where the flush at exit

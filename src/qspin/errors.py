@@ -46,8 +46,9 @@ class StateSpaceTooLarge(QspinError):
 
 
 class ConstraintViolated(QspinError):
-    """An input violates a structural constraint: the shape, signs or side
-    sums of a tetrahedron grid, or the port linking of a network."""
+    """An input violates a structural constraint: a network's vertices,
+    edges, label types or port linking, the name of a normalization, or
+    a gamma trace's matching."""
 
 
 class ParseError(QspinError):

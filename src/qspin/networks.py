@@ -30,7 +30,6 @@ import json
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, lcm, prod
-from typing import NamedTuple
 
 from .errors import (
     ArgumentOutOfRange,
@@ -92,6 +91,15 @@ def _load(text, required: tuple) -> dict:
         _FILE, "'free_loops' must be a list of integers",
     )
     return doc
+
+
+def _check_free_loops(free_loops) -> None:
+    """The free-loop check of both network constructors."""
+    for a in free_loops:
+        if not is_int(a):
+            raise ConstraintViolated("free loop has a non-integer label")
+        if a < 0:
+            raise InadmissibleLabel("free loop has negative label")
 
 
 def _port(end) -> tuple:
@@ -157,11 +165,7 @@ class LabelledNetwork:
                 )
             a, b, c = (self.edges[e][2] for e, _ in rot)
             AdmissibleTriple(a, b, c)  # raises InadmissibleTriple if bad
-        for a in self.free_loops:
-            if not is_int(a):
-                raise ConstraintViolated("free loop has a non-integer label")
-            if a < 0:
-                raise InadmissibleLabel("free loop has negative label")
+        _check_free_loops(self.free_loops)
 
     def end_label(self, end) -> int:
         return self.edges[end[0]][2]
@@ -243,12 +247,10 @@ _K4_ROTATION = {
 }
 
 
-def tetrahedron_network(labels=None) -> LabelledNetwork:
+def tetrahedron_network(labels) -> LabelledNetwork:
     """K4 with a planar rotation system (outer triangle 1,2,3; vertex 4
     inside).  ``labels`` maps the edge order
-    (12, 13, 14, 23, 24, 34) to labels; default all 2."""
-    if labels is None:
-        labels = [2] * 6
+    (12, 13, 14, 23, 24, 34) to labels."""
     return LabelledNetwork(
         vertices=list(_K4_ROTATION),
         edges=[(v0, v1, l) for (v0, v1), l in zip(_K4_EDGES, labels)],
@@ -303,11 +305,7 @@ class StrandNetwork:
                 raise ConstraintViolated(f"port {key!r} is linked to itself")
             if self.link.get(val) != key:
                 raise ConstraintViolated("ambient linking is not an involution")
-        for a in self.free_loops:
-            if not is_int(a):
-                raise ConstraintViolated("free loop has a non-integer label")
-            if a < 0:
-                raise InadmissibleLabel("free loop has negative label")
+        _check_free_loops(self.free_loops)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -533,72 +531,6 @@ def _join(states: dict, i: int, outs: list, width: int) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Tetrahedron symbols.
-
-
-class TetrahedronSymbol(NamedTuple):
-    """3x4 grid z[i][j]: the i-th internal strand count at vertex j+1 of
-    the reference tetrahedron embedding (corner i joins the i-th and
-    (i+1)-st edge-ends of the vertex rotation)."""
-
-    z: tuple  # 3 rows of 4
-
-    @staticmethod
-    def from_grid(rows) -> "TetrahedronSymbol":
-        if len(rows) != 3 or any(len(r) != 4 for r in rows):
-            raise ConstraintViolated("tetrahedron symbol must be a 3x4 grid")
-        return TetrahedronSymbol(tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def from_labels(labels) -> "TetrahedronSymbol":
-        """The symbol whose ``tetrahedron_edge_labels`` are ``labels``: at a
-        vertex whose rotation has labels l, corner i holds
-        (l_i + l_{i+1} - l_{i+2}) / 2."""
-        net = tetrahedron_network(list(labels))
-        rows = [[], [], []]
-        for v in net.vertices:
-            ls = [net.end_label(end) for end in net.rotation[v]]
-            for i, row in enumerate(rows):
-                row.append((ls[i] + ls[(i + 1) % 3] - ls[(i + 2) % 3]) // 2)
-        return TetrahedronSymbol.from_grid(rows)
-
-
-def tetrahedron_check(t: TetrahedronSymbol) -> None:
-    """Raise ConstraintViolated unless every grid entry is nonnegative."""
-    if any(x < 0 for row in t.z for x in row):
-        raise ConstraintViolated("tetrahedron grid entries must be nonnegative")
-
-
-def tetrahedron_edge_labels(t: TetrahedronSymbol) -> list:
-    """Reconstruct the 6 edge labels of the reference K4 embedding from the
-    corner counts; the two endpoint side sums of each edge must agree."""
-    tetrahedron_check(t)
-    # label demanded at each edge-end: sum of the two adjacent corner counts
-    demand: dict = {}
-    for j, rot in enumerate(_K4_ROTATION.values()):
-        for i in range(3):
-            end = rot[i]
-            # end sits between corners (i-1, i) and (i, i+1): rows (i-1)%3, i
-            demand[end] = t.z[(i - 1) % 3][j] + t.z[i][j]
-    labels = []
-    for ei in range(6):
-        l0 = demand[(ei, 0)]
-        l1 = demand[(ei, 1)]
-        if l0 != l1:
-            raise ConstraintViolated(
-                f"edge {ei}: opposite side sums differ ({l0} vs {l1})"
-            )
-        labels.append(l0)
-    return labels
-
-
-def tetrahedron_chromatic(t: TetrahedronSymbol, normalization: str = "Raw"):
-    """Chromatic evaluation of the strand network of a tetrahedron symbol."""
-    net = tetrahedron_network(tetrahedron_edge_labels(t))
-    return chromatic_eval(medial(net), normalization)
-
-
-# --------------------------------------------------------------------------
 # The chromatic oracle of the closed forms (rows of ``matrixlab.CHECKS``).
 
 
@@ -636,9 +568,8 @@ def _admissible(a: int, b: int, c: int) -> bool:
 
 
 def check_tetrahedron_relabelling(max_label: int) -> bool:
-    """Every admissible tetrahedron with labels <= max_label, evaluated
-    from its symbol, has the Raw value of each of its relabellings by a
-    vertex permutation of K4."""
+    """Every admissible tetrahedron with labels <= max_label has the Raw
+    value of each of its relabellings by a vertex permutation of K4."""
     check_counts(max_label=max_label)
     orbits: dict = {}
     for labels in product(range(max_label + 1), repeat=6):
@@ -649,7 +580,7 @@ def check_tetrahedron_relabelling(max_label: int) -> bool:
             tuple(label[tuple(sorted((p[v0 - 1], p[v1 - 1])))] for v0, v1 in _K4_EDGES)
             for p in permutations((1, 2, 3, 4))
         )
-        raw = tetrahedron_chromatic(TetrahedronSymbol.from_labels(labels))
+        raw = chromatic_eval(medial(tetrahedron_network(list(labels))))
         if orbits.setdefault(orbit, raw) != raw:
             return False
     return True

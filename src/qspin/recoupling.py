@@ -1,5 +1,5 @@
 """Closed-form evaluations of the spinor/vector network families:
-loop and curl values, vertex collapses, theta and three-vertex networks,
+loop values, vertex collapses, theta and three-vertex networks,
 and the two-parameter Fierz coefficients.
 
 Conventions:
@@ -66,7 +66,7 @@ class AdmissibleTriple:
 
 
 # --------------------------------------------------------------------------
-# Loop, curl and twist values.
+# Loop values.
 
 
 def dimq_vector(a: int) -> ScalarK:
@@ -105,20 +105,6 @@ def check_dimq_recurrence(p: int, printed: bool = False) -> bool:
     lhs = (qint(2, -2 * p - 2) / qint(1, -p - 1)) * qint(2, -p) * fn(p)
     rhs = (qint(2, -2 * p) / qint(1, -p)) * qint(0, p + 1) * fn(p + 1)
     return equal(lhs, rhs)
-
-
-def curl(a: int) -> ScalarK:
-    """Curl (positive kink) value on an a-labelled strand: z^{2a} q^{-a^2}."""
-    check_counts(a=a)
-    return Z ** (2 * a) * Q ** (-a * a)
-
-
-def twist(r: int, s: int, t: int) -> ScalarK:
-    """Half-twist value at a vertex with internal counts (r, s, t):
-    (-1)^{st+rs+rt} z^{-2s} q^{(s+t)(s+r)-2rt}."""
-    check_counts(r=r, s=s, t=t)
-    sign = -1 if (s * t + r * s + r * t) % 2 else 1
-    return scalar(sign) * Z ** (-2 * s) * Q ** ((s + t) * (s + r) - 2 * r * t)
 
 
 def vertex_collapse(t: AdmissibleTriple) -> ScalarK:

@@ -305,6 +305,7 @@ _LEVEL = f"n={cli.MAX_LEVEL + 1}"
         (["specialize", "--expr", "q", "--to", "n=0"], "bad-target"),
         (["specialize", "--expr", "q", "--to", "n=abc"], "bad-target"),
         (["eval-theta", "--a", "1"], "bad-labels"),
+        (["eval-theta", "--r", "1"], "bad-labels"),
         (["eval-theta", "--kind", "spinor", "--r", "1", "--s", "1", "--t", "0"],
          "bad-labels"),
         (["specialize", "--expr", "1/(z-q)", "--to", "n=1"], "DivisionByZero"),
@@ -319,6 +320,7 @@ _LEVEL = f"n={cli.MAX_LEVEL + 1}"
     ids=["fierz-table-max", "dims-p-max", "fierz-table-negative", "dims-negative",
          "dims-level", "eval-theta-level", "specialize-level", "specialize-huge-level",
          "specialize-level-zero", "specialize-level-not-int", "eval-theta-partial-abc",
+         "eval-theta-partial-rst",
          "spinor-theta-two-counts", "specialize-pole-at-level",
          "spinor-theta-negative-r", "spinor-theta-negative-s",
          "eval-theta-both-label-sets"],
@@ -836,8 +838,11 @@ def test_calls_keep_no_state(capsys):
                 "fierz-table, dims, chromatic, check, specialize"),
     ([], "no command given; choose from eval-theta, eval-3j, "
          "fierz-table, dims, chromatic, check, specialize"),
+    (["check", "--all=x"], "argument --all: takes no value"),
+    # with --format json after it, the flag that follows is no value either
+    (["fierz-table", "--max"], "argument --max: expected one value"),
 ], ids=["missing-required", "invalid-int", "invalid-choice", "unknown-option",
-        "ambiguous-prefix", "unknown-command", "empty"])
+        "ambiguous-prefix", "unknown-command", "empty", "flag-with-value", "missing-value"])
 def test_bad_arguments_are_a_typed_error(capsys, argv, message, fmt):
     if fmt == "text":
         assert run(capsys, *argv) == (2, "", f"error [bad-args]: {message}\n")
@@ -942,6 +947,15 @@ def test_a_reader_gone_before_the_start_ends_the_run_quietly(buffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+def test_a_run_started_without_a_stdout_is_refused():
+    # with fd 1 closed, sys.stdout is None and print would drop the output:
+    # the run is refused before it starts, as a write to a full device is
+    cmd, env = _entry_point("eval-theta", "--r", "1", "--s", "1", "--t", "0")
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *cmd],
+                          stderr=subprocess.PIPE, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (2, b"error [OSError]: standard output is closed\n")
 
 
 def _drive_commands(tmp_path, holds: str) -> None:

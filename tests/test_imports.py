@@ -1,7 +1,8 @@
 """Import hygiene of ``src/qspin``, read from each module's syntax tree:
-no module imports a name it never uses, no private module-level name goes
-unread, ``scalar`` imports from no qspin module but ``errors`` and
-``poly``, and every ``lru_cache`` keys its arguments by type."""
+no module imports a name it never uses, no module-level name or method
+goes unread by the program or the benchmark, ``scalar`` imports from no
+qspin module but ``errors`` and ``poly``, and every ``lru_cache`` keys its
+arguments by type."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qspin"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: Modules whose imports are checked; ``__init__`` only re-exports.
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -46,34 +48,44 @@ def test_no_module_imports_a_name_it_never_uses(module):
     assert _unused_imports((SRC / module).read_text()) == []
 
 
-def _unread_private_names(sources: dict) -> list:
-    """The private module-level functions, classes and constants of
-    ``sources`` (module name -> source) that no source reads, as
-    (module, name) pairs.
+def _unread_names(sources: dict, readers: tuple = (), allowed=()) -> list:
+    """The names of ``sources`` (module name -> source) that nothing reads,
+    as (module, name) pairs: each module-level function, class and
+    constant, and each method and property of a module-level class, named
+    ``Class.method``.  Dunder names are left out: the language reads them.
 
-    A name is read where it is loaded (``_f(x)``) or taken as an attribute
-    (``scalar._f``), in any of the sources; a name read only inside its own
-    body, as a recursive function reads itself, counts as read.  Dunder
-    names are not private."""
-    defined, read = [], set()
+    A name is read where it is loaded (``f(x)``) or taken as an attribute
+    (``scalar.f``, ``self.f``), in any of the sources or of the ``readers``
+    (more source texts); a name read only inside its own body, as a
+    recursive function reads itself, counts as read.  The (module, name)
+    pairs in ``allowed`` are not reported."""
+    read = set().union(*map(_loaded, [*sources.values(), *readers]))
+    defined = []
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 names = [node.name]
+            elif isinstance(node, ast.ClassDef):
+                names = [node.name] + [
+                    f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
             defined += [(module, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return sorted((module, name) for module, name in defined if name not in read)
+                        if not name.rpartition(".")[2].startswith("__")]
+    return sorted((module, name) for module, name in defined
+                  if name.rpartition(".")[2] not in read and (module, name) not in allowed)
+
+
+def _loaded(source: str) -> set:
+    """The names that ``source`` loads or takes as attributes."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
 
 
 def test_the_guard_finds_an_unread_private_name():
@@ -91,15 +103,71 @@ def test_the_guard_finds_an_unread_private_name():
             "    _local = x\n"
             "    return _X + b._helper()\n"
         ),
-        "b.py": "def _helper():\n    return _Y\n",
+        "b.py": "def _helper():\n    return _Y + a.f(0)\n",
     }
-    assert _unread_private_names(sources) == [
-        ("a.py", "_DEAD"), ("a.py", "_Gone"), ("a.py", "_Z")]
+    assert _unread_names(sources) == [("a.py", "_DEAD"), ("a.py", "_Gone"), ("a.py", "_Z")]
+
+
+def test_the_guard_finds_an_unread_public_name():
+    sources = {
+        "m.py": (
+            "LIMIT = 3\n"
+            "SPARE = 4\n"
+            "def used(x):\n"
+            "    return x + LIMIT\n"
+            "def dead():\n"
+            "    pass\n"
+            "def benched():\n"
+            "    pass\n"
+            "def documented():\n"
+            "    pass\n"
+            "class Thing:\n"
+            "    size: int = 0\n"
+            "    def __init__(self):\n"
+            "        self.n = used(1)\n"
+            "    def grow(self):\n"
+            "        return self._tidy()\n"
+            "    @property\n"
+            "    def half(self):\n"
+            "        return self.n // 2\n"
+            "    def _tidy(self):\n"
+            "        pass\n"
+        ),
+        "n.py": "from .m import Thing\ndef run():\n    return Thing().half\n",
+    }
+    # run and benched are read only by the benchmark; documented is allowed
+    bench = "n.run()\nm.benched()\n"
+    assert _unread_names(sources, (bench,), {("m.py", "documented")}) == [
+        ("m.py", "SPARE"), ("m.py", "Thing.grow"), ("m.py", "dead")]
+    assert ("n.py", "run") in _unread_names(sources, (), {("m.py", "documented")})
+
+
+#: The names that the README documents as API and nothing in the program or
+#: the benchmark reads, each with the README's words as the reason.
+DOCUMENTED = {
+    ("poly.py", "Poly.from_terms"):
+        "README: `Poly.from_terms` builds a polynomial from exponent tuples",
+}
+
+
+def _program_unread() -> list:
+    """The names of ``src/qspin`` that neither the program nor the
+    benchmark reads, less ``DOCUMENTED``."""
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    bench = tuple(p.read_text() for p in PERFBENCH.glob("*.py"))
+    return _unread_names(sources, bench, DOCUMENTED)
+
+
+def _private(name: str) -> bool:
+    return name.rpartition(".")[2].startswith("_")
 
 
 def test_every_private_name_is_read():
-    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
-    assert _unread_private_names(sources) == []
+    assert [(m, name) for m, name in _program_unread() if _private(name)] == []
+
+
+def test_every_public_name_is_read():
+    assert [(m, name) for m, name in _program_unread() if not _private(name)] == []
 
 
 def _qspin_sources(source: str) -> set:

@@ -21,7 +21,6 @@ from qspin.networks import (
     MAX_TOTAL_LINES,
     LabelledNetwork,
     StrandNetwork,
-    TetrahedronSymbol,
     cabled_unknot,
     chromatic_eval,
     check_clifford,
@@ -31,9 +30,6 @@ from qspin.networks import (
     gamma_oracle_trace,
     chromatic_classical,
     medial,
-    tetrahedron_check,
-    tetrahedron_chromatic,
-    tetrahedron_edge_labels,
     tetrahedron_network,
     theta_network,
     unknot,
@@ -154,44 +150,41 @@ def test_chromatic_rows_match_sympy():
 
 
 def test_tetrahedron_all_ones_golden():
-    t = TetrahedronSymbol.from_grid([[1] * 4, [1] * 4, [1] * 4])
-    tetrahedron_check(t)
-    assert tetrahedron_edge_labels(t) == [2] * 6
-    raw = to_sympy(tetrahedron_chromatic(t, "Raw"))
+    sn = medial(tetrahedron_network([2] * 6))
+    raw = to_sympy(chromatic_eval(sn, "Raw"))
     assert raw == _d**4 - 5 * _d**3 + 8 * _d**2 - 4 * _d
-    normed = to_sympy(tetrahedron_chromatic(t, "ProjectorNormalized"))
+    normed = to_sympy(chromatic_eval(sn, "ProjectorNormalized"))
     assert normed == raw / 64
 
 
 def test_k4_layout_round_trip():
-    # the symbol of a labelling, read back through the shared rotation,
-    # gives the labelling again
+    # the labelling read back from the medial network's rectangles is the
+    # labelling again, and every tetrahedron shares the K4 rotation
     admissible = 0
     for labels in product(range(4), repeat=6):
         at = [[l for e, l in zip(_K4_EDGES, labels) if v in e] for v in range(1, 5)]
         if not all(sum(ls) % 2 == 0 and 2 * max(ls) <= sum(ls) for ls in at):
             with pytest.raises(InadmissibleTriple):
-                TetrahedronSymbol.from_labels(labels)
+                tetrahedron_network(list(labels))
             continue
         admissible += 1
-        assert tetrahedron_edge_labels(TetrahedronSymbol.from_labels(labels)) == list(labels)
-        rotation = tetrahedron_network(list(labels)).rotation
-        assert {v: tuple(rot) for v, rot in rotation.items()} == _K4_ROTATION
+        net = tetrahedron_network(list(labels))
+        assert medial(net).rect_degree == dict(enumerate(labels))
+        assert {v: tuple(rot) for v, rot in net.rotation.items()} == _K4_ROTATION
     assert admissible == 181
 
 
 def test_tetrahedron_trivial_and_invalid():
-    t0 = TetrahedronSymbol.from_grid([[0] * 4] * 3)
+    sn = medial(tetrahedron_network([0] * 6))
     for normalization in ("Raw", "ProjectorNormalized"):
-        assert to_sympy(tetrahedron_chromatic(t0, normalization)) == 1
+        assert to_sympy(chromatic_eval(sn, normalization)) == 1
+    with pytest.raises(InadmissibleLabel):
+        tetrahedron_network([-1] + [0] * 5)
     with pytest.raises(ConstraintViolated):
-        TetrahedronSymbol.from_grid([[1, 2], [3, 4]])
-    with pytest.raises(ConstraintViolated):
-        tetrahedron_check(TetrahedronSymbol.from_grid([[-1] + [0] * 3] + [[0] * 4] * 2))
-    # inconsistent side sums
-    bad = TetrahedronSymbol.from_grid([[1, 0, 0, 0], [0] * 4, [0] * 4])
-    with pytest.raises(ConstraintViolated):
-        tetrahedron_edge_labels(bad)
+        tetrahedron_network([2.0] + [2] * 5)
+    # an odd total at vertex 1
+    with pytest.raises(InadmissibleTriple):
+        tetrahedron_network([1] + [0] * 5)
 
 
 @given(st.integers(0, 3), st.integers(0, 3))

@@ -15,16 +15,14 @@ from qspin.recoupling import (
     FierzTable,
     check_exp_coeff_half_form,
     completeness_C,
-    curl,
     dimq_vector,
     exp_coeff,
     fierz,
     fierz_a0,
     fierz_recurrence_check,
     theta_spinor,
-    twist,
 )
-from qspin.scalar import DELTA, ONE, SPIN_DELTA, bar, equal
+from qspin.scalar import DELTA, ONE, SPIN_DELTA, equal
 
 
 def test_admissible_triple_validation():
@@ -50,13 +48,6 @@ def test_rst_parametrization(r, s, t):
 def test_dimq_base_cases():
     assert equal(dimq_vector(0), ONE)
     assert equal(dimq_vector(1), brace(1) * DELTA)
-
-
-def test_curl_twist():
-    # bar inverts a curl (it is a monomial in q, z)
-    for a in range(0, 4):
-        assert equal(curl(a) * bar(curl(a)), ONE)
-    assert equal(twist(0, 0, 0), ONE)
 
 
 def test_theta_spinor_zero_strand_anomaly():
@@ -117,12 +108,12 @@ def test_completeness_C_baseline():
     lambda a: fierz(a, 1), lambda b: fierz(1, b), recoupling.fierz_a1, fierz_a0,
     lambda m: completeness_C(2, 2, m), lambda r: recoupling.x_coeff(r, 1, 1),
     lambda r: recoupling.theta_vector(r, 1, 1), lambda t: recoupling.threej_double(1, 1, t),
-    theta_spinor, dimq_vector, curl, lambda a: AdmissibleTriple(a, 1, 1),
+    theta_spinor, dimq_vector, lambda a: AdmissibleTriple(a, 1, 1),
     lambda s: AdmissibleTriple.from_rst(1, s, 1), recoupling.leg_hop,
     lambda m: recoupling.check_bubble_identity(1, 1, m),
     lambda a: FierzTable.generate(a, 1),
 ], ids=["fierz-a", "fierz-b", "fierz_a1", "fierz_a0", "completeness_C", "x_coeff",
-        "theta_vector", "threej_double", "theta_spinor", "dimq_vector", "curl",
+        "theta_vector", "threej_double", "theta_spinor", "dimq_vector",
         "AdmissibleTriple", "from_rst", "leg_hop", "bubble", "FierzTable.generate"])
 def test_counts_refuse_non_counts(call, bad):
     with pytest.raises(ArgumentOutOfRange):

@@ -83,6 +83,11 @@ def test_field_arithmetic_basics():
     assert not ONE.is_zero()
     with pytest.raises(DivisionByZero):
         ONE / ZERO
+    # an int or a Fraction on the left; a str is no scalar
+    assert to_text(1 - Q) == "-q + 1"
+    assert to_text(Fraction(1, 2) / Q) == "(1)/(2*q)"
+    with pytest.raises(TypeError, match="cannot coerce str to ScalarK"):
+        mk("x")
 
 
 def test_qint_and_brace_atoms():
@@ -180,6 +185,11 @@ def _level_outcome(level, x, n):
     (lambda: (Z**1000 - 1) * Q**-7, 32),
     (lambda: (Z**1000 - 1) / (Z**1000 + Q), 33),
     (lambda: (Q + Z * Q**-5) / (Z**1000 - 1), -32),
+    # a key of three terms whose own image is too wide: q^34000, q^33984
+    # (named, so that the ids of the cases above stay as they were)
+    pytest.param(lambda: Z**2000 + Q + 1, 17, id="wide-sum-key-17"),
+    pytest.param(lambda: 1 / (Z**2000 + Q + 1), 17, id="wide-sum-key-inverse-17"),
+    pytest.param(lambda: Z**1999 + Z + Q, -17, id="wide-sum-key--17"),
 ])
 def test_integer_level_at_the_field_width_matches_the_oracle(x, n):
     x = x()
@@ -348,6 +358,11 @@ def test_numeric_probe_consistency():
     for q0, n in [(0, 1), (1, 1), (-1, 2), (2, 0), (2, 1.5), (2, True)]:
         with pytest.raises(SpecializationError):
             numeric_probe(x, q0, n, 4)
+    # the level leaves u; q - 2 vanishes at q = 2
+    with pytest.raises(SpecializationError, match="spectral generators"):
+        numeric_probe(U, 2, 1, 1)
+    with pytest.raises(DivisionByZero, match="denominator vanishes"):
+        numeric_probe(1 / (Q - 2), 2, 1, 1)
 
 
 def test_classical_limit_matches_delta_substitution():
