@@ -4,7 +4,9 @@ commands, run in a fresh interpreter.
 A time varies from run to run by more than most regressions; these counts
 do not.  Each figure is [Poly.__mul__ calls, their term pairs (the sum of
 |a| * |b| over the calls), exquo calls, poly.cofactors calls,
-ScalarK.__mul__ calls].  A change of any figure is a change of the
+ScalarK.__mul__ calls, calls into the parser's recursive descent
+(scalar._parse_sum, its nested sums included)].  A canonical text goes to
+the canonical reader, so ``readback`` makes no call into the descent.  A change of any figure is a change of the
 program's work: record it and its direction with the change that makes
 it.
 """
@@ -20,14 +22,14 @@ HERE = Path(__file__).resolve().parent
 #: The figures of each run, made in this order in one interpreter, so that
 #: each run finds what the runs before it cached.
 COST_PINS = {
-    "eval-theta-4": [83, 118718, 0, 0, 113],
-    "eval-theta-6": [128, 637462, 0, 0, 101],
-    "eval-3j-double-4": [81, 73274, 0, 0, 23],
-    "eval-3j-double-5": [107, 173448, 0, 0, 59],
-    "dims-12": [884, 117410, 0, 0, 363],
-    "fierz-table-5": [852, 31104, 43, 0, 701],
-    "readback": [724, 8566, 223, 124, 0],
-    "check-all": [4982, 13369, 250, 7, 382],
+    "eval-theta-4": [83, 118718, 0, 0, 113, 0],
+    "eval-theta-6": [128, 637462, 0, 0, 101, 0],
+    "eval-3j-double-4": [81, 73274, 0, 0, 23, 0],
+    "eval-3j-double-5": [107, 173448, 0, 0, 59, 0],
+    "dims-12": [884, 117410, 0, 0, 363, 0],
+    "fierz-table-5": [852, 31104, 43, 0, 701, 0],
+    "readback": [724, 8566, 223, 124, 0, 0],
+    "check-all": [4982, 13369, 250, 7, 382, 0],
 }
 
 SCRIPT = """
@@ -71,10 +73,11 @@ for name, run in runs.items():
         divs = [stack.enter_context(counting(m, "exquo")) for m in (poly, scalar, matrixlab)]
         gcds = stack.enter_context(counting(poly, "cofactors"))
         scalar_muls = stack.enter_context(counting(scalar.ScalarK, "__mul__"))
+        descent = stack.enter_context(counting(scalar, "_parse_sum"))
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         run()
     figures[name] = [muls.count, muls.weight, sum(d.count for d in divs), gcds.count,
-                     scalar_muls.count]
+                     scalar_muls.count, descent.count]
 print(json.dumps(figures))
 """
 

@@ -642,13 +642,28 @@ print(json.dumps(counts))
 # past MAX_PARSE_SIZE
 @example(("add", ("pow", ("pow", ("add", ("brace", 1), ("add", ("add", ("gen", "Delta"),
           ("gen", "u")), rat(1))), 3), 3), ("brace", 0)))
+# canonical texts past the parse bounds: an exponent 270 at k = 3, an
+# expansion size 601,958 at k = 0
+@example(("pow", ("pow", ("add", ("div", ("qint", 0, 1), ("brace", 3)),
+          ("pow", ("brace", 4), 3)), 3), 3))
+@example(("pow", ("pow", ("add", ("div", ("qint", 0, 1), ("brace", 0)),
+          ("pow", ("brace", 4), 3)), 3), 3))
 def test_normal_form_matches_cancel_oracle(tree):
     x = value(tree)
     want = cancel_nf(x)
     got = to_sympy(x.nf)
     assert (got.numer, got.denom) == (want.numer, want.denom)
-    assert to_text(x) == cancel_text(x)
-    back = to_sympy(parse_scalar(to_text(x)).nf)
+    text = to_text(x)
+    assert text == cancel_text(x)
+    try:
+        back = parse_scalar(text)
+    except ParseError as exc:
+        # the bounds promise no round trip past them: the refusal is a
+        # bound's, and the character scanner refuses the text alike
+        assert "exceeds the parse bound" in str(exc)
+        assert _outcome(parse_oracle.parse_scalar, text) == (ParseError, str(exc))
+        return
+    back = to_sympy(back.nf)
     assert (back.numer, back.denom) == (want.numer, want.denom)
 
 
@@ -788,15 +803,18 @@ def test_printed_monomials_read_back(x, text):
 
 def test_parse_collects_the_monomials_of_a_sum(monkeypatch):
     # the 1,681 monomials of the expanded text become one polynomial with
-    # one primitive part; adding them one by one took one per term
+    # one primitive part, in the canonical reader and in the descent, which
+    # reads the text written with '**'; adding them one by one took one per
+    # term
     text = to_text(parse_scalar("(q-1)^40*(z-1)^40"))
-    calls = []
     primitive = scalar._primitive
-    monkeypatch.setattr(scalar, "_primitive", lambda p: calls.append(p) or primitive(p))
-    x = parse_scalar(text)
-    monkeypatch.undo()
-    assert len(calls) == 1
-    assert to_text(x) == text
+    for power in ("^", "**"):
+        calls = []
+        monkeypatch.setattr(scalar, "_primitive", lambda p: calls.append(p) or primitive(p))
+        x = parse_scalar(text.replace("^", power))
+        monkeypatch.undo()
+        assert len(calls) == 1, power
+        assert to_text(x) == text
 
 
 def _stored_texts() -> list:
@@ -812,8 +830,8 @@ def test_stored_texts_still_parse():
 
 
 def test_parse_reads_monomials_without_scalar_arithmetic(monkeypatch):
-    # a canonical text's monomials are read into exponent tuples; only the
-    # one '/' of (N)/(D) is ScalarK arithmetic
+    # the canonical reader packs a text's monomials into keys; only the one
+    # '/' of (N)/(D) is ScalarK arithmetic
     calls = []
     for name in ("__mul__", "__pow__", "__truediv__"):
         method = getattr(ScalarK, name)
@@ -917,6 +935,12 @@ def _twos(count: int, rest: str):
     return pytest.param("*".join(["2^256"] * count) + rest, id=f"(2^256)x{count}{rest}")
 
 
+def _coefficient(digits: int, *rest):
+    """The case of a sum whose coefficient has ``digits`` digits, followed
+    by ``rest``; int()'s default limit is 4,300 digits."""
+    return pytest.param("9" * digits + "*q + 1", *rest, id=f"{digits}-digit-coefficient")
+
+
 @pytest.mark.parametrize("text", [
     "2\u00b2", "2q", "q^2q", "(2q)", "q^(2q)", "\u00bd", "q*\u00bd", "q\u00b2",
     "\u2460", "q^\u2460", "_x", "Delta2", "q*-z", "q*--z", "q*-(z)", "2^-1*q",
@@ -943,9 +967,59 @@ def _twos(count: int, rest: str):
     str(2**1372) + "*q^18*z^22*u^-256*u^-2 + 1", "q^-244*z^-78*Delta^-30*u^-256*u^-1 + 1",
     # an expanded polynomial, measured by its terms, and the same below 1
     "q^99*z^99*Delta^59 + q", "1/(q^99*z^99*Delta^59 + q)",
+    # at the edges of the canonical reader's grammar (see the next test)
+    "0", "-1", "(1)/(2)", "(-3)/(2)", "(1)/(q^244*z^78*Delta^30)", "q + q", "z*q",
+    "q^256", "q^257", "q^01", " q", "(q)/(0)", _coefficient(4300), _coefficient(4301),
 ])
 def test_parse_matches_the_character_scanner_on_edge_cases(text):
     assert _outcome(parse_scalar, text) == _outcome(parse_oracle.parse_scalar, text)
+
+
+@pytest.mark.parametrize("text, read", [
+    ("-1", True), ("(1)/(2)", True), ("(-3)/(2)", True), ("(1)/(q^244*z^78*Delta^30)", True),
+    ("q^256", True), ("-2*q^3*z*Delta^2*u*v^5 + 3 - u*v", True),
+    _coefficient(4300, True), _coefficient(4301, False),
+    # 0, repeated monomials, generators out of order or repeated, exponents
+    # past the bound, written as 1 or with a leading 0, whitespace, a zero
+    # denominator and what is not one side or two
+    ("0", False), ("q + q", False), ("z*q", False), ("q*q", False), ("q^257", False),
+    ("q^1", False), ("q^01", False), ("0*q", False), (" q", False), ("q ", False),
+    ("q+z", False), ("q  + z", False), ("q + -z", False), ("q\n", False), ("2q", False),
+    ("q*", False), ("*q", False), ("-", False), ("", False), ("(q)/(0)", False),
+    ("(q)/()", False), ("(q)", False), ("(q)/(z)/(u)", False), ("q**2", False),
+    ("(q)*(z)", False), ("delta", False),
+])
+def test_the_canonical_reader_takes_the_printed_grammar(text, read):
+    # every text the canonical reader does not take goes to the descent
+    # unchanged, so that every error comes from the descent
+    assert (scalar._read_canonical(text) is not None) == read
+
+
+def _descent(text):
+    """The value the recursive descent alone reads, checked as
+    ``parse_scalar`` checks it."""
+    x = scalar._parse_tokens(text)
+    scalar._check_size(x)
+    return x
+
+
+@given(trees(key_atoms, depth=4))
+@settings(max_examples=100, deadline=None)
+@example(("pow", ("pow", ("add", ("div", ("qint", 0, 1), ("brace", 0)),
+          ("pow", ("brace", 4), 3)), 3), 3))
+def test_printed_texts_are_read_without_the_descent(tree):
+    x = value(tree)
+    text = to_text(x)
+    want = _outcome(_descent, text)
+    if x.is_zero() or want[0] is ParseError and want[1].startswith("exponent"):
+        # 0, and a text with an exponent past MAX_PARSE_EXPONENT, are the
+        # descent's to read or refuse
+        assert scalar._read_canonical(text) is None
+        return
+    with counting(scalar, "_parse_sum") as descent:
+        got = _outcome(parse_scalar, text)
+    assert descent.count == 0
+    assert got == want
 
 
 # --------------------------------------------------------------------------
