@@ -207,6 +207,9 @@ class Poly(dict):
 
     def __call__(self, *values):
         """The value at the point ``values``, one per generator."""
+        if len(values) != self.ngens:
+            raise ArgumentOutOfRange(
+                f"a polynomial in {self.ngens} generators takes {self.ngens} values, not {len(values)}")
         total = 0
         for m, c in self.items():
             for x, e in zip(values, self.exponents(m)):
@@ -276,7 +279,9 @@ def exquo(p, f):
     the first one that does not divide.  The leading term is the larger of
     p's next and the top of a heap of the terms the division adds
     (Monagan and Pearce, "Sparse polynomial division using a heap",
-    J. Symbolic Comput. 46(7), 2011).
+    J. Symbolic Comput. 46(7), 2011).  The step's multiple of f cancels
+    that term exactly, so the term is dropped and only f's other terms,
+    listed once, are subtracted from the remainder.
     With the guard bits G, the quotient's key is (m | G) - fm less G, and
     a guard bit cleared by the subtraction means fm does not divide m.
     Were f to divide p, each remainder monomial would have p's degrees or
@@ -312,6 +317,7 @@ def exquo(p, f):
     # room carries into the guard bit
     slack = _FULL - (room ^ _GUARD)
     rem = dict(p)
+    tail = [(k, c) for k, c in f.items() if k != fm]
     # the remainder's keys, largest first: p's in order, -1 after them,
     # merged with a heap of the keys the division adds
     order = sorted(p, reverse=True)
@@ -339,8 +345,10 @@ def exquo(p, f):
         if r:
             return None
         quo[qk] = t
-        # t x^qk f; its leading term cancels the remainder's, c x^k
-        for k2, c2 in f.items():
+        # t x^qk f: its leading term cancels the remainder's, c x^k, and
+        # the rest is subtracted
+        del rem[k]
+        for k2, c2 in tail:
             k2 += qk
             if k2 & _GUARD:
                 return None
@@ -359,19 +367,26 @@ def exquo(p, f):
 #: (q, z, Delta, u, v).  Its coordinates are far apart, so that the small
 #: keys q - 1, q - z, z + 1, u - q, ... take large values there.
 PROBE_POINT = (1009, 31, 5, 7919, 97)
+#: The fields of a key below q's.
+_LOW = (1 << 4 * FIELD_BITS) - 1
 
 
 def probe(p: Poly) -> int:
     """p at PROBE_POINT, p in the five generators.  If f divides p in
     Z[x], the quotient has an integer value there too, so probe(f) divides
-    probe(p); see :func:`rules_out`."""
+    probe(p); see :func:`rules_out`.  Evaluation at a point is a ring
+    homomorphism, so probe(f * g) = probe(f) * probe(g), and the value of
+    an exact quotient is the quotient of the values.
+
+    Each term's value at the lower generators is summed into the
+    coefficient of its power of q, the top field, and the coefficients are
+    combined by Horner's rule in q, from the largest power down."""
     x0, x1, x2, x3, x4 = PROBE_POINT
     w, f = FIELD_BITS, _MASK
-    total = 0
+    shift = 4 * w
+    coeffs: dict = {}
     for m, v in p.items():
-        if m:
-            if e := m >> 4 * w:
-                v *= x0**e
+        if m & _LOW:
             if e := m >> 3 * w & f:
                 v *= x1**e
             if e := m >> 2 * w & f:
@@ -380,8 +395,14 @@ def probe(p: Poly) -> int:
                 v *= x3**e
             if e := m & f:
                 v *= x4**e
-        total += v
-    return total
+        e = m >> shift
+        coeffs[e] = coeffs.get(e, 0) + v
+    total = 0
+    top = max(coeffs, default=0)
+    for e in sorted(coeffs, reverse=True):
+        total = total * x0 ** (top - e) + coeffs[e]
+        top = e
+    return total * x0**top
 
 
 def rules_out(fv: int, pv: int) -> bool:

@@ -260,10 +260,11 @@ def _divide_once(fac: dict, phi: set, failed: set, values: dict):
     key k (one in ``phi``) of the opposite sign divides, or None; pairs
     found not to divide are added to ``failed`` and not tried again.  A
     pair whose values at the probe point (memoized in ``values``) rule the
-    division out is not divided at all.  Most pairs tried here do not
-    divide, and dividing by a monic cyclotomic key fails only at the end,
-    so the filter pays: without it ``fierz-table --max 5`` took 19% longer
-    (0.0519 s to 0.0615 s, slower in 6 of 6 paired runs on 2-core x86)."""
+    division out is not divided at all; on a hit both values are in
+    ``values``.  Most pairs tried here do not divide, and dividing by a
+    monic cyclotomic key fails only at the end, so the filter pays: without
+    it ``fierz-table --max 5`` took 19% longer (0.0519 s to 0.0615 s,
+    slower in 6 of 6 paired runs on 2-core x86)."""
     for f, e in fac.items():
         if f in phi:
             continue
@@ -294,6 +295,11 @@ def _reduce(fac: dict) -> dict:
     quotient becomes keys again.  Sum keys left on both sides are passed,
     multiplied out, to one cancel.
 
+    The values of keys at the probe point (``poly.probe``) are kept for the
+    whole reduction.  A quotient's value is its dividend's divided by its
+    divisor's, exactly, as evaluation is a ring homomorphism, so a
+    quotient is not evaluated afresh unless its divisor's value is 0.
+
     A key counts as cyclotomic if it was in ``_PHI`` when met here; a
     polynomial another thread registers meanwhile stays a sum key, which
     is always safe.
@@ -305,6 +311,8 @@ def _reduce(fac: dict) -> dict:
     values: dict = {}
     while (hit := _divide_once(fac, phi, failed, values)) is not None:
         f, k, quo = hit
+        if values[k]:
+            values[quo] = values[f] // values[k]
         e = fac[f]
         # f^e = k^e * quo^e; k may change sides, so the scan starts over
         fac = _fac_mul(_fac_mul(fac, {f: e}, -1), {k: e})
