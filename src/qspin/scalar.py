@@ -263,8 +263,8 @@ def _divide_once(fac: dict, phi: set, failed: set, values: dict):
     division out is not divided at all; on a hit both values are in
     ``values``.  Most pairs tried here do not divide, and dividing by a
     monic cyclotomic key fails only at the end, so the filter pays: without
-    it ``fierz-table --max 5`` took 19% longer (0.0519 s to 0.0615 s,
-    slower in 6 of 6 paired runs on 2-core x86)."""
+    it ``fierz-table --max 5`` took 29% longer (0.0380 s to 0.0490 s,
+    slower in 6 of 6 paired perfbench runs on 2-core x86)."""
     for f, e in fac.items():
         if f in phi:
             continue

@@ -5,10 +5,13 @@ A time varies from run to run by more than most regressions; these counts
 do not.  Each figure is [Poly.__mul__ calls, their term pairs (the sum of
 |a| * |b| over the calls), exquo calls, poly.cofactors calls,
 ScalarK.__mul__ calls, calls into the parser's recursive descent
-(scalar._parse_sum, its nested sums included)].  A canonical text goes to
-the canonical reader, so ``readback`` makes no call into the descent.  A change of any figure is a change of the
-program's work: record it and its direction with the change that makes
-it.
+(scalar._parse_sum, its nested sums included), terms that poly.probe
+evaluates for scalar._reduce (the sum of |p| over its calls)].  A
+canonical text goes to the canonical reader, so ``readback`` makes no
+call into the descent; ``read-descent`` reads the same texts written with
+``**``, which only the descent reads.  A change of any figure is a change
+of the program's work: record it and its direction with the change that
+makes it.
 """
 
 import json
@@ -22,14 +25,15 @@ HERE = Path(__file__).resolve().parent
 #: The figures of each run, made in this order in one interpreter, so that
 #: each run finds what the runs before it cached.
 COST_PINS = {
-    "eval-theta-4": [83, 118718, 0, 0, 113, 0],
-    "eval-theta-6": [128, 637462, 0, 0, 101, 0],
-    "eval-3j-double-4": [81, 73274, 0, 0, 23, 0],
-    "eval-3j-double-5": [107, 173448, 0, 0, 59, 0],
-    "dims-12": [884, 117410, 0, 0, 363, 0],
-    "fierz-table-5": [852, 31104, 43, 0, 701, 0],
-    "readback": [724, 8566, 223, 124, 0, 0],
-    "check-all": [4982, 13369, 250, 7, 382, 0],
+    "eval-theta-4": [83, 118718, 0, 0, 113, 0, 0],
+    "eval-theta-6": [128, 637462, 0, 0, 101, 0, 0],
+    "eval-3j-double-4": [81, 73274, 0, 0, 23, 0, 0],
+    "eval-3j-double-5": [107, 173448, 0, 0, 59, 0, 0],
+    "dims-12": [884, 117410, 0, 0, 363, 0, 0],
+    "fierz-table-5": [852, 31104, 43, 0, 701, 0, 858],
+    "readback": [724, 8566, 223, 124, 0, 0, 16],
+    "check-all": [4982, 13369, 250, 7, 382, 0, 0],
+    "read-descent": [0, 0, 0, 0, 4094, 145, 0],
 }
 
 SCRIPT = """
@@ -38,6 +42,11 @@ from counting import counting
 from qspin import cli, matrixlab, poly, scalar
 
 texts = json.loads(sys.stdin.read())
+
+
+def read_descent():
+    for text in texts:
+        scalar.parse_scalar(text.replace("^", "**"))
 
 
 def readback():
@@ -64,6 +73,7 @@ runs = {
     "fierz-table-5": command("fierz-table", "--max", "5"),
     "readback": readback,
     "check-all": command("check", "--all"),
+    "read-descent": read_descent,
 }
 figures = {}
 for name, run in runs.items():
@@ -74,10 +84,11 @@ for name, run in runs.items():
         gcds = stack.enter_context(counting(poly, "cofactors"))
         scalar_muls = stack.enter_context(counting(scalar.ScalarK, "__mul__"))
         descent = stack.enter_context(counting(scalar, "_parse_sum"))
+        probes = stack.enter_context(counting(scalar, "probe", len))
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         run()
     figures[name] = [muls.count, muls.weight, sum(d.count for d in divs), gcds.count,
-                     scalar_muls.count, descent.count]
+                     scalar_muls.count, descent.count, probes.weight]
 print(json.dumps(figures))
 """
 

@@ -3,13 +3,15 @@ gcd, cancel, the probe test before a trial division, and the reduced
 fractions of Q(delta, Delta) with their text."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from counting import counting
 from exprtree import key_atoms, sum_atoms, trees, value
-from qspin import poly
+from qspin import poly, scalar
 from qspin.errors import ArgumentOutOfRange, GcdFailed, QspinError, UnsupportedSize
 from qspin.poly import MAX_EXPONENT, Poly, cancel, cofactors, exquo, probe, rules_out
 from qspin.scalar import CLASSICAL_FIELD, classical
@@ -69,6 +71,34 @@ def test_exact_division_matches_sympy(division):
     assert (got is None) == bool(rem)
     if got is not None:
         assert to_sympy(got, n, INTEGER_RINGS) == quo
+
+
+#: f and g = q^2 - z of the binomial divisions below, in (q, z).
+_F2 = Poly.from_terms({(3, 1): 1, (1, 2): 2, (0, 0): -3})
+_G2 = Poly.from_terms({(2, 0): 1, (0, 1): -1})
+
+
+@pytest.mark.parametrize("p, g", [
+    # divides: the quotient is f
+    (_F2 * _G2, _G2),
+    # fails only at the last remainder term, the constant 1: each term
+    # before it divides
+    (_F2 * _G2 + Poly.from_terms({(0, 0): 1}), _G2),
+    # g's tail term, times the quotient's q, cancels p's -q z
+    (Poly.from_terms({(3, 0): 1, (1, 1): -1}), _G2),
+    # q^4 - z^2: the division adds q^2 z, and g's tail term times the
+    # quotient's z then cancels p's -z^2
+    (Poly.from_terms({(4, 0): 1, (0, 2): -1}), _G2),
+], ids=["divides", "fails-at-the-last-term", "tail-cancels", "tail-cancels-after-an-added-term"])
+def test_binomial_divisions_match_sympy(p, g):
+    quo, rem = to_sympy(p, 2, INTEGER_RINGS).div(to_sympy(g, 2, INTEGER_RINGS))
+    got = exquo(p, g)
+    assert (got is None) == bool(rem)
+    if got is None:
+        # the remainder is p's last term alone
+        assert to_sympy(type(p)({min(p): p[min(p)]}), 2, INTEGER_RINGS) == rem
+    else:
+        assert to_sympy(got, 2, INTEGER_RINGS) == quo
 
 
 def test_exact_division_stops_past_the_degrees(monkeypatch):
@@ -165,6 +195,12 @@ def test_polynomials_are_immutable_values():
     assert p.terms() == [((1, 0), 2), ((0, 0), -1)] and p.LC == 2
     assert (p**3).terms()[0] == ((3, 0), 8)
     assert p(Fraction(1, 2), 7) == 0
+    # a point has one value per generator
+    for point in ((2,), (Fraction(1, 2), 7, 0)):
+        with pytest.raises(ArgumentOutOfRange):
+            p(*point)
+    with pytest.raises(ArgumentOutOfRange):
+        Poly.from_terms({(1, 1, 0, 0, 0): 1})(2)
 
 
 @given(_pairs())
@@ -176,6 +212,41 @@ def test_probe_never_rules_out_a_true_divisor(pair):
     assert not rules_out(probe(qf), probe(f))
     if rules_out(probe(g), probe(f)):
         assert exquo(f, g) is None
+
+
+#: Sum keys: primitive polynomials in the five generators with three
+#: terms or more, no monomial factor and a positive leading coefficient.
+_sum_keys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 5), st.integers(-9, 9).filter(bool), min_size=3, max_size=6,
+).map(lambda t: scalar._primitive(Poly.from_terms(t))[2])
+
+#: Cyclotomic keys Phi_d(x^w), w primitive with its first nonzero entry
+#: positive.
+_phi_keys = st.builds(
+    scalar._phi_key, st.integers(1, 12),
+    st.tuples(*[st.integers(-2, 2)] * 5).filter(
+        lambda w: any(w) and gcd(*w) == 1 and next(e for e in w if e) > 0),
+)
+
+
+@given(st.one_of(_sum_keys, _phi_keys), st.one_of(_sum_keys, _phi_keys))
+@settings(max_examples=150, deadline=None)
+def test_probe_is_multiplicative(f, g):
+    assert probe(f * g) == probe(f) * probe(g)
+
+
+@given(_sum_keys, _phi_keys)
+@settings(max_examples=100, deadline=None)
+def test_reduce_derives_the_quotient_probe(f, k):
+    # (f k) / k: the trial division's quotient f takes its value from those
+    # of f k and k, and probe evaluates those two alone
+    with (mock.patch.object(scalar, "_divide_once", wraps=scalar._divide_once) as divide,
+          counting(scalar, "probe") as probes):
+        assert scalar._reduce({f * k: 1, k: -1}) == {f: 1}
+    values = divide.call_args.args[3]
+    assert set(values) == {f * k, k, f}
+    assert all(v == probe(p) for p, v in values.items())
+    assert probes.count == 2
 
 
 # --------------------------------------------------------------------------
