@@ -598,7 +598,7 @@ def bmw_three_dim_rep() -> StrandRep:
     """The 3-dimensional representation of the 3-strand algebra at generic
     z; u_i is recovered from the skein relation.  The bmw3-exponent rows
     check its relations."""
-    (s1, s1i, s2, s2i), _ = _bmw3(False)
+    s1, s1i, s2, s2i = _bmw3(False)
     one, c = SquareMatrixK.identity(3), QDIFF.inv()
     u1, u2 = (_combination(3, [(one, 1), (s, -c), (si, c)]) for s, si in ((s1, s1i), (s2, s2i)))
     return StrandRep(3, (s1, s2), (s1i, s2i), (u1, u2), Z, ((1, 1),) * 2)
@@ -606,15 +606,13 @@ def bmw_three_dim_rep() -> StrandRep:
 
 @_built_once
 def _bmw3(printed: bool) -> tuple:
-    """sigma_1, sigma_1^-1, sigma_2, sigma_2^-1 of the 3-dim rep, and
-    whether each relation holds: "sigma1-inverse" and "sigma2-inverse"
-    (the displayed sigma_i^-1 inverts sigma_i) and "braid".
+    """sigma_1, sigma_1^-1, sigma_2, sigma_2^-1 of the 3-dim rep.
 
     sigma_1 is displayed as [[z^-2 q, 0, 0], [-z^e c, -q^-1, 0],
     [q^-1, 1, q]] and sigma_1^-1 as [[z^2 q^-1, 0, 0], [-z^-e c, -q, 0],
     [q, 1, q^-1]], with c = z q^-2 + z^-1 q^2.  The display has e = 1, and
-    with it all three relations fail; solving the braid relation shows
-    e = -1.  Every other entry is as displayed.
+    with it all three relations of ``check_bmw3_relation`` fail; solving
+    the braid relation shows e = -1.  Every other entry is as displayed.
     """
     e = 1 if printed else -1
     c = Z * Q**-2 + Z**-1 * Q**2
@@ -623,18 +621,17 @@ def _bmw3(printed: bool) -> tuple:
                                  (1, 1, -qi), (2, 0, qi), (2, 1, ONE), (2, 2, Q)])
     s1i, s2i = _generator_pair(3, [(0, 0, Z**2 * qi), (1, 0, -(Z**-e) * c),
                                    (1, 1, -Q), (2, 0, Q), (2, 1, ONE), (2, 2, qi)])
-    one = SquareMatrixK.identity(3)
-    holds = {
-        "sigma1-inverse": s1 @ s1i == one,
-        "sigma2-inverse": s2 @ s2i == one,
-        "braid": s1 @ s2 @ s1 == s2 @ s1 @ s2,
-    }
-    return (s1, s1i, s2, s2i), holds
+    return s1, s1i, s2, s2i
 
 
 def check_bmw3_relation(relation: str, printed: bool = False) -> bool:
-    """One relation of the 3-dim rep (see _bmw3)."""
-    return _bmw3(printed)[1][relation]
+    """One relation of the 3-dim rep (see _bmw3): "sigma1-inverse" or
+    "sigma2-inverse" (the displayed sigma_i^-1 inverts sigma_i) or "braid"."""
+    s1, s1i, s2, s2i = _bmw3(printed)
+    if relation == "braid":
+        return s1 @ s2 @ s1 == s2 @ s1 @ s2
+    s, si = {"sigma1-inverse": (s1, s1i), "sigma2-inverse": (s2, s2i)}[relation]
+    return s @ si == SquareMatrixK.identity(3)
 
 
 # --------------------------------------------------------------------------
@@ -970,8 +967,7 @@ CHECKS = {
     "crossing-symmetry-D": Check(check_crossing_symmetry_D, ({},), "matrix"),
     "hecke-tower": Check(check_hecke_tower, _grid(kind=("F", "E")), "matrix"),
     "hecke-quotient": Check(check_hecke_quotient, ({},), "matrix"),
-    "addition": Check(qcomb.random_addition_sweep, _grid(count=(200,), seed=(0,)),
-                      "identity"),
+    "addition": Check(qcomb.check_addition, ({},), "identity"),
     "cac": Check(qcomb.check_cac_identities, _grid(a=range(6)), "identity"),
     "bracket-shift": Check(qcomb.ext_bracket_shift_identity, _grid(a=range(5)),
                            "identity"),
@@ -1014,8 +1010,7 @@ CHECKS = {
                      "identity"),
     "gamma-cross-coeff": Check(recoupling.check_gamma_cross_coeff, _grid(p=range(4)),
                                "identity"),
-    "addition-sign": Check(_slip(qcomb.random_addition_sweep),
-                           _grid(count=(20,), seed=(0,)), "slip"),
+    "addition-sign": Check(_slip(qcomb.check_addition), ({},), "slip"),
     "cac-sign": Check(_slip(qcomb.check_cac_identities), _grid(a=(1, 2, 3)), "slip"),
     "double-shift": Check(_slip(qcomb.check_double_shift),
                           _grid(a=(-3, -2, -1, 1, 2, 3)), "slip"),

@@ -39,7 +39,8 @@ Specializations, each a plain function of a value:
 * ``q_to_one(x)``: the classical image of a z-free value, which does not
   depend on the curve along which q goes to 1.
 * ``numeric_probe(x, q0, n, Delta0)``: integer_level(x, n) followed by exact
-  evaluation at a rational q0 (not 0 or +-1) and Delta -> Delta0.
+  evaluation at a rational q0 (not 0 or +-1) and Delta -> Delta0, each an
+  int or a Fraction.
 """
 
 from __future__ import annotations
@@ -880,7 +881,11 @@ def q_to_one(x: ScalarK):
 
 def numeric_probe(x: ScalarK, q0, n: int, Delta0) -> Fraction:
     """integer_level(x, n), then exact evaluation at a rational q = q0, not
-    0 or +-1, and Delta = Delta0."""
+    0 or +-1, and Delta = Delta0; each is an int (not a bool) or a
+    Fraction."""
+    if not all(is_int(v) or isinstance(v, Fraction) for v in (q0, Delta0)):
+        raise SpecializationError(
+            "numeric_probe requires an int or Fraction q0 and Delta0")
     q0, Delta0 = Fraction(q0), Fraction(Delta0)
     if q0 in (0, 1, -1):
         raise SpecializationError("numeric_probe requires q0 not in {0, 1, -1}")

@@ -53,8 +53,9 @@ def test_acceptance_01_ring_consistency():
         lhs = Z * qint(0, a) + Q ** (-a) * DELTA
         rhs = Z.inv() * qint(0, a) + Q**a * DELTA
         ok = ok and equal(lhs, rhs)
-    # addition identity, 200 random extended triples (the printed sign of
-    # the final bracket is corrected; see the regression in criterion 10)
+    # addition identity, proved for every triple of extended symbols (the
+    # printed sign of the final bracket is corrected; see the regression in
+    # criterion 10)
     ok = ok and rows_hold("addition")
     _report(1, "ring consistency", ok)
 

@@ -1000,7 +1000,9 @@ def test_commands_do_not_import_sympy(tmp_path):
 def test_commands_do_not_import_dataclasses(tmp_path):
     # every CLI call pays the import, and dataclasses would bring inspect,
     # ast, dis and tokenize into it; the program needs none of them, nor
-    # argparse, whose place the command table of cli.py takes
+    # argparse, whose place the command table of cli.py takes, nor random
+    # (with bisect and _sha512), since every identity row is decided exactly
     _drive_commands(
-        tmp_path, 'not {"dataclasses", "inspect", "argparse"} & (set(sys.modules) - bare)'
+        tmp_path,
+        'not {"dataclasses", "inspect", "argparse", "random"} & (set(sys.modules) - bare)',
     )

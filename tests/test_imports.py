@@ -1,10 +1,12 @@
 """Import hygiene of ``src/qspin``, read from each module's syntax tree:
 no module imports a name it never uses, no module-level name or method
 goes unread by the program or the benchmark, ``scalar`` imports from no
-qspin module but ``errors`` and ``poly``, and every ``lru_cache`` keys its
-arguments by type."""
+qspin module but ``errors`` and ``poly``, every ``lru_cache`` keys its
+arguments by type, and every module parses as the oldest Python that
+``pyproject.toml`` admits."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -237,3 +239,21 @@ def test_the_guard_finds_an_untyped_cache():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_lru_cache_is_typed(module):
     assert _untyped_caches((SRC / module).read_text()) == []
+
+
+#: The oldest Python that pyproject.toml's requires-python admits.
+_REQUIRES = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (SRC.parents[1] / "pyproject.toml").read_text(), re.M)
+OLDEST_PYTHON = (int(_REQUIRES[1]), int(_REQUIRES[2]))
+
+
+def test_the_guard_finds_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=OLDEST_PYTHON)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_every_module_parses_on_the_oldest_python(module):
+    path = SRC / module
+    ast.parse(path.read_text(), filename=str(path), feature_version=OLDEST_PYTHON)

@@ -358,6 +358,12 @@ def test_numeric_probe_consistency():
     for q0, n in [(0, 1), (1, 1), (-1, 2), (2, 0), (2, 1.5), (2, True)]:
         with pytest.raises(SpecializationError):
             numeric_probe(x, q0, n, 4)
+    # the point is exact: a float, a text or a bool is refused, not read
+    # through Fraction()
+    for bad in [0.5, 2.0, "1/3", True]:
+        for q0, Delta0 in [(bad, 4), (2, bad)]:
+            with pytest.raises(SpecializationError, match="int or Fraction"):
+                numeric_probe(x, q0, 2, Delta0)
     # the level leaves u; q - 2 vanishes at q = 2
     with pytest.raises(SpecializationError, match="spectral generators"):
         numeric_probe(U, 2, 1, 1)
