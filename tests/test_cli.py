@@ -961,7 +961,10 @@ def test_a_run_started_without_a_stdout_is_refused():
 def _drive_commands(tmp_path, holds: str) -> None:
     """In a fresh interpreter, import qspin.cli, run five commands and read
     a Fierz table back, and assert the expression ``holds`` after each step.
-    ``bare`` in it is the set of modules the interpreter held at its start."""
+    ``bare`` in it is the set of modules the interpreter held at its start.
+    The interpreter runs without ``site`` (-S), whose start-up can import
+    more (a ``.pth`` file may run any import) and so hide a module in
+    ``bare``."""
     src = str(Path(qspin.__file__).resolve().parent.parent)
     net = tmp_path / "theta.json"
     net.write_text(theta_network(2, 2, 2).to_json())
@@ -985,7 +988,7 @@ assert {holds}, "FierzTable.from_json"
 """
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = src
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, env=env, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")
 
