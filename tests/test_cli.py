@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import sysconfig
 import time
 import tracemalloc
 from pathlib import Path
@@ -964,7 +965,9 @@ def _drive_commands(tmp_path, holds: str) -> None:
     ``bare`` in it is the set of modules the interpreter held at its start.
     The interpreter runs without ``site`` (-S), whose start-up can import
     more (a ``.pth`` file may run any import) and so hide a module in
-    ``bare``."""
+    ``bare``; the site-packages directories go on its path instead, and the
+    script ends by asserting that sympy can be found there, so that a guard
+    which keeps sympy out of ``sys.modules`` does not hold for want of it."""
     src = str(Path(qspin.__file__).resolve().parent.parent)
     net = tmp_path / "theta.json"
     net.write_text(theta_network(2, 2, 2).to_json())
@@ -985,9 +988,12 @@ for argv in (["check", "--all"], ["fierz-table", "--max", "2"],
 from qspin.recoupling import FierzTable
 FierzTable.from_json(FierzTable.generate(2, 2).to_json())
 assert {holds}, "FierzTable.from_json"
+import importlib.util
+assert importlib.util.find_spec("sympy") is not None, "sympy is not on the path"
 """
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = src
+    site_dirs = dict.fromkeys(sysconfig.get_path(k) for k in ("purelib", "platlib"))
+    env["PYTHONPATH"] = os.pathsep.join([src, *site_dirs])
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, env=env, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -19,7 +19,7 @@ from qspin.qcomb import (
     qint,
     qint_falling,
 )
-from qspin.scalar import ONE, Q, Z, equal, integer_level
+from qspin.scalar import ONE, QDIFF, Q, Z, equal, integer_level
 
 
 def test_qint_oddness():
@@ -47,11 +47,14 @@ def test_brace_shifted_specializes():
 
 def test_qint_is_the_bracket_of_its_monomial():
     # the addition rows decide the identity in _bracket; this is what
-    # carries their proof to every qint
+    # carries their proof to every qint.  The two-monomial quotient is the
+    # form qint was written in before _bracket: the same fields mean the
+    # same keys and printed texts
     for b in range(-3, 4):
         for a in range(-5, 6):
             x, y = qint(b, a), _bracket(Z**b * Q**a)
-            assert (x._c, x._mono, x._fac) == (y._c, y._mono, y._fac)
+            w = (Z**b * Q**a - Z**-b * Q**-a) / QDIFF
+            assert (x._c, x._mono, x._fac) == (y._c, y._mono, y._fac) == (w._c, w._mono, w._fac)
     assert check_addition() and not check_addition(printed=True)
 
 
