@@ -968,9 +968,8 @@ CHECKS = {
     "hecke-tower": Check(check_hecke_tower, _grid(kind=("F", "E")), "matrix"),
     "hecke-quotient": Check(check_hecke_quotient, ({},), "matrix"),
     "addition": Check(qcomb.check_addition, ({},), "identity"),
-    "cac": Check(qcomb.check_cac_identities, _grid(a=range(6)), "identity"),
-    "bracket-shift": Check(qcomb.ext_bracket_shift_identity, _grid(a=range(5)),
-                           "identity"),
+    "cac": Check(qcomb.check_cac_identities, ({},), "identity"),
+    "bracket-shift": Check(qcomb.ext_bracket_shift_identity, ({},), "identity"),
     "hecke-dims": Check(qcomb.check_hecke_dim_recurrences, _grid(p=range(5)),
                         "identity"),
     "qbinom-recurrence": Check(qcomb.check_qbinom_recurrence,
@@ -983,9 +982,7 @@ CHECKS = {
                            _grid(r=range(3), s=range(3), t=range(3)), "identity"),
     "theta-vector": Check(recoupling.check_theta_vector,
                           _grid(r=range(3), s=range(3), t=range(3)), "identity"),
-    "bubble": Check(recoupling.check_bubble_identity, tuple(
-        {"a": a, "b": b, "m": m} for a in range(4) for b in range(4)
-        for m in range(min(a, b) + 1)), "identity"),
+    "bubble": Check(qcomb.check_bubble_identity, ({},), "identity"),
     "fierz-symmetry": Check(recoupling.check_fierz_symmetry,
                             _grid(a=range(6), b=range(6)), "identity"),
     "fierz-bar": Check(recoupling.check_fierz_bar_invariance,
@@ -1011,9 +1008,8 @@ CHECKS = {
     "gamma-cross-coeff": Check(recoupling.check_gamma_cross_coeff, _grid(p=range(4)),
                                "identity"),
     "addition-sign": Check(_slip(qcomb.check_addition), ({},), "slip"),
-    "cac-sign": Check(_slip(qcomb.check_cac_identities), _grid(a=(1, 2, 3)), "slip"),
-    "double-shift": Check(_slip(qcomb.check_double_shift),
-                          _grid(a=(-3, -2, -1, 1, 2, 3)), "slip"),
+    "cac-sign": Check(_slip(qcomb.check_cac_identities), ({},), "slip"),
+    "double-shift": Check(_slip(qcomb.check_double_shift), ({},), "slip"),
     "dimq-closed-form": Check(_slip(recoupling.check_dimq_recurrence),
                               _grid(p=(1, 2, 3)), "slip"),
     "fierz-a0": Check(_slip(recoupling.check_fierz_a0), _grid(a=(1, 2, 3)), "slip"),

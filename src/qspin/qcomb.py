@@ -27,12 +27,17 @@ from functools import lru_cache
 from math import prod
 
 from .errors import ArgumentOutOfRange, check_counts, check_ints
-from .scalar import DELTA, ONE, QDIFF, SPIN_DELTA, U, V, Q, Z, ScalarK, equal
+from .scalar import ONE, QDIFF, SPIN_DELTA, U, V, Q, Z, ScalarK, equal
 
 
 def _bracket(x: ScalarK) -> ScalarK:
     """(x - x^-1) / (q - q^-1), the bracket of the symbol x = z^b q^a."""
     return (x - x.inv()) / QDIFF
+
+
+def _brace(x: ScalarK) -> ScalarK:
+    """x + x^-1, the brace {k} of x = z q^-k (and {n - k} of x = q^k)."""
+    return x + x.inv()
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -52,13 +57,13 @@ def brace(k: int) -> ScalarK:
     Its classical image is 2.
     """
     check_ints(k=k)
-    return Z * Q**-k + Z**-1 * Q**k
+    return _brace(Z * Q**-k)
 
 
 def brace_shifted(k: int) -> ScalarK:
     """The shifted brace {n - k} = q^k + q^-k (z replaced by q^n formally)."""
     check_ints(k=k)
-    return Q**k + Q**-k
+    return _brace(Q**k)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -130,14 +135,14 @@ def check_qbinom_recurrence(a: int, b: int) -> bool:
     return equal(lhs, rhs)
 
 
-def check_cac_identities(a: int, printed: bool = False) -> bool:
-    """Verify the upper-trace identity [a] + z^-1 [n-a] = z^-1 q^a [n].
+def check_cac_identities(printed: bool = False) -> bool:
+    """Verify the upper-trace identity [a] + z^-1 [n-a] = z^-1 q^a [n] for
+    every a, with the free generator u for q^a (see ``check_addition``).
 
-    It is printed with an ambiguous z^{+-1}; the z^{+1} reading fails for
-    a != 0.
+    It is printed with an ambiguous z^{+-1}; the z^{+1} reading fails.
     """
     zs = Z if printed else Z**-1
-    return equal(qint(0, a) + zs * qint(1, -a), zs * Q**a * qint(1, 0))
+    return equal(_bracket(U) + zs * _bracket(Z / U), zs * U * _bracket(Z))
 
 
 def hecke_dim_F(p: int) -> ScalarK:
@@ -162,16 +167,23 @@ def check_hecke_dim_recurrences(p: int) -> bool:
     return f_ok and e_ok
 
 
-def ext_bracket_shift_identity(a: int) -> bool:
-    """Verify [n+a] = z[a] + q^-a delta = z^-1[a] + q^a delta."""
-    x = qint(1, a)
-    return equal(x, Z * qint(0, a) + Q**-a * DELTA) and equal(
-        x, Z**-1 * qint(0, a) + Q**a * DELTA
-    )
+def ext_bracket_shift_identity() -> bool:
+    """Verify [n+a] = z[a] + q^-a delta = z^-1[a] + q^a delta for every a,
+    with the free generator u for q^a."""
+    na, a, n = _bracket(Z * U), _bracket(U), _bracket(Z)
+    return equal(na, Z * a + U.inv() * n) and equal(na, Z.inv() * a + U * n)
 
 
-def check_double_shift(a: int, printed: bool = False) -> bool:
-    """Verify [2n+a] = z^2 [a] + q^-a (z + z^-1) delta.  The printed form
-    has z [a] for z^2 [a] and fails for a != 0."""
+def check_double_shift(printed: bool = False) -> bool:
+    """Verify [2n+a] = z^2 [a] + q^-a (z + z^-1) delta for every a, with the
+    free generator u for q^a.  The printed z [a] for z^2 [a] fails."""
     zk = Z if printed else Z**2
-    return equal(qint(2, a), zk * qint(0, a) + Q**-a * (Z + Z**-1) * DELTA)
+    return equal(_bracket(Z**2 * U), zk * _bracket(U) + U.inv() * (Z + Z**-1) * _bracket(Z))
+
+
+def check_bubble_identity() -> bool:
+    """Verify [2n-b-m]{a+m} - [a]{b} = [2n-a-b-m]{m} for every a, b, m,
+    with the free generators u, v, Delta for q^a, q^b, q^m."""
+    u, v, w = U, V, SPIN_DELTA
+    lhs = _bracket(Z**2 / (v * w)) * _brace(Z / (u * w)) - _bracket(u) * _brace(Z / v)
+    return equal(lhs, _bracket(Z**2 / (u * v * w)) * _brace(Z / w))

@@ -142,14 +142,6 @@ def check_leg_hop_iter(a: int, r: int) -> bool:
     return equal(leg_hop_iter(a, r), prod((leg_hop(a + j) for j in range(r + 1)), start=ONE))
 
 
-def check_bubble_identity(a: int, b: int, m: int) -> bool:
-    """Verify [2n-b-m]{a+m} - [a]{b} = [2n-a-b-m]{m}."""
-    check_counts(a=a, b=b, m=m)
-    lhs = qint(2, -b - m) * brace(a + m) - qint(0, a) * brace(b)
-    rhs = qint(2, -a - b - m) * brace(m)
-    return equal(lhs, rhs)
-
-
 # --------------------------------------------------------------------------
 # Theta and three-vertex networks.
 

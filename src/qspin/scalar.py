@@ -530,7 +530,11 @@ class ScalarK:
         return self.nf == o.nf
 
     def __hash__(self):
-        return hash(self.nf)
+        # a constant equals its int or Fraction, so it hashes as that
+        nf = self.nf
+        if nf.numer.keys() <= {0} and nf.denom.keys() == {0}:
+            return hash(Fraction(nf.numer.get(0, 0), nf.denom[0]))
+        return hash(nf)
 
     def __repr__(self):
         return f"ScalarK({to_text(self)})"

@@ -642,6 +642,29 @@ def test_check_all_sha256_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_SHA256[fmt]
 
 
+# The stdout of `qspin check --suite slip` in text and in JSON, by their
+# sha256, and the rows of the identity suite, by the sha256 of their
+# manifest (its stdout takes seconds, and test_registry_row asserts its
+# verdicts row by row): a row that moves, goes or comes changes one of them.
+CHECK_SLIP_SHA256 = {
+    "text": "4a24136cd8cb66c90f76fb3a03fd63f0f387d42b92743ad8e39724f26b7e3bab",
+    "json": "8385ae8a5e03a35bb004938a20f1395083a7f23db819dda670c96346d8228d54",
+}
+IDENTITY_MANIFEST_SHA256 = "a97be9bb16f0e6aefa46ce47a41bc76910f64cf93a743ee11a78e5e4e1495f76"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_slip_sha256_pinned(capsys, fmt):
+    code, out, err = run(capsys, "check", "--suite", "slip", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_SLIP_SHA256[fmt]
+
+
+def test_identity_manifest_sha256_pinned():
+    doc = json.dumps(matrixlab.manifest(matrixlab.suite("identity")), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == IDENTITY_MANIFEST_SHA256
+
+
 # The stdout of `qspin fierz-table --max 5`, 33,253 bytes, by its sha256:
 # the write side of the scalar layer, pinned byte for byte.
 FIERZ_TABLE_5_SHA256 = "bd85fbd30995251be094b2160c18a7d60be7c3f361e74dffb2742da31ef400f3"

@@ -25,9 +25,9 @@ HERE = Path(__file__).resolve().parent
 #: The figures of each run, made in this order in one interpreter, so that
 #: each run finds what the runs before it cached.
 COST_PINS = {
-    "eval-theta-4": [83, 118718, 0, 0, 93, 0, 0],
-    "eval-theta-6": [128, 637462, 0, 0, 91, 0, 0],
-    "eval-3j-double-4": [81, 73274, 0, 0, 23, 0, 0],
+    "eval-theta-4": [83, 118718, 0, 0, 81, 0, 0],
+    "eval-theta-6": [128, 637462, 0, 0, 85, 0, 0],
+    "eval-3j-double-4": [81, 73274, 0, 0, 22, 0, 0],
     "eval-3j-double-5": [107, 173448, 0, 0, 59, 0, 0],
     "dims-12": [884, 117410, 0, 0, 342, 0, 0],
     "fierz-table-5": [852, 31104, 43, 0, 701, 0, 858],

@@ -180,8 +180,8 @@ def test_manifest_runner():
             {"name": "tower", "params": {"kind": "X", "n": 1, "p_max": 2}},
             {"name": "fierz-recurrence", "params": {"a": 500, "b": 0}},
             # True == 1 and 2.0 == 2: equal to a grid row, but not of its types
-            {"name": "bubble", "params": {"a": True, "b": False, "m": False}},
-            {"name": "cac", "params": {"a": 2.0}},
+            {"name": "qbinom-recurrence", "params": {"a": True, "b": 0}},
+            {"name": "hecke-dims", "params": {"p": 2.0}},
             {"name": "no-such-check"},
             # unhashable params fail validation before any memo lookup
             {"name": "ybe", "params": {"kind": "BMW_D", "rep": "tensor", "n": [1]}},

@@ -4,12 +4,16 @@ import pytest
 
 from qspin.errors import ArgumentOutOfRange
 from qspin.qcomb import (
+    _brace,
     _bracket,
     brace,
     brace_prod,
     brace_shifted,
     check_addition,
+    check_bubble_identity,
+    check_cac_identities,
     check_double_shift,
+    ext_bracket_shift_identity,
     ffact_ext,
     hecke_dim_E,
     hecke_dim_F,
@@ -51,11 +55,27 @@ def test_qint_is_the_bracket_of_its_monomial():
     # form qint was written in before _bracket: the same fields mean the
     # same keys and printed texts
     for b in range(-3, 4):
-        for a in range(-5, 6):
+        for a in range(-9, 10):
             x, y = qint(b, a), _bracket(Z**b * Q**a)
             w = (Z**b * Q**a - Z**-b * Q**-a) / QDIFF
             assert (x._c, x._mono, x._fac) == (y._c, y._mono, y._fac) == (w._c, w._mono, w._fac)
     assert check_addition() and not check_addition(printed=True)
+    # the other rows decided in _bracket alone
+    assert check_cac_identities() and not check_cac_identities(printed=True)
+    assert check_double_shift() and not check_double_shift(printed=True)
+    assert ext_bracket_shift_identity()
+
+
+def test_brace_is_the_brace_of_its_monomial():
+    # as for qint: the bubble row decides its identity in _brace, and the
+    # two-monomial sums are the forms brace and brace_shifted were written in
+    for k in range(-9, 10):
+        x, y = brace(k), _brace(Z * Q**-k)
+        w = Z * Q**-k + Z**-1 * Q**k
+        assert (x._c, x._mono, x._fac) == (y._c, y._mono, y._fac) == (w._c, w._mono, w._fac)
+        x, w = brace_shifted(k), Q**k + Q**-k
+        assert (x._c, x._mono, x._fac) == (w._c, w._mono, w._fac)
+    assert check_bubble_identity()
 
 
 def test_qfact_and_qbinom():
@@ -134,5 +154,10 @@ def test_hecke_dims():
 def test_printed_double_shift_is_wrong_but_corrected_matches():
     # the printed [2n+a] = z[a] + q^{-a}(z + z^{-1})delta fails for a != 0
     # while z^2[a] + q^{-a}(z + z^{-1})delta holds (the registry's
-    # double-shift rows); at a = 0 both agree
-    assert check_double_shift(0) and check_double_shift(0, printed=True)
+    # double-shift row proves both for every a); at a = 0, where [a] = 0,
+    # both read [2n] = (z + z^{-1})delta
+    for zk in (Z, Z**2):
+        assert equal(qint(2, 0), zk * qint(0, 0) + (Z + Z**-1) * qint(1, 0))
+    rest = Q**-1 * (Z + Z**-1) * qint(1, 0)
+    assert equal(qint(2, 1), Z**2 * qint(0, 1) + rest)
+    assert not equal(qint(2, 1), Z * qint(0, 1) + rest)

@@ -110,11 +110,10 @@ def test_completeness_C_baseline():
     lambda r: recoupling.theta_vector(r, 1, 1), lambda t: recoupling.threej_double(1, 1, t),
     theta_spinor, dimq_vector, lambda a: AdmissibleTriple(a, 1, 1),
     lambda s: AdmissibleTriple.from_rst(1, s, 1), recoupling.leg_hop,
-    lambda m: recoupling.check_bubble_identity(1, 1, m),
     lambda a: FierzTable.generate(a, 1),
 ], ids=["fierz-a", "fierz-b", "fierz_a1", "fierz_a0", "completeness_C", "x_coeff",
         "theta_vector", "threej_double", "theta_spinor", "dimq_vector",
-        "AdmissibleTriple", "from_rst", "leg_hop", "bubble", "FierzTable.generate"])
+        "AdmissibleTriple", "from_rst", "leg_hop", "FierzTable.generate"])
 def test_counts_refuse_non_counts(call, bad):
     with pytest.raises(ArgumentOutOfRange):
         call(bad)
