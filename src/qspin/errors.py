@@ -48,7 +48,7 @@ class StateSpaceTooLarge(QspinError):
 class ConstraintViolated(QspinError):
     """An input violates a structural constraint: a network's vertices,
     edges, label types or port linking, the name of a normalization, or
-    a gamma trace's matching."""
+    a gamma trace's slot ids or matching."""
 
 
 class ParseError(QspinError):

@@ -12,9 +12,9 @@ Conventions:
   braid relation, and quantum-dims, whose p = 1 case is tr mu = loop,
   checks the trace calibration.
 * Matrices are sparse and fraction-free: rows[i][j] holds a nonzero
-  integer-coefficient polynomial numerator and one denominator ``den`` is
-  shared by all entries, kept as the keys of the scalars' reduced factor
-  maps (generators, cyclotomic keys and sum keys).  A numerator is a
+  integer-coefficient polynomial numerator and one denominator is shared
+  by all entries, kept as a content and the keys of the scalars' reduced
+  factor maps (generators, cyclotomic keys and sum keys).  A numerator is a
   ``poly.Poly``, whose monomial keys are one int each, q's exponent in the
   top field.  ``@`` builds each row of a product in one map of ints: the
   column sits above the monomial fields of a key, so a term product is one
@@ -30,8 +30,9 @@ Conventions:
   ``a == b`` compares entry by entry over a common denominator: the same
   positions, and equal numerators once each side is brought to it.  Only
   the tower matrices X(p), which are kept and feed X(p+1), are reduced, by
-  trial division alone (``_reduce``).  A field element is built (one
-  cancel) only when an entry is read.
+  trial division alone (``_reduce``).  Scalars enter and entries leave
+  as numerator, content and keys (``scalar._parts``, ``scalar._over``),
+  with no gcd.
 * Inside BraidData, z is specialized to q^n throughout.
 """
 
@@ -52,11 +53,11 @@ from .errors import (
     UnsupportedSize,
     check_counts,
 )
-from .poly import FIELD_BITS, MAX_EXPONENT, MAX_GENS, Poly, exquo, pack
+from .poly import FIELD_BITS, MAX_EXPONENT, MAX_GENS, Poly, exquo
 from .qcomb import brace, qbinom_ext, qint
 from .recoupling import dimq_vector_recurrence_consistent
-from .scalar import FIELD, ONE, QDIFF, Q, U, V, Z, ScalarK, equal, integer_level, scalar
-from .scalar import _expand, _fac_mul
+from .scalar import ONE, QDIFF, Q, U, V, Z, ScalarK, equal, integer_level, scalar
+from .scalar import _expand, _fac_mul, _over, _parts
 
 #: Guards every _built_once cache: library callers may build from threads.
 _CACHE_LOCK = threading.RLock()
@@ -81,10 +82,8 @@ def _built_once(build):
 # --------------------------------------------------------------------------
 # Integer polynomials in (q, z, Delta, u, v): numerators and denominators.
 
-#: The generators q, z, Delta, u, v, as keys of a denominator.
-_GENS = tuple(Poly({pack(tuple(int(j == i) for j in range(5))): 1}) for i in range(5))
-#: The polynomial 1.
-_ONE = Poly({0: 1})
+#: The polynomials 1 and 0.
+_ONE, _ZERO = Poly({0: 1}), Poly()
 #: The shift of the column above the monomial key in a product's row
 #: accumulator (``SquareMatrixK.__matmul__``), and the mask of the key.
 _COL = MAX_GENS * FIELD_BITS
@@ -96,15 +95,6 @@ def _bounded(deg: int) -> int:
     if deg > MAX_EXPONENT:
         raise UnsupportedSize(f"matrix entries of degree up to {deg} exceed {MAX_EXPONENT}")
     return deg
-
-
-def _den_factors(x: ScalarK) -> tuple[int, dict]:
-    """(content, {key: multiplicity}) of the denominator of ``x.nf``, read
-    off the reduced factor map as it is: the constant's denominator, the
-    generators of the monomial, and the cyclotomic and sum keys."""
-    fac = {g: -e for g, e in zip(_GENS, x._mono) if e < 0}
-    fac.update((f, -e) for f, e in x._reduced().items() if e < 0)
-    return x._c.denominator, fac
 
 
 def _common_den(dens: list) -> tuple[int, dict, list]:
@@ -161,22 +151,24 @@ def _scaled(rows: dict, m: Poly) -> dict:
 def _combination(dim: int, terms) -> "SquareMatrixK":
     """The sum of c m over the (matrix m, scalar c) terms, every m of
     dimension dim, over one common denominator (``_common_den``) of each
-    term's m.den times the denominator of c.  Each term's distinct
-    numerators are multiplied once, by its multiple times the numerator of
-    c; a zero scalar or a zero matrix adds nothing.  Entries, sums,
-    scalings, R-matrices and the skein relations are all built here."""
+    term's denominator of m times that of c (``scalar._parts``).  Each
+    term's distinct numerators are multiplied once, by its multiple times
+    the numerator of c; a zero scalar or a zero matrix adds nothing.
+    Entries, sums, scalings, R-matrices and the skein relations are all
+    built here."""
     live = []
     for m, c in terms:
         if m.dim != dim:
             raise ArgumentOutOfRange("dimension mismatch in matrix sum")
         c = scalar(c)
         if c and m.rows:
-            live.append((m, c))
-    cont, dfac, mults = _common_den([_den_product(m, c) for m, c in live])
+            live.append((m, *_parts(c)))
+    cont, dfac, mults = _common_den([(m._cont * c, _fac_mul(m._dfac, keys))
+                                     for m, _, c, keys in live])
     rows: dict = {}
     deg = 0
-    for (m, c), mult in zip(live, mults):
-        k = mult * c.nf.numer
+    for (m, num, _, _), mult in zip(live, mults):
+        k = mult * num
         deg = max(deg, m.deg + k.degree())
         for i, row in _scaled(m.rows, k).items():
             for j, v in row.items():
@@ -188,8 +180,8 @@ class SquareMatrixK:
     """Sparse square matrix over the coefficient field, an immutable value.
 
     ``rows[i][j]`` is the numerator of a nonzero entry, a ``poly.Poly``,
-    and ``den`` the one denominator of all entries, kept as a content and
-    a map of ``Poly`` keys to multiplicities (``_den_factors``).  ``deg``
+    over the one denominator of all entries, kept as a content and a map
+    of ``Poly`` keys to multiplicities (``scalar._parts``).  ``deg``
     bounds every exponent of every numerator: a product or a Kronecker
     product adds its operands' bounds, a linear combination takes the
     largest of each term's bound plus the degree of the factor that scales
@@ -199,9 +191,9 @@ class SquareMatrixK:
     bit or the column.  Products and sums take numerators and keys as
     they come, with no division, so the form is not unique: equality is
     decided entry by entry over a common denominator, and only the kept
-    tower matrices are reduced (``_reduce``).  ``entry`` wraps an entry
-    as ScalarK, split from its reduced fraction; every specialization,
-    the classical one included, reads it like any other value.
+    tower matrices are reduced (``_reduce``).  ``entry`` and ``trace``
+    return a factored value over those keys (``scalar._over``), which
+    every specialization, the classical one included, reads as any other.
     Numerators are shared between matrices, and between the entries of
     one matrix that hold equal ones (``_mapped``), and never mutated.
 
@@ -210,7 +202,7 @@ class SquareMatrixK:
     linear combinations, each one call of ``_combination``.
     """
 
-    __slots__ = ("dim", "rows", "deg", "_cont", "_dfac", "_den")
+    __slots__ = ("dim", "rows", "deg", "_cont", "_dfac")
 
     def __init__(self, dim: int, rows: dict, cont: int, dfac: dict, deg: int):
         """rows over the denominator cont * prod(f^e) over ``dfac``, every
@@ -225,14 +217,6 @@ class SquareMatrixK:
         self.rows: dict[int, dict[int, Poly]] = rows
         self._cont = cont
         self._dfac = dfac
-        self._den = None
-
-    @property
-    def den(self):
-        """The denominator multiplied out, on first use."""
-        if self._den is None:
-            self._den = _expand(self._cont, 0, self._dfac)
-        return self._den
 
     # -- construction -------------------------------------------------------
 
@@ -252,12 +236,9 @@ class SquareMatrixK:
     # -- entry access --------------------------------------------------------
 
     def entry(self, i: int, j: int) -> ScalarK:
-        """Entry (i, j) as a field element.  Besides the tests, the
+        """Entry (i, j) as a factored value.  Besides the tests, the
         benchmark's numeric tower check reads entries through it."""
-        num = self.rows.get(i, {}).get(j)
-        if num is None:
-            return ScalarK.from_field_element(FIELD.zero)
-        return ScalarK.from_field_element(FIELD.new(num, self.den))
+        return _over(self.rows.get(i, {}).get(j, _ZERO), self._cont, self._dfac)
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -335,22 +316,17 @@ class SquareMatrixK:
                             self.deg + other.deg)
 
     def trace(self) -> ScalarK:
-        acc = Poly()
+        acc = _ZERO
         for i, row in self.rows.items():
             v = row.get(i)
             if v is not None:
                 acc = acc + v
-        return ScalarK.from_field_element(FIELD.new(acc, self.den))
+        return _over(acc, self._cont, self._dfac)
 
 
-def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:
-    """(content, keys) of a.den times the denominator of b, a matrix or a
-    ScalarK."""
-    if isinstance(b, SquareMatrixK):
-        bcont, bfac = b._cont, b._dfac
-    else:
-        bcont, bfac = _den_factors(b)
-    return a._cont * bcont, _fac_mul(a._dfac, bfac)
+def _den_product(a: SquareMatrixK, b: SquareMatrixK) -> tuple[int, dict]:
+    """(content, keys) of the product of a's and b's denominators."""
+    return a._cont * b._cont, _fac_mul(a._dfac, b._dfac)
 
 
 def _reduce(m: SquareMatrixK) -> SquareMatrixK:

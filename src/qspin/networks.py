@@ -78,7 +78,7 @@ def _is_name(x) -> bool:
 
 
 def _is_pair(x, item=lambda y: True) -> bool:
-    return isinstance(x, list) and len(x) == 2 and all(map(item, x))
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(item, x))
 
 
 def _load(text, required: tuple) -> dict:
@@ -655,6 +655,26 @@ def check_clifford(k: int) -> bool:
     return True
 
 
+def _chords(word: list, matching: list) -> list:
+    """The pairs of ``matching``, each sorted.  ConstraintViolated unless
+    ``word`` is a list of int slot ids and ``matching`` a list of int pairs
+    that covers the word once and pairs the positions that share a slot
+    id; UnsupportedSize for a word of odd length or past 8 letters."""
+    if not isinstance(word, (list, tuple)) or not all(map(is_int, word)):
+        raise ConstraintViolated("slot ids must be integers")
+    if not isinstance(matching, (list, tuple)) or not all(_is_pair(p, is_int) for p in matching):
+        raise ConstraintViolated("a matching is a list of pairs of integer positions")
+    L = len(word)
+    if L % 2 or L > 8:
+        raise UnsupportedSize("word length must be even and at most 8")
+    pairs = [sorted(p) for p in matching]
+    if sorted(i for p in pairs for i in p) != list(range(L)):
+        raise ConstraintViolated("matching must cover each position once")
+    if len(set(word)) != L // 2 or any(word[a] != word[b] for a, b in pairs):
+        raise ConstraintViolated("positions must share a slot id exactly when matched")
+    return pairs
+
+
 def gamma_oracle_trace(k: int, word: list, matching: list) -> Fraction:
     """Tr(gamma^{mu_1} ... gamma^{mu_L}) with the word positions contracted
     pairwise per ``matching`` (a list of disjoint position pairs covering
@@ -664,20 +684,12 @@ def gamma_oracle_trace(k: int, word: list, matching: list) -> Fraction:
     ``word`` gives a slot id per position; positions with equal slot ids
     must be matched together (the slots name the contractions).
     """
-    L = len(word)
-    if L % 2 or L > 8:
-        raise UnsupportedSize("word length must be even and at most 8")
-    pairs = [tuple(p) for p in matching]
-    flat = [i for p in pairs for i in p]
-    if sorted(flat) != list(range(L)):
-        raise ConstraintViolated("matching must cover each position once")
-    if len(set(word)) != L // 2 or any(word[a] != word[b] for a, b in pairs):
-        raise ConstraintViolated("positions must share a slot id exactly when matched")
+    pairs = _chords(word, matching)
     gs = gamma_matrices(k)
     g = gamma_metric(k)
     dim = 2**k
     total = 0
-    idx = [0] * L
+    idx = [0] * len(word)
     # an index for each pair; the positions of a pair share it
     for mus in product(range(2 * k), repeat=len(pairs)):
         for (a, b), mu in zip(pairs, mus):
@@ -695,10 +707,10 @@ def check_gamma_trace(k: int, word: list, matching: list) -> bool:
     form of the m chords of ``matching``: the spinor loop Delta, times the
     vector loop delta for each chord that crosses none and F(1, 1) for each
     pair of chords that cross.  A chord that crosses two others has no
-    closed form here."""
-    chords = [sorted(p) for p in matching]
+    closed form here.  With no chords, Tr(1) = 2^k is Delta."""
+    chords = _chords(word, matching)
     crossings = [sum(a < c < b < d or c < a < d < b for c, d in chords) for a, b in chords]
-    if max(crossings) > 1:
+    if max(crossings, default=0) > 1:
         raise ArgumentOutOfRange("a chord crosses two others")
     closed = SPIN_DELTA * DELTA ** crossings.count(0) * fierz(1, 1) ** (crossings.count(1) // 2)
     limit = q_to_one(integer_level(closed, k))

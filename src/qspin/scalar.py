@@ -105,6 +105,9 @@ CLASSICAL_FIELD = Field(("delta", "Delta"))
 _NGENS = 5
 _MONO1 = (0,) * _NGENS
 _NO_FACTORS: dict = {}
+#: The generators q, z, Delta, u, v as polynomials, in order: the keys of
+#: a denominator (``_parts``) that belong in the monomial.
+_GENS = dict.fromkeys(Poly({1 << FIELD_BITS * (_NGENS - 1 - i): 1}) for i in range(_NGENS))
 
 # A monomial key (see ``poly``) holds q's exponent in its top field, then
 # z's, Delta's, u's and v's; no field passes MAX_EXPONENT, so it is a mask.
@@ -332,19 +335,39 @@ def _reduce(fac: dict) -> dict:
     return fac
 
 
+def _over(num, cont: int, keys: dict, nf=None) -> "ScalarK":
+    """The factored value num / (cont * prod f^e over ``keys``) of a
+    polynomial num, an int cont and keys f that are generators (``_GENS``)
+    or primitive, built with no gcd: a generator's power goes into the
+    monomial, and num's primitive part becomes keys over the others.  What
+    the two sides share is cancelled by ``_reduce`` when the normal form is
+    read; ``nf``, when given, is that form.  The inverse of ``_parts``."""
+    if not num:
+        return ScalarK(Fraction(0), _MONO1, _NO_FACTORS, nf)
+    k, m, p = _primitive(num)
+    mono = tuple(a - keys.get(g, 0) for a, g in zip(m, _GENS))
+    den = {f: e for f, e in keys.items() if f not in _GENS}
+    fac = _fac_mul(_NO_FACTORS if p is None else _keys(p), den, -1)
+    return ScalarK(Fraction(k, cont), mono, fac, nf)
+
+
+def _parts(x: "ScalarK") -> tuple:
+    """(numerator, content, keys) of ``x.nf``, whose denominator is the
+    content times prod f^e over the keys, read off the reduced factor map
+    as it is: the constant's denominator, the generators of the monomial,
+    and the cyclotomic and sum keys.  ``_over`` of the three is x."""
+    keys = {g: -e for g, e in zip(_GENS, x._mono) if e < 0}
+    keys.update((f, -e) for f, e in x._reduced().items() if e < 0)
+    return x.nf.numer, x._c.denominator, keys
+
+
 def _wrap(nf) -> "ScalarK":
     """A reduced field element as a factored value, ``nf`` cached."""
-    if not nf:
-        return ScalarK(Fraction(0), _MONO1, _NO_FACTORS, nf)
-    kn, mn, pn = _primitive(nf.numer)
-    kd, md, pd = _primitive(nf.denom)
-    fac = _NO_FACTORS
-    if pn is not None:
-        fac = _keys(pn)
-    if pd is not None:
-        fac = _fac_mul(fac, _keys(pd), -1)
-    mono = tuple(map(sub, mn, md))
-    return ScalarK(Fraction(kn, kd), mono, fac, nf)
+    k, m, p = _primitive(nf.denom)
+    keys = {g: e for g, e in zip(_GENS, m) if e}
+    if p is not None:
+        keys.update(_keys(p))
+    return _over(nf.numer, k, keys, nf)
 
 
 # --------------------------------------------------------------------------
@@ -393,11 +416,6 @@ class ScalarK:
     @staticmethod
     def from_rational(x) -> "ScalarK":
         return ScalarK(Fraction(x), _MONO1, _NO_FACTORS)
-
-    @staticmethod
-    def from_field_element(nf) -> "ScalarK":
-        """Wrap a reduced field element."""
-        return _wrap(nf)
 
     # -- normal form ---------------------------------------------------------
 
@@ -581,20 +599,8 @@ def scalar(x) -> ScalarK:
     return s
 
 
-def _unit(i: int) -> tuple:
-    return tuple(int(j == i) for j in range(_NGENS))
-
-
-def _gen(name: str) -> ScalarK:
-    return ScalarK(Fraction(1), _unit(_VAR_NAMES.index(name)), _NO_FACTORS)
-
-
 #: Generators.
-Q = _gen("q")
-Z = _gen("z")
-SPIN_DELTA = _gen("Delta")
-U = _gen("u")
-V = _gen("v")
+Q, Z, SPIN_DELTA, U, V = (_over(g, 1, _NO_FACTORS) for g in _GENS)
 #: q - q^-1, the denominator of every bracket (see ``qcomb.qint``).
 QDIFF = Q - Q**-1
 DELTA = (Z - Z**-1) / QDIFF
@@ -1079,10 +1085,10 @@ def _read_canonical(text: str):
     repeated monomial, or 0.  It never raises.
 
     Each side's terms become one polynomial, keyed by packed monomials
-    (every exponent is in 0..MAX_PARSE_EXPONENT), that goes through the
-    same ``_primitive``/``_keys`` tail as a sum of the descent; the two
-    sides are divided as there.  None of the descent's checks before the
-    last can fail on such a text, so both readers give the same value."""
+    (every exponent is in 0..MAX_PARSE_EXPONENT), whose value ``_over``
+    builds as it builds a sum of the descent's monomials; the two sides are
+    divided as there.  None of the descent's checks before the last can
+    fail on such a text, so both readers give the same value."""
     split, powers = _canonical_grammar()
     if text[:1] == "(":
         cut = text.find(")/(")
@@ -1107,8 +1113,7 @@ def _read_canonical(text: str):
             return None
         if len(poly) < len(pieces) // 8:
             return None
-        k, m, p = _primitive(Poly(poly))
-        values.append(ScalarK(Fraction(k), m, _NO_FACTORS if p is None else _keys(p)))
+        values.append(_over(Poly(poly), 1, _NO_FACTORS))
     return values[0] if len(values) == 1 else values[0] / values[1]
 
 
@@ -1242,9 +1247,7 @@ def _monomial_sum(terms: list) -> ScalarK:
     base = keys.pop()
     den = lcm(*(c.denominator for c in coeffs.values()))
     poly = Poly({k - base: int(c * den) for k, c in zip(keys, coeffs.values())})
-    k, m, p = _primitive(poly)
-    fac = _NO_FACTORS if p is None else _keys(p)
-    return ScalarK(Fraction(k, den), tuple(map(add, low, m)), fac)
+    return _over(poly, den, {g: -e for g, e in zip(_GENS, low) if e})
 
 
 def _parse_product(toks: list, i: int, depth: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from qspin.errors import DivisionByZero, UnsupportedSize
 from qspin.poly import MAX_EXPONENT, Poly
-from qspin.scalar import FIELD, ScalarK, scalar
+from qspin.scalar import FIELD, ScalarK, _wrap, scalar
 
 
 def integer_level(x, n: int) -> ScalarK:
@@ -29,7 +29,7 @@ def integer_level(x, n: int) -> ScalarK:
     top = max(m[0] for m in [*num, *den])
     if top > MAX_EXPONENT:
         raise UnsupportedSize(f"z -> q^{n} gives q^{top}, past the field width {MAX_EXPONENT}")
-    return ScalarK.from_field_element(FIELD.new(Poly.from_terms(num), Poly.from_terms(den)))
+    return _wrap(FIELD.new(Poly.from_terms(num), Poly.from_terms(den)))
 
 
 def _at_level(poly, n: int) -> dict:

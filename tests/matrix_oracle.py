@@ -16,7 +16,7 @@ from math import gcd
 from qspin.errors import ArgumentOutOfRange
 from qspin.poly import Poly, rules_out
 from qspin.scalar import FIELD, ScalarK, scalar
-from qspin.scalar import _expand, _fac_mul
+from qspin.scalar import _expand, _fac_mul, _wrap
 from tuple_poly import TPoly, exquo, monomial_mul, probe
 
 # --------------------------------------------------------------------------
@@ -145,8 +145,8 @@ class SquareMatrixK:
     def entry(self, i: int, j: int) -> ScalarK:
         num = self.rows.get(i, {}).get(j)
         if num is None:
-            return ScalarK.from_field_element(FIELD.zero)
-        return ScalarK.from_field_element(FIELD.new(num.to_program(), self.den))
+            return _wrap(FIELD.zero)
+        return _wrap(FIELD.new(num.to_program(), self.den))
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -237,7 +237,7 @@ class SquareMatrixK:
             v = row.get(i)
             if v is not None:
                 acc = acc + v
-        return ScalarK.from_field_element(FIELD.new(acc.to_program(), self.den))
+        return _wrap(FIELD.new(acc.to_program(), self.den))
 
 
 def _den_product(a: SquareMatrixK, b) -> tuple[int, dict]:

@@ -32,7 +32,7 @@ COST_PINS = {
     "dims-12": [884, 117410, 0, 0, 342, 0, 0],
     "fierz-table-5": [852, 31104, 43, 0, 701, 0, 858],
     "readback": [724, 8566, 223, 124, 0, 0, 16],
-    "check-all": [4976, 13363, 250, 7, 382, 0, 0],
+    "check-all": [4945, 13248, 252, 0, 382, 0, 44],
     "read-descent": [0, 0, 0, 0, 4094, 145, 0],
 }
 

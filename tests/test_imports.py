@@ -1,7 +1,8 @@
 """Import hygiene of ``src/qspin``, read from each module's syntax tree:
 no module imports a name it never uses, no module-level name or method
 goes unread by the program or the benchmark, ``scalar`` imports from no
-qspin module but ``errors`` and ``poly``, every ``lru_cache`` keys its
+qspin module but ``errors`` and ``poly``, no other module reads a value's
+factored form, every ``lru_cache`` keys its
 arguments by type, and every module parses as the oldest Python that
 ``pyproject.toml`` admits."""
 
@@ -197,6 +198,32 @@ def test_scalar_imports_only_errors_and_poly():
     assert _qspin_sources("from . import poly\nfrom .x.y import z\nimport qspin.cli, os") == {
         "poly", "x", "cli"}
     assert _qspin_sources((SRC / "scalar.py").read_text()) == {"errors", "poly"}
+
+
+#: The attributes of a factored value (``scalar.ScalarK``) that only
+#: ``scalar`` reads: every other module crosses into it through functions.
+_FACTORS = {"_c", "_mono", "_fac", "_red", "_nf", "_reduced"}
+
+
+def _factor_reads(source: str) -> list:
+    """The (line, attribute) of each read of a name in ``_FACTORS`` as an
+    attribute, ``x._mono`` or ``x._reduced()``, in ``source``."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in _FACTORS)
+
+
+def test_the_guard_finds_a_read_of_the_factors():
+    source = (
+        "def f(x, m):\n"
+        "    keys = {g: -e for g, e in zip(GENS, x._mono) if e < 0}\n"
+        "    return m._cont, x._reduced(), x.nf\n"
+    )
+    assert _factor_reads(source) == [(2, "_mono"), (3, "_reduced")]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "scalar.py"])
+def test_only_scalar_reads_a_values_factors(module):
+    assert _factor_reads((SRC / module).read_text()) == []
 
 
 def _untyped_caches(source: str) -> list:

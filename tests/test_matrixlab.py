@@ -37,7 +37,8 @@ from qspin.matrixlab import (
     quantum_trace,
     run_manifest,
 )
-from qspin.scalar import ONE, Q, U, V, Z, ScalarK, equal, scalar
+from qspin.scalar import ONE, Q, U, V, Z, equal, scalar
+from qspin.scalar import _expand, _over, _parts, _wrap
 from sympy_bridge import FIELD, from_sympy, to_sympy
 
 
@@ -194,12 +195,16 @@ def test_manifest_runner():
             {"name": "quantum-dims", "params": {"n": 2, "p_max": "3"}},
             {"name": "quantum-dims", "params": {"n": 1, "p_max": 0}},
             {"name": "quantum-dims", "params": {"n": 1, "p_max": 2.0}},
+            {"name": "ybe", "params": {"kind": "BMW_D", "rep": "bogus"}},
+            # [False, False] == [0, 0]: the grid compares the types in a list too
+            {"name": "gamma-trace", "params": {"k": 1, "word": [False, False],
+                                               "matching": [[0, 1]]}},
         ],
     }
     out = run_manifest(doc)
     assert not out["all_passed"]
     passed = [r["passed"] for r in out["results"]]
-    assert passed == [True, True, True] + [False] * 16
+    assert passed == [True, True, True] + [False] * 18
     for row in out["results"][3:6]:
         assert row["error"].startswith("ArgumentOutOfRange")
     # an identity row runs only on its grid: it has no size budget
@@ -208,8 +213,10 @@ def test_manifest_runner():
     assert out["results"][9] == {
         "name": "no-such-check", "params": {}, "passed": False, "error": "unknown check"
     }
-    for row in out["results"][10:]:
+    for row in out["results"][10:-1]:
         assert row["error"].startswith("ArgumentOutOfRange"), row
+    assert out["results"][-2]["error"] == "ArgumentOutOfRange: unknown representation 'bogus'"
+    assert out["results"][-1]["error"] == "params outside the registry grid"
     with pytest.raises(ParseError):
         run_manifest({"format_version": 2, "checks": []})
 
@@ -328,9 +335,9 @@ def test_shared_braid_data_is_read_only():
 
 
 def _assert_den_factors(x):
-    """The content and keys _den_factors reads off x multiply out to the
+    """The content and keys _parts reads off x multiply out to the
     denominator of x's normal form."""
-    cont, fac = matrixlab._den_factors(x)
+    _, cont, fac = _parts(x)
     den = FIELD.ring(cont)
     for f, e in fac.items():
         den *= to_sympy(f) ** e
@@ -342,10 +349,8 @@ def test_denominator_factors_of_check_all(monkeypatch):
     from qspin import cli
 
     seen = []
-    den_factors = matrixlab._den_factors
-    monkeypatch.setattr(
-        matrixlab, "_den_factors", lambda x: seen.append(x) or den_factors(x)
-    )
+    parts = matrixlab._parts
+    monkeypatch.setattr(matrixlab, "_parts", lambda x: seen.append(x) or parts(x))
     for built in vars(matrixlab).values():
         if hasattr(built, "cache_clear"):
             built.cache_clear()
@@ -371,7 +376,7 @@ def test_kept_towers_are_reduced(kind, n):
     # denominator and every numerator would be squared at the next level
     for p in (1, 2, 3):
         x = matrixlab._tower(kind, n, p)
-        g = to_sympy(x.den)
+        g = to_sympy(_expand(x._cont, 0, x._dfac))
         for row in x.rows.values():
             for num in row.values():
                 g = g.gcd(to_sympy(num))
@@ -442,9 +447,20 @@ def _matrices(draw, dim):
 
 def _mat(ref):
     return SquareMatrixK.from_entries(len(ref), [
-        (i, j, ScalarK.from_field_element(from_sympy(v)))
+        (i, j, _wrap(from_sympy(v)))
         for i, row in enumerate(ref) for j, v in enumerate(row)
     ])
+
+
+@given(st.one_of(_entries(), trees(key_atoms, depth=4).map(value)))
+@settings(max_examples=100, deadline=None)
+def test_parts_and_over_are_inverse(x):
+    # both directions of the scalar/matrix boundary: a value's numerator,
+    # content and denominator keys, and the value over them
+    num, cont, keys = _parts(x)
+    assert num == x.nf.numer
+    _assert_den_factors(x)
+    assert _over(num, cont, keys) == x
 
 
 def _assert_matches(m, ref):
@@ -456,7 +472,7 @@ def _assert_matches(m, ref):
         for j in range(dim):
             assert to_sympy(m.entry(i, j).nf) == ref[i][j]
             assert (j in m.rows.get(i, {})) == bool(ref[i][j])
-    assert m.den.LC > 0
+    assert _expand(m._cont, 0, m._dfac).LC > 0
     assert m == _mat(ref)
 
 
@@ -557,6 +573,19 @@ def _same(m, o):
     for i in range(m.dim):
         for j in range(m.dim):
             assert m.entry(i, j).nf == o.entry(i, j).nf
+
+
+@pytest.mark.parametrize("kind", ["E", "F"])
+def test_tower_entries_and_traces_match_the_oracle(kind):
+    # entry and trace read a tower at n = 2 over its keys, with no gcd; the
+    # oracle builds each field element by one cancel
+    for p in (1, 2, 3):
+        m = matrixlab._tower(kind, 2, p)
+        orows = {i: {j: tuple_poly.TPoly.of(v) for j, v in row.items()}
+                 for i, row in m.rows.items()}
+        o = matrix_oracle.SquareMatrixK(m.dim, orows, m._cont, dict(m._dfac))
+        _same(m, o)
+        assert m.trace().nf == o.trace().nf
 
 
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(_sparse(d), _sparse(d))),

@@ -24,6 +24,7 @@ from qspin.networks import (
     cabled_unknot,
     chromatic_eval,
     check_clifford,
+    check_gamma_trace,
     check_tetrahedron_relabelling,
     gamma_matrices,
     gamma_metric,
@@ -284,6 +285,12 @@ def test_network_from_malformed_json_is_a_parse_error(load, text, message):
 def test_strand_network_validation():
     with pytest.raises(ConstraintViolated):
         StrandNetwork({"r": 1}, {})
+    # a link that covers every port once, as a 4-cycle, not as two pairs
+    ports = [("r", side, p) for side in (0, 1) for p in range(2)]
+    with pytest.raises(ConstraintViolated, match="ambient linking is not an involution"):
+        StrandNetwork({"r": 2}, dict(zip(ports, ports[1:] + ports[:1])))
+    with pytest.raises(ConstraintViolated, match="unknown normalization 'Bogus'"):
+        chromatic_eval(medial(unknot(1)), "Bogus")
 
 
 def test_gamma_clifford_relations():
@@ -324,6 +331,8 @@ def test_gamma_trace_contractions():
         assert gamma_oracle_trace(
             k, [0, 1, 0, 1], [(0, 2), (1, 3)]
         ) == 2 * k * (2 - 2 * k) * dim
+        # no chords: Tr(1) = 2^k, which the closed form reads as Delta
+        assert gamma_oracle_trace(k, [], []) == dim and check_gamma_trace(k, [], [])
 
 
 def test_gamma_trace_validation():
@@ -336,3 +345,14 @@ def test_gamma_trace_validation():
     for word, matching in (([0, 1], [(0, 1)]), ([5, 7, 9, 9], [(0, 2), (1, 3)])):
         with pytest.raises(ConstraintViolated, match="share a slot id"):
             gamma_oracle_trace(1, word, matching)
+    # three chords that cross pairwise have no closed form here
+    with pytest.raises(ArgumentOutOfRange, match="a chord crosses two others"):
+        check_gamma_trace(1, [0, 1, 2, 0, 1, 2], [[0, 3], [1, 4], [2, 5]])
+    # each item's shape is checked before the chords are counted or traced
+    for call, args, message in (
+            (check_gamma_trace, (1, [0, 0], [[0, 1, 1]]), "a matching is a list of pairs"),
+            (gamma_oracle_trace, (1, [0, 0, 0, 1], [[0, 1, 2], [3]]),
+             "a matching is a list of pairs"),
+            (gamma_oracle_trace, (1, [[0], [0]], [[0, 1]]), "slot ids must be integers")):
+        with pytest.raises(ConstraintViolated, match=message):
+            call(*args)

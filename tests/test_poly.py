@@ -181,6 +181,9 @@ def test_exponents_stop_at_the_field_width():
             op()
     with pytest.raises(ArgumentOutOfRange):
         Poly.from_terms({(-1, 0): 1})
+    # and a key has a field for at most five generators
+    with pytest.raises(ArgumentOutOfRange, match="a polynomial has 1 to 5 generators"):
+        poly.ring(6)
 
 
 def test_polynomials_are_immutable_values():

@@ -84,6 +84,8 @@ def test_qfact_and_qbinom():
     assert equal(qbinom(4, 2), qfact(4) / (qfact(2) * qfact(2)))
     with pytest.raises(ArgumentOutOfRange):
         qfact(-1)
+    with pytest.raises(ArgumentOutOfRange, match="qbinom requires 0 <= m <= a"):
+        qbinom(2, 3)
 
 
 @pytest.mark.parametrize("b", [0, 1, 2])

@@ -99,6 +99,8 @@ def test_x_coeff_is_its_uncancelled_quotient():
 def test_completeness_C_baseline():
     assert equal(completeness_C(0, 0, 0), ONE)
     assert equal(completeness_C(1, 1, 1), qfact(1) / brace(1))
+    with pytest.raises(ArgumentOutOfRange, match="completeness_C requires m <= min"):
+        completeness_C(1, 2, 2)
 
 
 # a count is an int >= 0: a bool, a float or a negative int is refused
